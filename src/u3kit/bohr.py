@@ -13,7 +13,6 @@ with both inclusions and properness verified by enumeration.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -23,7 +22,6 @@ import numpy as np
 
 from .errors import (
     DensityTooLow,
-    DependentGenerators,
     NotFound,
     NoZero,
     NotProper,
@@ -32,9 +30,9 @@ from .errors import (
     SpecMismatch,
 )
 from .fourier import dft
-from .groups import DualElement, GroupElement, GroupFunction, GroupSpec, mod1, pair
+from .groups import DualElement, GroupElement, GroupFunction, GroupSpec, pair
 from .lattice import TaggedLattice, hermite_reduce, lll_reduce, product_bound_certified
-from .modlinalg import BoxSubgroup, PrimeSubspace, Subgroup
+from .modlinalg import BoxSubgroup, PrimeSubspace, is_prime
 from .quadratic import frac_part, _frac_rank
 
 
@@ -394,7 +392,7 @@ def character_kernel(spec: GroupSpec, S: Sequence[DualElement]):
             g = gcd(int(xi.coords[0]), N)
             m = lcm(m, N // g)
         return BoxSubgroup(spec, (m,))
-    if len(set(spec.orders)) == 1 and _is_prime_int(spec.orders[0]):
+    if len(set(spec.orders)) == 1 and is_prime(spec.orders[0]):
         from .modlinalg import kernel_basis_mod_p
 
         mat = np.array([list(xi.coords) for xi in S], dtype=np.int64)
@@ -406,17 +404,6 @@ def character_kernel(spec: GroupSpec, S: Sequence[DualElement]):
         if all(pair(xi, x) == 0 for xi in S)
     ]
     return EnumeratedSubgroup(spec, tuple(sorted(idx)))
-
-
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 # --- coset progressions -------------------------------------------------------
@@ -444,7 +431,7 @@ class CosetProgression:
         idx = np.array([self.base.index], dtype=np.int64)
         for v, L in zip(self.generators, self.half_lengths):
             ls = np.arange(-(L - 1), L, dtype=np.int64)
-            shifts = self.spec.encode(ls[:, None] * np.array(v.coords, dtype=np.int64)[None, :])
+            shifts = self.spec.scale_indices(ls, v.index)
             idx = self.spec.add_indices(idx[:, None], shifts[None, :]).reshape(-1)
         return idx
 

@@ -72,17 +72,6 @@ def _parse_set(s: str) -> list[int]:
     return [int(v) for v in s.replace(" ", "").split(",") if v != ""]
 
 
-def _parse_duals(spec: GroupSpec, s: str):
-    out = []
-    for part in s.split(";") if ";" in s else s.split(","):
-        coords = [int(v) for v in part.replace(" ", "").split(",")] if ";" in s else [int(part)]
-        if spec.rank == 1 and ";" not in s:
-            out.append(spec.dual(coords))
-        else:
-            out.append(spec.dual(coords))
-    return out
-
-
 def _dual_list(spec: GroupSpec, s: str):
     """"1,17" on cyclic groups; "1,0;0,1" (semicolon-separated vectors) on
     products."""
@@ -91,6 +80,13 @@ def _dual_list(spec: GroupSpec, s: str):
         parts = s.split(";")
         return [spec.dual([int(v) for v in p.split(",")]) for p in parts]
     return [spec.dual([int(v)]) for v in s.split(",")]
+
+
+def _positive_int(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {s}")
+    return n
 
 
 # --- subcommand handlers -------------------------------------------------------
@@ -407,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, group=True, func=False, seed=False):
         p.add_argument("--out", help="write the result JSON here as well")
-        p.add_argument("--threads", type=int, default=0,
-                       help="reserved; computation is vectorized in-process")
         if group:
             p.add_argument("--group", help='group spec, e.g. "Z/101", "F5^3", "Z/4xZ/9"')
         if func:
@@ -494,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hp-check", help="parallelepiped-constraint check")
     common(p, group=False, seed=True)
     p.add_argument("--k", type=int, default=4, choices=[3, 4])
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.set_defaults(handler=_cmd_hp_check)
 
     p = sub.add_parser("fw", help="two-scale U^3 counterexample")

@@ -74,10 +74,6 @@ class RhoTooLarge(U3KitError):
     """Bohr radius too large for the requested construction."""
 
 
-class RankCollapse(U3KitError):
-    """Progression rank collapsed below the number of characters."""
-
-
 class NoZero(U3KitError):
     """The input set must contain zero."""
 

@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
@@ -30,22 +30,9 @@ from .errors import (
 from .forms import count_aps
 from .groups import GroupFunction, GroupSpec
 from .inverse_f5 import ObstructionReport, quadratic_obstruction
-from .modlinalg import PrimeSubspace, kernel_basis_mod_p, solve_mod_p
+from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, solve_mod_p
 from .norms import gowers_norm
 from .quadratic import degenerate_subspace
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
 
 
 # --- the two-scale counterexample --------------------------------------------
@@ -69,7 +56,7 @@ class FwSpec:
 
     @staticmethod
     def for_modulus(N: int) -> "FwSpec":
-        if not _is_prime(N):
+        if not is_prime(N):
             raise NotPrime(f"{N} is not prime")
         if N < 401:
             raise TooSmall("need N >= 401 for a nontrivial support")
@@ -207,13 +194,7 @@ class IncrementReport:
 def _affine_subspace_density(
     spec: GroupSpec, in_A: np.ndarray, base: int, basis: np.ndarray
 ) -> float:
-    p = spec.orders[0]
-    k = basis.shape[0]
-    if k == 0:
-        return float(in_A[base])
-    grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * k, indexing="ij")
-    t = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    pts = spec.add_indices(spec.encode((t @ basis) % p), np.int64(base))
+    pts = spec.coset_points(base, spec.encode(basis), (spec.orders[0],) * len(basis))
     return float(np.mean(in_A[pts]))
 
 
@@ -276,9 +257,9 @@ def density_increment_f5(
             # cosets of U inside best_y + W: reps = best_y + (complement of U in W)
             comp_loc = _complement_in(W.dim, UB_loc, p)
             reps_loc = _span_points(comp_loc, p)
+            zs = spec.coset_points(best_y, spec.encode(comp_loc @ WB), (p,) * len(comp_loc))
             b_loc = np.array(wit.b, dtype=np.int64)
-            for rep in reps_loc:
-                z = int(spec.add_indices(np.int64(best_y), np.int64(spec.encode((rep @ WB) % p))))
+            for rep, z in zip(reps_loc, zs.tolist()):
                 # on z + U the witness phase is affine: value and direction
                 base_val = int((rep @ A_loc @ rep + b_loc @ rep) % p)
                 # linear form on U-local coords: l(u) = (2 rep.A + b) . (u UB_loc)
@@ -326,12 +307,11 @@ def _complement_in(dim: int, rows: np.ndarray, p: int) -> np.ndarray:
 
 
 def _span_points(rows: np.ndarray, p: int) -> np.ndarray:
+    """Coordinates of t @ rows for t in F_p^k, lexicographic order."""
     k = rows.shape[0]
     if k == 0:
-        return np.zeros((1, rows.shape[1] if rows.ndim == 2 else 0), dtype=np.int64)
-    grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * k, indexing="ij")
-    t = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    return (t @ rows) % p
+        return np.zeros((1, rows.shape[1]), dtype=np.int64)
+    return (GroupSpec((p,) * k).decode(np.arange(p**k)) @ rows) % p
 
 
 def _affine_slice(UB: np.ndarray, lin: np.ndarray, target: int, p: int, spec: GroupSpec):
@@ -401,16 +381,11 @@ def szemeredi_driver(
             trace.append(DriverStep(depth + 1, 0, rep.new_density, "dimension-floor"))
             break
         base_idx = cur_spec.index_of(list(rep.coset_base))
-        new_spec = GroupSpec((p,) * k)
         in_A = np.zeros(cur_spec.order, dtype=bool)
         in_A[np.array(cur_A, dtype=np.int64)] = True
-        newA = []
-        for t_idx in range(new_spec.order):
-            t = np.array(new_spec.coords_of(t_idx), dtype=np.int64)
-            amb = int(cur_spec.add_indices(np.int64(cur_spec.encode((t @ basis) % p)), np.int64(base_idx)))
-            if in_A[amb]:
-                newA.append(t_idx)
-        cur_spec, cur_A = new_spec, newA
+        # point t of the new F_p^k is base + t @ basis, in lex order = index order
+        amb = cur_spec.coset_points(base_idx, cur_spec.encode(basis), (p,) * k)
+        cur_spec, cur_A = GroupSpec((p,) * k), np.flatnonzero(in_A[amb]).tolist()
     return trace
 
 

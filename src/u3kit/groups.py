@@ -6,14 +6,30 @@ of a character with an element lands in the torus R/Z and is kept as an exact
 Fraction.  Dense complex-valued functions on a group are stored as numpy
 vectors in row-major element order, which fixes the serialized layout
 bit-for-bit.
+
+This module is the only one that knows the row-major layout
+(index = sum_i coord_i * prod_{j>i} n_j, the first factor varying slowest).
+The numeric code elsewhere works on index arrays through three entry points:
+
+* index arithmetic -- ``GroupSpec.add_indices`` / ``neg_indices`` /
+  ``scale_indices`` work digit by digit on broadcasting int64 arrays, from
+  place values computed once per spec (``decode`` / ``encode`` convert to
+  and from coordinates);
+* coset points -- ``GroupSpec.coset_points(y, gens, orders)`` lists
+  y + t_1 g_1 + ... + t_k g_k for t in lexicographic order (t_1 slowest), the
+  points of a coset of a subgroup in its local coordinates;
+* batched shift -- ``GroupSpec.translates(hs)`` gives one row x -> x + h per
+  shift h, from which ``shift``, ``derivative_rows`` and the derivatives
+  elsewhere are read.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -37,17 +53,6 @@ def mod1(t: TorusValue) -> TorusValue:
     return t - np.floor(t)
 
 
-def rz_norm(t: TorusValue) -> TorusValue:
-    """Distance to the nearest integer, in [0, 1/2]."""
-    t = mod1(t)
-    return min(t, 1 - t)
-
-
-def torus_exp(t: TorusValue) -> complex:
-    """e(t) = exp(2 pi i t)."""
-    return complex(np.exp(2j * np.pi * float(t)))
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """A finite abelian group presented as a product of cyclic factors."""
@@ -60,7 +65,7 @@ class GroupSpec:
         if self.order >= 2**63:
             raise ValueError("group order must fit in 64 bits")
 
-    @property
+    @cached_property
     def order(self) -> int:
         return prod(self.orders)
 
@@ -68,8 +73,8 @@ class GroupSpec:
     def rank(self) -> int:
         return len(self.orders)
 
-    # Row-major index: index = sum_i coord_i * prod_{j>i} n_j.
-    @property
+    # Row-major place values: index = sum_i coord_i * prod_{j>i} n_j.
+    @cached_property
     def _weights(self) -> tuple[int, ...]:
         w = []
         acc = 1
@@ -129,14 +134,40 @@ class GroupSpec:
             acc = acc + (coords[..., a] % n) * w
         return acc
 
+    # Digit-wise index arithmetic on broadcasting int64 arrays; digit i of an
+    # index a is a // w_i % n_i.
     def add_indices(self, a, b) -> np.ndarray:
-        return self.encode(self.decode(a) + self.decode(b))
+        """a + b: the sum of the indices, less n_i w_i at every digit i whose
+        digit sum reaches n_i (the carry the factor Z/n_i drops)."""
+        a = np.asarray(a, dtype=np.int64) % self.order
+        b = np.asarray(b, dtype=np.int64) % self.order
+        out = np.asarray(a + b)
+        for n, w in zip(self.orders, self._weights):
+            np.subtract(out, n * w, out=out, where=a // w % n >= n - b // w % n)
+        return out
 
     def neg_indices(self, a) -> np.ndarray:
-        return self.encode(-self.decode(a))
+        a = np.asarray(a, dtype=np.int64)
+        return sum(-(a // w) % n * w for n, w in zip(self.orders, self._weights))
 
-    def scale_indices(self, c: int, a) -> np.ndarray:
-        return self.encode(c * self.decode(a))
+    def scale_indices(self, c, a) -> np.ndarray:
+        """c * a for an integer (or integer array) c, broadcasting."""
+        a = np.asarray(a, dtype=np.int64)
+        return sum(c * (a // w % n) % n * w for n, w in zip(self.orders, self._weights))
+
+    def coset_points(self, y: int, gens, orders: Sequence[int]) -> np.ndarray:
+        """Indices of y + t_1 g_1 + ... + t_k g_k over t in prod range(orders),
+        lexicographic with t_1 slowest; ``gens`` are element indices."""
+        pts = np.asarray(y, dtype=np.int64).reshape(1)
+        for g, o in zip(gens, orders, strict=True):
+            steps = self.scale_indices(np.arange(o, dtype=np.int64), g)
+            pts = self.add_indices(pts[:, None], steps[None, :]).reshape(-1)
+        return pts
+
+    def translates(self, hs) -> np.ndarray:
+        """The batched shift: row r lists x + hs[r] for x in index order."""
+        hs = np.asarray(hs, dtype=np.int64)
+        return self.add_indices(np.arange(self.order, dtype=np.int64)[None, :], hs[:, None])
 
     def __str__(self) -> str:
         return "x".join(f"Z/{n}" for n in self.orders)
@@ -206,16 +237,6 @@ def pair(xi: DualElement, x: GroupElement) -> Fraction:
     return mod1(total)
 
 
-def pair_indices(spec: GroupSpec, xi_idx, x_idx) -> np.ndarray:
-    """Float pairing for index arrays (fast path; exact values are k/lcm)."""
-    xc = spec.decode(np.asarray(xi_idx))
-    yc = spec.decode(np.asarray(x_idx))
-    acc = np.zeros(np.broadcast(xc[..., 0], yc[..., 0]).shape, dtype=np.float64)
-    for a, n in enumerate(spec.orders):
-        acc += (xc[..., a] * yc[..., a] % n) / n
-    return acc % 1.0
-
-
 @dataclass
 class GroupFunction:
     """Dense complex function on a group, row-major over element indices."""
@@ -279,21 +300,23 @@ class GroupFunction:
 def shift(f: GroupFunction, h: GroupElement) -> GroupFunction:
     """T^h f with T^h f(x) = f(x+h)."""
     _check_owner(f, h)  # type: ignore[arg-type]
-    spec = f.owner
-    idx = spec.add_indices(np.arange(spec.order), np.int64(h.index))
-    return GroupFunction(spec, f.values[idx])
+    return GroupFunction(f.owner, shift_index(f, h.index))
 
 
 def shift_index(f: GroupFunction, h_index: int) -> np.ndarray:
-    spec = f.owner
-    idx = spec.add_indices(np.arange(spec.order), np.int64(h_index))
-    return f.values[idx]
+    return f.values[f.owner.translates([h_index])[0]]
+
+
+def derivative_rows(f: GroupFunction, hs) -> np.ndarray:
+    """Row r is x -> f(x + hs[r]) * conj(f(x)), one multiplicative derivative
+    per shift index."""
+    return f.values[f.owner.translates(hs)] * np.conj(f.values)[None, :]
 
 
 def mult_derivative(f: GroupFunction, h: GroupElement) -> GroupFunction:
     """x -> f(x+h) * conj(f(x)), the multiplicative derivative in direction h."""
     _check_owner(f, h)  # type: ignore[arg-type]
-    return GroupFunction(f.owner, shift_index(f, h.index) * np.conj(f.values))
+    return GroupFunction(f.owner, derivative_rows(f, [h.index])[0])
 
 
 def phase_difference(phi: Sequence[TorusValue], h: GroupElement) -> list[TorusValue]:
@@ -301,7 +324,7 @@ def phase_difference(phi: Sequence[TorusValue], h: GroupElement) -> list[TorusVa
     spec = h.owner
     if len(phi) != spec.order:
         raise SpecMismatch("phase table must cover the whole group")
-    idx = spec.add_indices(np.arange(spec.order), np.int64(h.index))
+    idx = spec.translates([h.index])[0]
     return [mod1(phi[int(j)] - phi[i]) for i, j in enumerate(idx)]
 
 
@@ -340,11 +363,10 @@ def parse_group(s: str) -> GroupSpec:
         else:
             p, k = int(m.group(2)), int(m.group(3))
             orders.extend([p] * k)
-    return GroupSpec(tuple(orders))
-
-
-def group_to_string(spec: GroupSpec) -> str:
-    return str(spec)
+    try:
+        return GroupSpec(tuple(orders))
+    except ValueError as exc:  # a zero factor, or an order beyond int64
+        raise ParseError(f"bad group {s!r}: {exc}") from exc
 
 
 # --- JSON function format --------------------------------------------------
@@ -361,11 +383,6 @@ def function_from_json(obj: dict) -> GroupFunction:
     spec = parse_group(obj["group"])
     vals = np.array([complex(re_, im) for re_, im in obj["values"]], dtype=np.complex128)
     return GroupFunction(spec, vals)
-
-
-def save_function(f: GroupFunction, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(function_to_json(f), fh)
 
 
 def load_function(path: str) -> GroupFunction:

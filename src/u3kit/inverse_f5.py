@@ -20,9 +20,9 @@ import numpy as np
 from .bohr import bogolyubov
 from .errors import EmptyGraph, EmptyV, SliceFailed, SpecMismatch
 from .fourier import dft_values
-from .groups import GroupElement, GroupFunction, GroupSpec
-from .modlinalg import PrimeSubspace, kernel_basis_mod_p, largest_subspace_inside, rank_mod_p
-from .norms import CosetQuadraticWitness, NormReport, u3_oracle_coset
+from .groups import GroupElement, GroupFunction, GroupSpec, derivative_rows
+from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, largest_subspace_inside
+from .norms import CosetQuadraticWitness, u3_oracle_coset
 
 PAIRSET_BUDGET = 40_000_000
 
@@ -32,9 +32,8 @@ def _homogeneous_prime(spec: GroupSpec) -> int:
     if len(ps) != 1:
         raise SpecMismatch("pipeline requires a homogeneous prime-power-free group F_p^n")
     p = ps.pop()
-    for q in range(2, p):
-        if p % q == 0:
-            raise SpecMismatch("factor order must be prime")
+    if not is_prime(p):
+        raise SpecMismatch("factor order must be prime")
     return p
 
 
@@ -49,6 +48,11 @@ class PhaseGraph:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @property
+    def pair_group(self) -> GroupSpec:
+        """G x dual(G), whose row-major indices are the pair keys h * N + xi."""
+        return GroupSpec(self.spec.orders * 2)
 
     def pair_keys(self) -> np.ndarray:
         N = self.spec.order
@@ -70,12 +74,9 @@ def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
     cut = eta**8 / 2.0
     entries: dict[int, tuple[int, float]] = {}
     chunk = max(1, 2_000_000 // N)
-    conj = np.conj(f.values)
     for start in range(0, N, chunk):
         hs = np.arange(start, min(start + chunk, N), dtype=np.int64)
-        idx = spec.add_indices(np.arange(N)[None, :], hs[:, None])
-        rows = f.values[idx] * conj[None, :]
-        F = np.abs(dft_values(spec, rows))
+        F = np.abs(dft_values(spec, derivative_rows(f, hs)))
         best = np.argmax(F, axis=1)
         mags = F[np.arange(len(hs)), best]
         for h, xi, m in zip(hs.tolist(), best.tolist(), mags.tolist()):
@@ -92,47 +93,32 @@ def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
 # --- pair-set arithmetic over G x dual(G) ------------------------------------
 
 
-def _pair_add(spec: GroupSpec, keys_a: np.ndarray, keys_b: np.ndarray) -> np.ndarray:
-    N = spec.order
-    ha, xa = keys_a // N, keys_a % N
-    hb, xb = keys_b // N, keys_b % N
-    hs = spec.add_indices(ha[:, None], hb[None, :]).reshape(-1)
-    xs = spec.add_indices(xa[:, None], xb[None, :]).reshape(-1)
-    return np.unique(hs * N + xs)
+def _pair_add(pairs: GroupSpec, keys_a: np.ndarray, keys_b: np.ndarray) -> np.ndarray:
+    return np.unique(pairs.add_indices(keys_a[:, None], keys_b[None, :]))
 
 
-def _pair_neg(spec: GroupSpec, keys: np.ndarray) -> np.ndarray:
-    N = spec.order
-    return np.unique(spec.neg_indices(keys // N) * N + spec.neg_indices(keys % N))
-
-
-def _iterated_pairset(spec: GroupSpec, keys: np.ndarray, plus: int, minus: int,
+def _iterated_pairset(pairs: GroupSpec, keys: np.ndarray, plus: int, minus: int,
                       budget: int = PAIRSET_BUDGET) -> np.ndarray:
     from .errors import BudgetExceeded
 
     acc = np.zeros(1, dtype=np.int64)
-    neg = _pair_neg(spec, keys)
+    neg = np.unique(pairs.neg_indices(keys))
     for _ in range(plus):
         if len(acc) * len(keys) > budget:
             raise BudgetExceeded("pair sumset budget exceeded")
-        acc = _pair_add(spec, acc, keys)
+        acc = _pair_add(pairs, acc, keys)
     for _ in range(minus):
         if len(acc) * len(neg) > budget:
             raise BudgetExceeded("pair sumset budget exceeded")
-        acc = _pair_add(spec, acc, neg)
+        acc = _pair_add(pairs, acc, neg)
     return acc
 
 
 def additive_quadruples(gamma: PhaseGraph) -> int:
     """Exact count of (z1,z2,z3,z4) in the graph with z1+z2 = z3+z4."""
-    spec = gamma.spec
-    N = spec.order
     keys = gamma.pair_keys()
-    h, xi = keys // N, keys % N
-    hs = spec.add_indices(h[:, None], h[None, :]).reshape(-1)
-    xs = spec.add_indices(xi[:, None], xi[None, :]).reshape(-1)
-    sums = hs * N + xs
-    _, counts = np.unique(sums, return_counts=True)
+    _, counts = np.unique(gamma.pair_group.add_indices(keys[:, None], keys[None, :]),
+                          return_counts=True)
     return int(np.sum(counts.astype(object) ** 2))
 
 
@@ -162,7 +148,7 @@ def random_slice(gamma: PhaseGraph, seed: int, budget: int = PAIRSET_BUDGET) -> 
         return SliceResult(gamma, 0, 0, False, True, seed)
     surrogate = len(keys) * (N * N) > budget
     folds = 4 if surrogate else 8
-    diff = _iterated_pairset(spec, keys, folds, folds, budget)
+    diff = _iterated_pairset(gamma.pair_group, keys, folds, folds, budget)
     zero_fiber = diff[diff // N == 0] % N
     A = np.unique(zero_fiber)
     A_nonzero = A[A != 0]
@@ -195,7 +181,7 @@ def random_slice(gamma: PhaseGraph, seed: int, budget: int = PAIRSET_BUDGET) -> 
         result_graph = PhaseGraph(spec, gamma.threshold, entries)
     # verify: (0, xi) in the sliced iterated difference set forces xi = 0
     keys2 = result_graph.pair_keys()
-    diff2 = _iterated_pairset(spec, keys2, folds, folds, budget)
+    diff2 = _iterated_pairset(gamma.pair_group, keys2, folds, folds, budget)
     zf = np.unique(diff2[diff2 // N == 0] % N)
     verified = bool(np.all(zf == 0)) if len(zf) else True
     return SliceResult(result_graph, int(len(A)), m, surrogate, verified, seed)
@@ -227,9 +213,9 @@ def linear_component_fit(sliced: SliceResult) -> LinearComponentFit:
     N = spec.order
     if len(gamma) == 0:
         raise EmptyV("empty graph")
-    keys = gamma.pair_keys()
-    two = _iterated_pairset(spec, keys, 2, 0)
-    d2 = _pair_add(spec, two, _pair_neg(spec, two))
+    pairs = gamma.pair_group
+    two = _iterated_pairset(pairs, gamma.pair_keys(), 2, 0)
+    d2 = _pair_add(pairs, two, np.unique(pairs.neg_indices(two)))
 
     H2 = np.array(sorted(gamma.entries), dtype=np.int64)
     spectrum = bogolyubov(spec, H2.tolist())
@@ -255,39 +241,35 @@ def linear_component_fit(sliced: SliceResult) -> LinearComponentFit:
         lookup[h] = xi
     inv2 = pow(2, -1, p)
     rows = []
-    for b in Vsub.basis_matrix():
-        hb = int(spec.encode(b))
+    for hb in Vsub.generators.tolist():
         if hb not in lookup or hb in ambiguous:
             raise EmptyV("doubled graph does not cover the subspace")
         xi = spec.decode(np.int64(lookup[hb]))
         rows.append((inv2 * xi) % p)
     M_rows = np.array(rows, dtype=np.int64).reshape(Vsub.dim, spec.rank)
-    # the doubled graph must agree with the linear model on all of V
-    tgrid = np.meshgrid(*[np.arange(p, dtype=np.int64)] * Vsub.dim, indexing="ij")
-    tall = np.stack([g.reshape(-1) for g in tgrid], axis=-1)
-    v_idx = spec.encode((tall @ Vsub.basis_matrix()) % p)
-    pred = spec.encode((2 * (tall @ M_rows)) % p)
-    for hv, pv in zip(v_idx.tolist(), pred.tolist()):
+    # the doubled graph must agree with the linear model on all of V: the
+    # points h of V and the predictions 2Mh, both in V-local lex order
+    v_idx = spec.coset_points(0, Vsub.generators, Vsub.local_orders)
+    two_mh = spec.coset_points(0, spec.encode(2 * M_rows), Vsub.local_orders)
+    for hv, pv in zip(v_idx.tolist(), two_mh.tolist()):
         if hv in ambiguous or lookup.get(hv, pv) != pv:
             raise EmptyV("doubled graph is not linear on the subspace")
 
-    # exhaustive affine fit: for each x0, vote for xi0 = xi_{x0+h} - 2Mh
-    tgrids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * Vsub.dim, indexing="ij")
-    tloc = np.stack([g.reshape(-1) for g in tgrids], axis=-1)
-    V_idx = spec.encode((tloc @ Vsub.basis_matrix()) % p)
-    two_mh = spec.encode((2 * (tloc @ M_rows)) % p)
+    # exhaustive affine fit: for each x0, vote for xi0 = xi_{x0+h} - 2Mh; the
+    # most votes win, then the smallest xi0, then the smallest x0
+    xi_at = np.full(N, -1, dtype=np.int64)
+    for h, (xi, _) in gamma.entries.items():
+        xi_at[h] = xi
+    neg_two_mh = spec.neg_indices(two_mh)
     best = (-1, 0, 0)  # (count, x0, xi0)
     for x0 in range(N):
-        pts = spec.add_indices(V_idx, np.int64(x0))
-        votes: dict[int, int] = {}
-        for pt, mh2 in zip(pts.tolist(), two_mh.tolist()):
-            if pt in gamma.entries:
-                xi0 = int(spec.add_indices(np.int64(gamma.entries[pt][0]), spec.neg_indices(np.int64(mh2))))
-                votes[xi0] = votes.get(xi0, 0) + 1
-        if votes:
-            xi0, cnt = min(votes.items(), key=lambda kv: (-kv[1], kv[0]))
-            if cnt > best[0]:
-                best = (cnt, x0, xi0)
+        xis = xi_at[spec.add_indices(v_idx, np.int64(x0))]
+        hit = xis >= 0
+        if hit.any():
+            votes, counts = np.unique(spec.add_indices(xis[hit], neg_two_mh[hit]), return_counts=True)
+            i = int(np.argmax(counts))
+            if counts[i] > best[0]:
+                best = (int(counts[i]), x0, int(votes[i]))
     if best[0] < 0:
         raise EmptyV("no agreement found on any translate")
     cnt, x0, xi0 = best
@@ -372,15 +354,8 @@ class ObstructionReport:
 
 def coset_reps(W: PrimeSubspace) -> np.ndarray:
     """One representative per coset of W, via a complement basis."""
-    spec = W.spec
-    p = W.p
     comp = W.complement_basis()
-    c = comp.shape[0]
-    if c == 0:
-        return np.zeros(1, dtype=np.int64)
-    grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * c, indexing="ij")
-    t = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    return np.sort(spec.encode((t @ comp) % p))
+    return np.sort(W.spec.coset_points(0, W.spec.encode(comp), (W.p,) * len(comp)))
 
 
 def _witness_scan(
@@ -390,11 +365,10 @@ def _witness_scan(
     spec = f.owner
     p = W.p
     k = W.dim
-    tgrids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * k, indexing="ij") if k else []
     if k:
-        t = np.stack([g.reshape(-1) for g in tgrids], axis=-1)
+        t = GroupSpec((p,) * k).decode(np.arange(W.order))  # lex order, as the points
         qvals = np.einsum("ni,ij,nj->n", t, A_local, t) % p
-        pts = spec.add_indices(spec.encode((t @ W.basis_matrix()) % p), np.int64(y_index))
+        pts = spec.coset_points(y_index, W.generators, W.local_orders)
         omega = np.exp(-2j * np.pi * np.arange(p) / p)
         g = f.values[pts] * omega[qvals]
         corr = np.fft.fftn(g.reshape((p,) * k)).reshape(-1)

@@ -8,20 +8,34 @@ Two concrete subgroup families cover everything the toolkit needs:
 * ``PrimeSubspace`` -- F_p-linear subspaces of a homogeneous group Z/p x ...
   x Z/p given by a row-reduced basis.
 
-Both expose the same small surface: local cyclic orders, an embedding of
-local coordinates into the ambient group, and ambient element enumeration.
+Both expose the same small surface: local cyclic orders, the generators
+whose local-coordinate combinations embed into the ambient group, and ambient
+element enumeration.  The points of a coset y+H in local lexicographic order
+are ``H.spec.coset_points(y, H.generators, H.local_orders)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotFound, SpecMismatch
+from .errors import SpecMismatch
 from .groups import GroupElement, GroupSpec
+
+
+def is_prime(n: int) -> bool:
+    """Trial division."""
+    if n < 2:
+        return False
+    i = 2
+    while i * i <= n:
+        if n % i == 0:
+            return False
+        i += 1
+    return True
 
 
 # --- dense linear algebra over Z/p ----------------------------------------
@@ -137,13 +151,13 @@ class BoxSubgroup:
             for ti, d, h, n in zip(t, self.divisors, self.local_orders, self.spec.orders)
         )
 
+    @property
+    def generators(self) -> np.ndarray:
+        """Indices of d_i e_i, one per factor."""
+        return self.spec.encode(np.diag(np.array(self.divisors, dtype=np.int64)))
+
     def element_indices(self) -> np.ndarray:
-        grids = np.meshgrid(
-            *[np.arange(h, dtype=np.int64) * d for d, h in zip(self.divisors, self.local_orders)],
-            indexing="ij",
-        )
-        coords = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        return np.sort(self.spec.encode(coords))
+        return np.sort(self.spec.coset_points(0, self.generators, self.local_orders))
 
     def contains(self, x: GroupElement) -> bool:
         return all(c % d == 0 for c, d in zip(x.coords, self.divisors))
@@ -195,13 +209,13 @@ class PrimeSubspace:
         v = (np.array(t, dtype=np.int64) @ self.basis_matrix()) % self.p
         return tuple(int(c) for c in v)
 
+    @property
+    def generators(self) -> np.ndarray:
+        """Indices of the basis rows."""
+        return self.spec.encode(self.basis_matrix())
+
     def element_indices(self) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros(1, dtype=np.int64)
-        grids = np.meshgrid(*[np.arange(self.p, dtype=np.int64)] * self.dim, indexing="ij")
-        t = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        coords = (t @ self.basis_matrix()) % self.p
-        return np.sort(self.spec.encode(coords))
+        return np.sort(self.spec.coset_points(0, self.generators, self.local_orders))
 
     def contains(self, x: GroupElement) -> bool:
         if self.dim == 0:
@@ -250,12 +264,6 @@ class PrimeSubspace:
 Subgroup = BoxSubgroup | PrimeSubspace
 
 
-def subgroup_coset_indices(H: Subgroup, y_index: int) -> np.ndarray:
-    spec = H.spec
-    idx = H.element_indices()
-    return np.sort(spec.add_indices(idx, np.int64(y_index)))
-
-
 def enumerate_subspaces(spec: GroupSpec, k: int):
     """All k-dimensional subspaces of F_p^n as PrimeSubspace, via canonical
     reduced-echelon bases (each subspace exactly once), lexicographic order."""
@@ -301,8 +309,7 @@ def isotropic_vector_in(mat: np.ndarray, p: int) -> np.ndarray | None:
     k = mat.shape[0]
     if k == 0:
         return None
-    grids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * k, indexing="ij")
-    xs = np.stack([g.reshape(-1) for g in grids], axis=-1)[1:]  # skip zero
+    xs = GroupSpec((p,) * k).decode(np.arange(1, p**k))  # lexicographic, zero skipped
     vals = np.einsum("ni,ij,nj->n", xs, mat, xs) % p
     hits = np.nonzero(vals == 0)[0]
     if hits.size == 0:

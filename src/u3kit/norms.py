@@ -27,12 +27,11 @@ from .errors import (
     EvenOrder,
     NotBounded,
     NotPrime,
-    SpecMismatch,
 )
 from .fourier import dft, dft_values
-from .groups import DualElement, GroupElement, GroupFunction, GroupSpec
-from .modlinalg import BoxSubgroup, PrimeSubspace, Subgroup
-from .quadratic import BracketQuadratic, QuadraticPhase
+from .groups import DualElement, GroupElement, GroupFunction, GroupSpec, derivative_rows
+from .modlinalg import BoxSubgroup, PrimeSubspace, Subgroup, is_prime
+from .quadratic import BracketQuadratic
 
 DIRECT_BUDGET = 30_000_000
 ORACLE_BUDGET = 2_000_000_000
@@ -66,19 +65,13 @@ def _u2_pow4_batch(spec: GroupSpec, rows: np.ndarray) -> np.ndarray:
     return np.sum(mag2 * mag2, axis=-1)
 
 
-def _derivative_rows(f: GroupFunction, h_indices: np.ndarray) -> np.ndarray:
-    spec = f.owner
-    idx = spec.add_indices(np.arange(spec.order)[None, :], np.asarray(h_indices)[:, None])
-    return f.values[idx] * np.conj(f.values)[None, :]
-
-
 def _u3_pow8(f: GroupFunction) -> float:
     spec = f.owner
     N = spec.order
     total = 0.0
     for start in range(0, N, _H_CHUNK):
         hs = np.arange(start, min(start + _H_CHUNK, N))
-        rows = _derivative_rows(f, hs)
+        rows = derivative_rows(f, hs)
         total += float(np.sum(_u2_pow4_batch(spec, rows)))
     return total / N
 
@@ -88,7 +81,7 @@ def _u4_pow16(f: GroupFunction) -> float:
     N = spec.order
     total = 0.0
     for h in range(N):
-        g = GroupFunction(spec, _derivative_rows(f, np.array([h]))[0])
+        g = GroupFunction(spec, derivative_rows(f, [h])[0])
         total += _u3_pow8(g)
     return total / N
 
@@ -110,7 +103,7 @@ def _gowers_direct(f: GroupFunction, d: int, budget: int) -> float:
     N = spec.order
     if N ** (d + 1) > budget:
         raise BudgetExceeded(f"direct method needs N^{d + 1} = {N ** (d + 1)} > budget {budget}")
-    add = spec.add_indices(np.arange(N)[:, None], np.arange(N)[None, :])
+    add = spec.translates(np.arange(N))  # add[h, x] = x + h, symmetric
     vals = f.values
 
     def corner(idx_arrays: list[np.ndarray], omega: tuple[int, ...]) -> np.ndarray:
@@ -196,17 +189,13 @@ class CosetQuadraticWitness:
         return total % 1
 
     def bias_against(self, f: GroupFunction) -> float:
-        spec = self.subgroup.spec
+        H = self.subgroup
+        pts = H.spec.coset_points(self.y.index, H.generators, H.local_orders)
+        ts = itertools.product(*[range(o) for o in H.local_orders])
         total = 0j
-        count = 0
-        for t in itertools.product(*[range(o) for o in self.subgroup.local_orders]):
-            amb = spec.index_of(self.subgroup.embed_coords(t))
-            x = int(spec.add_indices(np.int64(amb), np.int64(self.y.index)))
+        for x, t in zip(pts.tolist(), ts, strict=True):
             total += f.values[x] * np.exp(-2j * np.pi * float(self.phase_at_local(t)))
-            count += 1
-        if count == 0:
-            count = 1
-        return abs(total) / count
+        return abs(total) / len(pts)
 
     def to_json(self) -> dict:
         return {"y": list(self.y.coords), "A": [list(r) for r in self.A], "b": list(self.b)}
@@ -214,20 +203,8 @@ class CosetQuadraticWitness:
 
 def _coset_values(f: GroupFunction, y_index: int, H: Subgroup) -> tuple[np.ndarray, tuple[int, ...]]:
     """Values of f on y+H in local lexicographic order, plus local orders."""
-    spec = f.owner
     orders = tuple(H.local_orders)
-    if not orders:
-        idx = spec.add_indices(np.int64(0), np.int64(y_index))
-        return f.values[np.array([idx])], ()
-    tgrids = np.meshgrid(*[np.arange(o, dtype=np.int64) for o in orders], indexing="ij")
-    t = np.stack([g.reshape(-1) for g in tgrids], axis=-1)
-    if isinstance(H, PrimeSubspace):
-        coords = (t @ H.basis_matrix()) % H.p
-    else:
-        coords = t * np.array(H.divisors, dtype=np.int64)[None, :]
-    amb = spec.encode(coords)
-    idx = spec.add_indices(amb, np.int64(y_index))
-    return f.values[idx], orders
+    return f.values[f.owner.coset_points(y_index, H.generators, orders)], orders
 
 
 def u3_oracle_coset(
@@ -257,16 +234,14 @@ def u3_oracle_coset(
         n_M = p ** (k * (k + 1) // 2)
         if n_M * m * p**k > budget:
             raise BudgetExceeded("symmetric-matrix scan exceeds budget")
-        tgrids = np.meshgrid(*[np.arange(p, dtype=np.int64)] * k, indexing="ij")
-        t = np.stack([g.reshape(-1) for g in tgrids], axis=-1)  # (m, k)
+        t = GroupSpec((p,) * k).decode(np.arange(m))  # (m, k), lex order
         monos = []
         pairs = [(i, j) for i in range(k) for j in range(i, k)]
         for (i, j) in pairs:
             monos.append((t[:, i] * t[:, j] * (1 if i == j else 2)) % p)
         P = np.array(monos, dtype=np.int64)  # (npairs, m)
-        digits = np.stack(
-            np.meshgrid(*[np.arange(p, dtype=np.int64)] * len(pairs), indexing="ij"), axis=-1
-        ).reshape(-1, len(pairs))  # lex order over coefficient vectors
+        # coefficient vectors in lex order
+        digits = GroupSpec((p,) * len(pairs)).decode(np.arange(n_M))
         best_val, best = -1.0, None
         chunk = max(1, int(2_000_000 // max(m, 1)))
         omega = np.exp(-2j * np.pi * np.arange(p) / p)
@@ -327,19 +302,6 @@ def _region_indices(region) -> np.ndarray:
     return np.array(sorted(int(i) for i in region), dtype=np.int64)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
-
-
 def u3_oracle_bracket(
     f: GroupFunction,
     region,
@@ -355,7 +317,7 @@ def u3_oracle_bracket(
     quadratic has exact rational coefficients.
     """
     spec = f.owner
-    if spec.rank != 1 or not _is_prime(spec.order):
+    if spec.rank != 1 or not is_prime(spec.order):
         raise NotPrime("bracket oracle requires prime N")
     if grid < 1 or grid > 64:
         raise BudgetExceeded("grid must be between 1 and 64")

@@ -15,7 +15,7 @@ subspaces, orthogonal complements).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -119,16 +119,13 @@ def is_locally_quadratic(
     if m == N:
         if N**3 > budget:
             raise BudgetExceeded(f"{N}^3 second-difference scan exceeds budget")
-        all_idx = np.arange(N, dtype=np.int64)
+        rows = spec.translates(np.arange(N))  # rows[h, x] = x + h
         for h1 in range(N):
-            x_h1 = spec.add_indices(all_idx, np.int64(h1))
-            base = (num[x_h1] - num) % D  # (h1.grad) phi
-            # second differences must not depend on x
-            for h2 in range(N):
-                x_h2 = spec.add_indices(all_idx, np.int64(h2))
-                d2 = (base[x_h2] - base) % D
-                if np.any(d2 != d2[0]):
-                    return False
+            base = (num[rows[h1]] - num) % D  # (h1.grad) phi
+            # second differences must not depend on x, for every h2
+            d2 = (base[rows] - base) % D
+            if np.any(d2 != d2[:, :1]):
+                return False
         return True
 
     if m**4 > budget:
@@ -359,13 +356,8 @@ def _local_spec(H: Subgroup) -> GroupSpec:
 def _coset_local_table(
     phi: Mapping[int, TorusValue], y_index: int, H: Subgroup
 ) -> list[Fraction]:
-    spec = H.spec
-    loc = _local_spec(H)
     out = []
-    for t in loc.elements():
-        tc = t.coords if H.local_orders else ()
-        amb = spec.index_of(H.embed_coords(tc)) if H.local_orders else 0
-        idx = int(spec.add_indices(np.int64(amb), np.int64(y_index)))
+    for idx in H.spec.coset_points(y_index, H.generators, H.local_orders).tolist():
         if idx not in phi:
             raise SpecMismatch("phase not defined on the whole coset")
         out.append(Fraction(phi[idx]))

@@ -38,9 +38,24 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("group", ["Z/0", "F5^40"])
+def test_bad_group_order_exit_code(group, capsys):
+    # a zero factor, and an order beyond int64, are parse errors, not tracebacks
+    code, _, err = run_cli(["norm", "--group", group, "--expr", "1", "--d", "2"], capsys)
+    assert code == 3
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["norm", "--group", "Z/5"])  # missing --d
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("trials", ["-5", "0"])
+def test_hp_check_rejects_nonpositive_trials(trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["hp-check", "--trials", trials])
     assert exc.value.code == 2
 
 

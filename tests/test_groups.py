@@ -6,6 +6,7 @@ import pytest
 from u3kit.errors import BudgetExceeded, ParseError, SpecMismatch
 from u3kit.groups import (
     GroupFunction,
+    GroupSpec,
     cubes,
     function_from_json,
     function_to_json,
@@ -23,6 +24,13 @@ def test_parse_group_grammar():
     assert parse_group("Z/4xZ/9").orders == (4, 9)
     with pytest.raises(ParseError):
         parse_group("Q/7")
+    for bad in ("Z/0", "Z/4xZ/0", "F5^40"):
+        with pytest.raises(ParseError):
+            parse_group(bad)
+    with pytest.raises(ValueError):
+        GroupSpec((0,))
+    with pytest.raises(ValueError):
+        GroupSpec((5,) * 40)
 
 
 def test_pair_examples():

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import random_pm1
-from u3kit.errors import EmptyGraph
+from u3kit.errors import EmptyGraph, EmptyV
 from u3kit.groups import GroupFunction, parse_group
 from u3kit.inverse_f5 import (
     additive_quadruples,
@@ -122,6 +124,47 @@ def test_linear_fit_planted():
     # M matches the planted matrix on the basis
     for i, b in enumerate(fit.V.basis_matrix()):
         assert np.array_equal(fit.M_rows[i], (b @ A) % 5)
+
+
+def _reference_vote(gamma, fit):
+    """The affine-fit vote as a plain loop over x0 and t in V-local lex order:
+    most votes, then smallest xi0, then smallest x0."""
+    spec, V = gamma.spec, fit.V
+    best = (-1, 0, 0)
+    for x0 in range(spec.order):
+        votes = {}
+        for t in itertools.product(range(V.p), repeat=V.dim):
+            pt = (spec.element_by_index(x0) + spec.element(V.embed_coords(t))).index
+            if pt in gamma.entries:
+                two_mh = spec.dual((2 * (np.array(t) @ fit.M_rows)) % V.p)
+                xi0 = (spec.dual_by_index(gamma.entries[pt][0]) - two_mh).index
+                votes[xi0] = votes.get(xi0, 0) + 1
+        if votes:
+            xi0, cnt = min(votes.items(), key=lambda kv: (-kv[1], kv[0]))
+            if cnt > best[0]:
+                best = (cnt, x0, xi0)
+    return best
+
+
+def test_linear_fit_vote_matches_reference_loop():
+    spec = parse_group("F5^3")
+    A = np.array([[1, 2, 0], [2, 0, 3], [0, 3, 4]])
+    checked = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        f, _ = _planted_quadratic(spec, A, [1, 0, 2])
+        noisy = rng.uniform(size=spec.order) < 0.15
+        vals = np.where(noisy, np.exp(2j * np.pi * rng.uniform(size=spec.order)), f.values)
+        try:
+            sl = random_slice(phase_derivative_graph(GroupFunction(spec, vals), 0.6), seed=seed)
+            fit = linear_component_fit(sl)
+        except (EmptyGraph, EmptyV):
+            continue
+        cnt, x0, xi0 = _reference_vote(sl.graph, fit)
+        assert fit.x0.index == x0 and fit.xi0 == spec.coords_of(xi0)
+        assert fit.agreement == cnt / fit.V.order
+        checked += 1
+    assert checked >= 3
 
 
 def test_symmetry_subspace_cases():
