@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     DensityTooLow,
     NotFound,
     NoZero,
@@ -34,6 +35,8 @@ from .groups import DualElement, GroupElement, GroupFunction, GroupSpec, pair
 from .lattice import TaggedLattice, hermite_reduce, lll_reduce, product_bound_certified
 from .modlinalg import BoxSubgroup, PrimeSubspace, is_prime
 from .quadratic import frac_part, _frac_rank
+
+SUMSET_BUDGET = 40_000_000
 
 
 def bohr_norm_exact(x: GroupElement, S: Sequence[DualElement]) -> Fraction:
@@ -213,19 +216,39 @@ def bogolyubov(spec: GroupSpec, A: Iterable[int], delta_floor: float = 0.0) -> l
 
 
 def sumset(spec: GroupSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    s = spec.add_indices(np.asarray(A, dtype=np.int64)[:, None], np.asarray(B, dtype=np.int64)[None, :])
-    return np.unique(s)
+    """A + B as a sorted index array: every sum is marked on a mask over the
+    group, which is read back in index order."""
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    mark = np.zeros(spec.order, dtype=bool)
+    mark[spec.add_indices(A[:, None], B[None, :])] = True
+    return np.flatnonzero(mark)
 
 
-def iterated_sumset(spec: GroupSpec, A: Iterable[int], plus: int, minus: int) -> np.ndarray:
-    """plus*A - minus*A as a sorted index array."""
+def iterated_sumset(
+    spec: GroupSpec, A: Iterable[int], plus: int, minus: int, budget: int = SUMSET_BUDGET
+) -> np.ndarray:
+    """plus*A - minus*A as a sorted index array, one fold acc -> acc + K at a
+    time (K = A, then K = -A).
+
+    Every fold is refused with BudgetExceeded when |acc| * |K| exceeds the
+    budget.  Once acc + K = acc (for nonempty A, in particular once acc is
+    all of G), the remaining folds are not computed: then acc + a = acc for
+    every a in A, so acc - A = acc as well and every later fold of either
+    sign returns acc.
+    """
     A = np.array(sorted(set(int(a) for a in A)), dtype=np.int64)
-    negA = np.unique(spec.neg_indices(A))
-    acc = np.array([0], dtype=np.int64)
-    for _ in range(plus):
-        acc = sumset(spec, acc, A)
-    for _ in range(minus):
-        acc = sumset(spec, acc, negA)
+    acc = np.zeros(1, dtype=np.int64)
+    fixed = False
+    for K, folds in ((A, plus), (np.unique(spec.neg_indices(A)), minus)):
+        for _ in range(folds):
+            if len(acc) * len(K) > budget:
+                raise BudgetExceeded("pair sumset budget exceeded")
+            fixed = fixed or (len(acc) == spec.order and len(K) > 0)
+            if not fixed:
+                nxt = sumset(spec, acc, K)
+                fixed = np.array_equal(nxt, acc)
+                acc = nxt
     return acc
 
 
@@ -436,9 +459,7 @@ class CosetProgression:
         return idx
 
     def element_indices(self) -> np.ndarray:
-        prog = self.progression_indices()
-        sub = self.subgroup.element_indices()
-        return np.unique(self.spec.add_indices(prog[:, None], sub[None, :]).reshape(-1))
+        return sumset(self.spec, self.progression_indices(), self.subgroup.element_indices())
 
     @property
     def expected_size(self) -> int:
@@ -448,11 +469,7 @@ class CosetProgression:
         return sz
 
     def check_proper(self) -> bool:
-        prog = self.progression_indices()
-        total = self.spec.add_indices(
-            prog[:, None], self.subgroup.element_indices()[None, :]
-        ).reshape(-1)
-        return len(np.unique(total)) == self.expected_size
+        return len(self.element_indices()) == self.expected_size
 
     def to_json(self) -> dict:
         return {

@@ -68,8 +68,31 @@ def _load_function(args) -> GroupFunction:
     raise ParseError("provide --input FILE or --expr STRING")
 
 
-def _parse_set(s: str) -> list[int]:
-    return [int(v) for v in s.replace(" ", "").split(",") if v != ""]
+def _set_members(spec: GroupSpec, values) -> list[int]:
+    """Set members are element indices: integers in 0..|G|-1."""
+    if not isinstance(values, list):
+        raise ParseError("a set must be a list of element indices")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < spec.order:
+            raise ParseError(f"set member {v!r} is not an element index 0..{spec.order - 1}")
+    return values
+
+
+def _parse_set(spec: GroupSpec, s: str) -> list[int]:
+    try:
+        values = [int(v) for v in s.replace(" ", "").split(",") if v != ""]
+    except ValueError as exc:
+        raise ParseError(f"bad set {s!r}: {exc}") from exc
+    return _set_members(spec, values)
+
+
+def _load_set(spec: GroupSpec, path: str) -> list[int]:
+    with open(path) as fh:
+        try:
+            values = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad set file {path}: {exc}") from exc
+    return _set_members(spec, values)
 
 
 def _dual_list(spec: GroupSpec, s: str):
@@ -138,7 +161,7 @@ def _cmd_aps(args) -> dict:
     from .forms import count_aps
 
     spec = parse_group(args.group)
-    return count_aps(spec, _parse_set(args.set), args.k).to_json()
+    return count_aps(spec, _parse_set(spec, args.set), args.k).to_json()
 
 
 def _cmd_gvn(args) -> dict:
@@ -180,7 +203,7 @@ def _cmd_bogolyubov(args) -> dict:
     from .bohr import BohrSet, bogolyubov, iterated_sumset
 
     spec = parse_group(args.group)
-    A = _parse_set(args.set)
+    A = _parse_set(spec, args.set)
     S = bogolyubov(spec, A)
     quarter = BohrSet(spec, tuple(S), Fraction(1, 4))
     two = set(iterated_sumset(spec, A, 2, 2).tolist())
@@ -359,8 +382,7 @@ def _cmd_increment(args) -> dict:
     from .experiments import IncrementThresholds, density_increment_f5
 
     spec = parse_group(f"F5^{args.n}")
-    with open(args.set) as fh:
-        A = json.load(fh)
+    A = _load_set(spec, args.set)
     th = IncrementThresholds(eta=args.eta, seed=args.seed, force=args.force)
     return density_increment_f5(spec, A, th).to_json()
 
@@ -369,8 +391,7 @@ def _cmd_driver(args) -> dict:
     from .experiments import IncrementThresholds, szemeredi_driver
 
     spec = parse_group(f"F5^{args.n}")
-    with open(args.set) as fh:
-        A = json.load(fh)
+    A = _load_set(spec, args.set)
     trace = szemeredi_driver(spec, A, IncrementThresholds(seed=args.seed))
     return {
         "trace": [

@@ -393,27 +393,17 @@ def szemeredi_driver(
 
 
 def _creates_proper_kap(spec: GroupSpec, members: set[int], x: int, k: int) -> bool:
-    """Does adjoining x create a proper k-AP?  Incremental: only scans the
-    progressions through x."""
-    N = spec.order
-    full = members | {x}
-    if spec.rank == 1:
-        for r in range(1, N):
-            for j in range(k):
-                base = (x - j * r) % N
-                pts = [(base + i * r) % N for i in range(k)]
-                if len(set(pts)) == k and all(p in full for p in pts):
-                    return True
-        return False
-    xc = np.array(spec.coords_of(x), dtype=np.int64)
-    orders = np.array(spec.orders, dtype=np.int64)
-    for r in range(1, N):
-        rc = np.array(spec.coords_of(r), dtype=np.int64)
-        for j in range(k):
-            pts = [int(spec.encode((xc + (i - j) * rc) % orders)) for i in range(k)]
-            if len(set(pts)) == k and all(p in full for p in pts):
-                return True
-    return False
+    """Does adjoining x create a proper k-AP?  Incremental: only tests the
+    progressions through x, x + (i - j) r for i < k with x as point j, for
+    every r != 0 and j < k at once."""
+    full = np.zeros(spec.order, dtype=bool)
+    full[np.fromiter(members, dtype=np.int64, count=len(members))] = True
+    full[x] = True
+    steps = np.arange(k)[None, :] - np.arange(k)[:, None]  # [j, i] = i - j
+    rs = np.arange(1, spec.order, dtype=np.int64)[:, None, None]
+    pts = np.sort(spec.add_indices(x, spec.scale_indices(steps, rs)), axis=-1)
+    proper = np.all(pts[..., 1:] > pts[..., :-1], axis=-1)  # k distinct points
+    return bool(np.any(proper & np.all(full[pts], axis=-1)))
 
 
 def ap_free_search(

@@ -380,8 +380,17 @@ def function_to_json(f: GroupFunction) -> dict:
 
 
 def function_from_json(obj: dict) -> GroupFunction:
+    """Read the JSON function format; a malformed object raises ParseError."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("group"), str)
+            and isinstance(obj.get("values"), list)):
+        raise ParseError('a function needs a "group" string and a "values" list')
     spec = parse_group(obj["group"])
-    vals = np.array([complex(re_, im) for re_, im in obj["values"]], dtype=np.complex128)
+    try:
+        vals = np.array([complex(re_, im) for re_, im in obj["values"]], dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"function values must be [re, im] pairs of numbers: {exc}") from exc
+    if len(vals) != spec.order:
+        raise ParseError(f"expected {spec.order} values for {spec}, got {len(vals)}")
     return GroupFunction(spec, vals)
 
 

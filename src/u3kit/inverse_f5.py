@@ -17,14 +17,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .bohr import bogolyubov
+from .bohr import SUMSET_BUDGET, bogolyubov, iterated_sumset
 from .errors import EmptyGraph, EmptyV, SliceFailed, SpecMismatch
 from .fourier import dft_values
 from .groups import GroupElement, GroupFunction, GroupSpec, derivative_rows
 from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, largest_subspace_inside
 from .norms import CosetQuadraticWitness, u3_oracle_coset
-
-PAIRSET_BUDGET = 40_000_000
 
 
 def _homogeneous_prime(spec: GroupSpec) -> int:
@@ -90,30 +88,6 @@ def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
     return PhaseGraph(spec, eta, entries)
 
 
-# --- pair-set arithmetic over G x dual(G) ------------------------------------
-
-
-def _pair_add(pairs: GroupSpec, keys_a: np.ndarray, keys_b: np.ndarray) -> np.ndarray:
-    return np.unique(pairs.add_indices(keys_a[:, None], keys_b[None, :]))
-
-
-def _iterated_pairset(pairs: GroupSpec, keys: np.ndarray, plus: int, minus: int,
-                      budget: int = PAIRSET_BUDGET) -> np.ndarray:
-    from .errors import BudgetExceeded
-
-    acc = np.zeros(1, dtype=np.int64)
-    neg = np.unique(pairs.neg_indices(keys))
-    for _ in range(plus):
-        if len(acc) * len(keys) > budget:
-            raise BudgetExceeded("pair sumset budget exceeded")
-        acc = _pair_add(pairs, acc, keys)
-    for _ in range(minus):
-        if len(acc) * len(neg) > budget:
-            raise BudgetExceeded("pair sumset budget exceeded")
-        acc = _pair_add(pairs, acc, neg)
-    return acc
-
-
 def additive_quadruples(gamma: PhaseGraph) -> int:
     """Exact count of (z1,z2,z3,z4) in the graph with z1+z2 = z3+z4."""
     keys = gamma.pair_keys()
@@ -132,7 +106,7 @@ class SliceResult:
     seed: int
 
 
-def random_slice(gamma: PhaseGraph, seed: int, budget: int = PAIRSET_BUDGET) -> SliceResult:
+def random_slice(gamma: PhaseGraph, seed: int, budget: int = SUMSET_BUDGET) -> SliceResult:
     """Slice the graph along a random fiber so that 4G''-4G'' is a graph.
 
     A = {xi : (0,xi) in 8G-8G} is compressed by a random linear map
@@ -148,7 +122,7 @@ def random_slice(gamma: PhaseGraph, seed: int, budget: int = PAIRSET_BUDGET) -> 
         return SliceResult(gamma, 0, 0, False, True, seed)
     surrogate = len(keys) * (N * N) > budget
     folds = 4 if surrogate else 8
-    diff = _iterated_pairset(gamma.pair_group, keys, folds, folds, budget)
+    diff = iterated_sumset(gamma.pair_group, keys, folds, folds, budget)
     zero_fiber = diff[diff // N == 0] % N
     A = np.unique(zero_fiber)
     A_nonzero = A[A != 0]
@@ -181,7 +155,7 @@ def random_slice(gamma: PhaseGraph, seed: int, budget: int = PAIRSET_BUDGET) -> 
         result_graph = PhaseGraph(spec, gamma.threshold, entries)
     # verify: (0, xi) in the sliced iterated difference set forces xi = 0
     keys2 = result_graph.pair_keys()
-    diff2 = _iterated_pairset(gamma.pair_group, keys2, folds, folds, budget)
+    diff2 = iterated_sumset(gamma.pair_group, keys2, folds, folds, budget)
     zf = np.unique(diff2[diff2 // N == 0] % N)
     verified = bool(np.all(zf == 0)) if len(zf) else True
     return SliceResult(result_graph, int(len(A)), m, surrogate, verified, seed)
@@ -213,9 +187,7 @@ def linear_component_fit(sliced: SliceResult) -> LinearComponentFit:
     N = spec.order
     if len(gamma) == 0:
         raise EmptyV("empty graph")
-    pairs = gamma.pair_group
-    two = _iterated_pairset(pairs, gamma.pair_keys(), 2, 0)
-    d2 = _pair_add(pairs, two, np.unique(pairs.neg_indices(two)))
+    d2 = iterated_sumset(gamma.pair_group, gamma.pair_keys(), 2, 2)  # 2G - 2G
 
     H2 = np.array(sorted(gamma.entries), dtype=np.int64)
     spectrum = bogolyubov(spec, H2.tolist())

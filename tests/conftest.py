@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from u3kit.groups import GroupFunction, GroupSpec
+
+# One setting for every property test: derandomized, with no example database.
+settings.register_profile("u3kit", max_examples=60, deadline=None, derandomize=True, database=None)
+settings.load_profile("u3kit")
 
 
 def random_bounded(spec: GroupSpec, rng) -> GroupFunction:

@@ -38,6 +38,43 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("command", ["aps", "bogolyubov"])
+@pytest.mark.parametrize("members", ["0,1,x", "0,1,13", "0,-1", "0,1.5"])
+def test_bad_set_member_exit_code(command, members, capsys):
+    # set members are element indices 0..|G|-1
+    code, _, err = run_cli([command, "--group", "Z/13", "--set", members], capsys)
+    assert code == 3
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("command", ["increment", "driver"])
+@pytest.mark.parametrize("content", ['[0, 1, "x"]', "[0, 1, 99999]", "[0, -1]", "[0, true]",
+                                     "[0, 1.0]", '{"set": [0]}', "[0, 1"])
+def test_bad_set_file_exit_code(command, content, tmp_path, capsys):
+    path = tmp_path / "A.json"
+    path.write_text(content)
+    code, _, err = run_cli([command, "--n", "2", "--set", str(path)], capsys)
+    assert code == 3
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("obj", [
+    {"group": "Z/5", "values": [[1, 0], [0, 1], [1, 1]]},  # wrong length
+    {"group": "Z/3", "values": [1, 0, 1]},  # bare numbers, not [re, im] pairs
+    {"group": "Z/2", "values": [[1, 0, 0], [0, 1, 0]]},
+    {"group": "Z/2", "values": [["a", 0], [0, 1]]},
+    {"group": "Z/2"},
+    {"values": [[1, 0]]},
+    [[1, 0]],
+])
+def test_bad_function_file_exit_code(obj, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(["norm", "--input", str(path), "--d", "2"], capsys)
+    assert code == 3
+    assert json.loads(err)["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("group", ["Z/0", "F5^40"])
 def test_bad_group_order_exit_code(group, capsys):
     # a zero factor, and an order beyond int64, are parse errors, not tracebacks

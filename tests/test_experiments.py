@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from u3kit.errors import BudgetExceeded, Has4Ap, NotPrime, TooSmall
 from u3kit.experiments import (
     FwSpec,
     IncrementThresholds,
+    _creates_proper_kap,
     ap_free_search,
     density_increment_f5,
     fw_counterexample,
@@ -13,7 +16,7 @@ from u3kit.experiments import (
     szemeredi_driver,
 )
 from u3kit.forms import count_aps
-from u3kit.groups import GroupFunction, parse_group
+from u3kit.groups import GroupFunction, GroupSpec, parse_group
 
 
 def test_fw_spec():
@@ -89,6 +92,41 @@ def test_ap_free_search():
     assert ap_free_search(Z1, 4, "exhaustive") in ([], [0])
     with pytest.raises(BudgetExceeded):
         ap_free_search(parse_group("Z/101"), 4, "exhaustive")
+
+
+def reference_creates_proper_kap(spec: GroupSpec, members: set[int], x: int, k: int) -> bool:
+    """The scalar loop over r and j that the batched test replaced."""
+    N = spec.order
+    full = members | {x}
+    if spec.rank == 1:
+        for r in range(1, N):
+            for j in range(k):
+                base = (x - j * r) % N
+                pts = [(base + i * r) % N for i in range(k)]
+                if len(set(pts)) == k and all(p in full for p in pts):
+                    return True
+        return False
+    xc = np.array(spec.coords_of(x), dtype=np.int64)
+    orders = np.array(spec.orders, dtype=np.int64)
+    for r in range(1, N):
+        rc = np.array(spec.coords_of(r), dtype=np.int64)
+        for j in range(k):
+            pts = [int(spec.encode((xc + (i - j) * rc) % orders)) for i in range(k)]
+            if len(set(pts)) == k and all(p in full for p in pts):
+                return True
+    return False
+
+
+# Z/12 and Z/4 x Z/6 have steps r of order 2 and 3, below k: those progressions
+# repeat a point and are not proper
+@pytest.mark.parametrize("group", ["Z/13", "Z/12", "Z/4xZ/6", "F5^2", "Z/2xZ/2xZ/3", "F3^3", "Z/7xZ/2", "Z/1"])
+@given(data=st.data())
+def test_creates_proper_kap_matches_loop(group, data):
+    spec = parse_group(group)
+    k = data.draw(st.sampled_from([3, 4]))
+    members = data.draw(st.sets(st.integers(0, spec.order - 1)))
+    x = data.draw(st.integers(0, spec.order - 1))
+    assert _creates_proper_kap(spec, members, x, k) == reference_creates_proper_kap(spec, members, x, k)
 
 
 def test_density_increment_planted_quadric(rng):

@@ -5,7 +5,7 @@ arithmetic on GroupElement over random group specs."""
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from u3kit.groups import GroupFunction, GroupSpec, derivative_rows, mult_derivative, shift
@@ -13,7 +13,6 @@ from u3kit.modlinalg import BoxSubgroup, PrimeSubspace
 
 # rank 1-4, factor orders 1-13
 specs = st.lists(st.integers(1, 13), min_size=1, max_size=4).map(lambda o: GroupSpec(tuple(o)))
-checked = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def index_lists(spec: GroupSpec, max_size: int):
@@ -28,7 +27,6 @@ def lex_points(H, y_index: int) -> list[int]:
     return [(spec.element(H.embed_coords(t)) + y).index for t in ts]
 
 
-@checked
 @given(st.data())
 def test_index_arithmetic_matches_elements(data):
     spec = data.draw(specs)
@@ -54,7 +52,6 @@ def test_index_arithmetic_matches_elements(data):
     assert spec.add_indices(np.int64(a[0]), np.int64(b[0])) == sums[0, 0]
 
 
-@checked
 @given(st.data())
 def test_coset_points_prime_subspace(data):
     p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
@@ -68,7 +65,6 @@ def test_coset_points_prime_subspace(data):
     assert H.element_indices().tolist() == sorted(lex_points(H, 0))
 
 
-@checked
 @given(st.data())
 def test_coset_points_box_subgroup(data):
     spec = data.draw(specs)
@@ -82,7 +78,6 @@ def test_coset_points_box_subgroup(data):
     assert H.element_indices().tolist() == sorted(lex_points(H, 0))
 
 
-@checked
 @given(st.data())
 def test_batched_shift_matches_shift(data):
     spec = data.draw(specs.filter(lambda s: s.order <= 3000))

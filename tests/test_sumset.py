@@ -1,0 +1,130 @@
+"""Property tests of the one sumset kernel, bohr.sumset / bohr.iterated_sumset,
+against the plain fold-by-fold np.unique construction with no early exit."""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from u3kit import bohr, inverse_f5
+from u3kit.errors import BudgetExceeded
+from u3kit.groups import GroupFunction, GroupSpec
+from u3kit.inverse_f5 import phase_derivative_graph, random_slice
+
+
+def reference_iterated_sumset(spec, A, plus, minus, budget=bohr.SUMSET_BUDGET, products=None):
+    """plus*A - minus*A: np.unique over all |acc| x |K| sums at every fold,
+    each fold refused when |acc| * |K| exceeds the budget."""
+    A = np.unique(np.asarray(list(A), dtype=np.int64))
+    acc = np.zeros(1, dtype=np.int64)
+    for K, folds in ((A, plus), (np.unique(spec.neg_indices(A)), minus)):
+        for _ in range(folds):
+            if products is not None:
+                products.append(len(acc) * len(K))
+            if len(acc) * len(K) > budget:
+                raise BudgetExceeded("pair sumset budget exceeded")
+            acc = np.unique(spec.add_indices(acc[:, None], K[None, :]))
+    return acc
+
+
+# largest factor order per rank, keeping |G| <= 4096
+MAX_FACTOR = {1: 60, 2: 13, 3: 9, 4: 8, 5: 5, 6: 4}
+mixed_specs = st.integers(1, 6).flatmap(
+    lambda r: st.lists(st.integers(1, MAX_FACTOR[r]), min_size=r, max_size=r)
+).map(lambda o: GroupSpec(tuple(o)))
+# F_p^n x dual(F_p^n), the pair groups of the F_p^n pipeline
+pair_specs = st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 3)).map(
+    lambda pn: GroupSpec((pn[0],) * (2 * pn[1]))
+)
+specs = st.one_of(mixed_specs, pair_specs)
+
+
+@st.composite
+def sets_in(draw, spec: GroupSpec):
+    N = spec.order
+    kind = draw(st.sampled_from(["sparse", "dense", "subgroup", "coset"]))
+    if kind == "sparse":
+        return draw(st.lists(st.integers(0, N - 1), max_size=6))
+    if kind == "dense":  # about half the group: 2A is usually all of G
+        return draw(st.lists(st.integers(0, N - 1), min_size=N // 2, max_size=N // 2 + 1))
+    gens = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=3))
+    H = np.array([0], dtype=np.int64)
+    for g in gens:  # the subgroup generated by gens: H + <g>
+        H = np.unique(spec.add_indices(H[:, None], spec.scale_indices(np.arange(N), g)[None, :]))
+    y = draw(st.integers(0, N - 1)) if kind == "coset" else 0
+    return spec.add_indices(H, y).tolist()
+
+
+def outcome(fn):
+    try:
+        return fn().tolist()
+    except BudgetExceeded:
+        return "BudgetExceeded"
+
+
+@given(st.data())
+def test_iterated_sumset_matches_reference(data):
+    spec = data.draw(specs)
+    A = data.draw(sets_in(spec))
+    plus, minus = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    budget = data.draw(st.one_of(st.just(bohr.SUMSET_BUDGET), st.integers(0, 300)))
+    got = outcome(lambda: bohr.iterated_sumset(spec, A, plus, minus, budget))
+    assert got == outcome(lambda: reference_iterated_sumset(spec, A, plus, minus, budget))
+
+
+@given(st.data())
+def test_sumset_matches_unique(data):
+    spec = data.draw(specs)
+    A = np.array(data.draw(sets_in(spec)), dtype=np.int64)
+    B = np.array(data.draw(sets_in(spec)), dtype=np.int64)
+    got = bohr.sumset(spec, A, B)
+    ref = np.unique(spec.add_indices(A[:, None], B[None, :]))
+    assert got.dtype == np.int64 and got.tolist() == ref.tolist()
+
+
+@pytest.mark.parametrize("A, folds", [
+    (GroupSpec((5,) * 4).coset_points(0, [1, 5], (5, 5)), 2),  # a subgroup: H + H = H
+    (list(range(126)), 5),  # H u {g} for H of index 5: 4A misses 4g + H, 5A = G
+])
+def test_fixed_point_stops_folding(A, folds, monkeypatch):
+    spec = GroupSpec((5,) * 4)
+    calls = []
+    real = bohr.sumset
+    monkeypatch.setattr(bohr, "sumset", lambda *args: calls.append(1) or real(*args))
+    got = bohr.iterated_sumset(spec, A, 8, 8)
+    assert len(calls) == folds  # neither phase folds again after the fixed point
+    assert got.tolist() == reference_iterated_sumset(spec, A, 8, 8).tolist()
+
+
+def test_random_slice_budget_matches_reference(monkeypatch):
+    # a noisy quadratic phase on F5^2; every budget at and just below a fold's
+    # |acc| * |K| must be refused exactly when the reference refuses it
+    spec = GroupSpec((5, 5))
+    rng = np.random.default_rng(3)
+    x = spec.decode(np.arange(spec.order))
+    q = (x[:, 0] ** 2 + 2 * x[:, 0] * x[:, 1] + 3 * x[:, 1]) % 5
+    f = GroupFunction(spec, np.exp(2j * np.pi * (q / 5 + 0.05 * rng.uniform(size=spec.order))))
+    gamma = phase_derivative_graph(f, 0.5)
+    products: list[int] = []
+    monkeypatch.setattr(inverse_f5, "iterated_sumset",
+                        lambda *args: reference_iterated_sumset(*args, products=products))
+    reference = random_slice(gamma, 0)
+    budgets = sorted({b for p in products for b in (p - 1, p)})
+    expected = {}
+    for b in budgets:
+        try:
+            r = random_slice(gamma, 0, budget=b)
+            expected[b] = (len(r.graph), r.ambiguity_set_size, r.used_surrogate, r.verified)
+        except BudgetExceeded:
+            expected[b] = "BudgetExceeded"
+    monkeypatch.undo()
+    got = random_slice(gamma, 0)
+    assert (len(got.graph), got.ambiguity_set_size, got.verified) == (
+        len(reference.graph), reference.ambiguity_set_size, reference.verified)
+    assert "BudgetExceeded" in expected.values()
+    for b in budgets:
+        try:
+            r = random_slice(gamma, 0, budget=b)
+            assert expected[b] == (len(r.graph), r.ambiguity_set_size, r.used_surrogate, r.verified)
+        except BudgetExceeded:
+            assert expected[b] == "BudgetExceeded"
