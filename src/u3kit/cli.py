@@ -55,10 +55,19 @@ def _digest(path: str) -> str:
     return h.hexdigest()[:16]
 
 
+def _read_json(path: str):
+    """The JSON value in a file; a file that is missing, unreadable or not
+    JSON raises ParseError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
+
+
 def _load_function(args) -> GroupFunction:
     if getattr(args, "input", None):
-        with open(args.input) as fh:
-            return function_from_json(json.load(fh))
+        return function_from_json(_read_json(args.input))
     if getattr(args, "expr", None):
         from .exprparse import parse_expr
 
@@ -87,12 +96,7 @@ def _parse_set(spec: GroupSpec, s: str) -> list[int]:
 
 
 def _load_set(spec: GroupSpec, path: str) -> list[int]:
-    with open(path) as fh:
-        try:
-            values = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad set file {path}: {exc}") from exc
-    return _set_members(spec, values)
+    return _set_members(spec, _read_json(path))
 
 
 def _dual_list(spec: GroupSpec, s: str):
@@ -167,10 +171,7 @@ def _cmd_aps(args) -> dict:
 def _cmd_gvn(args) -> dict:
     from .forms import gvn_slack
 
-    fs = []
-    for path in args.inputs:
-        with open(path) as fh:
-            fs.append(function_from_json(json.load(fh)))
+    fs = [function_from_json(_read_json(path)) for path in args.inputs]
     if len(fs) == 1:
         fs = fs * args.k
     return {"slack": gvn_slack(fs, unchecked=args.unchecked), "k": len(fs)}
@@ -240,8 +241,7 @@ def _cmd_quad_classify(args) -> dict:
     from .quadratic import classify_global_quadratic
 
     spec = parse_group(args.group)
-    with open(args.input) as fh:
-        raw = json.load(fh)
+    raw = _read_json(args.input)
 
     def dec(v):
         if isinstance(v, str):
@@ -257,8 +257,7 @@ def _cmd_quad_classify(args) -> dict:
 def _cmd_bracket(args) -> dict:
     from .quadratic import BracketQuadratic
 
-    with open(args.bq) as fh:
-        bq = BracketQuadratic.from_json(json.load(fh))
+    bq = BracketQuadratic.from_json(_read_json(args.bq))
     out: dict = {"N": bq.N, "S": list(bq.freqs)}
     if args.n is not None:
         out["n"] = args.n
@@ -285,8 +284,7 @@ def _cmd_inverse_f5(args) -> dict:
 def _cmd_nilseq(args) -> dict:
     from .nil import CANONICAL_CUTOFF, BlockFunction, NilFunction, NilSystem, e, nilsequence
 
-    with open(args.system) as fh:
-        sysm = NilSystem.from_json(json.load(fh))
+    sysm = NilSystem.from_json(_read_json(args.system))
     name = args.F
     if not name.startswith("builtin:"):
         raise ParseError("only builtin:one / builtin:chi_e functions are supported")
@@ -453,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aps", help="arithmetic progression counts")
     common(p)
     p.add_argument("--set", required=True)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=_positive_int, default=4)
     p.set_defaults(handler=_cmd_aps)
 
     p = sub.add_parser("gvn", help="generalized von Neumann slack")

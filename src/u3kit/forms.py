@@ -2,8 +2,8 @@
 von Neumann / lack-of-progressions inequalities as executable checks.
 
 Lambda_k(f_0,...,f_{k-1}) = E_{x,r} f_0(x) f_1(x+r) ... f_{k-1}(x+(k-1)r)
-is evaluated by a direct O(N^2) double loop (vectorized over x, looped over
-r) rather than through convolutions: at desk scale this is fast and avoids
+is evaluated directly over all O(N^2) pairs (x, r), in blocks of steps r,
+rather than through convolutions: at desk scale this is fast and avoids
 transform error in a quantity that other tests use as an oracle.
 """
 
@@ -35,6 +35,24 @@ def _gcd_condition(spec: GroupSpec, k: int) -> bool:
     return gcd(spec.order, factorial(k - 1)) == 1
 
 
+# index elements per block of steps r in _progression_blocks
+_BLOCK_ELEMS = 1 << 20
+
+
+def _progression_blocks(spec: GroupSpec, k: int):
+    """All progressions x, x+r, ..., x+(k-1)r, in blocks of consecutive steps r:
+    yields (rs, steps, idx) with steps[b, j] = j*rs[b] and idx[b, j, x] =
+    x + j*rs[b], one scale_indices and one add_indices call per block."""
+    N = spec.order
+    js = np.arange(k, dtype=np.int64)
+    xs = np.arange(N, dtype=np.int64)
+    block = max(1, _BLOCK_ELEMS // (k * N))
+    for r0 in range(0, N, block):
+        rs = np.arange(r0, min(r0 + block, N), dtype=np.int64)
+        steps = spec.scale_indices(js[None, :], rs[:, None])
+        yield rs, steps, spec.add_indices(xs[None, None, :], steps[:, :, None])
+
+
 def lambda_k(fs: list[GroupFunction]) -> complex:
     """E_{x,r} prod_j T^{jr} f_j(x) for k = len(fs) in {3,4,5}."""
     k = len(fs)
@@ -47,40 +65,31 @@ def lambda_k(fs: list[GroupFunction]) -> complex:
 
             raise SpecMismatch("lambda_k operands on different groups")
     N = spec.order
-    xs = np.arange(N, dtype=np.int64)
     total = 0j
-    for r in range(N):
-        prod = fs[0].values.copy()
+    for _, _, idx in _progression_blocks(spec, k):
+        prod = fs[0].values[idx[:, 0]]
         for j in range(1, k):
-            idx = spec.add_indices(xs, spec.scale_indices(j, np.int64(r)))
-            prod = prod * fs[j].values[idx]
-        total += np.sum(prod)
-    return complex(total) / (N * N)
+            prod = prod * fs[j].values[idx[:, j]]
+        total += complex(np.sum(prod))
+    return total / (N * N)
 
 
 def count_aps(spec: GroupSpec, A, k: int) -> ApCount:
     """Progression counts in A: total includes r = 0; proper requires r != 0
     and, when gcd(N,(k-1)!) > 1, additionally k distinct values."""
-    A_idx = sorted(set(int(a) for a in A))
-    ind = np.zeros(spec.order, dtype=np.int64)
-    ind[A_idx] = 1
-    N = spec.order
-    xs = np.arange(N, dtype=np.int64)
+    if k < 1:
+        raise ValueError("k must be positive")
+    ind = np.zeros(spec.order, dtype=bool)
+    ind[[int(a) for a in A]] = True
     total = 0
     proper = 0
-    warn = not _gcd_condition(spec, k)
-    for r in range(N):
-        prod = ind.copy()
-        steps = [0]
-        for j in range(1, k):
-            idx = spec.add_indices(xs, spec.scale_indices(j, np.int64(r)))
-            prod = prod * ind[idx]
-            steps.append(int(spec.scale_indices(j, np.int64(r))))
-        c = int(np.sum(prod))
-        total += c
-        if r != 0 and len(set(steps)) == k:
-            proper += c
-    return ApCount(total=total, proper=proper, k=k, gcd_warning=warn)
+    for rs, steps, idx in _progression_blocks(spec, k):
+        counts = np.count_nonzero(np.all(ind[idx], axis=1), axis=1)
+        srt = np.sort(steps, axis=1)
+        distinct = np.all(srt[:, 1:] != srt[:, :-1], axis=1) & (rs != 0)
+        total += int(counts.sum())
+        proper += int(counts[distinct].sum())
+    return ApCount(total=total, proper=proper, k=k, gcd_warning=not _gcd_condition(spec, k))
 
 
 def gvn_slack(fs: list[GroupFunction], unchecked: bool = False) -> float:

@@ -391,6 +391,8 @@ def function_from_json(obj: dict) -> GroupFunction:
         raise ParseError(f"function values must be [re, im] pairs of numbers: {exc}") from exc
     if len(vals) != spec.order:
         raise ParseError(f"expected {spec.order} values for {spec}, got {len(vals)}")
+    if not np.all(np.isfinite(vals)):
+        raise ParseError("function values must be finite (no NaN or infinity)")
     return GroupFunction(spec, vals)
 
 

@@ -6,6 +6,29 @@ with U^2 evaluated through the fourth-moment identity on the Fourier side,
 U^2(f)^4 = sum_xi |fhat(xi)|^4.  Both agree to high precision and the direct
 method serves as the oracle at small N.
 
+The recursive U^3 and U^4 kernels transform only the derivative rows whose
+U^2 value is not already known, by three exact identities:
+
+* U^3(f)^8 = E_h U^2(Delta_h f)^4 and U^4(f)^16 = E_{h,k} U^2(Delta_k
+  Delta_h f)^4, with Delta_h f(x) = f(x+h) conj f(x).
+* Pair h with -h.  Delta_{-h} f(x) = conj Delta_h f(x-h), and U^2 is
+  invariant under shifts and conjugation, so one row per class {h, -h}
+  counts with weight 2 (weight 1 when h = -h).  Applied to each of h and k,
+  and to the swap (Delta_k Delta_h = Delta_h Delta_k), U^4 takes one row per
+  pair of classes i <= j, with weight |class i| |class j| (times 2 when
+  i != j): about N^2/8 rows instead of N^2.
+* Skip identically zero rows.  Delta_h f vanishes unless h is in
+  supp f - supp f (Delta_k Delta_h f likewise needs all four corners in
+  supp f), and a zero row has U^2 exactly 0, so dropping it changes no term
+  of the sum.  Rows are computed on supp f only (both derivatives vanish
+  wherever f does) and tested for zero before the transform; no threshold
+  is involved.
+
+Rows go through the transform in batches of ``_H_CHUNK`` or more, built
+block by block, so memory stays O(_H_CHUNK N).  Only rounding changes: the
+row of h stands in for that of -h and the sum runs in another order, which
+moves a result by a few ulps.
+
 The u^3 oracles search explicit families of quadratic phases: an exact scan
 over M x.x + xi.x on cosets of odd subgroups (the complete family there),
 and a grid scan over bracket quadratics on regions of Z/N (a certified lower
@@ -29,7 +52,7 @@ from .errors import (
     NotPrime,
 )
 from .fourier import dft, dft_values
-from .groups import DualElement, GroupElement, GroupFunction, GroupSpec, derivative_rows
+from .groups import DualElement, GroupElement, GroupFunction, GroupSpec
 from .modlinalg import BoxSubgroup, PrimeSubspace, Subgroup, is_prime
 from .quadratic import BracketQuadratic
 
@@ -65,25 +88,87 @@ def _u2_pow4_batch(spec: GroupSpec, rows: np.ndarray) -> np.ndarray:
     return np.sum(mag2 * mag2, axis=-1)
 
 
-def _u3_pow8(f: GroupFunction) -> float:
-    spec = f.owner
-    N = spec.order
+def _neg_classes(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The least element h <= -h of each class {h, -h}, ascending, and the
+    class size: 1 when h = -h, else 2."""
+    h = np.arange(spec.order, dtype=np.int64)
+    neg = spec.neg_indices(h)
+    reps = h[h <= neg]
+    return reps, np.where(neg[reps] == reps, 1.0, 2.0)
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _nonzero_batches(blocks):
+    """Regroup (values, weights) blocks into batches of at least _H_CHUNK rows
+    (the last may be smaller), dropping the rows that are identically zero."""
+    vals, ws, n = [], [], 0
+    for v, w in blocks:
+        keep = np.any(v, axis=1)
+        if not keep.all():
+            v, w = v[keep], w[keep]
+        vals.append(v)
+        ws.append(w)
+        n += len(v)
+        if n >= _H_CHUNK:
+            yield _joined(vals), _joined(ws)
+            vals, ws, n = [], [], 0
+    if n:
+        yield _joined(vals), _joined(ws)
+
+
+def _weighted_u2_pow4(spec: GroupSpec, supp: np.ndarray, blocks) -> float:
+    """sum w * U^2(g)^4 over rows g that vanish off supp, given as blocks of
+    (values on supp, weights)."""
     total = 0.0
-    for start in range(0, N, _H_CHUNK):
-        hs = np.arange(start, min(start + _H_CHUNK, N))
-        rows = derivative_rows(f, hs)
-        total += float(np.sum(_u2_pow4_batch(spec, rows)))
-    return total / N
+    for rows, w in _nonzero_batches(blocks):
+        if len(supp) < spec.order:
+            rows, on_supp = np.zeros((len(rows), spec.order), dtype=np.complex128), rows
+            rows[:, supp] = on_supp
+        total += float(w @ _u2_pow4_batch(spec, rows))
+    return total
+
+
+def _u3_pow8(f: GroupFunction) -> float:
+    """U^3(f)^8 = N^-1 sum_h U^2(Delta_h f)^4, one row per class {h, -h}."""
+    spec, vals = f.owner, f.values
+    supp = np.flatnonzero(vals)
+    conj_supp = np.conj(vals[supp])
+    reps, weights = _neg_classes(spec)
+
+    def blocks():
+        for start in range(0, len(reps), _H_CHUNK):
+            hs = reps[start : start + _H_CHUNK, None]
+            yield (vals[spec.add_indices(supp[None, :], hs)] * conj_supp,
+                   weights[start : start + _H_CHUNK])
+
+    return _weighted_u2_pow4(spec, supp, blocks()) / spec.order
 
 
 def _u4_pow16(f: GroupFunction) -> float:
-    spec = f.owner
-    N = spec.order
-    total = 0.0
-    for h in range(N):
-        g = GroupFunction(spec, derivative_rows(f, [h])[0])
-        total += _u3_pow8(g)
-    return total / N
+    """U^4(f)^16 = N^-2 sum_{h,k} U^2(Delta_k Delta_h f)^4, one row per pair
+    of classes i <= j of {h, -h} and {k, -k}."""
+    spec, vals = f.owner, f.values
+    supp = np.flatnonzero(vals)
+    conj_supp = np.conj(vals[supp])
+    reps, weights = _neg_classes(spec)
+    # pairs (i, j), i <= j, in row-major order; row i starts at pair first[i]
+    first = np.concatenate(([0], np.cumsum(np.arange(len(reps), 0, -1))))
+
+    def blocks():
+        for t0 in range(0, int(first[-1]), _H_CHUNK):
+            t = np.arange(t0, min(t0 + _H_CHUNK, int(first[-1])))
+            i = np.searchsorted(first, t, side="right") - 1
+            j = i + t - first[i]
+            xh = spec.add_indices(supp[None, :], reps[i, None])
+            xk = spec.add_indices(supp[None, :], reps[j, None])
+            dh = vals[xh] * conj_supp  # Delta_h f(x)
+            dh_k = vals[spec.add_indices(xh, reps[j, None])] * np.conj(vals[xk])  # Delta_h f(x+k)
+            yield dh_k * np.conj(dh), weights[i] * weights[j] * np.where(i == j, 1.0, 2.0)
+
+    return _weighted_u2_pow4(spec, supp, blocks()) / spec.order**2
 
 
 def _gowers_recursive(f: GroupFunction, d: int) -> float:

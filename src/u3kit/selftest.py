@@ -2,7 +2,8 @@
 
 A curated, fast subset of the property checks: exact pairing bilinearity,
 Plancherel and the convolution identity, norm monotonicity and the degree-2
-Fourier identity, the von Neumann slack, Bohr size bounds, and the
+Fourier identity, direct against recursive U^3 and U^4 on a group with
+2-torsion, the von Neumann slack, Bohr size bounds, and the
 parallelepiped constraint.  The pytest suite is the full surface; this is a
 smoke check for installations.
 """
@@ -57,6 +58,13 @@ def run_selftest() -> list[tuple[str, bool]]:
     out.append(("norm monotonicity U1<=U2<=U3", u1 <= u2 + 1e-9 and u2 <= u3 + 1e-9))
     d2 = gowers_norm(f, 2, method="direct").value
     out.append(("U2 direct vs Fourier", abs(d2 - u2) < 1e-9))
+    # Z/6 has h = -h at h = 0, 3: a wrong class weight in the recursive
+    # kernels shows here (N^5 = 7776 cubes for the direct U^4)
+    z6 = _random_bounded(parse_group("Z/6"), np.random.default_rng(6))
+    for d in (3, 4):
+        direct = gowers_norm(z6, d, method="direct").value
+        recursive = gowers_norm(z6, d, method="recursive").value
+        out.append((f"U{d} direct vs recursive on Z/6", abs(direct - recursive) < 1e-9))
     out.append(("u2 <= U2 <= sqrt(u2)",
                 u2_bias(f).value <= u2 + 1e-9 and u2 <= u2_bias(f).value ** 0.5 + 1e-9))
 

@@ -58,6 +58,47 @@ def test_bad_set_file_exit_code(command, content, tmp_path, capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+# Every subcommand that reads a file, with {path} where the file goes.
+_FILE_ARGVS = [
+    ["norm", "--input", "{path}", "--d", "2"],
+    ["scan", "--input", "{path}"],
+    ["inverse-f5", "--input", "{path}", "--eta", "0.5"],
+    ["u3-oracle", "--input", "{path}"],
+    ["increment", "--n", "2", "--set", "{path}"],
+    ["driver", "--n", "2", "--set", "{path}"],
+    ["gvn", "--group", "Z/5", "--inputs", "{path}"],
+    ["quad-classify", "--group", "Z/5", "--input", "{path}"],
+    ["bracket", "--bq", "{path}", "--n", "1"],
+    ["nilseq", "--system", "{path}", "--N", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", _FILE_ARGVS, ids=lambda a: a[0])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-json", "not-utf8"])
+def test_unreadable_input_file_exit_code(argv, kind, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-json":
+        path.write_text("{not json")
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe[0]")
+    code, out, err = run_cli([a.replace("{path}", str(path)) for a in argv], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("unchecked", [False, True])
+def test_nonfinite_function_values_exit_code(bad, unchecked, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text('{"group": "Z/3", "values": [[1, 0], [%s, 0], [0, 1]]}' % bad)
+    argv = ["norm", "--input", str(path), "--d", "2"] + (["--unchecked"] if unchecked else [])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("obj", [
     {"group": "Z/5", "values": [[1, 0], [0, 1], [1, 1]]},  # wrong length
     {"group": "Z/3", "values": [1, 0, 1]},  # bare numbers, not [re, im] pairs

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_bounded, random_unimodular
+from u3kit import forms
 from u3kit.errors import BadGroupOrder, HasProperAp, TooSmallN
 from u3kit.forms import ApCount, count_aps, gvn_slack, lambda_k, prog_unif_slack
 from u3kit.groups import GroupFunction, parse_group
@@ -41,6 +44,79 @@ def test_count_aps_examples():
     Z13 = parse_group("Z/13")
     assert count_aps(Z13, [0, 1, 2, 4], 4).proper == 0
     assert count_aps(Z7, range(7), 4).proper == 7 * 6
+
+
+def reference_count_aps(spec, A, k):
+    """The loop over r that count_aps replaced: one (x, r) row per step r."""
+    A_idx = sorted(set(int(a) for a in A))
+    ind = np.zeros(spec.order, dtype=np.int64)
+    ind[A_idx] = 1
+    N = spec.order
+    xs = np.arange(N, dtype=np.int64)
+    total = 0
+    proper = 0
+    for r in range(N):
+        prod = ind.copy()
+        steps = [0]
+        for j in range(1, k):
+            idx = spec.add_indices(xs, spec.scale_indices(j, np.int64(r)))
+            prod = prod * ind[idx]
+            steps.append(int(spec.scale_indices(j, np.int64(r))))
+        c = int(np.sum(prod))
+        total += c
+        if r != 0 and len(set(steps)) == k:
+            proper += c
+    return total, proper
+
+
+def reference_lambda_k(fs):
+    """The loop over r that lambda_k replaced."""
+    k = len(fs)
+    spec = fs[0].owner
+    N = spec.order
+    xs = np.arange(N, dtype=np.int64)
+    total = 0j
+    for r in range(N):
+        prod = fs[0].values.copy()
+        for j in range(1, k):
+            idx = spec.add_indices(xs, spec.scale_indices(j, np.int64(r)))
+            prod = prod * fs[j].values[idx]
+        total += np.sum(prod)
+    return complex(total) / (N * N)
+
+
+# Z/12, Z/4 x Z/6 and Z/2 x Z/2 x Z/3 have steps r whose order is below k, so
+# some of their progressions repeat a point and are not proper.
+_AP_GROUPS = ["Z/13", "Z/12", "Z/4xZ/6", "F5^3", "Z/2xZ/2xZ/3"]
+
+
+@pytest.mark.parametrize("group", _AP_GROUPS)
+@pytest.mark.parametrize("block_elems", [1, 1 << 20])
+@given(data=st.data())
+def test_count_aps_matches_loop(group, block_elems, data):
+    spec = parse_group(group)
+    k = data.draw(st.sampled_from([1, 2, 3, 4, 5]))
+    A = data.draw(st.sets(st.integers(0, spec.order - 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms, "_BLOCK_ELEMS", block_elems)  # 1: one step r per block
+        counts = count_aps(spec, A, k)
+    assert (counts.total, counts.proper) == reference_count_aps(spec, A, k)
+
+
+@pytest.mark.parametrize("group", _AP_GROUPS)
+@pytest.mark.parametrize("block_elems", [1, 1 << 20])
+def test_lambda_k_matches_loop(group, block_elems, rng, monkeypatch):
+    monkeypatch.setattr(forms, "_BLOCK_ELEMS", block_elems)
+    spec = parse_group(group)
+    for k in (3, 4, 5):
+        fs = [random_bounded(spec, rng) for _ in range(k)]
+        # the same products, summed in another order: float64 rounding only
+        assert abs(lambda_k(fs) - reference_lambda_k(fs)) < 1e-12
+
+
+def test_count_aps_rejects_nonpositive_k():
+    with pytest.raises(ValueError):
+        count_aps(parse_group("Z/5"), [0, 1], 0)
 
 
 def test_count_consistency_with_lambda(rng):

@@ -1,12 +1,15 @@
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_bounded, random_unimodular
 from u3kit.errors import DegreeUnsupported, EvenOrder, NotBounded, NotPrime
 from u3kit.fourier import dft
-from u3kit.groups import GroupFunction, parse_group
+from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.modlinalg import BoxSubgroup, PrimeSubspace
 from u3kit.norms import gowers_norm, u2_bias, u3_oracle_bracket, u3_oracle_coset
 from u3kit.quadratic import BracketQuadratic
@@ -291,3 +294,81 @@ def test_coset_oracle_dim2_vs_brute_force(rng):
                         val = abs(np.mean(f.values * np.exp(-2j * np.pi * phase / 5)))
                         best = max(best, val)
     assert abs(rep.value - best) < 1e-10
+
+
+# --- property tests of the recursive kernels ----------------------------------
+
+# groups with elements h = -h other than 0, where a class {h, -h} has one element
+TWO_TORSION = ["Z/2", "Z/8", "Z/2xZ/4", "Z/12", "Z/2xZ/2xZ/3"]
+KINDS = ["dense", "real", "one-point", "two-point", "zero"]
+
+
+def specs(max_order: int):
+    """The 2-torsion groups above, or rank 1-3 with factor orders 1-13."""
+    random_specs = (st.lists(st.integers(1, 13), min_size=1, max_size=3)
+                    .filter(lambda o: prod(o) <= max_order)
+                    .map(lambda o: GroupSpec(tuple(o))))
+    listed = [parse_group(g) for g in TWO_TORSION if parse_group(g).order <= max_order]
+    return st.one_of(st.sampled_from(listed), random_specs)
+
+
+@st.composite
+def functions(draw, spec: GroupSpec) -> GroupFunction:
+    """Bounded functions: dense complex, real, supported on one or two points, or 0."""
+    N = spec.order
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = np.zeros(N, dtype=complex)
+    if kind == "dense":
+        vals = rng.uniform(0, 1, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N))
+    elif kind == "real":
+        vals = rng.uniform(-1, 1, N) + 0j
+    elif kind != "zero":
+        size = min(N, 1 if kind == "one-point" else 2)
+        pts = draw(st.lists(st.integers(0, N - 1), min_size=size, max_size=size, unique=True))
+        vals[pts] = np.exp(2j * np.pi * rng.uniform(0, 1, size))
+    return GroupFunction(spec, vals)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@given(data=st.data())
+def test_recursive_matches_direct_property(d, data):
+    # |G|^(d+1) <= 2^20 keeps the direct method's cube arrays small
+    spec = data.draw(specs(int(round((1 << 20) ** (1 / (d + 1))))))
+    f = data.draw(functions(spec))
+    a = gowers_norm(f, d, method="direct").value
+    b = gowers_norm(f, d, method="recursive").value
+    assert abs(a - b) < 1e-9
+
+
+def _character(spec: GroupSpec, xi: int) -> np.ndarray:
+    x = spec.decode(np.arange(spec.order))
+    phase = sum(c * x[:, i] / n for i, (c, n) in enumerate(zip(spec.coords_of(xi), spec.orders)))
+    return np.exp(2j * np.pi * phase)
+
+
+@given(data=st.data())
+def test_norm_invariances_property(data):
+    # U^d is invariant under shift and conjugation, and for d >= 2 under
+    # multiplication by a character
+    spec = data.draw(specs(64))
+    f = data.draw(functions(spec))
+    y = data.draw(st.integers(0, spec.order - 1))
+    xi = data.draw(st.integers(0, spec.order - 1))
+    shifted = GroupFunction(spec, f.values[spec.translates([y])[0]])
+    modulated = GroupFunction(spec, f.values * _character(spec, xi))
+    for d in (1, 2, 3, 4):
+        v = gowers_norm(f, d).value
+        assert abs(gowers_norm(shifted, d).value - v) < 1e-9
+        assert abs(gowers_norm(f.conj(), d).value - v) < 1e-9
+        if d >= 2:
+            assert abs(gowers_norm(modulated, d).value - v) < 1e-9
+
+
+@given(data=st.data())
+def test_norm_monotonicity_property(data):
+    spec = data.draw(specs(64))
+    f = data.draw(functions(spec))
+    vals = [gowers_norm(f, d).value for d in (1, 2, 3, 4)]
+    assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:])), vals
+    assert vals[-1] <= 1 + 1e-9
