@@ -57,12 +57,35 @@ def _digest(path: str) -> str:
 
 def _read_json(path: str):
     """The JSON value in a file; a file that is missing, unreadable or not
-    JSON raises ParseError."""
+    JSON, or that holds NaN or +-Infinity, raises ParseError."""
+
+    def nonfinite(name: str):
+        raise ParseError(f"cannot read JSON from {path}: {name} is not a finite number")
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=nonfinite)
     except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def _decoded(decode, raw, what: str):
+    """decode(raw) for the contents of an input file: contents of the wrong
+    shape (missing keys, wrong types or lengths, bad numbers) raise
+    ParseError."""
+    try:
+        return decode(raw)
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError, OverflowError,
+            AttributeError) as exc:
+        raise ParseError(f"bad {what}: {type(exc).__name__}: {exc}") from exc
+
+
+def _require_finite(values, what: str) -> None:
+    """Each value must be a finite real number (Fraction, int or float, not bool)."""
+    for v in values:
+        real = isinstance(v, (int, float, Fraction)) and not isinstance(v, bool)
+        if not real or (isinstance(v, float) and not np.isfinite(v)):
+            raise ParseError(f"bad {what}: {v!r} is not a finite number")
 
 
 def _load_function(args) -> GroupFunction:
@@ -241,15 +264,20 @@ def _cmd_quad_classify(args) -> dict:
     from .quadratic import classify_global_quadratic
 
     spec = parse_group(args.group)
-    raw = _read_json(args.input)
 
     def dec(v):
         if isinstance(v, str):
             n, d = v.split("/")
             return Fraction(int(n), int(d))
+        _require_finite([v], "phase value")
         return Fraction(v).limit_denominator(10**9)
 
-    phi = [dec(v) for v in raw]
+    def table(raw):
+        if not isinstance(raw, list) or len(raw) != spec.order:
+            raise ParseError(f"a phase table must be a JSON list of {spec.order} values")
+        return [dec(v) for v in raw]
+
+    phi = _decoded(table, _read_json(args.input), "phase table")
     Q = classify_global_quadratic(phi, spec)
     return Q.to_json()
 
@@ -257,7 +285,10 @@ def _cmd_quad_classify(args) -> dict:
 def _cmd_bracket(args) -> dict:
     from .quadratic import BracketQuadratic
 
-    bq = BracketQuadratic.from_json(_read_json(args.bq))
+    bq = _decoded(BracketQuadratic.from_json, _read_json(args.bq), "bracket quadratic")
+    if bq.N < 1:
+        raise ParseError(f"bad bracket quadratic: N = {bq.N} is not positive")
+    _require_finite([*(v for row in bq.quad for v in row), *bq.lin, bq.const], "bracket quadratic")
     out: dict = {"N": bq.N, "S": list(bq.freqs)}
     if args.n is not None:
         out["n"] = args.n
@@ -284,7 +315,8 @@ def _cmd_inverse_f5(args) -> dict:
 def _cmd_nilseq(args) -> dict:
     from .nil import CANONICAL_CUTOFF, BlockFunction, NilFunction, NilSystem, e, nilsequence
 
-    sysm = NilSystem.from_json(_read_json(args.system))
+    sysm = _decoded(NilSystem.from_json, _read_json(args.system), "nil system")
+    _require_finite([v for f0 in sysm.factors for v in (f0.alpha, f0.beta, f0.gamma)], "nil system")
     name = args.F
     if not name.startswith("builtin:"):
         raise ParseError("only builtin:one / builtin:chi_e functions are supported")
@@ -421,9 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, group=True, func=False, seed=False):
+        """group: True for an optional --group, "required", or False for none."""
         p.add_argument("--out", help="write the result JSON here as well")
         if group:
-            p.add_argument("--group", help='group spec, e.g. "Z/101", "F5^3", "Z/4xZ/9"')
+            p.add_argument("--group", required=group == "required",
+                           help='group spec, e.g. "Z/101", "F5^3", "Z/4xZ/9"')
         if func:
             p.add_argument("--input", help="GroupFunction JSON file")
             p.add_argument("--expr", help="expression, e.g. \"e((3*x^2+x)/101)\"")
@@ -449,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_u3_oracle)
 
     p = sub.add_parser("aps", help="arithmetic progression counts")
-    common(p)
+    common(p, group="required")
     p.add_argument("--set", required=True)
     p.add_argument("--k", type=_positive_int, default=4)
     p.set_defaults(handler=_cmd_aps)
@@ -462,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_gvn)
 
     p = sub.add_parser("bohr", help="Bohr set report")
-    common(p)
+    common(p, group="required")
     p.add_argument("--S", required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--find-regular", dest="find_regular", type=float, default=None)
@@ -470,18 +504,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bohr)
 
     p = sub.add_parser("bogolyubov", help="large spectrum and sumset inclusion")
-    common(p)
+    common(p, group="required")
     p.add_argument("--set", required=True)
     p.set_defaults(handler=_cmd_bogolyubov)
 
     p = sub.add_parser("progression", help="coset progression inside a Bohr set")
-    common(p)
+    common(p, group="required")
     p.add_argument("--S", required=True)
     p.add_argument("--rho", type=float, required=True)
     p.set_defaults(handler=_cmd_progression)
 
     p = sub.add_parser("quad-classify", help="classify a global quadratic phase")
-    common(p)
+    common(p, group="required")
     p.add_argument("--input", required=True, help="JSON list of exact 'p/q' values")
     p.set_defaults(handler=_cmd_quad_classify)
 

@@ -29,10 +29,27 @@ block by block, so memory stays O(_H_CHUNK N).  Only rounding changes: the
 row of h stands in for that of -h and the sum runs in another order, which
 moves a result by a few ulps.
 
+The direct method sums over blocks of x, so it holds O(N^d) cubes at a time.
+
 The u^3 oracles search explicit families of quadratic phases: an exact scan
 over M x.x + xi.x on cosets of odd subgroups (the complete family there),
 and a grid scan over bracket quadratics on regions of Z/N (a certified lower
 bound; bracket quadratics on Bohr sets admit no complete parametrization).
+
+On a coset of an F_p-subspace of dimension k, in local coordinates t, the
+scan is separable.  With w = e(-1/p) and C symmetric,
+
+  sum_t g(t) w^(t.Ct + xi.t)
+    = sum_t [g(t) w^(sum_{i<j} 2 c_ij t_i t_j)] prod_i w^(c_ii t_i^2 + xi_i t_i),
+
+and the product factors over the axes, so for each off-diagonal vector
+(c_ij)_{i<j} the sums for all p^(2k) values of (c_ii, xi_i)_i are k
+applications of one p^2 x p matrix D[(c, xi), s] = w^(c s^2 + xi s), one
+along each axis.  This is the same finite sum regrouped, so it is exact up
+to rounding (about 1e-16 against the direct scan); only the p^(k(k-1)/2)
+off-diagonal vectors are enumerated, in chunks of _ORACLE_CHUNK outputs.
+When D would be larger than a chunk (k = 1 and p^3 > _ORACLE_CHUNK) an axis
+goes through the chirp w^(c s^2) and an FFT in s instead.
 """
 
 from __future__ import annotations
@@ -59,6 +76,9 @@ from .quadratic import BracketQuadratic
 DIRECT_BUDGET = 30_000_000
 ORACLE_BUDGET = 2_000_000_000
 _H_CHUNK = 128
+_DIRECT_BLOCK = 1 << 18  # cubes per block of the direct method
+_ORACLE_CHUNK = 2_000_000  # |correlation|^2 values per chunk of the coset scan
+_TIE_RTOL = 1e-12  # coset-scan entries this close to the maximum tie
 
 
 @dataclass
@@ -188,27 +208,23 @@ def _gowers_direct(f: GroupFunction, d: int, budget: int) -> float:
     N = spec.order
     if N ** (d + 1) > budget:
         raise BudgetExceeded(f"direct method needs N^{d + 1} = {N ** (d + 1)} > budget {budget}")
-    add = spec.translates(np.arange(N))  # add[h, x] = x + h, symmetric
     vals = f.values
-
-    def corner(idx_arrays: list[np.ndarray], omega: tuple[int, ...]) -> np.ndarray:
-        idx = idx_arrays[0]
-        for t, w in enumerate(omega):
-            if w:
-                idx = add[idx, idx_arrays[t + 1]]
-        v = vals[idx]
-        return np.conj(v) if sum(omega) % 2 else v
-
-    shapes = []
-    for t in range(d + 1):
-        sh = [1] * (d + 1)
-        sh[t] = N
-        shapes.append(np.arange(N).reshape(sh))
-    acc = None
-    for omega in itertools.product((0, 1), repeat=d):
-        term = corner(shapes, omega)
-        acc = term if acc is None else acc * term
-    mean = complex(np.mean(acc))
+    # h_t varies along axis t + 1; x along axis 0, a block of x at a time
+    hs = [np.arange(N).reshape((1,) * (t + 1) + (N,) + (1,) * (d - 1 - t)) for t in range(d)]
+    block = max(1, _DIRECT_BLOCK // N**d)
+    total = 0j
+    for x0 in range(0, N, block):
+        x = np.arange(x0, min(N, x0 + block)).reshape((-1,) + (1,) * d)
+        acc = np.ones((len(x),) + (N,) * d, dtype=np.complex128)
+        for omega in itertools.product((0, 1), repeat=d):
+            idx = x
+            for t, w in enumerate(omega):
+                if w:
+                    idx = spec.add_indices(idx, hs[t])
+            v = vals[idx]
+            acc *= np.conj(v, out=v) if sum(omega) % 2 else v
+        total += complex(acc.sum())
+    mean = total / N ** (d + 1)
     return max(mean.real, 0.0) ** (1.0 / 2**d)
 
 
@@ -292,6 +308,85 @@ def _coset_values(f: GroupFunction, y_index: int, H: Subgroup) -> tuple[np.ndarr
     return f.values[f.owner.coset_points(y_index, H.generators, orders)], orders
 
 
+def _base_p_digits(n: np.ndarray, p: int, width: int) -> np.ndarray:
+    """Base-p digits of each n, most significant first: shape n.shape + (width,)."""
+    return (n[..., None] // p ** np.arange(width - 1, -1, -1, dtype=np.int64)) % p
+
+
+def _subspace_quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int, ...]]:
+    """max over symmetric C and xi of |sum_t g(t) w^(t.Ct + xi.t)|^2, w =
+    e(-1/p), for g = fvals on F_p^k in lex order, and the tie-broken argmax
+    as (c_00, c_01, ..., c_kk, xi_0, ..., xi_{k-1}) (see the module
+    docstring for the separable identity)."""
+    m = p**k
+    s = np.arange(p, dtype=np.int64)
+    omega = np.exp(-2j * np.pi * s / p)
+    # D[(c, xi), s] = w^(c s^2 + xi s), rows in lex order; it has p^3 entries,
+    # so past a chunk's size the axis goes through a chirp and an FFT instead
+    dense = p**3 <= _ORACLE_CHUNK
+    D = omega[(s[:, None, None] * s * s + s[:, None] * s) % p].reshape(-1, p) if dense else None
+
+    def along_axis(g: np.ndarray) -> np.ndarray:
+        """(B, p, r) -> (B, p^2, r): the middle axis s becomes rows (c, xi)."""
+        if dense:
+            return np.matmul(D, g)
+        h = omega[(s[:, None] * s * s) % p][:, :, None] * g[:, None]
+        return np.fft.fft(h, axis=2).reshape(len(g), -1, g.shape[-1])
+
+    off = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    t = _base_p_digits(np.arange(m), p, k)
+    P = np.array([2 * t[:, i] * t[:, j] % p for i, j in off], dtype=np.int64).reshape(-1, m)
+    # A chunk is a box of p^jv off-diagonal vectors (the trailing jv digits
+    # vary), with p^(2k) outputs each: at most _ORACLE_CHUNK outputs, or one
+    # vector's when that is more (never within the default budget).
+    jv = 0
+    while jv < len(off) and p ** (jv + 1 + 2 * k) <= _ORACLE_CHUNK:
+        jv += 1
+
+    # Axes of a chunk: trailing off-diagonal digits, then (c_ii, xi_i) for each
+    # i; lex order of the key names them ("o", n), ("c", i), ("x", i).
+    names = [("o", n) for n in range(len(off) - jv, len(off))]
+    names += [(kind, i) for i in range(k) for kind in ("c", "x")]
+    lex = [("c", i) if i == j else ("o", off.index((i, j))) for i in range(k) for j in range(i, k)]
+    lex += [("x", i) for i in range(k)]
+    varying = [a for a in lex if a in names]
+    perm = [names.index(a) for a in varying]
+
+    def chunk_sq(v0: int) -> np.ndarray:
+        """|.|^2 for the off-diagonal vectors v0, ..., v0 + p^jv - 1."""
+        odig = _base_p_digits(v0 + np.arange(p**jv), p, len(off))
+        g = fvals * omega[(odig @ P) % p]  # (p^jv, m): off-diagonal phase applied
+        done = 1  # size of the transformed trailing block
+        for _ in range(k):  # axes k-1, ..., 0
+            g = along_axis(g.reshape(-1, p, done))
+            done *= p * p
+        return (np.square(g.real) + np.square(g.imag)).reshape((p,) * (jv + 2 * k))
+
+    def lex_first(sq: np.ndarray, thr: float, v0: int) -> tuple[tuple[int, ...], float]:
+        """The lex-smallest key among entries >= thr of chunk v0, and its entry."""
+        sq_lex = sq.transpose(perm)
+        at = np.unravel_index(int(np.argmax(sq_lex >= thr)), sq_lex.shape)
+        digit = {("o", n): dn for n, dn in enumerate(_base_p_digits(np.asarray(v0), p, len(off)))}
+        digit.update(zip(varying, at))
+        return tuple(int(digit[a]) for a in lex), float(sq_lex[at])
+
+    records = []
+    for v0 in range(0, p ** len(off), p**jv):
+        sq = chunk_sq(v0)
+        top = float(sq.max())
+        records.append((top, v0) + lex_first(sq, top * (1 - _TIE_RTOL), v0))
+    best = max(r[0] for r in records)
+    thr = best * (1 - _TIE_RTOL)
+    # a chunk's candidate was chosen against its own maximum; when the global
+    # threshold excludes it, look again in that chunk (rare near-ties only)
+    key = min(
+        cand if val >= thr else lex_first(chunk_sq(v0), thr, v0)[0]
+        for top, v0, cand, val in records
+        if top >= thr
+    )
+    return best, key
+
+
 def u3_oracle_coset(
     f: GroupFunction,
     coset: tuple[GroupElement, Subgroup],
@@ -302,8 +397,12 @@ def u3_oracle_coset(
     e(-phi(x))|, with the witness phase.
 
     Supported families: F_p-subspaces (dimension-limited by budget) and
-    cyclic subgroups of Z/N.  Argmax ties break toward the lexicographically
-    smallest parameter vector.
+    cyclic subgroups of Z/N.  On an F_p-subspace the witness is the
+    lexicographically smallest (c_00, c_01, ..., c_kk, xi_0, ..., xi_{k-1})
+    whose |correlation|^2 is within a relative 1e-12 of the maximum, so
+    functions with many exact ties (zero, constant, one point) get A = 0,
+    b = 0 whatever the rounding.  On a cyclic subgroup argmax ties break
+    toward the smallest (M, xi) up to 1e-15.
     """
     y, H = coset
     if H.order % 2 == 0:
@@ -319,39 +418,13 @@ def u3_oracle_coset(
         n_M = p ** (k * (k + 1) // 2)
         if n_M * m * p**k > budget:
             raise BudgetExceeded("symmetric-matrix scan exceeds budget")
-        t = GroupSpec((p,) * k).decode(np.arange(m))  # (m, k), lex order
-        monos = []
+        best_sq, key = _subspace_quadratic_scan(fvals, p, k)
         pairs = [(i, j) for i in range(k) for j in range(i, k)]
-        for (i, j) in pairs:
-            monos.append((t[:, i] * t[:, j] * (1 if i == j else 2)) % p)
-        P = np.array(monos, dtype=np.int64)  # (npairs, m)
-        # coefficient vectors in lex order
-        digits = GroupSpec((p,) * len(pairs)).decode(np.arange(n_M))
-        best_val, best = -1.0, None
-        chunk = max(1, int(2_000_000 // max(m, 1)))
-        omega = np.exp(-2j * np.pi * np.arange(p) / p)
-        for start in range(0, n_M, chunk):
-            Dg = digits[start : start + chunk]
-            Q = (Dg @ P) % p  # (c, m)
-            U = fvals[None, :] * omega[Q]
-            Ugrid = U.reshape((-1,) + (p,) * k)
-            corr = np.fft.fftn(Ugrid, axes=range(1, k + 1)).reshape(len(Dg), -1)
-            mags = np.abs(corr) / m
-            flat = int(np.argmax(mags))
-            v = float(mags.reshape(-1)[flat])
-            if v > best_val + 1e-15:
-                mi, xi_i = divmod(flat, p**k)
-                best_val = v
-                best = (start + mi, xi_i)
-        Mi, xi_i = best
-        coefs = digits[Mi]
         A = [[0] * k for _ in range(k)]
-        for (i, j), cval in zip(pairs, coefs):
-            A[i][j] = A[j][i] = int(cval)
-        loc = GroupSpec((p,) * k) if k else GroupSpec((1,))
-        xi_t = loc.coords_of(xi_i) if k else ()
-        witness = CosetQuadraticWitness(y, H, tuple(tuple(r) for r in A), tuple(xi_t))
-        return NormReport(best_val, 3, "coset-exact", witness)
+        for (i, j), cval in zip(pairs, key):
+            A[i][j] = A[j][i] = cval
+        witness = CosetQuadraticWitness(y, H, tuple(tuple(r) for r in A), key[len(pairs):])
+        return NormReport(float(np.sqrt(best_sq)) / m, 3, "coset-exact", witness)
 
     if isinstance(H, BoxSubgroup) and f.owner.rank == 1:
         h = H.local_orders[0]

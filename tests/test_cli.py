@@ -88,6 +88,46 @@ def test_unreadable_input_file_exit_code(argv, kind, tmp_path, capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+# Files that are valid JSON of the wrong shape, per subcommand.
+_WRONG_SHAPE = [
+    (["quad-classify", "--group", "Z/7", "--input", "{path}"],
+     ['{"a": 1}', "[1, 2]", '"1/7"', '["1/0", 0, 0, 0, 0, 0, 0]', '["x", 0, 0, 0, 0, 0, 0]',
+      "[true, 0, 0, 0, 0, 0, 0]", "[NaN, 0, 0, 0, 0, 0, 0]", "[[1], 0, 0, 0, 0, 0, 0]"]),
+    (["bracket", "--bq", "{path}", "--n", "1"],
+     ['{"a": 1}', "[1, 2]", '{"N": "x", "S": [1], "quad": [[1]], "lin": [0]}',
+      '{"N": 0, "S": [1], "quad": [[1]], "lin": [0]}', '{"N": 5, "S": [1], "quad": [1], "lin": [0]}',
+      '{"N": 5, "S": [1], "quad": [[1]], "lin": [null]}', '{"N": 5, "S": [1], "quad": [[1]], "lin": [1e999]}',
+      '{"N": 5, "S": [1], "quad": [[NaN]], "lin": [0]}']),
+    (["nilseq", "--N", "5", "--system", "{path}"],
+     ['{"a": 1}', "[1, 2]", '{"factors": 3}', '{"factors": [3]}', '{"factors": [{"kind": "torus"}]}',
+      '{"factors": [{"kind": "circle", "alpha": "x"}]}', '{"factors": [{"kind": "circle", "alpha": NaN}]}',
+      '{"factors": [{"kind": "skew", "m": "q"}]}']),
+]
+
+
+@pytest.mark.parametrize("argv,content", [(a, c) for a, cs in _WRONG_SHAPE for c in cs],
+                         ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_wrong_shape_input_file_exit_code(argv, content, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(content)
+    code, out, err = run_cli([a.replace("{path}", str(path)) for a in argv], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["aps", "--set", "0,1"],
+    ["bohr", "--S", "1", "--rho", "0.1"],
+    ["bogolyubov", "--set", "0,1"],
+    ["progression", "--S", "1", "--rho", "0.1"],
+    ["quad-classify", "--input", "phi.json"],
+], ids=lambda a: a[0])
+def test_missing_group_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("unchecked", [False, True])
 def test_nonfinite_function_values_exit_code(bad, unchecked, tmp_path, capsys):

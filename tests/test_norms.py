@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_bounded, random_unimodular
-from u3kit.errors import DegreeUnsupported, EvenOrder, NotBounded, NotPrime
+from u3kit.errors import BudgetExceeded, DegreeUnsupported, EvenOrder, NotBounded, NotPrime
 from u3kit.fourier import dft
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.modlinalg import BoxSubgroup, PrimeSubspace
@@ -333,7 +333,7 @@ def functions(draw, spec: GroupSpec) -> GroupFunction:
 @pytest.mark.parametrize("d", [2, 3, 4])
 @given(data=st.data())
 def test_recursive_matches_direct_property(d, data):
-    # |G|^(d+1) <= 2^20 keeps the direct method's cube arrays small
+    # |G|^(d+1) <= 2^20 keeps the direct method quick
     spec = data.draw(specs(int(round((1 << 20) ** (1 / (d + 1))))))
     f = data.draw(functions(spec))
     a = gowers_norm(f, d, method="direct").value
@@ -372,3 +372,139 @@ def test_norm_monotonicity_property(data):
     vals = [gowers_norm(f, d).value for d in (1, 2, 3, 4)]
     assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:])), vals
     assert vals[-1] <= 1 + 1e-9
+
+
+# --- the exact coset oracle on F_p-subspaces ----------------------------------
+
+
+def _reference_coset_scan(fvals: np.ndarray, p: int, k: int):
+    """The scan the separable kernel replaced: |sum_t g(t) w^(t.Ct + xi.t)| / m
+    for every (C, xi), by one fftn per coefficient vector; rows are the vectors
+    (c_00, c_01, ..., c_kk) in lex order, columns xi in lex order."""
+    m = p**k
+    t = GroupSpec((p,) * k).decode(np.arange(m))
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    P = np.array([(t[:, i] * t[:, j] * (1 if i == j else 2)) % p for i, j in pairs])
+    digits = GroupSpec((p,) * len(pairs)).decode(np.arange(p ** len(pairs)))
+    omega = np.exp(-2j * np.pi * np.arange(p) / p)
+    mags, step = [], max(1, 2_000_000 // m)
+    for start in range(0, len(digits), step):
+        U = fvals[None, :] * omega[(digits[start : start + step] @ P) % p]
+        corr = np.fft.fftn(U.reshape((-1,) + (p,) * k), axes=range(1, k + 1))
+        mags.append(np.abs(corr.reshape(len(U), m)) / m)
+    return np.concatenate(mags), digits
+
+
+def _reference_witness(digits: np.ndarray, p: int, k: int, flat: int):
+    """(A, b) of entry `flat` of the reference scan."""
+    row, col = divmod(flat, p**k)
+    A = [[0] * k for _ in range(k)]
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    for (i, j), c in zip(pairs, digits[row].tolist()):
+        A[i][j] = A[j][i] = c
+    return tuple(map(tuple, A)), GroupSpec((p,) * k).coords_of(col)
+
+
+def _planted(spec: GroupSpec, A, b, noise: float, rng) -> GroupFunction:
+    x = spec.decode(np.arange(spec.order))
+    q = (np.einsum("ni,ij,nj->n", x, np.array(A), x) + x @ np.array(b)) % spec.orders[0]
+    vals = np.exp(2j * np.pi * q / spec.orders[0])
+    vals += noise * rng.uniform(-1, 1, spec.order) * np.exp(2j * np.pi * rng.uniform(0, 1, spec.order))
+    return GroupFunction(spec, vals / np.abs(vals).max())
+
+
+ORACLE_SPACES = ["F5^3", "F7^2", "F3^4", "F5^2", "F3^3", "F3^2"]  # drawn most often first
+
+
+@given(data=st.data())
+def test_coset_oracle_matches_reference_property(data):
+    import u3kit.norms as norms
+
+    spec = parse_group(data.draw(st.sampled_from(ORACLE_SPACES)))
+    p, n = spec.orders[0], spec.rank
+    n_gens = n - data.draw(st.integers(0, n - 1))  # W may have a smaller dimension
+    gens = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, p, (n_gens, n))
+    W = PrimeSubspace.from_generators(spec, gens)
+    y = spec.element_by_index(data.draw(st.integers(0, spec.order - 1)))
+    kind = data.draw(st.sampled_from(["dense", "real", "planted", "one-point", "zero"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "planted":
+        A = rng.integers(0, p, (n, n))
+        f = _planted(spec, (A + A.T) % p, rng.integers(0, p, n), 0.3, rng)
+    else:
+        f = data.draw(functions(spec)) if kind != "dense" else random_bounded(spec, rng)
+        if kind == "real":
+            f = GroupFunction(spec, f.values.real + 0j)
+    chunk = data.draw(st.sampled_from([norms._ORACLE_CHUNK, 1, 30, 700]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_ORACLE_CHUNK", chunk)
+        rep = u3_oracle_coset(f, (y, W))
+    k = W.dim
+    if k == 0:
+        assert rep.value == abs(f.values[y.index])
+        return
+    fvals = f.values[spec.coset_points(y.index, W.generators, W.local_orders)]
+    mags, digits = _reference_coset_scan(fvals, p, k)
+    assert abs(rep.value - mags.max()) < 1e-12
+    assert abs(rep.witness.bias_against(f) - rep.value) < 1e-10
+    top, second = np.sort(mags.ravel())[-1:-3:-1]
+    if top - second > 1e-9:
+        A, b = _reference_witness(digits, p, k, int(np.argmax(mags)))
+        assert (rep.witness.A, rep.witness.b) == (A, b)
+
+
+@pytest.mark.parametrize("group", ["F3^3", "F5^2", "F7^2"])
+@pytest.mark.parametrize("chunk", [1, 40, 2_000_000])
+def test_coset_oracle_tie_rule_against_reference(group, chunk, monkeypatch):
+    # with a wide tie band many entries tie; the witness is the lex-first of
+    # them even when a chunk's own maximum sits below the overall maximum
+    import u3kit.norms as norms
+
+    spec = parse_group(group)
+    p, k = spec.orders[0], spec.rank
+    rtol = 0.3
+    monkeypatch.setattr(norms, "_ORACLE_CHUNK", chunk)
+    monkeypatch.setattr(norms, "_TIE_RTOL", rtol)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        f = random_bounded(spec, rng)
+        rep = u3_oracle_coset(f, (spec.zero(), PrimeSubspace.whole(spec)))
+        mags, digits = _reference_coset_scan(f.values, p, k)
+        sq = mags**2
+        first = int(np.argmax(sq.ravel() >= sq.max() * (1 - rtol)))
+        assert (rep.witness.A, rep.witness.b) == _reference_witness(digits, p, k, first)
+
+
+@pytest.mark.parametrize("group", ["F5^2", "F5^3", "F7^2"])
+def test_coset_oracle_exact_ties_give_zero_phase(group):
+    spec = parse_group(group)
+    W = PrimeSubspace.whole(spec)
+    k = spec.rank
+    zero_A, zero_b = ((0,) * k,) * k, (0,) * k
+    cases = [(GroupFunction.constant(spec, 0.0), 0.0), (GroupFunction.constant(spec, 1.0), 1.0),
+             (GroupFunction.indicator(spec, [spec.order - 1]), 1 / spec.order)]
+    for f, value in cases:
+        rep = u3_oracle_coset(f, (spec.zero(), W))
+        assert abs(rep.value - value) < 1e-12
+        assert (rep.witness.A, rep.witness.b) == (zero_A, zero_b)
+
+
+@pytest.mark.parametrize("group", ["F5^2", "F5^3", "F7^2", "F3^4"])
+def test_coset_oracle_finds_noisy_plant(group, rng):
+    spec = parse_group(group)
+    p, k = spec.orders[0], spec.rank
+    for _ in range(2):
+        A = rng.integers(0, p, (k, k))
+        A = (A + A.T) % p
+        b = rng.integers(0, p, k)
+        f = _planted(spec, A, b, 0.2, rng)
+        rep = u3_oracle_coset(f, (spec.zero(), PrimeSubspace.whole(spec)))
+        assert rep.witness.A == tuple(map(tuple, A.tolist())) and rep.witness.b == tuple(b.tolist())
+        assert abs(rep.witness.bias_against(f) - rep.value) < 1e-10
+
+
+def test_coset_oracle_budget_on_f5_4():
+    spec = parse_group("F5^4")
+    f = GroupFunction.constant(spec, 1.0)
+    with pytest.raises(BudgetExceeded, match="symmetric-matrix scan exceeds budget"):
+        u3_oracle_coset(f, (spec.zero(), PrimeSubspace.whole(spec)))
