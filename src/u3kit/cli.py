@@ -57,7 +57,9 @@ def _digest(path: str) -> str:
 
 def _read_json(path: str):
     """The JSON value in a file; a file that is missing, unreadable or not
-    JSON, or that holds NaN or +-Infinity, raises ParseError."""
+    JSON, or that holds the literal NaN or +-Infinity, raises ParseError.
+    A float literal that overflows (1e999) still reads as inf; the decoders
+    reject it (function_from_json, _require_finite, integer-only sets)."""
 
     def nonfinite(name: str):
         raise ParseError(f"cannot read JSON from {path}: {name} is not a finite number")

@@ -48,8 +48,9 @@ applications of one p^2 x p matrix D[(c, xi), s] = w^(c s^2 + xi s), one
 along each axis.  This is the same finite sum regrouped, so it is exact up
 to rounding (about 1e-16 against the direct scan); only the p^(k(k-1)/2)
 off-diagonal vectors are enumerated, in chunks of _ORACLE_CHUNK outputs.
-When D would be larger than a chunk (k = 1 and p^3 > _ORACLE_CHUNK) an axis
-goes through the chirp w^(c s^2) and an FFT in s instead.
+When D would be larger than a chunk (p^3 > _ORACLE_CHUNK, which within the
+default budget means k = 1) an axis goes through the chirp w^(c s^2) and an
+FFT in s instead.
 """
 
 from __future__ import annotations
@@ -321,8 +322,10 @@ def _subspace_quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, 
     m = p**k
     s = np.arange(p, dtype=np.int64)
     omega = np.exp(-2j * np.pi * s / p)
-    # D[(c, xi), s] = w^(c s^2 + xi s), rows in lex order; it has p^3 entries,
-    # so past a chunk's size the axis goes through a chirp and an FFT instead
+    # D[(c, xi), s] = w^(c s^2 + xi s), rows in lex order.  One product with D
+    # takes half the time of p chirps and length-p FFTs on F5^3, but D has p^3
+    # entries, so past a chunk's size (within the default budget, k = 1 and
+    # p >= 127) the axis takes the FFTs
     dense = p**3 <= _ORACLE_CHUNK
     D = omega[(s[:, None, None] * s * s + s[:, None] * s) % p].reshape(-1, p) if dense else None
 

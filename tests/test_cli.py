@@ -92,7 +92,8 @@ def test_unreadable_input_file_exit_code(argv, kind, tmp_path, capsys):
 _WRONG_SHAPE = [
     (["quad-classify", "--group", "Z/7", "--input", "{path}"],
      ['{"a": 1}', "[1, 2]", '"1/7"', '["1/0", 0, 0, 0, 0, 0, 0]', '["x", 0, 0, 0, 0, 0, 0]',
-      "[true, 0, 0, 0, 0, 0, 0]", "[NaN, 0, 0, 0, 0, 0, 0]", "[[1], 0, 0, 0, 0, 0, 0]"]),
+      "[true, 0, 0, 0, 0, 0, 0]", "[NaN, 0, 0, 0, 0, 0, 0]", "[1e999, 0, 0, 0, 0, 0, 0]",
+      "[[1], 0, 0, 0, 0, 0, 0]"]),
     (["bracket", "--bq", "{path}", "--n", "1"],
      ['{"a": 1}', "[1, 2]", '{"N": "x", "S": [1], "quad": [[1]], "lin": [0]}',
       '{"N": 0, "S": [1], "quad": [[1]], "lin": [0]}', '{"N": 5, "S": [1], "quad": [1], "lin": [0]}',
@@ -101,7 +102,7 @@ _WRONG_SHAPE = [
     (["nilseq", "--N", "5", "--system", "{path}"],
      ['{"a": 1}', "[1, 2]", '{"factors": 3}', '{"factors": [3]}', '{"factors": [{"kind": "torus"}]}',
       '{"factors": [{"kind": "circle", "alpha": "x"}]}', '{"factors": [{"kind": "circle", "alpha": NaN}]}',
-      '{"factors": [{"kind": "skew", "m": "q"}]}']),
+      '{"factors": [{"kind": "circle", "alpha": -1e999}]}', '{"factors": [{"kind": "skew", "m": "q"}]}']),
 ]
 
 
@@ -128,7 +129,7 @@ def test_missing_group_is_usage_error(argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
 @pytest.mark.parametrize("unchecked", [False, True])
 def test_nonfinite_function_values_exit_code(bad, unchecked, tmp_path, capsys):
     path = tmp_path / "f.json"

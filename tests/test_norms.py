@@ -475,6 +475,29 @@ def test_coset_oracle_tie_rule_against_reference(group, chunk, monkeypatch):
         assert (rep.witness.A, rep.witness.b) == _reference_witness(digits, p, k, first)
 
 
+@pytest.mark.parametrize("group", ["F127^1", "F131^2"])
+def test_coset_oracle_large_p_line_matches_reference(group, rng):
+    # p^3 > _ORACLE_CHUNK at the default chunk, so the axis goes through the
+    # chirp and the FFT instead of the dense matrix D
+    import u3kit.norms as norms
+
+    spec = parse_group(group)
+    p, n = spec.orders[0], spec.rank
+    assert p**3 > norms._ORACLE_CHUNK
+    W = PrimeSubspace.from_generators(spec, rng.integers(1, p, (1, n)))
+    y = spec.element_by_index(int(rng.integers(spec.order)))
+    A = rng.integers(0, p, (n, n))
+    f = _planted(spec, (A + A.T) % p, rng.integers(0, p, n), 0.3, rng)
+    rep = u3_oracle_coset(f, (y, W))
+    fvals = f.values[spec.coset_points(y.index, W.generators, W.local_orders)]
+    mags, digits = _reference_coset_scan(fvals, p, 1)
+    assert abs(rep.value - mags.max()) < 1e-12
+    assert abs(rep.witness.bias_against(f) - rep.value) < 1e-10
+    top, second = np.sort(mags.ravel())[-1:-3:-1]
+    assert top - second > 1e-9
+    assert (rep.witness.A, rep.witness.b) == _reference_witness(digits, p, 1, int(np.argmax(mags)))
+
+
 @pytest.mark.parametrize("group", ["F5^2", "F5^3", "F7^2"])
 def test_coset_oracle_exact_ties_give_zero_phase(group):
     spec = parse_group(group)
