@@ -399,9 +399,6 @@ class EnumeratedSubgroup:
     def element_indices(self) -> np.ndarray:
         return np.array(self.indices, dtype=np.int64)
 
-    def contains(self, x: GroupElement) -> bool:
-        return x.index in set(self.indices)
-
 
 def character_kernel(spec: GroupSpec, S: Sequence[DualElement]):
     """H = {x : xi.x = 0 for all xi in S} in the most structured

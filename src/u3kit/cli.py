@@ -10,6 +10,7 @@ runs up to the wall-time field.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -449,7 +450,9 @@ def _cmd_selftest(args) -> dict:
             "ok": all(ok for _, ok in results)}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     ap = argparse.ArgumentParser(prog="u3kit", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -464,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", help="GroupFunction JSON file")
             p.add_argument("--expr", help="expression, e.g. \"e((3*x^2+x)/101)\"")
         if seed:
-            p.add_argument("--seed", type=int,
-                           default=int(os.environ.get("U3KIT_SEED", "0")))
+            p.add_argument("--seed", type=int, default=None,
+                           help="default: $U3KIT_SEED, else 0")
 
     p = sub.add_parser("norm", help="Gowers uniformity norm")
     common(p, func=True)
@@ -582,6 +585,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # read per call, so a changed U3KIT_SEED applies
+        raw = os.environ.get("U3KIT_SEED", "0")
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            ap.error(f"U3KIT_SEED must be an integer, got {raw!r}")
     t0 = time.time()
     try:
         result = args.handler(args)

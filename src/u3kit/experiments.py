@@ -31,8 +31,11 @@ from .forms import count_aps
 from .groups import GroupFunction, GroupSpec
 from .inverse_f5 import ObstructionReport, quadratic_obstruction
 from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, solve_mod_p
-from .norms import gowers_norm
+from .norms import gowers_norm, quadratic_scan
 from .quadratic import degenerate_subspace
+
+EXHAUSTIVE_SCAN_LIMIT = 512  # largest N of an exhaustive quadratic_correlation_scan
+EXHAUSTIVE_SEARCH_LIMIT = 20  # largest N of an exhaustive ap_free_search
 
 
 # --- the two-scale counterexample --------------------------------------------
@@ -91,6 +94,11 @@ def fw_counterexample(N: int) -> GroupFunction:
 
 @dataclass
 class ScanResult:
+    """The best (a, b) found and its correlation |E f(x) e(-(a x^2 + b x)/N)|:
+    in exhaustive mode the exact maximum, with ties broken toward the
+    lex-smallest (a, b) (so a function with exact ties, such as a point mass,
+    gives (0, 0)); in sampled mode a lower bound over the pairs examined."""
+
     value: float
     a: int
     b: int
@@ -107,29 +115,22 @@ def quadratic_correlation_scan(
     mode: str = "exhaustive",
     seed: int = 0,
     samples: int = 100_000,
-    exhaustive_limit: int = 512,
 ) -> ScanResult:
     """max over (a, b) of |E f(x) e(-(a x^2 + b x)/N)| (constants only rotate
-    the modulus).  Exhaustive mode scans all N^2 pairs (N <= limit, with an
-    FFT over b per a); sampled mode draws a seeded uniform sample plus the
-    transform-informed candidates a = 0, all b."""
+    the modulus).  Exhaustive mode is `norms.quadratic_scan` on Z/N (k = 1,
+    any N <= EXHAUSTIVE_SCAN_LIMIT): the exact maximum over all N^2 pairs and
+    the lex-first (a, b) attaining it; sampled mode draws a seeded uniform
+    sample plus the transform-informed candidates a = 0, all b."""
     spec = f.owner
     if spec.rank != 1:
         raise BudgetExceeded("scan requires a cyclic group")
     N = spec.order
     xs = np.arange(N, dtype=np.int64)
     if mode == "exhaustive":
-        if N > exhaustive_limit:
-            raise BudgetExceeded(f"exhaustive scan limited to N <= {exhaustive_limit}")
-        best = (-1.0, 0, 0)
-        omega = np.exp(-2j * np.pi * np.arange(N) / N)
-        for a in range(N):
-            g = f.values * omega[(a * xs * xs) % N]
-            corr = np.abs(np.fft.fft(g)) / N
-            b = int(np.argmax(corr))
-            if float(corr[b]) > best[0] + 1e-15:
-                best = (float(corr[b]), a, b)
-        return ScanResult(best[0], best[1], best[2], "exhaustive", N * N)
+        if N > EXHAUSTIVE_SCAN_LIMIT:
+            raise BudgetExceeded(f"exhaustive scan limited to N <= {EXHAUSTIVE_SCAN_LIMIT}")
+        best_sq, (a, b) = quadratic_scan(f.values, N, 1)
+        return ScanResult(float(np.sqrt(best_sq)) / N, a, b, "exhaustive", N * N)
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
     rng = np.random.default_rng(seed)
@@ -406,15 +407,12 @@ def _creates_proper_kap(spec: GroupSpec, members: set[int], x: int, k: int) -> b
     return bool(np.any(proper & np.all(full[pts], axis=-1)))
 
 
-def ap_free_search(
-    spec: GroupSpec, k: int = 4, strategy: str = "greedy", seed: int = 0,
-    exhaustive_limit: int = 20,
-) -> list[int]:
+def ap_free_search(spec: GroupSpec, k: int = 4, strategy: str = "greedy", seed: int = 0) -> list[int]:
     """A k-AP-free subset, verified by exhaustive counting.
 
     greedy: seeded-deterministic insertion order, each element kept only if
     it creates no proper k-AP (the result is inclusion-maximal).
-    exhaustive: depth-first maximum search, N <= exhaustive_limit.
+    exhaustive: depth-first maximum search, N <= EXHAUSTIVE_SEARCH_LIMIT.
     """
     N = spec.order
     if strategy == "greedy":
@@ -428,8 +426,8 @@ def ap_free_search(
         return sorted(chosen)
     if strategy != "exhaustive":
         raise ValueError("strategy must be 'greedy' or 'exhaustive'")
-    if N > exhaustive_limit:
-        raise BudgetExceeded(f"exhaustive search limited to N <= {exhaustive_limit}")
+    if N > EXHAUSTIVE_SEARCH_LIMIT:
+        raise BudgetExceeded(f"exhaustive search limited to N <= {EXHAUSTIVE_SEARCH_LIMIT}")
     best: list[int] = []
 
     def extend(current: list[int], members: set[int], start: int) -> None:

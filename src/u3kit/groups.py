@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -91,9 +91,6 @@ class GroupSpec:
 
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.rank)
-
-    def dual_zero(self) -> "DualElement":
-        return DualElement(self, (0,) * self.rank)
 
     def index_of(self, coords: Sequence[int]) -> int:
         return sum((c % n) * w for c, n, w in zip(coords, self.orders, self._weights, strict=True))
@@ -276,11 +273,6 @@ class GroupFunction:
 
     def mean(self) -> complex:
         return complex(np.mean(self.values))
-
-    @staticmethod
-    def from_callable(spec: GroupSpec, fn: Callable[[GroupElement], complex]) -> "GroupFunction":
-        vals = np.array([fn(x) for x in spec.elements()], dtype=np.complex128)
-        return GroupFunction(spec, vals)
 
     @staticmethod
     def indicator(spec: GroupSpec, subset: Iterable[int]) -> "GroupFunction":

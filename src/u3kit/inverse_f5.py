@@ -13,7 +13,6 @@ exact coset oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -168,12 +167,6 @@ class LinearComponentFit:
     M_rows: np.ndarray  # (dim V, n): dual coords of M(b_i) for the V basis
     xi0: tuple[int, ...]
     agreement: float
-
-    def frequency_at(self, h_local: Sequence[int]) -> np.ndarray:
-        """2 M h + xi0 in dual coordinates, for h in V-local coordinates."""
-        p = self.V.p
-        mh = (np.asarray(h_local, dtype=np.int64) @ self.M_rows) % p
-        return (2 * mh + np.array(self.xi0, dtype=np.int64)) % p
 
 
 def linear_component_fit(sliced: SliceResult) -> LinearComponentFit:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SpecMismatch
-from .groups import GroupElement, GroupSpec
+from .groups import GroupSpec
 
 
 def is_prime(n: int) -> bool:
@@ -159,9 +159,6 @@ class BoxSubgroup:
     def element_indices(self) -> np.ndarray:
         return np.sort(self.spec.coset_points(0, self.generators, self.local_orders))
 
-    def contains(self, x: GroupElement) -> bool:
-        return all(c % d == 0 for c, d in zip(x.coords, self.divisors))
-
 
 @dataclass(frozen=True)
 class PrimeSubspace:
@@ -216,19 +213,6 @@ class PrimeSubspace:
 
     def element_indices(self) -> np.ndarray:
         return np.sort(self.spec.coset_points(0, self.generators, self.local_orders))
-
-    def contains(self, x: GroupElement) -> bool:
-        if self.dim == 0:
-            return x.is_zero()
-        mat = np.vstack([self.basis_matrix(), np.array(x.coords, dtype=np.int64)])
-        return rank_mod_p(mat, self.p) == self.dim
-
-    def annihilator(self) -> "PrimeSubspace":
-        """Characters vanishing on the subspace (as a subspace of the dual)."""
-        if self.dim == 0:
-            return PrimeSubspace.whole(self.spec)
-        ker = kernel_basis_mod_p(self.basis_matrix(), self.p)
-        return PrimeSubspace.from_generators(self.spec, ker)
 
     def complement_basis(self) -> np.ndarray:
         """Rows completing the subspace basis to a basis of the whole space."""

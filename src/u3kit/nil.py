@@ -25,8 +25,7 @@ circle (dimension 9); each linear term costs two circles (dimension 2).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 

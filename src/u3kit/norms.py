@@ -36,21 +36,29 @@ over M x.x + xi.x on cosets of odd subgroups (the complete family there),
 and a grid scan over bracket quadratics on regions of Z/N (a certified lower
 bound; bracket quadratics on Bohr sets admit no complete parametrization).
 
-On a coset of an F_p-subspace of dimension k, in local coordinates t, the
-scan is separable.  With w = e(-1/p) and C symmetric,
+One separable kernel, `quadratic_scan`, is the only exact scan: the coset
+oracle and the exhaustive `experiments.quadratic_correlation_scan` both
+call it.  On a coset of an F_p-subspace of dimension k, in local
+coordinates t, and with w = e(-1/p) and C symmetric,
 
   sum_t g(t) w^(t.Ct + xi.t)
     = sum_t [g(t) w^(sum_{i<j} 2 c_ij t_i t_j)] prod_i w^(c_ii t_i^2 + xi_i t_i),
 
 and the product factors over the axes, so for each off-diagonal vector
 (c_ij)_{i<j} the sums for all p^(2k) values of (c_ii, xi_i)_i are k
-applications of one p^2 x p matrix D[(c, xi), s] = w^(c s^2 + xi s), one
+applications of one p^2 x p map D[(c, xi), s] = w^(c s^2 + xi s), one
 along each axis.  This is the same finite sum regrouped, so it is exact up
 to rounding (about 1e-16 against the direct scan); only the p^(k(k-1)/2)
 off-diagonal vectors are enumerated, in chunks of _ORACLE_CHUNK outputs.
-When D would be larger than a chunk (p^3 > _ORACLE_CHUNK, which within the
-default budget means k = 1) an axis goes through the chirp w^(c s^2) and an
-FFT in s instead.
+A cyclic group Z/h is the case k = 1 with p = h: there are no off-diagonal
+terms and the identity is the plain sum, which holds for any modulus h.
+
+D is stored as a dense matrix only when k > 1 and p^3 <= _ORACLE_CHUNK,
+where one matrix is reused across the k axes and all the chunks.  Otherwise
+an axis goes through the chirp w^(c s^2) and a length-p FFT in s: at k = 1
+building D costs more than the one transform it serves (a whole k = 1
+scan, median of 9 on a 2-core Xeon: h = 49, 8.0 ms with D against 0.13 ms
+with the FFT axis; h = 125, 64.5 ms against 0.39 ms).
 """
 
 from __future__ import annotations
@@ -303,30 +311,28 @@ class CosetQuadraticWitness:
         return {"y": list(self.y.coords), "A": [list(r) for r in self.A], "b": list(self.b)}
 
 
-def _coset_values(f: GroupFunction, y_index: int, H: Subgroup) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Values of f on y+H in local lexicographic order, plus local orders."""
-    orders = tuple(H.local_orders)
-    return f.values[f.owner.coset_points(y_index, H.generators, orders)], orders
-
-
 def _base_p_digits(n: np.ndarray, p: int, width: int) -> np.ndarray:
     """Base-p digits of each n, most significant first: shape n.shape + (width,)."""
     return (n[..., None] // p ** np.arange(width - 1, -1, -1, dtype=np.int64)) % p
 
 
-def _subspace_quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int, ...]]:
+def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int, ...]]:
     """max over symmetric C and xi of |sum_t g(t) w^(t.Ct + xi.t)|^2, w =
-    e(-1/p), for g = fvals on F_p^k in lex order, and the tie-broken argmax
-    as (c_00, c_01, ..., c_kk, xi_0, ..., xi_{k-1}) (see the module
-    docstring for the separable identity)."""
+    e(-1/p), for g = fvals on (Z/p)^k in lex order, and the argmax as
+    (c_00, c_01, ..., c_kk, xi_0, ..., xi_{k-1}): the lex-smallest key whose
+    entry is within a relative _TIE_RTOL of the maximum, so exact ties do
+    not depend on rounding.
+
+    p is prime for k > 1; with k = 1 it may be any modulus h, even or
+    composite, and the key is (a, b) for the phase a t^2 + b t (see the
+    module docstring for the separable identity)."""
     m = p**k
     s = np.arange(p, dtype=np.int64)
     omega = np.exp(-2j * np.pi * s / p)
     # D[(c, xi), s] = w^(c s^2 + xi s), rows in lex order.  One product with D
     # takes half the time of p chirps and length-p FFTs on F5^3, but D has p^3
-    # entries, so past a chunk's size (within the default budget, k = 1 and
-    # p >= 127) the axis takes the FFTs
-    dense = p**3 <= _ORACLE_CHUNK
+    # entries and pays off only when reused across axes and chunks (k > 1)
+    dense = k > 1 and p**3 <= _ORACLE_CHUNK
     D = omega[(s[:, None, None] * s * s + s[:, None] * s) % p].reshape(-1, p) if dense else None
 
     def along_axis(g: np.ndarray) -> np.ndarray:
@@ -400,54 +406,37 @@ def u3_oracle_coset(
     e(-phi(x))|, with the witness phase.
 
     Supported families: F_p-subspaces (dimension-limited by budget) and
-    cyclic subgroups of Z/N.  On an F_p-subspace the witness is the
+    cyclic subgroups of Z/N, both scanned by `quadratic_scan` (a cyclic
+    subgroup of order h as k = 1, p = h).  The witness is the
     lexicographically smallest (c_00, c_01, ..., c_kk, xi_0, ..., xi_{k-1})
     whose |correlation|^2 is within a relative 1e-12 of the maximum, so
     functions with many exact ties (zero, constant, one point) get A = 0,
-    b = 0 whatever the rounding.  On a cyclic subgroup argmax ties break
-    toward the smallest (M, xi) up to 1e-15.
+    b = 0 whatever the rounding.
     """
     y, H = coset
     if H.order % 2 == 0:
         raise EvenOrder("coset oracle requires odd |H|")
-    fvals, orders = _coset_values(f, y.index, H)
+    fvals = f.values[f.owner.coset_points(y.index, H.generators, H.local_orders)]  # local lex order
     m = len(fvals)
     if m == 1:
         return NormReport(abs(complex(fvals[0])), 3, "coset-exact",
                           CosetQuadraticWitness(y, H, (), ()))
 
     if isinstance(H, PrimeSubspace):
-        p, k = H.p, H.dim
-        n_M = p ** (k * (k + 1) // 2)
-        if n_M * m * p**k > budget:
-            raise BudgetExceeded("symmetric-matrix scan exceeds budget")
-        best_sq, key = _subspace_quadratic_scan(fvals, p, k)
-        pairs = [(i, j) for i in range(k) for j in range(i, k)]
-        A = [[0] * k for _ in range(k)]
-        for (i, j), cval in zip(pairs, key):
-            A[i][j] = A[j][i] = cval
-        witness = CosetQuadraticWitness(y, H, tuple(tuple(r) for r in A), key[len(pairs):])
-        return NormReport(float(np.sqrt(best_sq)) / m, 3, "coset-exact", witness)
-
-    if isinstance(H, BoxSubgroup) and f.owner.rank == 1:
-        h = H.local_orders[0]
-        if h * h * h > budget:
-            raise BudgetExceeded("cyclic quadratic scan exceeds budget")
-        ts = np.arange(h, dtype=np.int64)
-        omega = np.exp(-2j * np.pi * np.arange(h) / h)
-        best_val, best = -1.0, (0, 0)
-        for mcoef in range(h):
-            g = fvals * omega[(mcoef * ts * ts) % h]
-            corr = np.fft.fft(g)  # index b: sum_t g(t) e(-2 pi i b t / h)
-            mags = np.abs(corr) / h
-            b = int(np.argmax(mags))
-            if float(mags[b]) > best_val + 1e-15:
-                best_val = float(mags[b])
-                best = (mcoef, b)
-        witness = CosetQuadraticWitness(y, H, ((best[0],),), (best[1],))
-        return NormReport(best_val, 3, "coset-exact", witness)
-
-    raise BudgetExceeded("coset oracle supports F_p subspaces and cyclic subgroups")
+        p, k, message = H.p, H.dim, "symmetric-matrix scan exceeds budget"
+    elif isinstance(H, BoxSubgroup) and f.owner.rank == 1:
+        p, k, message = H.local_orders[0], 1, "cyclic quadratic scan exceeds budget"
+    else:
+        raise BudgetExceeded("coset oracle supports F_p subspaces and cyclic subgroups")
+    if p ** (k * (k + 1) // 2) * m * p**k > budget:
+        raise BudgetExceeded(message)
+    best_sq, key = quadratic_scan(fvals, p, k)
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    A = [[0] * k for _ in range(k)]
+    for (i, j), cval in zip(pairs, key):
+        A[i][j] = A[j][i] = cval
+    witness = CosetQuadraticWitness(y, H, tuple(tuple(r) for r in A), key[len(pairs):])
+    return NormReport(float(np.sqrt(best_sq)) / m, 3, "coset-exact", witness)
 
 
 # --- grid bracket-quadratic oracle on regions of Z/N -------------------------

@@ -27,3 +27,22 @@ def random_pm1(spec: GroupSpec, rng) -> GroupFunction:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)
+
+
+def reference_cyclic_scan(fvals: np.ndarray, h: int):
+    """The per-a loop that the cyclic coset oracle and the exhaustive scan
+    both ran before `norms.quadratic_scan` replaced them: one chirp and one
+    FFT over b per a, keeping the first (a, b) that beats the best so far by
+    more than 1e-15.  Returns (value, (a, b), table) with table[a, b] =
+    |sum_t g(t) e(-(a t^2 + b t)/h)| / h."""
+    ts = np.arange(h, dtype=np.int64)
+    omega = np.exp(-2j * np.pi * np.arange(h) / h)
+    best_val, best, rows = -1.0, (0, 0), []
+    for a in range(h):
+        g = fvals * omega[(a * ts * ts) % h]
+        mags = np.abs(np.fft.fft(g)) / h
+        b = int(np.argmax(mags))
+        if float(mags[b]) > best_val + 1e-15:
+            best_val, best = float(mags[b]), (a, b)
+        rows.append(mags)
+    return best_val, best, np.array(rows)

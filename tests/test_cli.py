@@ -276,6 +276,35 @@ def test_hp_check_subcommand(capsys):
     assert result_of(out)["pass"] is True
 
 
+def test_seed_env_read_per_call(monkeypatch, capsys):
+    args = ["hp-check", "--trials", "3"]
+    seeds = []
+    for env in ("5", "9"):
+        monkeypatch.setenv("U3KIT_SEED", env)
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        seeds.append(json.loads(out)["manifest"]["seed"])
+    _, out, _ = run_cli(args + ["--seed", "2"], capsys)
+    assert seeds + [json.loads(out)["manifest"]["seed"]] == [5, 9, 2]
+    monkeypatch.delenv("U3KIT_SEED")
+    _, out, _ = run_cli(args, capsys)
+    assert json.loads(out)["manifest"]["seed"] == 0
+
+
+def test_invalid_seed_env(monkeypatch, capsys):
+    monkeypatch.setenv("U3KIT_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["hp-check", "--trials", "3"])
+    assert exc.value.code == 2
+    assert "U3KIT_SEED" in capsys.readouterr().err
+    # a subcommand without --seed never reads it
+    code, out, _ = run_cli(["norm", "--group", "Z/5", "--expr", "1", "--d", "2"], capsys)
+    assert code == 0 and json.loads(out)["manifest"]["seed"] is None
+    # nor does one given --seed explicitly
+    code, _, _ = run_cli(["hp-check", "--trials", "3", "--seed", "1"], capsys)
+    assert code == 0
+
+
 def test_fw_and_scan_subcommands(tmp_path, capsys):
     fpath = tmp_path / "fw.json"
     code, out, _ = run_cli(["fw", "--N", "401", "--out", str(fpath)], capsys)

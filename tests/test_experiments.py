@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import random_bounded, reference_cyclic_scan
 from u3kit.errors import BudgetExceeded, Has4Ap, NotPrime, TooSmall
 from u3kit.experiments import (
     FwSpec,
@@ -78,6 +79,44 @@ def test_scan_consistency_planted(rng):
         f = GroupFunction(spec, np.exp(2j * np.pi * (a * x * x + b * x) / 101))
         ex = quadratic_correlation_scan(f, "exhaustive")
         assert (ex.a, ex.b) == (a, b)
+
+
+@pytest.mark.parametrize("N", [25, 45, 121, 128])
+def test_scan_exact_ties_give_zero_phase(N):
+    # every (a, b) ties exactly on a point mass; the witness must not depend
+    # on rounding
+    spec = parse_group(f"Z/{N}")
+    cases = [(GroupFunction.constant(spec, 0.0), 0.0), (GroupFunction.constant(spec, 1.0), 1.0),
+             (GroupFunction.indicator(spec, [1]), 1 / N), (GroupFunction.indicator(spec, [N - 1]), 1 / N)]
+    for f, value in cases:
+        res = quadratic_correlation_scan(f, "exhaustive")
+        assert abs(res.value - value) < 1e-12
+        assert (res.a, res.b) == (0, 0)
+
+
+@given(data=st.data())
+def test_scan_matches_reference_property(data):
+    # any modulus up to the limit, even and composite ones included
+    N = data.draw(st.integers(1, 512))
+    spec = parse_group(f"Z/{N}")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["dense", "planted", "zero", "constant"]))
+    x = np.arange(N)
+    if kind == "dense":
+        f = random_bounded(spec, rng)
+    elif kind == "planted":
+        a, b = rng.integers(0, N, 2)
+        noise = 0.3 * rng.uniform(-1, 1, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N))
+        f = GroupFunction(spec, (np.exp(2j * np.pi * ((a * x * x + b * x) % N) / N) + noise) / 1.3)
+    else:
+        f = GroupFunction.constant(spec, 0.0 if kind == "zero" else 1.0)
+    res = quadratic_correlation_scan(f, "exhaustive")
+    value, (a, b), table = reference_cyclic_scan(f.values, N)
+    assert abs(res.value - value) < 1e-12
+    assert res.pairs_examined == N * N
+    top, second = np.sort(table.ravel())[-1:-3:-1] if N > 1 else (value, -1.0)
+    if top - second > 1e-9:
+        assert (res.a, res.b) == (a, b)
 
 
 def test_ap_free_search():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_bounded, random_unimodular
+from conftest import random_bounded, random_unimodular, reference_cyclic_scan
 from u3kit.errors import BudgetExceeded, DegreeUnsupported, EvenOrder, NotBounded, NotPrime
 from u3kit.fourier import dft
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
@@ -477,8 +477,8 @@ def test_coset_oracle_tie_rule_against_reference(group, chunk, monkeypatch):
 
 @pytest.mark.parametrize("group", ["F127^1", "F131^2"])
 def test_coset_oracle_large_p_line_matches_reference(group, rng):
-    # p^3 > _ORACLE_CHUNK at the default chunk, so the axis goes through the
-    # chirp and the FFT instead of the dense matrix D
+    # a line has k = 1, so the axis goes through the chirp and the FFT
+    # instead of the dense matrix D
     import u3kit.norms as norms
 
     spec = parse_group(group)
@@ -498,10 +498,12 @@ def test_coset_oracle_large_p_line_matches_reference(group, rng):
     assert (rep.witness.A, rep.witness.b) == _reference_witness(digits, p, 1, int(np.argmax(mags)))
 
 
-@pytest.mark.parametrize("group", ["F5^2", "F5^3", "F7^2"])
+@pytest.mark.parametrize("group", ["F5^2", "F5^3", "F7^2", "Z/25", "Z/45", "Z/121"])
 def test_coset_oracle_exact_ties_give_zero_phase(group):
+    # every (A, b) ties exactly on a point mass; the witness must not depend
+    # on rounding
     spec = parse_group(group)
-    W = PrimeSubspace.whole(spec)
+    W = PrimeSubspace.whole(spec) if group.startswith("F") else BoxSubgroup.whole(spec)
     k = spec.rank
     zero_A, zero_b = ((0,) * k,) * k, (0,) * k
     cases = [(GroupFunction.constant(spec, 0.0), 0.0), (GroupFunction.constant(spec, 1.0), 1.0),
@@ -531,3 +533,43 @@ def test_coset_oracle_budget_on_f5_4():
     f = GroupFunction.constant(spec, 1.0)
     with pytest.raises(BudgetExceeded, match="symmetric-matrix scan exceeds budget"):
         u3_oracle_coset(f, (spec.zero(), PrimeSubspace.whole(spec)))
+
+
+# --- the exact coset oracle on cyclic subgroups -------------------------------
+
+
+@given(data=st.data())
+def test_cyclic_coset_oracle_matches_reference_property(data):
+    # a coset y + H of the subgroup H of odd order h in Z/(c h)
+    h = data.draw(st.integers(1, 128).map(lambda i: 2 * i + 1))  # odd, 3..257
+    c = data.draw(st.integers(1, 3))
+    spec = parse_group(f"Z/{c * h}")
+    H = BoxSubgroup(spec, (c,))
+    y = spec.element_by_index(data.draw(st.integers(0, spec.order - 1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vals = random_bounded(spec, rng).values
+    pts = spec.coset_points(y.index, H.generators, H.local_orders)
+    t = np.arange(h)
+    kind = data.draw(st.sampled_from(["dense", "planted", "zero", "constant"]))
+    if kind == "planted":
+        a, b = rng.integers(0, h, 2)
+        noise = 0.3 * rng.uniform(-1, 1, h) * np.exp(2j * np.pi * rng.uniform(0, 1, h))
+        vals[pts] = (np.exp(2j * np.pi * ((a * t * t + b * t) % h) / h) + noise) / 1.3
+    elif kind != "dense":
+        vals[pts] = 0.0 if kind == "zero" else 1.0
+    f = GroupFunction(spec, vals)
+    rep = u3_oracle_coset(f, (y, H))
+    value, (a, b), table = reference_cyclic_scan(vals[pts], h)
+    assert abs(rep.value - value) < 1e-12
+    assert abs(rep.witness.bias_against(f) - rep.value) < 1e-10
+    top, second = np.sort(table.ravel())[-1:-3:-1]
+    if top - second > 1e-9:
+        assert (rep.witness.A, rep.witness.b) == (((a,),), (b,))
+
+
+def test_coset_oracle_budget_on_cyclic():
+    # 1263^3 exceeds ORACLE_BUDGET, 1259^3 does not
+    spec = parse_group("Z/1263")
+    f = GroupFunction.constant(spec, 1.0)
+    with pytest.raises(BudgetExceeded, match="cyclic quadratic scan exceeds budget"):
+        u3_oracle_coset(f, (spec.zero(), BoxSubgroup.whole(spec)))
