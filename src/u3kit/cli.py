@@ -142,6 +142,24 @@ def _positive_int(s: str) -> int:
     return n
 
 
+def _radius(upper: Fraction, closed: bool):
+    """argparse type for a radius: the fraction with denominator at most 10^6
+    nearest to a number, which must lie in (0, upper], or (0, upper) when
+    not closed."""
+    interval = f"(0, {upper}{']' if closed else ')'}"
+
+    def parse(s: str) -> Fraction:
+        try:
+            r = Fraction(float(s)).limit_denominator(10**6)
+        except (ValueError, OverflowError):  # not a number, nan, inf
+            r = None
+        if r is None or not (0 < r < upper or closed and r == upper):
+            raise argparse.ArgumentTypeError(f"expected a number in {interval} at 1e-6 resolution, got {s}")
+        return r
+
+    return parse
+
+
 # --- subcommand handlers -------------------------------------------------------
 
 
@@ -180,7 +198,7 @@ def _cmd_u3_oracle(args) -> dict:
     if args.rho is not None:
         from .bohr import bohr_set
 
-        region = bohr_set(spec, S, Fraction(args.rho).limit_denominator(10**6))
+        region = bohr_set(spec, S, args.rho)
     else:
         region = np.arange(spec.order)
     rep = u3_oracle_bracket(f, region, S, args.grid)
@@ -209,13 +227,13 @@ def _cmd_bohr(args) -> dict:
     spec = parse_group(args.group)
     S = _dual_list(spec, args.S)
     out: dict = {"group": args.group, "d": len(S)}
-    rho = Fraction(args.rho).limit_denominator(10**6)
+    rho = args.rho  # a Fraction, see _radius
     B = bohr_set(spec, S, rho)
     out["rho"] = f"{rho.numerator}/{rho.denominator}"
     out["size"] = len(B)
     out["regular"] = is_regular(B)
     if args.find_regular is not None:
-        r = find_regular_rho(spec, S, Fraction(args.find_regular).limit_denominator(10**6))
+        r = find_regular_rho(spec, S, args.find_regular)
         out["regular_rho"] = f"{r.numerator}/{r.denominator}"
         out["regular_rho_size"] = len(B.with_rho(r))
     if args.progression:
@@ -248,7 +266,7 @@ def _cmd_progression(args) -> dict:
 
     spec = parse_group(args.group)
     S = _dual_list(spec, args.S)
-    ext = coset_progression_in_bohr(spec, S, Fraction(args.rho).limit_denominator(10**6))
+    ext = coset_progression_in_bohr(spec, S, args.rho)
     out = ext.progression.to_json()
     out.update(
         {
@@ -484,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", default="whole")
     p.add_argument("--S", default="")
     p.add_argument("--grid", type=int, default=8)
-    p.add_argument("--rho", type=float, default=None)
+    p.add_argument("--rho", type=_radius(Fraction(1), closed=True), default=None)
     p.set_defaults(handler=_cmd_u3_oracle)
 
     p = sub.add_parser("aps", help="arithmetic progression counts")
@@ -503,8 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bohr", help="Bohr set report")
     common(p, group="required")
     p.add_argument("--S", required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--find-regular", dest="find_regular", type=float, default=None)
+    p.add_argument("--rho", type=_radius(Fraction(1), closed=True), required=True)
+    p.add_argument("--find-regular", dest="find_regular", type=_radius(Fraction(1, 2), closed=False),
+                   default=None)
     p.add_argument("--progression", action="store_true")
     p.set_defaults(handler=_cmd_bohr)
 
@@ -516,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("progression", help="coset progression inside a Bohr set")
     common(p, group="required")
     p.add_argument("--S", required=True)
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--rho", type=_radius(Fraction(1), closed=True), required=True)
     p.set_defaults(handler=_cmd_progression)
 
     p = sub.add_parser("quad-classify", help="classify a global quadratic phase")

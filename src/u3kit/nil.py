@@ -25,8 +25,10 @@ circle (dimension 9); each linear term costs two circles (dimension 2).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,11 +55,12 @@ class CutoffSpec:
     rho: Fraction = Fraction(1, 4)
     eps: Fraction = Fraction(1, 2)
 
-    @property
+    # floats computed once per instance: __call__ runs once per point
+    @cached_property
     def plateau(self) -> float:
         return float(self.rho * (1 - self.eps))
 
-    @property
+    @cached_property
     def support(self) -> float:
         return float(self.rho * (1 + self.eps))
 
@@ -248,7 +251,7 @@ class NilFunction:
 
 
 def e(t) -> complex:
-    return complex(np.exp(2j * np.pi * float(t)))
+    return cmath.exp(2j * np.pi * float(t))
 
 
 def nilsequence(F: NilFunction, sys: NilSystem, x0: NilPoint, N: int) -> GroupFunction:
@@ -352,16 +355,16 @@ def bracket_weight(bq: BracketQuadratic, chi: CutoffSpec = CANONICAL_CUTOFF):
     frequency.  Returns a callable on residues n."""
     N = bq.N
     s = len(bq.freqs)
+    quad = [(bq.freqs[i], bq.freqs[j]) for i in range(s) for j in range(i, s)
+            if float(bq.quad[i][j]) * (1 if i == j else 2) != 0.0]
+    lin = [bq.freqs[i] for i in range(s) if float(bq.lin[i]) != 0.0]
 
     def weight(n: int) -> float:
         w = 1.0
-        for i in range(s):
-            for j in range(i, s):
-                if float(bq.quad[i][j]) * (1 if i == j else 2) != 0.0:
-                    w *= chi(bq.freqs[i] * n / N) ** 2 * chi(bq.freqs[j] * n / N) ** 2
-        for i in range(s):
-            if float(bq.lin[i]) != 0.0:
-                w *= chi(bq.freqs[i] * n / N)
+        for a, b in quad:
+            w *= chi(a * n / N) ** 2 * chi(b * n / N) ** 2
+        for a in lin:
+            w *= chi(a * n / N)
         return w
 
     return weight

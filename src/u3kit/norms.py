@@ -59,6 +59,27 @@ an axis goes through the chirp w^(c s^2) and a length-p FFT in s: at k = 1
 building D costs more than the one transform it serves (a whole k = 1
 scan, median of 9 on a 2-core Xeon: h = 49, 8.0 ms with D against 0.13 ms
 with the FFT axis; h = 125, 64.5 ms against 0.39 ms).
+
+The bracket oracle regroups the same way.  With brackets b_i(x) = {xi_i x/N}
+on the region, a coefficient tuple splits into its quadratic part q (the
+coefficients of b_i b_j, i <= j) and its linear part l (those of b_i):
+
+  sum_x f(x) e(-Q_q(x) - L_l(x)) = sum_x [f(x) e(-Q_q(x))] e(-L_l(x))
+                                 = (EQ @ EL^T)[q, l],
+
+so nq + nl rows of exponentials (nq = nv^#pairs, nl = nv^|S|, nv grid
+values per coefficient) and one matrix product replace one exponential per
+tuple and point, and the flat index q nl + l is the lex rank of the tuple.
+EQ is built in blocks of q rows (EL too, when it does not fit one block),
+so no table or product block holds more than _BRACKET_BLOCK entries (or one
+row of the region); the nq x nl matrix is never held.
+
+Every oracle breaks ties by one rule: the witness is the lexicographically
+smallest parameter vector whose |correlation|^2 is within a relative
+_TIE_RTOL = 1e-12 of the maximum, so exact ties (zero, constant, one point)
+do not depend on rounding.  Each block is reduced to its maximum and its
+lex-first candidate; only blocks near the overall maximum are looked at
+again.
 """
 
 from __future__ import annotations
@@ -76,6 +97,7 @@ from .errors import (
     EvenOrder,
     NotBounded,
     NotPrime,
+    TooSmall,
 )
 from .fourier import dft, dft_values
 from .groups import DualElement, GroupElement, GroupFunction, GroupSpec
@@ -87,7 +109,8 @@ ORACLE_BUDGET = 2_000_000_000
 _H_CHUNK = 128
 _DIRECT_BLOCK = 1 << 18  # cubes per block of the direct method
 _ORACLE_CHUNK = 2_000_000  # |correlation|^2 values per chunk of the coset scan
-_TIE_RTOL = 1e-12  # coset-scan entries this close to the maximum tie
+_TIE_RTOL = 1e-12  # oracle entries this close to the maximum tie
+_BRACKET_BLOCK = 1 << 20  # entries per table and per product block of the bracket oracle
 
 
 @dataclass
@@ -362,35 +385,47 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
     perm = [names.index(a) for a in varying]
 
     def chunk_sq(v0: int) -> np.ndarray:
-        """|.|^2 for the off-diagonal vectors v0, ..., v0 + p^jv - 1."""
+        """|.|^2 for the off-diagonal vectors v0, ..., v0 + p^jv - 1, axes in
+        lex order of the key."""
         odig = _base_p_digits(v0 + np.arange(p**jv), p, len(off))
         g = fvals * omega[(odig @ P) % p]  # (p^jv, m): off-diagonal phase applied
         done = 1  # size of the transformed trailing block
         for _ in range(k):  # axes k-1, ..., 0
             g = along_axis(g.reshape(-1, p, done))
             done *= p * p
-        return (np.square(g.real) + np.square(g.imag)).reshape((p,) * (jv + 2 * k))
+        sq = np.square(g.real) + np.square(g.imag)
+        return sq.reshape((p,) * (jv + 2 * k)).transpose(perm)
 
-    def lex_first(sq: np.ndarray, thr: float, v0: int) -> tuple[tuple[int, ...], float]:
-        """The lex-smallest key among entries >= thr of chunk v0, and its entry."""
-        sq_lex = sq.transpose(perm)
-        at = np.unravel_index(int(np.argmax(sq_lex >= thr)), sq_lex.shape)
+    def key_of(v0: int, at: int) -> tuple[int, ...]:
         digit = {("o", n): dn for n, dn in enumerate(_base_p_digits(np.asarray(v0), p, len(off)))}
-        digit.update(zip(varying, at))
-        return tuple(int(digit[a]) for a in lex), float(sq_lex[at])
+        digit.update(zip(varying, np.unravel_index(at, (p,) * len(varying))))
+        return tuple(int(digit[a]) for a in lex)
+
+    return _lex_first_max(range(0, p ** len(off), p**jv), chunk_sq, key_of)
+
+
+def _lex_first_max(blocks, block_sq, key_of):
+    """The largest |correlation|^2 over all blocks, and the lex-smallest key
+    whose entry is within a relative _TIE_RTOL of it.  block_sq(b) gives the
+    entries of block b with its row-major order the lex order of their keys;
+    key_of(b, i) is the key of the i-th of them."""
+
+    def first(b, sq: np.ndarray, thr: float):
+        at = int(np.argmax(sq >= thr))
+        return key_of(b, at), float(sq.flat[at])
 
     records = []
-    for v0 in range(0, p ** len(off), p**jv):
-        sq = chunk_sq(v0)
+    for b in blocks:
+        sq = block_sq(b)
         top = float(sq.max())
-        records.append((top, v0) + lex_first(sq, top * (1 - _TIE_RTOL), v0))
+        records.append((top, b) + first(b, sq, top * (1 - _TIE_RTOL)))
     best = max(r[0] for r in records)
     thr = best * (1 - _TIE_RTOL)
-    # a chunk's candidate was chosen against its own maximum; when the global
-    # threshold excludes it, look again in that chunk (rare near-ties only)
+    # a block's candidate was chosen against its own maximum; when the global
+    # threshold excludes it, look again in that block (rare near-ties only)
     key = min(
-        cand if val >= thr else lex_first(chunk_sq(v0), thr, v0)[0]
-        for top, v0, cand, val in records
+        cand if val >= thr else first(b, block_sq(b), thr)[0]
+        for top, b, cand, val in records
         if top >= thr
     )
     return best, key
@@ -465,6 +500,12 @@ def u3_oracle_bracket(
     The result is a certified lower bound for the quadratic bias u^3 on the
     region (the family is a grid, not the full supremum); the witness bracket
     quadratic has exact rational coefficients.
+
+    Every tuple's correlation is an entry of EQ @ EL^T (see the module
+    docstring), computed in blocks of q rows and l rows.  The witness is the
+    lexicographically smallest tuple (quadratic coefficients in pair order,
+    then linear ones) whose |correlation|^2 is within a relative 1e-12 of the
+    maximum.
     """
     spec = f.owner
     if spec.rank != 1 or not is_prime(spec.order):
@@ -478,13 +519,14 @@ def u3_oracle_bracket(
     N = spec.order
     idx = _region_indices(region)
     m = len(idx)
+    if m == 0:
+        raise TooSmall("bracket oracle needs a nonempty region")
 
     pairs = [(i, j) for i in range(s) for j in range(i, s)]
-    ncoef = len(pairs) + s
     coef_values = [Fraction(k) + Fraction(j, grid) for k in range(-grid, grid + 1) for j in range(grid)]
     coef_values.sort()
     nv = len(coef_values)
-    combos = nv**ncoef
+    combos = nv ** (len(pairs) + s)
     if combos * m > budget:
         raise BudgetExceeded(f"{combos} coefficient tuples x {m} points exceed budget")
 
@@ -492,36 +534,40 @@ def u3_oracle_bracket(
     for i, xi in enumerate(freqs):
         tvals = (xi * idx % N) / N
         brk[i] = np.where(tvals <= 0.5, tvals, tvals - 1.0)
-    monos = []
-    for (i, j) in pairs:
-        monos.append(brk[i] * brk[j] * (1 if i == j else 2))
-    for i in range(s):
-        monos.append(brk[i])
-    MONO = np.array(monos)  # (ncoef, m)
+    qmono = np.array([brk[i] * brk[j] * (1 if i == j else 2) for i, j in pairs]).reshape(-1, m)
     cv = np.array([float(v) for v in coef_values])
-
     fvals = f.values[idx]
-    best_val, best_combo = -1.0, None
-    chunk = max(1, int(4_000_000 // max(m, 1)))
-    for start in range(0, combos, chunk):
-        count = min(chunk, combos - start)
-        flat = start + np.arange(count)
-        dig = np.empty((count, ncoef), dtype=np.int64)
-        rem = flat.copy()
-        for c in range(ncoef - 1, -1, -1):
-            dig[:, c] = rem % nv
-            rem //= nv
-        E = cv[dig] @ MONO  # (count, m)
-        vals = np.abs(np.exp(-2j * np.pi * E) @ fvals) / m
-        loc = int(np.argmax(vals))
-        if float(vals[loc]) > best_val + 1e-15:
-            best_val = float(vals[loc])
-            best_combo = dig[loc].copy()
+
+    def phases(first: int, count: int, monos: np.ndarray) -> np.ndarray:
+        """e(-sum_t c_t monos[t]) on the region for the coefficient tuples
+        first, ..., first + count - 1 (base-nv digits, lex order)."""
+        dig = _base_p_digits(first + np.arange(count), nv, len(monos))
+        return np.exp(-2j * np.pi * (cv[dig] @ monos))
+
+    nq, nl = nv ** len(pairs), nv**s
+    bl = min(nl, max(1, _BRACKET_BLOCK // m))
+    bq = min(nq, max(1, _BRACKET_BLOCK // max(m, bl)))
+    EL = phases(0, nl, brk) if bl == nl else None  # the common case: one table
+
+    def block_sq(b: tuple[int, int]) -> np.ndarray:
+        q0, l0 = b
+        EQ = fvals * phases(q0, min(bq, nq - q0), qmono)
+        corr = EQ @ (phases(l0, min(bl, nl - l0), brk) if EL is None else EL).T
+        sq = np.square(corr.real)
+        sq += np.square(corr.imag)
+        return sq
+
+    def key_of(b: tuple[int, int], at: int) -> int:
+        q0, l0 = b
+        r, c = divmod(at, min(bl, nl - l0))
+        return (q0 + r) * nl + l0 + c  # the tuple's lex rank
+
+    blocks = [(q0, l0) for q0 in range(0, nq, bq) for l0 in range(0, nl, bl)]
+    best_sq, rank = _lex_first_max(blocks, block_sq, key_of)
+    digits = _base_p_digits(np.asarray(rank), nv, len(pairs) + s).tolist()
     quad = [[Fraction(0)] * s for _ in range(s)]
-    lin = [Fraction(0)] * s
-    for t, (i, j) in enumerate(pairs):
-        quad[i][j] = quad[j][i] = coef_values[int(best_combo[t])]
-    for i in range(s):
-        lin[i] = coef_values[int(best_combo[len(pairs) + i])]
-    bq = BracketQuadratic(N, freqs, tuple(tuple(r) for r in quad), tuple(lin))
-    return NormReport(best_val, 3, "bracket-grid", bq)
+    for (i, j), d in zip(pairs, digits):
+        quad[i][j] = quad[j][i] = coef_values[d]
+    lin = tuple(coef_values[d] for d in digits[len(pairs):])
+    witness = BracketQuadratic(N, freqs, tuple(tuple(r) for r in quad), lin)
+    return NormReport(float(np.sqrt(best_sq)) / m, 3, "bracket-grid", witness)

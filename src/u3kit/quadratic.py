@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -58,7 +58,7 @@ def round_half_up(t: TorusValue):
     """Nearest integer with half-integers rounded up (nilmanifold lifts)."""
     if isinstance(t, Fraction):
         return (2 * t.numerator + t.denominator) // (2 * t.denominator)
-    return int(np.floor(float(t) + 0.5))
+    return floor(float(t) + 0.5)
 
 
 def _require_odd(spec: GroupSpec) -> None:

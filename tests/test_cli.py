@@ -178,6 +178,31 @@ def test_hp_check_rejects_nonpositive_trials(trials):
     assert exc.value.code == 2
 
 
+RADIUS_COMMANDS = {
+    "bohr": ["bohr", "--group", "Z/101", "--S", "1", "--rho"],
+    "progression": ["progression", "--group", "Z/101", "--S", "1", "--rho"],
+    "u3-oracle": ["u3-oracle", "--group", "Z/101", "--expr", "1", "--kind", "bracket", "--S", "1",
+                  "--grid", "2", "--rho"],
+    "find-regular": ["bohr", "--group", "Z/101", "--S", "1", "--rho", "0.2", "--find-regular"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1.5", "nan", "inf"])
+@pytest.mark.parametrize("command", sorted(RADIUS_COMMANDS))
+def test_out_of_range_radius_is_usage_error(command, value):
+    # --rho must lie in (0, 1] and --find-regular in (0, 1/2)
+    with pytest.raises(SystemExit) as exc:
+        main(RADIUS_COMMANDS[command] + [value])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command,value", [("bohr", "1"), ("u3-oracle", "1"), ("progression", "0.2"),
+                                           ("find-regular", "0.49")])
+def test_radius_at_the_edge_is_accepted(command, value, capsys):
+    code, _, _ = run_cli(RADIUS_COMMANDS[command] + [value], capsys)
+    assert code == 0
+
+
 def test_determinism_modulo_walltime(capsys):
     args = ["norm", "--group", "Z/7", "--d", "2", "--expr", "0.5*e(x/7)+0.25"]
     _, out1, _ = run_cli(args, capsys)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_bounded, random_unimodular, reference_cyclic_scan
-from u3kit.errors import BudgetExceeded, DegreeUnsupported, EvenOrder, NotBounded, NotPrime
+from u3kit.errors import BudgetExceeded, DegreeUnsupported, EvenOrder, NotBounded, NotPrime, TooSmall
 from u3kit.fourier import dft
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.modlinalg import BoxSubgroup, PrimeSubspace
@@ -573,3 +573,138 @@ def test_coset_oracle_budget_on_cyclic():
     f = GroupFunction.constant(spec, 1.0)
     with pytest.raises(BudgetExceeded, match="cyclic quadratic scan exceeds budget"):
         u3_oracle_coset(f, (spec.zero(), BoxSubgroup.whole(spec)))
+
+
+# --- the bracket-grid oracle ----------------------------------------------------
+
+
+def _reference_bracket_scan(f: GroupFunction, region: np.ndarray, freqs, grid: int):
+    """The per-tuple loop the separable oracle replaced: one exponential per
+    coefficient tuple and point.  Returns |E_region f e(-phase)| for every
+    tuple, in lex order of (quadratic coefficients in pair order, linear
+    ones), and the sorted coefficient values."""
+    N, s, m = f.owner.order, len(freqs), len(region)
+    pairs = [(i, j) for i in range(s) for j in range(i, s)]
+    ncoef = len(pairs) + s
+    coef_values = sorted(Fraction(k) + Fraction(j, grid) for k in range(-grid, grid + 1) for j in range(grid))
+    nv = len(coef_values)
+    brk = np.empty((s, m))
+    for i, xi in enumerate(freqs):
+        t = (xi * region % N) / N
+        brk[i] = np.where(t <= 0.5, t, t - 1.0)
+    MONO = np.array([brk[i] * brk[j] * (1 if i == j else 2) for i, j in pairs] + list(brk))
+    cv = np.array([float(v) for v in coef_values])
+    vals, chunk = [], max(1, 200_000 // m)
+    for start in range(0, nv**ncoef, chunk):
+        flat = start + np.arange(min(chunk, nv**ncoef - start))
+        dig = np.empty((len(flat), ncoef), dtype=np.int64)
+        for c in range(ncoef - 1, -1, -1):
+            dig[:, c], flat = flat % nv, flat // nv
+        vals.append(np.abs(np.exp(-2j * np.pi * (cv[dig] @ MONO)) @ f.values[region]) / m)
+    return np.concatenate(vals), coef_values
+
+
+def _reference_lex_first(vals: np.ndarray, coef_values, width: int, rtol: float = 1e-12) -> tuple:
+    """The coefficient tuple of the first reference entry whose square is
+    within a relative rtol of the largest."""
+    first, nv = int(np.argmax(vals**2 >= vals.max() ** 2 * (1 - rtol))), len(coef_values)
+    return tuple(coef_values[(first // nv**e) % nv] for e in range(width - 1, -1, -1))
+
+
+def _bracket_key(bq: BracketQuadratic) -> tuple:
+    s = len(bq.freqs)
+    return tuple(bq.quad[i][j] for i in range(s) for j in range(i, s)) + tuple(bq.lin)
+
+
+BRACKET_PRIMES = [p for p in range(2, 212) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@given(data=st.data())
+def test_bracket_oracle_matches_reference_property(data):
+    import u3kit.norms as norms
+
+    N = data.draw(st.sampled_from(BRACKET_PRIMES))
+    spec = GroupSpec((N,))
+    s = data.draw(st.integers(1, min(3, N - 1)))
+    grid = 1 if s == 3 else data.draw(st.integers(1, 3))
+    freqs = data.draw(st.lists(st.integers(1, N - 1), min_size=s, max_size=s, unique=True))
+    combos = (grid * (2 * grid + 1)) ** (s * (s + 3) // 2)
+    m = data.draw(st.integers(1, max(1, min(N, 2_000_000 // combos))))  # keeps the reference quick
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    region = np.sort(rng.choice(N, size=m, replace=False))
+    kind = data.draw(st.sampled_from(["dense", "constant", "point-mass", "real"]))
+    if kind == "dense":
+        f = random_bounded(spec, rng)
+    elif kind == "constant":
+        f = GroupFunction.constant(spec, 1.0)
+    elif kind == "point-mass":
+        f = GroupFunction.indicator(spec, [int(rng.choice(region))])
+    else:
+        f = GroupFunction(spec, rng.uniform(-1, 1, N) + 0j)
+    # about 1, 3 or 40 blocks; with several, EL may be split as well
+    block = max(1, combos * m // data.draw(st.sampled_from([1, 3, 40])))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_BRACKET_BLOCK", block)
+        rep = u3_oracle_bracket(f, region, freqs, grid)
+    vals, coef_values = _reference_bracket_scan(f, region, freqs, grid)
+    assert abs(rep.value - vals.max()) < 1e-12
+    assert _bracket_key(rep.witness) == _reference_lex_first(vals, coef_values, s * (s + 3) // 2)
+
+
+@pytest.mark.parametrize("block", [1, 40, 700, 2**20])
+def test_bracket_oracle_tie_rule_against_reference(block, monkeypatch):
+    # with a wide tie band many entries tie; the witness is the lex-first of
+    # them even when a block's own maximum sits below the overall maximum
+    import u3kit.norms as norms
+
+    rtol = 0.3
+    monkeypatch.setattr(norms, "_BRACKET_BLOCK", block)
+    monkeypatch.setattr(norms, "_TIE_RTOL", rtol)
+    rng = np.random.default_rng(7)
+    spec = parse_group("Z/31")
+    for freqs, grid in [((3, 11), 1), ((5,), 2)]:
+        f = random_bounded(spec, rng)
+        region = np.sort(rng.choice(31, size=20, replace=False))
+        rep = u3_oracle_bracket(f, region, freqs, grid)
+        vals, coef_values = _reference_bracket_scan(f, region, freqs, grid)
+        width = len(freqs) * (len(freqs) + 3) // 2
+        assert _bracket_key(rep.witness) == _reference_lex_first(vals, coef_values, width, rtol)
+
+
+def test_bracket_oracle_point_mass_tie_is_lex_first():
+    # every tuple ties exactly on a point mass, so the witness is the first
+    # tuple: every coefficient at the smallest grid value
+    spec = parse_group("Z/11")
+    rep = u3_oracle_bracket(GroupFunction.indicator(spec, [3]), np.arange(11), [1], grid=3)
+    assert abs(rep.value - 1 / 11) < 1e-15
+    assert rep.witness.quad == ((Fraction(-3),),) and rep.witness.lin == (Fraction(-3),)
+
+
+def test_bracket_oracle_empty_region():
+    f = GroupFunction.constant(parse_group("Z/11"), 1.0)
+    with pytest.raises(TooSmall, match="bracket oracle needs a nonempty region"):
+        u3_oracle_bracket(f, np.array([], dtype=int), [1], 2)
+
+
+def test_bracket_oracle_memory_is_bounded():
+    # 36^3 quadratic x 36^2 linear tuples (6.0e7) on 33 points is inside the
+    # budget; the whole correlation matrix would take about 1 GB
+    import tracemalloc
+
+    import u3kit.norms as norms
+
+    N, freqs, grid = 101, (1, 30), 4
+    region = np.array([n % N for n in range(-16, 17)], dtype=np.int64)
+    assert 36**5 >= 5e7 and 36**5 * len(region) <= norms.ORACLE_BUDGET
+    quad = ((Fraction(5, 4), Fraction(-3, 2)), (Fraction(-3, 2), Fraction(1, 4)))
+    bq = BracketQuadratic(N, freqs, quad, (Fraction(-2), Fraction(7, 4)))
+    f = GroupFunction(parse_group("Z/101"), bq.exp_values(sign=1.0))
+    tracemalloc.start()
+    try:
+        rep = u3_oracle_bracket(f, region, freqs, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    assert rep.value > 1 - 1e-9
+    assert (rep.witness.quad, rep.witness.lin) == (quad, bq.lin)
