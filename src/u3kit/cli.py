@@ -113,12 +113,25 @@ def _set_members(spec: GroupSpec, values) -> list[int]:
     return values
 
 
-def _parse_set(spec: GroupSpec, s: str) -> list[int]:
+def _int_list(s: str, what: str) -> list[int]:
+    """Comma-separated integers, spaces and empty entries ignored; any other
+    entry raises ParseError."""
     try:
-        values = [int(v) for v in s.replace(" ", "").split(",") if v != ""]
+        return [int(v) for v in s.replace(" ", "").split(",") if v != ""]
     except ValueError as exc:
-        raise ParseError(f"bad set {s!r}: {exc}") from exc
-    return _set_members(spec, values)
+        raise ParseError(f"bad {what} {s!r}: {exc}") from exc
+
+
+def _int_vectors(spec: GroupSpec, s: str, what: str) -> list[list[int]]:
+    """Semicolon-separated vectors of spec.rank integers each, at least one."""
+    vectors = [_int_list(v, what) for v in s.split(";")]
+    if any(len(v) != spec.rank for v in vectors):
+        raise ParseError(f"bad {what} {s!r}: expected vectors of {spec.rank} integers, ';'-separated")
+    return vectors
+
+
+def _parse_set(spec: GroupSpec, s: str) -> list[int]:
+    return _set_members(spec, _int_list(s, "set"))
 
 
 def _load_set(spec: GroupSpec, path: str) -> list[int]:
@@ -127,12 +140,32 @@ def _load_set(spec: GroupSpec, path: str) -> list[int]:
 
 def _dual_list(spec: GroupSpec, s: str):
     """"1,17" on cyclic groups; "1,0;0,1" (semicolon-separated vectors) on
-    products."""
-    s = s.replace(" ", "")
+    products.  At least one frequency."""
     if ";" in s or spec.rank > 1:
-        parts = s.split(";")
-        return [spec.dual([int(v) for v in p.split(",")]) for p in parts]
-    return [spec.dual([int(v)]) for v in s.split(",")]
+        return [spec.dual(v) for v in _int_vectors(spec, s, "frequency list")]
+    values = _int_list(s, "frequency list")
+    if not values:
+        raise ParseError(f"bad frequency list {s!r}: no frequency given")
+    return [spec.dual([v]) for v in values]
+
+
+def _coset_subgroup(spec: GroupSpec, H: str):
+    """--H: "whole", "div:d" (d Z/n in every factor, d dividing each n) or
+    "span:v;w;..." (the F_p-span of the vectors)."""
+    from .modlinalg import BoxSubgroup, PrimeSubspace
+
+    if H == "whole":
+        if spec.rank > 1 and len(set(spec.orders)) == 1:
+            return PrimeSubspace.whole(spec)
+        return BoxSubgroup.whole(spec)
+    if H.startswith("div:"):
+        d = _int_list(H[4:], "--H div")
+        if len(d) != 1 or d[0] < 1 or any(n % d[0] for n in spec.orders):
+            raise ParseError(f"bad --H {H!r}: d must be one positive integer dividing every factor order")
+        return BoxSubgroup(spec, (d[0],) * spec.rank)
+    if H.startswith("span:"):
+        return PrimeSubspace.from_generators(spec, _int_vectors(spec, H[5:], "--H span"))
+    raise ParseError("--H must be whole, div:d or span:...")
 
 
 def _positive_int(s: str) -> int:
@@ -140,6 +173,17 @@ def _positive_int(s: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {s}")
     return n
+
+
+def _eta(s: str) -> float:
+    """argparse type for eta: a finite number in (0, 1]."""
+    try:
+        eta = float(s)
+    except ValueError:
+        eta = float("nan")
+    if not 0 < eta <= 1:  # also false for nan
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1], got {s}")
+    return eta
 
 
 def _radius(upper: Fraction, closed: bool):
@@ -172,27 +216,15 @@ def _cmd_norm(args) -> dict:
 
 
 def _cmd_u3_oracle(args) -> dict:
-    from .modlinalg import BoxSubgroup, PrimeSubspace
     from .norms import u3_oracle_bracket, u3_oracle_coset
 
     f = _load_function(args)
     spec = f.owner
     if args.kind == "coset":
-        if args.H == "whole":
-            H = (
-                PrimeSubspace.whole(spec)
-                if spec.rank > 1 and len(set(spec.orders)) == 1
-                else BoxSubgroup.whole(spec)
-            )
-        elif args.H.startswith("div:"):
-            H = BoxSubgroup(spec, (int(args.H[4:]),) * spec.rank)
-        elif args.H.startswith("span:"):
-            rows = [[int(v) for v in r.split(",")] for r in args.H[5:].split(";")]
-            H = PrimeSubspace.from_generators(spec, rows)
-        else:
-            raise ParseError("--H must be whole, div:d or span:...")
-        y = spec.element_by_index(args.y)
-        rep = u3_oracle_coset(f, (y, H))
+        H = _coset_subgroup(spec, args.H)
+        if not 0 <= args.y < spec.order:
+            raise ParseError(f"--y {args.y} is not an element index 0..{spec.order - 1}")
+        rep = u3_oracle_coset(f, (spec.element_by_index(args.y), H))
         return rep.to_json()
     S = _dual_list(spec, args.S)
     if args.rho is not None:
@@ -552,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inverse-f5", help="quadratic obstruction pipeline")
     common(p, func=True, seed=True)
     p.add_argument("--n", type=int, default=None, help="informational dimension")
-    p.add_argument("--eta", type=float, required=True)
+    p.add_argument("--eta", type=_eta, required=True)
     p.set_defaults(handler=_cmd_inverse_f5)
 
     p = sub.add_parser("nilseq", help="generate a truncated nilsequence")
@@ -584,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, group=False, seed=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, help="JSON file with element indices")
-    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--eta", type=_eta, default=None)
     p.add_argument("--force", action="store_true")
     p.set_defaults(handler=_cmd_increment)
 

@@ -23,6 +23,10 @@ from .groups import GroupElement, GroupFunction, GroupSpec, derivative_rows
 from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, largest_subspace_inside
 from .norms import CosetQuadraticWitness, u3_oracle_coset
 
+# (x0, h) pairs, and (x0, xi0) counters, per block of the affine vote; a block
+# peaks at about 90 bytes per cell (tracemalloc), so near 24 MB at most
+_VOTE_CELLS = 1 << 18
+
 
 def _homogeneous_prime(spec: GroupSpec) -> int:
     ps = set(spec.orders)
@@ -169,6 +173,35 @@ class LinearComponentFit:
     agreement: float
 
 
+def _affine_vote(spec: GroupSpec, xi_at: np.ndarray, v_idx: np.ndarray,
+                 neg_two_mh: np.ndarray) -> tuple[int, int, int]:
+    """Exhaustive affine fit: each x0 and each h of V with x0 + h in the graph
+    (xi_at[x0 + h] >= 0) vote for xi0 = xi_{x0+h} - 2Mh.  Returns (votes, x0,
+    xi0) for the most votes, then the smallest x0, then the smallest xi0.
+
+    The votes of a block of x0 are counted by one bincount over the keys
+    (x0 - start) N + xi0, whose flat argmax is that order within the block; a
+    later block takes over only with strictly more votes.  A block has at most
+    _VOTE_CELLS // N rows (|V| <= N), so the gather and the count hold
+    O(_VOTE_CELLS) entries whatever the size of G."""
+    N = spec.order
+    rows = max(1, _VOTE_CELLS // N)
+    best = (0, 0, 0)
+    for start in range(0, N, rows):
+        x0s = np.arange(start, min(start + rows, N), dtype=np.int64)
+        xis = xi_at[spec.add_indices(x0s[:, None], v_idx[None, :])]
+        r, c = np.nonzero(xis >= 0)
+        if len(r) == 0:
+            continue
+        counts = np.bincount(r * N + spec.add_indices(xis[r, c], neg_two_mh[c]))
+        i = int(np.argmax(counts))
+        if counts[i] > best[0]:
+            best = (int(counts[i]), start + i // N, i % N)
+    if best[0] == 0:
+        raise EmptyV("no agreement found on any translate")
+    return best
+
+
 def linear_component_fit(sliced: SliceResult) -> LinearComponentFit:
     """Read a linear map off the doubled sliced graph, on the subspace
     annihilating the Bogolyubov spectrum of the shift set, then pick the
@@ -220,24 +253,10 @@ def linear_component_fit(sliced: SliceResult) -> LinearComponentFit:
         if hv in ambiguous or lookup.get(hv, pv) != pv:
             raise EmptyV("doubled graph is not linear on the subspace")
 
-    # exhaustive affine fit: for each x0, vote for xi0 = xi_{x0+h} - 2Mh; the
-    # most votes win, then the smallest xi0, then the smallest x0
     xi_at = np.full(N, -1, dtype=np.int64)
     for h, (xi, _) in gamma.entries.items():
         xi_at[h] = xi
-    neg_two_mh = spec.neg_indices(two_mh)
-    best = (-1, 0, 0)  # (count, x0, xi0)
-    for x0 in range(N):
-        xis = xi_at[spec.add_indices(v_idx, np.int64(x0))]
-        hit = xis >= 0
-        if hit.any():
-            votes, counts = np.unique(spec.add_indices(xis[hit], neg_two_mh[hit]), return_counts=True)
-            i = int(np.argmax(counts))
-            if counts[i] > best[0]:
-                best = (int(counts[i]), x0, int(votes[i]))
-    if best[0] < 0:
-        raise EmptyV("no agreement found on any translate")
-    cnt, x0, xi0 = best
+    cnt, x0, xi0 = _affine_vote(spec, xi_at, v_idx, spec.neg_indices(two_mh))
     return LinearComponentFit(
         Vsub,
         spec.element_by_index(x0),

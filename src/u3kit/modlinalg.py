@@ -278,11 +278,20 @@ def enumerate_subspaces(spec: GroupSpec, k: int):
 
 def largest_subspace_inside(spec: GroupSpec, members: Iterable[int]) -> PrimeSubspace:
     """The first (lexicographically) subspace of maximal dimension whose
-    elements all lie in the given index set."""
-    mem = set(int(i) for i in members)
+    elements all lie in the given index set.
+
+    Membership is read off a boolean mask over G: a dimension with more
+    points than members is skipped, and a subspace is listed point by point
+    only once its basis vectors are members."""
+    mask = np.zeros(spec.order, dtype=bool)
+    mask[np.fromiter(members, dtype=np.int64)] = True
+    size = int(mask.sum())
     for k in range(spec.rank, -1, -1):
+        if spec.orders[0] ** k > size:
+            continue
         for W in enumerate_subspaces(spec, k):
-            if all(int(i) in mem for i in W.element_indices().tolist()):
+            gens = W.generators
+            if mask[gens].all() and mask[spec.coset_points(0, gens, W.local_orders)].all():
                 return W
     return PrimeSubspace(spec, ())
 

@@ -203,6 +203,89 @@ def test_radius_at_the_edge_is_accepted(command, value, capsys):
     assert code == 0
 
 
+ETA_COMMANDS = {
+    "inverse-f5": ["inverse-f5", "--group", "F5^2", "--expr", "1", "--eta"],
+    "increment": ["increment", "--n", "2", "--set", "A.json", "--eta"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1.5", "nan", "inf", "-inf", "x"])
+@pytest.mark.parametrize("command", sorted(ETA_COMMANDS))
+def test_out_of_range_eta_is_usage_error(command, value):
+    # --eta must be a finite number in (0, 1]
+    with pytest.raises(SystemExit) as exc:
+        main(ETA_COMMANDS[command] + [value])
+    assert exc.value.code == 2
+
+
+def test_eta_at_the_edge_is_accepted(tmp_path, capsys):
+    code, out, _ = run_cli(ETA_COMMANDS["inverse-f5"] + ["1"], capsys)
+    assert code == 0 and result_of(out)["eta"] == 1.0
+    # increment takes eta = 1 as well; on this set the pipeline then finds
+    # no shift graph, a domain outcome (exit 3), not a usage error
+    path = tmp_path / "A.json"
+    path.write_text("[0, 1, 2, 6, 12]")
+    argv = [str(path) if a == "A.json" else a for a in ETA_COMMANDS["increment"]]
+    code, _, err = run_cli(argv + ["1"], capsys)
+    assert code == 3 and json.loads(err)["error"] == "PipelineEmpty"
+
+
+# Integer lists that are empty, hold a non-integer or have the wrong shape.
+_BAD_INTEGER_LISTS = [
+    ["u3-oracle", "--group", "Z/101", "--expr", "1", "--kind", "bracket", "--grid", "2"],  # --S ""
+    ["u3-oracle", "--group", "Z/101", "--expr", "1", "--kind", "bracket", "--grid", "2", "--S", "1,x"],
+    ["u3-oracle", "--group", "Z/101", "--expr", "1", "--kind", "bracket", "--grid", "2", "--S", ","],
+    ["bohr", "--group", "Z/101", "--S", "", "--rho", "0.2"],
+    ["bohr", "--group", "Z/101", "--S", "1,x", "--rho", "0.2"],
+    ["bohr", "--group", "F5^2", "--S", "1", "--rho", "0.2"],
+    ["bohr", "--group", "F5^2", "--S", "1,2;3", "--rho", "0.2"],
+    ["progression", "--group", "Z/101", "--S", "", "--rho", "0.2"],
+    ["progression", "--group", "Z/101", "--S", "1,x", "--rho", "0.2"],
+    ["u3-oracle", "--group", "Z/9", "--expr", "1", "--H", "div:x"],
+    ["u3-oracle", "--group", "Z/9", "--expr", "1", "--H", "div:"],
+    ["u3-oracle", "--group", "Z/9", "--expr", "1", "--H", "div:4"],
+    ["u3-oracle", "--group", "Z/9", "--expr", "1", "--H", "div:0"],
+    ["u3-oracle", "--group", "Z/9", "--expr", "1", "--H", "div:3,3"],
+    ["u3-oracle", "--group", "F5^2", "--expr", "1", "--H", "span:"],
+    ["u3-oracle", "--group", "F5^2", "--expr", "1", "--H", "span:1,x"],
+    ["u3-oracle", "--group", "F5^2", "--expr", "1", "--H", "span:1"],
+    ["u3-oracle", "--group", "F5^2", "--expr", "1", "--H", "span:1,2;"],
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_INTEGER_LISTS, ids=lambda a: " ".join(a[a.index("--group") + 1:]))
+def test_bad_integer_list_exit_code(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["u3-oracle", "--group", "Z/101", "--expr", "1", "--kind", "bracket", "--grid", "2", "--S", "1, 5"],
+    ["bohr", "--group", "F5^2", "--S", "1,2;0,1", "--rho", "0.2"],
+    ["u3-oracle", "--group", "Z/9", "--expr", "1", "--H", "div:3"],
+    ["u3-oracle", "--group", "F5^2", "--expr", "1", "--H", "span:1,2"],
+], ids=lambda a: " ".join(a[a.index("--group") + 1:]))
+def test_good_integer_list_is_accepted(argv, capsys):
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("y", ["25", "999", "-1"])
+def test_coset_y_outside_the_group_exit_code(y, capsys):
+    # --y is an element index 0..|G|-1, not taken modulo |G|
+    code, out, err = run_cli(["u3-oracle", "--group", "F5^2", "--expr", "1", "--y", y], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_coset_y_last_element_is_accepted(capsys):
+    code, out, _ = run_cli(["u3-oracle", "--group", "F5^2", "--expr", "1", "--H", "span:0,1",
+                            "--y", "24"], capsys)
+    assert code == 0
+    assert result_of(out)["witness"]["y"] == [4, 4]
+
+
 def test_determinism_modulo_walltime(capsys):
     args = ["norm", "--group", "Z/7", "--d", "2", "--expr", "0.5*e(x/7)+0.25"]
     _, out1, _ = run_cli(args, capsys)

@@ -18,9 +18,10 @@ from u3kit.norms import gowers_norm, u3_oracle_coset
 
 
 def _planted_quadratic(spec, A, b):
+    p = spec.orders[0]
     coords = spec.decode(np.arange(spec.order))
-    q = (np.einsum("ni,ij,nj->n", coords, np.asarray(A), coords) + coords @ np.asarray(b)) % 5
-    return GroupFunction(spec, np.exp(2j * np.pi * q / 5)), q
+    q = (np.einsum("ni,ij,nj->n", coords, np.asarray(A), coords) + coords @ np.asarray(b)) % p
+    return GroupFunction(spec, np.exp(2j * np.pi * q / p)), q
 
 
 def test_graph_planted_global_quadratic():
@@ -128,7 +129,7 @@ def test_linear_fit_planted():
 
 def _reference_vote(gamma, fit):
     """The affine-fit vote as a plain loop over x0 and t in V-local lex order:
-    most votes, then smallest xi0, then smallest x0."""
+    most votes, then smallest x0, then smallest xi0."""
     spec, V = gamma.spec, fit.V
     best = (-1, 0, 0)
     for x0 in range(spec.order):
@@ -146,25 +147,132 @@ def _reference_vote(gamma, fit):
     return best
 
 
-def test_linear_fit_vote_matches_reference_loop():
-    spec = parse_group("F5^3")
-    A = np.array([[1, 2, 0], [2, 0, 3], [0, 3, 4]])
-    checked = 0
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        f, _ = _planted_quadratic(spec, A, [1, 0, 2])
-        noisy = rng.uniform(size=spec.order) < 0.15
-        vals = np.where(noisy, np.exp(2j * np.pi * rng.uniform(size=spec.order)), f.values)
-        try:
-            sl = random_slice(phase_derivative_graph(GroupFunction(spec, vals), 0.6), seed=seed)
-            fit = linear_component_fit(sl)
-        except (EmptyGraph, EmptyV):
+# symmetric plants per group: (A, b)
+_VOTE_PLANTS = {
+    "F5^3": ([[1, 2, 0], [2, 0, 3], [0, 3, 4]], [1, 0, 2]),
+    "F5^2": ([[2, 1], [1, 3]], [4, 1]),
+    "F3^4": ([[1, 2, 0, 1], [2, 0, 1, 0], [0, 1, 2, 2], [1, 0, 2, 1]], [1, 0, 2, 2]),
+}
+
+
+def _vote_rows(monkeypatch, spec, rows):
+    """Force blocks of `rows` x0 (None: the default block)."""
+    import u3kit.inverse_f5 as inverse_f5
+
+    if rows is not None:
+        monkeypatch.setattr(inverse_f5, "_VOTE_CELLS", rows * spec.order)
+
+
+def test_linear_fit_vote_matches_reference_loop(monkeypatch):
+    # noisy plants on three groups, each fit at the default block and at
+    # blocks of 1 and 7 rows of x0; at the heavier noise the sliced graph is
+    # small, so the agreement is partial and the best x0 is often not 0
+    for group, (A, b) in _VOTE_PLANTS.items():
+        spec = parse_group(group)
+        checked = 0
+        for seed in range(8):
+            noise, eta = ((0.15, 0.6), (0.6, 0.4))[seed % 2]
+            rng = np.random.default_rng(seed)
+            f, _ = _planted_quadratic(spec, A, b)
+            noisy = rng.uniform(size=spec.order) < noise
+            vals = np.where(noisy, np.exp(2j * np.pi * rng.uniform(size=spec.order)), f.values)
+            try:
+                sl = random_slice(phase_derivative_graph(GroupFunction(spec, vals), eta), seed=seed)
+                fit = linear_component_fit(sl)
+            except (EmptyGraph, EmptyV):
+                continue
+            cnt, x0, xi0 = _reference_vote(sl.graph, fit)
+            for rows in (None, 1, 7):
+                with monkeypatch.context() as mp:
+                    _vote_rows(mp, spec, rows)
+                    fit = linear_component_fit(sl)
+                assert fit.x0.index == x0 and fit.xi0 == spec.coords_of(xi0)
+                assert fit.agreement == cnt / fit.V.order
+            checked += 1
+        assert checked >= 3, group
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+@pytest.mark.parametrize("group", sorted(_VOTE_PLANTS))
+def test_linear_fit_vote_tie_across_blocks(group, rows, monkeypatch):
+    # an exactly quadratic plant has the linear derivative map h -> 2Ah, so
+    # every x0 gets |V| votes (for xi0 = 2A x0 + b'); the tie spans every
+    # block and must resolve to x0 = 0
+    spec = parse_group(group)
+    _vote_rows(monkeypatch, spec, rows)
+    f, _ = _planted_quadratic(spec, *_VOTE_PLANTS[group])
+    sl = random_slice(phase_derivative_graph(f, 0.9), seed=0)
+    fit = linear_component_fit(sl)
+    assert fit.V.order == spec.order and fit.agreement == 1.0
+    assert fit.x0.index == 0
+    cnt, x0, xi0 = _reference_vote(sl.graph, fit)
+    assert (fit.x0.index, fit.xi0) == (x0, spec.coords_of(xi0)) and cnt == spec.order
+
+
+def _reference_affine_vote(spec, xi_at, v_idx, neg_two_mh):
+    """The vote over x0 and h as plain loops with group-element arithmetic."""
+    best = (0, 0, 0)
+    for x0 in range(spec.order):
+        votes = {}
+        for h, neg in zip(v_idx.tolist(), neg_two_mh.tolist()):
+            xi = int(xi_at[(spec.element_by_index(x0) + spec.element_by_index(h)).index])
+            if xi >= 0:
+                key = (spec.dual_by_index(xi) + spec.dual_by_index(neg)).index
+                votes[key] = votes.get(key, 0) + 1
+        if votes:
+            xi0, cnt = min(votes.items(), key=lambda kv: (-kv[1], kv[0]))
+            if cnt > best[0]:
+                best = (cnt, x0, xi0)
+    return best
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+@pytest.mark.parametrize("group", ["F3^3", "F5^2"])
+def test_affine_vote_matches_reference_on_random_votes(group, rows, monkeypatch):
+    # few distinct frequencies and a sparse graph, so counts tie often
+    from u3kit.inverse_f5 import _affine_vote
+    from u3kit.modlinalg import PrimeSubspace
+
+    spec = parse_group(group)
+    _vote_rows(monkeypatch, spec, rows)
+    p, n, N = spec.orders[0], spec.rank, spec.order
+    rng = np.random.default_rng(5)
+    for trial in range(6):
+        V = PrimeSubspace.from_generators(spec, rng.integers(0, p, (int(rng.integers(1, n + 1)), n)))
+        v_idx = spec.coset_points(0, V.generators, V.local_orders)
+        neg_two_mh = rng.integers(0, 3, len(v_idx))
+        xi_at = np.where(rng.uniform(size=N) < 0.4, rng.integers(0, 4, N), -1)
+        if trial == 0:
+            xi_at[:] = -1
+            with pytest.raises(EmptyV):
+                _affine_vote(spec, xi_at, v_idx, neg_two_mh)
             continue
-        cnt, x0, xi0 = _reference_vote(sl.graph, fit)
-        assert fit.x0.index == x0 and fit.xi0 == spec.coords_of(xi0)
-        assert fit.agreement == cnt / fit.V.order
-        checked += 1
-    assert checked >= 3
+        assert _affine_vote(spec, xi_at, v_idx, neg_two_mh) == _reference_affine_vote(
+            spec, xi_at, v_idx, neg_two_mh)
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+def test_affine_vote_memory_within_block_bound(rows, monkeypatch):
+    # the worst case on F5^4: V = G and every point in the graph; the vote
+    # holds a few int64 arrays of one block (rows x N), never an N x N count
+    import tracemalloc
+
+    import u3kit.inverse_f5 as inverse_f5
+
+    spec = parse_group("F5^4")
+    N = spec.order
+    _vote_rows(monkeypatch, spec, rows)
+    block = min(N, max(1, inverse_f5._VOTE_CELLS // N))
+    rng = np.random.default_rng(0)
+    xi_at = rng.integers(0, N, N)
+    neg_two_mh = rng.integers(0, N, N)
+    tracemalloc.start()
+    try:
+        inverse_f5._affine_vote(spec, xi_at, np.arange(N), neg_two_mh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * block * N + 65536
 
 
 def test_symmetry_subspace_cases():
@@ -237,3 +345,37 @@ def test_quadruple_statistic_planted():
     g = phase_derivative_graph(f, eta)
     quads = additive_quadruples(g)
     assert quads >= 2**-8 * eta**64 * 25**3
+
+
+def _reference_largest_subspace(spec, members):
+    """The subspace search over a Python set, point by point."""
+    from u3kit.modlinalg import PrimeSubspace, enumerate_subspaces
+
+    mem = set(int(i) for i in members)
+    for k in range(spec.rank, -1, -1):
+        for W in enumerate_subspaces(spec, k):
+            if all(int(i) in mem for i in W.element_indices().tolist()):
+                return W
+    return PrimeSubspace(spec, ())
+
+
+@pytest.mark.parametrize("group", ["F3^3", "F5^2"])
+def test_largest_subspace_inside_matches_set_search(group):
+    # member sets: a random subspace (or two) plus random extra points, some
+    # without 0, and plain random sets of every density
+    from u3kit.modlinalg import PrimeSubspace, largest_subspace_inside
+
+    spec = parse_group(group)
+    p, n, N = spec.orders[0], spec.rank, spec.order
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        mask = rng.uniform(size=N) < rng.uniform(0, 0.6)
+        for _ in range(trial % 3):
+            W = PrimeSubspace.from_generators(spec, rng.integers(0, p, (int(rng.integers(1, n)), n)))
+            mask[W.element_indices()] = True
+        if trial % 5 == 4:
+            mask[0] = False
+        members = np.flatnonzero(mask).tolist()
+        assert largest_subspace_inside(spec, members) == _reference_largest_subspace(spec, members)
+    assert largest_subspace_inside(spec, []) == PrimeSubspace(spec, ())
+    assert largest_subspace_inside(spec, range(N)) == PrimeSubspace.whole(spec)

@@ -475,6 +475,26 @@ def test_coset_oracle_tie_rule_against_reference(group, chunk, monkeypatch):
         assert (rep.witness.A, rep.witness.b) == _reference_witness(digits, p, k, first)
 
 
+@pytest.mark.parametrize("group", ["F5^3", "F3^4"])
+def test_quadratic_scan_memory_within_chunk_bound(group, rng):
+    # a chunk goes through a few complex temporaries of its own size, so the
+    # whole scan peaks at a small multiple of _ORACLE_CHUNK; the old chunk of
+    # 2,000,000 outputs took all of F5^3 at once and peaked at 62 MB
+    import tracemalloc
+
+    import u3kit.norms as norms
+
+    spec = parse_group(group)
+    f = random_bounded(spec, rng)
+    tracemalloc.start()
+    try:
+        norms.quadratic_scan(f.values, spec.orders[0], spec.rank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * norms._ORACLE_CHUNK
+
+
 @pytest.mark.parametrize("group", ["F127^1", "F131^2"])
 def test_coset_oracle_large_p_line_matches_reference(group, rng):
     # a line has k = 1, so the axis goes through the chirp and the FFT
