@@ -1,7 +1,9 @@
 """Bohr sets and coset progressions.
 
-B(S, rho) = {x : ||xi.x||_{R/Z} < rho for all xi in S}.  All membership
-decisions run on exact rational norms ||x||_S, so regularity -- a universally
+B(S, rho) = {x : ||xi.x||_{R/Z} < rho for all xi in S}.  Every pairing xi.x
+is an integer over the exponent D of the group (``GroupSpec.pairings``), so a
+Bohr set keeps the exact norms D ||x||_S in one int64 array and x lies in
+B(S, r) exactly when D ||x||_S < ceil(r D).  Regularity -- a universally
 quantified statement over dilation factors -- is decided exactly by scanning
 the finitely many thresholds where the dilated set changes.
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,9 +34,9 @@ from .errors import (
 )
 from .fourier import dft
 from .groups import DualElement, GroupElement, GroupFunction, GroupSpec, pair
-from .lattice import TaggedLattice, hermite_reduce, lll_reduce, product_bound_certified
+from .lattice import TaggedLattice, hermite_reduce, lll_reduce, product_bound_certified, rref_rational
 from .modlinalg import BoxSubgroup, PrimeSubspace, is_prime
-from .quadratic import frac_part, _frac_rank
+from .quadratic import frac_part
 
 SUMSET_BUDGET = 40_000_000
 
@@ -48,12 +50,16 @@ def bohr_norm_exact(x: GroupElement, S: Sequence[DualElement]) -> Fraction:
     return best
 
 
-def bohr_norm(x: GroupElement, S: Sequence[DualElement]) -> float:
-    return float(bohr_norm_exact(x, S))
+def _distances(spec: GroupSpec, xis, idx) -> np.ndarray:
+    """D times the distance of xi.x to the nearest integer, broadcasting."""
+    v = spec.pairings(xis, idx)
+    return np.minimum(v, spec.exponent - v)
 
 
-def _norm_table(spec: GroupSpec, S: Sequence[DualElement]) -> list[Fraction]:
-    return [bohr_norm_exact(x, S) for x in spec.elements()]
+def _scaled_norms(spec: GroupSpec, S: Sequence[DualElement]) -> np.ndarray:
+    """D ||x||_S for every x in G, in index order (0 when S is empty)."""
+    xis = np.array([xi.index for xi in S], dtype=np.int64)
+    return _distances(spec, xis[:, None], np.arange(spec.order)[None, :]).max(axis=0, initial=0)
 
 
 @dataclass
@@ -61,27 +67,29 @@ class BohrSet:
     spec: GroupSpec
     S: tuple[DualElement, ...]
     rho: Fraction
-    _norms: list[Fraction] = field(repr=False, default_factory=list)
+    _norms: np.ndarray | None = field(repr=False, default=None)  # D ||x||_S over G
 
     def __post_init__(self):
-        if not self._norms:
-            self._norms = _norm_table(self.spec, self.S)
+        if self._norms is None:
+            self._norms = _scaled_norms(self.spec, self.S)
 
     @property
     def d(self) -> int:
         return len(self.S)
 
+    def _inside(self, r) -> np.ndarray:
+        """Mask of ||x||_S < r, read as D ||x||_S < ceil(r D) in integers."""
+        return self._norms < ceil(Fraction(r) * self.spec.exponent)
+
     @property
     def members(self) -> np.ndarray:
-        return np.array(
-            [i for i, v in enumerate(self._norms) if v < self.rho], dtype=np.int64
-        )
+        return np.flatnonzero(self._inside(self.rho))
 
     def element_indices(self) -> np.ndarray:
         return self.members
 
     def size_at(self, r: Fraction) -> int:
-        return sum(1 for v in self._norms if v < r)
+        return int(np.count_nonzero(self._inside(r)))
 
     def __len__(self) -> int:
         return self.size_at(self.rho)
@@ -106,16 +114,19 @@ def is_regular(B: BohrSet) -> bool:
     T = Fraction(1, 100 * d)
     rho = Fraction(B.rho)
     base = B.size_at(rho)
-    values = sorted(set(B._norms))
     lo, hi = (1 - T) * rho, (1 + T) * rho
-    for v in values:
+    D, norms = B.spec.exponent, B._norms
+    # only the thresholds v = n / D with lo < v < hi can break regularity
+    window = np.unique(norms[(norms > floor(lo * D)) & (norms < ceil(hi * D))])
+    for n in window.tolist():
+        v = Fraction(n, D)
         if lo < v <= rho:
             # tightest point of the lower bound on the piece ending at v
-            if B.size_at(v) < (1 - 100 * d * (1 - Fraction(v, 1) / rho)) * base:
+            if B.size_at(v) < (1 - 100 * d * (1 - v / rho)) * base:
                 return False
         if rho <= v < hi:
-            kappa = Fraction(v) / rho - 1
-            count_le = sum(1 for w in B._norms if w <= v)
+            kappa = v / rho - 1
+            count_le = int(np.count_nonzero(norms <= n))
             if count_le > (1 + 100 * d * kappa) * base:
                 return False
     return True
@@ -131,7 +142,9 @@ def find_regular_rho(spec: GroupSpec, S: Sequence[DualElement], eps) -> Fraction
         return 2 * eps
     probe = BohrSet(spec, tuple(S), eps)
     lo, hi = eps, 2 * eps
-    vals = sorted(set(v for v in probe._norms if lo <= v <= hi))
+    D, norms = spec.exponent, probe._norms
+    inside = norms[(norms >= ceil(lo * D)) & (norms <= floor(hi * D))]
+    vals = [Fraction(n, D) for n in np.unique(inside).tolist()]
     candidates: list[Fraction] = []
     grid = [lo] + vals + [hi]
     for a, b in zip(grid, grid[1:]):
@@ -159,39 +172,28 @@ def find_regular_rho(spec: GroupSpec, S: Sequence[DualElement], eps) -> Fraction
 def separating_bohr(spec: GroupSpec, A: Iterable[int]) -> list[DualElement]:
     """Characters S with |S| <= 1 + ceil(log2 |A|) and A cap B(S,1/4) = {0}.
 
-    Derandomized halving: each step keeps the first character that traps at
-    most floor((|A|-1)/2) of the surviving nonzero points inside B(xi, 1/4).
+    Derandomized halving: each step keeps the first character (in index
+    order) that traps at most floor(m/2) of the m surviving nonzero points
+    inside B(xi, 1/4).
     """
     A_set = set(int(a) for a in A)
     if 0 not in A_set:
         raise NoZero("separation requires 0 in A")
     S: list[DualElement] = []
-    current = set(A_set)
-    quarter = Fraction(1, 4)
-    while len(current) > 1:
-        target = (len(current) - 1) // 2
-        chosen = None
-        for xi in spec.duals():
-            cnt = 0
-            kept = set()
-            for a in current:
-                if a == 0:
-                    continue
-                v = pair(xi, spec.element_by_index(a))
-                if min(v, 1 - v) < quarter:
-                    cnt += 1
-                    kept.add(a)
-            if cnt <= target:
-                chosen = (xi, kept)
+    pts = np.array(sorted(A_set - {0}), dtype=np.int64)
+    quarter = ceil(Fraction(spec.exponent, 4))
+    while pts.size:
+        for xi in range(spec.order):
+            trapped = _distances(spec, xi, pts) < quarter
+            if np.count_nonzero(trapped) <= pts.size // 2:
                 break
-        if chosen is None:  # cannot happen; averaging guarantees existence
+        else:  # cannot happen; averaging guarantees existence
             raise NotFound("no halving character found")
-        xi, kept = chosen
-        S.append(xi)
-        current = {0} | kept
+        S.append(spec.dual_by_index(xi))
+        pts = pts[trapped]
     # verification
     for a in A_set:
-        if a != 0 and bohr_norm_exact(spec.element_by_index(a), S) < quarter:
+        if a != 0 and bohr_norm_exact(spec.element_by_index(a), S) < Fraction(1, 4):
             raise AssertionError("separation verification failed")
     return S
 
@@ -330,12 +332,8 @@ def local_bogolyubov(
     delta_sep = 2**28 * float(delta) ** -6 * theta * d
 
     def bohr_dual_norm(xi_idx: int) -> float:
-        xi = spec.dual_by_index(xi_idx)
-        worst = Fraction(0)
-        for y in sep_members.tolist():
-            v = pair(xi, spec.element_by_index(int(y)))
-            worst = max(worst, min(v, 1 - v))
-        return float(worst)
+        worst = int(_distances(spec, xi_idx, sep_members).max(initial=0))
+        return worst / spec.exponent  # correctly rounded, as float(Fraction) is
 
     S_prime_idx: list[int] = []
     for xi_idx in R:
@@ -349,22 +347,25 @@ def local_bogolyubov(
             S_prime_idx.append(xi_idx)
     S_prime = [spec.dual_by_index(i) for i in S_prime_idx]
 
-    two = set(iterated_sumset(spec, A_idx, 2, 2).tolist())
+    in_two = np.zeros(spec.order, dtype=bool)
+    in_two[iterated_sumset(spec, A_idx, 2, 2)] = True
     S_union = tuple(B.S) + tuple(S_prime)
     union_bohr = BohrSet(spec, S_union, max(theta * B.rho, Fraction(1, 10**9)))
     thm_members = union_bohr.members
-    thm_ok = set(thm_members.tolist()) <= two
+    thm_ok = bool(in_two[thm_members].all())
 
-    # largest radius whose Bohr set still sits inside 2A-2A
-    values = sorted(set(union_bohr._norms))
+    # largest radius whose Bohr set still sits inside 2A-2A: the closed sets
+    # {||x||_S <= v} stay inside up to the last threshold v below the
+    # smallest norm outside 2A-2A
+    D, norms = spec.exponent, union_bohr._norms
+    values = np.unique(norms)
+    outside = norms[~in_two]
+    k = int(np.count_nonzero(values < outside.min())) if outside.size else len(values)
     best_r, best_sz = 0.0, 1
-    for i, v in enumerate(values):
-        mem = {j for j, w in enumerate(union_bohr._norms) if w <= v}
-        if mem <= two:
-            upper = values[i + 1] if i + 1 < len(values) else Fraction(1, 2)
-            best_r, best_sz = float((Fraction(v) + upper) / 2), len(mem)
-        else:
-            break
+    if k:
+        v = Fraction(int(values[k - 1]), D)
+        upper = Fraction(int(values[k]), D) if k < len(values) else Fraction(1, 2)
+        best_r, best_sz = float((v + upper) / 2), int(np.count_nonzero(norms <= values[k - 1]))
     return LocalBogolyubovReport(
         S_prime,
         2**7 * float(delta) ** -3,
@@ -418,12 +419,8 @@ def character_kernel(spec: GroupSpec, S: Sequence[DualElement]):
         mat = np.array([list(xi.coords) for xi in S], dtype=np.int64)
         ker = kernel_basis_mod_p(mat, spec.orders[0])
         return PrimeSubspace.from_generators(spec, ker)
-    idx = [
-        x.index
-        for x in spec.elements()
-        if all(pair(xi, x) == 0 for xi in S)
-    ]
-    return EnumeratedSubgroup(spec, tuple(sorted(idx)))
+    idx = np.flatnonzero(_scaled_norms(spec, S) == 0)
+    return EnumeratedSubgroup(spec, tuple(idx.tolist()))
 
 
 # --- coset progressions -------------------------------------------------------
@@ -511,19 +508,18 @@ def coset_progression_in_bohr(
         prog.proper = prog.check_proper()
         return ProgressionExtraction(prog, 0, float(rho), True, True, True, True)
 
-    D = lcm(*spec.orders, 1)
+    D = spec.exponent
     rows, tags = [], []
     for j in range(d):  # integer lattice Z^S
         r = [0] * d
         r[j] = D
         rows.append(r)
         tags.append([0] * spec.rank)
-    for i in range(spec.rank):  # images of the group basis vectors
-        e = [0] * spec.rank
-        e[i] = 1
-        x = spec.element(e)
-        rows.append([int(pair(xi, x) * D) for xi in S])
-        tags.append(e)
+    # images D (xi.e_i) of the group basis vectors
+    basis = np.eye(spec.rank, dtype=np.int64)
+    xis = np.array([xi.index for xi in S], dtype=np.int64)
+    rows += spec.pairings(xis[None, :], spec.encode(basis)[:, None]).tolist()
+    tags += basis.tolist()
     lat = TaggedLattice(np.array(rows, dtype=object), np.array(tags, dtype=object))
     lat = hermite_reduce(lat)
     lat = lll_reduce(lat)
@@ -536,8 +532,6 @@ def coset_progression_in_bohr(
         row_sq = sum(int(v) * int(v) for v in row)
         lhs_unit = row_sq * d * d * rho.denominator**2
         rhs = D * D * rho.numerator**2
-        from math import isqrt
-
         k = isqrt(rhs // lhs_unit) + 1
         while k > 0 and k * k * lhs_unit >= rhs:
             k -= 1
@@ -560,20 +554,19 @@ def coset_progression_in_bohr(
     if not prog.proper:
         raise NotProper("extracted progression failed the properness check")
 
-    norms = _norm_table(spec, S)
+    B = BohrSet(spec, S, rho)
     left_radius = Fraction(d) ** (-2 * d) * rho
-    members_left = {i for i, v in enumerate(norms) if v < left_radius}
-    members_right = {i for i, v in enumerate(norms) if v < rho}
-    ph = set(prog.element_indices().tolist())
-    left_ok = members_left <= ph
-    right_ok = ph <= members_right
+    in_ph = np.zeros(spec.order, dtype=bool)
+    in_ph[prog.element_indices()] = True
+    left_ok = bool(in_ph[B.with_rho(left_radius).members].all())
+    right_ok = bool(B._inside(rho)[in_ph].all())
 
     # independence of the fractional-part images of the kept generators
     if rank:
         img = np.array(
             [[frac_part(pair(xi, v)) for xi in S] for v in prog.generators], dtype=object
         ).T
-        independent = _frac_rank(img) == rank
+        independent = len(rref_rational(img)[1]) == rank
     else:
         independent = True
     return ProgressionExtraction(

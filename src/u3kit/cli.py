@@ -151,8 +151,8 @@ def _dual_list(spec: GroupSpec, s: str):
 
 def _coset_subgroup(spec: GroupSpec, H: str):
     """--H: "whole", "div:d" (d Z/n in every factor, d dividing each n) or
-    "span:v;w;..." (the F_p-span of the vectors)."""
-    from .modlinalg import BoxSubgroup, PrimeSubspace
+    "span:v;w;..." (the F_p-span of the vectors, for G = F_p^k with p prime)."""
+    from .modlinalg import BoxSubgroup, PrimeSubspace, is_prime
 
     if H == "whole":
         if spec.rank > 1 and len(set(spec.orders)) == 1:
@@ -164,6 +164,8 @@ def _coset_subgroup(spec: GroupSpec, H: str):
             raise ParseError(f"bad --H {H!r}: d must be one positive integer dividing every factor order")
         return BoxSubgroup(spec, (d[0],) * spec.rank)
     if H.startswith("span:"):
+        if len(set(spec.orders)) != 1 or not is_prime(spec.orders[0]):
+            raise ParseError(f"bad --H {H!r}: span needs a group F_p^k with p prime, not {spec}")
         return PrimeSubspace.from_generators(spec, _int_vectors(spec, H[5:], "--H span"))
     raise ParseError("--H must be whole, div:d or span:...")
 

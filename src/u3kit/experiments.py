@@ -256,7 +256,7 @@ def density_increment_f5(
             UB_loc = U.basis_matrix()  # in W-local coordinates
             UB = (UB_loc @ WB) % p if U.dim else np.zeros((0, n), dtype=np.int64)
             # cosets of U inside best_y + W: reps = best_y + (complement of U in W)
-            comp_loc = _complement_in(W.dim, UB_loc, p)
+            comp_loc = U.complement_basis()
             reps_loc = _span_points(comp_loc, p)
             zs = spec.coset_points(best_y, spec.encode(comp_loc @ WB), (p,) * len(comp_loc))
             b_loc = np.array(wit.b, dtype=np.int64)
@@ -292,19 +292,6 @@ def density_increment_f5(
         obstruction=obstruction,
         outcome=outcome,
     )
-
-
-def _complement_in(dim: int, rows: np.ndarray, p: int) -> np.ndarray:
-    from .modlinalg import rank_mod_p
-
-    comp = []
-    base = [list(r) for r in rows]
-    for i in range(dim):
-        cand = [0] * dim
-        cand[i] = 1
-        if rank_mod_p(np.array(base + comp + [cand]), p) > len(base) + len(comp):
-            comp.append(cand)
-    return np.array(comp, dtype=np.int64).reshape(len(comp), dim)
 
 
 def _span_points(rows: np.ndarray, p: int) -> np.ndarray:

@@ -3,9 +3,10 @@
 A group is a product of cyclic factors Z/n1 x ... x Z/nk.  Elements and
 characters are coordinate vectors reduced mod the factor orders; the pairing
 of a character with an element lands in the torus R/Z and is kept as an exact
-Fraction.  Dense complex-valued functions on a group are stored as numpy
-vectors in row-major element order, which fixes the serialized layout
-bit-for-bit.
+Fraction by ``pair``, or in bulk by ``GroupSpec.pairings`` as integers over the
+exponent D = lcm of the factor orders.  Dense complex-valued functions on a
+group are stored as numpy vectors in row-major element order, which fixes the
+serialized layout bit-for-bit.
 
 This module is the only one that knows the row-major layout
 (index = sum_i coord_i * prod_{j>i} n_j, the first factor varying slowest).
@@ -30,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -73,6 +74,11 @@ class GroupSpec:
     def rank(self) -> int:
         return len(self.orders)
 
+    @cached_property
+    def exponent(self) -> int:
+        """D = lcm of the factor orders: every pairing xi.x lies in (1/D)Z/Z."""
+        return lcm(*self.orders)
+
     # Row-major place values: index = sum_i coord_i * prod_{j>i} n_j.
     @cached_property
     def _weights(self) -> tuple[int, ...]:
@@ -111,10 +117,6 @@ class GroupSpec:
         for i in range(self.order):
             yield self.element_by_index(i)
 
-    def duals(self) -> Iterator["DualElement"]:
-        for i in range(self.order):
-            yield self.dual_by_index(i)
-
     # Vectorized index arithmetic (used by the heavy numeric paths).
     def decode(self, idx: np.ndarray) -> np.ndarray:
         """Index array -> coordinate array with one trailing axis per factor."""
@@ -151,6 +153,20 @@ class GroupSpec:
         """c * a for an integer (or integer array) c, broadcasting."""
         a = np.asarray(a, dtype=np.int64)
         return sum(c * (a // w % n) % n * w for n, w in zip(self.orders, self._weights))
+
+    def pairings(self, xis, idx) -> np.ndarray:
+        """D * (xi.x mod 1) in 0..D-1 for dual indices ``xis`` and element
+        indices ``idx``, broadcasting: axis i adds xi_i x_i mod n_i times
+        D / n_i, reduced mod D, so every step stays exact in int64."""
+        D = self.exponent
+        if max(self.orders) >= 2**31 or D >= 2**62:
+            raise BudgetExceeded(f"int64 pairings need factor orders below 2^31 and D below 2^62, not {self}")
+        xis = np.asarray(xis, dtype=np.int64)
+        idx = np.asarray(idx, dtype=np.int64)
+        out = np.zeros(np.broadcast_shapes(xis.shape, idx.shape), dtype=np.int64)
+        for n, w in zip(self.orders, self._weights):
+            out = (out + (xis // w % n) * (idx // w % n) % n * (D // n)) % D
+        return out
 
     def coset_points(self, y: int, gens, orders: Sequence[int]) -> np.ndarray:
         """Indices of y + t_1 g_1 + ... + t_k g_k over t in prod range(orders),

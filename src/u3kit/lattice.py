@@ -106,6 +106,30 @@ def lll_reduce(lat: TaggedLattice, delta: Fraction = Fraction(99, 100)) -> Tagge
     return TaggedLattice(mat, tags)
 
 
+def rref_rational(mat) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over Q, by Gauss-Jordan elimination on exact
+    Fractions; returns (nonzero rows, pivot columns) as
+    ``modlinalg.rref_mod_p`` does over F_p."""
+    a = np.frompyfunc(Fraction, 1, 1)(np.array(mat, dtype=object))
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i, c] != 0), None)
+        if piv is None:
+            continue
+        a[[r, piv]] = a[[piv, r]]
+        a[r] = a[r] / a[r, c]
+        for i in range(rows):
+            if i != r and a[i, c] != 0:
+                a[i] = a[i] - a[i, c] * a[r]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a[:r], pivots
+
+
 def exact_det_abs(mat: np.ndarray) -> Fraction:
     """|det| of a square integer/Fraction matrix by fraction-free elimination."""
     a = [[Fraction(int(v)) if not isinstance(v, Fraction) else v for v in row] for row in mat]

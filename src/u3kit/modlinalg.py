@@ -102,6 +102,18 @@ def rank_mod_p(mat: np.ndarray, p: int) -> int:
     return rref_mod_p(np.atleast_2d(mat), p)[0].shape[0]
 
 
+def complete_basis(rows, candidates, p: int) -> np.ndarray:
+    """The candidates, in order, that each raise the rank mod p of the
+    independent ``rows`` together with the candidates kept before them."""
+    kept = [list(r) for r in rows]
+    candidates = np.asarray(candidates, dtype=np.int64)
+    comp: list[np.ndarray] = []
+    for cand in candidates:
+        if rank_mod_p(np.array(kept + comp + [cand]), p) > len(kept) + len(comp):
+            comp.append(cand)
+    return np.array(comp, dtype=np.int64).reshape(len(comp), candidates.shape[1])
+
+
 def solve_congruence(a: int, b: int, m: int) -> int | None:
     """Smallest nonnegative x with a*x = b (mod m), or None if unsolvable."""
     if m == 1:
@@ -215,16 +227,9 @@ class PrimeSubspace:
         return np.sort(self.spec.coset_points(0, self.generators, self.local_orders))
 
     def complement_basis(self) -> np.ndarray:
-        """Rows completing the subspace basis to a basis of the whole space."""
-        p, n = self.p, self.spec.rank
-        rows = [list(r) for r in self.basis]
-        comp = []
-        for i in range(n):
-            cand = [0] * n
-            cand[i] = 1
-            if rank_mod_p(np.array(rows + comp + [cand]), p) > len(rows) + len(comp):
-                comp.append(cand)
-        return np.array(comp, dtype=np.int64).reshape(len(comp), n)
+        """Unit vectors e_1, e_2, ... that complete the subspace basis to a
+        basis of the whole space, each kept when it raises the rank."""
+        return complete_basis(self.basis, np.eye(self.spec.rank, dtype=np.int64), self.p)
 
     def coordinate_map(self) -> np.ndarray:
         """Matrix R (dim x rank) with R @ basis.T = I and R @ complement.T = 0.

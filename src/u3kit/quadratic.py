@@ -33,10 +33,12 @@ from .errors import (
     SpecMismatch,
 )
 from .groups import DualElement, GroupElement, GroupSpec, TorusValue, mod1
+from .lattice import rref_rational
 from .modlinalg import (
     BoxSubgroup,
     PrimeSubspace,
     Subgroup,
+    complete_basis,
     isotropic_vector_in,
     kernel_basis_mod_p,
     rank_mod_p,
@@ -654,10 +656,6 @@ class BracketQuadratic:
         )
 
 
-def eval_bracket(bq: BracketQuadratic, n: int) -> TorusValue:
-    return bq.eval(n)
-
-
 def bracket_from_progression(
     phi: Mapping[int, TorusValue], P, S: Sequence[DualElement], rho
 ) -> BracketQuadratic:
@@ -694,10 +692,13 @@ def bracket_from_progression(
     Vm = np.array(
         [[Fraction(v) for v in row] for row in V], dtype=object
     ).reshape(d, s).T  # s x d
-    if _frac_rank(Vm) < d:
+    if len(rref_rational(Vm)[1]) < d:
         raise DependentGenerators("generator images are linearly dependent")
     G = Vm.T @ Vm  # d x d Gram, exact
-    U = Vm @ _frac_inv(G)  # |S| x d; columns u_i with Phi(v_j).u_i = delta_ij
+    inv, pivots = rref_rational(np.hstack([G, np.eye(d, dtype=np.int64)]))  # [I | G^-1]
+    if pivots != list(range(d)):
+        raise DependentGenerators("singular Gram matrix")
+    U = Vm @ inv[:, d:]  # |S| x d; columns u_i with Phi(v_j).u_i = delta_ij
 
     s = len(freqs)
     quad = [[Fraction(0)] * s for _ in range(s)]
@@ -722,47 +723,6 @@ def bracket_from_progression(
         if mod1(bq.eval(x.coords[0])) != mod1(Fraction(phi[x.index])):
             raise NotQuadratic("bracket quadratic disagrees on the progression")
     return bq
-
-
-def _frac_rank(M: np.ndarray) -> int:
-    M = np.array(M, dtype=object)
-    rows, cols = M.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if M[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[[r, piv]] = M[[piv, r]]
-        M[r] = M[r] / M[r, c]
-        for i in range(rows):
-            if i != r and M[i, c] != 0:
-                M[i] = M[i] - M[i, c] * M[r]
-        r += 1
-    return r
-
-
-def _frac_inv(M: np.ndarray) -> np.ndarray:
-    M = np.array(M, dtype=object)
-    n = M.shape[0]
-    aug = np.concatenate([M, np.array([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], dtype=object)], axis=1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if aug[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise DependentGenerators("singular Gram matrix")
-        aug[[c, piv]] = aug[[piv, c]]
-        aug[c] = aug[c] / aug[c, c]
-        for i in range(n):
-            if i != c and aug[i, c] != 0:
-                aug[i] = aug[i] - aug[i, c] * aug[c]
-    return aug[:, n:]
 
 
 # --- quadratic form sublemmas over F_p ---------------------------------------
@@ -823,16 +783,8 @@ def degenerate_subspace(M: Sequence[Sequence[int]], W: PrimeSubspace) -> PrimeSu
             return np.eye(k, dtype=np.int64)
         return kernel_basis_mod_p((np.array(U_rows) @ AW) % p, p)
 
-    def quotient_complement(perp: np.ndarray) -> np.ndarray:
-        rows = list(U_rows)
-        comp = []
-        for cand in perp:
-            if rank_mod_p(np.array(rows + comp + [cand]), p) > len(rows) + len(comp):
-                comp.append(cand)
-        return np.array(comp, dtype=np.int64).reshape(len(comp), k)
-
     while True:
-        comp = quotient_complement(perp_basis())
+        comp = complete_basis(U_rows, perp_basis(), p)  # U-perp / U
         q = comp.shape[0]
         if q == 0:
             break

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_bounded
 from u3kit.bohr import (
     BohrSet,
     bogolyubov,
-    bohr_norm,
     bohr_norm_exact,
     bohr_set,
     character_kernel,
@@ -18,8 +19,8 @@ from u3kit.bohr import (
     local_bogolyubov,
     separating_bohr,
 )
-from u3kit.errors import NoZero, RhoTooLarge
-from u3kit.groups import GroupFunction, parse_group
+from u3kit.errors import BudgetExceeded, NoZero, NotFound, NotProper, RhoTooLarge
+from u3kit.groups import GroupFunction, GroupSpec, pair, parse_group
 
 
 def test_bohr_norm_examples(rng):
@@ -390,7 +391,8 @@ def test_is_regular_against_dense_sampling(rng):
         T = 1.0 / (100 * d)
         base = len(B)
         kappas = list(np.linspace(-T, T, 401))
-        kappas += [float(Fraction(v) / rho - 1) for v in sorted(set(B._norms))
+        thresholds = [Fraction(n, spec.exponent) for n in sorted(set(B._norms.tolist()))]
+        kappas += [float(Fraction(v) / rho - 1) for v in thresholds
                    if abs(float(Fraction(v) / rho - 1)) <= T]
         violated = False
         for k in kappas:
@@ -402,3 +404,218 @@ def test_is_regular_against_dense_sampling(rng):
                 break
         if verdict:
             assert not violated
+
+
+# --- the integer norm kernel against the exact Fraction references --------------
+#
+# Bohr sets keep D ||x||_S as int64 (D the exponent of G).  The references below
+# are the per-element Fraction implementations that kernel replaced, kept here
+# to pin its results on random group specs.
+
+
+def reference_norms(spec: GroupSpec, S) -> list[Fraction]:
+    return [bohr_norm_exact(x, S) for x in spec.elements()]
+
+
+def reference_is_regular(norms: list[Fraction], d: int, rho: Fraction) -> bool:
+    if d == 0:
+        return True
+    T = Fraction(1, 100 * d)
+    base = sum(1 for v in norms if v < rho)
+    lo, hi = (1 - T) * rho, (1 + T) * rho
+    for v in sorted(set(norms)):
+        if lo < v <= rho:
+            if sum(1 for w in norms if w < v) < (1 - 100 * d * (1 - v / rho)) * base:
+                return False
+        if rho <= v < hi:
+            if sum(1 for w in norms if w <= v) > (1 + 100 * d * (v / rho - 1)) * base:
+                return False
+    return True
+
+
+def reference_find_regular_rho(norms: list[Fraction], d: int, eps: Fraction) -> Fraction:
+    if d == 0:
+        return 2 * eps
+    lo, hi = eps, 2 * eps
+    vals = sorted(set(v for v in norms if lo <= v <= hi))
+    grid = [lo] + vals + [hi]
+    candidates = []
+    for a, b in zip(grid, grid[1:]):
+        candidates.append(a)
+        if b > a:
+            candidates.append((a + b) / 2)
+    candidates.append(hi)
+    seen = set()
+    for r in candidates:
+        if r in seen or not lo <= r <= hi:
+            continue
+        seen.add(r)
+        if reference_is_regular(norms, d, r):
+            return r
+    for k in range(1, 64):
+        r = lo + (hi - lo) * Fraction(k, 64)
+        if r not in seen and reference_is_regular(norms, d, r):
+            return r
+    raise NotFound("no regular radius found in [eps, 2eps]")
+
+
+def reference_radius_scan(norms: list[Fraction], two: set[int]) -> tuple[float, int]:
+    """The largest radius whose Bohr set sits inside 2A-2A, and its size."""
+    values = sorted(set(norms))
+    best_r, best_sz = 0.0, 1
+    for i, v in enumerate(values):
+        mem = {j for j, w in enumerate(norms) if w <= v}
+        if mem <= two:
+            upper = values[i + 1] if i + 1 < len(values) else Fraction(1, 2)
+            best_r, best_sz = float((v + upper) / 2), len(mem)
+        else:
+            break
+    return best_r, best_sz
+
+
+def reference_separating_bohr(spec: GroupSpec, A) -> list:
+    current = set(A)
+    S = []
+    while len(current) > 1:
+        target = (len(current) - 1) // 2
+        for i in range(spec.order):
+            xi = spec.dual_by_index(i)
+            kept = set()
+            for a in current - {0}:
+                v = pair(xi, spec.element_by_index(a))
+                if min(v, 1 - v) < Fraction(1, 4):
+                    kept.add(a)
+            if len(kept) <= target:
+                break
+        S.append(xi)
+        current = {0} | kept
+    return S
+
+
+# mixed factor orders 1-12, rank 1-3
+kernel_specs = st.lists(st.integers(1, 12), min_size=1, max_size=3).map(lambda o: GroupSpec(tuple(o)))
+
+
+def character_sets(spec: GroupSpec, min_size: int = 0):
+    return st.lists(st.integers(0, spec.order - 1), min_size=min_size, max_size=3).map(
+        lambda ix: tuple(spec.dual_by_index(i) for i in ix))
+
+
+radii = st.builds(Fraction, st.integers(1, 60), st.integers(60, 240))
+
+
+@given(st.data())
+def test_pairings_match_pair(data):
+    spec = data.draw(kernel_specs)
+    xis = np.array(data.draw(st.lists(st.integers(0, spec.order - 1), min_size=1, max_size=6)))
+    idx = np.array(data.draw(st.lists(st.integers(0, spec.order - 1), min_size=1, max_size=6)))
+    D = spec.exponent
+    table = spec.pairings(xis[:, None], idx[None, :])
+    assert table.dtype == np.int64 and table.shape == (len(xis), len(idx))
+    for i, xi in enumerate(xis.tolist()):
+        for j, x in enumerate(idx.tolist()):
+            want = pair(spec.dual_by_index(xi), spec.element_by_index(x)) * D
+            assert want.denominator == 1 and table[i, j] == want
+
+
+def test_pairings_refuse_int64_overflow():
+    with pytest.raises(BudgetExceeded):
+        GroupSpec((2**31,)).pairings(1, 1)
+    with pytest.raises(BudgetExceeded):
+        GroupSpec((2, 2**31 - 1, 2**31 - 19)).pairings(1, 1)  # D > 2^62
+
+
+@given(st.data())
+def test_members_and_size_at_match_bohr_norm_exact(data):
+    spec = data.draw(kernel_specs)
+    S = data.draw(character_sets(spec))
+    rho = data.draw(radii)
+    norms = reference_norms(spec, S)
+    B = BohrSet(spec, S, rho)
+    assert B.members.tolist() == [i for i, v in enumerate(norms) if v < rho]
+    assert len(B) == sum(1 for v in norms if v < rho)
+    # radii a hair (denominator > 2^63) either side of every norm value
+    tiny = Fraction(1, 2**64 + 13)
+    for v in sorted(set(norms)) + [Fraction(1, 2)]:
+        for r in (v - tiny, v, v + tiny):
+            if r > 0:
+                assert B.size_at(r) == sum(1 for w in norms if w < r)
+                assert B.with_rho(r).members.tolist() == [i for i, w in enumerate(norms) if w < r]
+
+
+@given(st.data())
+def test_is_regular_matches_reference(data):
+    spec = data.draw(kernel_specs)
+    S = data.draw(character_sets(spec))
+    rho = data.draw(radii)
+    norms = reference_norms(spec, S)
+    B = BohrSet(spec, S, rho)
+    assert is_regular(B) == reference_is_regular(norms, len(S), rho)
+    # right on a threshold, where both inequalities of the scan meet
+    for v in sorted(set(norms))[1:4]:
+        assert is_regular(B.with_rho(v)) == reference_is_regular(norms, len(S), v)
+
+
+@given(st.data())
+def test_find_regular_rho_matches_reference(data):
+    spec = data.draw(kernel_specs)
+    S = data.draw(character_sets(spec))
+    eps = data.draw(st.builds(Fraction, st.integers(1, 59), st.integers(120, 240)))
+    norms = reference_norms(spec, S)
+    try:
+        want = reference_find_regular_rho(norms, len(S), eps)
+    except NotFound:
+        with pytest.raises(NotFound):
+            find_regular_rho(spec, S, eps)
+        return
+    assert find_regular_rho(spec, S, eps) == want
+
+
+@given(st.data())
+def test_local_bogolyubov_radius_scan_matches_reference(data):
+    spec = data.draw(kernel_specs)
+    S = data.draw(character_sets(spec, min_size=1))
+    eps = data.draw(st.builds(Fraction, st.integers(10, 40), st.just(200)))
+    try:
+        rho = find_regular_rho(spec, S, eps)
+    except NotFound:
+        return
+    B = bohr_set(spec, S, rho)
+    members = B.members.tolist()
+    A = sorted(set(data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=8))))
+    rep = local_bogolyubov(spec, A, B)
+    union = tuple(S) + tuple(rep.S_prime)
+    norms = reference_norms(spec, union)
+    two = set(iterated_sumset(spec, A, 2, 2).tolist())
+    assert (rep.empirical_radius, rep.empirical_bohr_size) == reference_radius_scan(norms, two)
+    delta = Fraction(len(A) / len(B)).limit_denominator(10**6)
+    theta_rho = Fraction(2) ** -33 * delta**6 / len(S) * rho
+    inside = {i for i, v in enumerate(norms) if v < max(theta_rho, Fraction(1, 10**9))}
+    assert rep.guaranteed_bohr_size == len(inside)
+    assert rep.guaranteed_inclusion_ok == (inside <= two)
+
+
+@given(st.data())
+def test_separating_bohr_matches_reference(data):
+    spec = data.draw(kernel_specs)
+    A = {0} | set(data.draw(st.lists(st.integers(0, spec.order - 1), max_size=10)))
+    assert separating_bohr(spec, A) == reference_separating_bohr(spec, A)
+
+
+@given(st.data())
+def test_character_kernel_and_progression_match_pair(data):
+    spec = data.draw(kernel_specs)
+    S = data.draw(character_sets(spec, min_size=1))
+    H = character_kernel(spec, S)
+    want = [x.index for x in spec.elements() if all(pair(xi, x) == 0 for xi in S)]
+    assert sorted(H.element_indices().tolist()) == want
+    rho = data.draw(st.builds(Fraction, st.integers(1, 59), st.just(240)))
+    try:
+        ext = coset_progression_in_bohr(spec, S, rho)
+    except NotProper:
+        return
+    norms = reference_norms(spec, S)
+    ph = set(ext.progression.element_indices().tolist())
+    left = Fraction(len(S)) ** (-2 * len(S)) * rho
+    assert ext.left_inclusion_ok == ({i for i, v in enumerate(norms) if v < left} <= ph)
+    assert ext.right_inclusion_ok == (ph <= {i for i, v in enumerate(norms) if v < rho})

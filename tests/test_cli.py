@@ -271,6 +271,19 @@ def test_good_integer_list_is_accepted(argv, capsys):
     assert code == 0
 
 
+# --H span: is the F_p-span of vectors, so the group must be F_p^k with p prime.
+@pytest.mark.parametrize("argv", [
+    ["u3-oracle", "--group", "Z/9", "--expr", "1", "--H", "span:3"],
+    ["u3-oracle", "--group", "Z/9xZ/9", "--expr", "1", "--H", "span:3,0"],
+    ["u3-oracle", "--group", "Z/9", "--expr", "1", "--H", "span:1"],
+    ["u3-oracle", "--group", "Z/15", "--expr", "1", "--H", "span:1"],
+], ids=lambda a: " ".join(a[a.index("--group") + 1:]))
+def test_span_outside_a_prime_field_exit_code(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("y", ["25", "999", "-1"])
 def test_coset_y_outside_the_group_exit_code(y, capsys):
     # --y is an element index 0..|G|-1, not taken modulo |G|

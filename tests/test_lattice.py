@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from u3kit.lattice import (
     TaggedLattice,
@@ -6,6 +10,7 @@ from u3kit.lattice import (
     hermite_reduce,
     lll_reduce,
     product_bound_certified,
+    rref_rational,
     short_vectors_certify,
 )
 
@@ -79,3 +84,17 @@ def test_short_vector_certification():
         for coef in coeffs[:20]
     )
     assert best >= first / 2
+
+
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=4))
+def test_rref_rational_rank_and_inverse(rows):
+    M = np.array(rows, dtype=np.int64)
+    R, pivots = rref_rational(M)
+    assert len(pivots) == R.shape[0] == np.linalg.matrix_rank(M.astype(float))
+    assert all(isinstance(v, Fraction) for v in R.ravel())
+    for i, c in enumerate(pivots):
+        assert R[i, c] == 1 and sum(R[:, c] != 0) == 1
+    if M.shape[0] == 3 and len(pivots) == 3:
+        aug, piv = rref_rational(np.hstack([M, np.eye(3, dtype=np.int64)]))
+        assert piv == [0, 1, 2]
+        assert (M.astype(object) @ aug[:, 3:] == np.eye(3, dtype=object)).all()

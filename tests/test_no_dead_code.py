@@ -1,8 +1,9 @@
 """Every function or method defined in src/u3kit is named somewhere else.
 
 A name counts as used when it appears in src/, tests/ or bench/ as an
-identifier, an attribute, an imported name or a string constant (the bench
-tracer wraps functions by name), anywhere but in its own `def` line.
+identifier, an attribute or a string constant (the bench tracer wraps
+functions by name), anywhere but in its own `def` line.  An import alone
+is not a use: a function that is imported but never called is dead.
 Dunder methods are exempt: the language calls them.
 """
 
@@ -26,8 +27,6 @@ def _used_names(tree: ast.AST) -> Counter:
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             names[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            names[node.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
             names[node.value] += 1
     return names

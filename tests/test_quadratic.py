@@ -7,14 +7,13 @@ import pytest
 from u3kit.bohr import bohr_set, coset_progression_in_bohr
 from u3kit.errors import EvenOrder, ExtensionObstructed, NotFound, NotQuadratic
 from u3kit.groups import parse_group
-from u3kit.modlinalg import BoxSubgroup, PrimeSubspace
+from u3kit.modlinalg import BoxSubgroup, PrimeSubspace, complete_basis, rank_mod_p, rref_mod_p
 from u3kit.quadratic import (
     BracketQuadratic,
     QuadraticPhase,
     bracket_from_progression,
     classify_global_quadratic,
     degenerate_subspace,
-    eval_bracket,
     eval_quadratic,
     extend_from_coset,
     frac_part,
@@ -295,6 +294,24 @@ def test_degenerate_subspace_examples():
     assert U3.dim >= 1
     B = U3.basis_matrix()
     assert not np.any((B @ np.eye(3, dtype=int) @ B.T) % 5)
+
+
+def test_complete_basis_matches_greedy_loop(rng):
+    # the loop that PrimeSubspace.complement_basis, degenerate_subspace and the
+    # density increment each ran before they shared complete_basis
+    for _ in range(60):
+        p = int(rng.choice([2, 3, 5, 7]))
+        n = int(rng.integers(1, 5))
+        rows = [list(r) for r in rref_mod_p(rng.integers(0, p, (int(rng.integers(0, n + 1)), n)), p)[0]]
+        cands = rng.integers(0, p, (int(rng.integers(0, 6)), n))
+        if rng.uniform() < 0.5:
+            cands = np.eye(n, dtype=np.int64)
+        want = []
+        for c in cands:
+            if rank_mod_p(np.array(rows + want + [list(c)]), p) > len(rows) + len(want):
+                want.append(list(c))
+        got = complete_basis(rows, cands, p)
+        assert got.shape == (len(want), n) and got.tolist() == want
 
 
 def test_degenerate_subspace_dimension_guarantee(rng=np.random.default_rng(5)):
