@@ -18,7 +18,6 @@ import numpy as np
 
 from .bohr import SUMSET_BUDGET, bogolyubov, iterated_sumset
 from .errors import EmptyGraph, EmptyV, SliceFailed, SpecMismatch
-from .fourier import dft_values
 from .groups import GroupElement, GroupFunction, GroupSpec, derivative_rows
 from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, largest_subspace_inside
 from .norms import CosetQuadraticWitness, u3_oracle_coset
@@ -62,7 +61,9 @@ class PhaseGraph:
 
 def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
     """Keep shifts h with squared derivative bias >= eta^8 / 2; the witness
-    frequency is the argmax Fourier coefficient (lexicographic ties).
+    frequency is the argmax Fourier coefficient.  Exact ties are not broken
+    lexicographically: the argmax takes whichever tied entry the FFT's
+    rounding leaves larger.
 
     When U^3(f) >= eta, the shift set is guaranteed to have density at least
     eta^8 / 2; a smaller shift set therefore certifies U^3(f) < eta and is
@@ -77,7 +78,12 @@ def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
     chunk = max(1, 2_000_000 // N)
     for start in range(0, N, chunk):
         hs = np.arange(start, min(start + chunk, N), dtype=np.int64)
-        F = np.abs(dft_values(spec, derivative_rows(f, hs)))
+        grid = derivative_rows(f, hs).reshape((len(hs),) + spec.orders)
+        # the multidimensional FFT, not the blocked fourier.dft_values: exact
+        # ties such as |F(xi)| = |F(-xi)| on real rows go to whichever entry
+        # this rounding leaves larger, and another transform rounds them
+        # differently and picks other witness frequencies
+        F = np.abs(np.fft.fftn(grid, axes=tuple(range(1, spec.rank + 1))) / N).reshape(len(hs), N)
         best = np.argmax(F, axis=1)
         mags = F[np.arange(len(hs)), best]
         for h, xi, m in zip(hs.tolist(), best.tolist(), mags.tolist()):

@@ -25,9 +25,13 @@ U^2 value is not already known, by three exact identities:
   is involved.
 
 Rows go through the transform in batches of ``_H_CHUNK`` or more, built
-block by block, so memory stays O(_H_CHUNK N).  Only rounding changes: the
-row of h stands in for that of -h and the sum runs in another order, which
-moves a result by a few ulps.
+block by block, so memory stays O(_H_CHUNK N).  The transform is the
+blocked `fourier.dft_values`: runs of short axes (order product at most
+`fourier._DENSE_BLOCK`) are one matrix product each with a dense character
+table, and each longer axis is an FFT, so F5^5 takes three dense products
+and Z/4001 one FFT per row.  Only rounding changes: the row of h stands in
+for that of -h and the sum runs in another order, which moves a result by a
+few ulps.
 
 The direct method sums over blocks of x, so it holds O(N^d) cubes at a time.
 
@@ -86,9 +90,9 @@ row of the region); the nq x nl matrix is never held.
 Every oracle breaks ties by one rule: the witness is the lexicographically
 smallest parameter vector whose |correlation|^2 is within a relative
 _TIE_RTOL = 1e-12 of the maximum, so exact ties (zero, constant, one point)
-do not depend on rounding.  Each block is reduced to its maximum and its
-lex-first candidate; only blocks near the overall maximum are looked at
-again.
+do not depend on rounding.  Each block is reduced to its maximum, and to
+its lex-first candidate when that maximum is within the tie band of the
+running maximum; only blocks near the overall maximum are looked at again.
 """
 
 from __future__ import annotations
@@ -427,12 +431,15 @@ def _lex_first_max(blocks, block_sq, key_of):
         at = int(np.argmax(sq >= thr))
         return key_of(b, at), float(sq.flat[at])
 
-    records = []
+    records, best = [], 0.0
     for b in blocks:
         sq = block_sq(b)
         top = float(sq.max())
-        records.append((top, b) + first(b, sq, top * (1 - _TIE_RTOL)))
-    best = max(r[0] for r in records)
+        best = max(best, top)
+        # a block below the running maximum's tie band is below the final
+        # threshold too, so its candidate is never needed
+        if top >= best * (1 - _TIE_RTOL):
+            records.append((top, b) + first(b, sq, top * (1 - _TIE_RTOL)))
     thr = best * (1 - _TIE_RTOL)
     # a block's candidate was chosen against its own maximum; when the global
     # threshold excludes it, look again in that block (rare near-ties only)

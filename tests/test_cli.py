@@ -1,10 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from u3kit.cli import main
 from u3kit.groups import function_to_json
@@ -163,6 +169,63 @@ def test_bad_group_order_exit_code(group, capsys):
     code, _, err = run_cli(["norm", "--group", group, "--expr", "1", "--d", "2"], capsys)
     assert code == 3
     assert json.loads(err)["error"] == "ParseError"
+
+
+@st.composite
+def _norm_inputs(draw):
+    """The text of a --input file on a group of order at most 24: valid
+    values in the unit disk (random, constant or a quadratic phase), one
+    NaN, one value too few or text that is not JSON; None for no file."""
+    orders = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(lambda o: prod(o) <= 24))
+    group = "x".join(f"Z/{n}" for n in orders)
+    N = prod(orders)
+    kind = draw(st.sampled_from(["random", "constant", "phase", "nan", "wrong-length", "not-json", "missing"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "constant":
+        vals = np.ones(N, dtype=complex)
+    elif kind == "phase":
+        vals = np.exp(2j * np.pi * np.arange(N) ** 2 / N)
+    else:
+        vals = rng.uniform(0, 1, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N))
+    pairs = [[v.real, v.imag] for v in vals]
+    if kind == "nan":
+        pairs[draw(st.integers(0, N - 1))][0] = float("nan")
+    if kind == "wrong-length":
+        pairs = pairs[:-1]
+    if kind == "missing":
+        return None
+    if kind == "not-json":
+        return "{" + json.dumps(pairs)
+    return json.dumps({"group": group, "values": pairs})
+
+
+@settings(max_examples=300)
+@given(text=_norm_inputs(), d=st.sampled_from(range(-1, 6)),
+       method=st.sampled_from([None, "auto", "direct", "recursive", "fourier"]), unchecked=st.booleans())
+def test_norm_cli_contract(text, d, method, unchecked):
+    # every run ends in exit 0 (a value in [0, 1] on stdout), 2 (usage) or 3
+    # (a JSON error on stderr), never in an uncaught exception
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        if text is not None:
+            with open(path, "w") as fh:
+                fh.write(text)
+        argv = ["norm", "--input", path, "--d", str(d)]
+        argv += (["--method", method] if method else []) + (["--unchecked"] if unchecked else [])
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3)
+    if code == 0:
+        result = result_of(out.getvalue())
+        assert 0.0 <= result["value"] <= 1.0 and result["d"] == d
+    elif code == 3:
+        assert out.getvalue() == "" and "error" in json.loads(err.getvalue())
+    else:
+        assert method == "fourier" and "Traceback" not in err.getvalue()
 
 
 def test_usage_error_exit_code():

@@ -1,8 +1,12 @@
+from math import prod
+
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_bounded
-from u3kit.fourier import convolve, dft, idft
-from u3kit.groups import GroupFunction, parse_group
+from u3kit.fourier import convolve, dft, dft_values, idft
+from u3kit.groups import GroupFunction, GroupSpec, parse_group
 
 
 def test_dft_constant():
@@ -90,3 +94,45 @@ def test_convolution_support(rng):
     support = {i for i, v in enumerate(conv.values) if abs(v) > 1e-12}
     sums = {(a + b) % 17 for a in A for b in B}
     assert support <= sums
+
+
+@st.composite
+def mixed_specs(draw) -> GroupSpec:
+    """Ranks 1-4, short factor orders 1-13 and at most one long one (131 or
+    211), so that dense blocks of one or several axes, FFT axes and groups
+    mixing both occur; the order stays small enough for the N x N table of
+    the direct sum."""
+    rank = draw(st.integers(1, 4))
+    long_order = draw(st.sampled_from([None, 131, 211]))
+    at = draw(st.integers(0, rank - 1))
+    orders, room = [], 2000 // (long_order or 1)
+    for i in range(rank):
+        if i == at and long_order:
+            orders.append(long_order)
+        else:
+            orders.append(draw(st.integers(1, min(13, room))))
+            room //= orders[-1]
+    return GroupSpec(tuple(orders))
+
+
+@given(spec=mixed_specs(), batch=st.sampled_from([(), (1,), (4,), (2, 3)]), seed=st.integers(0, 2**32 - 1))
+def test_dft_values_matches_character_sum(spec, batch, seed):
+    # the blocked transform against E_x f(x) e(-xi.x) built from exact
+    # pairings, and against the multidimensional FFT behind dft()
+    rng = np.random.default_rng(seed)
+    shape = batch + (spec.order,)
+    values = np.exp(2j * np.pi * rng.uniform(0, 1, shape)) * rng.uniform(0, 1, shape)
+    before = values.copy()
+    out = dft_values(spec, values)
+    assert out.shape == shape
+    assert np.array_equal(values, before)  # the input is not overwritten
+
+    idx = np.arange(spec.order)
+    table = np.exp(-2j * np.pi / spec.exponent * spec.pairings(idx[:, None], idx[None, :]))
+    direct = values @ table / spec.order  # the pairing is symmetric in xi and x
+    scale = np.max(np.abs(direct))
+    assert np.max(np.abs(out - direct)) <= 1e-12 * scale
+
+    rows = values.reshape(prod(batch), spec.order)
+    via_dft = np.array([dft(GroupFunction(spec, r)).values for r in rows]).reshape(shape)
+    assert np.max(np.abs(out - via_dft)) <= 1e-12 * scale

@@ -74,7 +74,8 @@ def test_monotonicity(rng):
 
 
 def test_direct_recursive_agreement(rng):
-    for gs in ("Z/11", "Z/17", "Z/4xZ/4", "F5^1"):
+    # F3^3 and Z/2^4 put several axes into one dense block of the transform
+    for gs in ("Z/11", "Z/17", "Z/4xZ/4", "F5^1", "F3^3", "Z/2xZ/2xZ/2xZ/2"):
         spec = parse_group(gs)
         f = random_bounded(spec, rng)
         for d in (2, 3):
@@ -473,6 +474,57 @@ def test_coset_oracle_tie_rule_against_reference(group, chunk, monkeypatch):
         sq = mags**2
         first = int(np.argmax(sq.ravel() >= sq.max() * (1 - rtol)))
         assert (rep.witness.A, rep.witness.b) == _reference_witness(digits, p, k, first)
+
+
+def _reference_lex_first_max(blocks, block_sq, key_of):
+    """`norms._lex_first_max` as it was before it skipped the candidate search
+    in blocks below the running maximum: every block gets its candidate."""
+    import u3kit.norms as norms
+
+    def first(b, sq, thr):
+        at = int(np.argmax(sq >= thr))
+        return key_of(b, at), float(sq.flat[at])
+
+    records = []
+    for b in blocks:
+        sq = block_sq(b)
+        top = float(sq.max())
+        records.append((top, b) + first(b, sq, top * (1 - norms._TIE_RTOL)))
+    best = max(r[0] for r in records)
+    thr = best * (1 - norms._TIE_RTOL)
+    key = min(
+        cand if val >= thr else first(b, block_sq(b), thr)[0]
+        for top, b, cand, val in records
+        if top >= thr
+    )
+    return best, key
+
+
+@pytest.mark.parametrize("group", ["F5^3", "F3^4", "Z/9"])
+@pytest.mark.parametrize("chunk", [1, 40, 1 << 17])
+@pytest.mark.parametrize("rtol", [1e-12, 0.3])
+def test_lex_first_max_matches_reference(group, chunk, rtol, monkeypatch):
+    # skipping the candidate search in blocks below the running maximum
+    # changes neither the value nor the witness, ties included
+    import u3kit.norms as norms
+
+    spec = parse_group(group)
+    W = BoxSubgroup.whole(spec) if group.startswith("Z") else PrimeSubspace.whole(spec)
+    monkeypatch.setattr(norms, "_ORACLE_CHUNK", chunk)
+    monkeypatch.setattr(norms, "_TIE_RTOL", rtol)
+    rng = np.random.default_rng(11)
+    k = spec.rank
+    A = rng.integers(0, spec.orders[0], (k, k))
+    fs = [GroupFunction.constant(spec, 0.0), GroupFunction.constant(spec, 1.0),
+          GroupFunction.indicator(spec, [spec.order - 1]), random_bounded(spec, rng),
+          _planted(spec, (A + A.T) % spec.orders[0], rng.integers(0, spec.orders[0], k), 0.3, rng)]
+    for f in fs:
+        rep = u3_oracle_coset(f, (spec.zero(), W))
+        with monkeypatch.context() as m:
+            m.setattr(norms, "_lex_first_max", _reference_lex_first_max)
+            ref = u3_oracle_coset(f, (spec.zero(), W))
+        assert rep.value == ref.value
+        assert (rep.witness.A, rep.witness.b) == (ref.witness.A, ref.witness.b)
 
 
 @pytest.mark.parametrize("group", ["F5^3", "F3^4"])
