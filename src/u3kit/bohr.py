@@ -39,6 +39,7 @@ from .modlinalg import BoxSubgroup, PrimeSubspace, is_prime
 from .quadratic import frac_part
 
 SUMSET_BUDGET = 40_000_000
+_THIN_CHUNK = 1 << 20  # (candidate, member) pairs per block of the spectrum thinning
 
 
 def bohr_norm_exact(x: GroupElement, S: Sequence[DualElement]) -> Fraction:
@@ -267,6 +268,31 @@ class LocalBogolyubovReport:
     inner_rho: Fraction
 
 
+def _thin_spectrum(spec: GroupSpec, R: Sequence[int], members: np.ndarray, delta_sep: float) -> list[int]:
+    """Greedy thinning of the frequencies R, in order: xi is kept unless
+    ||xi - xi'|| < delta_sep for a kept xi', in the dual norm
+    max_{x in members} ||(xi - xi').x|| as a correctly rounded float.
+    Keeping xi' computes that norm for every later candidate at once, one
+    row of the table of D·||xi - xi'|| that the greedy loop reads, and marks
+    the candidates it rules out."""
+    D = spec.exponent
+    R = np.asarray(R, dtype=np.int64)
+    ruled_out = np.zeros(len(R), dtype=bool)
+    kept: list[int] = []
+    rows = max(1, _THIN_CHUNK // max(1, len(members)))
+    for a, xi in enumerate(R.tolist()):
+        if ruled_out[a]:
+            continue
+        kept.append(xi)
+        neg = spec.neg_indices(np.int64(xi))
+        for lo in range(a + 1, len(R), rows):
+            diffs = spec.add_indices(R[lo : lo + rows], neg)
+            worst = _distances(spec, diffs[:, None], members[None, :]).max(axis=1, initial=0)
+            # int / int: correctly rounded, as float(Fraction) is
+            ruled_out[lo : lo + rows] |= np.array([w / D < delta_sep for w in worst.tolist()], dtype=bool)
+    return kept
+
+
 def local_bogolyubov(
     spec: GroupSpec, A: Iterable[int], B: BohrSet, delta_floor: float = 0.0
 ) -> LocalBogolyubovReport:
@@ -331,21 +357,7 @@ def local_bogolyubov(
     sep_members = sep_bohr.members
     delta_sep = 2**28 * float(delta) ** -6 * theta * d
 
-    def bohr_dual_norm(xi_idx: int) -> float:
-        worst = int(_distances(spec, xi_idx, sep_members).max(initial=0))
-        return worst / spec.exponent  # correctly rounded, as float(Fraction) is
-
-    S_prime_idx: list[int] = []
-    for xi_idx in R:
-        separated = True
-        for kept in S_prime_idx:
-            diff = int(spec.add_indices(np.int64(xi_idx), spec.neg_indices(np.int64(kept))))
-            if bohr_dual_norm(diff) < delta_sep:
-                separated = False
-                break
-        if separated:
-            S_prime_idx.append(xi_idx)
-    S_prime = [spec.dual_by_index(i) for i in S_prime_idx]
+    S_prime = [spec.dual_by_index(i) for i in _thin_spectrum(spec, R, sep_members, delta_sep)]
 
     in_two = np.zeros(spec.order, dtype=bool)
     in_two[iterated_sumset(spec, A_idx, 2, 2)] = True

@@ -380,18 +380,23 @@ def szemeredi_driver(
 # --- AP-free fixtures ------------------------------------------------------------
 
 
-def _creates_proper_kap(spec: GroupSpec, members: set[int], x: int, k: int) -> bool:
-    """Does adjoining x create a proper k-AP?  Incremental: only tests the
-    progressions through x, x + (i - j) r for i < k with x as point j, for
-    every r != 0 and j < k at once."""
-    full = np.zeros(spec.order, dtype=bool)
-    full[np.fromiter(members, dtype=np.int64, count=len(members))] = True
-    full[x] = True
+def _kap_offsets(spec: GroupSpec, k: int) -> np.ndarray:
+    """The k points (i - j) r, i < k, of the progression through 0 as its
+    point j, one row per r != 0 and j < k whose k points are distinct.  A
+    translate x + row is then a proper k-AP through x, and every one of
+    them is such a translate, so the rows do not depend on x."""
     steps = np.arange(k)[None, :] - np.arange(k)[:, None]  # [j, i] = i - j
     rs = np.arange(1, spec.order, dtype=np.int64)[:, None, None]
-    pts = np.sort(spec.add_indices(x, spec.scale_indices(steps, rs)), axis=-1)
-    proper = np.all(pts[..., 1:] > pts[..., :-1], axis=-1)  # k distinct points
-    return bool(np.any(proper & np.all(full[pts], axis=-1)))
+    offsets = spec.scale_indices(steps, rs).reshape((spec.order - 1) * k, k)
+    srt = np.sort(offsets, axis=-1)
+    return offsets[np.all(srt[:, 1:] > srt[:, :-1], axis=-1)]
+
+
+def _creates_proper_kap(spec: GroupSpec, member: np.ndarray, x: int, offsets: np.ndarray) -> bool:
+    """Does adjoining x create a proper k-AP?  ``member`` marks the set with
+    x already adjoined; ``offsets`` is ``_kap_offsets(spec, k)``.
+    Incremental: only the progressions through x are tested, all at once."""
+    return bool(np.any(np.all(member[spec.add_indices(x, offsets)], axis=-1)))
 
 
 def ap_free_search(spec: GroupSpec, k: int = 4, strategy: str = "greedy", seed: int = 0) -> list[int]:
@@ -404,29 +409,34 @@ def ap_free_search(spec: GroupSpec, k: int = 4, strategy: str = "greedy", seed: 
     N = spec.order
     if strategy == "greedy":
         rng = np.random.default_rng(seed)
-        order = rng.permutation(N)
-        chosen: set[int] = set()
-        for x in order.tolist():
-            if not _creates_proper_kap(spec, chosen, int(x), k):
-                chosen.add(int(x))
+        offsets = _kap_offsets(spec, k)
+        member = np.zeros(N, dtype=bool)
+        for x in rng.permutation(N).tolist():
+            member[x] = True  # kept unless it closes a proper k-AP
+            member[x] = not _creates_proper_kap(spec, member, x, offsets)
+        chosen = np.flatnonzero(member).tolist()
         assert count_aps(spec, chosen, k).proper == 0
-        return sorted(chosen)
+        return chosen
     if strategy != "exhaustive":
         raise ValueError("strategy must be 'greedy' or 'exhaustive'")
     if N > EXHAUSTIVE_SEARCH_LIMIT:
         raise BudgetExceeded(f"exhaustive search limited to N <= {EXHAUSTIVE_SEARCH_LIMIT}")
     best: list[int] = []
+    offsets = _kap_offsets(spec, k)
+    member = np.zeros(N, dtype=bool)  # marks `current` during the search
 
-    def extend(current: list[int], members: set[int], start: int) -> None:
+    def extend(current: list[int], start: int) -> None:
         nonlocal best
         if len(current) + (N - start) <= len(best):
             return
         if len(current) > len(best):
             best = list(current)
         for x in range(start, N):
-            if not _creates_proper_kap(spec, members, x, k):
-                extend(current + [x], members | {x}, x + 1)
+            member[x] = True
+            if not _creates_proper_kap(spec, member, x, offsets):
+                extend(current + [x], x + 1)
+            member[x] = False
 
-    extend([], set(), 0)
+    extend([], 0)
     assert count_aps(spec, best, k).proper == 0
     return sorted(best)

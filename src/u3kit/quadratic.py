@@ -15,8 +15,10 @@ subspaces, orthogonal complements).
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -58,6 +60,8 @@ def frac_part(t: TorusValue) -> TorusValue:
 
 def round_half_up(t: TorusValue):
     """Nearest integer with half-integers rounded up (nilmanifold lifts)."""
+    if type(t) is float:  # the nil orbits' common case, before the ABC check
+        return floor(t + 0.5)
     if isinstance(t, Fraction):
         return (2 * t.numerator + t.denominator) // (2 * t.denominator)
     return floor(float(t) + 0.5)
@@ -73,7 +77,9 @@ def _require_odd(spec: GroupSpec) -> None:
 
 class PhaseTable:
     """Exact torus-valued table over group indices: numerators over a common
-    denominator, enabling vectorized integer arithmetic mod D."""
+    denominator, enabling vectorized integer arithmetic mod D.  The
+    numerators are int64 while D < 2^62, so a difference of two stays in
+    range, and Python integers (object dtype) past that."""
 
     def __init__(self, spec: GroupSpec, values: Sequence[TorusValue]):
         if len(values) != spec.order:
@@ -83,7 +89,8 @@ class PhaseTable:
         self.denominator = lcm(1, *(f.denominator for f in fracs)) if fracs else 1
         D = self.denominator
         self.numerators = np.array(
-            [(f.numerator * (D // f.denominator)) % D for f in fracs], dtype=np.int64
+            [(f.numerator * (D // f.denominator)) % D for f in fracs],
+            dtype=np.int64 if D < 2**62 else object,
         )
 
     def value(self, index: int) -> Fraction:
@@ -100,12 +107,43 @@ def is_locally_quadratic(
     domain.
 
     ``phi`` maps ambient group indices to exact rationals; ``domain`` is the
-    set of indices where phi is defined.  For the full group the equivalent
-    N^3 test (second differences constant in the base point) is used.
+    set of indices where phi is defined.
+
+    On the full group only the generators e_1, ..., e_k of the factors are
+    tried: Δ_{e_a}Δ_{e_b}Δ_{e_c}φ(x) = 0 for every a <= b <= c and every x,
+    read off the ``PhaseTable`` numerators mod their common denominator, in
+    rank^3·N steps.  That is exact.  A function F with Δ_{e_c}F = 0 for
+    every generator is constant, and Δ_{h+k}F = T^kΔ_hF + Δ_kF extends
+    "Δ_hF is constant" from generators h to every h.  So vanishing along
+    generator triples makes each Δ_{e_a}Δ_{e_b}φ constant, then (with F =
+    Δ_{e_b}φ) each Δ_hΔ_{e_b}φ = Δ_{e_b}Δ_hφ, then (with F = Δ_hφ) each
+    Δ_kΔ_hφ, which is the statement that every third difference vanishes.
+    Third differences commute, so a <= b <= c covers every ordered triple.
+    On a proper domain every cube of |B|^4 base points and shifts is scanned.
     """
     dom = np.array(sorted(set(int(i) for i in domain)), dtype=np.int64)
     m = len(dom)
     N = spec.order
+    if m == N:
+        k = spec.rank
+        if k**3 * N > budget:
+            raise BudgetExceeded(
+                f"rank^3*N = {k}^3*{N} generator third-difference scan exceeds budget {budget}"
+            )
+        table = PhaseTable(spec, [phi[i] for i in range(N)])
+        num, D = table.numerators, table.denominator
+        idx = np.arange(N, dtype=np.int64)
+        gens = [spec.index_of([int(t == a) for t in range(k)]) for a in range(k)]
+        shifted = [spec.add_indices(idx, np.int64(g)) for g in gens]  # x + e_a
+        for a in range(k):
+            d1 = (num[shifted[a]] - num) % D
+            for b in range(a, k):
+                d2 = (d1[shifted[b]] - d1) % D
+                # both sides lie in [0, D): Δ_{e_c} d2 vanishes mod D iff equal
+                if any(np.any(d2[shifted[c]] != d2) for c in range(b, k)):
+                    return False
+        return True
+
     if isinstance(phi, Mapping):
         vals = {int(k): Fraction(v) for k, v in phi.items()}
     else:
@@ -117,18 +155,6 @@ def is_locally_quadratic(
         f = vals[int(i)]
         num[i] = (f.numerator * (D // f.denominator)) % D
         member[i] = True
-
-    if m == N:
-        if N**3 > budget:
-            raise BudgetExceeded(f"{N}^3 second-difference scan exceeds budget")
-        rows = spec.translates(np.arange(N))  # rows[h, x] = x + h
-        for h1 in range(N):
-            base = (num[rows[h1]] - num) % D  # (h1.grad) phi
-            # second differences must not depend on x, for every h2
-            d2 = (base[rows] - base) % D
-            if np.any(d2 != d2[:, :1]):
-                return False
-        return True
 
     if m**4 > budget:
         raise BudgetExceeded(f"|B|^4 = {m**4} cube scan exceeds budget")
@@ -231,7 +257,9 @@ class QuadraticPhase:
         return [self.evaluate(x) for x in self.spec.elements()]
 
     def numerators(self) -> tuple[np.ndarray, int]:
-        """(numerator array over all indices, common denominator), vectorized."""
+        """(numerator array over all indices, common denominator), vectorized;
+        int64, or Python integers when D·(n^2 + 1) reaches 2^63 for the
+        largest factor order n."""
         spec = self.spec
         D = lcm(
             1,
@@ -240,18 +268,19 @@ class QuadraticPhase:
             self.c.denominator,
         )
         coords = spec.decode(np.arange(spec.order))
-        acc = np.full(spec.order, (self.c.numerator * (D // self.c.denominator)) % D, np.int64)
+        # acc + w·x_i·x_j with acc, w < D and x_i < n stays below D·(n^2 + 1):
+        # int64 while that fits, Python integers past it
+        n = max(spec.orders)
+        if D * (n * n + 1) >= 2**63:
+            coords = coords.astype(object)
+        acc = np.full(spec.order, (self.c.numerator * (D // self.c.denominator)) % D, coords.dtype)
         for i in range(spec.rank):
             for j in range(spec.rank):
                 b = self.bilinear[i][j]
-                acc = (acc + (b.numerator * (D // b.denominator)) * coords[..., i] * coords[..., j]) % D
+                acc = (acc + (b.numerator * (D // b.denominator)) % D * coords[..., i] * coords[..., j]) % D
         for j in range(spec.rank):
-            acc = (acc + (self.xi[j] * (D // spec.orders[j])) * coords[..., j]) % D
+            acc = (acc + (self.xi[j] * (D // spec.orders[j])) % D * coords[..., j]) % D
         return acc % D, D
-
-    def exp_values(self, sign: float = 1.0) -> np.ndarray:
-        num, D = self.numerators()
-        return np.exp(sign * 2j * np.pi * num / D)
 
     def translate(self, y: GroupElement) -> "QuadraticPhase":
         """The phase x -> phi(x - y) in standard form."""
@@ -601,13 +630,57 @@ class BracketQuadratic:
                 if self.quad[i][j] != self.quad[j][i]:
                     raise SpecMismatch("quad matrix must be symmetric")
 
+    @cached_property
+    def _terms(self) -> tuple[int, tuple, list[tuple]]:
+        """(den, const, terms) for ``eval``, read once per instance (the
+        coefficients are not changed after construction).  den = L·N^2 with
+        L the lcm of the rational coefficients' denominators.  A rational
+        coefficient a/b is kept as the integer a·L/b, so its term is an
+        integer over den; a float coefficient is kept as it is.  ``terms``
+        lists (coefficient, exact, i, j) in the order of the sum: for each i
+        the linear term (j None), then quad[i][0..s-1]."""
+        s = len(self.freqs)
+        pos = [(i, j) for i in range(s) for j in (None, *range(s))]
+        coefs = [self.const] + [self.lin[i] if j is None else self.quad[i][j] for i, j in pos]
+        exact = [isinstance(v, numbers.Rational) for v in coefs]
+        L = lcm(1, *(Fraction(v).denominator for v, ok in zip(coefs, exact) if ok))
+        weights = [Fraction(v).numerator * (L // Fraction(v).denominator) if ok else v
+                   for v, ok in zip(coefs, exact)]
+        N2 = self.N * self.N
+        const = (weights[0] * N2 if exact[0] else weights[0], exact[0])
+        terms = [(w, ok, i, j) for w, ok, (i, j) in zip(weights[1:], exact[1:], pos)]
+        return L * N2, const, terms
+
     def eval(self, n: int) -> TorusValue:
-        brk = [frac_part(Fraction(xi * n, self.N)) for xi in self.freqs]
-        total = self.const if isinstance(self.const, Fraction) else self.const
-        for i in range(len(self.freqs)):
-            total = total + self.lin[i] * brk[i]
-            for j in range(len(self.freqs)):
-                total = total + self.quad[i][j] * brk[i] * brk[j]
+        """The value at n, mod 1.
+
+        With r_i = xi_i n mod N centred in (-N/2, N/2], a rational term
+        (a/b)·r_i·r_j/N^2 is one integer over the common denominator, so an
+        all-rational bracket quadratic gives the exact Fraction.  A float
+        coefficient makes the sum float from its term on, added left to
+        right with each exact term rounded to float first, which is what
+        Fraction/float arithmetic gives term by term; the result is the same
+        value and type (Fraction, or numpy float64 after ``mod1``).
+        """
+        if not self.freqs:
+            return mod1(self.const)
+        N = self.N
+        r = [t if 2 * t <= N else t - N for t in (xi * int(n) % N for xi in self.freqs)]
+        den, (c, c_exact), terms = self._terms
+        num = c if c_exact else 0
+        total = None if c_exact else c  # the float sum, once a float has entered it
+        for w, exact, i, j in terms:
+            if exact:
+                t = w * r[i] * (N if j is None else r[j])
+                if total is None:
+                    num += t
+                else:
+                    total = total + t / den
+            else:
+                t = w * (r[i] / N) if j is None else w * (r[i] / N) * (r[j] / N)
+                total = (num / den if total is None else total) + t
+        if total is None:
+            return Fraction(num % den, den)
         return mod1(total)
 
     def eval_terms_float(self, ns: np.ndarray) -> np.ndarray:

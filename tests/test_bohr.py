@@ -6,8 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_bounded
+import u3kit.bohr as bohr_module
 from u3kit.bohr import (
     BohrSet,
+    _distances,
+    _thin_spectrum,
     bogolyubov,
     bohr_norm_exact,
     bohr_set,
@@ -593,6 +596,47 @@ def test_local_bogolyubov_radius_scan_matches_reference(data):
     inside = {i for i, v in enumerate(norms) if v < max(theta_rho, Fraction(1, 10**9))}
     assert rep.guaranteed_bohr_size == len(inside)
     assert rep.guaranteed_inclusion_ok == (inside <= two)
+
+
+def reference_thin_spectrum(spec: GroupSpec, R, sep_members, delta_sep: float) -> list[int]:
+    """The thinning loop of `local_bogolyubov` before the table: one dual
+    norm over the members per (candidate, kept) pair."""
+
+    def bohr_dual_norm(xi_idx: int) -> float:
+        worst = int(_distances(spec, xi_idx, sep_members).max(initial=0))
+        return worst / spec.exponent
+
+    S_prime_idx: list[int] = []
+    for xi_idx in R:
+        separated = True
+        for kept in S_prime_idx:
+            diff = int(spec.add_indices(np.int64(xi_idx), spec.neg_indices(np.int64(kept))))
+            if bohr_dual_norm(diff) < delta_sep:
+                separated = False
+                break
+        if separated:
+            S_prime_idx.append(xi_idx)
+    return S_prime_idx
+
+
+@given(st.data())
+def test_thin_spectrum_matches_reference(data):
+    spec = data.draw(kernel_specs)
+    R = data.draw(st.lists(st.integers(0, spec.order - 1), unique=True, max_size=40))
+    S = data.draw(character_sets(spec))
+    B = bohr_set(spec, S, data.draw(radii))
+    sub = data.draw(st.sets(st.sampled_from(B.members.tolist())))
+    members = np.array(sorted(sub), dtype=np.int64)
+    # thresholds on the grid of norms k/D hit the strict inequality's edge
+    D = spec.exponent
+    delta_sep = data.draw(st.one_of(st.integers(0, D // 2 + 1).map(lambda k: k / D), st.floats(0, 0.6)))
+    want = reference_thin_spectrum(spec, R, members, delta_sep)
+    chunk = bohr_module._THIN_CHUNK
+    bohr_module._THIN_CHUNK = data.draw(st.sampled_from([1, 7, chunk]))  # blocks of 1, a few, all rows
+    try:
+        assert _thin_spectrum(spec, R, members, delta_sep) == want
+    finally:
+        bohr_module._THIN_CHUNK = chunk
 
 
 @given(st.data())

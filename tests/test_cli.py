@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from math import prod
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from u3kit.cli import main
-from u3kit.groups import function_to_json
+from u3kit.groups import function_to_json, parse_group
+from u3kit.quadratic import QuadraticPhase
 
 
 def run_cli(args, capsys):
@@ -199,33 +201,172 @@ def _norm_inputs(draw):
     return json.dumps({"group": group, "values": pairs})
 
 
+def run_contract(argv, text, extra=()):
+    """Run `u3kit <argv> FILE <extra>`, where argv ends in the flag that
+    takes the file and FILE holds `text` (no file for None).  Checks the CLI
+    contract, exit 0, 2 (usage) or 3 (a JSON error on stderr) and never a
+    traceback, and returns (exit code, stdout, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        if text is not None:
+            with open(path, "w") as fh:
+                fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([*argv, path, *extra])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3)
+    if code == 3:
+        assert out.getvalue() == "" and "error" in json.loads(err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=300)
 @given(text=_norm_inputs(), d=st.sampled_from(range(-1, 6)),
        method=st.sampled_from([None, "auto", "direct", "recursive", "fourier"]), unchecked=st.booleans())
 def test_norm_cli_contract(text, d, method, unchecked):
     # every run ends in exit 0 (a value in [0, 1] on stdout), 2 (usage) or 3
     # (a JSON error on stderr), never in an uncaught exception
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "f.json")
-        if text is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        argv = ["norm", "--input", path, "--d", str(d)]
-        argv += (["--method", method] if method else []) + (["--unchecked"] if unchecked else [])
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-    assert code in (0, 2, 3)
+    extra = ["--d", str(d)] + (["--method", method] if method else []) + (["--unchecked"] if unchecked else [])
+    code, out, _ = run_contract(["norm", "--input"], text, extra)
     if code == 0:
-        result = result_of(out.getvalue())
+        result = result_of(out)
         assert 0.0 <= result["value"] <= 1.0 and result["d"] == d
-    elif code == 3:
-        assert out.getvalue() == "" and "error" in json.loads(err.getvalue())
+    elif code == 2:
+        assert method == "fourier"
+
+
+def _phase_at(result: dict, orders, x_coords):
+    """The classified phase M x.x + xi.x + c at one point, exactly."""
+    B = [[Fraction(v) for v in row] for row in result["bilinear"]]
+    val = Fraction(result["c"])
+    for i, a in enumerate(x_coords):
+        val += Fraction(result["xi"][i] * a, orders[i])
+        for j, b in enumerate(x_coords):
+            val += B[i][j] * a * b
+    return val % 1
+
+
+@st.composite
+def _phase_table_inputs(draw):
+    """(group, file text, table or None) for quad-classify: a quadratic
+    phase table on a group of order at most 45 (odd or even) with a
+    constant whose denominator is small or past 2^45 or 2^63, the same with
+    one point moved or a cubic term, a float table, or a malformed one
+    (wrong length, bad fraction, dict, not JSON, no file)."""
+
+    orders = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3).filter(lambda o: prod(o) <= 45))
+    group = "x".join(f"Z/{n}" for n in orders)
+    N = prod(orders)
+    coords = list(np.ndindex(*orders))
+    m = [draw(st.integers(0, n - 1)) for n in orders]
+    xi = [draw(st.integers(0, n - 1)) for n in orders]
+    c = Fraction(draw(st.integers(0, 6)), draw(st.sampled_from([7, 2**45 + 1, 2**70 + 1])))
+    table = [(sum(Fraction(m[i] * x[i] * x[i] + xi[i] * x[i], orders[i]) for i in range(len(orders))) + c) % 1
+             for x in coords]
+    kind = draw(st.sampled_from(["quadratic", "quadratic", "moved", "cubic", "float", "wrong-length",
+                                 "bad-fraction", "dict", "not-json", "missing"]))
+    if kind == "moved":
+        x = draw(st.integers(0, N - 1))
+        table[x] = (table[x] + Fraction(1, 3)) % 1
+    elif kind == "cubic":
+        table = [(v + Fraction(x[0] ** 3, orders[0])) % 1 for v, x in zip(table, coords)]
+    if kind == "missing":
+        return group, None, None
+    if kind == "not-json":
+        return group, "[1, 2", None
+    if kind == "dict":
+        return group, json.dumps({"a": 1}), None
+    if kind == "float":  # read as the nearest fraction of denominator <= 10^9
+        floats = [float(v) for v in table]
+        return group, json.dumps(floats), [Fraction(v).limit_denominator(10**9) % 1 for v in floats]
+    raw = [f"{v.numerator}/{v.denominator}" for v in table]
+    if kind == "wrong-length":
+        raw = raw[:-1]
+    if kind == "bad-fraction":
+        raw[draw(st.integers(0, N - 1))] = draw(st.sampled_from(["1/0", "x/3", "1/2/3", ""]))
+    return group, json.dumps(raw), table if kind in ("quadratic", "moved", "cubic") else None
+
+
+@settings(max_examples=150)
+@given(_phase_table_inputs())
+def test_quad_classify_cli_contract(case):
+    # exit 0 only with a classification that reproduces the table exactly
+    group, text, table = case
+    code, out, _ = run_contract(["quad-classify", "--group", group, "--input"], text)
+    if code == 0:
+        orders = [int(n) for n in group.replace("Z/", "").split("x")]
+        result = result_of(out)
+        assert table is not None
+        assert all(_phase_at(result, orders, x) == v for x, v in zip(np.ndindex(*orders), table))
+
+
+@st.composite
+def _bracket_inputs(draw):
+    """The text of a --bq file: a bracket quadratic with Fraction-string,
+    int or float coefficients, or one with a bad N, NaN, unequal lengths,
+    an asymmetric matrix, a missing key or text that is not JSON."""
+    N = draw(st.integers(1, 60))
+    s = draw(st.integers(0, 2))
+    coef = st.one_of(st.integers(-5, 5), st.floats(-5, 5, allow_nan=False),
+                     st.fractions(-5, 5, max_denominator=20).map(lambda f: f"{f.numerator}/{f.denominator}"))
+    quad = [[0] * s for _ in range(s)]
+    for i in range(s):
+        for j in range(i, s):
+            quad[i][j] = quad[j][i] = draw(coef)
+    obj = {"N": N, "S": [draw(st.integers(-N, 2 * N)) for _ in range(s)], "quad": quad,
+           "lin": [draw(coef) for _ in range(s)], "const": draw(st.one_of(coef, st.just(0.0)))}
+    kind = draw(st.sampled_from(["valid", "valid", "valid", "N", "nan", "lengths", "asymmetric", "missing-key",
+                                 "bad-fraction", "not-json"]))
+    if kind == "N":
+        obj["N"] = draw(st.sampled_from([0, -3, "x", 2.5]))
+    elif kind == "nan":
+        obj["const"] = float("nan")
+    elif kind == "lengths":
+        obj["lin"] = obj["lin"] + [1]
+    elif kind == "asymmetric" and s == 2:
+        obj["quad"] = [[1, 2], [3, 4]]
+    elif kind == "missing-key":
+        del obj[draw(st.sampled_from(["N", "S", "quad", "lin"]))]
+    elif kind == "bad-fraction":
+        obj["const"] = draw(st.sampled_from(["1/0", "a/b", "1/2/3"]))
+    elif kind == "not-json":
+        return "{" + json.dumps(obj)
+    return json.dumps(obj)
+
+
+@settings(max_examples=150)
+@given(text=st.one_of(_bracket_inputs(), st.none()), n=st.one_of(st.none(), st.integers(-10**6, 10**6)),
+       bad_n=st.booleans())
+def test_bracket_cli_contract(text, n, bad_n):
+    extra = [] if n is None else ["--n", "1.5" if bad_n else str(n)]
+    code, out, _ = run_contract(["bracket", "--bq"], text, extra)
+    if code == 0:
+        result = result_of(out)
+        # mod 1 in floats: a tiny negative sum rounds up to 1.0
+        assert n is None or 0.0 <= result["value"] <= 1.0
+    elif code == 2:
+        assert bad_n and n is not None
+
+
+@pytest.mark.parametrize("group", ["Z/1009", "Z/9xZ/15xZ/7"])
+def test_quad_classify_large_groups(group, tmp_path, capsys):
+    # refused by the old N^3 locality budget; the generator test is rank^3 N
+    spec = parse_group(group)
+    if spec.rank == 1:
+        Q = QuadraticPhase.cyclic(spec, 17, 5, Fraction(3, 1009))
     else:
-        assert method == "fourier" and "Traceback" not in err.getvalue()
+        B = ((Fraction(2, 9), Fraction(1, 3), Fraction(0)), (Fraction(1, 3), Fraction(4, 15), Fraction(0)),
+             (Fraction(0), Fraction(0), Fraction(3, 7)))
+        Q = QuadraticPhase(spec, B, (1, 2, 3), Fraction(1, 5))
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps([f"{v.numerator}/{v.denominator}" for v in Q.values()]))
+    code, out, _ = run_cli(["quad-classify", "--group", group, "--input", str(path)], capsys)
+    assert code == 0
+    assert result_of(out) == Q.to_json() | {"group": group}
 
 
 def test_usage_error_exit_code():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bounded, reference_cyclic_scan
@@ -9,6 +9,7 @@ from u3kit.experiments import (
     FwSpec,
     IncrementThresholds,
     _creates_proper_kap,
+    _kap_offsets,
     ap_free_search,
     density_increment_f5,
     fw_counterexample,
@@ -165,7 +166,28 @@ def test_creates_proper_kap_matches_loop(group, data):
     k = data.draw(st.sampled_from([3, 4]))
     members = data.draw(st.sets(st.integers(0, spec.order - 1)))
     x = data.draw(st.integers(0, spec.order - 1))
-    assert _creates_proper_kap(spec, members, x, k) == reference_creates_proper_kap(spec, members, x, k)
+    member = np.zeros(spec.order, dtype=bool)
+    member[list(members | {x})] = True
+    got = _creates_proper_kap(spec, member, x, _kap_offsets(spec, k))
+    assert got == reference_creates_proper_kap(spec, members, x, k)
+
+
+def reference_ap_free_greedy(spec: GroupSpec, k: int, seed: int) -> list[int]:
+    """The greedy search as it was: a set of members, rebuilt into a mask
+    and tested by the scalar loop for every candidate."""
+    chosen: set[int] = set()
+    for x in np.random.default_rng(seed).permutation(spec.order).tolist():
+        if not reference_creates_proper_kap(spec, chosen, int(x), k):
+            chosen.add(int(x))
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize("group", ["Z/13", "Z/12", "Z/4xZ/6", "F5^2", "F3^3", "Z/1"])
+@given(seed=st.integers(0, 2**31 - 1), k=st.sampled_from([3, 4]))
+@settings(max_examples=10)
+def test_ap_free_greedy_matches_reference(group, seed, k):
+    spec = parse_group(group)
+    assert ap_free_search(spec, k, "greedy", seed=seed) == reference_ap_free_greedy(spec, k, seed)
 
 
 def test_density_increment_planted_quadric(rng):
