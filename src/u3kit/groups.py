@@ -51,7 +51,9 @@ def mod1(t: TorusValue) -> TorusValue:
     """Reduce into [0, 1)."""
     if isinstance(t, Fraction):
         return t - (t.numerator // t.denominator)
-    return t - np.floor(t)
+    r = t - np.floor(t)
+    # a tiny negative float leaves t - floor(t) rounded up to 1.0
+    return r - 1 if r == 1 else r
 
 
 @dataclass(frozen=True)

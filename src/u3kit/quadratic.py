@@ -257,9 +257,8 @@ class QuadraticPhase:
         return [self.evaluate(x) for x in self.spec.elements()]
 
     def numerators(self) -> tuple[np.ndarray, int]:
-        """(numerator array over all indices, common denominator), vectorized;
-        int64, or Python integers when D·(n^2 + 1) reaches 2^63 for the
-        largest factor order n."""
+        """(numerator array over all indices, common denominator), vectorized
+        on Python integers (object dtype), so no denominator overflows."""
         spec = self.spec
         D = lcm(
             1,
@@ -267,13 +266,8 @@ class QuadraticPhase:
             *spec.orders,
             self.c.denominator,
         )
-        coords = spec.decode(np.arange(spec.order))
-        # acc + w·x_i·x_j with acc, w < D and x_i < n stays below D·(n^2 + 1):
-        # int64 while that fits, Python integers past it
-        n = max(spec.orders)
-        if D * (n * n + 1) >= 2**63:
-            coords = coords.astype(object)
-        acc = np.full(spec.order, (self.c.numerator * (D // self.c.denominator)) % D, coords.dtype)
+        coords = spec.decode(np.arange(spec.order)).astype(object)
+        acc = np.full(spec.order, (self.c.numerator * (D // self.c.denominator)) % D, object)
         for i in range(spec.rank):
             for j in range(spec.rank):
                 b = self.bilinear[i][j]
@@ -369,7 +363,7 @@ def classify_global_quadratic(
     pt = PhaseTable(spec, fr)
     scale = lcm(qD, pt.denominator)
     if np.any(
-        (qnum.astype(object) * (scale // qD)) % scale
+        (qnum * (scale // qD)) % scale
         != (pt.numerators.astype(object) * (scale // pt.denominator)) % scale
     ):
         raise NotQuadratic("reconstruction mismatch")
@@ -607,7 +601,7 @@ def quadratic_on_coset_progression(phi: Mapping[int, TorusValue], P) -> Progress
 # --- bracket quadratics on Z/N ----------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BracketQuadratic:
     """Sum over ordered frequency pairs of a[i][j] {xi_i x/N}{xi_j x/N} plus
     linear terms a[i] {xi_i x/N} plus a constant, fractional parts in
@@ -632,13 +626,13 @@ class BracketQuadratic:
 
     @cached_property
     def _terms(self) -> tuple[int, tuple, list[tuple]]:
-        """(den, const, terms) for ``eval``, read once per instance (the
-        coefficients are not changed after construction).  den = L·N^2 with
-        L the lcm of the rational coefficients' denominators.  A rational
-        coefficient a/b is kept as the integer a·L/b, so its term is an
-        integer over den; a float coefficient is kept as it is.  ``terms``
-        lists (coefficient, exact, i, j) in the order of the sum: for each i
-        the linear term (j None), then quad[i][0..s-1]."""
+        """(den, const, terms) for ``eval``, read once per instance.
+        den = L·N^2 with L the lcm of the rational coefficients'
+        denominators.  A rational coefficient a/b is kept as the integer
+        a·L/b, so its term is an integer over den; a float coefficient is
+        kept as it is.  ``terms`` lists (coefficient, exact, i, j) in the
+        order of the sum: for each i the linear term (j None), then
+        quad[i][0..s-1]."""
         s = len(self.freqs)
         pos = [(i, j) for i in range(s) for j in (None, *range(s))]
         coefs = [self.const] + [self.lin[i] if j is None else self.quad[i][j] for i, j in pos]
@@ -695,7 +689,9 @@ class BracketQuadratic:
             total += float(self.lin[i]) * brk[i]
             for j in range(len(self.freqs)):
                 total += float(self.quad[i][j]) * brk[i] * brk[j]
-        return total % 1.0
+        total %= 1.0
+        total[total == 1.0] = 0.0  # a tiny negative total rounds up to 1.0
+        return total
 
     def exp_values(self, sign: float = 1.0) -> np.ndarray:
         return np.exp(sign * 2j * np.pi * self.eval_terms_float(np.arange(self.N)))

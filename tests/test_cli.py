@@ -346,10 +346,17 @@ def test_bracket_cli_contract(text, n, bad_n):
     code, out, _ = run_contract(["bracket", "--bq"], text, extra)
     if code == 0:
         result = result_of(out)
-        # mod 1 in floats: a tiny negative sum rounds up to 1.0
-        assert n is None or 0.0 <= result["value"] <= 1.0
+        assert n is None or 0.0 <= result["value"] < 1.0
     elif code == 2:
         assert bad_n and n is not None
+
+
+def test_bracket_cli_tiny_negative_constant():
+    # t - floor(t) rounds up to 1.0 for a tiny negative float; the value stays in [0, 1)
+    text = json.dumps({"N": 7, "S": [], "quad": [], "lin": [], "const": -3.1e-100})
+    code, out, _ = run_contract(["bracket", "--bq"], text, ["--n", "0"])
+    assert code == 0
+    assert result_of(out)["value"] == 0.0
 
 
 @pytest.mark.parametrize("group", ["Z/1009", "Z/9xZ/15xZ/7"])

@@ -10,6 +10,7 @@ from u3kit.groups import (
     cubes,
     function_from_json,
     function_to_json,
+    mod1,
     mult_derivative,
     pair,
     parse_group,
@@ -82,6 +83,15 @@ def test_mult_derivative():
     expect = np.exp(2j * np.pi * (2 * np.arange(5) + 1) / 5)
     assert np.max(np.abs(d.values - expect)) < 1e-12
     assert np.max(np.abs(np.abs(d.values) - 1)) < 1e-12
+
+
+def test_mod1_stays_below_one():
+    # t - floor(t) rounds up to 1.0 for a tiny negative float
+    for t in (-3.1e-100, np.float64(-1e-300), -5e-324):
+        r = mod1(t)
+        assert r == 0.0 and type(r) is np.float64
+    assert mod1(-0.25) == 0.75 and mod1(2.5) == 0.5
+    assert mod1(Fraction(-1, 3)) == Fraction(2, 3)
 
 
 def test_phase_difference():

@@ -101,8 +101,8 @@ def test_quadratic_numerators_match_exact_values(case):
 
 
 def test_classify_with_a_constant_past_2_45():
-    # D·N^2 past 2^63: the numerators leave int64 instead of wrapping, so the
-    # reconstruction check accepts the phase it came from
+    # D·N^2 past 2^63: the numerators are Python integers and do not wrap, so
+    # the reconstruction check accepts the phase it came from
     spec = parse_group("Z/1009")
     Q = QuadraticPhase.cyclic(spec, 517, 5, Fraction(1, 2**45 + 1))
     assert classify_global_quadratic(Q.values(), spec) == Q
@@ -192,6 +192,26 @@ def test_bracket_eval_witness_json_with_float_const():
     for n in range(-504, 505):
         got, want = bq.eval(n), reference_bracket_eval(bq, n)
         assert type(got) is type(want) is np.float64 and got == want
+
+
+@pytest.mark.parametrize("bq", [
+    BracketQuadratic(7, (), (), (), -3.1e-100),
+    BracketQuadratic(7, (1,), ((0,),), (-1e-200,), 0.0),
+    BracketQuadratic(7, (1,), ((Fraction(0),),), (Fraction(0),), -3.1e-100),
+])
+def test_bracket_values_stay_below_one(bq):
+    # a tiny negative float total rounds up to 1.0 under t - floor(t) and % 1.0
+    for n in (0, 1):
+        assert bq.eval(n) == 0.0
+    assert np.all(bq.eval_terms_float(np.array([0, 1])) == 0.0)
+
+
+def test_bracket_quadratic_is_frozen():
+    # `eval` reads a per-instance integer plan, so the coefficients cannot change
+    bq = BracketQuadratic(7, (1,), ((Fraction(1, 2),),), (Fraction(0),), Fraction(0))
+    bq.eval(3)
+    with pytest.raises(AttributeError):
+        bq.const = Fraction(1, 3)
 
 
 # --- round_half_up -----------------------------------------------------------------
