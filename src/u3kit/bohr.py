@@ -40,6 +40,7 @@ from .quadratic import frac_part
 
 SUMSET_BUDGET = 40_000_000
 _THIN_CHUNK = 1 << 20  # (candidate, member) pairs per block of the spectrum thinning
+_SUMSET_CHUNK = 1 << 18  # sums a + b marked per block of rows of A in sumset
 
 
 def bohr_norm_exact(x: GroupElement, S: Sequence[DualElement]) -> Fraction:
@@ -220,11 +221,15 @@ def bogolyubov(spec: GroupSpec, A: Iterable[int], delta_floor: float = 0.0) -> l
 
 def sumset(spec: GroupSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A + B as a sorted index array: every sum is marked on a mask over the
-    group, which is read back in index order."""
+    group, which is read back in index order.  The sums are built for a block
+    of rows of A at a time, about _SUMSET_CHUNK of them, so memory stays
+    O(_SUMSET_CHUNK + |B| + |G|) whatever |A| * |B|."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     mark = np.zeros(spec.order, dtype=bool)
-    mark[spec.add_indices(A[:, None], B[None, :])] = True
+    rows = max(1, _SUMSET_CHUNK // max(len(B), 1))
+    for lo in range(0, len(A), rows):
+        mark[spec.add_indices(A[lo : lo + rows, None], B[None, :])] = True
     return np.flatnonzero(mark)
 
 

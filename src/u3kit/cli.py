@@ -177,6 +177,15 @@ def _positive_int(s: str) -> int:
     return n
 
 
+def _seed(s: str) -> int:
+    """argparse type for --seed: a non-negative integer, as numpy's
+    generators take."""
+    n = int(s)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {s}")
+    return n
+
+
 def _eta(s: str) -> float:
     """argparse type for eta: a finite number in (0, 1]."""
     try:
@@ -519,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", help="GroupFunction JSON file")
             p.add_argument("--expr", help="expression, e.g. \"e((3*x^2+x)/101)\"")
         if seed:
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_seed, default=None,
                            help="default: $U3KIT_SEED, else 0")
 
     p = sub.add_parser("norm", help="Gowers uniformity norm")
@@ -641,9 +650,9 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "seed", 0) is None:  # read per call, so a changed U3KIT_SEED applies
         raw = os.environ.get("U3KIT_SEED", "0")
         try:
-            args.seed = int(raw)
-        except ValueError:
-            ap.error(f"U3KIT_SEED must be an integer, got {raw!r}")
+            args.seed = _seed(raw)
+        except (ValueError, argparse.ArgumentTypeError):
+            ap.error(f"U3KIT_SEED must be a non-negative integer, got {raw!r}")
     t0 = time.time()
     try:
         result = args.handler(args)

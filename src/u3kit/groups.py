@@ -12,10 +12,14 @@ This module is the only one that knows the row-major layout
 (index = sum_i coord_i * prod_{j>i} n_j, the first factor varying slowest).
 The numeric code elsewhere works on index arrays through three entry points:
 
-* index arithmetic -- ``GroupSpec.add_indices`` / ``neg_indices`` /
-  ``scale_indices`` work digit by digit on broadcasting int64 arrays, from
-  place values computed once per spec (``decode`` / ``encode`` convert to
-  and from coordinates);
+* index arithmetic -- ``GroupSpec.add_indices`` / ``neg_indices`` work on
+  broadcasting int64 arrays one run of factors at a time: consecutive factors
+  whose orders multiply to at most _TABLE_RUN form a run, and the run's digit
+  a // place % m indexes its m x m Cayley table (and negation table), cached
+  and already multiplied by the run's place value, so a + b is the sum over
+  runs of T[a_run, b_run] (one gather on F5^3); a longer factor adds its
+  digits by compare-and-subtract.  ``scale_indices`` scales each factor's
+  digit mod n_i, and ``decode`` / ``encode`` convert to and from coordinates;
 * coset points -- ``GroupSpec.coset_points(y, gens, orders)`` lists
   y + t_1 g_1 + ... + t_k g_k for t in lexicographic order (t_1 slowest), the
   points of a coset of a subgroup in its local coordinates;
@@ -30,7 +34,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm, prod
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -45,6 +49,37 @@ TorusValue = Union[Fraction, float]
 BOUNDED_SLACK = 1e-12
 
 DEFAULT_ENUMERATION_BUDGET = 50_000_000
+
+
+# Largest order of a run of factors that index arithmetic adds with one cached
+# Cayley table (m x m int64, 128 KB at 128).  Replay of every add_indices and
+# neg_indices call of one seed-1 bench pass, ms, median of 9 alternating
+# rounds, one thread, 2-core Xeon:
+#   _TABLE_RUN   gowers  f5_planted  f5_driver
+#   digit loop     80.1       108.1      132.7
+#   16             48.9        70.4       95.6
+#   32             38.5        38.9       56.7
+#   64             37.5        43.2       55.8
+#   128            39.0        30.0       35.7
+#   256            43.1        31.1       32.7
+# From 125 on, F5^3 is one run and F5^6 two.  At 256 the Z/211 of the U^4
+# rows becomes a 211 x 211 table, slower than its compare-and-subtract.
+_TABLE_RUN = 128
+
+
+def _outer_shape(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The broadcast shape of x and y when every axis of x longer than 1
+    precedes every such axis of y (right-aligned), so that x + y is the outer
+    sum of the flattened operands; None otherwise."""
+    ndim = max(len(x), len(y))
+    shape = []
+    in_y = False
+    for nx, ny in zip((1,) * (ndim - len(x)) + x, (1,) * (ndim - len(y)) + y):
+        in_y = in_y or ny != 1
+        if nx != 1 and in_y:
+            return None
+        shape.append(nx if nx != 1 else ny)
+    return tuple(shape)
 
 
 def mod1(t: TorusValue) -> TorusValue:
@@ -135,26 +170,85 @@ class GroupSpec:
             acc = acc + (coords[..., a] % n) * w
         return acc
 
-    # Digit-wise index arithmetic on broadcasting int64 arrays; digit i of an
-    # index a is a // w_i % n_i.
+    # Index arithmetic on broadcasting int64 arrays, one run of factors at a
+    # time (see _runs); digit r of an index a is a // place_r % m_r.
+    @cached_property
+    def _runs(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(orders, place value) of each run of factors, last run first:
+        consecutive factors share a run while their orders multiply to at
+        most _TABLE_RUN, and a longer factor is a run of its own."""
+        runs: list[tuple[tuple[int, ...], int]] = []
+        for n, w in zip(reversed(self.orders), reversed(self._weights)):
+            if runs and prod(runs[-1][0]) * n <= _TABLE_RUN:
+                runs[-1] = ((n,) + runs[-1][0], runs[-1][1])
+            else:
+                runs.append(((n,), w))
+        return tuple(runs)
+
+    def _digits(self, a: np.ndarray, m: int, place: int) -> np.ndarray:
+        """The run digits a // place % m of reduced indices a."""
+        d = a // place if place > 1 else a
+        return d % m if place * m < self.order else d
+
     def add_indices(self, a, b) -> np.ndarray:
-        """a + b: the sum of the indices, less n_i w_i at every digit i whose
-        digit sum reaches n_i (the carry the factor Z/n_i drops)."""
+        """a + b on broadcasting index arrays: the sum over runs of each run's
+        Cayley table at the two digits (a long factor adds its digits by
+        compare-and-subtract, exact up to orders near 2^63).  When the
+        operands form an outer sum, such as (K, 1) with (1, M), the tables
+        are indexed row by one operand and column by the other, so no K x M
+        index array is built."""
         a = np.asarray(a, dtype=np.int64) % self.order
         b = np.asarray(b, dtype=np.int64) % self.order
-        out = np.asarray(a + b)
-        for n, w in zip(self.orders, self._weights):
-            np.subtract(out, n * w, out=out, where=a // w % n >= n - b // w % n)
-        return out
+        shape = _outer_shape(a.shape, b.shape)
+        if shape is None and (shape := _outer_shape(b.shape, a.shape)) is not None:
+            a, b = b, a  # a + b = b + a: b leads
+        outer = shape is not None
+        if outer:
+            a, b = a.reshape(-1, 1), b.reshape(1, -1)
+        else:
+            shape = np.broadcast_shapes(a.shape, b.shape)
+        out = None
+        for orders, place in self._runs:
+            m = prod(orders)
+            da, db = self._digits(a, m, place), self._digits(b, m, place)
+            if m > _TABLE_RUN:
+                part = da - (m - db)  # in [-m, m): no overflow
+                np.add(part, m, out=part, where=part < 0)
+                if place > 1:
+                    part *= place
+            else:
+                T = _run_tables(orders, place)[0]
+                if not outer:
+                    part = T[da, db]
+                elif da.size > m:  # columns of T by b, then whole rows by a
+                    part = np.take(np.take(T, db[0], axis=1), da[:, 0], axis=0)
+                else:
+                    part = np.take(T[da[:, 0]], db[0], axis=1)
+            out = part if out is None else np.add(out, part, out=out)
+        return out.reshape(shape)
 
     def neg_indices(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        return sum(-(a // w) % n * w for n, w in zip(self.orders, self._weights))
+        """-a: the sum over runs of each run's negation table at its digit."""
+        a = np.asarray(a, dtype=np.int64) % self.order
+        out = np.zeros(a.shape, dtype=np.int64)
+        for orders, place in self._runs:
+            m = prod(orders)
+            d = self._digits(a, m, place)
+            out += (-d % m) * place if m > _TABLE_RUN else _run_tables(orders, place)[1][d]
+        return out
 
     def scale_indices(self, c, a) -> np.ndarray:
-        """c * a for an integer (or integer array) c, broadcasting."""
+        """c * a for an integer (or integer array) c, broadcasting.  Each
+        factor scales its digit by c mod n_i, on Python integers where the
+        product of two residues could pass 2^63."""
         a = np.asarray(a, dtype=np.int64)
-        return sum(c * (a // w % n) % n * w for n, w in zip(self.orders, self._weights))
+        out = 0
+        for n, w in zip(self.orders, self._weights):
+            c_n, d = np.asarray(c) % n, a // w % n
+            if n >= 2**31:  # c_n * d may pass 2^63
+                c_n, d = c_n.astype(object), d.astype(object)
+            out = out + np.asarray(c_n * d % n, dtype=np.int64) * w
+        return np.asarray(out, dtype=np.int64)
 
     def pairings(self, xis, idx) -> np.ndarray:
         """D * (xi.x mod 1) in 0..D-1 for dual indices ``xis`` and element
@@ -186,6 +280,19 @@ class GroupSpec:
 
     def __str__(self) -> str:
         return "x".join(f"Z/{n}" for n in self.orders)
+
+
+@lru_cache(maxsize=64)
+def _run_tables(orders: tuple[int, ...], place: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Cayley table place * (i + j) and the negation table place * (-i)
+    of Z/n1 x ... x Z/nk, for row-major indices i, j of that run (read-only:
+    the arrays are shared by every call)."""
+    run = GroupSpec(orders)
+    c = run.decode(np.arange(run.order))
+    add = run.encode(c[:, None, :] + c[None, :, :]) * place
+    neg = run.encode(-c) * place
+    add.flags.writeable = neg.flags.writeable = False
+    return add, neg
 
 
 def _check_owner(a, b) -> None:

@@ -359,6 +359,142 @@ def test_bracket_cli_tiny_negative_constant():
     assert result_of(out)["value"] == 0.0
 
 
+# Group specs for the subcommands on the index layer: small products of
+# cyclic factors, F_p^n, and malformed or empty specs.
+_contract_groups = st.one_of(
+    st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(lambda o: prod(o) <= 300).map(
+        lambda o: "x".join(f"Z/{n}" for n in o)),
+    st.builds(lambda p, n: f"F{p}^{n}", st.sampled_from([2, 3, 5]), st.integers(0, 3)),
+    st.sampled_from(["Z/0", "Z/-3", "Q", "F5^x", "", "Z/5xx"]),
+)
+_int_entries = st.one_of(st.integers(-5, 320).map(str), st.sampled_from(["x", "", " ", "1.5", "9" * 30]))
+
+
+@settings(max_examples=150)
+@given(group=_contract_groups, members=st.lists(_int_entries, max_size=12),
+       k=st.one_of(st.integers(-2, 8).map(str), st.just("x")))
+def test_aps_cli_contract(group, members, k):
+    # aps takes no file: the helper's path goes to --out
+    code, out, _ = run_contract(["aps", "--group", group, "--set", ",".join(members), "--k", k, "--out"], None)
+    if code == 0:
+        result = result_of(out)
+        assert result["k"] == int(k) and 0 <= result["proper"] <= result["total"]
+    elif code == 2:
+        assert not k.lstrip("-").isdigit() or int(k) < 1
+
+
+_radii = st.one_of(st.fractions(0, 1, max_denominator=12).map(lambda f: str(float(f))),
+                   st.sampled_from(["1", "0", "-0.5", "1.5", "nan", "inf", "x", "1/3", "1e-7"]))
+
+
+@settings(max_examples=150)
+@given(group=_contract_groups, S=st.one_of(
+           st.lists(_int_entries, max_size=3).map(",".join),
+           st.lists(st.lists(st.integers(-6, 12).map(str), min_size=1, max_size=3).map(",".join),
+                    min_size=1, max_size=3).map(";".join)),
+       rho=_radii, find_regular=st.one_of(st.none(), _radii), progression=st.booleans())
+def test_bohr_cli_contract(group, S, rho, find_regular, progression):
+    # bohr takes no file: the helper's path goes to --out
+    extra = (["--find-regular", find_regular] if find_regular is not None else []) + (
+        ["--progression"] if progression else [])
+    code, out, _ = run_contract(["bohr", "--group", group, "--S", S, "--rho", rho, *extra, "--out"], None)
+    if code == 0:
+        result = result_of(out)
+        assert 1 <= result["size"] <= parse_group(group).order and result["d"] >= 1
+
+
+@st.composite
+def _f5_function_inputs(draw):
+    """The text of a --input file for inverse-f5: a unimodular function on
+    F5^1..F5^3 (random, or a quadratic phase with noise), one on a group that
+    is not F5^n, a value of modulus above 1, a NaN, one value too few or text
+    that is not JSON; None for no file."""
+    kind = draw(st.sampled_from(["random", "phase", "phase", "other-group", "large", "nan", "wrong-length",
+                                 "not-json", "missing"]))
+    group = draw(st.sampled_from(["Z/7", "Z/4xZ/4", "F3^2", "Z/25"])) if kind == "other-group" else (
+        f"F5^{draw(st.integers(1, 3))}")
+    spec = parse_group(group)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = spec.decode(np.arange(spec.order))
+    if kind == "phase":
+        q = (x[:, 0] ** 2 + 2 * x[:, 0] * x[:, -1] + 3 * x[:, -1]) % 5
+        vals = np.exp(2j * np.pi * (q / 5 + draw(st.sampled_from([0, 0.05, 0.3])) * rng.uniform(size=spec.order)))
+    else:
+        vals = np.exp(2j * np.pi * rng.uniform(size=spec.order))
+    pairs = [[v.real, v.imag] for v in vals]
+    if kind == "large":
+        pairs[0] = [1.5, 0.0]
+    if kind == "nan":
+        pairs[-1][1] = float("nan")
+    if kind == "wrong-length":
+        pairs = pairs[:-1]
+    if kind == "missing":
+        return None
+    if kind == "not-json":
+        return json.dumps(pairs)[:-1]
+    return json.dumps({"group": group, "values": pairs})
+
+
+@settings(max_examples=100)
+@given(text=_f5_function_inputs(), eta=st.sampled_from(["0.01", "0.3", "0.5", "1", "0", "-1", "2", "nan", "x"]),
+       seed=st.one_of(st.none(), st.integers(-5, 2**40).map(str), st.just("x")),
+       n=st.one_of(st.none(), st.integers(-2, 5).map(str)))
+def test_inverse_f5_cli_contract(text, eta, seed, n):
+    extra = ["--eta", eta] + (["--seed", seed] if seed is not None else []) + (["--n", n] if n is not None else [])
+    code, out, _ = run_contract(["inverse-f5", "--input"], text, extra)
+    if code == 0:
+        result = result_of(out)
+        # the pipeline takes unbounded functions too; its bias is at most max |f|
+        bound = max(1.0, *(abs(complex(*v)) for v in json.loads(text)["values"]))
+        assert result["eta"] == float(eta) and 0.0 <= result["average_bias"] <= bound + 1e-9
+    elif code == 2:
+        assert (seed is not None and not seed.isdigit()) or not 0 < float(eta if eta != "x" else "nan") <= 1
+
+
+@st.composite
+def _driver_inputs(draw):
+    """(--n, text of the --set file): a subset of F5^n for n = 1..3 (random,
+    empty, all of it, or an arithmetic progression), a member out of range,
+    a bool or a float member, an object in place of a list, text that is not
+    JSON, or no file; n may also be 0, negative or past the set's group."""
+    n = draw(st.integers(1, 3))
+    N = 5**n
+    kind = draw(st.sampled_from(["random", "random", "empty", "all", "line", "out-of-range", "bool", "float",
+                                 "object", "not-json", "missing"]))
+    if kind == "missing":
+        text = None
+    elif kind == "not-json":
+        text = "[1, 2"
+    elif kind == "object":
+        text = json.dumps({"set": [1, 2]})
+    else:
+        members = {"random": draw(st.lists(st.integers(0, N - 1), unique=True, max_size=N)), "empty": [],
+                   "all": list(range(N)), "line": [(draw(st.integers(0, N - 1)) + j * 7) % N for j in range(5)]
+                   }.get(kind, [0, 1])
+        members = list(members)
+        if kind == "out-of-range":
+            members.append(draw(st.sampled_from([-1, N, 2**70])))
+        elif kind == "bool":
+            members.append(True)
+        elif kind == "float":
+            members.append(1.0)
+        text = json.dumps(members)
+    return str(draw(st.one_of(st.just(n), st.integers(-1, 4)))), text
+
+
+@settings(max_examples=100)
+@given(case=_driver_inputs(), seed=st.one_of(st.none(), st.integers(-5, 2**40).map(str)))
+def test_driver_cli_contract(case, seed):
+    n, text = case
+    extra = ["--n", n] + (["--seed", seed] if seed is not None else [])
+    code, out, _ = run_contract(["driver", "--set"], text, extra)
+    if code == 0:
+        trace = result_of(out)["trace"]
+        assert trace and all(0.0 <= step["density"] <= 1.0 for step in trace)
+    elif code == 2:
+        assert seed is not None and not seed.isdigit()
+
+
 @pytest.mark.parametrize("group", ["Z/1009", "Z/9xZ/15xZ/7"])
 def test_quad_classify_large_groups(group, tmp_path, capsys):
     # refused by the old N^3 locality budget; the generator test is rank^3 N
@@ -624,11 +760,12 @@ def test_seed_env_read_per_call(monkeypatch, capsys):
 
 
 def test_invalid_seed_env(monkeypatch, capsys):
-    monkeypatch.setenv("U3KIT_SEED", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["hp-check", "--trials", "3"])
-    assert exc.value.code == 2
-    assert "U3KIT_SEED" in capsys.readouterr().err
+    for raw in ("abc", "-3"):  # numpy's generators take no negative seed
+        monkeypatch.setenv("U3KIT_SEED", raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["hp-check", "--trials", "3"])
+        assert exc.value.code == 2
+        assert "U3KIT_SEED" in capsys.readouterr().err
     # a subcommand without --seed never reads it
     code, out, _ = run_cli(["norm", "--group", "Z/5", "--expr", "1", "--d", "2"], capsys)
     assert code == 0 and json.loads(out)["manifest"]["seed"] is None

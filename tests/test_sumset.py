@@ -77,9 +77,32 @@ def test_sumset_matches_unique(data):
     spec = data.draw(specs)
     A = np.array(data.draw(sets_in(spec)), dtype=np.int64)
     B = np.array(data.draw(sets_in(spec)), dtype=np.int64)
-    got = bohr.sumset(spec, A, B)
+    chunk = data.draw(st.sampled_from([1, 7, 100, bohr._SUMSET_CHUNK]))  # rows of A per block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bohr, "_SUMSET_CHUNK", chunk)
+        got = bohr.sumset(spec, A, B)
     ref = np.unique(spec.add_indices(A[:, None], B[None, :]))
     assert got.dtype == np.int64 and got.tolist() == ref.tolist()
+
+
+def test_sumset_memory_within_chunk_bound():
+    # 10^7 sums on F5^6: all of them at once peaked at 86 MB under
+    # tracemalloc; blocks of _SUMSET_CHUNK sums keep a few int64 arrays of
+    # that length at a time (about 4 MB)
+    import tracemalloc
+
+    spec = GroupSpec((5,) * 6)
+    rng = np.random.default_rng(0)
+    A = rng.choice(spec.order, 3200, replace=False)
+    B = rng.choice(spec.order, 3125, replace=False)
+    tracemalloc.start()
+    try:
+        got = bohr.sumset(spec, A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == list(range(spec.order))
+    assert peak <= 5 * 8 * bohr._SUMSET_CHUNK
 
 
 @pytest.mark.parametrize("A, folds", [
