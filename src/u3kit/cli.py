@@ -72,6 +72,15 @@ def _read_json(path: str):
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written raises ParseError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def _decoded(decode, raw, what: str):
     """decode(raw) for the contents of an input file: contents of the wrong
     shape (missing keys, wrong types or lengths, bad numbers) raise
@@ -261,6 +270,8 @@ def _cmd_gvn(args) -> dict:
     fs = [function_from_json(_read_json(path)) for path in args.inputs]
     if len(fs) == 1:
         fs = fs * args.k
+    elif not 3 <= len(fs) <= 5:
+        raise ParseError(f"gvn takes one input (used --k times) or 3 to 5 inputs, not {len(fs)}")
     return {"slack": gvn_slack(fs, unchecked=args.unchecked), "k": len(fs)}
 
 
@@ -358,9 +369,7 @@ def _cmd_bracket(args) -> dict:
         out["n"] = args.n
         out["value"] = float(bq.eval(args.n))
     if args.out:
-        f = GroupFunction(GroupSpec((bq.N,)), bq.exp_values())
-        with open(args.out, "w") as fh:
-            json.dump(function_to_json(f), fh)
+        _write(args.out, json.dumps(function_to_json(GroupFunction(GroupSpec((bq.N,)), bq.exp_values()))))
         out["written"] = args.out
         args.out = None
     return out
@@ -404,11 +413,13 @@ def _cmd_nilseq(args) -> dict:
             raise ParseError(f"unknown builtin {kind!r}")
         pos += 1
     F = NilFunction(sysm, blocks, sum(b.lipschitz for b in blocks))
-    seq = nilsequence(F, sysm, sysm.zero_point(), args.N)
+    try:
+        seq = nilsequence(F, sysm, sysm.zero_point(), args.N)
+    except (ValueError, OverflowError) as exc:  # inf or nan reached an integer lift
+        raise ParseError(f"bad nil system: its orbit is not finite in floats ({exc})") from exc
     out = {"N": args.N, "dimension": sysm.dimension}
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(function_to_json(seq), fh)
+        _write(args.out, json.dumps(function_to_json(seq)))
         out["written"] = args.out
         args.out = None
     return out
@@ -447,8 +458,7 @@ def _cmd_fw(args) -> dict:
     f = fw_counterexample(args.N)
     out = {"N": args.N, "support": int(np.sum(np.abs(f.values) > 0))}
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(function_to_json(f), fh)
+        _write(args.out, json.dumps(function_to_json(f)))
         out["written"] = args.out
         args.out = None
     if args.norm:
@@ -465,9 +475,7 @@ def _cmd_scan(args) -> dict:
     res = quadratic_correlation_scan(f, mode=args.mode, seed=args.seed)
     out = res.to_json()
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("a,b,correlation\n")
-            fh.write(f"{res.a},{res.b},{res.value!r}\n")
+        _write(args.csv, f"a,b,correlation\n{res.a},{res.b},{res.value!r}\n")
         out["csv"] = args.csv
     return out
 
@@ -557,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gvn", help="generalized von Neumann slack")
     common(p)
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=int, default=4, choices=[3, 4, 5])
     p.add_argument("--unchecked", action="store_true")
     p.set_defaults(handler=_cmd_gvn)
 
@@ -602,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, group=False)
     p.add_argument("--system", required=True)
     p.add_argument("--F", default="builtin:chi_e")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_positive_int, required=True)
     p.set_defaults(handler=_cmd_nilseq)
 
     p = sub.add_parser("hp-check", help="parallelepiped-constraint check")
@@ -643,23 +651,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if getattr(args, "seed", 0) is None:  # read per call, so a changed U3KIT_SEED applies
-        raw = os.environ.get("U3KIT_SEED", "0")
-        try:
-            args.seed = _seed(raw)
-        except (ValueError, argparse.ArgumentTypeError):
-            ap.error(f"U3KIT_SEED must be a non-negative integer, got {raw!r}")
-    t0 = time.time()
-    try:
-        result = args.handler(args)
-    except U3KitError as exc:
-        json.dump({"error": exc.name, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+def _run(args, argv: list[str], t0: float) -> str:
+    """The handler's output JSON, also written to --out before anything is
+    printed, so a failed write leaves stdout empty."""
+    result = args.handler(args)
     digests = {}
     for k, v in vars(args).items():
         if k in ("input", "set", "system", "bq") and isinstance(v, str) and os.path.exists(v):
@@ -678,10 +673,29 @@ def main(argv: list[str] | None = None) -> int:
     }
     payload = {"manifest": _jsonable(manifest), "result": _jsonable(result)}
     text = json.dumps(payload, indent=None, separators=(",", ":"), sort_keys=True)
-    print(text)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write(args.out, text)
+    return text
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # read per call, so a changed U3KIT_SEED applies
+        raw = os.environ.get("U3KIT_SEED", "0")
+        try:
+            args.seed = _seed(raw)
+        except (ValueError, argparse.ArgumentTypeError):
+            ap.error(f"U3KIT_SEED must be a non-negative integer, got {raw!r}")
+    t0 = time.time()
+    try:
+        text = _run(args, argv, t0)
+    except U3KitError as exc:
+        json.dump({"error": exc.name, "message": str(exc)}, sys.stderr)
+        sys.stderr.write("\n")
+        return 3
+    print(text)
     return 0
 
 

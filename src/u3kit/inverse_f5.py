@@ -386,7 +386,13 @@ def quadratic_obstruction(
 ) -> ObstructionReport:
     """End-to-end assembly of a quadratic obstruction for a function with
     large U^3 norm.  Never fabricates a witness: every bias is the directly
-    evaluated correlation of f with the constructed coset phase."""
+    evaluated correlation of f with the constructed coset phase.
+
+    Any finite f is accepted, 1-bounded or not: a planted phase plus noise
+    eps·e(u) reaches modulus 1 + eps.  A bias is a correlation
+    |E_{x in y+W} f(x) e(-q(x))| with the witness phase q, so each reported
+    bias, and their average, is at most max |f|, and at most 1 only for
+    1-bounded f."""
     spec = f.owner
     p = _homogeneous_prime(spec)
     gamma = phase_derivative_graph(f, eta)

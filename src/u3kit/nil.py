@@ -187,9 +187,6 @@ class NilSystem:
 class NilPoint:
     blocks: tuple[tuple, ...]
 
-    def flat(self) -> tuple:
-        return tuple(v for b in self.blocks for v in b)
-
 
 def orbit_point(sys: NilSystem, x0: NilPoint, n: int) -> NilPoint:
     return NilPoint(tuple(f.orbit(c, n) for f, c in zip(sys.factors, x0.blocks)))

@@ -10,16 +10,26 @@ differences), classification and coset extension, the representation of
 locally quadratic functions on coset progressions, bracket quadratics on
 Z/N, and the quadratic-form sublemmas (isotropic vectors, degenerate
 subspaces, orthogonal complements).
+
+Every exact phase table is held one way: integer numerators in [0, D) over
+one common denominator D, addressed by group index.  ``_numerators`` turns
+exact torus values into that form (``PhaseTable`` wraps it for a whole
+group), ``QuadraticPhase.numerators`` evaluates a quadratic at an index
+array in it, and ``_agree`` compares two such tables mod 1.  Points are
+found through ``GroupSpec`` index arithmetic (``add_indices``,
+``coset_points``, ``CosetProgression.progression_indices``), never one
+``GroupElement`` at a time.  The scalar APIs that remain are
+``QuadraticPhase.evaluate`` (with ``bilinear_value`` and ``translate``),
+``ProgressionQuadratic.reconstruct`` and ``BracketQuadratic.eval``.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, gcd, lcm
+from math import floor, gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -75,30 +85,38 @@ def _require_odd(spec: GroupSpec) -> None:
 # --- exact phase tables -----------------------------------------------------
 
 
+def _numerators(values: Iterable[TorusValue]) -> tuple[np.ndarray, int]:
+    """Exact torus values as (numerators in [0, D), D) over their common
+    denominator D: int64 while D < 2^62, so a difference of two stays in
+    range, and Python integers (object dtype) past that."""
+    fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    D = lcm(1, *(f.denominator for f in fracs))
+    num = [(f.numerator * (D // f.denominator)) % D for f in fracs]
+    return np.array(num, dtype=np.int64 if D < 2**62 else object), D
+
+
+def _agree(a: np.ndarray, Da: int, b: np.ndarray, Db: int) -> bool:
+    """Whether the tables a/Da and b/Db (numerators in [0, D), broadcasting)
+    agree mod 1 entry by entry, compared over lcm(Da, Db) on Python
+    integers."""
+    L = lcm(Da, Db)
+    return bool(np.all(np.asarray(a, object) * (L // Da) == np.asarray(b, object) * (L // Db)))
+
+
 class PhaseTable:
     """Exact torus-valued table over group indices: numerators over a common
-    denominator, enabling vectorized integer arithmetic mod D.  The
-    numerators are int64 while D < 2^62, so a difference of two stays in
-    range, and Python integers (object dtype) past that."""
+    denominator, enabling vectorized integer arithmetic mod D (see
+    ``_numerators`` for the dtype)."""
 
     def __init__(self, spec: GroupSpec, values: Sequence[TorusValue]):
         if len(values) != spec.order:
             raise SpecMismatch("phase table must have one value per element")
-        fracs = [Fraction(v) if not isinstance(v, Fraction) else v for v in values]
         self.spec = spec
-        self.denominator = lcm(1, *(f.denominator for f in fracs)) if fracs else 1
-        D = self.denominator
-        self.numerators = np.array(
-            [(f.numerator * (D // f.denominator)) % D for f in fracs],
-            dtype=np.int64 if D < 2**62 else object,
-        )
-
-    def value(self, index: int) -> Fraction:
-        return Fraction(int(self.numerators[index]), self.denominator)
+        self.numerators, self.denominator = _numerators(values)
 
 
 def is_locally_quadratic(
-    phi: Mapping[int, TorusValue] | Sequence[TorusValue],
+    phi: Mapping[int, TorusValue] | Sequence[TorusValue] | PhaseTable,
     domain: Iterable[int],
     spec: GroupSpec,
     budget: int = DEFAULT_CUBE_BUDGET,
@@ -106,18 +124,20 @@ def is_locally_quadratic(
     """Exact check that all third differences of phi vanish on cubes in the
     domain.
 
-    ``phi`` maps ambient group indices to exact rationals; ``domain`` is the
-    set of indices where phi is defined.
+    ``phi`` maps ambient group indices to exact rationals (a Mapping, a
+    Sequence, or a ``PhaseTable`` already converted); ``domain`` is the set
+    of indices where phi is defined.  Both branches read phi's numerators
+    over their common denominator D.
 
     On the full group only the generators e_1, ..., e_k of the factors are
     tried: Δ_{e_a}Δ_{e_b}Δ_{e_c}φ(x) = 0 for every a <= b <= c and every x,
-    read off the ``PhaseTable`` numerators mod their common denominator, in
-    rank^3·N steps.  That is exact.  A function F with Δ_{e_c}F = 0 for
-    every generator is constant, and Δ_{h+k}F = T^kΔ_hF + Δ_kF extends
-    "Δ_hF is constant" from generators h to every h.  So vanishing along
-    generator triples makes each Δ_{e_a}Δ_{e_b}φ constant, then (with F =
-    Δ_{e_b}φ) each Δ_hΔ_{e_b}φ = Δ_{e_b}Δ_hφ, then (with F = Δ_hφ) each
-    Δ_kΔ_hφ, which is the statement that every third difference vanishes.
+    read off the numerators mod D, in rank^3·N steps.  That is exact.  A
+    function F with Δ_{e_c}F = 0 for every generator is constant, and
+    Δ_{h+k}F = T^kΔ_hF + Δ_kF extends "Δ_hF is constant" from generators h
+    to every h.  So vanishing along generator triples makes each
+    Δ_{e_a}Δ_{e_b}φ constant, then (with F = Δ_{e_b}φ) each Δ_hΔ_{e_b}φ =
+    Δ_{e_b}Δ_hφ, then (with F = Δ_hφ) each Δ_kΔ_hφ, which is the statement
+    that every third difference vanishes.
     Third differences commute, so a <= b <= c covers every ordered triple.
     On a proper domain every cube of |B|^4 base points and shifts is scanned.
     """
@@ -125,14 +145,20 @@ def is_locally_quadratic(
     m = len(dom)
     N = spec.order
     if m == N:
+        dom = np.arange(N, dtype=np.int64)
         k = spec.rank
         if k**3 * N > budget:
             raise BudgetExceeded(
                 f"rank^3*N = {k}^3*{N} generator third-difference scan exceeds budget {budget}"
             )
-        table = PhaseTable(spec, [phi[i] for i in range(N)])
-        num, D = table.numerators, table.denominator
-        idx = np.arange(N, dtype=np.int64)
+    if isinstance(phi, PhaseTable):
+        num, D = phi.numerators, phi.denominator
+    else:
+        vals, D = _numerators([phi[int(i)] for i in dom])
+        num = np.zeros(N, dtype=vals.dtype)
+        num[dom] = vals
+    if m == N:
+        idx = dom
         gens = [spec.index_of([int(t == a) for t in range(k)]) for a in range(k)]
         shifted = [spec.add_indices(idx, np.int64(g)) for g in gens]  # x + e_a
         for a in range(k):
@@ -144,22 +170,14 @@ def is_locally_quadratic(
                     return False
         return True
 
-    if isinstance(phi, Mapping):
-        vals = {int(k): Fraction(v) for k, v in phi.items()}
-    else:
-        vals = {i: Fraction(phi[i]) for i in dom}
-    D = lcm(1, *(v.denominator for v in vals.values())) if vals else 1
-    num = np.zeros(N, dtype=np.int64)
     member = np.zeros(N, dtype=bool)
-    for i in dom:
-        f = vals[int(i)]
-        num[i] = (f.numerator * (D // f.denominator)) % D
-        member[i] = True
-
+    member[dom] = True
     if m**4 > budget:
         raise BudgetExceeded(f"|B|^4 = {m**4} cube scan exceeds budget")
     if m == 0:
         return True
+    if D >= 2**61:  # the eight-term sum below lies in (-4D, 4D)
+        num = num.astype(object)
     neg = spec.neg_indices(dom)
     for xi in range(m):
         x = dom[xi]
@@ -176,7 +194,7 @@ def is_locally_quadratic(
         if not np.any(ok):
             continue
         total = (
-            -np.int64(num[x])
+            -num[x]
             + (num[p1] + num[p2] + num[p3])
             - (num[s12] + num[s13] + num[s23])
             + num[s123]
@@ -254,11 +272,14 @@ class QuadraticPhase:
         return mod1(total + self.c)
 
     def values(self) -> list[Fraction]:
-        return [self.evaluate(x) for x in self.spec.elements()]
+        """The value at every index, in index order."""
+        num, D = self.numerators()
+        return [Fraction(v, D) for v in num.tolist()]
 
-    def numerators(self) -> tuple[np.ndarray, int]:
-        """(numerator array over all indices, common denominator), vectorized
-        on Python integers (object dtype), so no denominator overflows."""
+    def numerators(self, idx=None) -> tuple[np.ndarray, int]:
+        """(numerators at the indices ``idx``, every index by default, common
+        denominator), vectorized on Python integers (object dtype), so no
+        denominator overflows."""
         spec = self.spec
         D = lcm(
             1,
@@ -266,8 +287,8 @@ class QuadraticPhase:
             *spec.orders,
             self.c.denominator,
         )
-        coords = spec.decode(np.arange(spec.order)).astype(object)
-        acc = np.full(spec.order, (self.c.numerator * (D // self.c.denominator)) % D, object)
+        coords = spec.decode(np.arange(spec.order) if idx is None else idx).astype(object)
+        acc = np.full(coords.shape[:-1], (self.c.numerator * (D // self.c.denominator)) % D, object)
         for i in range(spec.rank):
             for j in range(spec.rank):
                 b = self.bilinear[i][j]
@@ -305,10 +326,6 @@ class QuadraticPhase:
         }
 
 
-def eval_quadratic(Q: QuadraticPhase, x: GroupElement) -> Fraction:
-    return Q.evaluate(x)
-
-
 def _half_mod(value: Fraction, modulus_hint: int) -> Fraction:
     """Divide by 2 inside the cyclic subgroup of R/Z generated by 1/den."""
     value = mod1(value)
@@ -327,45 +344,37 @@ def classify_global_quadratic(
     The bilinear form is read off the symmetric second difference
     phi(x+h) - phi(x) - phi(h) + phi(0) = 2 Mh.x, halving each entry using
     that the group order is odd; the linear part is the residual at the
-    basis vectors and c = phi(0).  The reconstruction is verified pointwise.
+    basis vectors and c = phi(0).  phi is converted to numerators once, and
+    the reconstruction is compared with it at every index.
     """
     _require_odd(spec)
-    if check and not is_locally_quadratic(list(phi), range(spec.order), spec):
+    table = PhaseTable(spec, phi)
+    if check and not is_locally_quadratic(table, range(spec.order), spec):
         raise NotQuadratic("third differences do not vanish")
-    fr = [Fraction(v) if not isinstance(v, Fraction) else v for v in phi]
+    num, D = table.numerators, table.denominator
     k = spec.rank
 
-    def basis_index(i: int) -> int:
-        coords = [0] * k
-        coords[i] = 1 % spec.orders[i]
-        return spec.index_of(coords)
+    def at(i) -> Fraction:
+        return Fraction(int(num[i]), D)
 
-    e = [basis_index(i) for i in range(k)]
-    zero = 0
+    e = [spec.index_of([int(t == i) for t in range(k)]) for i in range(k)]
     B: list[list[Fraction]] = [[Fraction(0)] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            ei, ej = spec.element_by_index(e[i]), spec.element_by_index(e[j])
-            chi = mod1(fr[(ei + ej).index] - fr[e[i]] - fr[e[j]] + fr[zero])
+            chi = mod1(at(spec.add_indices(e[i], e[j])) - at(e[i]) - at(e[j]) + at(0))
             g = gcd(spec.orders[i], spec.orders[j])
             if g % chi.denominator:
                 raise NotQuadratic("second difference has incompatible denominator")
             B[i][j] = _half_mod(chi, g)
     xi = []
     for j in range(k):
-        r = mod1(fr[e[j]] - B[j][j] - fr[zero])
+        r = mod1(at(e[j]) - B[j][j] - at(0))
         numer = r * spec.orders[j]
         if numer.denominator != 1:
             raise NotQuadratic("linear residual is not a character")
         xi.append(int(numer) % spec.orders[j])
-    Q = QuadraticPhase(spec, tuple(tuple(row) for row in B), tuple(xi), mod1(fr[zero]))
-    qnum, qD = Q.numerators()
-    pt = PhaseTable(spec, fr)
-    scale = lcm(qD, pt.denominator)
-    if np.any(
-        (qnum * (scale // qD)) % scale
-        != (pt.numerators.astype(object) * (scale // pt.denominator)) % scale
-    ):
+    Q = QuadraticPhase(spec, tuple(tuple(row) for row in B), tuple(xi), at(0))
+    if not _agree(*Q.numerators(), num, D):
         raise NotQuadratic("reconstruction mismatch")
     return Q
 
@@ -378,17 +387,6 @@ def _local_spec(H: Subgroup) -> GroupSpec:
     return GroupSpec(orders if orders else (1,))
 
 
-def _coset_local_table(
-    phi: Mapping[int, TorusValue], y_index: int, H: Subgroup
-) -> list[Fraction]:
-    out = []
-    for idx in H.spec.coset_points(y_index, H.generators, H.local_orders).tolist():
-        if idx not in phi:
-            raise SpecMismatch("phase not defined on the whole coset")
-        out.append(Fraction(phi[idx]))
-    return out
-
-
 def extend_from_coset(
     phi: Mapping[int, TorusValue], y: GroupElement, H: Subgroup
 ) -> QuadraticPhase:
@@ -399,13 +397,16 @@ def extend_from_coset(
     coefficient congruences factor by factor.  For subgroups of
     non-squarefree cyclic factors the congruence may be unsolvable, in which
     case no global quadratic extension exists and ExtensionObstructed is
-    raised.
+    raised.  The extension is checked against phi at every index of phi,
+    on the coset and off it.
     """
     spec = H.spec
     _require_odd(spec)
     loc = _local_spec(H)
-    table = _coset_local_table(phi, y.index, H)
-    QH = classify_global_quadratic(table, loc)
+    coset = spec.coset_points(y.index, H.generators, H.local_orders).tolist()
+    if not all(i in phi for i in coset):
+        raise SpecMismatch("phase not defined on the whole coset")
+    QH = classify_global_quadratic([phi[i] for i in coset], loc)
 
     if isinstance(H, PrimeSubspace):
         p = H.p
@@ -451,9 +452,9 @@ def extend_from_coset(
         raise SpecMismatch("unsupported subgroup representation")
 
     Q = Q0.translate(y)
-    for idx, v in phi.items():
-        if Q.evaluate(spec.element_by_index(int(idx))) != mod1(Fraction(v)):
-            raise ExtensionObstructed("constructed extension disagrees on the coset")
+    num, D = _numerators(phi.values())
+    if not _agree(*Q.numerators(np.fromiter(phi, np.int64, len(phi))), num, D):
+        raise ExtensionObstructed("constructed extension disagrees on the coset")
     return Q
 
 
@@ -491,96 +492,107 @@ class ProgressionQuadratic:
         return mod1(val)
 
 
-def _fit_pure_progression(
-    g: Mapping[tuple[int, ...], Fraction], d: int, ls_range: Sequence[range]
-):
-    """Fit g(l) = sum_{i,j} l_i l_j lam_ij + sum_i l_i eta_i + c exactly.
+def _grid(half_lengths: Sequence[int]) -> np.ndarray:
+    """The l-grid prod range(-(L_i - 1), L_i) as a (d, n) array of Python
+    integers, lexicographic with l_1 slowest: the order of
+    ``CosetProgression.progression_indices``."""
+    sizes = [2 * L - 1 for L in half_lengths]
+    ls = np.indices(sizes, dtype=np.int64).reshape(len(sizes), prod(sizes))
+    return (ls - np.array(half_lengths, dtype=np.int64).reshape(-1, 1) + 1).astype(object)
 
-    Halving second differences is two-valued in R/Z; every branch combination
-    is tried and validated against the full table.
-    """
-    c = g[(0,) * d]
-    second: list[list[Fraction]] = [[Fraction(0)] * d for _ in range(d)]
+
+def _grid_position(l: Sequence[int], half_lengths: Sequence[int]) -> int:
+    """Position of the point l in ``_grid`` (a KeyError off the grid)."""
+    pos = 0
+    for li, L in zip(l, half_lengths, strict=True):
+        if not -L < li < L:
+            raise KeyError(tuple(l))
+        pos = pos * (2 * L - 1) + li + L - 1
+    return pos
+
+
+def _pure_numerators(ls: np.ndarray, lam, eta, c, E: int) -> np.ndarray:
+    """E·(c + sum_i l_i eta_i + sum_{i,j} l_i l_j lam_ij) at every grid
+    point l (columns of ``ls``), for coefficients with denominators dividing
+    E; not reduced mod E."""
+    d = len(eta)
+    acc = np.full(ls.shape[1], int(c * E), dtype=object)
     for i in range(d):
-        ei = tuple(1 if t == i else 0 for t in range(d))
-        mi = tuple(-1 if t == i else 0 for t in range(d))
-        second[i][i] = mod1(g[ei] + g[mi] - 2 * c)  # = 2 lam_ii
+        acc = acc + ls[i] * int(eta[i] * E)
+        for j in range(d):
+            acc = acc + ls[i] * ls[j] * int(lam[i][j] * E)
+    return acc
+
+
+def _fit_pure_progression(g: np.ndarray, D: int, half_lengths: Sequence[int]):
+    """Fit g(l)/D = sum_{i,j} l_i l_j lam_ij + sum_i l_i eta_i + c exactly,
+    mod 1, for numerators g in [0, D) on the l-grid of ``_grid``.
+
+    lam is half the second differences.  Halving in R/Z is two-valued, but
+    the halves differ by 1/2, and l_i^2 = l_i, 2 l_i l_j = 0 mod 2, so every
+    choice gives the same function mod 1 once eta is read off: the lower
+    half is taken, and the fit is validated against the whole table in one
+    comparison over the common denominator 2D of the coefficients.
+    """
+    d = len(half_lengths)
+
+    def at(*steps: tuple[int, int]) -> Fraction:
+        """g/D at the sum of the unit steps (axis, ±1)."""
+        l = [0] * d
+        for i, s in steps:
+            l[i] += s
+        return Fraction(int(g[_grid_position(l, half_lengths)]), D)
+
+    c = at()
+    lam: list[list[Fraction]] = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        lam[i][i] = mod1(at((i, 1)) + at((i, -1)) - 2 * c) / 2
     for i in range(d):
         for j in range(i + 1, d):
-            eij = tuple(1 if t in (i, j) else 0 for t in range(d))
-            ei = tuple(1 if t == i else 0 for t in range(d))
-            ej = tuple(1 if t == j else 0 for t in range(d))
-            second[i][j] = second[j][i] = mod1(g[eij] - g[ei] - g[ej] + c)  # = 2 lam_ij
-
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    for branch in itertools.product([0, 1], repeat=len(pairs)):
-        lam = [[Fraction(0)] * d for _ in range(d)]
-        ok = True
-        for (i, j), b in zip(pairs, branch):
-            v = mod1(second[i][j])
-            lam[i][j] = lam[j][i] = mod1(Fraction(v, 2) + Fraction(b, 2))
-        eta = []
-        for i in range(d):
-            ei = tuple(1 if t == i else 0 for t in range(d))
-            eta.append(mod1(g[ei] - lam[i][i] - c))
-        for l in itertools.product(*ls_range):
-            val = c
-            for i in range(d):
-                val += l[i] * eta[i]
-                for j in range(d):
-                    val += l[i] * l[j] * lam[i][j]
-            if mod1(val) != g[tuple(l)]:
-                ok = False
-                break
-        if ok:
-            return lam, eta, c
-    raise NotQuadratic("no exact quadratic fit of the progression table")
+            lam[i][j] = lam[j][i] = mod1(at((i, 1), (j, 1)) - at((i, 1)) - at((j, 1)) + c) / 2
+    eta = [mod1(at((i, 1)) - lam[i][i] - c) for i in range(d)]
+    if not _agree(_pure_numerators(_grid(half_lengths), lam, eta, c, 2 * D) % (2 * D), 2 * D, g, D):
+        raise NotQuadratic("no exact quadratic fit of the progression table")
+    return lam, eta, c
 
 
 def quadratic_on_coset_progression(phi: Mapping[int, TorusValue], P) -> ProgressionQuadratic:
     """Represent a locally quadratic phase on a proper coset progression.
 
     Returns reconstruction-verified coefficients; coefficient-level
-    uniqueness is not claimed (halving in R/Z is two-valued).
+    uniqueness is not claimed (halving in R/Z is two-valued).  Everything is
+    read off one table: the numerators of phi - base_Q at the points
+    base + sum l_i v_i + h of P, one row per l (in the order of
+    ``P.progression_indices``) and one column per h (H in its local
+    coordinates, lexicographic).
     """
     H = P.subgroup
     spec = H.spec
     _require_odd(spec)
     if not P.proper:
         raise NotProper("progression is not proper")
-    base_Q = extend_from_coset(
-        {int(i): Fraction(phi[int(i)]) for i in (spec.add_indices(H.element_indices(), np.int64(P.base.index))).tolist()},
-        P.base,
-        H,
-    )
+    coset = spec.add_indices(H.element_indices(), np.int64(P.base.index)).tolist()
+    base_Q = extend_from_coset({i: phi[i] for i in coset}, P.base, H)
     d = len(P.generators)
     loc = _local_spec(H)
+    k = len(H.local_orders)
 
-    def phival(l: Sequence[int], h_amb: GroupElement) -> Fraction:
-        x = P.point(l, h_amb)
-        return Fraction(phi[x.index])
-
-    resid: dict[tuple[int, ...], Fraction] = {}
-    zero_amb = spec.zero()
-    rng = [range(-(L - 1), L) for L in P.half_lengths]
-    for l in itertools.product(*rng):
-        x = P.point(l, zero_amb)
-        resid[tuple(l)] = mod1(Fraction(phi[x.index]) - base_Q.evaluate(x))
-    lam, eta, c0 = _fit_pure_progression(resid, d, rng)
+    pts = spec.add_indices(P.progression_indices()[:, None],
+                           spec.coset_points(0, H.generators, H.local_orders)[None, :])
+    pnum, pD = _numerators([phi[i] for i in pts.ravel().tolist()])
+    qnum, qD = base_Q.numerators(pts)
+    L = lcm(pD, qD)
+    resid = (pnum.reshape(pts.shape).astype(object) * (L // pD) - qnum * (L // qD)) % L
+    lam, eta, c0 = _fit_pure_progression(resid[:, 0], L, P.half_lengths)
     if c0 != 0:
         raise NotQuadratic("residual must vanish on the base coset")
 
     xi_cross: list[tuple[int, ...]] = []
     for i in range(d):
-        ei = tuple(1 if t == i else 0 for t in range(d))
+        row = resid[_grid_position([int(t == i) for t in range(d)], P.half_lengths)]
         coords = []
-        for t in range(loc.rank if H.local_orders else 0):
-            ht = tuple(1 if s == t else 0 for s in range(loc.rank))
-            amb = spec.element(H.embed_coords(ht))
-            chi = mod1(
-                phival(ei, amb) - phival(ei, zero_amb) - base_Q.evaluate(P.point(ei, amb))
-                + base_Q.evaluate(P.point(ei, zero_amb))
-            )
+        for t in range(k):
+            chi = mod1(Fraction(int(row[loc.index_of([int(s == t) for s in range(k)])] - row[0]), L))
             half = _half_mod(chi, loc.orders[t])
             numer = half * loc.orders[t]
             if numer.denominator != 1:
@@ -588,14 +600,17 @@ def quadratic_on_coset_progression(phi: Mapping[int, TorusValue], P) -> Progress
             coords.append(int(numer) % loc.orders[t])
         xi_cross.append(tuple(coords))
 
-    out = ProgressionQuadratic(base_Q, xi_cross, lam, eta)
-    for l in itertools.product(*rng):
-        for h in (loc.elements() if H.local_orders else [loc.zero()]):
-            hc = h.coords if H.local_orders else ()
-            amb = spec.element(H.embed_coords(hc)) if H.local_orders else zero_amb
-            if out.reconstruct(P, l, hc) != mod1(Fraction(phi[P.point(l, amb).index])):
-                raise NotQuadratic("progression reconstruction mismatch")
-    return out
+    # phi - base_Q = sum_i 2 l_i xi_i.h + (the pure part) at every (l, h)
+    E = lcm(2 * L, *H.local_orders)
+    h = loc.decode(np.arange(loc.order))[:, :k].astype(object)
+    ls = _grid(P.half_lengths)
+    pred = _pure_numerators(ls, lam, eta, 0, E)[:, None]
+    for i in range(d):
+        cross = h @ np.array([x * (E // n) for x, n in zip(xi_cross[i], H.local_orders)], dtype=object)
+        pred = pred + 2 * ls[i][:, None] * cross[None, :]
+    if not _agree(pred % E, E, resid, L):
+        raise NotQuadratic("progression reconstruction mismatch")
+    return ProgressionQuadratic(base_Q, xi_cross, lam, eta)
 
 
 # --- bracket quadratics on Z/N ----------------------------------------------
@@ -749,12 +764,9 @@ def bracket_from_progression(
         return BracketQuadratic(N, freqs, zero_q, (Fraction(0),) * s, mod1(Fraction(phi[0])))
 
     # exact coefficients on the progression grid
-    resid: dict[tuple[int, ...], Fraction] = {}
-    rng = [range(-(L - 1), L) for L in P.half_lengths]
-    for l in itertools.product(*rng):
-        x = P.point(l, spec.zero())
-        resid[tuple(l)] = Fraction(phi[x.index])
-    lam, eta, c = _fit_pure_progression(resid, d, rng)
+    pts = P.progression_indices().tolist()
+    g, D = _numerators([phi[x] for x in pts])
+    lam, eta, c = _fit_pure_progression(g, D, P.half_lengths)
 
     # dual vectors: Phi(x) . u_i = l_i where Phi(x) = ({xi x / N})_{xi in S}
     V = [[frac_part(Fraction(xi * g.coords[0], N)) for xi in freqs] for g in P.generators]
@@ -787,9 +799,8 @@ def bracket_from_progression(
             lin[a] += eta[i] * U[a, i]
     bq = BracketQuadratic(N, freqs, tuple(tuple(r) for r in quad), tuple(lin), mod1(c))
 
-    for l in itertools.product(*rng):
-        x = P.point(l, spec.zero())
-        if mod1(bq.eval(x.coords[0])) != mod1(Fraction(phi[x.index])):
+    for x, v in zip(pts, g.tolist()):
+        if mod1(bq.eval(x)) != Fraction(v, D):
             raise NotQuadratic("bracket quadratic disagrees on the progression")
     return bq
 
@@ -882,29 +893,25 @@ def orthogonal_complement(
     bilinear: Sequence[Sequence[Fraction]], K: Subgroup, spec: GroupSpec
 ) -> np.ndarray:
     """K-perp = {y : Mx.y = 0 for all x in K} for a self-adjoint form on the
-    whole group, by direct scan; returns sorted element indices."""
+    whole group; returns sorted element indices.
+
+    One integer pass over the group: for each generator x of K the linear
+    form y -> Mx.y has numerators a_j = D·(sum_i B[i][j] x_i) mod D over the
+    common denominator D of B, and y is kept when sum_j a_j y_j = 0 mod D for
+    every generator."""
     B = [[Fraction(v) for v in row] for row in bilinear]
-    gens: list[tuple[int, ...]] = []
     if isinstance(K, PrimeSubspace):
-        gens = [tuple(int(v) for v in row) for row in K.basis_matrix()]
+        gens = K.basis_matrix().tolist()
     else:
-        for t in range(spec.rank):
-            if K.divisors[t] != spec.orders[t]:
-                coords = [0] * spec.rank
-                coords[t] = K.divisors[t]
-                gens.append(tuple(coords))
-    out = []
-    for idx in range(spec.order):
-        y = spec.coords_of(idx)
-        good = True
-        for gcoords in gens:
-            total = Fraction(0)
-            for i in range(spec.rank):
-                for j in range(spec.rank):
-                    total += B[i][j] * gcoords[i] * y[j]
-            if mod1(total) != 0:
-                good = False
-                break
-        if good:
-            out.append(idx)
-    return np.array(sorted(out), dtype=np.int64)
+        gens = [[K.divisors[t] * (s == t) for s in range(spec.rank)]
+                for t in range(spec.rank) if K.divisors[t] != spec.orders[t]]
+    D = lcm(1, *(b.denominator for row in B for b in row))
+    y = spec.decode(np.arange(spec.order)).astype(object)
+    keep = np.ones(spec.order, dtype=bool)
+    for x in gens:
+        acc = np.zeros(spec.order, dtype=object)
+        for j in range(spec.rank):
+            a = sum(B[i][j] * x[i] for i in range(spec.rank)) * D % D
+            acc = (acc + int(a) * y[:, j]) % D
+        keep &= acc == 0
+    return np.flatnonzero(keep)

@@ -203,9 +203,10 @@ def _norm_inputs(draw):
 
 def run_contract(argv, text, extra=()):
     """Run `u3kit <argv> FILE <extra>`, where argv ends in the flag that
-    takes the file and FILE holds `text` (no file for None).  Checks the CLI
-    contract, exit 0, 2 (usage) or 3 (a JSON error on stderr) and never a
-    traceback, and returns (exit code, stdout, stderr)."""
+    takes the file, FILE holds `text` (no file for None) and "{path}" in
+    extra also stands for FILE.  Checks the CLI contract, exit 0 (a JSON
+    result on stdout), 2 (usage) or 3 (a JSON error on stderr, nothing on
+    stdout) and never a traceback, and returns (exit code, stdout, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "f.json")
         if text is not None:
@@ -214,10 +215,12 @@ def run_contract(argv, text, extra=()):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:
-                code = main([*argv, path, *extra])
+                code = main([*argv, path, *(a.replace("{path}", path) for a in extra)])
             except SystemExit as exc:
                 code = exc.code
     assert code in (0, 2, 3)
+    if code == 0:
+        assert "result" in json.loads(out.getvalue())
     if code == 3:
         assert out.getvalue() == "" and "error" in json.loads(err.getvalue())
     assert "Traceback" not in err.getvalue()
@@ -493,6 +496,217 @@ def test_driver_cli_contract(case, seed):
         assert trace and all(0.0 <= step["density"] <= 1.0 for step in trace)
     elif code == 2:
         assert seed is not None and not seed.isdigit()
+
+
+@st.composite
+def _function_inputs(draw, groups):
+    """The text of a --input file on one of `groups`: most often a random
+    function in the unit disk, else a quadratic phase, one with a value of
+    modulus 2, a NaN, one value too few or text that is not JSON; None for
+    no file."""
+    spec = parse_group(draw(st.sampled_from(groups)))
+    kind = draw(st.sampled_from(["random"] * 3 + ["phase", "large", "nan", "wrong-length", "not-json", "missing"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "phase":
+        x = spec.decode(np.arange(spec.order))
+        vals = np.exp(2j * np.pi * (x[:, 0] ** 2 + x[:, -1]) / spec.orders[0])
+    else:
+        vals = rng.uniform(0, 1, spec.order) * np.exp(2j * np.pi * rng.uniform(0, 1, spec.order))
+    pairs = [[v.real, v.imag] for v in vals]
+    if kind == "large":
+        pairs[0] = [2.0, 0.0]
+    if kind == "nan":
+        pairs[-1][0] = float("nan")
+    if kind == "wrong-length":
+        pairs = pairs[:-1]
+    if kind == "missing":
+        return None
+    if kind == "not-json":
+        return json.dumps(pairs)[:-1]
+    return json.dumps({"group": str(spec), "values": pairs})
+
+
+# Mostly valid values first, then the malformed ones, for sampled_from.
+_seeds = st.sampled_from([None, None, None, "0", "7", "123456789", "-3", "x"])
+_small_groups = st.sampled_from(["Z/7", "Z/13", "Z/31", "Z/12", "F5^2", "F3^2", "Z/4xZ/6", "Z/9xZ/3", "Z/1",
+                                 "F5^0", "Z/0", "Q"])
+_set_entries = st.sampled_from([str(i) for i in range(13)] + ["x", "-1", "999", ""])
+_some_radii = st.sampled_from(["0.2", "0.1", "0.24", "0.5", "1", "0", "-0.5", "nan", "x"])
+
+
+@settings(max_examples=80)
+@given(text=_function_inputs(["Z/7", "Z/9", "Z/25", "Z/15", "F5^2", "F3^2", "Z/9xZ/3", "Z/4", "Z/1"]),
+       kind=st.sampled_from(["coset", "bracket"]), y=st.sampled_from(["0", "0", "1", "5", "-1", "99"]),
+       H=st.sampled_from(["whole", "whole", "div:3", "div:1", "span:1,2", "span:1,0;0,1", "span:0,0", "div:2", "x"]),
+       S=st.sampled_from(["1", "1", "2", "1,2", "1,0", "1,0;0,1", "", "0", "x"]),
+       grid=st.sampled_from(["1", "2", "3", "0", "-1", "x"]), rho=st.sampled_from([None, None, "0.3", "1", "0", "x"]))
+def test_u3_oracle_cli_contract(text, kind, y, H, S, grid, rho):
+    extra = ["--kind", kind, "--y", y, "--H", H, "--S", S, "--grid", grid] + (["--rho", rho] if rho else [])
+    code, out, _ = run_contract(["u3-oracle", "--input"], text, extra)
+    if code == 2:
+        assert "x" in (y, grid, rho) or rho == "0"
+
+
+@settings(max_examples=60)
+@given(text=_function_inputs(["Z/5", "Z/7", "Z/11", "Z/9", "Z/6", "Z/1"]),
+       copies=st.sampled_from([1, 1, 3, 4, 5, 2, 6]), k=st.sampled_from(["3", "4", "5", "3", "0", "6", "x"]),
+       unchecked=st.booleans())
+def test_gvn_cli_contract(text, copies, k, unchecked):
+    # the file given 1-6 times: one input is used --k times, several must number 3-5
+    extra = ["{path}"] * (copies - 1) + ["--k", k] + (["--unchecked"] if unchecked else [])
+    code, out, _ = run_contract(["gvn", "--inputs"], text, extra)
+    if code == 2:
+        assert k not in ("3", "4", "5")
+
+
+@settings(max_examples=60)
+@given(group=_small_groups, members=st.lists(_set_entries, max_size=12))
+def test_bogolyubov_cli_contract(group, members):
+    # bogolyubov takes no file: the helper's path goes to --out
+    run_contract(["bogolyubov", "--group", group, "--set", ",".join(members), "--out"], None)
+
+
+@settings(max_examples=80)
+@given(group=_small_groups, S=st.one_of(
+           st.lists(_set_entries, min_size=1, max_size=3).map(",".join),
+           st.lists(st.lists(st.integers(-6, 12).map(str), min_size=1, max_size=3).map(",".join),
+                    min_size=1, max_size=3).map(";".join)),
+       rho=_some_radii)
+def test_progression_cli_contract(group, S, rho):
+    # progression takes no file: the helper's path goes to --out
+    code, _, _ = run_contract(["progression", "--group", group, "--S", S, "--rho", rho, "--out"], None)
+    if code == 2:  # argparse takes an --S that starts with "-" for an option
+        assert rho in ("0", "-0.5", "nan", "x") or S.startswith("-")
+
+
+_nil_numbers = st.sampled_from([0.0, 0.3, -0.25, 0.7071, 12.5, -3, 2, 1e300, -1e300, "0.5", None, True])
+
+
+@st.composite
+def _nil_system_inputs(draw):
+    """The text of a --system file: 0-2 factors of each kind with small,
+    huge or mistyped parameters, or a malformed object; None for no file."""
+    kind = draw(st.sampled_from(["valid"] * 4 + ["not-json", "list", "missing"]))
+    if kind == "missing":
+        return None
+    if kind == "not-json":
+        return "{"
+    if kind == "list":
+        return "[]"
+    factors = []
+    for _ in range(draw(st.integers(0, 2))):
+        f = {"kind": draw(st.sampled_from(["circle", "skew", "heis", "heis", "torus"]))}
+        for key in draw(st.lists(st.sampled_from(["alpha", "beta", "gamma", "m"]), unique=True)):
+            f[key] = draw(_nil_numbers)
+        factors.append(f)
+    return json.dumps({"factors": factors})
+
+
+@settings(max_examples=80)
+@given(text=_nil_system_inputs(), N=st.sampled_from(["1", "5", "7", "31", "41", "4", "0", "-3", "x"]),
+       F=st.sampled_from(["builtin:chi_e", "builtin:one", "builtin:x", "e(x)"]), out=st.booleans())
+def test_nilseq_cli_contract(text, N, F, out):
+    extra = ["--N", N, "--F", F] + (["--out", "{path}.out"] if out else [])
+    code, _, _ = run_contract(["nilseq", "--system"], text, extra)
+    if code == 2:
+        assert N in ("0", "-3", "x")
+
+
+@settings(max_examples=40)
+@given(k=st.sampled_from(["3", "4", "3", "4", "5", "x"]), trials=st.sampled_from(["1", "7", "20", "7", "0", "-1", "x"]),
+       seed=_seeds)
+def test_hp_check_cli_contract(k, trials, seed):
+    # hp-check takes no file: the helper's path goes to --out
+    extra = ["--seed", seed] if seed is not None else []
+    code, out, _ = run_contract(["hp-check", "--k", k, "--trials", trials, *extra, "--out"], None)
+    if code == 0:
+        assert result_of(out)["pass"]
+    else:
+        assert code == 2 and (k in ("5", "x") or trials in ("0", "-1", "x") or seed in ("-3", "x"))
+
+
+@settings(max_examples=40)
+@given(N=st.sampled_from([401, 409, 421, 443, 463, 487, 499, 503, 509, 400, 403, 500, 7, 2, 1, 0, -3]))
+def test_fw_cli_contract(N):
+    # fw takes no file: the helper's path goes to --out (the generated function)
+    code, out, _ = run_contract(["fw", "--N", str(N), "--out"], None)
+    if code == 0:
+        assert result_of(out)["support"] > 0
+
+
+@settings(max_examples=60)
+@given(text=_function_inputs(["Z/7", "Z/31", "Z/60", "Z/401", "Z/1", "Z/5xZ/5"]),
+       mode=st.sampled_from(["exhaustive", "exhaustive", "sampled", "both"]), seed=_seeds,
+       csv=st.sampled_from([None, "{path}.csv", "{path}/no-such-dir/scan.csv"]))
+def test_scan_cli_contract(text, mode, seed, csv):
+    extra = ["--mode", mode] + (["--seed", seed] if seed is not None else []) + (["--csv", csv] if csv else [])
+    code, out, _ = run_contract(["scan", "--input"], text, extra)
+    if code == 0:
+        assert 0.0 <= result_of(out)["value"] <= 2.0  # at most max |f|
+
+
+@st.composite
+def _increment_sets(draw):
+    """(--n, text of the --set file): most often a random subset of F5^n of
+    density 0.1-0.6 for n = 1..3, else the malformed sets and wrong n of
+    `_driver_inputs`."""
+    if draw(st.sampled_from([False, False, True])):
+        return draw(_driver_inputs())
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = np.flatnonzero(rng.uniform(size=5**n) < draw(st.sampled_from([0.1, 0.3, 0.6])))
+    return str(n), json.dumps(members.tolist())
+
+
+@settings(max_examples=30)
+@given(case=_increment_sets(), eta=st.sampled_from([None, None, "0.5", "0.01", "1", "0", "x"]),
+       force=st.sampled_from([True, True, False]), seed=_seeds)
+def test_increment_cli_contract(case, eta, force, seed):
+    n, text = case
+    extra = (["--n", n] + (["--eta", eta] if eta is not None else []) + (["--force"] if force else [])
+             + (["--seed", seed] if seed is not None else []))
+    code, out, _ = run_contract(["increment", "--set"], text, extra)
+    if code == 0:
+        result = result_of(out)
+        assert 0.0 <= result["old_density"] <= 1.0 and 0.0 <= result["new_density"] <= 1.0
+
+
+def test_unwritable_output_path_is_a_domain_error(tmp_path):
+    # a path that cannot be written ended in a FileNotFoundError traceback after
+    # the result was printed; now nothing is printed and the exit code is 3
+    bad = str(tmp_path / "no-such-dir" / "out.json")
+    for argv in (["aps", "--group", "Z/13", "--set", "0,1", "--out", bad], ["fw", "--N", "401", "--out", bad],
+                 ["hp-check", "--trials", "2", "--out", bad]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        assert code == 3 and stdout.getvalue() == ""
+        assert json.loads(stderr.getvalue())["error"] == "ParseError"
+
+
+def test_gvn_input_count_and_k_are_checked(tmp_path, capsys):
+    # --k 0 and two inputs ended in IndexError / ValueError tracebacks
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"group": "Z/5", "values": [[1.0, 0.0]] * 5}))
+    with pytest.raises(SystemExit) as exc:
+        main(["gvn", "--inputs", str(path), "--k", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, _, err = run_cli(["gvn", "--inputs", str(path), str(path)], capsys)
+    assert code == 3 and json.loads(err)["error"] == "ParseError"
+
+
+def test_nilseq_bad_length_and_overflowing_orbit(tmp_path, capsys):
+    # --N -3 ended in a ValueError traceback from GroupSpec, and parameters
+    # near 1e300 in a NaN lift (round_half_up of inf - inf)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"factors": [{"kind": "heis", "alpha": 1e300, "beta": 1e300, "gamma": 1e300}]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["nilseq", "--system", str(path), "--N", "-3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run_cli(["nilseq", "--system", str(path), "--N", "5"], capsys)
+    assert code == 3 and out == "" and json.loads(err)["error"] == "ParseError"
 
 
 @pytest.mark.parametrize("group", ["Z/1009", "Z/9xZ/15xZ/7"])

@@ -1,10 +1,15 @@
 """Every function or method defined in src/u3kit is named somewhere else.
 
-A name counts as used when it appears in src/, tests/ or bench/ as an
-identifier, an attribute or a string constant (the bench tracer wraps
-functions by name), anywhere but in its own `def` line.  An import alone
-is not a use: a function that is imported but never called is dead.
-Dunder methods are exempt: the language calls them.
+A function, or a property, counts as used when it appears in src/, tests/
+or bench/ as an identifier, an attribute or a string constant (the bench
+tracer wraps functions by name), anywhere but in its own `def` line.  A
+plain method (not a property) counts as used only when something calls it
+(`x.name(...)`) or names it in a string constant "Class.name", as the bench
+tracer does: an attribute read, a local variable or a JSON key of the same
+name, such as `rep.value`, `result["value"]` or numpy's `a.flat`, is not a
+use.  An import alone is not a use: a
+function that is imported but never called is dead.  Dunder methods are
+exempt: the language calls them.
 """
 
 import ast
@@ -20,27 +25,56 @@ def _trees():
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
-def _used_names(tree: ast.AST) -> Counter:
-    names = Counter()
+def _used_names(tree: ast.AST) -> tuple[Counter, ...]:
+    """(identifiers, attributes, string constants, dotted string constants
+    by their last part, called attributes)."""
+    names, attrs, strings, dotted, calls = Counter(), Counter(), Counter(), Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-            names[node.value] += 1
-    return names
+            attrs[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            head, _, last = node.value.rpartition(".")
+            if node.value.isidentifier():
+                strings[node.value] += 1
+            elif head and last.isidentifier():
+                dotted[last] += 1
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            calls[node.func.attr] += 1
+    return names, attrs, strings, dotted, calls
+
+
+def _is_property(node: ast.FunctionDef) -> bool:
+    for dec in node.decorator_list:
+        name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", "")
+        if name in ("property", "cached_property", "setter", "getter", "deleter"):
+            return True
+    return False
+
+
+def _definitions(tree: ast.AST):
+    """(node, is a plain method) for every function and method."""
+    methods = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            methods.update(id(n) for n in node.body
+                           if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_property(n))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node, id(node) in methods
 
 
 def test_every_function_in_src_has_a_caller():
-    used = Counter()
+    names, attrs, strings, dotted, calls = Counter(), Counter(), Counter(), Counter(), Counter()
     defined = []
     for path, tree in _trees():
-        used.update(_used_names(tree))
+        for total, part in zip((names, attrs, strings, dotted, calls), _used_names(tree)):
+            total.update(part)
         if path.is_relative_to(ROOT / "src" / "u3kit"):
-            for node in ast.walk(tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if not (node.name.startswith("__") and node.name.endswith("__")):
-                        defined.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
-    dead = [d for d in defined if used[d.rsplit(" ", 1)[1]] == 0]
+            for node, method in _definitions(tree):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((f"{path.relative_to(ROOT)}:{node.lineno} {node.name}", node.name, method))
+    dead = [where for where, name, method in defined
+            if (calls[name] + dotted[name] if method else names[name] + attrs[name] + strings[name]) == 0]
     assert dead == [], dead

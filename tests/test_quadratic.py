@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from u3kit.bohr import bohr_set, coset_progression_in_bohr
 from u3kit.errors import EvenOrder, ExtensionObstructed, NotFound, NotQuadratic
@@ -14,7 +16,6 @@ from u3kit.quadratic import (
     bracket_from_progression,
     classify_global_quadratic,
     degenerate_subspace,
-    eval_quadratic,
     extend_from_coset,
     frac_part,
     is_locally_quadratic,
@@ -27,12 +28,12 @@ from u3kit.quadratic import (
 def test_eval_quadratic_examples():
     Z5 = parse_group("Z/5")
     Q = QuadraticPhase.cyclic(Z5, 2, 3, 0)
-    assert eval_quadratic(Q, Z5.element([1])) == 0  # (2+3)/5
+    assert Q.evaluate(Z5.element([1])) == 0  # (2+3)/5
     Qc = QuadraticPhase.cyclic(Z5, 0, 0, Fraction(1, 3))
-    assert all(eval_quadratic(Qc, x) == Fraction(1, 3) for x in Z5.elements())
+    assert all(Qc.evaluate(x) == Fraction(1, 3) for x in Z5.elements())
     F52 = parse_group("F5^2")
     QI = QuadraticPhase.from_integer_matrix(F52, [[1, 0], [0, 1]], [0, 0])
-    assert eval_quadratic(QI, F52.element([1, 2])) == 0  # (1+4)/5
+    assert QI.evaluate(F52.element([1, 2])) == 0  # (1+4)/5
 
 
 def test_is_locally_quadratic():
@@ -113,6 +114,28 @@ def test_self_adjoint_decomposition(rng=np.random.default_rng(2)):
             Q.bilinear_value(x + h, x + h) - Q.bilinear_value(x, x) - Q.bilinear_value(h, h)
         ) % 1
         assert lhs == rhs
+
+
+@given(st.sampled_from(["Z/9", "F5^3", "Z/25xZ/5", "Z/15xZ/21", "Z/9xZ/15xZ/7"]), st.data())
+def test_translate_is_the_shifted_phase(group, data):
+    # Q.translate(y) at x is Q at x - y, for a random self-adjoint form
+    # (B[i][j] in (1/gcd(n_i, n_j))Z), a random character and constant
+    spec = parse_group(group)
+    k, orders = spec.rank, spec.orders
+    B = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g = np.gcd(orders[i], orders[j])
+            B[i][j] = B[j][i] = Fraction(data.draw(st.integers(0, g - 1)), int(g))
+    xi = tuple(data.draw(st.integers(0, n - 1)) for n in orders)
+    Q = QuadraticPhase(spec, tuple(map(tuple, B)), xi, Fraction(data.draw(st.integers(0, 10)), 11))
+    y = spec.element_by_index(data.draw(st.integers(0, spec.order - 1)))
+    T = Q.translate(y)
+    values = Q.values()
+    shifted = spec.add_indices(np.arange(spec.order), spec.neg_indices(y.index))
+    assert T.values() == [values[i] for i in shifted.tolist()]
+    x = spec.element_by_index(data.draw(st.integers(0, spec.order - 1)))
+    assert T.evaluate(x) == Q.evaluate(x - y)
 
 
 def test_extension_from_subspace_coset():
