@@ -269,9 +269,11 @@ def _cmd_gvn(args) -> dict:
 
     fs = [function_from_json(_read_json(path)) for path in args.inputs]
     if len(fs) == 1:
-        fs = fs * args.k
+        fs = fs * (args.k or 4)
     elif not 3 <= len(fs) <= 5:
         raise ParseError(f"gvn takes one input (used --k times) or 3 to 5 inputs, not {len(fs)}")
+    elif args.k is not None and args.k != len(fs):
+        raise ParseError(f"gvn got {len(fs)} inputs but --k {args.k}")
     return {"slack": gvn_slack(fs, unchecked=args.unchecked), "k": len(fs)}
 
 
@@ -412,7 +414,7 @@ def _cmd_nilseq(args) -> dict:
         else:
             raise ParseError(f"unknown builtin {kind!r}")
         pos += 1
-    F = NilFunction(sysm, blocks, sum(b.lipschitz for b in blocks))
+    F = NilFunction(sysm, blocks)
     try:
         seq = nilsequence(F, sysm, sysm.zero_point(), args.N)
     except (ValueError, OverflowError) as exc:  # inf or nan reached an integer lift
@@ -565,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gvn", help="generalized von Neumann slack")
     common(p)
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--k", type=int, default=4, choices=[3, 4, 5])
+    p.add_argument("--k", type=int, default=None, choices=[3, 4, 5],
+                   help="forms of one input (default 4); with several inputs, their count")
     p.add_argument("--unchecked", action="store_true")
     p.set_defaults(handler=_cmd_gvn)
 
@@ -678,10 +681,22 @@ def _run(args, argv: list[str], t0: float) -> str:
     return text
 
 
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """`--S -1,0` as `--S=-1,0`: argparse takes a value that starts with "-"
+    and is not one plain number for an option."""
+    out: list[str] = []
+    for a in argv:
+        if out and out[-1] == "--S" and a[:1] == "-" and a[1:2].isdigit():
+            out[-1] = "--S=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_negative_lists(argv))
     if getattr(args, "seed", 0) is None:  # read per call, so a changed U3KIT_SEED applies
         raw = os.environ.get("U3KIT_SEED", "0")
         try:

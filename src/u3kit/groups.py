@@ -48,8 +48,6 @@ TorusValue = Union[Fraction, float]
 
 BOUNDED_SLACK = 1e-12
 
-DEFAULT_ENUMERATION_BUDGET = 50_000_000
-
 
 # Largest order of a run of factors that index arithmetic adds with one cached
 # Cayley table (m x m int64, 128 KB at 128).  Replay of every add_indices and
@@ -443,24 +441,6 @@ def phase_difference(phi: Sequence[TorusValue], h: GroupElement) -> list[TorusVa
         raise SpecMismatch("phase table must cover the whole group")
     idx = spec.translates([h.index])[0]
     return [mod1(phi[int(j)] - phi[i]) for i, j in enumerate(idx)]
-
-
-def cubes(spec: GroupSpec, d: int, budget: int = DEFAULT_ENUMERATION_BUDGET):
-    """All N^(d+1) tuples (x, h1..hd) in deterministic row-major order."""
-    if d not in (1, 2, 3, 4):
-        raise ValueError("cube dimension must be 1..4")
-    total = spec.order ** (d + 1)
-    if total > budget:
-        raise BudgetExceeded(f"{total} cube tuples exceed budget {budget}")
-
-    def gen():
-        import itertools
-
-        rng = range(spec.order)
-        for tup in itertools.product(rng, repeat=d + 1):
-            yield tuple(spec.element_by_index(i) for i in tup)
-
-    return gen()
 
 
 # --- group spec string grammar -------------------------------------------

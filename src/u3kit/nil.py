@@ -14,9 +14,9 @@ Closed-form orbits:
                          Z + n g), projected by (X,Y,Z) |-> ({X}, Y - [X] Z,
                          {Z}).
 
-The skew/Heisenberg one-step maps use the new x in the middle coordinate,
-(x, y) -> (x + a, y + b + m (x + a)), which is the unique single-step map
-consistent with the n(n+1)/2 closed forms.
+These are the n-th iterates of the one-step maps that use the new x in the
+middle coordinate, (x, y) -> (x + a, y + b + m (x + a)); the n(n+1)/2 terms
+come from that choice.
 
 A bracket quadratic on Z/N factors into these flows: each quadratic
 monomial costs two circles, two Heisenberg blocks and one linear-correction
@@ -26,7 +26,7 @@ circle (dimension 9); each linear term costs two circles (dimension 2).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
@@ -42,6 +42,14 @@ from .quadratic import BracketQuadratic, round_half_up
 def nil_frac(t):
     """{t} in [-1/2, 1/2) with halves of t rounding up (nil convention)."""
     return t - round_half_up(t)
+
+
+def heis_project(a: tuple) -> tuple:
+    """Cylinder coordinates ({X}, Y - [X] Z, {Z}) of a lifted Heisenberg
+    element: X goes into the fundamental domain and the identification
+    shifts Y by [X] Z."""
+    X, Y, Z = a
+    return (nil_frac(X), nil_frac(Y - round_half_up(X) * Z), nil_frac(Z))
 
 
 # --- cutoff ------------------------------------------------------------------
@@ -106,25 +114,8 @@ class FundamentalFactor:
 
     def normalize(self, c: tuple) -> tuple:
         if self.kind == "heis":
-            # lift projection: reduces x into the fundamental domain and
-            # applies the cylinder identification (y shifts by [x] z)
-            x, y, z = c
-            return (nil_frac(x), nil_frac(y - round_half_up(x) * z), nil_frac(z))
+            return heis_project(c)
         return tuple(nil_frac(v) for v in c)
-
-    def step(self, c: tuple) -> tuple:
-        """One application of the shift, in canonical coordinates."""
-        if self.kind == "circle":
-            return (nil_frac(c[0] + self.alpha),)
-        if self.kind == "skew":
-            x, y = c
-            return (nil_frac(x + self.alpha), nil_frac(y + self.beta + self.m * (x + self.alpha)))
-        x, y, z = c
-        X, Y, Z = x, y, z  # canonical lift ([x] = 0 on the fundamental domain)
-        X2 = X + self.alpha
-        Y2 = Y + self.beta + self.gamma * (X + self.alpha)
-        Z2 = Z + self.gamma
-        return (nil_frac(X2), nil_frac(Y2 - round_half_up(X2) * Z2), nil_frac(Z2))
 
     def orbit(self, c: tuple, n: int) -> tuple:
         """Closed-form n-th point of the orbit through c."""
@@ -135,10 +126,11 @@ class FundamentalFactor:
             y2 = y + n * self.beta + n * self.m * x + _tri(n) * self.m * self.alpha
             return (nil_frac(x + n * self.alpha), nil_frac(y2))
         x, y, z = c
-        X2 = x + n * self.alpha
-        Y2 = y + n * self.beta + n * self.gamma * x + _tri(n) * self.gamma * self.alpha
-        Z2 = z + n * self.gamma
-        return (nil_frac(X2), nil_frac(Y2 - round_half_up(X2) * Z2), nil_frac(Z2))
+        return heis_project((
+            x + n * self.alpha,
+            y + n * self.beta + n * self.gamma * x + _tri(n) * self.gamma * self.alpha,
+            z + n * self.gamma,
+        ))
 
 
 def _tri(n: int):
@@ -214,10 +206,6 @@ def point_distance(sys: NilSystem, p: NilPoint, q: NilPoint) -> float:
     )
 
 
-def step_point(sys: NilSystem, x0: NilPoint) -> NilPoint:
-    return NilPoint(tuple(f.step(c) for f, c in zip(sys.factors, x0.blocks)))
-
-
 # --- functions on nilmanifolds --------------------------------------------------
 
 
@@ -235,9 +223,12 @@ class BlockFunction:
 class NilFunction:
     system: NilSystem
     blocks: list[BlockFunction]
-    lipschitz: float  # declared constant for the full tensor product
-    global_phase: complex = 1.0
-    bounded: bool = True
+    global_phase: complex = field(default=1.0, kw_only=True)
+
+    @property
+    def lipschitz(self) -> float:
+        """Lipschitz constant of the tensor product: the sum over its blocks."""
+        return sum((b.lipschitz for b in self.blocks), 0.0)
 
     def __call__(self, p: NilPoint) -> complex:
         out = self.global_phase
@@ -271,6 +262,64 @@ def _split_half(a: float) -> tuple[int, float]:
     return int(q), float(a) - int(q)
 
 
+def _active_terms(bq: BracketQuadratic) -> list[tuple[int, int | None, float]]:
+    """(i, j, c) for each monomial the factorization realizes, in its order:
+    the quadratic ones c {xi_i n/N}{xi_j n/N} for i <= j (c = quad[i][j],
+    doubled off the diagonal) first, then the linear ones c {xi_i n/N}
+    (j None, c = lin[i]); a term is active when c != 0.0."""
+    s = len(bq.freqs)
+    quad = [(i, j, float(bq.quad[i][j]) * (1 if i == j else 2)) for i in range(s) for j in range(i, s)]
+    lin = [(i, None, float(bq.lin[i])) for i in range(s)]
+    return [t for t in quad + lin if t[2] != 0.0]
+
+
+def _quadratic_term(alpha: float, gamma: float, coeff: float, start: int, chi: CutoffSpec):
+    q, s = _split_half(-coeff)
+    slope = chi.max_slope
+    factors = [
+        FundamentalFactor("circle", alpha=alpha),
+        FundamentalFactor("circle", alpha=gamma),
+        FundamentalFactor("heis", alpha=gamma, beta=0.0, gamma=q * alpha),
+        FundamentalFactor("heis", alpha=alpha, beta=0.0, gamma=q * gamma),
+        FundamentalFactor("circle", alpha=nil_frac(-q * alpha * gamma)),
+    ]
+    blocks = [
+        BlockFunction(start, 2, lambda x, y: chi(x) * chi(y) * e(s * x * y), 2 * (slope + np.pi / 2)),
+        BlockFunction(start + 2, 1, lambda x, y, z: chi(x) * e(y), slope + 2 * np.pi),
+        BlockFunction(start + 3, 1, lambda x, y, z: chi(x) * e(y), slope + 2 * np.pi),
+        BlockFunction(start + 4, 1, lambda x: e(x), 2 * np.pi),
+    ]
+    return factors, blocks
+
+
+def _linear_term(alpha: float, coeff: float, start: int, chi: CutoffSpec):
+    q, s = _split_half(-coeff)
+    factors = [
+        FundamentalFactor("circle", alpha=alpha),
+        FundamentalFactor("circle", alpha=nil_frac(q * alpha)),
+    ]
+    blocks = [BlockFunction(start, 2, lambda x, y: chi(x) * e(s * x) * e(y), chi.max_slope + 3 * np.pi)]
+    return factors, blocks
+
+
+def _factor_terms(bq: BracketQuadratic, chi: CutoffSpec) -> list[tuple[list, list]]:
+    """(factors, block functions) of each active term, in `_active_terms`
+    order; a block's start counts the factors of every earlier term."""
+    if len(bq.freqs) > 4:
+        raise TooManyFrequencies("at most 4 frequencies supported")
+    N = bq.N
+    out = []
+    start = 0
+    for i, j, c in _active_terms(bq):
+        if j is None:
+            term = _linear_term(bq.freqs[i] / N, c, start, chi)
+        else:
+            term = _quadratic_term(bq.freqs[i] / N, bq.freqs[j] / N, c, start, chi)
+        out.append(term)
+        start += len(term[0])
+    return out
+
+
 def bracket_to_nilsystem(
     bq: BracketQuadratic, chi: CutoffSpec = CANONICAL_CUTOFF
 ) -> tuple[NilSystem, NilFunction, NilPoint]:
@@ -289,60 +338,9 @@ def bracket_to_nilsystem(
     F = chi(x) e(s x) e(y).  Dimension is 9 per quadratic and 2 per linear
     term; every block function is below the declared Lipschitz constant 50.
     """
-    if len(bq.freqs) > 4:
-        raise TooManyFrequencies("at most 4 frequencies supported")
-    N = bq.N
-    factors: list[FundamentalFactor] = []
-    blocks: list[BlockFunction] = []
-    slope = chi.max_slope
-    s_count = len(bq.freqs)
-
-    def add_quadratic_term(alpha: float, gamma: float, coeff: float) -> None:
-        q, s = _split_half(-coeff)
-        start = len(factors)
-        factors.extend(
-            [
-                FundamentalFactor("circle", alpha=alpha),
-                FundamentalFactor("circle", alpha=gamma),
-                FundamentalFactor("heis", alpha=gamma, beta=0.0, gamma=q * alpha),
-                FundamentalFactor("heis", alpha=alpha, beta=0.0, gamma=q * gamma),
-                FundamentalFactor("circle", alpha=nil_frac(-q * alpha * gamma)),
-            ]
-        )
-        blocks.append(
-            BlockFunction(
-                start, 2, lambda x, y: chi(x) * chi(y) * e(s * x * y), 2 * (slope + np.pi / 2)
-            )
-        )
-        blocks.append(BlockFunction(start + 2, 1, lambda x, y, z: chi(x) * e(y), slope + 2 * np.pi))
-        blocks.append(BlockFunction(start + 3, 1, lambda x, y, z: chi(x) * e(y), slope + 2 * np.pi))
-        blocks.append(BlockFunction(start + 4, 1, lambda x: e(x), 2 * np.pi))
-
-    def add_linear_term(alpha: float, coeff: float) -> None:
-        q, s = _split_half(-coeff)
-        start = len(factors)
-        factors.extend(
-            [
-                FundamentalFactor("circle", alpha=alpha),
-                FundamentalFactor("circle", alpha=nil_frac(q * alpha)),
-            ]
-        )
-        blocks.append(
-            BlockFunction(start, 2, lambda x, y: chi(x) * e(s * x) * e(y), slope + 3 * np.pi)
-        )
-
-    for i in range(s_count):
-        for j in range(i, s_count):
-            c = float(bq.quad[i][j]) * (1 if i == j else 2)
-            if c != 0.0:
-                add_quadratic_term(bq.freqs[i] / N, bq.freqs[j] / N, c)
-    for i in range(s_count):
-        if float(bq.lin[i]) != 0.0:
-            add_linear_term(bq.freqs[i] / N, float(bq.lin[i]))
-
-    system = NilSystem(tuple(factors))
-    lip = sum(b.lipschitz for b in blocks) if blocks else 0.0
-    F = NilFunction(system, blocks, lip, global_phase=e(-float(bq.const)))
+    terms = _factor_terms(bq, chi)
+    system = NilSystem(tuple(f for factors, _ in terms for f in factors))
+    F = NilFunction(system, [b for _, blocks in terms for b in blocks], global_phase=e(-float(bq.const)))
     return system, F, system.zero_point()
 
 
@@ -351,10 +349,9 @@ def bracket_weight(bq: BracketQuadratic, chi: CutoffSpec = CANONICAL_CUTOFF):
     frequency of every active quadratic monomial, chi at each active linear
     frequency.  Returns a callable on residues n."""
     N = bq.N
-    s = len(bq.freqs)
-    quad = [(bq.freqs[i], bq.freqs[j]) for i in range(s) for j in range(i, s)
-            if float(bq.quad[i][j]) * (1 if i == j else 2) != 0.0]
-    lin = [bq.freqs[i] for i in range(s) if float(bq.lin[i]) != 0.0]
+    terms = _active_terms(bq)
+    quad = [(bq.freqs[i], bq.freqs[j]) for i, j, _ in terms if j is not None]
+    lin = [bq.freqs[i] for i, j, _ in terms if j is None]
 
     def weight(n: int) -> float:
         w = 1.0
@@ -368,21 +365,13 @@ def bracket_weight(bq: BracketQuadratic, chi: CutoffSpec = CANONICAL_CUTOFF):
 
 
 def per_term_blocks(bq: BracketQuadratic) -> list[tuple[int, float]]:
-    """(dimension, dominant Lipschitz bound) of each active monomial's block,
+    """(dimension, Lipschitz bound) of each active monomial's block, summed
+    over the factors and block functions the factorization builds for it,
     for the <= 9 / <= 50 contract checks."""
-    chi = CANONICAL_CUTOFF
-    slope = chi.max_slope
-    out = []
-    s = len(bq.freqs)
-    for i in range(s):
-        for j in range(i, s):
-            if float(bq.quad[i][j]) * (1 if i == j else 2) != 0.0:
-                K = 2 * (slope + np.pi / 2) + 2 * (slope + 2 * np.pi) + 2 * np.pi
-                out.append((9, K))
-    for i in range(s):
-        if float(bq.lin[i]) != 0.0:
-            out.append((2, slope + 3 * np.pi))
-    return out
+    return [
+        (sum(f.dim for f in factors), sum(b.lipschitz for b in blocks))
+        for factors, blocks in _factor_terms(bq, CANONICAL_CUTOFF)
+    ]
 
 
 # --- Hall-Petresco constraints ---------------------------------------------------
@@ -398,12 +387,6 @@ def _heis_mul(a: tuple, b: tuple) -> tuple:
 def _heis_inv(a: tuple) -> tuple:
     x, y, z = a
     return (-x, -y + z * x, -z)
-
-
-def heis_project(a: tuple) -> tuple:
-    """Cylinder coordinates of a lifted Heisenberg element."""
-    X, Y, Z = a
-    return (nil_frac(X), nil_frac(Y - round_half_up(X) * Z), nil_frac(Z))
 
 
 def hall_petresco_next(points: Sequence, k: int, tol: float = 1e-9):

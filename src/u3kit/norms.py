@@ -115,7 +115,7 @@ from .errors import (
 from .fourier import dft, dft_values
 from .groups import DualElement, GroupElement, GroupFunction, GroupSpec
 from .modlinalg import BoxSubgroup, PrimeSubspace, Subgroup, is_prime
-from .quadratic import BracketQuadratic
+from .quadratic import BracketQuadratic, bracket_table
 
 DIRECT_BUDGET = 30_000_000
 ORACLE_BUDGET = 2_000_000_000
@@ -550,10 +550,7 @@ def u3_oracle_bracket(
     if combos * m > budget:
         raise BudgetExceeded(f"{combos} coefficient tuples x {m} points exceed budget")
 
-    brk = np.empty((s, m))
-    for i, xi in enumerate(freqs):
-        tvals = (xi * idx % N) / N
-        brk[i] = np.where(tvals <= 0.5, tvals, tvals - 1.0)
+    brk = bracket_table(N, freqs, idx)
     qmono = np.array([brk[i] * brk[j] * (1 if i == j else 2) for i, j in pairs]).reshape(-1, m)
     cv = np.array([float(v) for v in coef_values])
     fvals = f.values[idx]

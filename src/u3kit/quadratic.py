@@ -616,6 +616,17 @@ def quadratic_on_coset_progression(phi: Mapping[int, TorusValue], P) -> Progress
 # --- bracket quadratics on Z/N ----------------------------------------------
 
 
+def bracket_table(N: int, freqs: Sequence[int], ns) -> np.ndarray:
+    """brk[i, t] = {freqs[i]·ns[t]/N}, the fractional part centred in
+    (-1/2, 1/2], as float64 of shape (len(freqs), len(ns))."""
+    ns = np.asarray(ns, dtype=np.int64) % N
+    brk = np.empty((len(freqs), len(ns)))
+    for i, xi in enumerate(freqs):
+        t = (xi * ns % N) / N
+        brk[i] = np.where(t <= 0.5, t, t - 1.0)
+    return brk
+
+
 @dataclass(frozen=True)
 class BracketQuadratic:
     """Sum over ordered frequency pairs of a[i][j] {xi_i x/N}{xi_j x/N} plus
@@ -694,12 +705,8 @@ class BracketQuadratic:
 
     def eval_terms_float(self, ns: np.ndarray) -> np.ndarray:
         """Vectorized float evaluation over residues ns (mod 1 values)."""
-        ns = np.asarray(ns, dtype=np.int64) % self.N
-        brk = np.empty((len(self.freqs), len(ns)))
-        for i, xi in enumerate(self.freqs):
-            t = (xi * ns % self.N) / self.N
-            brk[i] = np.where(t <= 0.5, t, t - 1.0)
-        total = np.full(len(ns), float(self.const))
+        brk = bracket_table(self.N, self.freqs, ns)
+        total = np.full(brk.shape[1], float(self.const))
         for i in range(len(self.freqs)):
             total += float(self.lin[i]) * brk[i]
             for j in range(len(self.freqs)):

@@ -360,7 +360,7 @@ def test_c14_bracket_factorization():
             assert dim <= 9 and K <= 50
         # per-block Lipschitz declaration is honest (sampled slack check)
         for blk in F.blocks[:4]:
-            sub = NilFunction(sysm, [blk], blk.lipschitz)
+            sub = NilFunction(sysm, [blk])
             assert lipschitz_slack(sub, min(blk.lipschitz, 50.0), 16, samples=200,
                                    seed=trial) >= -1e-9
     gate.done("20 random bracket quadratics at N = 101")

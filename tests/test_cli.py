@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import u3kit
 from u3kit.cli import main
 from u3kit.groups import function_to_json, parse_group
 from u3kit.quadratic import QuadraticPhase
@@ -575,8 +576,23 @@ def test_bogolyubov_cli_contract(group, members):
 def test_progression_cli_contract(group, S, rho):
     # progression takes no file: the helper's path goes to --out
     code, _, _ = run_contract(["progression", "--group", group, "--S", S, "--rho", rho, "--out"], None)
-    if code == 2:  # argparse takes an --S that starts with "-" for an option
-        assert rho in ("0", "-0.5", "nan", "x") or S.startswith("-")
+    if code == 2:
+        assert rho in ("0", "-0.5", "nan", "x")
+
+
+@pytest.mark.parametrize("argv", [
+    ["progression", "--group", "Z/7", "--rho", "0.2"],
+    ["bohr", "--group", "Z/7", "--rho", "0.2"],
+    ["u3-oracle", "--group", "Z/7", "--expr", "1", "--kind", "bracket", "--grid", "1"],
+])
+def test_negative_frequency_list_after_S(argv, capsys):
+    # `--S -1,0` exited 2 ("expected one argument"): argparse took the list
+    # for an option; it now reads as `--S=-1,0` does, and so does `-1;2`
+    for S in ("-1,0", "-3"):
+        code, out, _ = run_cli([*argv, "--S", S], capsys)
+        assert code == 0
+        code_eq, out_eq, _ = run_cli([*argv, f"--S={S}"], capsys)
+        assert code_eq == 0 and result_of(out) == result_of(out_eq)
 
 
 _nil_numbers = st.sampled_from([0.0, 0.3, -0.25, 0.7071, 12.5, -3, 2, 1e300, -1e300, "0.5", None, True])
@@ -694,6 +710,11 @@ def test_gvn_input_count_and_k_are_checked(tmp_path, capsys):
     capsys.readouterr()
     code, _, err = run_cli(["gvn", "--inputs", str(path), str(path)], capsys)
     assert code == 3 and json.loads(err)["error"] == "ParseError"
+    # with several inputs --k was ignored; a --k other than their count is refused
+    code, out, err = run_cli(["gvn", "--inputs", *[str(path)] * 4, "--k", "3"], capsys)
+    assert code == 3 and out == "" and json.loads(err)["error"] == "ParseError"
+    code, out, _ = run_cli(["gvn", "--inputs", *[str(path)] * 4, "--k", "4"], capsys)
+    assert code == 0 and result_of(out)["k"] == 4
 
 
 def test_nilseq_bad_length_and_overflowing_orbit(tmp_path, capsys):
@@ -1064,10 +1085,15 @@ def test_selftest_subcommand(capsys):
 
 
 def test_entrypoint_process():
+    # the child imports the same u3kit as this test, also under a bare `pytest`
+    # whose src path (pyproject's pythonpath) is not in the environment
+    src = os.path.dirname(os.path.dirname(u3kit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "u3kit.cli", "aps", "--group", "Z/13", "--set", "0,1,2,4", "--k", "4"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["proper"] == 0

@@ -3,11 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from u3kit.errors import BudgetExceeded, ParseError, SpecMismatch
+from u3kit.errors import ParseError, SpecMismatch
 from u3kit.groups import (
     GroupFunction,
     GroupSpec,
-    cubes,
     function_from_json,
     function_to_json,
     mod1,
@@ -103,14 +102,6 @@ def test_phase_difference():
     quad = [Fraction(x * x, 5) % 1 for x in range(5)]
     out = phase_difference(quad, Z5.element([2]))
     assert out == [Fraction(4 * x + 4, 5) % 1 for x in range(5)]
-
-
-def test_cubes_counts():
-    assert len(list(cubes(parse_group("Z/2"), 1))) == 4
-    assert len(list(cubes(parse_group("Z/3"), 2))) == 27
-    assert len(list(cubes(parse_group("Z/5"), 3))) == 625
-    with pytest.raises(BudgetExceeded):
-        list(cubes(parse_group("Z/101"), 4, budget=1000))
 
 
 def test_enumeration_bijection():

@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from u3kit.errors import BadArity, EvenN, NotInSigma, TooManyFrequencies
 from u3kit.groups import parse_group
 from u3kit.nil import (
     CANONICAL_CUTOFF,
+    BlockFunction,
     FundamentalFactor,
+    NilFunction,
     NilPoint,
     NilSystem,
     bracket_to_nilsystem,
@@ -21,10 +25,29 @@ from u3kit.nil import (
     orbit_point,
     per_term_blocks,
     point_distance,
-    step_point,
 )
 from u3kit.norms import gowers_norm
-from u3kit.quadratic import BracketQuadratic
+from u3kit.quadratic import BracketQuadratic, round_half_up
+
+
+def reference_step(sysm: NilSystem, p: NilPoint) -> NilPoint:
+    """One application of the shift, factor by factor, with the new x in the
+    middle coordinate: (x, y) -> (x + a, y + b + m (x + a)).  The closed-form
+    orbit is its n-th iterate."""
+    out = []
+    for f, c in zip(sysm.factors, p.blocks):
+        if f.kind == "circle":
+            out.append((nil_frac(c[0] + f.alpha),))
+        elif f.kind == "skew":
+            x, y = c
+            out.append((nil_frac(x + f.alpha), nil_frac(y + f.beta + f.m * (x + f.alpha))))
+        else:
+            x, y, z = c  # canonical lift: [x] = 0 on the fundamental domain
+            X2 = x + f.alpha
+            Y2 = y + f.beta + f.gamma * (x + f.alpha)
+            Z2 = z + f.gamma
+            out.append((nil_frac(X2), nil_frac(Y2 - round_half_up(X2) * Z2), nil_frac(Z2)))
+    return NilPoint(tuple(out))
 
 
 def test_orbit_examples():
@@ -39,15 +62,20 @@ def test_orbit_examples():
 
 
 def test_heis_closed_form_vs_iterate(rng):
+    # 1000 steps of the one-step map against the closed form: a wrong
+    # n(n+1)/2 term drifts here, where the homomorphism test cannot see it
     for _ in range(5):
         h = FundamentalFactor(
             "heis", alpha=rng.uniform(), beta=rng.uniform(), gamma=rng.uniform()
         )
-        sysm = NilSystem((h,))
-        x0 = NilPoint((tuple(rng.uniform(-0.5, 0.5, 3)),))
+        sk = FundamentalFactor("skew", alpha=rng.uniform(), beta=rng.uniform(), m=int(rng.integers(-3, 4)))
+        circ = FundamentalFactor("circle", alpha=rng.uniform())
+        sysm = NilSystem((h, sk, circ))
+        x0 = NilPoint((tuple(rng.uniform(-0.5, 0.5, 3)), tuple(rng.uniform(-0.5, 0.5, 2)),
+                       (rng.uniform(-0.5, 0.5),)))
         cur = x0
         for n in range(1, 1001):
-            cur = step_point(sysm, cur)
+            cur = reference_step(sysm, cur)
             if n % 97 == 0:
                 assert point_distance(sysm, cur, orbit_point(sysm, x0, n)) < 1e-9
         assert point_distance(sysm, cur, orbit_point(sysm, x0, 1000)) < 1e-9
@@ -68,13 +96,13 @@ def test_orbit_homomorphism(rng):
 def test_nilsequence_basics():
     circ = FundamentalFactor("circle", alpha=3 / 101)
     sysm = NilSystem((circ,))
-    from u3kit.nil import BlockFunction, NilFunction, e
+    from u3kit.nil import e
 
-    F = NilFunction(sysm, [BlockFunction(0, 1, lambda x: e(x), 2 * np.pi)], 2 * np.pi)
+    F = NilFunction(sysm, [BlockFunction(0, 1, lambda x: e(x), 2 * np.pi)])
     seq = nilsequence(F, sysm, sysm.zero_point(), 101)
     expect = np.exp(2j * np.pi * 3 * np.arange(101) / 101)
     assert np.max(np.abs(seq.values - expect)) < 1e-9
-    ones = NilFunction(sysm, [], 0.0)
+    ones = NilFunction(sysm, [])
     seq1 = nilsequence(ones, sysm, sysm.zero_point(), 7)
     assert np.allclose(seq1.values, 1.0)
     with pytest.raises(EvenN):
@@ -208,20 +236,32 @@ def test_delta_atoms():
 def test_lipschitz_slack(rng):
     circ = FundamentalFactor("circle", alpha=0.3)
     sysm = NilSystem((circ,))
-    from u3kit.nil import BlockFunction, NilFunction, e
+    from u3kit.nil import e
 
-    const = NilFunction(sysm, [BlockFunction(0, 1, lambda x: 1.0, 0.0)], 0.0)
+    const = NilFunction(sysm, [BlockFunction(0, 1, lambda x: 1.0, 0.0)])
     assert abs(lipschitz_slack(const, 5.0, 10) - 0.5) < 1e-12
-    Fe = NilFunction(sysm, [BlockFunction(0, 1, lambda x: e(x), 2 * np.pi)], 2 * np.pi)
+    Fe = NilFunction(sysm, [BlockFunction(0, 1, lambda x: e(x), 2 * np.pi)])
     assert lipschitz_slack(Fe, 2 * np.pi, 16, samples=2000, seed=1) >= -1e-9
-    # tensor of two factors declared at the summed constant
+    # tensor of two factors, whose constant is the sum over its blocks
     sys2 = NilSystem((circ, FundamentalFactor("circle", alpha=0.7)))
     F2 = NilFunction(
         sys2,
         [BlockFunction(0, 1, lambda x: e(x), 2 * np.pi), BlockFunction(1, 1, lambda x: e(x), 2 * np.pi)],
-        4 * np.pi,
     )
-    assert lipschitz_slack(F2, 4 * np.pi, 16, samples=2000, seed=2) >= -1e-9
+    assert F2.lipschitz == 4 * np.pi
+    assert lipschitz_slack(F2, F2.lipschitz, 16, samples=2000, seed=2) >= -1e-9
+
+
+def test_nil_function_lipschitz_is_derived():
+    sysm = NilSystem((FundamentalFactor("circle", alpha=0.3),))
+    assert NilFunction(sysm, []).lipschitz == 0.0
+    F = NilFunction(sysm, [BlockFunction(0, 1, lambda x: 1.0, 0.5), BlockFunction(0, 1, lambda x: 1.0, 2.0)])
+    assert F.lipschitz == 2.5
+    # the global phase is keyword-only: a positional third argument (the old
+    # declared Lipschitz constant) is refused
+    with pytest.raises(TypeError):
+        NilFunction(sysm, [], 2.5)
+    assert NilFunction(sysm, [], global_phase=1j)(sysm.zero_point()) == 1j
 
 
 def test_obstruction_check_self_correlation():
@@ -241,17 +281,61 @@ def test_tgnx_stability(rng):
     bqparams = (0.41421356, 0.2, 0.61803399)
     h = FundamentalFactor("heis", alpha=bqparams[0], beta=bqparams[1], gamma=bqparams[2])
     sysm = NilSystem((h,))
-    from u3kit.nil import BlockFunction, NilFunction, e
+    from u3kit.nil import e
 
     chi = CANONICAL_CUTOFF
-    F = NilFunction(
-        sysm,
-        [BlockFunction(0, 1, lambda x, y, z: chi(x) * e(y), chi.max_slope + 2 * np.pi)],
-        chi.max_slope + 2 * np.pi,
-    )
+    F = NilFunction(sysm, [BlockFunction(0, 1, lambda x, y, z: chi(x) * e(y), chi.max_slope + 2 * np.pi)])
     vals = []
     for N in (101, 211, 401, 809):
         f = nilsequence(F, sysm, sysm.zero_point(), N)
         vals.append(gowers_norm(f, 3, unchecked=True).value)
     assert min(vals) >= 0.1
     assert (max(vals) - min(vals)) / max(vals) < 0.2
+
+
+_exact_coords = st.fractions(-2, 2, max_denominator=30)
+_float_coords = st.floats(-2, 2)
+
+
+@given(kind=st.sampled_from(["circle", "skew", "heis"]), exact=st.booleans(),
+       m=st.integers(-3, 3), data=st.data())
+def test_orbit_at_zero_is_normalize(kind, exact, m, data):
+    # exact: Fraction parameters and coordinates; else floats on both
+    num = _exact_coords if exact else _float_coords
+    alpha, beta, gamma = (data.draw(num) for _ in range(3))
+    f = FundamentalFactor(kind, alpha=alpha, beta=beta, gamma=gamma, m=m)
+    c = tuple(data.draw(num) for _ in range(f.dim))
+    assert f.orbit(c, 0) == f.normalize(c)
+
+
+_coefficients = st.one_of(
+    st.just(0), st.just(0.0), st.fractions(-3, 3, max_denominator=12), st.floats(-3, 3)
+)
+
+
+@st.composite
+def _bracket_quadratics(draw):
+    """0-4 frequencies on Z/101 with rational, float and zero coefficients."""
+    N = 101
+    s = draw(st.integers(0, 4))
+    freqs = tuple(draw(st.lists(st.integers(1, N - 1), min_size=s, max_size=s)))
+    quad = [[0] * s for _ in range(s)]
+    for i in range(s):
+        for j in range(i, s):
+            quad[i][j] = quad[j][i] = draw(_coefficients)
+    lin = tuple(draw(_coefficients) for _ in range(s))
+    return BracketQuadratic(N, freqs, tuple(map(tuple, quad)), lin, draw(_coefficients))
+
+
+@given(bq=_bracket_quadratics())
+def test_per_term_blocks_match_the_factorization(bq):
+    sysm, F, _ = bracket_to_nilsystem(bq)
+    blocks = per_term_blocks(bq)
+    s = len(bq.freqs)
+    n_quad = sum(bq.quad[i][j] != 0 for i in range(s) for j in range(i, s))
+    n_lin = sum(v != 0 for v in bq.lin)
+    # one entry per active term, quadratic ones first
+    assert [d for d, _ in blocks] == [9] * n_quad + [2] * n_lin
+    assert sum(d for d, _ in blocks) == sysm.dimension
+    assert sum(K for _, K in blocks) == pytest.approx(F.lipschitz, rel=1e-12, abs=0.0)
+    assert all(K <= 50 for _, K in blocks)
