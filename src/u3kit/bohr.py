@@ -203,15 +203,13 @@ def separating_bohr(spec: GroupSpec, A: Iterable[int]) -> list[DualElement]:
 # --- Bogolyubov --------------------------------------------------------------
 
 
-def bogolyubov(spec: GroupSpec, A: Iterable[int], delta_floor: float = 0.0) -> list[DualElement]:
+def bogolyubov(spec: GroupSpec, A: Iterable[int]) -> list[DualElement]:
     """Large spectrum S of A at threshold delta^{3/2}/sqrt(2); then
     B(S, 1/4) is contained in 2A - 2A and |S| <= 2 delta^{-2}."""
     A_idx = sorted(set(int(a) for a in A))
     if not A_idx:
         raise DensityTooLow("empty set")
     delta = len(A_idx) / spec.order
-    if delta < delta_floor:
-        raise DensityTooLow(f"density {delta} below floor {delta_floor}")
     ind = GroupFunction.indicator(spec, A_idx)
     coeffs = np.abs(dft(ind).values)
     alpha = delta**1.5 / np.sqrt(2.0)
@@ -233,24 +231,22 @@ def sumset(spec: GroupSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mark)
 
 
-def iterated_sumset(
-    spec: GroupSpec, A: Iterable[int], plus: int, minus: int, budget: int = SUMSET_BUDGET
-) -> np.ndarray:
+def iterated_sumset(spec: GroupSpec, A: Iterable[int], plus: int, minus: int) -> np.ndarray:
     """plus*A - minus*A as a sorted index array, one fold acc -> acc + K at a
     time (K = A, then K = -A).
 
-    Every fold is refused with BudgetExceeded when |acc| * |K| exceeds the
-    budget.  Once acc + K = acc (for nonempty A, in particular once acc is
-    all of G), the remaining folds are not computed: then acc + a = acc for
-    every a in A, so acc - A = acc as well and every later fold of either
-    sign returns acc.
+    Every fold is refused with BudgetExceeded when |acc| * |K| exceeds
+    SUMSET_BUDGET.  Once acc + K = acc (for nonempty A, in particular once
+    acc is all of G), the remaining folds are not computed: then acc + a =
+    acc for every a in A, so acc - A = acc as well and every later fold of
+    either sign returns acc.
     """
     A = np.array(sorted(set(int(a) for a in A)), dtype=np.int64)
     acc = np.zeros(1, dtype=np.int64)
     fixed = False
     for K, folds in ((A, plus), (np.unique(spec.neg_indices(A)), minus)):
         for _ in range(folds):
-            if len(acc) * len(K) > budget:
+            if len(acc) * len(K) > SUMSET_BUDGET:
                 raise BudgetExceeded("pair sumset budget exceeded")
             fixed = fixed or (len(acc) == spec.order and len(K) > 0)
             if not fixed:
@@ -298,9 +294,7 @@ def _thin_spectrum(spec: GroupSpec, R: Sequence[int], members: np.ndarray, delta
     return kept
 
 
-def local_bogolyubov(
-    spec: GroupSpec, A: Iterable[int], B: BohrSet, delta_floor: float = 0.0
-) -> LocalBogolyubovReport:
+def local_bogolyubov(spec: GroupSpec, A: Iterable[int], B: BohrSet) -> LocalBogolyubovReport:
     """Relative Bogolyubov on a regular Bohr set.
 
     Follows the density-increment-free proof: pass to a regular sub-Bohr
@@ -320,8 +314,6 @@ def local_bogolyubov(
     if not A_idx:
         raise DensityTooLow("empty set")
     delta = len(A_idx) / len(B)
-    if delta < delta_floor:
-        raise DensityTooLow(f"relative density {delta} below floor {delta_floor}")
     d = B.d
     if d == 0:
         S2 = bogolyubov(spec, A_idx)

@@ -428,7 +428,7 @@ def _cmd_nilseq(args) -> dict:
 
 
 def _cmd_hp_check(args) -> dict:
-    from .nil import FundamentalFactor, hall_petresco_next, nil_frac
+    from .nil import hall_petresco_next, nil_frac, parallelepiped_deviation
 
     rng = np.random.default_rng(args.seed)
     worst = 0.0
@@ -439,18 +439,7 @@ def _cmd_hp_check(args) -> dict:
             worst = max(worst, abs(nil_frac(res - (a + 2 * r))))
     else:
         for _ in range(args.trials):
-            g = FundamentalFactor(
-                "heis", alpha=rng.uniform(), beta=rng.uniform(), gamma=rng.uniform()
-            )
-            x = tuple(rng.uniform(-0.5, 0.5, size=3))
-            res = hall_petresco_next([x, g.orbit(x, 1), g.orbit(x, 2)], 4)
-            tgt = g.orbit(x, 3)
-            from .nil import NilPoint, NilSystem, point_distance
-
-            worst = max(
-                worst,
-                point_distance(NilSystem((g,)), NilPoint((tuple(res),)), NilPoint((tgt,))),
-            )
+            worst = max(worst, parallelepiped_deviation(rng))
     return {"k": args.k, "trials": args.trials, "max_deviation": worst, "pass": worst < 1e-9}
 
 

@@ -15,7 +15,8 @@ class U3KitError(Exception):
 
 
 class SpecMismatch(U3KitError):
-    """Operands belong to different groups."""
+    """Operands belong to different groups, or the group or subgroup is of a
+    kind the operation does not support."""
 
 
 class BudgetExceeded(U3KitError):
@@ -27,7 +28,7 @@ class DegreeUnsupported(U3KitError):
 
 
 class NotBounded(U3KitError):
-    """A function flagged as bounded has modulus above 1."""
+    """A function that must be 1-bounded has modulus above 1."""
 
 
 class BadGroupOrder(U3KitError):

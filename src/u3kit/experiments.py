@@ -25,6 +25,7 @@ from .errors import (
     Has4Ap,
     NotPrime,
     PipelineEmpty,
+    SpecMismatch,
     TooSmall,
 )
 from .forms import count_aps
@@ -36,6 +37,8 @@ from .quadratic import degenerate_subspace
 
 EXHAUSTIVE_SCAN_LIMIT = 512  # largest N of an exhaustive quadratic_correlation_scan
 EXHAUSTIVE_SEARCH_LIMIT = 20  # largest N of an exhaustive ap_free_search
+MIN_WITNESS_BIAS = 1e-6  # least best-coset bias for the level-set branch of the increment
+DRIVER_MAX_DEPTH = 8  # density-increment steps of szemeredi_driver
 
 
 # --- the two-scale counterexample --------------------------------------------
@@ -123,7 +126,7 @@ def quadratic_correlation_scan(
     sample plus the transform-informed candidates a = 0, all b."""
     spec = f.owner
     if spec.rank != 1:
-        raise BudgetExceeded("scan requires a cyclic group")
+        raise SpecMismatch("scan requires a cyclic group")
     N = spec.order
     xs = np.arange(N, dtype=np.int64)
     if mode == "exhaustive":
@@ -158,7 +161,6 @@ def quadratic_correlation_scan(
 @dataclass
 class IncrementThresholds:
     eta: float | None = None  # None: 0.8 * U^3(1_A - alpha)
-    min_bias: float = 1e-6
     seed: int = 0
     force: bool = False  # run even if A has a proper 4-AP
 
@@ -249,7 +251,7 @@ def density_increment_f5(
         best_y, (wit, bias) = max(
             obstruction.witnesses.items(), key=lambda kv: kv[1][1]
         )
-        if bias >= th.min_bias and W.dim >= 1:
+        if bias >= MIN_WITNESS_BIAS and W.dim >= 1:
             A_loc = np.array(wit.A, dtype=np.int64).reshape(W.dim, W.dim)
             U = degenerate_subspace(A_loc, PrimeSubspace.whole(GroupSpec((p,) * W.dim)))
             degen_dim = U.dim
@@ -331,17 +333,17 @@ class DriverStep:
 
 
 def szemeredi_driver(
-    spec: GroupSpec, A: Sequence[int], thresholds: IncrementThresholds | None = None,
-    max_depth: int = 8,
+    spec: GroupSpec, A: Sequence[int], thresholds: IncrementThresholds | None = None
 ) -> list[DriverStep]:
     """Iterate the density increment, re-coordinatizing the returned coset as
     F_5^dim(V); halts on a 4-AP in the restriction, density 1, dimension
-    floor, or an empty pipeline.  Returns the full trace."""
+    floor, or an empty pipeline, and after DRIVER_MAX_DEPTH steps.  Returns
+    the full trace."""
     p = spec.orders[0]
     cur_spec = spec
     cur_A = sorted(set(int(a) for a in A))
     trace: list[DriverStep] = []
-    for depth in range(max_depth):
+    for depth in range(DRIVER_MAX_DEPTH):
         dens = len(cur_A) / cur_spec.order
         if not cur_A:
             trace.append(DriverStep(depth, cur_spec.rank, 0.0, "empty"))

@@ -9,13 +9,14 @@ The forward transform carries the expectation normalization
 and inversion is a plain sum, f(x) = sum_xi fhat(xi) e(xi.x).
 
 `dft_values`, the batched transform under the Gowers kernels, splits the
-axes into blocks, walking from the last axis: consecutive axes share a block
-while the product of their orders is at most _DENSE_BLOCK, and a longer axis
-is a block of its own.  A short block of order m is one matrix product with
-its m x m character table e(-xi.x) (built from exact integer pairings and
-cached per tuple of orders); a long axis goes through a length-n FFT.  After
-each block one transpose moves the transformed block in front of those done
-before it, so when every block is done the output is row-major again.  On
+axes into blocks by `groups.factor_runs`, walking from the last axis:
+consecutive axes share a block while the product of their orders is at most
+_DENSE_BLOCK, and a longer axis is a block of its own.  A short block of
+order m is one matrix product with its m x m character table e(-xi.x)
+(built from exact integer pairings and cached per tuple of orders); a long
+axis goes through a length-n FFT.  After each block one transpose moves the
+transformed block in front of those done before it, so when every block is
+done the output is row-major again.  On
 F5^5 `np.fft.fftn` makes five strided passes over length-5 axes; the blocks
 (5,), (5,5) and (5,5) make three dense products instead.  `dft`, `idft` and
 `convolve` use the multidimensional FFT directly.
@@ -30,7 +31,7 @@ from math import prod
 import numpy as np
 
 from .errors import SpecMismatch
-from .groups import GroupFunction, GroupSpec
+from .groups import GroupFunction, GroupSpec, factor_runs
 
 
 @dataclass
@@ -84,18 +85,6 @@ def idft(F: DualFunction) -> GroupFunction:
 _DENSE_BLOCK = 32
 
 
-def _blocks(orders: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Runs of consecutive axes, last run first, each of order at most
-    _DENSE_BLOCK or a single longer axis."""
-    out: list[tuple[int, ...]] = []
-    for n in reversed(orders):
-        if out and prod(out[-1]) * n <= _DENSE_BLOCK:
-            out[-1] = (n,) + out[-1]
-        else:
-            out.append((n,))
-    return out
-
-
 @lru_cache(maxsize=64)
 def _character_table(orders: tuple[int, ...]) -> np.ndarray:
     """W[x, xi] = e(-xi.x) on Z/n1 x ... x Z/nk, both indices row-major
@@ -115,7 +104,7 @@ def dft_values(spec: GroupSpec, values: np.ndarray) -> np.ndarray:
     rows = prod(batch)
     g = values
     done, rest = 1, spec.order  # orders of the transformed and the untouched axes
-    for block in _blocks(spec.orders):
+    for block in factor_runs(spec.orders, _DENSE_BLOCK):
         m = prod(block)
         rest //= m
         g = g.reshape(rows * done * rest, m)

@@ -40,7 +40,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetExceeded, NotBounded, ParseError, SpecMismatch
+from .errors import BudgetExceeded, ParseError, SpecMismatch
 
 # Values on the torus R/Z: exact Fraction whenever the input data is exact,
 # float otherwise.  All helpers below accept either.
@@ -63,6 +63,19 @@ BOUNDED_SLACK = 1e-12
 # From 125 on, F5^3 is one run and F5^6 two.  At 256 the Z/211 of the U^4
 # rows becomes a 211 x 211 table, slower than its compare-and-subtract.
 _TABLE_RUN = 128
+
+
+def factor_runs(orders: tuple[int, ...], limit: int) -> list[tuple[int, ...]]:
+    """Runs of consecutive factor orders, last run first: factors share a run
+    while their orders multiply to at most limit, and a longer factor is a
+    run of its own."""
+    out: list[tuple[int, ...]] = []
+    for n in reversed(orders):
+        if out and prod(out[-1]) * n <= limit:
+            out[-1] = (n,) + out[-1]
+        else:
+            out.append((n,))
+    return out
 
 
 def _outer_shape(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -172,15 +185,12 @@ class GroupSpec:
     # time (see _runs); digit r of an index a is a // place_r % m_r.
     @cached_property
     def _runs(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(orders, place value) of each run of factors, last run first:
-        consecutive factors share a run while their orders multiply to at
-        most _TABLE_RUN, and a longer factor is a run of its own."""
-        runs: list[tuple[tuple[int, ...], int]] = []
-        for n, w in zip(reversed(self.orders), reversed(self._weights)):
-            if runs and prod(runs[-1][0]) * n <= _TABLE_RUN:
-                runs[-1] = ((n,) + runs[-1][0], runs[-1][1])
-            else:
-                runs.append(((n,), w))
+        """(orders, place value) of each `factor_runs` run of at most
+        _TABLE_RUN, last run first."""
+        runs, place = [], 1
+        for orders in factor_runs(self.orders, _TABLE_RUN):
+            runs.append((orders, place))
+            place *= prod(orders)
         return tuple(runs)
 
     def _digits(self, a: np.ndarray, m: int, place: int) -> np.ndarray:
@@ -363,19 +373,11 @@ class GroupFunction:
 
     owner: GroupSpec
     values: np.ndarray
-    bounded: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape != (self.owner.order,):
             raise ValueError(f"expected {self.owner.order} values, got {self.values.shape}")
-        if self.bounded:
-            self.check_bounded()
-
-    def check_bounded(self) -> None:
-        m = float(np.max(np.abs(self.values))) if self.values.size else 0.0
-        if m > 1.0 + BOUNDED_SLACK:
-            raise NotBounded(f"max modulus {m} exceeds 1")
 
     def is_bounded(self) -> bool:
         return bool(np.max(np.abs(self.values)) <= 1.0 + BOUNDED_SLACK)

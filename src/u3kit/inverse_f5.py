@@ -16,10 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bohr import SUMSET_BUDGET, bogolyubov, iterated_sumset
+from . import bohr
+from .bohr import bogolyubov, iterated_sumset
 from .errors import EmptyGraph, EmptyV, SliceFailed, SpecMismatch
 from .groups import GroupElement, GroupFunction, GroupSpec, derivative_rows
-from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, largest_subspace_inside
+from .modlinalg import (
+    PrimeSubspace,
+    is_prime,
+    kernel_basis_mod_p,
+    largest_subspace_inside,
+    solve_mod_p,
+)
 from .norms import CosetQuadraticWitness, u3_oracle_coset
 
 # (x0, h) pairs, and (x0, xi0) counters, per block of the affine vote; a block
@@ -115,13 +122,14 @@ class SliceResult:
     seed: int
 
 
-def random_slice(gamma: PhaseGraph, seed: int, budget: int = SUMSET_BUDGET) -> SliceResult:
+def random_slice(gamma: PhaseGraph, seed: int) -> SliceResult:
     """Slice the graph along a random fiber so that 4G''-4G'' is a graph.
 
     A = {xi : (0,xi) in 8G-8G} is compressed by a random linear map
     nonvanishing on A \\ {0}; the densest fiber is kept (lexicographically
     smallest on ties) and the graph property is re-verified on the sliced
-    difference set.
+    difference set.  When |graph| |G|^2 exceeds bohr.SUMSET_BUDGET, the
+    4-fold difference set stands in for the 8-fold (used_surrogate).
     """
     spec = gamma.spec
     p = _homogeneous_prime(spec)
@@ -129,9 +137,9 @@ def random_slice(gamma: PhaseGraph, seed: int, budget: int = SUMSET_BUDGET) -> S
     keys = gamma.pair_keys()
     if len(keys) == 0:
         return SliceResult(gamma, 0, 0, False, True, seed)
-    surrogate = len(keys) * (N * N) > budget
+    surrogate = len(keys) * (N * N) > bohr.SUMSET_BUDGET
     folds = 4 if surrogate else 8
-    diff = iterated_sumset(gamma.pair_group, keys, folds, folds, budget)
+    diff = iterated_sumset(gamma.pair_group, keys, folds, folds)
     zero_fiber = diff[diff // N == 0] % N
     A = np.unique(zero_fiber)
     A_nonzero = A[A != 0]
@@ -164,7 +172,7 @@ def random_slice(gamma: PhaseGraph, seed: int, budget: int = SUMSET_BUDGET) -> S
         result_graph = PhaseGraph(spec, gamma.threshold, entries)
     # verify: (0, xi) in the sliced iterated difference set forces xi = 0
     keys2 = result_graph.pair_keys()
-    diff2 = iterated_sumset(gamma.pair_group, keys2, folds, folds, budget)
+    diff2 = iterated_sumset(gamma.pair_group, keys2, folds, folds)
     zf = np.unique(diff2[diff2 // N == 0] % N)
     verified = bool(np.all(zf == 0)) if len(zf) else True
     return SliceResult(result_graph, int(len(A)), m, surrogate, verified, seed)
@@ -286,23 +294,25 @@ def symmetry_subspace(fit: LinearComponentFit) -> PrimeSubspace:
     if ker.shape[0] == 0:
         return PrimeSubspace(V.spec, ())
     W = PrimeSubspace.from_generators(V.spec, (ker @ B) % p)
-    # verify self-adjointness of M on W
-    WB = W.basis_matrix()
-    tloc = np.array([_solve_in_basis(B, w, p) for w in WB], dtype=np.int64)
-    MW = (tloc @ MB) % p  # dual coords of M on the W basis
-    sym = (MW @ WB.T) % p
+    sym = _restricted_form(fit, W)
     if np.any((sym - sym.T) % p):
         raise AssertionError("symmetry subspace failed self-adjointness check")
     return W
 
 
-def _solve_in_basis(B: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
-    from .modlinalg import solve_mod_p
-
-    sol = solve_mod_p(B.T, w, p)
-    if sol is None:
-        raise AssertionError("vector outside subspace")
-    return sol
+def _restricted_form(fit: LinearComponentFit, W: PrimeSubspace) -> np.ndarray:
+    """A[i][j] = M(w_i).w_j on the basis of W, a subspace of V: each w_i is
+    solved in V's basis and M applied to its coordinates (0 x 0 when W is
+    trivial)."""
+    p, B, WB = W.p, fit.V.basis_matrix(), W.basis_matrix()
+    tloc = np.zeros((W.dim, fit.V.dim), dtype=np.int64)
+    for i, w in enumerate(WB):
+        sol = solve_mod_p(B.T, w, p)
+        if sol is None:
+            raise AssertionError("vector outside subspace")
+        tloc[i] = sol
+    MW = (tloc @ fit.M_rows) % p  # dual coords of M on the W basis
+    return (MW @ WB.T) % p
 
 
 @dataclass
@@ -394,21 +404,13 @@ def quadratic_obstruction(
     bias, and their average, is at most max |f|, and at most 1 only for
     1-bounded f."""
     spec = f.owner
-    p = _homogeneous_prime(spec)
-    gamma = phase_derivative_graph(f, eta)
+    gamma = phase_derivative_graph(f, eta)  # checks that G is F_p^n
     quad = additive_quadruples(gamma)
     K = len(gamma) ** 3 / quad if quad else float("inf")
     sliced = random_slice(gamma, seed)
     fit = linear_component_fit(sliced)
     W = symmetry_subspace(fit)
-    # local symmetric matrix of Mx.x restricted to W: A[i][j] = M(w_i).w_j
-    WB = W.basis_matrix()
-    if W.dim:
-        tloc = np.array([_solve_in_basis(fit.V.basis_matrix(), w, p) for w in WB], dtype=np.int64)
-        MW = (tloc @ fit.M_rows) % p
-        A_local = (MW @ WB.T) % p  # symmetric by the symmetry-subspace check
-    else:
-        A_local = np.zeros((0, 0), dtype=np.int64)
+    A_local = _restricted_form(fit, W)  # symmetric by the symmetry-subspace check
 
     reps = coset_reps(W)
     witnesses: dict[int, tuple[CosetQuadraticWitness, float]] = {}

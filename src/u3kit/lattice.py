@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+LLL_DELTA = Fraction(99, 100)  # the Lovasz condition constant of lll_reduce
+
 
 @dataclass
 class TaggedLattice:
@@ -65,7 +67,7 @@ def hermite_reduce(lat: TaggedLattice) -> TaggedLattice:
     return TaggedLattice(mat, tags)
 
 
-def lll_reduce(lat: TaggedLattice, delta: Fraction = Fraction(99, 100)) -> TaggedLattice:
+def lll_reduce(lat: TaggedLattice) -> TaggedLattice:
     """LLL with exact rational Gram-Schmidt; rows must be independent."""
     b = [[Fraction(int(v)) for v in row] for row in lat.mat]
     tg = [[int(v) for v in row] for row in lat.tags]
@@ -94,7 +96,7 @@ def lll_reduce(lat: TaggedLattice, delta: Fraction = Fraction(99, 100)) -> Tagge
                 bstar, mu = gram_schmidt()
         nk = sum(x * x for x in bstar[k])
         nk1 = sum(x * x for x in bstar[k - 1])
-        if nk >= (delta - mu[k][k - 1] ** 2) * nk1:
+        if nk >= (LLL_DELTA - mu[k][k - 1] ** 2) * nk1:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]

@@ -28,7 +28,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,26 +54,17 @@ def heis_project(a: tuple) -> tuple:
 # --- cutoff ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+_RHO, _EPS = Fraction(1, 4), Fraction(1, 2)  # cutoff radius and relative margin
+
+
 class CutoffSpec:
     """Piecewise-cubic plateau cutoff: 1 on |t| <= rho(1-eps), 0 on
-    |t| >= rho(1+eps), Hermite smoothstep between."""
+    |t| >= rho(1+eps), Hermite smoothstep between, with rho = 1/4 and
+    eps = 1/2."""
 
-    rho: Fraction = Fraction(1, 4)
-    eps: Fraction = Fraction(1, 2)
-
-    # floats computed once per instance: __call__ runs once per point
-    @cached_property
-    def plateau(self) -> float:
-        return float(self.rho * (1 - self.eps))
-
-    @cached_property
-    def support(self) -> float:
-        return float(self.rho * (1 + self.eps))
-
-    @property
-    def max_slope(self) -> float:
-        return 1.5 / float(2 * self.rho * self.eps)
+    plateau = float(_RHO * (1 - _EPS))
+    support = float(_RHO * (1 + _EPS))
+    max_slope = 1.5 / float(2 * _RHO * _EPS)
 
     def __call__(self, t) -> float:
         a = abs(float(nil_frac(float(t))))
@@ -273,8 +263,9 @@ def _active_terms(bq: BracketQuadratic) -> list[tuple[int, int | None, float]]:
     return [t for t in quad + lin if t[2] != 0.0]
 
 
-def _quadratic_term(alpha: float, gamma: float, coeff: float, start: int, chi: CutoffSpec):
+def _quadratic_term(alpha: float, gamma: float, coeff: float, start: int):
     q, s = _split_half(-coeff)
+    chi = CANONICAL_CUTOFF
     slope = chi.max_slope
     factors = [
         FundamentalFactor("circle", alpha=alpha),
@@ -292,8 +283,9 @@ def _quadratic_term(alpha: float, gamma: float, coeff: float, start: int, chi: C
     return factors, blocks
 
 
-def _linear_term(alpha: float, coeff: float, start: int, chi: CutoffSpec):
+def _linear_term(alpha: float, coeff: float, start: int):
     q, s = _split_half(-coeff)
+    chi = CANONICAL_CUTOFF
     factors = [
         FundamentalFactor("circle", alpha=alpha),
         FundamentalFactor("circle", alpha=nil_frac(q * alpha)),
@@ -302,7 +294,7 @@ def _linear_term(alpha: float, coeff: float, start: int, chi: CutoffSpec):
     return factors, blocks
 
 
-def _factor_terms(bq: BracketQuadratic, chi: CutoffSpec) -> list[tuple[list, list]]:
+def _factor_terms(bq: BracketQuadratic) -> list[tuple[list, list]]:
     """(factors, block functions) of each active term, in `_active_terms`
     order; a block's start counts the factors of every earlier term."""
     if len(bq.freqs) > 4:
@@ -312,18 +304,17 @@ def _factor_terms(bq: BracketQuadratic, chi: CutoffSpec) -> list[tuple[list, lis
     start = 0
     for i, j, c in _active_terms(bq):
         if j is None:
-            term = _linear_term(bq.freqs[i] / N, c, start, chi)
+            term = _linear_term(bq.freqs[i] / N, c, start)
         else:
-            term = _quadratic_term(bq.freqs[i] / N, bq.freqs[j] / N, c, start, chi)
+            term = _quadratic_term(bq.freqs[i] / N, bq.freqs[j] / N, c, start)
         out.append(term)
         start += len(term[0])
     return out
 
 
-def bracket_to_nilsystem(
-    bq: BracketQuadratic, chi: CutoffSpec = CANONICAL_CUTOFF
-) -> tuple[NilSystem, NilFunction, NilPoint]:
-    """Realize n -> (prod of cutoff factors) * e(-bq(n)) as F(T^n 0).
+def bracket_to_nilsystem(bq: BracketQuadratic) -> tuple[NilSystem, NilFunction, NilPoint]:
+    """Realize n -> (prod of cutoff factors) * e(-bq(n)) as F(T^n 0), with
+    chi = CANONICAL_CUTOFF.
 
     Each quadratic monomial c {a n}{g n} contributes the block
 
@@ -338,17 +329,18 @@ def bracket_to_nilsystem(
     F = chi(x) e(s x) e(y).  Dimension is 9 per quadratic and 2 per linear
     term; every block function is below the declared Lipschitz constant 50.
     """
-    terms = _factor_terms(bq, chi)
+    terms = _factor_terms(bq)
     system = NilSystem(tuple(f for factors, _ in terms for f in factors))
     F = NilFunction(system, [b for _, blocks in terms for b in blocks], global_phase=e(-float(bq.const)))
     return system, F, system.zero_point()
 
 
-def bracket_weight(bq: BracketQuadratic, chi: CutoffSpec = CANONICAL_CUTOFF):
+def bracket_weight(bq: BracketQuadratic):
     """The cutoff weight carried by the bracket factorization: chi^2 at each
     frequency of every active quadratic monomial, chi at each active linear
-    frequency.  Returns a callable on residues n."""
+    frequency, with chi = CANONICAL_CUTOFF.  Returns a callable on residues n."""
     N = bq.N
+    chi = CANONICAL_CUTOFF
     terms = _active_terms(bq)
     quad = [(bq.freqs[i], bq.freqs[j]) for i, j, _ in terms if j is not None]
     lin = [bq.freqs[i] for i, j, _ in terms if j is None]
@@ -370,11 +362,13 @@ def per_term_blocks(bq: BracketQuadratic) -> list[tuple[int, float]]:
     for the <= 9 / <= 50 contract checks."""
     return [
         (sum(f.dim for f in factors), sum(b.lipschitz for b in blocks))
-        for factors, blocks in _factor_terms(bq, CANONICAL_CUTOFF)
+        for factors, blocks in _factor_terms(bq)
     ]
 
 
 # --- Hall-Petresco constraints ---------------------------------------------------
+
+_HP_TOL = 1e-9  # largest abelianized-constraint deviation of a k = 4 input
 
 
 def _heis_mul(a: tuple, b: tuple) -> tuple:
@@ -389,13 +383,14 @@ def _heis_inv(a: tuple) -> tuple:
     return (-x, -y + z * x, -z)
 
 
-def hall_petresco_next(points: Sequence, k: int, tol: float = 1e-9):
+def hall_petresco_next(points: Sequence, k: int):
     """The forced k-th point of a nilflow progression from the previous k-1.
 
     k = 3: two torus points a, b -> 2b - a.
     k = 4: three Heisenberg cylinder points satisfying the abelianized
     constraint; the result is a (a^-1 b)^3 ((a^-1 b)^-2 a^-1 c)^3 computed in
-    lifted matrices and projected back.
+    lifted matrices and projected back.  Points off the abelianized
+    constraint by more than _HP_TOL raise NotInSigma.
     """
     if k == 3:
         if len(points) != 2:
@@ -410,7 +405,7 @@ def hall_petresco_next(points: Sequence, k: int, tol: float = 1e-9):
     # abelianized membership: (x2, z2) = 2(x1, z1) - (x0, z0) mod Z^2
     for t in (0, 2):
         dev = abs(nil_frac(c[t] - 2 * b[t] + a[t]))
-        if dev > tol:
+        if dev > _HP_TOL:
             raise NotInSigma(f"abelianized constraint violated by {dev}")
     ab = _heis_mul(_heis_inv(a), b)  # a^-1 b
     ab3 = _heis_mul(_heis_mul(ab, ab), ab)
@@ -418,6 +413,16 @@ def hall_petresco_next(points: Sequence, k: int, tol: float = 1e-9):
     inner3 = _heis_mul(_heis_mul(inner, inner), inner)
     res = _heis_mul(a, _heis_mul(ab3, inner3))
     return heis_project(res)
+
+
+def parallelepiped_deviation(rng) -> float:
+    """One random trial of the k = 4 constraint: the distance from the point
+    that hall_petresco_next forces after x, Tx, T^2x of a random Heisenberg
+    flow to the true T^3x (0 up to rounding)."""
+    g = FundamentalFactor("heis", alpha=rng.uniform(), beta=rng.uniform(), gamma=rng.uniform())
+    x = tuple(rng.uniform(-0.5, 0.5, size=3))
+    res = hall_petresco_next([x, g.orbit(x, 1), g.orbit(x, 2)], 4)
+    return point_distance(NilSystem((g,)), NilPoint((tuple(res),)), NilPoint((g.orbit(x, 3),)))
 
 
 # --- delta-nets and Lipschitz checks ----------------------------------------------

@@ -110,6 +110,7 @@ from .errors import (
     EvenOrder,
     NotBounded,
     NotPrime,
+    SpecMismatch,
     TooSmall,
 )
 from .fourier import dft, dft_values
@@ -252,11 +253,13 @@ def _gowers_recursive(f: GroupFunction, d: int) -> float:
     return max(_u4_pow16(f), 0.0) ** 0.0625
 
 
-def _gowers_direct(f: GroupFunction, d: int, budget: int) -> float:
+def _gowers_direct(f: GroupFunction, d: int) -> float:
     spec = f.owner
     N = spec.order
-    if N ** (d + 1) > budget:
-        raise BudgetExceeded(f"direct method needs N^{d + 1} = {N ** (d + 1)} > budget {budget}")
+    if N ** (d + 1) > DIRECT_BUDGET:
+        raise BudgetExceeded(
+            f"direct method needs N^{d + 1} = {N ** (d + 1)} > budget {DIRECT_BUDGET}"
+        )
     vals = f.values
     # h_t varies along axis t + 1; x along axis 0, a block of x at a time
     hs = [np.arange(N).reshape((1,) * (t + 1) + (N,) + (1,) * (d - 1 - t)) for t in range(d)]
@@ -281,12 +284,12 @@ def gowers_norm(
     f: GroupFunction,
     d: int,
     method: str = "auto",
-    budget: int = DIRECT_BUDGET,
     unchecked: bool = False,
 ) -> NormReport:
     """The U^d norm of f for d = 1..4.
 
-    method "direct" enumerates all cubes (N^(d+1) work, budget-guarded);
+    method "direct" enumerates all cubes (N^(d+1) work, at most
+    DIRECT_BUDGET);
     "recursive" averages lower-degree norms of multiplicative derivatives
     with the Fourier identity at degree 2; "auto" picks recursive.
     """
@@ -296,7 +299,7 @@ def gowers_norm(
     if method == "auto":
         method = "recursive"
     if method == "direct":
-        return NormReport(_gowers_direct(f, d, budget), d, "direct")
+        return NormReport(_gowers_direct(f, d), d, "direct")
     if method == "recursive":
         return NormReport(_gowers_recursive(f, d), d, "recursive")
     raise ValueError(f"unknown method {method!r}")
@@ -387,7 +390,7 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
     P = np.array([2 * t[:, i] * t[:, j] % p for i, j in off], dtype=np.int64).reshape(-1, m)
     # A chunk is a box of p^jv off-diagonal vectors (the trailing jv digits
     # vary), with p^(2k) outputs each: at most _ORACLE_CHUNK outputs, or one
-    # vector's when that is more (never within the default budget).
+    # vector's when that is more (never within ORACLE_BUDGET).
     jv = 0
     while jv < len(off) and p ** (jv + 1 + 2 * k) <= _ORACLE_CHUNK:
         jv += 1
@@ -454,13 +457,12 @@ def _lex_first_max(blocks, block_sq, key_of):
 def u3_oracle_coset(
     f: GroupFunction,
     coset: tuple[GroupElement, Subgroup],
-    budget: int = ORACLE_BUDGET,
 ) -> NormReport:
     """Exact u^3 bias on a coset y+H of odd order: the maximum over all
     quadratic phases M t.t + xi.t (constant dropped) of |E_{x in y+H} f(x)
     e(-phi(x))|, with the witness phase.
 
-    Supported families: F_p-subspaces (dimension-limited by budget) and
+    Supported families: F_p-subspaces (dimension-limited by ORACLE_BUDGET) and
     cyclic subgroups of Z/N, both scanned by `quadratic_scan` (a cyclic
     subgroup of order h as k = 1, p = h).  The witness is the
     lexicographically smallest (c_00, c_01, ..., c_kk, xi_0, ..., xi_{k-1})
@@ -482,8 +484,8 @@ def u3_oracle_coset(
     elif isinstance(H, BoxSubgroup) and f.owner.rank == 1:
         p, k, message = H.local_orders[0], 1, "cyclic quadratic scan exceeds budget"
     else:
-        raise BudgetExceeded("coset oracle supports F_p subspaces and cyclic subgroups")
-    if p ** (k * (k + 1) // 2) * m * p**k > budget:
+        raise SpecMismatch("coset oracle supports F_p subspaces and cyclic subgroups")
+    if p ** (k * (k + 1) // 2) * m * p**k > ORACLE_BUDGET:
         raise BudgetExceeded(message)
     best_sq, key = quadratic_scan(fvals, p, k)
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
@@ -512,7 +514,6 @@ def u3_oracle_bracket(
     region,
     S: Sequence[DualElement] | Sequence[int],
     grid: int,
-    budget: int = ORACLE_BUDGET,
 ) -> NormReport:
     """Grid search over bracket quadratics with frequencies in S.
 
@@ -547,7 +548,7 @@ def u3_oracle_bracket(
     coef_values.sort()
     nv = len(coef_values)
     combos = nv ** (len(pairs) + s)
-    if combos * m > budget:
+    if combos * m > ORACLE_BUDGET:
         raise BudgetExceeded(f"{combos} coefficient tuples x {m} points exceed budget")
 
     brk = bracket_table(N, freqs, idx)

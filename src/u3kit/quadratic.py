@@ -119,7 +119,6 @@ def is_locally_quadratic(
     phi: Mapping[int, TorusValue] | Sequence[TorusValue] | PhaseTable,
     domain: Iterable[int],
     spec: GroupSpec,
-    budget: int = DEFAULT_CUBE_BUDGET,
 ) -> bool:
     """Exact check that all third differences of phi vanish on cubes in the
     domain.
@@ -140,6 +139,7 @@ def is_locally_quadratic(
     that every third difference vanishes.
     Third differences commute, so a <= b <= c covers every ordered triple.
     On a proper domain every cube of |B|^4 base points and shifts is scanned.
+    Either count above DEFAULT_CUBE_BUDGET raises BudgetExceeded.
     """
     dom = np.array(sorted(set(int(i) for i in domain)), dtype=np.int64)
     m = len(dom)
@@ -147,9 +147,10 @@ def is_locally_quadratic(
     if m == N:
         dom = np.arange(N, dtype=np.int64)
         k = spec.rank
-        if k**3 * N > budget:
+        if k**3 * N > DEFAULT_CUBE_BUDGET:
             raise BudgetExceeded(
-                f"rank^3*N = {k}^3*{N} generator third-difference scan exceeds budget {budget}"
+                f"rank^3*N = {k}^3*{N} generator third-difference scan exceeds budget "
+                f"{DEFAULT_CUBE_BUDGET}"
             )
     if isinstance(phi, PhaseTable):
         num, D = phi.numerators, phi.denominator
@@ -172,7 +173,7 @@ def is_locally_quadratic(
 
     member = np.zeros(N, dtype=bool)
     member[dom] = True
-    if m**4 > budget:
+    if m**4 > DEFAULT_CUBE_BUDGET:
         raise BudgetExceeded(f"|B|^4 = {m**4} cube scan exceeds budget")
     if m == 0:
         return True

@@ -47,6 +47,18 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--group", "Z/2xZ/3", "--expr", "1"], "scan requires a cyclic group"),
+    (["u3-oracle", "--group", "Z/3xZ/9", "--expr", "1", "--H", "whole"],
+     "coset oracle supports F_p subspaces and cyclic subgroups"),
+])
+def test_unsupported_group_is_a_spec_mismatch(argv, message, capsys):
+    # neither input exceeds a budget: the group is outside the supported family
+    code, _, err = run_cli(argv, capsys)
+    assert code == 3
+    assert json.loads(err) == {"error": "SpecMismatch", "message": message}
+
+
 @pytest.mark.parametrize("command", ["aps", "bogolyubov"])
 @pytest.mark.parametrize("members", ["0,1,x", "0,1,13", "0,-1", "0,1.5"])
 def test_bad_set_member_exit_code(command, members, capsys):

@@ -1,4 +1,5 @@
-"""Every function or method defined in src/u3kit is named somewhere else.
+"""Every function or method defined in src/u3kit is named somewhere else,
+and every option it takes is set by some caller.
 
 A function, or a property, counts as used when it appears in src/, tests/
 or bench/ as an identifier, an attribute or a string constant (the bench
@@ -78,3 +79,55 @@ def test_every_function_in_src_has_a_caller():
     dead = [where for where, name, method in defined
             if (calls[name] + dotted[name] if method else names[name] + attrs[name] + strings[name]) == 0]
     assert dead == [], dead
+
+
+def _options(node: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """(name, position in a call) of every parameter with a default; the
+    position is None for a keyword-only one, and a method's `self` (or
+    `cls`) takes no place in the call."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    static = any(getattr(d, "id", "") == "staticmethod" for d in node.decorator_list)
+    skip = 1 if method and not static else 0
+    first = len(positional) - len(a.defaults)
+    out = [(p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+    out += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _calls_by_name(tree: ast.AST):
+    """(called name, positional count, keywords) of every call; a *args
+    reaches every position and a **kwargs every keyword."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name is None:
+                continue
+            starred = any(isinstance(x, ast.Starred) for x in node.args)
+            kws = {k.arg for k in node.keywords}
+            yield name, float("inf") if starred else len(node.args), kws
+
+
+def test_every_option_in_src_is_set_by_a_caller():
+    """A parameter with a default is an option.  It counts as set when some
+    call, in src/, tests/ or bench/, to a function of its name passes it by
+    keyword or passes enough positional arguments to reach it.  An option
+    that nothing sets is a constant and belongs in the function body."""
+    reach: dict[str, float] = {}
+    keywords: dict[str, set] = {}
+    defined = []
+    for path, tree in _trees():
+        for name, npos, kws in _calls_by_name(tree):
+            reach[name] = max(reach.get(name, 0), npos)
+            keywords.setdefault(name, set()).update(kws)
+        if path.is_relative_to(ROOT / "src" / "u3kit"):
+            for node, method in _definitions(tree):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    for opt, pos in _options(node, method):
+                        defined.append((f"{path.relative_to(ROOT)}:{node.lineno} {node.name}({opt})",
+                                        node.name, opt, pos))
+    unset = [where for where, name, opt, pos in defined
+             if None not in keywords.get(name, ()) and opt not in keywords.get(name, ())
+             and (pos is None or reach.get(name, 0) <= pos)]
+    assert unset == [], unset

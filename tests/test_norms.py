@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_bounded, random_unimodular, reference_cyclic_scan
+from u3kit import norms
 from u3kit.errors import BudgetExceeded, DegreeUnsupported, EvenOrder, NotBounded, NotPrime, TooSmall
 from u3kit.fourier import dft
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
@@ -605,6 +606,20 @@ def test_coset_oracle_budget_on_f5_4():
     f = GroupFunction.constant(spec, 1.0)
     with pytest.raises(BudgetExceeded, match="symmetric-matrix scan exceeds budget"):
         u3_oracle_coset(f, (spec.zero(), PrimeSubspace.whole(spec)))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("DIRECT_BUDGET", lambda f: gowers_norm(f, 2, method="direct")),
+    ("ORACLE_BUDGET", lambda f: u3_oracle_coset(f, (f.owner.zero(), BoxSubgroup.whole(f.owner)))),
+    ("ORACLE_BUDGET", lambda f: u3_oracle_bracket(f, np.arange(f.owner.order), [1], grid=1)),
+], ids=["direct", "coset_oracle", "bracket_oracle"])
+def test_budgets_are_read_when_called(name, call, monkeypatch):
+    # N^3 = 1331 cubes, 11^3 coset-scan entries, 3^2 tuples x 11 points
+    f = GroupFunction.constant(parse_group("Z/11"), 1.0)
+    call(f)
+    monkeypatch.setattr(norms, name, 10)
+    with pytest.raises(BudgetExceeded):
+        call(f)
 
 
 # --- the exact coset oracle on cyclic subgroups -------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from u3kit import quadratic
 from u3kit.errors import BudgetExceeded
 from u3kit.groups import GroupSpec, mod1, parse_group
 from u3kit.quadratic import (
@@ -123,12 +124,14 @@ def test_object_fallback_past_2_62():
     assert not reference_full_group_quadratic(phi, spec)
 
 
-def test_full_group_budget_is_on_rank_cubed_times_order():
+def test_full_group_budget_is_on_rank_cubed_times_order(monkeypatch):
     spec = parse_group("Z/3xZ/5xZ/7")
     phi = QuadraticPhase(spec, ((Fraction(0),) * 3,) * 3, (1, 2, 3), Fraction(0)).values()
-    assert is_locally_quadratic(phi, range(105), spec, budget=27 * 105)
+    monkeypatch.setattr(quadratic, "DEFAULT_CUBE_BUDGET", 27 * 105)
+    assert is_locally_quadratic(phi, range(105), spec)
+    monkeypatch.setattr(quadratic, "DEFAULT_CUBE_BUDGET", 27 * 105 - 1)
     with pytest.raises(BudgetExceeded, match=r"rank\^3\*N = 3\^3\*105 generator third-difference scan"):
-        is_locally_quadratic(phi, range(105), spec, budget=27 * 105 - 1)
+        is_locally_quadratic(phi, range(105), spec)
 
 
 def test_large_cyclic_group_is_checked_not_refused():

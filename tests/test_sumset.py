@@ -1,6 +1,8 @@
 """Property tests of the one sumset kernel, bohr.sumset / bohr.iterated_sumset,
 against the plain fold-by-fold np.unique construction with no early exit."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -68,7 +70,8 @@ def test_iterated_sumset_matches_reference(data):
     A = data.draw(sets_in(spec))
     plus, minus = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
     budget = data.draw(st.one_of(st.just(bohr.SUMSET_BUDGET), st.integers(0, 300)))
-    got = outcome(lambda: bohr.iterated_sumset(spec, A, plus, minus, budget))
+    with mock.patch.object(bohr, "SUMSET_BUDGET", budget):
+        got = outcome(lambda: bohr.iterated_sumset(spec, A, plus, minus))
     assert got == outcome(lambda: reference_iterated_sumset(spec, A, plus, minus, budget))
 
 
@@ -129,14 +132,16 @@ def test_random_slice_budget_matches_reference(monkeypatch):
     f = GroupFunction(spec, np.exp(2j * np.pi * (q / 5 + 0.05 * rng.uniform(size=spec.order))))
     gamma = phase_derivative_graph(f, 0.5)
     products: list[int] = []
-    monkeypatch.setattr(inverse_f5, "iterated_sumset",
-                        lambda *args: reference_iterated_sumset(*args, products=products))
+    # the reference reads the budget when it is called, as iterated_sumset does
+    monkeypatch.setattr(inverse_f5, "iterated_sumset", lambda *args: reference_iterated_sumset(
+        *args, budget=bohr.SUMSET_BUDGET, products=products))
     reference = random_slice(gamma, 0)
     budgets = sorted({b for p in products for b in (p - 1, p)})
     expected = {}
     for b in budgets:
         try:
-            r = random_slice(gamma, 0, budget=b)
+            with mock.patch.object(bohr, "SUMSET_BUDGET", b):
+                r = random_slice(gamma, 0)
             expected[b] = (len(r.graph), r.ambiguity_set_size, r.used_surrogate, r.verified)
         except BudgetExceeded:
             expected[b] = "BudgetExceeded"
@@ -147,7 +152,8 @@ def test_random_slice_budget_matches_reference(monkeypatch):
     assert "BudgetExceeded" in expected.values()
     for b in budgets:
         try:
-            r = random_slice(gamma, 0, budget=b)
+            with mock.patch.object(bohr, "SUMSET_BUDGET", b):
+                r = random_slice(gamma, 0)
             assert expected[b] == (len(r.graph), r.ambiguity_set_size, r.used_surrogate, r.verified)
         except BudgetExceeded:
             assert expected[b] == "BudgetExceeded"
