@@ -63,6 +63,7 @@ BOUNDED_SLACK = 1e-12
 # From 125 on, F5^3 is one run and F5^6 two.  At 256 the Z/211 of the U^4
 # rows becomes a 211 x 211 table, slower than its compare-and-subtract.
 _TABLE_RUN = 128
+_ADD_BLOCK = 1 << 14  # outputs per row block of a multi-run outer sum
 
 
 def factor_runs(orders: tuple[int, ...], limit: int) -> list[tuple[int, ...]]:
@@ -204,7 +205,9 @@ class GroupSpec:
         compare-and-subtract, exact up to orders near 2^63).  When the
         operands form an outer sum, such as (K, 1) with (1, M), the tables
         are indexed row by one operand and column by the other, so no K x M
-        index array is built."""
+        index array is built, and every run after the first adds its share
+        into the output in row blocks of about _ADD_BLOCK entries: the peak
+        is the output and one block, not one K x M array per run."""
         a = np.asarray(a, dtype=np.int64) % self.order
         b = np.asarray(b, dtype=np.int64) % self.order
         shape = _outer_shape(a.shape, b.shape)
@@ -218,21 +221,15 @@ class GroupSpec:
         out = None
         for orders, place in self._runs:
             m = prod(orders)
-            da, db = self._digits(a, m, place), self._digits(b, m, place)
-            if m > _TABLE_RUN:
-                part = da - (m - db)  # in [-m, m): no overflow
-                np.add(part, m, out=part, where=part < 0)
-                if place > 1:
-                    part *= place
+            share = _run_share(orders, place, self._digits(a, m, place), self._digits(b, m, place), outer)
+            if out is None:
+                out = share(...)
+            elif not outer or out.size <= _ADD_BLOCK:
+                out += share(...)
             else:
-                T = _run_tables(orders, place)[0]
-                if not outer:
-                    part = T[da, db]
-                elif da.size > m:  # columns of T by b, then whole rows by a
-                    part = np.take(np.take(T, db[0], axis=1), da[:, 0], axis=0)
-                else:
-                    part = np.take(T[da[:, 0]], db[0], axis=1)
-            out = part if out is None else np.add(out, part, out=out)
+                step = max(1, _ADD_BLOCK // out.shape[1])
+                for r0 in range(0, len(out), step):
+                    out[r0 : r0 + step] += share(slice(r0, r0 + step))
         return out.reshape(shape)
 
     def neg_indices(self, a) -> np.ndarray:
@@ -288,6 +285,28 @@ class GroupSpec:
 
     def __str__(self) -> str:
         return "x".join(f"Z/{n}" for n in self.orders)
+
+
+def _run_share(orders: tuple[int, ...], place: int, da: np.ndarray, db: np.ndarray, outer: bool):
+    """One run's share of a + b, from the run digits da and db of the
+    operands, as a function of the rows r of the outer sum of da (K, 1) and
+    db (1, M); without outer, r is ... and da, db broadcast."""
+    m = prod(orders)
+    if m > _TABLE_RUN:
+        def share(r):
+            part = da[r] - (m - db)  # in [-m, m): no overflow
+            np.add(part, m, out=part, where=part < 0)
+            if place > 1:
+                part *= place
+            return part
+        return share
+    T = _run_tables(orders, place)[0]
+    if not outer:
+        return lambda r: T[da, db]
+    if da.size > 2 * m:  # columns of T by b once, then whole rows by a
+        cols = np.take(T, db[0], axis=1)
+        return lambda r: np.take(cols, da[r, 0], axis=0)
+    return lambda r: np.take(T[da[r, 0]], db[0], axis=1)
 
 
 @lru_cache(maxsize=64)

@@ -57,14 +57,41 @@ off-diagonal vectors are enumerated, in chunks of _ORACLE_CHUNK outputs.
 A chunk is sized for the cache, not for the memory budget: each chunk
 passes through several complex temporaries of its own size, and 2^17
 outputs (2 MiB of complex128, the per-core L2 of the Xeon below) keep
-them there.  A whole-group scan, median of 15 to 61 calls on a 2-core
-Xeon, every value and witness identical (chunk: F5^3, F3^4):
+them there.  A whole-group scan that evaluates every state (before the
+cut below), median of 15 to 61 calls on a 2-core Xeon, every value and
+witness identical (chunk: F5^3, F3^4):
 2,000,000: 37-43 ms, 101-109 ms; 400,000: 18-30 ms, 68-76 ms;
 131,072: 16-21 ms, 54-58 ms; 65,536: 21 ms, 51 ms.  On F5^3 the 2M chunk
 is one block of 1.95M outputs (tracemalloc peak 62.5 MB) and 2^17 is 25
 blocks of 78,125 (3.1 MB).
 A cyclic group Z/h is the case k = 1 with p = h: there are no off-diagonal
 terms and the identity is the plain sum, which holds for any modulus h.
+
+The last axis is cut by the triangle inequality.  A state is one
+off-diagonal vector with (c_ii, xi_i) for every axis i >= 1; with h(s), s
+in Z/p, its partial sums after axes k-1, ..., 1, each of its p^2 outputs
+|sum_s h(s) w^(c s^2 + xi s)|^2 is at most B = (sum_s |h(s)|)^2.
+A first pass computes every B chunk by chunk and keeps each chunk's
+largest and smallest; the top states of the _SEEDS chunks with the largest
+B are evaluated in full, and their maximum seeds `best`.  The second pass
+visits the chunks in decreasing order of their largest B, redoes their
+partial transforms, evaluates the last axis only on the states with
+B >= best (1 - _TIE_RTOL)(1 - _BOUND_SLACK) (the whole chunk when its
+smallest B passes), raises best as it goes, and stops at the first chunk
+whose largest B is below that cut.  Skipped entries read -1, below any
+threshold.  Why the result cannot change: an entry within the final tie
+band is at least best (1 - _TIE_RTOL) for every best seen on the way, and
+its B is at least the entry, up to the rounding of two sums over the same
+h (about 1e-15 relative), so its state passes the cut; the maximum and the
+lex-first witness are therefore those of the full scan, and only rounding
+can move.  _BOUND_SLACK = 1e-9 is a fixed margin far above that rounding.
+At worst every B reaches the maximum and nothing is skipped: the zero
+function and a point mass (every entry ties) pay the partial transforms
+twice.  A constant f is not a worst case: its partial sums are Gauss
+sums, every state but that of C = 0, xi = 0 has B <= m^2 / p, and the cut
+keeps that one.  A planted F5^3 phase evaluates the last axis on 5 of its
+78,125 states (the 4 seeds and 1 in the second pass).  At k = 1 there is
+one state and no seed, and the second pass evaluates it once.
 
 D is stored as a dense matrix only when k > 1 and p^3 <= _ORACLE_CHUNK,
 where one matrix is reused across the k axes and all the chunks.  Otherwise
@@ -128,6 +155,10 @@ _DIRECT_BLOCK = 1 << 18  # cubes per block of the direct method
 # 400k 18-30 / 68-76 ms, 2^17 16-21 / 54-58 ms, 65,536 21 / 51 ms.
 _ORACLE_CHUNK = 1 << 17
 _TIE_RTOL = 1e-12  # oracle entries this close to the maximum tie
+# relative margin of the exact scan's bound against its entries: far above
+# their rounding (about 1e-15), far below any gap the cut exploits
+_BOUND_SLACK = 1e-9
+_SEEDS = 4  # states of the exact scan evaluated first, to set its cut
 _BRACKET_BLOCK = 1 << 20  # entries per table and per product block of the bracket oracle
 
 
@@ -359,6 +390,26 @@ def _base_p_digits(n: np.ndarray, p: int, width: int) -> np.ndarray:
     return (n[..., None] // p ** np.arange(width - 1, -1, -1, dtype=np.int64)) % p
 
 
+def _along_axis(g: np.ndarray, D: np.ndarray | None, omega: np.ndarray) -> np.ndarray:
+    """(B, p, r) -> (B, p^2, r): the middle axis s becomes rows (c, xi) of
+    sum_s g[s] w^(c s^2 + xi s), w = omega[1], by the dense map D or, when D
+    is None, by the chirp w^(c s^2) and a length-p FFT in s."""
+    if D is not None:
+        return np.matmul(D, g)
+    s = np.arange(len(omega), dtype=np.int64)
+    h = omega[(s[:, None] * s * s) % len(omega)][:, :, None] * g[:, None]
+    return np.fft.fft(h, axis=2).reshape(len(g), -1, g.shape[-1])
+
+
+def _last_axis(h: np.ndarray, D: np.ndarray | None, omega: np.ndarray) -> np.ndarray:
+    """|.|^2 of the last axis for the B r states h[b, :, r]: (B, p, r) ->
+    (B, p^2, r).  Every state the scan evaluates passes through here."""
+    out = _along_axis(h, D, omega)
+    sq = np.square(out.real)
+    sq += np.square(out.imag)
+    return sq
+
+
 def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int, ...]]:
     """max over symmetric C and xi of |sum_t g(t) w^(t.Ct + xi.t)|^2, w =
     e(-1/p), for g = fvals on (Z/p)^k in lex order, and the argmax as
@@ -368,7 +419,15 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
 
     p is prime for k > 1; with k = 1 it may be any modulus h, even or
     composite, and the key is (a, b) for the phase a t^2 + b t (see the
-    module docstring for the separable identity)."""
+    module docstring for the separable identity).
+
+    The last axis (t_0) runs only on states whose triangle-inequality bound
+    B = (sum_s |h(s)|)^2 reaches best (1 - _TIE_RTOL)(1 - _BOUND_SLACK),
+    best the largest entry found so far: every entry within the final tie
+    band lies in such a state, so the value and the witness are those of
+    the full scan (the module docstring has the two passes and the proof).
+    At worst (zero f, a point mass) no state is skipped and the partial
+    transforms of axes k-1, ..., 1 are done twice."""
     m = p**k
     s = np.arange(p, dtype=np.int64)
     omega = np.exp(-2j * np.pi * s / p)
@@ -377,13 +436,6 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
     # entries and pays off only when reused across axes and chunks (k > 1)
     dense = k > 1 and p**3 <= _ORACLE_CHUNK
     D = omega[(s[:, None, None] * s * s + s[:, None] * s) % p].reshape(-1, p) if dense else None
-
-    def along_axis(g: np.ndarray) -> np.ndarray:
-        """(B, p, r) -> (B, p^2, r): the middle axis s becomes rows (c, xi)."""
-        if dense:
-            return np.matmul(D, g)
-        h = omega[(s[:, None] * s * s) % p][:, :, None] * g[:, None]
-        return np.fft.fft(h, axis=2).reshape(len(g), -1, g.shape[-1])
 
     off = [(i, j) for i in range(k) for j in range(i + 1, k)]
     t = _base_p_digits(np.arange(m), p, k)
@@ -394,6 +446,7 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
     jv = 0
     while jv < len(off) and p ** (jv + 1 + 2 * k) <= _ORACLE_CHUNK:
         jv += 1
+    nb = p**jv
 
     # Axes of a chunk: trailing off-diagonal digits, then (c_ii, xi_i) for each
     # i; lex order of the key names them ("o", n), ("c", i), ("x", i).
@@ -404,24 +457,63 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
     varying = [a for a in lex if a in names]
     perm = [names.index(a) for a in varying]
 
-    def chunk_sq(v0: int) -> np.ndarray:
-        """|.|^2 for the off-diagonal vectors v0, ..., v0 + p^jv - 1, axes in
-        lex order of the key."""
-        odig = _base_p_digits(v0 + np.arange(p**jv), p, len(off))
-        g = fvals * omega[(odig @ P) % p]  # (p^jv, m): off-diagonal phase applied
+    def partial(v0: int) -> np.ndarray:
+        """The states of the off-diagonal vectors v0, ..., v0 + nb - 1 after
+        axes k-1, ..., 1: (nb, p, r), t_0 in the middle."""
+        odig = _base_p_digits(v0 + np.arange(nb), p, len(off))
+        g = fvals * omega[(odig @ P) % p]  # (nb, m): off-diagonal phase applied
         done = 1  # size of the transformed trailing block
-        for _ in range(k):  # axes k-1, ..., 0
-            g = along_axis(g.reshape(-1, p, done))
+        for _ in range(k - 1):
+            g = _along_axis(g.reshape(-1, p, done), D, omega)
             done *= p * p
-        sq = np.square(g.real) + np.square(g.imag)
+        return g.reshape(nb, p, done)
+
+    def bounds(h: np.ndarray) -> np.ndarray:
+        return np.square(np.abs(h).sum(axis=1))
+
+    # first pass: (largest bound, smallest bound, v0, top state) per chunk
+    chunks = []
+    for v0 in range(0, p ** len(off), nb):
+        h = partial(v0)
+        b = bounds(h)
+        i, j = np.unravel_index(int(np.argmax(b)), b.shape)
+        chunks.append((float(b[i, j]), float(b.min()), v0, h[i, :, j].copy()))
+    chunks.sort(key=lambda c: -c[0])
+    best = 0.0  # the largest entry evaluated so far
+    if k > 1:  # seeds: the top states of the chunks with the largest bounds
+        best = float(_last_axis(np.stack([c[3] for c in chunks[:_SEEDS]], axis=1)[None], D, omega).max())
+
+    def cut() -> float:
+        return best * (1 - _TIE_RTOL) * (1 - _BOUND_SLACK)
+
+    def chunk_sq(c: tuple) -> np.ndarray:
+        """|.|^2 for chunk c, axes in lex order of the key; entries of states
+        below the cut are -1."""
+        nonlocal best
+        h = partial(c[2])
+        if c[1] >= cut():  # every state reaches the cut
+            sq = _last_axis(h, D, omega)
+        else:
+            sq = np.full((nb, p * p, h.shape[2]), -1.0)
+            i, j = np.nonzero(bounds(h) >= cut())
+            sq[i, :, j] = _last_axis(h[i, :, j].T[None], D, omega)[0].T
+        best = max(best, float(sq.max()))
         return sq.reshape((p,) * (jv + 2 * k)).transpose(perm)
 
-    def key_of(v0: int, at: int) -> tuple[int, ...]:
-        digit = {("o", n): dn for n, dn in enumerate(_base_p_digits(np.asarray(v0), p, len(off)))}
+    def key_of(c: tuple, at: int) -> tuple[int, ...]:
+        digit = {("o", n): dn for n, dn in enumerate(_base_p_digits(np.asarray(c[2]), p, len(off)))}
         digit.update(zip(varying, np.unravel_index(at, (p,) * len(varying))))
         return tuple(int(digit[a]) for a in lex)
 
-    return _lex_first_max(range(0, p ** len(off), p**jv), chunk_sq, key_of)
+    def visits():
+        """The chunks in decreasing order of their largest bound, up to the
+        first one below the cut."""
+        for c in chunks:
+            if c[0] < cut():
+                return
+            yield c
+
+    return _lex_first_max(visits(), chunk_sq, key_of)
 
 
 def _lex_first_max(blocks, block_sq, key_of):
@@ -431,7 +523,9 @@ def _lex_first_max(blocks, block_sq, key_of):
     key_of(b, i) is the key of the i-th of them."""
 
     def first(b, sq: np.ndarray, thr: float):
-        at = int(np.argmax(sq >= thr))
+        # under wide ties (zero f, a point mass) the block's first entry is in
+        # the band, and the comparison over the whole block is skipped
+        at = 0 if sq[(0,) * sq.ndim] >= thr else int(np.argmax(sq >= thr))
         return key_of(b, at), float(sq.flat[at])
 
     records, best = [], 0.0
@@ -531,7 +625,9 @@ def u3_oracle_bracket(
     spec = f.owner
     if spec.rank != 1 or not is_prime(spec.order):
         raise NotPrime("bracket oracle requires prime N")
-    if grid < 1 or grid > 64:
+    if grid < 1:
+        raise TooSmall("grid must be at least 1")
+    if grid > 64:
         raise BudgetExceeded("grid must be between 1 and 64")
     freqs = tuple(int(x.coords[0]) if isinstance(x, DualElement) else int(x) for x in S)
     s = len(freqs)

@@ -865,6 +865,15 @@ def test_good_integer_list_is_accepted(argv, capsys):
     assert code == 0
 
 
+# A grid below 1 is an invalid argument, not a cost over a limit.
+@pytest.mark.parametrize("grid", ["0", "-1"])
+def test_bracket_grid_below_one_is_too_small(grid, capsys):
+    argv = ["u3-oracle", "--group", "Z/101", "--expr", "1", "--kind", "bracket", "--S", "1", "--grid", grid]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "TooSmall"
+
+
 # --H span: is the F_p-span of vectors, so the group must be F_p^k with p prime.
 @pytest.mark.parametrize("argv", [
     ["u3-oracle", "--group", "Z/9", "--expr", "1", "--H", "span:3"],

@@ -548,6 +548,75 @@ def test_quadratic_scan_memory_within_chunk_bound(group, rng):
     assert peak <= 64 * norms._ORACLE_CHUNK
 
 
+def _plant_pair(p: int, k: int, rng, ratio: float) -> np.ndarray:
+    """e(q1/p) + ratio e(q2/p) on (Z/p)^k in lex order, for two random
+    quadratic phases whose leading off-diagonal coefficients differ, so their
+    peaks lie in different states and, unless the whole scan is one chunk, in
+    different chunks.  With ratio 1 the two peaks tie exactly."""
+    t = GroupSpec((p,) * k).decode(np.arange(p**k))
+    A1 = rng.integers(0, p, (k, k))
+    A1 = (A1 + A1.T) % p
+    A2 = A1.copy()
+    A2[0, 1] = A2[1, 0] = (A1[0, 1] + rng.integers(1, p)) % p
+    phase = [np.einsum("ni,ij,nj->n", t, A, t) + t @ rng.integers(0, p, k) for A in (A1, A2)]
+    vals = np.exp(2j * np.pi * phase[0] / p) + ratio * np.exp(2j * np.pi * phase[1] / p)
+    return vals / np.abs(vals).max()
+
+
+CUT_SPACES = ["F3^2", "F3^3", "F3^4", "F5^2", "F5^3", "F7^2"]
+CUT_INPUTS = ["tie", "near-tie", "zero", "constant", "point", "real", "planted"]
+
+
+@given(data=st.data())
+def test_quadratic_scan_cut_matches_reference(data):
+    # skipping states whose bound is below the tie band changes neither the
+    # value nor the lex-first witness: exact ties across chunks, a 1e-10 gap,
+    # and the inputs where every state survives (zero, a point mass)
+    spec = parse_group(data.draw(st.sampled_from(CUT_SPACES)))
+    p, k, m = spec.orders[0], spec.rank, spec.order
+    kind = data.draw(st.sampled_from(CUT_INPUTS))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind in ("tie", "near-tie"):
+        fvals = _plant_pair(p, k, rng, 1.0 if kind == "tie" else 1 - 1e-10)
+    elif kind == "planted":
+        A = rng.integers(0, p, (k, k))
+        fvals = _planted(spec, (A + A.T) % p, rng.integers(0, p, k), 0.3, rng).values
+    else:
+        fvals = {"zero": np.zeros(m, dtype=complex), "constant": np.ones(m, dtype=complex),
+                 "point": np.eye(1, m, int(rng.integers(m)))[0].astype(complex),
+                 "real": rng.uniform(-1, 1, m) + 0j}[kind]
+    chunk = data.draw(st.sampled_from([norms._ORACLE_CHUNK, 1, 30, 700]))
+    rtol = data.draw(st.sampled_from([1e-12, 0.3]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_ORACLE_CHUNK", chunk)
+        mp.setattr(norms, "_TIE_RTOL", rtol)
+        best_sq, key = norms.quadratic_scan(fvals, p, k)
+    mags, digits = _reference_coset_scan(fvals, p, k)
+    sq = (mags * m) ** 2
+    assert abs(best_sq - sq.max()) <= 1e-12 * max(sq.max(), 1.0)
+    row, col = divmod(int(np.argmax(sq.ravel() >= sq.max() * (1 - rtol))), m)
+    assert key == tuple(digits[row].tolist()) + GroupSpec((p,) * k).coords_of(col)
+
+
+def test_quadratic_scan_evaluates_few_states_on_a_plant(monkeypatch):
+    # the last axis of a planted F5^3 scan runs on a handful of its 78,125
+    # states (off-diagonal vector with (c_ii, xi_i) for i >= 1)
+    spec = parse_group("F5^3")
+    rng = np.random.default_rng(3)
+    counted, last_axis = [], norms._last_axis
+    monkeypatch.setattr(norms, "_last_axis", lambda h, *a: counted.append(h.shape[0] * h.shape[2])
+                        or last_axis(h, *a))
+    for _ in range(3):
+        A = rng.integers(0, 5, (3, 3))
+        f = _planted(spec, (A + A.T) % 5, rng.integers(0, 5, 3), 0.3, rng)
+        counted.clear()
+        best_sq, key = norms.quadratic_scan(f.values, 5, 3)
+        assert 1 <= sum(counted) <= 2 * norms._SEEDS
+        mags, digits = _reference_coset_scan(f.values, 5, 3)
+        row, col = divmod(int(np.argmax(mags)), spec.order)
+        assert key == tuple(digits[row].tolist()) + spec.coords_of(col)
+
+
 @pytest.mark.parametrize("group", ["F127^1", "F131^2"])
 def test_coset_oracle_large_p_line_matches_reference(group, rng):
     # a line has k = 1, so the axis goes through the chirp and the FFT

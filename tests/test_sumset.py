@@ -108,6 +108,27 @@ def test_sumset_memory_within_chunk_bound():
     assert peak <= 5 * 8 * bohr._SUMSET_CHUNK
 
 
+def test_outer_sum_over_two_runs_peaks_near_its_output():
+    # F5^5 is two table runs; the U^3 rows add 128 shifts to all 3125
+    # points.  One full 128 x 3125 array per run peaked at 7.08 MB under
+    # tracemalloc; later runs added in row blocks keep it near the 3.2 MB output
+    import tracemalloc
+
+    spec = GroupSpec((5,) * 5)
+    assert len(spec._runs) == 2
+    x = np.arange(spec.order, dtype=np.int64)[None, :]
+    hs = np.arange(128, dtype=np.int64)[:, None] * 7
+    spec.add_indices(x, hs)  # the run tables are cached before the count
+    tracemalloc.start()
+    try:
+        got = spec.add_indices(x, hs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, spec.encode(spec.decode(x) + spec.decode(hs)))
+    assert peak <= 1.25 * got.nbytes
+
+
 @pytest.mark.parametrize("A, folds", [
     (GroupSpec((5,) * 4).coset_points(0, [1, 5], (5, 5)), 2),  # a subgroup: H + H = H
     (list(range(126)), 5),  # H u {g} for H of index 5: 4A misses 4g + H, 5A = G
