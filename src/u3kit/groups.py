@@ -288,9 +288,10 @@ class GroupSpec:
 
 
 def _run_share(orders: tuple[int, ...], place: int, da: np.ndarray, db: np.ndarray, outer: bool):
-    """One run's share of a + b, from the run digits da and db of the
-    operands, as a function of the rows r of the outer sum of da (K, 1) and
-    db (1, M); without outer, r is ... and da, db broadcast."""
+    """One run's share of a + b from the run digits da and db of the
+    operands, as a function of a row slice r: with outer, rows r of the
+    outer sum of da (K, 1) and db (1, M); without it, r is Ellipsis and da
+    and db broadcast."""
     m = prod(orders)
     if m > _TABLE_RUN:
         def share(r):
