@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isqrt
 from typing import Sequence
 
@@ -32,10 +32,10 @@ from .forms import count_aps
 from .groups import GroupFunction, GroupSpec
 from .inverse_f5 import ObstructionReport, quadratic_obstruction
 from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, solve_mod_p
-from .norms import gowers_norm, quadratic_scan
+from .norms import _cyclic_scan, gowers_norm, quadratic_scan
 from .quadratic import degenerate_subspace
 
-EXHAUSTIVE_SCAN_LIMIT = 512  # largest N of an exhaustive quadratic_correlation_scan
+EXHAUSTIVE_SCAN_LIMIT = 1 << 24  # most (a, b) pairs, N^2, of an exhaustive quadratic_correlation_scan
 EXHAUSTIVE_SEARCH_LIMIT = 20  # largest N of an exhaustive ap_free_search
 MIN_WITNESS_BIAS = 1e-6  # least best-coset bias for the level-set branch of the increment
 DRIVER_MAX_DEPTH = 8  # density-increment steps of szemeredi_driver
@@ -97,10 +97,9 @@ def fw_counterexample(N: int) -> GroupFunction:
 
 @dataclass
 class ScanResult:
-    """The best (a, b) found and its correlation |E f(x) e(-(a x^2 + b x)/N)|:
-    in exhaustive mode the exact maximum, with ties broken toward the
-    lex-smallest (a, b) (so a function with exact ties, such as a point mass,
-    gives (0, 0)); in sampled mode a lower bound over the pairs examined."""
+    """The best (a, b) found and its correlation |E f(x) e(-(a x^2 + b x)/N)|,
+    exact (exhaustive) or a lower bound (sampled): the lex-first pair examined
+    in the relative 1e-12 tie band of the best (a point mass gives (0, 0))."""
 
     value: float
     a: int
@@ -109,8 +108,7 @@ class ScanResult:
     pairs_examined: int
 
     def to_json(self) -> dict:
-        return {"value": self.value, "a": self.a, "b": self.b, "mode": self.mode,
-                "pairs_examined": self.pairs_examined}
+        return asdict(self)
 
 
 def quadratic_correlation_scan(
@@ -119,40 +117,27 @@ def quadratic_correlation_scan(
     seed: int = 0,
     samples: int = 100_000,
 ) -> ScanResult:
-    """max over (a, b) of |E f(x) e(-(a x^2 + b x)/N)| (constants only rotate
-    the modulus).  Exhaustive mode is `norms.quadratic_scan` on Z/N (k = 1,
-    any N <= EXHAUSTIVE_SCAN_LIMIT): the exact maximum over all N^2 pairs and
-    the lex-first (a, b) attaining it; sampled mode draws a seeded uniform
-    sample plus the transform-informed candidates a = 0, all b."""
+    """max over (a, b) of |E f(x) e(-(a x^2 + b x)/N)| by the rows of
+    `norms.quadratic_scan` on Z/N (k = 1), one chirp and FFT per a: over all
+    N^2 <= EXHAUSTIVE_SCAN_LIMIT pairs, or (sampled, not budgeted) a seeded
+    sample plus a = 0, all b, so a sample that touches every a (100,000 pairs
+    do on Z/4001) costs the same as the exact scan."""
     spec = f.owner
     if spec.rank != 1:
         raise SpecMismatch("scan requires a cyclic group")
     N = spec.order
-    xs = np.arange(N, dtype=np.int64)
     if mode == "exhaustive":
-        if N > EXHAUSTIVE_SCAN_LIMIT:
-            raise BudgetExceeded(f"exhaustive scan limited to N <= {EXHAUSTIVE_SCAN_LIMIT}")
+        if N * N > EXHAUSTIVE_SCAN_LIMIT:
+            raise BudgetExceeded(f"exhaustive scan limited to N^2 <= EXHAUSTIVE_SCAN_LIMIT = "
+                                 f"{EXHAUSTIVE_SCAN_LIMIT} pairs")
         best_sq, (a, b) = quadratic_scan(f.values, N, 1)
-        return ScanResult(float(np.sqrt(best_sq)) / N, a, b, "exhaustive", N * N)
+        return ScanResult(float(np.sqrt(best_sq)) / N, a, b, mode, N * N)
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    rng = np.random.default_rng(seed)
-    omega = np.exp(-2j * np.pi * np.arange(N) / N)
-    # transform-informed candidates: a = 0, all b (one FFT)
-    corr0 = np.abs(np.fft.fft(f.values)) / N
-    b0 = int(np.argmax(corr0))
-    best = (float(corr0[b0]), 0, b0)
-    pairs = rng.integers(0, N, size=(samples, 2))
-    chunk = max(1, 4_000_000 // N)
-    x2 = (xs * xs) % N
-    for start in range(0, samples, chunk):
-        blk = pairs[start : start + chunk]
-        expo = (blk[:, 0][:, None] * x2[None, :] + blk[:, 1][:, None] * xs[None, :]) % N
-        vals = np.abs(omega[expo] @ f.values) / N
-        i = int(np.argmax(vals))
-        if float(vals[i]) > best[0] + 1e-15:
-            best = (float(vals[i]), int(blk[i, 0]), int(blk[i, 1]))
-    return ScanResult(best[0], best[1], best[2], "sampled", samples + N)
+    pairs = np.random.default_rng(seed).integers(0, N, size=(samples, 2))
+    keys = np.union1d(pairs[:, 0] * N + pairs[:, 1], np.arange(N))  # a N + b, and the row a = 0
+    best_sq, (a, b) = _cyclic_scan(f.values, keys)
+    return ScanResult(float(np.sqrt(best_sq)) / N, a, b, mode, samples + N)
 
 
 # --- density increment on F_5^n ---------------------------------------------------

@@ -30,7 +30,6 @@ The numeric code elsewhere works on index arrays through three entry points:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -513,8 +512,3 @@ def function_from_json(obj: dict) -> GroupFunction:
     if not np.all(np.isfinite(vals)):
         raise ParseError("function values must be finite (no NaN or infinity)")
     return GroupFunction(spec, vals)
-
-
-def load_function(path: str) -> GroupFunction:
-    with open(path) as fh:
-        return function_from_json(json.load(fh))

@@ -64,8 +64,14 @@ witness identical (chunk: F5^3, F3^4):
 131,072: 16-21 ms, 54-58 ms; 65,536: 21 ms, 51 ms.  On F5^3 the 2M chunk
 is one block of 1.95M outputs (tracemalloc peak 62.5 MB) and 2^17 is 25
 blocks of 78,125 (3.1 MB).
-A cyclic group Z/h is the case k = 1 with p = h: there are no off-diagonal
-terms and the identity is the plain sum, which holds for any modulus h.
+A cyclic group Z/h is the case k = 1 with p = h: the plain sum, for any
+modulus h, and one state, which the cut below never skips.  `_cyclic_scan`
+takes each row a as the chirp w^(a t^2) times g and one length-h FFT, in
+blocks of a of at most _ORACLE_CHUNK entries (Z/4001 peaks at 5 MB; one
+(h, h) block would take 513 MB).  Building D would cost more than the one
+transform it serves (whole scan, median of 9 on a 2-core Xeon: 8.0 ms with
+D against 0.13 ms at h = 49, 64.5 against 0.39 ms at h = 125).  The
+sampled `experiments.quadratic_correlation_scan` reads the same rows.
 
 The last axis is cut by the triangle inequality.  A state is one
 off-diagonal vector with (c_ii, xi_i) for every axis i >= 1; with h(s), s
@@ -90,15 +96,11 @@ function and a point mass (every entry ties) pay the partial transforms
 twice.  A constant f is not a worst case: its partial sums are Gauss
 sums, every state but that of C = 0, xi = 0 has B <= m^2 / p, and the cut
 keeps that one.  A planted F5^3 phase evaluates the last axis on 5 of its
-78,125 states (the 4 seeds and 1 in the second pass).  At k = 1 there is
-one state and no seed, and the second pass evaluates it once.
+78,125 states (the 4 seeds and 1 in the second pass).
 
-D is stored as a dense matrix only when k > 1 and p^3 <= _ORACLE_CHUNK,
-where one matrix is reused across the k axes and all the chunks.  Otherwise
-an axis goes through the chirp w^(c s^2) and a length-p FFT in s: at k = 1
-building D costs more than the one transform it serves (a whole k = 1
-scan, median of 9 on a 2-core Xeon: h = 49, 8.0 ms with D against 0.13 ms
-with the FFT axis; h = 125, 64.5 ms against 0.39 ms).
+D is stored as a dense matrix only when p^3 <= _ORACLE_CHUNK, where one
+matrix is reused across the k axes and all the chunks; otherwise an axis
+goes through the chirp w^(c s^2) and a length-p FFT in s.
 
 The bracket oracle regroups the same way.  With brackets b_i(x) = {xi_i x/N}
 on the region, a coefficient tuple splits into its quadratic part q (the
@@ -150,9 +152,7 @@ ORACLE_BUDGET = 2_000_000_000
 _H_CHUNK = 128
 _DIRECT_BLOCK = 1 << 18  # cubes per block of the direct method
 # |correlation|^2 values per chunk of the exact scan: 2^17 complex128 values
-# are 2 MiB, so a chunk's temporaries stay in a core's L2.  Whole-group scan,
-# median of 15-61 calls, 2-core Xeon (F5^3 / F3^4): 2M 37-43 / 101-109 ms,
-# 400k 18-30 / 68-76 ms, 2^17 16-21 / 54-58 ms, 65,536 21 / 51 ms.
+# are 2 MiB, so a chunk's temporaries stay in a core's L2 (module docstring)
 _ORACLE_CHUNK = 1 << 17
 _TIE_RTOL = 1e-12  # oracle entries this close to the maximum tie
 # relative margin of the exact scan's bound against its entries: far above
@@ -424,19 +424,17 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
     module docstring for the separable identity).
 
     The last axis (t_0) runs only on states whose triangle-inequality bound
-    B = (sum_s |h(s)|)^2 reaches best (1 - _TIE_RTOL)(1 - _BOUND_SLACK),
-    best the largest entry found so far: every entry within the final tie
-    band lies in such a state, so the value and the witness are those of
-    the full scan (the module docstring has the two passes and the proof).
-    At worst (zero f, a point mass) no state is skipped and the partial
-    transforms of axes k-1, ..., 1 are done twice."""
+    reaches the tie band of the best entry found so far, which keeps the
+    value and the witness those of the full scan (module docstring)."""
+    if k == 1:  # one state: nothing to cut
+        return _cyclic_scan(fvals)
     m = p**k
     s = np.arange(p, dtype=np.int64)
     omega = np.exp(-2j * np.pi * s / p)
     # D[(c, xi), s] = w^(c s^2 + xi s), rows in lex order.  One product with D
     # takes half the time of p chirps and length-p FFTs on F5^3, but D has p^3
-    # entries and pays off only when reused across axes and chunks (k > 1)
-    dense = k > 1 and p**3 <= _ORACLE_CHUNK
+    # entries and pays off only when reused across axes and chunks
+    dense = p**3 <= _ORACLE_CHUNK
     D = omega[(s[:, None, None] * s * s + s[:, None] * s) % p].reshape(-1, p) if dense else None
 
     off = [(i, j) for i in range(k) for j in range(i + 1, k)]
@@ -481,9 +479,8 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
         i, j = np.unravel_index(int(np.argmax(b)), b.shape)
         chunks.append((float(b[i, j]), float(b.min()), v0, h[i, :, j].copy()))
     chunks.sort(key=lambda c: -c[0])
-    best = 0.0  # the largest entry evaluated so far
-    if k > 1:  # seeds: the top states of the chunks with the largest bounds
-        best = float(_last_axis(np.stack([c[3] for c in chunks[:_SEEDS]], axis=1)[None], D, omega).max())
+    # the largest entry so far, seeded by the top states of the first chunks
+    best = float(_last_axis(np.stack([c[3] for c in chunks[:_SEEDS]], axis=1)[None], D, omega).max())
 
     def cut() -> float:
         return best * (1 - _TIE_RTOL) * (1 - _BOUND_SLACK)
@@ -516,6 +513,34 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
             yield c
 
     return _lex_first_max(visits(), chunk_sq, key_of)
+
+
+def _cyclic_scan(fvals: np.ndarray, keep: np.ndarray | None = None):
+    """`quadratic_scan` at k = 1, h = len(fvals), in blocks of rows a of at
+    most _ORACLE_CHUNK entries (or one row).  Given ascending keys a h + b in
+    `keep`, only their rows are computed, and other entries read -1."""
+    h = len(fvals)
+    t = np.arange(h, dtype=np.int64)
+    omega = np.exp(-2j * np.pi * t / h)
+    rows = t if keep is None else np.unique(keep // h)
+    na = max(1, _ORACLE_CHUNK // h)
+
+    def block_sq(r0: int) -> np.ndarray:
+        a = rows[r0 : r0 + na]
+        out = np.fft.fft(omega[a[:, None] * (t * t % h) % h] * fvals, axis=1)
+        sq = np.square(out.real)
+        sq += np.square(out.imag)
+        if keep is not None:
+            lo, hi = np.searchsorted(keep, [a[0] * h, (a[-1] + 1) * h])
+            off = np.ones(sq.shape, dtype=bool)
+            off[np.searchsorted(a, keep[lo:hi] // h), keep[lo:hi] % h] = False
+            sq[off] = -1.0
+        return sq
+
+    def key_of(r0: int, at: int) -> tuple[int, int]:
+        return int(rows[r0 + at // h]), at % h
+
+    return _lex_first_max(range(0, len(rows), na), block_sq, key_of)
 
 
 def _lex_first_max(blocks, block_sq, key_of):
@@ -559,12 +584,8 @@ def u3_oracle_coset(
     e(-phi(x))|, with the witness phase.
 
     Supported families: F_p-subspaces (dimension-limited by ORACLE_BUDGET) and
-    cyclic subgroups of Z/N, both scanned by `quadratic_scan` (a cyclic
-    subgroup of order h as k = 1, p = h).  The witness is the
-    lexicographically smallest (c_00, c_01, ..., c_kk, xi_0, ..., xi_{k-1})
-    whose |correlation|^2 is within a relative 1e-12 of the maximum, so
-    functions with many exact ties (zero, constant, one point) get A = 0,
-    b = 0 whatever the rounding.
+    cyclic subgroups of order h (k = 1, p = h), both scanned by
+    `quadratic_scan`, whose tie rule gives A = 0, b = 0 on exact ties.
     """
     y, H = coset
     if H.order % 2 == 0:

@@ -46,3 +46,32 @@ def reference_cyclic_scan(fvals: np.ndarray, h: int):
             best_val, best = float(mags[b]), (a, b)
         rows.append(mags)
     return best_val, best, np.array(rows)
+
+
+def reference_sampled_scan(fvals: np.ndarray, N: int, seed: int, samples: int):
+    """The gather loop that `quadratic_correlation_scan(mode="sampled")` ran
+    before it read the rows of `norms.quadratic_scan`: the candidates a = 0,
+    all b (one FFT), then the seeded pairs in blocks of 4,000,000 // N, one
+    gathered exponential per pair and point, keeping the first pair that
+    beats the best so far by more than 1e-15.  Returns (value, (a, b),
+    pairs, values) with every candidate pair examined (the a = 0 row first)
+    and its |E f(x) e(-(a x^2 + b x)/N)|."""
+    xs = np.arange(N, dtype=np.int64)
+    omega = np.exp(-2j * np.pi * np.arange(N) / N)
+    corr0 = np.abs(np.fft.fft(fvals)) / N
+    b0 = int(np.argmax(corr0))
+    best = (float(corr0[b0]), 0, b0)
+    pairs = np.random.default_rng(seed).integers(0, N, size=(samples, 2))
+    chunk = max(1, 4_000_000 // N)
+    x2 = (xs * xs) % N
+    found = [corr0]
+    for start in range(0, samples, chunk):
+        blk = pairs[start : start + chunk]
+        expo = (blk[:, 0][:, None] * x2[None, :] + blk[:, 1][:, None] * xs[None, :]) % N
+        vals = np.abs(omega[expo] @ fvals) / N
+        found.append(vals)
+        i = int(np.argmax(vals))
+        if float(vals[i]) > best[0] + 1e-15:
+            best = (float(vals[i]), int(blk[i, 0]), int(blk[i, 1]))
+    row0 = np.stack([np.zeros(N, dtype=np.int64), xs], axis=1)
+    return best[0], best[1:], np.concatenate([row0, pairs]), np.concatenate(found)

@@ -301,6 +301,19 @@ def test_c12_two_scale_separation():
     )
 
 
+def test_two_scale_exact_scan_maxima():
+    # the exact global quadratic correlation of the two-scale example, over
+    # all N^2 pairs (a, b): small next to its U^3 norm, but not monotone in N
+    # (c12's decreasing order holds for its sampled lower bound only)
+    from u3kit.experiments import fw_counterexample, quadratic_correlation_scan
+
+    pinned = {1009: 0.02020, 2003: 0.01971, 4001: 0.02157}
+    for N, value in pinned.items():
+        res = quadratic_correlation_scan(fw_counterexample(N), mode="exhaustive")
+        assert abs(res.value - value) < 5e-6 and res.value <= 0.05
+    assert (res.a, res.b) == (2001, 1969)
+
+
 def test_c13_parallelepiped_constraint():
     gate = _Gate("c13 parallelepiped constraint k=4", 10)
     from u3kit.nil import (

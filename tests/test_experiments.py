@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bounded, reference_cyclic_scan
+from conftest import random_bounded, reference_cyclic_scan, reference_sampled_scan
+from u3kit import norms
 from u3kit.errors import BudgetExceeded, Has4Ap, NotPrime, TooSmall
 from u3kit.experiments import (
+    EXHAUSTIVE_SCAN_LIMIT,
     FwSpec,
     IncrementThresholds,
     _creates_proper_kap,
@@ -66,8 +68,10 @@ def test_scan_zero_and_budget():
     spec = parse_group("Z/101")
     zero = GroupFunction.constant(spec, 0.0)
     assert quadratic_correlation_scan(zero, "exhaustive").value == 0.0
-    big = GroupFunction.constant(parse_group("Z/1009"), 0.0)
-    with pytest.raises(BudgetExceeded):
+    # the limit is on N^2 pairs: 4096^2 = 2^24 is the most it admits
+    assert 4096**2 <= EXHAUSTIVE_SCAN_LIMIT < 4097**2
+    big = GroupFunction.constant(parse_group("Z/4097"), 0.0)
+    with pytest.raises(BudgetExceeded, match=f"EXHAUSTIVE_SCAN_LIMIT = {EXHAUSTIVE_SCAN_LIMIT}"):
         quadratic_correlation_scan(big, "exhaustive")
 
 
@@ -118,6 +122,37 @@ def test_scan_matches_reference_property(data):
     top, second = np.sort(table.ravel())[-1:-3:-1] if N > 1 else (value, -1.0)
     if top - second > 1e-9:
         assert (res.a, res.b) == (a, b)
+
+
+@given(data=st.data())
+def test_sampled_scan_matches_reference_property(data):
+    # the rows of the exact scan read at the sampled pairs give the gather
+    # loop's value; the pair differs only among sampled pairs that tie, and
+    # is then the lex-first of them
+    N = data.draw(st.integers(1, 600))
+    spec = parse_group(f"Z/{N}")
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    samples = data.draw(st.integers(0, 300))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["dense", "planted", "zero", "constant", "point"]))
+    x = np.arange(N)
+    if kind == "dense":
+        f = random_bounded(spec, rng)
+    elif kind == "planted":
+        a, b = rng.integers(0, N, 2)
+        noise = 0.3 * rng.uniform(-1, 1, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N))
+        f = GroupFunction(spec, (np.exp(2j * np.pi * ((a * x * x + b * x) % N) / N) + noise) / 1.3)
+    elif kind == "point":
+        f = GroupFunction.indicator(spec, [int(rng.integers(N))])
+    else:
+        f = GroupFunction.constant(spec, 0.0 if kind == "zero" else 1.0)
+    res = quadratic_correlation_scan(f, "sampled", seed=seed, samples=samples)
+    value, (a, b), pairs, values = reference_sampled_scan(f.values, N, seed, samples)
+    assert abs(res.value - value) < 1e-12
+    assert res.pairs_examined == samples + N
+    sq = values**2
+    tied = sorted({(int(p), int(q)) for p, q in pairs[sq >= sq.max() * (1 - norms._TIE_RTOL)]})
+    assert (res.a, res.b) == ((a, b) if len(tied) == 1 else tied[0])
 
 
 def test_ap_free_search():

@@ -548,6 +548,38 @@ def test_quadratic_scan_memory_within_chunk_bound(group, rng):
     assert peak <= 64 * norms._ORACLE_CHUNK
 
 
+def _traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cyclic_scan_memory_within_chunk_bound():
+    # the k = 1 rows go through the transform in blocks of a of at most
+    # _ORACLE_CHUNK entries; one (h, h) block at h = 4001 would peak at 513 MB
+    from u3kit.experiments import fw_counterexample
+
+    f = fw_counterexample(4001)
+    (best_sq, key), peak = _traced_peak(lambda: norms.quadratic_scan(f.values, 4001, 1))
+    assert key == (2001, 1969) and abs(np.sqrt(best_sq) / 4001 - 0.02157) < 5e-6
+    assert peak <= 64 * norms._ORACLE_CHUNK
+
+
+def test_cyclic_coset_oracle_memory_within_chunk_bound(rng):
+    # Z/1259 is the largest cyclic group under ORACLE_BUDGET; as one block
+    # of 1259^2 entries its scan would peak at 51 MB
+    spec = parse_group("Z/1259")
+    f = random_bounded(spec, rng)
+    rep, peak = _traced_peak(lambda: u3_oracle_coset(f, (spec.zero(), BoxSubgroup.whole(spec))))
+    assert abs(rep.witness.bias_against(f) - rep.value) < 1e-10
+    assert peak <= 64 * norms._ORACLE_CHUNK
+
+
 def _plant_pair(p: int, k: int, rng, ratio: float) -> np.ndarray:
     """e(q1/p) + ratio e(q2/p) on (Z/p)^k in lex order, for two random
     quadratic phases whose leading off-diagonal coefficients differ, so their
