@@ -117,11 +117,11 @@ def quadratic_correlation_scan(
     seed: int = 0,
     samples: int = 100_000,
 ) -> ScanResult:
-    """max over (a, b) of |E f(x) e(-(a x^2 + b x)/N)| by the rows of
-    `norms.quadratic_scan` on Z/N (k = 1), one chirp and FFT per a: over all
-    N^2 <= EXHAUSTIVE_SCAN_LIMIT pairs, or (sampled, not budgeted) a seeded
-    sample plus a = 0, all b, so a sample that touches every a (100,000 pairs
-    do on Z/4001) costs the same as the exact scan."""
+    """max over (a, b) of |E f(x) e(-(a x^2 + b x)/N)| by the k = 1 scan of
+    `norms.quadratic_scan`: over all N^2 <= EXHAUSTIVE_SCAN_LIMIT pairs, or
+    (sampled, not budgeted) a seeded sample plus a = 0, all b.  A sample that
+    touches every a often enough (100,000 pairs on Z/4001) costs the same as
+    the exact scan; a sparse one costs about N operations a pair."""
     spec = f.owner
     if spec.rank != 1:
         raise SpecMismatch("scan requires a cyclic group")
@@ -135,8 +135,7 @@ def quadratic_correlation_scan(
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
     pairs = np.random.default_rng(seed).integers(0, N, size=(samples, 2))
-    keys = np.union1d(pairs[:, 0] * N + pairs[:, 1], np.arange(N))  # a N + b, and the row a = 0
-    best_sq, (a, b) = _cyclic_scan(f.values, keys)
+    best_sq, (a, b) = _cyclic_scan(f.values, pairs)
     return ScanResult(float(np.sqrt(best_sq)) / N, a, b, mode, samples + N)
 
 
@@ -223,7 +222,6 @@ def density_increment_f5(
         obstruction = quadratic_obstruction(f, eta, seed=th.seed, oracle_crosscheck=False)
     except (EmptyGraph, EmptyV) as exc:
         outcome = f"pipeline-empty: {type(exc).__name__}"
-    chosen_t = None
     degen_dim = None
     if obstruction is not None:
         W = obstruction.W
@@ -264,8 +262,6 @@ def density_increment_f5(
         raise PipelineEmpty(outcome)
     candidates.sort(key=lambda c: (-c[0], c[1]))
     best = candidates[0]
-    if best[3] is not None:
-        chosen_t = best[3]
     return IncrementReport(
         coset_base=tuple(int(v) for v in spec.coords_of(best[1])),
         coset_basis=tuple(tuple(int(x) for x in r) for r in best[2]),
@@ -274,7 +270,7 @@ def density_increment_f5(
         increment=best[0] - alpha,
         u3_value=u3,
         eta_used=eta,
-        chosen_t=chosen_t,
+        chosen_t=best[3],
         degenerate_dim=degen_dim,
         obstruction=obstruction,
         outcome=outcome,
@@ -292,13 +288,8 @@ def _span_points(rows: np.ndarray, p: int) -> np.ndarray:
 def _affine_slice(UB: np.ndarray, lin: np.ndarray, target: int, p: int, spec: GroupSpec):
     """Solve lin.u = target over U-local coords; return (ambient offset of a
     particular solution, ambient basis of the solution subspace), or None."""
-    k = UB.shape[0]
-    if k == 0:
+    if np.all(lin % p == 0):  # also when U = 0 (lin is empty)
         return (0, UB) if target == 0 else None
-    if np.all(lin % p == 0):
-        if target != 0:
-            return None
-        return (0, UB)
     sol = solve_mod_p(lin.reshape(1, -1), np.array([target]), p)
     if sol is None:
         return None

@@ -64,14 +64,10 @@ witness identical (chunk: F5^3, F3^4):
 131,072: 16-21 ms, 54-58 ms; 65,536: 21 ms, 51 ms.  On F5^3 the 2M chunk
 is one block of 1.95M outputs (tracemalloc peak 62.5 MB) and 2^17 is 25
 blocks of 78,125 (3.1 MB).
-A cyclic group Z/h is the case k = 1 with p = h: the plain sum, for any
-modulus h, and one state, which the cut below never skips.  `_cyclic_scan`
-takes each row a as the chirp w^(a t^2) times g and one length-h FFT, in
-blocks of a of at most _ORACLE_CHUNK entries (Z/4001 peaks at 5 MB; one
-(h, h) block would take 513 MB).  Building D would cost more than the one
-transform it serves (whole scan, median of 9 on a 2-core Xeon: 8.0 ms with
-D against 0.13 ms at h = 49, 64.5 against 0.39 ms at h = 125).  The
-sampled `experiments.quadratic_correlation_scan` reads the same rows.
+A cyclic group Z/h is the case k = 1 with p = h, for any modulus h: one
+state, so nothing to cut, and `_cyclic_scan` makes the rows a without D,
+which would cost more than the one transform it serves (whole scan at
+h = 49, median of 9 on a 2-core Xeon: 8.0 ms with D, 0.13 ms without).
 
 The last axis is cut by the triangle inequality.  A state is one
 off-diagonal vector with (c_ii, xi_i) for every axis i >= 1; with h(s), s
@@ -515,32 +511,51 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
     return _lex_first_max(visits(), chunk_sq, key_of)
 
 
-def _cyclic_scan(fvals: np.ndarray, keep: np.ndarray | None = None):
-    """`quadratic_scan` at k = 1, h = len(fvals), in blocks of rows a of at
-    most _ORACLE_CHUNK entries (or one row).  Given ascending keys a h + b in
-    `keep`, only their rows are computed, and other entries read -1."""
+def _cyclic_scan(fvals: np.ndarray, pairs: np.ndarray | None = None):
+    """`quadratic_scan` at k = 1, h = len(fvals), over all h^2 pairs (a, b),
+    or over the (n, 2) array `pairs` and the row a = 0 (a sampled scan).  A
+    row is the chirp w^(a t^2) times g and one length-h FFT, in blocks of at
+    most _ORACLE_CHUNK entries or one row (Z/4001 peaks at 5 MB), entries not
+    asked for reading -1; a row with at most log2(h) / 2 distinct pairs asked
+    for is summed pair by pair (an FFT row costs 4 pairs at h = 4096, 23 at
+    h = 100003)."""
     h = len(fvals)
     t = np.arange(h, dtype=np.int64)
-    omega = np.exp(-2j * np.pi * t / h)
-    rows = t if keep is None else np.unique(keep // h)
+    omega, t2 = np.exp(-2j * np.pi * t / h), t * t % h
+    rows, keys, single = t, None, np.empty((0, 2), dtype=np.int64)
+    if pairs is not None:  # keys a h + b, ascending
+        keys = np.union1d(pairs[:, 0] * h + pairs[:, 1], t)
+        by_fft = 2 * np.bincount(keys // h, minlength=h) > np.log2(h)
+        rows, by_row = np.flatnonzero(by_fft), by_fft[keys // h]
+        keys, single = keys[by_row], np.stack(np.divmod(keys[~by_row], h), axis=1)
     na = max(1, _ORACLE_CHUNK // h)
 
-    def block_sq(r0: int) -> np.ndarray:
-        a = rows[r0 : r0 + na]
-        out = np.fft.fft(omega[a[:, None] * (t * t % h) % h] * fvals, axis=1)
+    def block_sq(blk: tuple[int, bool]) -> np.ndarray:
+        r0, by_pair = blk
+        if by_pair:  # in place: fresh temporaries cost 3x at h = 100003
+            e = single[r0 : r0 + na, :1] * t2
+            e += single[r0 : r0 + na, 1:] * t
+            e %= h
+            out = omega[e] @ fvals
+        else:
+            a = rows[r0 : r0 + na]
+            out = np.fft.fft(omega[a[:, None] * t2 % h] * fvals, axis=1)
         sq = np.square(out.real)
         sq += np.square(out.imag)
-        if keep is not None:
-            lo, hi = np.searchsorted(keep, [a[0] * h, (a[-1] + 1) * h])
+        if keys is not None and not by_pair:
+            lo, hi = np.searchsorted(keys, [a[0] * h, (a[-1] + 1) * h])
             off = np.ones(sq.shape, dtype=bool)
-            off[np.searchsorted(a, keep[lo:hi] // h), keep[lo:hi] % h] = False
+            off[np.searchsorted(a, keys[lo:hi] // h), keys[lo:hi] % h] = False
             sq[off] = -1.0
         return sq
 
-    def key_of(r0: int, at: int) -> tuple[int, int]:
-        return int(rows[r0 + at // h]), at % h
+    def key_of(blk: tuple[int, bool], at: int) -> tuple[int, int]:
+        r0, by_pair = blk
+        a, b = single[r0 + at] if by_pair else (rows[r0 + at // h], at % h)
+        return int(a), int(b)
 
-    return _lex_first_max(range(0, len(rows), na), block_sq, key_of)
+    blocks = [(r0, False) for r0 in range(0, len(rows), na)]
+    return _lex_first_max(blocks + [(r0, True) for r0 in range(0, len(single), na)], block_sq, key_of)
 
 
 def _lex_first_max(blocks, block_sq, key_of):

@@ -50,7 +50,7 @@ def reference_cyclic_scan(fvals: np.ndarray, h: int):
 
 def reference_sampled_scan(fvals: np.ndarray, N: int, seed: int, samples: int):
     """The gather loop that `quadratic_correlation_scan(mode="sampled")` ran
-    before it read the rows of `norms.quadratic_scan`: the candidates a = 0,
+    before it went through the cyclic scan of `norms`: the candidates a = 0,
     all b (one FFT), then the seeded pairs in blocks of 4,000,000 // N, one
     gathered exponential per pair and point, keeping the first pair that
     beats the best so far by more than 1e-15.  Returns (value, (a, b),

@@ -1048,17 +1048,14 @@ def test_fw_and_scan_subcommands(tmp_path, capsys):
 
 def test_scan_exhaustive_limit_on_pairs(tmp_path, capsys):
     # the limit is on N^2 pairs: Z/4097 is refused before any work, fw(4001)
-    # is scanned exactly
+    # is admitted (its maxima are pinned in test_two_scale_exact_scan_maxima)
     code, out, err = run_cli(["scan", "--group", "Z/4097", "--expr", "0", "--mode", "exhaustive"], capsys)
     assert code == 3 and out == ""
     error = json.loads(err)
     assert error["error"] == "BudgetExceeded" and "EXHAUSTIVE_SCAN_LIMIT = 16777216" in error["message"]
     fpath = tmp_path / "fw.json"
     assert run_cli(["fw", "--N", "4001", "--out", str(fpath)], capsys)[0] == 0
-    code, out, _ = run_cli(["scan", "--input", str(fpath), "--mode", "exhaustive"], capsys)
-    assert code == 0
-    res = result_of(out)
-    assert (res["a"], res["b"]) == (2001, 1969) and abs(res["value"] - 0.02157) < 5e-6
+    assert run_cli(["scan", "--input", str(fpath), "--mode", "exhaustive"], capsys)[0] == 0
 
 
 def test_gvn_subcommand(tmp_path, capsys):

@@ -124,20 +124,23 @@ def test_scan_matches_reference_property(data):
         assert (res.a, res.b) == (a, b)
 
 
+@settings(max_examples=150)
 @given(data=st.data())
 def test_sampled_scan_matches_reference_property(data):
-    # the rows of the exact scan read at the sampled pairs give the gather
-    # loop's value; the pair differs only among sampled pairs that tie, and
-    # is then the lex-first of them
+    # FFT rows read at the sampled pairs, and the pairs of sparse rows summed
+    # one by one, give the gather loop's value; the pair differs only among
+    # sampled pairs that tie, and is then the lex-first of them
     N = data.draw(st.integers(1, 600))
     spec = parse_group(f"Z/{N}")
     seed = data.draw(st.integers(0, 2**32 - 1))
     samples = data.draw(st.integers(0, 300))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    kind = data.draw(st.sampled_from(["dense", "planted", "zero", "constant", "point"]))
+    kind = data.draw(st.sampled_from(["dense", "real", "planted", "zero", "constant", "point"]))
     x = np.arange(N)
     if kind == "dense":
         f = random_bounded(spec, rng)
+    elif kind == "real":  # |corr(a, b)| = |corr(-a, -b)|: ties across rows
+        f = GroupFunction(spec, rng.uniform(-1, 1, N))
     elif kind == "planted":
         a, b = rng.integers(0, N, 2)
         noise = 0.3 * rng.uniform(-1, 1, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N))

