@@ -533,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="Gowers uniformity norm")
     common(p, func=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--method", default="auto", choices=["auto", "direct", "recursive"])
+    p.add_argument("--method", default="recursive", choices=["direct", "recursive"])
     p.add_argument("--unchecked", action="store_true")
     p.set_defaults(handler=_cmd_norm)
 

@@ -2,11 +2,9 @@
 
 Characters of Z/n1 x ... x Z/nk factor through the per-axis roots of unity,
 so the transform is a multidimensional DFT over the reshaped value array.
-The forward transform carries the expectation normalization
+The transform carries the expectation normalization
 
-    fhat(xi) = (1/N) sum_x f(x) e(-xi.x),
-
-and inversion is a plain sum, f(x) = sum_xi fhat(xi) e(xi.x).
+    fhat(xi) = (1/N) sum_x f(x) e(-xi.x).
 
 `dft_values`, the batched transform under the Gowers kernels, splits the
 axes into blocks by `groups.factor_runs`, walking from the last axis:
@@ -18,7 +16,7 @@ axis goes through a length-n FFT.  After each block one transpose moves the
 transformed block in front of those done before it, so when every block is
 done the output is row-major again.  On
 F5^5 `np.fft.fftn` makes five strided passes over length-5 axes; the blocks
-(5,), (5,5) and (5,5) make three dense products instead.  `dft`, `idft` and
+(5,), (5,5) and (5,5) make three dense products instead.  `dft` and
 `convolve` use the multidimensional FFT directly.
 """
 
@@ -57,14 +55,6 @@ def dft(f: GroupFunction) -> DualFunction:
     grid = _as_grid(spec, f.values)
     out = np.fft.fftn(grid) / spec.order
     return DualFunction(spec, out.reshape(-1))
-
-
-def idft(F: DualFunction) -> GroupFunction:
-    """Fourier inversion f(x) = sum_xi F(xi) e(xi.x)."""
-    spec = F.owner
-    grid = _as_grid(spec, F.values)
-    out = np.fft.ifftn(grid) * spec.order
-    return GroupFunction(spec, out.reshape(-1))
 
 
 # Largest order of a block transformed by one dense character table: a block

@@ -24,8 +24,8 @@ The numeric code elsewhere works on index arrays through three entry points:
   y + t_1 g_1 + ... + t_k g_k for t in lexicographic order (t_1 slowest), the
   points of a coset of a subgroup in its local coordinates;
 * batched shift -- ``GroupSpec.translates(hs)`` gives one row x -> x + h per
-  shift h, from which ``shift``, ``derivative_rows`` and the derivatives
-  elsewhere are read.
+  shift h, from which ``derivative_rows`` and the derivatives elsewhere are
+  read.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm, prod
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -160,10 +160,6 @@ class GroupSpec:
 
     def dual_by_index(self, index: int) -> "DualElement":
         return DualElement(self, self.coords_of(index))
-
-    def elements(self) -> Iterator["GroupElement"]:
-        for i in range(self.order):
-            yield self.element_by_index(i)
 
     # Vectorized index arithmetic (used by the heavy numeric paths).
     def decode(self, idx: np.ndarray) -> np.ndarray:
@@ -363,9 +359,6 @@ class _CoordVector:
             return NotImplemented
         return self._make(k * c for c in self.coords)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
 
 class GroupElement(_CoordVector):
     """x in G, coordinates reduced mod the factor orders."""
@@ -405,18 +398,9 @@ class GroupFunction:
         _check_owner(self, x)  # type: ignore[arg-type]
         return complex(self.values[x.index])
 
-    def copy(self) -> "GroupFunction":
-        return GroupFunction(self.owner, self.values.copy())
-
-    def conj(self) -> "GroupFunction":
-        return GroupFunction(self.owner, np.conj(self.values))
-
     def __mul__(self, other: "GroupFunction") -> "GroupFunction":
         _check_owner(self, other)  # type: ignore[arg-type]
         return GroupFunction(self.owner, self.values * other.values)
-
-    def mean(self) -> complex:
-        return complex(np.mean(self.values))
 
     @staticmethod
     def indicator(spec: GroupSpec, subset: Iterable[int]) -> "GroupFunction":
@@ -425,43 +409,14 @@ class GroupFunction:
             vals[int(i) % spec.order] = 1.0
         return GroupFunction(spec, vals)
 
-    @staticmethod
-    def constant(spec: GroupSpec, c: complex) -> "GroupFunction":
-        return GroupFunction(spec, np.full(spec.order, c, dtype=np.complex128))
-
 
 # GroupFunction "owner" attribute lets _check_owner treat it like a vector.
-
-
-def shift(f: GroupFunction, h: GroupElement) -> GroupFunction:
-    """T^h f with T^h f(x) = f(x+h)."""
-    _check_owner(f, h)  # type: ignore[arg-type]
-    return GroupFunction(f.owner, shift_index(f, h.index))
-
-
-def shift_index(f: GroupFunction, h_index: int) -> np.ndarray:
-    return f.values[f.owner.translates([h_index])[0]]
 
 
 def derivative_rows(f: GroupFunction, hs) -> np.ndarray:
     """Row r is x -> f(x + hs[r]) * conj(f(x)), one multiplicative derivative
     per shift index."""
     return f.values[f.owner.translates(hs)] * np.conj(f.values)[None, :]
-
-
-def mult_derivative(f: GroupFunction, h: GroupElement) -> GroupFunction:
-    """x -> f(x+h) * conj(f(x)), the multiplicative derivative in direction h."""
-    _check_owner(f, h)  # type: ignore[arg-type]
-    return GroupFunction(f.owner, derivative_rows(f, [h.index])[0])
-
-
-def phase_difference(phi: Sequence[TorusValue], h: GroupElement) -> list[TorusValue]:
-    """(h.grad) phi with values phi(x+h) - phi(x) mod 1, row-major layout."""
-    spec = h.owner
-    if len(phi) != spec.order:
-        raise SpecMismatch("phase table must cover the whole group")
-    idx = spec.translates([h.index])[0]
-    return [mod1(phi[int(j)] - phi[i]) for i, j in enumerate(idx)]
 
 
 # --- group spec string grammar -------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact lattice tools: Hermite form, LLL reduction, short-vector certification.
+"""Exact lattice tools: Hermite form, LLL reduction and the reduced-basis bound.
 
 Lattices here are full-rank sublattices of Q^d given by integer generator
 matrices after clearing denominators.  Generators carry "tags" (group
@@ -24,10 +24,6 @@ class TaggedLattice:
 
     mat: np.ndarray  # (g, d) int64 generators (possibly redundant)
     tags: np.ndarray  # (g, t)
-
-    def copy(self) -> "TaggedLattice":
-        return TaggedLattice(self.mat.copy(), self.tags.copy())
-
 
 def hermite_reduce(lat: TaggedLattice) -> TaggedLattice:
     """Row-style Hermite normal form via integer Gaussian elimination,
@@ -173,21 +169,3 @@ def product_bound_certified(mat: np.ndarray) -> bool:
         prod *= nv
     return prod <= 2.0 * math.factorial(d) * det * (1.0 + 1e-9)
 
-
-def short_vectors_certify(lat: TaggedLattice, coeff_bound: int = 6) -> list[np.ndarray]:
-    """Enumerate small integer combinations of the basis (exhaustive box
-    search) and return them sorted by length; desk-scale certification that
-    the reduced basis has no dramatically shorter lattice vectors."""
-    import itertools
-
-    d = lat.mat.shape[0]
-    out = []
-    for coef in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=d):
-        if all(c == 0 for c in coef):
-            continue
-        v = np.zeros(lat.mat.shape[1], dtype=object)
-        for c, row in zip(coef, lat.mat):
-            v = v + c * row
-        out.append((sum(int(x) * int(x) for x in v), np.array(coef)))
-    out.sort(key=lambda t: t[0])
-    return [c for _, c in out]

@@ -145,10 +145,6 @@ class BoxSubgroup:
     def whole(spec: GroupSpec) -> "BoxSubgroup":
         return BoxSubgroup(spec, (1,) * spec.rank)
 
-    @staticmethod
-    def trivial(spec: GroupSpec) -> "BoxSubgroup":
-        return BoxSubgroup(spec, spec.orders)
-
     @property
     def local_orders(self) -> tuple[int, ...]:
         return tuple(n // d for n, d in zip(self.spec.orders, self.divisors))

@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import BadArity, EvenN, NotInSigma, TooManyFrequencies
 from .groups import GroupFunction, GroupSpec, TorusValue
-from .norms import gowers_norm
 from .quadratic import BracketQuadratic, round_half_up
 
 
@@ -101,11 +100,6 @@ class FundamentalFactor:
 
     def zero_point(self) -> tuple:
         return (0,) * self.dim
-
-    def normalize(self, c: tuple) -> tuple:
-        if self.kind == "heis":
-            return heis_project(c)
-        return tuple(nil_frac(v) for v in c)
 
     def orbit(self, c: tuple, n: int) -> tuple:
         """Closed-form n-th point of the orbit through c."""
@@ -214,11 +208,6 @@ class NilFunction:
     system: NilSystem
     blocks: list[BlockFunction]
     global_phase: complex = field(default=1.0, kw_only=True)
-
-    @property
-    def lipschitz(self) -> float:
-        """Lipschitz constant of the tensor product: the sum over its blocks."""
-        return sum((b.lipschitz for b in self.blocks), 0.0)
 
     def __call__(self, p: NilPoint) -> complex:
         out = self.global_phase
@@ -356,16 +345,6 @@ def bracket_weight(bq: BracketQuadratic):
     return weight
 
 
-def per_term_blocks(bq: BracketQuadratic) -> list[tuple[int, float]]:
-    """(dimension, Lipschitz bound) of each active monomial's block, summed
-    over the factors and block functions the factorization builds for it,
-    for the <= 9 / <= 50 contract checks."""
-    return [
-        (sum(f.dim for f in factors), sum(b.lipschitz for b in blocks))
-        for factors, blocks in _factor_terms(bq)
-    ]
-
-
 # --- Hall-Petresco constraints ---------------------------------------------------
 
 _HP_TOL = 1e-9  # largest abelianized-constraint deviation of a k = 4 input
@@ -424,54 +403,3 @@ def parallelepiped_deviation(rng) -> float:
     res = hall_petresco_next([x, g.orbit(x, 1), g.orbit(x, 2)], 4)
     return point_distance(NilSystem((g,)), NilPoint((tuple(res),)), NilPoint((g.orbit(x, 3),)))
 
-
-# --- delta-nets and Lipschitz checks ----------------------------------------------
-
-
-def delta_atom(sys: NilSystem, p: NilPoint, m: int) -> tuple[int, ...]:
-    """Atom index: floor((coord + 1/2) m) per coordinate, after applying the
-    factor identifications (canonical fundamental-domain form)."""
-    out = []
-    for f, blk in zip(sys.factors, p.blocks):
-        blk = f.normalize(blk)
-        for v in blk:
-            idx = int(np.floor((float(v) + 0.5) * m))
-            out.append(min(max(idx, 0), m - 1))
-    return tuple(out)
-
-
-def lipschitz_slack(
-    F: NilFunction, K: float, m: int, samples: int = 500, seed: int = 0
-) -> float:
-    """min over sampled same-atom pairs of K/m - |F(x) - F(x')|; nonnegative
-    (within 1e-9) when K is a correct Lipschitz constant for F."""
-    rng = np.random.default_rng(seed)
-    sys = F.system
-    delta = 1.0 / m
-    worst = K * delta
-    for _ in range(samples):
-        cells = rng.integers(0, m, size=sys.dimension)
-        u1 = (cells + rng.uniform(0, 1, size=sys.dimension)) / m - 0.5
-        u2 = (cells + rng.uniform(0, 1, size=sys.dimension)) / m - 0.5
-        p1, p2, pos = [], [], 0
-        for f in sys.factors:
-            p1.append(tuple(u1[pos : pos + f.dim]))
-            p2.append(tuple(u2[pos : pos + f.dim]))
-            pos += f.dim
-        v = K * delta - abs(F(NilPoint(tuple(p1))) - F(NilPoint(tuple(p2))))
-        worst = min(worst, v)
-    return worst
-
-
-def nilsequence_obstruction_check(
-    f: GroupFunction, F: NilFunction, sys: NilSystem, x0: NilPoint
-) -> tuple[float, float]:
-    """(|E f(n) conj(F(T^n x0))|, U^3(f)); no inequality enforced -- the
-    obstruction constant is non-explicit, so stability is asserted separately."""
-    N = f.owner.order
-    if N % 2 == 0:
-        raise EvenN("odd N required")
-    seq = nilsequence(F, sys, x0, N)
-    corr = abs(complex(np.mean(f.values * np.conj(seq.values))))
-    u3 = gowers_norm(f, 3, unchecked=True).value
-    return corr, u3

@@ -310,21 +310,19 @@ def _gowers_direct(f: GroupFunction, d: int) -> float:
 def gowers_norm(
     f: GroupFunction,
     d: int,
-    method: str = "auto",
+    method: str = "recursive",
     unchecked: bool = False,
 ) -> NormReport:
     """The U^d norm of f for d = 1..4.
 
     method "direct" enumerates all cubes (N^(d+1) work, at most
     DIRECT_BUDGET);
-    "recursive" averages lower-degree norms of multiplicative derivatives
-    with the Fourier identity at degree 2; "auto" picks recursive.
+    "recursive", the default, averages lower-degree norms of multiplicative
+    derivatives with the Fourier identity at degree 2.
     """
     if d not in (1, 2, 3, 4):
         raise DegreeUnsupported(f"U^{d} not supported (d must be 1..4)")
     _check_bounded(f, unchecked)
-    if method == "auto":
-        method = "recursive"
     if method == "direct":
         return NormReport(_gowers_direct(f, d), d, "direct")
     if method == "recursive":
@@ -357,25 +355,6 @@ class CosetQuadraticWitness:
     subgroup: Subgroup
     A: tuple[tuple[int, ...], ...]  # symmetric, local coords
     b: tuple[int, ...]
-
-    def phase_at_local(self, t: Sequence[int]) -> Fraction:
-        loc = self.subgroup.local_orders
-        total = Fraction(0)
-        for i, oi in enumerate(loc):
-            total += Fraction(self.b[i] * t[i], oi)
-            for j, oj in enumerate(loc):
-                # homogeneous local orders in all supported cases
-                total += Fraction(self.A[i][j] * t[i] * t[j], oj)
-        return total % 1
-
-    def bias_against(self, f: GroupFunction) -> float:
-        H = self.subgroup
-        pts = H.spec.coset_points(self.y.index, H.generators, H.local_orders)
-        ts = itertools.product(*[range(o) for o in H.local_orders])
-        total = 0j
-        for x, t in zip(pts.tolist(), ts, strict=True):
-            total += f.values[x] * np.exp(-2j * np.pi * float(self.phase_at_local(t)))
-        return abs(total) / len(pts)
 
     def to_json(self) -> dict:
         return {"y": list(self.y.coords), "A": [list(r) for r in self.A], "b": list(self.b)}
@@ -632,13 +611,11 @@ def u3_oracle_coset(
 
 
 def _region_indices(region) -> np.ndarray:
+    """The element indices of a region: an index array, or a set that lists
+    them by element_indices(), such as a BohrSet."""
     if isinstance(region, np.ndarray):
         return region.astype(np.int64)
-    if hasattr(region, "element_indices"):
-        return np.asarray(region.element_indices(), dtype=np.int64)
-    if hasattr(region, "members"):
-        return np.asarray(region.members, dtype=np.int64)
-    return np.array(sorted(int(i) for i in region), dtype=np.int64)
+    return np.asarray(region.element_indices(), dtype=np.int64)
 
 
 def u3_oracle_bracket(

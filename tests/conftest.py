@@ -1,8 +1,12 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from u3kit.groups import GroupFunction, GroupSpec
+from u3kit.nil import NilFunction, NilPoint, _factor_terms
 
 # One setting for every property test: derandomized, with no example database.
 settings.register_profile("u3kit", max_examples=60, deadline=None, derandomize=True, database=None)
@@ -22,6 +26,15 @@ def random_unimodular(spec: GroupSpec, rng) -> GroupFunction:
 
 def random_pm1(spec: GroupSpec, rng) -> GroupFunction:
     return GroupFunction(spec, rng.choice([-1.0, 1.0], spec.order) + 0j)
+
+
+def constant(spec: GroupSpec, c: complex) -> GroupFunction:
+    return GroupFunction(spec, np.full(spec.order, c, dtype=np.complex128))
+
+
+def elements(spec: GroupSpec):
+    """Every element of the group, in index order."""
+    return [spec.element_by_index(i) for i in range(spec.order)]
 
 
 @pytest.fixture
@@ -75,3 +88,52 @@ def reference_sampled_scan(fvals: np.ndarray, N: int, seed: int, samples: int):
             best = (float(vals[i]), int(blk[i, 0]), int(blk[i, 1]))
     row0 = np.stack([np.zeros(N, dtype=np.int64), xs], axis=1)
     return best[0], best[1:], np.concatenate([row0, pairs]), np.concatenate(found)
+
+
+def bias_against(witness, f: GroupFunction) -> float:
+    """|E_{x in y+H} f(x) e(-phi(x))| for a `norms.CosetQuadraticWitness`,
+    one point at a time with the phase summed exactly in Fractions: the
+    direct-evaluation reference for the value the coset oracle reports."""
+    H = witness.subgroup
+    loc = H.local_orders
+    pts = H.spec.coset_points(witness.y.index, H.generators, loc)
+    total = 0j
+    for x, t in zip(pts.tolist(), itertools.product(*[range(o) for o in loc]), strict=True):
+        phase = Fraction(0)
+        for i, oi in enumerate(loc):
+            phase += Fraction(witness.b[i] * t[i], oi)
+            for j, oj in enumerate(loc):
+                phase += Fraction(witness.A[i][j] * t[i] * t[j], oj)
+        total += f.values[x] * np.exp(-2j * np.pi * float(phase % 1))
+    return abs(total) / len(pts)
+
+
+def per_term_blocks(bq) -> list[tuple[int, float]]:
+    """(dimension, Lipschitz bound) of each active monomial's block of the
+    bracket factorization, summed over the factors and block functions
+    `nil.bracket_to_nilsystem` builds for it, for the <= 9 / <= 50 checks."""
+    return [
+        (sum(f.dim for f in factors), sum(b.lipschitz for b in blocks))
+        for factors, blocks in _factor_terms(bq)
+    ]
+
+
+def lipschitz_slack(F: NilFunction, K: float, m: int, samples: int = 500, seed: int = 0) -> float:
+    """min over sampled same-atom pairs of K/m - |F(x) - F(x')|; nonnegative
+    (within 1e-9) when K is a correct Lipschitz constant for F."""
+    rng = np.random.default_rng(seed)
+    sys = F.system
+    delta = 1.0 / m
+    worst = K * delta
+    for _ in range(samples):
+        cells = rng.integers(0, m, size=sys.dimension)
+        u1 = (cells + rng.uniform(0, 1, size=sys.dimension)) / m - 0.5
+        u2 = (cells + rng.uniform(0, 1, size=sys.dimension)) / m - 0.5
+        p1, p2, pos = [], [], 0
+        for f in sys.factors:
+            p1.append(tuple(u1[pos : pos + f.dim]))
+            p2.append(tuple(u2[pos : pos + f.dim]))
+            pos += f.dim
+        v = K * delta - abs(F(NilPoint(tuple(p1))) - F(NilPoint(tuple(p2))))
+        worst = min(worst, v)
+    return worst

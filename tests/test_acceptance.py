@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_bounded
+from conftest import lipschitz_slack, per_term_blocks, random_bounded
 from u3kit.bohr import (
     BohrSet,
     bogolyubov,
@@ -347,9 +347,7 @@ def test_c14_bracket_factorization():
         NilFunction,
         bracket_to_nilsystem,
         bracket_weight,
-        lipschitz_slack,
         orbit_point,
-        per_term_blocks,
     )
 
     rng = np.random.default_rng(114)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_bounded
+from conftest import elements, random_bounded
 import u3kit.bohr as bohr_module
 from u3kit.bohr import (
     BohrSet,
@@ -417,7 +417,7 @@ def test_is_regular_against_dense_sampling(rng):
 
 
 def reference_norms(spec: GroupSpec, S) -> list[Fraction]:
-    return [bohr_norm_exact(x, S) for x in spec.elements()]
+    return [bohr_norm_exact(x, S) for x in elements(spec)]
 
 
 def reference_is_regular(norms: list[Fraction], d: int, rho: Fraction) -> bool:
@@ -651,7 +651,7 @@ def test_character_kernel_and_progression_match_pair(data):
     spec = data.draw(kernel_specs)
     S = data.draw(character_sets(spec, min_size=1))
     H = character_kernel(spec, S)
-    want = [x.index for x in spec.elements() if all(pair(xi, x) == 0 for xi in S)]
+    want = [x.index for x in elements(spec) if all(pair(xi, x) == 0 for xi in S)]
     assert sorted(H.element_indices().tolist()) == want
     rho = data.draw(st.builds(Fraction, st.integers(1, 59), st.just(240)))
     try:

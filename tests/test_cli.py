@@ -248,11 +248,11 @@ def test_norm_cli_contract(text, d, method, unchecked):
     # (a JSON error on stderr), never in an uncaught exception
     extra = ["--d", str(d)] + (["--method", method] if method else []) + (["--unchecked"] if unchecked else [])
     code, out, _ = run_contract(["norm", "--input"], text, extra)
+    # --method takes direct or recursive (the default); any other is a usage error
+    assert (code == 2) == (method in ("auto", "fourier"))
     if code == 0:
         result = result_of(out)
         assert 0.0 <= result["value"] <= 1.0 and result["d"] == d
-    elif code == 2:
-        assert method == "fourier"
 
 
 def _phase_at(result: dict, orders, x_coords):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bounded, reference_cyclic_scan, reference_sampled_scan
+from conftest import constant, random_bounded, reference_cyclic_scan, reference_sampled_scan
 from u3kit import norms
 from u3kit.errors import BudgetExceeded, Has4Ap, NotPrime, TooSmall
 from u3kit.experiments import (
@@ -66,11 +66,11 @@ def test_scan_planted_quadratic():
 
 def test_scan_zero_and_budget():
     spec = parse_group("Z/101")
-    zero = GroupFunction.constant(spec, 0.0)
+    zero = constant(spec, 0.0)
     assert quadratic_correlation_scan(zero, "exhaustive").value == 0.0
     # the limit is on N^2 pairs: 4096^2 = 2^24 is the most it admits
     assert 4096**2 <= EXHAUSTIVE_SCAN_LIMIT < 4097**2
-    big = GroupFunction.constant(parse_group("Z/4097"), 0.0)
+    big = constant(parse_group("Z/4097"), 0.0)
     with pytest.raises(BudgetExceeded, match=f"EXHAUSTIVE_SCAN_LIMIT = {EXHAUSTIVE_SCAN_LIMIT}"):
         quadratic_correlation_scan(big, "exhaustive")
 
@@ -91,7 +91,7 @@ def test_scan_exact_ties_give_zero_phase(N):
     # every (a, b) ties exactly on a point mass; the witness must not depend
     # on rounding
     spec = parse_group(f"Z/{N}")
-    cases = [(GroupFunction.constant(spec, 0.0), 0.0), (GroupFunction.constant(spec, 1.0), 1.0),
+    cases = [(constant(spec, 0.0), 0.0), (constant(spec, 1.0), 1.0),
              (GroupFunction.indicator(spec, [1]), 1 / N), (GroupFunction.indicator(spec, [N - 1]), 1 / N)]
     for f, value in cases:
         res = quadratic_correlation_scan(f, "exhaustive")
@@ -114,7 +114,7 @@ def test_scan_matches_reference_property(data):
         noise = 0.3 * rng.uniform(-1, 1, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N))
         f = GroupFunction(spec, (np.exp(2j * np.pi * ((a * x * x + b * x) % N) / N) + noise) / 1.3)
     else:
-        f = GroupFunction.constant(spec, 0.0 if kind == "zero" else 1.0)
+        f = constant(spec, 0.0 if kind == "zero" else 1.0)
     res = quadratic_correlation_scan(f, "exhaustive")
     value, (a, b), table = reference_cyclic_scan(f.values, N)
     assert abs(res.value - value) < 1e-12
@@ -148,7 +148,7 @@ def test_sampled_scan_matches_reference_property(data):
     elif kind == "point":
         f = GroupFunction.indicator(spec, [int(rng.integers(N))])
     else:
-        f = GroupFunction.constant(spec, 0.0 if kind == "zero" else 1.0)
+        f = constant(spec, 0.0 if kind == "zero" else 1.0)
     res = quadratic_correlation_scan(f, "sampled", seed=seed, samples=samples)
     value, (a, b), pairs, values = reference_sampled_scan(f.values, N, seed, samples)
     assert abs(res.value - value) < 1e-12

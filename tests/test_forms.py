@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_bounded, random_unimodular
+from conftest import constant, random_bounded, random_unimodular
 from u3kit import forms
 from u3kit.errors import BadGroupOrder, HasProperAp, TooSmallN
 from u3kit.forms import ApCount, count_aps, gvn_slack, lambda_k, prog_unif_slack
@@ -13,7 +13,7 @@ from u3kit.norms import gowers_norm
 
 def test_lambda_constant_ones():
     spec = parse_group("Z/7")
-    ones = [GroupFunction.constant(spec, 1.0)] * 4
+    ones = [constant(spec, 1.0)] * 4
     assert abs(lambda_k(ones) - 1.0) < 1e-12
 
 
@@ -133,16 +133,16 @@ def test_gvn_slack(rng):
         for _ in range(25):
             fs = [random_bounded(spec, rng) for _ in range(k)]
             assert gvn_slack(fs) >= -1e-9
-    zero = GroupFunction.constant(spec, 0.0)
+    zero = constant(spec, 0.0)
     fs = [random_bounded(spec, rng), zero, random_bounded(spec, rng)]
     assert abs(gvn_slack(fs)) < 1e-12
-    ones = [GroupFunction.constant(spec, 1.0)] * 4
+    ones = [constant(spec, 1.0)] * 4
     assert abs(gvn_slack(ones)) < 1e-12
 
 
 def test_gvn_gcd_guard():
     spec = parse_group("Z/12")
-    fs = [GroupFunction.constant(spec, 1.0)] * 4
+    fs = [constant(spec, 1.0)] * 4
     with pytest.raises(BadGroupOrder):
         gvn_slack(fs)
 
@@ -190,7 +190,7 @@ def test_prog_unif_randomized(rng):
 
 def test_lambda_and_gvn_k5(rng):
     spec = parse_group("Z/11")
-    ones = [GroupFunction.constant(spec, 1.0)] * 5
+    ones = [constant(spec, 1.0)] * 5
     assert abs(lambda_k(ones) - 1.0) < 1e-12
     fs = [random_bounded(spec, rng) for _ in range(5)]
     assert gvn_slack(fs) >= -1e-9

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from u3kit.lattice import (
     lll_reduce,
     product_bound_certified,
     rref_rational,
-    short_vectors_certify,
 )
 
 
@@ -20,6 +20,23 @@ def _lat(rows, tags=None):
     if tags is None:
         tags = np.zeros((rows.shape[0], 1), dtype=object)
     return TaggedLattice(rows, np.array(tags, dtype=object))
+
+
+def short_vectors_certify(lat: TaggedLattice, coeff_bound: int = 6) -> list[np.ndarray]:
+    """Enumerate small integer combinations of the basis (exhaustive box
+    search) and return them sorted by length; desk-scale certification that
+    the reduced basis has no dramatically shorter lattice vectors."""
+    d = lat.mat.shape[0]
+    out = []
+    for coef in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=d):
+        if all(c == 0 for c in coef):
+            continue
+        v = np.zeros(lat.mat.shape[1], dtype=object)
+        for c, row in zip(coef, lat.mat):
+            v = v + c * row
+        out.append((sum(int(x) * int(x) for x in v), np.array(coef)))
+    out.sort(key=lambda t: t[0])
+    return [c for _, c in out]
 
 
 def test_hermite_drops_dependent_rows():

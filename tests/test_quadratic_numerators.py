@@ -21,6 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import elements
 from u3kit.bohr import CosetProgression, coset_progression_in_bohr
 from u3kit.errors import BudgetExceeded, DependentGenerators, ExtensionObstructed, NotProper, NotQuadratic, SpecMismatch
 from u3kit.groups import GroupSpec, mod1, parse_group
@@ -46,7 +47,7 @@ from u3kit.quadratic import (
 
 
 def reference_values(Q: QuadraticPhase) -> list:
-    return [Q.evaluate(x) for x in Q.spec.elements()]
+    return [Q.evaluate(x) for x in elements(Q.spec)]
 
 
 def reference_is_locally_quadratic(phi, domain, spec: GroupSpec, budget: int = 400_000_000) -> bool:
@@ -253,7 +254,7 @@ def reference_quadratic_on_coset_progression(phi, P) -> ProgressionQuadratic:
         xi_cross.append(tuple(coords))
     out = ProgressionQuadratic(base_Q, xi_cross, lam, eta)
     for l in itertools.product(*rng):
-        for h in (loc.elements() if H.local_orders else [loc.zero()]):
+        for h in (elements(loc) if H.local_orders else [loc.zero()]):
             hc = h.coords if H.local_orders else ()
             amb = spec.element(H.embed_coords(hc)) if H.local_orders else zero_amb
             if out.reconstruct(P, l, hc) != mod1(Fraction(phi[P.point(l, amb).index])):
@@ -465,7 +466,7 @@ def _progression_cases(draw):
         loc = _local_spec(H)
         phi = {}
         for l in itertools.product(*[range(-(L - 1), L) for L in P.half_lengths]):
-            for h in loc.elements():
+            for h in elements(loc):
                 hc = h.coords[:k]
                 amb = spec.element(H.embed_coords(hc)) if k else spec.zero()
                 phi[P.point(l, amb).index] = rep.reconstruct(P, l, hc)
