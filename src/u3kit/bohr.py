@@ -453,13 +453,12 @@ class CosetProgression:
         return x + h
 
     def progression_indices(self) -> np.ndarray:
-        """All l-combinations (with multiplicity, for the properness check)."""
-        idx = np.array([self.base.index], dtype=np.int64)
-        for v, L in zip(self.generators, self.half_lengths):
-            ls = np.arange(-(L - 1), L, dtype=np.int64)
-            shifts = self.spec.scale_indices(ls, v.index)
-            idx = self.spec.add_indices(idx[:, None], shifts[None, :]).reshape(-1)
-        return idx
+        """All l-combinations (with multiplicity, for the properness check),
+        l lexicographic with l_1 slowest: the points corner + t.v for
+        0 <= t_i <= 2 L_i - 2, from the corner l = (1 - L_1, ..., 1 - L_d)."""
+        corner = self.point([1 - L for L in self.half_lengths], self.spec.zero())
+        return self.spec.coset_points(corner.index, [v.index for v in self.generators],
+                                      [2 * L - 1 for L in self.half_lengths])
 
     def element_indices(self) -> np.ndarray:
         return sumset(self.spec, self.progression_indices(), self.subgroup.element_indices())

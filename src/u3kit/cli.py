@@ -81,6 +81,14 @@ def _write(path: str, text: str) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_function(args, out: dict, f: GroupFunction) -> None:
+    """--out of a command that makes a function: the file gets the function
+    JSON instead of the run's output, and the output names the file."""
+    _write(args.out, json.dumps(function_to_json(f)))
+    out["written"] = args.out
+    args.out = None
+
+
 def _decoded(decode, raw, what: str):
     """decode(raw) for the contents of an input file: contents of the wrong
     shape (missing keys, wrong types or lengths, bad numbers) raise
@@ -371,9 +379,7 @@ def _cmd_bracket(args) -> dict:
         out["n"] = args.n
         out["value"] = float(bq.eval(args.n))
     if args.out:
-        _write(args.out, json.dumps(function_to_json(GroupFunction(GroupSpec((bq.N,)), bq.exp_values()))))
-        out["written"] = args.out
-        args.out = None
+        _write_function(args, out, GroupFunction(GroupSpec((bq.N,)), bq.exp_values()))
     return out
 
 
@@ -421,9 +427,7 @@ def _cmd_nilseq(args) -> dict:
         raise ParseError(f"bad nil system: its orbit is not finite in floats ({exc})") from exc
     out = {"N": args.N, "dimension": sysm.dimension}
     if args.out:
-        _write(args.out, json.dumps(function_to_json(seq)))
-        out["written"] = args.out
-        args.out = None
+        _write_function(args, out, seq)
     return out
 
 
@@ -449,9 +453,7 @@ def _cmd_fw(args) -> dict:
     f = fw_counterexample(args.N)
     out = {"N": args.N, "support": int(np.sum(np.abs(f.values) > 0))}
     if args.out:
-        _write(args.out, json.dumps(function_to_json(f)))
-        out["written"] = args.out
-        args.out = None
+        _write_function(args, out, f)
     if args.norm:
         from .norms import gowers_norm
 

@@ -31,11 +31,12 @@ from .errors import (
 from .forms import count_aps
 from .groups import GroupFunction, GroupSpec
 from .inverse_f5 import ObstructionReport, quadratic_obstruction
-from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, solve_mod_p
+from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, solve_mod_p, span_points
 from .norms import _cyclic_scan, gowers_norm, quadratic_scan
 from .quadratic import degenerate_subspace
 
 EXHAUSTIVE_SCAN_LIMIT = 1 << 24  # most (a, b) pairs, N^2, of an exhaustive quadratic_correlation_scan
+SCAN_SAMPLES = 100_000  # seeded random (a, b) pairs of a sampled quadratic_correlation_scan
 EXHAUSTIVE_SEARCH_LIMIT = 20  # largest N of an exhaustive ap_free_search
 MIN_WITNESS_BIAS = 1e-6  # least best-coset bias for the level-set branch of the increment
 DRIVER_MAX_DEPTH = 8  # density-increment steps of szemeredi_driver
@@ -115,13 +116,13 @@ def quadratic_correlation_scan(
     f: GroupFunction,
     mode: str = "exhaustive",
     seed: int = 0,
-    samples: int = 100_000,
 ) -> ScanResult:
     """max over (a, b) of |E f(x) e(-(a x^2 + b x)/N)| by the k = 1 scan of
     `norms.quadratic_scan`: over all N^2 <= EXHAUSTIVE_SCAN_LIMIT pairs, or
-    (sampled, not budgeted) a seeded sample plus a = 0, all b.  A sample that
-    touches every a often enough (100,000 pairs on Z/4001) costs the same as
-    the exact scan; a sparse one costs about N operations a pair."""
+    (sampled, not budgeted) SCAN_SAMPLES seeded pairs plus a = 0, all b.  A
+    sample that touches every a often enough (100,000 pairs on Z/4001) costs
+    the same as the exact scan; a sparse one costs about N operations a pair.
+    pairs_examined counts the distinct pairs scanned, at most N^2."""
     spec = f.owner
     if spec.rank != 1:
         raise SpecMismatch("scan requires a cyclic group")
@@ -134,9 +135,10 @@ def quadratic_correlation_scan(
         return ScanResult(float(np.sqrt(best_sq)) / N, a, b, mode, N * N)
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    pairs = np.random.default_rng(seed).integers(0, N, size=(samples, 2))
+    pairs = np.random.default_rng(seed).integers(0, N, size=(SCAN_SAMPLES, 2))
     best_sq, (a, b) = _cyclic_scan(f.values, pairs)
-    return ScanResult(float(np.sqrt(best_sq)) / N, a, b, mode, samples + N)
+    examined = N + len(np.unique(pairs[pairs[:, 0] > 0], axis=0))  # the row a = 0 and the rest
+    return ScanResult(float(np.sqrt(best_sq)) / N, a, b, mode, examined)
 
 
 # --- density increment on F_5^n ---------------------------------------------------
@@ -242,8 +244,8 @@ def density_increment_f5(
             UB = (UB_loc @ WB) % p if U.dim else np.zeros((0, n), dtype=np.int64)
             # cosets of U inside best_y + W: reps = best_y + (complement of U in W)
             comp_loc = U.complement_basis()
-            reps_loc = _span_points(comp_loc, p)
-            zs = spec.coset_points(best_y, spec.encode(comp_loc @ WB), (p,) * len(comp_loc))
+            reps_loc = span_points(comp_loc, p)
+            zs = spec.add_indices(best_y, spec.encode(reps_loc @ WB))
             b_loc = np.array(wit.b, dtype=np.int64)
             for rep, z in zip(reps_loc, zs.tolist()):
                 # on z + U the witness phase is affine: value and direction
@@ -275,14 +277,6 @@ def density_increment_f5(
         obstruction=obstruction,
         outcome=outcome,
     )
-
-
-def _span_points(rows: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of t @ rows for t in F_p^k, lexicographic order."""
-    k = rows.shape[0]
-    if k == 0:
-        return np.zeros((1, rows.shape[1]), dtype=np.int64)
-    return (GroupSpec((p,) * k).decode(np.arange(p**k)) @ rows) % p
 
 
 def _affine_slice(UB: np.ndarray, lin: np.ndarray, target: int, p: int, spec: GroupSpec):

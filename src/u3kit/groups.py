@@ -21,8 +21,8 @@ The numeric code elsewhere works on index arrays through three entry points:
   digits by compare-and-subtract.  ``scale_indices`` scales each factor's
   digit mod n_i, and ``decode`` / ``encode`` convert to and from coordinates;
 * coset points -- ``GroupSpec.coset_points(y, gens, orders)`` lists
-  y + t_1 g_1 + ... + t_k g_k for t in lexicographic order (t_1 slowest), the
-  points of a coset of a subgroup in its local coordinates;
+  y + t_1 g_1 + ... + t_k g_k for t in lexicographic order (t_1 slowest); a
+  subgroup of ``modlinalg`` lists its cosets through it as ``H.coset(y)``;
 * batched shift -- ``GroupSpec.translates(hs)`` gives one row x -> x + h per
   shift h, from which ``derivative_rows`` and the derivatives elsewhere are
   read.

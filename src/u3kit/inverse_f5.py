@@ -26,6 +26,7 @@ from .modlinalg import (
     kernel_basis_mod_p,
     largest_subspace_inside,
     solve_mod_p,
+    span_points,
 )
 from .norms import CosetQuadraticWitness, u3_oracle_coset
 
@@ -261,7 +262,7 @@ def linear_component_fit(sliced: SliceResult) -> LinearComponentFit:
     M_rows = np.array(rows, dtype=np.int64).reshape(Vsub.dim, spec.rank)
     # the doubled graph must agree with the linear model on all of V: the
     # points h of V and the predictions 2Mh, both in V-local lex order
-    v_idx = spec.coset_points(0, Vsub.generators, Vsub.local_orders)
+    v_idx = Vsub.coset(0)
     two_mh = spec.coset_points(0, spec.encode(2 * M_rows), Vsub.local_orders)
     for hv, pv in zip(v_idx.tolist(), two_mh.tolist()):
         if hv in ambiguous or lookup.get(hv, pv) != pv:
@@ -359,32 +360,31 @@ def coset_reps(W: PrimeSubspace) -> np.ndarray:
 
 
 def _witness_scan(
-    f: GroupFunction, W: PrimeSubspace, A_local: np.ndarray, y_index: int
-) -> tuple[CosetQuadraticWitness, float]:
-    """Best linear completion of the quadratic t.At on the coset y+W."""
+    f: GroupFunction, W: PrimeSubspace, A_local: np.ndarray, reps: np.ndarray
+) -> tuple[list[CosetQuadraticWitness], np.ndarray]:
+    """Best linear completion of the quadratic t.At on each coset y+W, y in
+    reps: one row of f(y + t.w) e(-t.At) per coset, t in local lex order, and
+    one transform over the local axes of all rows (the identity when W = 0).
+    The witness b is the argmax of its row, the first of equal entries.
+
+    When W = 0 the bias is |f(y)| by hypot, as a scalar abs takes it; the
+    vectorized np.abs of complex arrays can differ from it in the last bit."""
     spec = f.owner
-    p = W.p
-    k = W.dim
-    if k:
-        t = GroupSpec((p,) * k).decode(np.arange(W.order))  # lex order, as the points
-        qvals = np.einsum("ni,ij,nj->n", t, A_local, t) % p
-        pts = spec.coset_points(y_index, W.generators, W.local_orders)
-        omega = np.exp(-2j * np.pi * np.arange(p) / p)
-        g = f.values[pts] * omega[qvals]
-        corr = np.fft.fftn(g.reshape((p,) * k)).reshape(-1)
-        b = int(np.argmax(np.abs(corr)))
-        bias = float(np.abs(corr[b]) / p**k)
-        bcoords = GroupSpec((p,) * k).coords_of(b)
-    else:
-        bias = float(abs(f.values[y_index]))
-        bcoords = ()
-    witness = CosetQuadraticWitness(
-        spec.element_by_index(y_index),
-        W,
-        tuple(tuple(int(v) for v in row) for row in A_local) if k else (),
-        tuple(int(v) for v in bcoords),
-    )
-    return witness, bias
+    p, k = W.p, W.dim
+    t = span_points(np.eye(k, dtype=np.int64), p)  # lex order, as W.coset lists the points
+    qvals = np.einsum("ni,ij,nj->n", t, A_local, t) % p
+    pts = spec.add_indices(reps[:, None], W.coset(0)[None, :])
+    g = f.values[pts] * np.exp(-2j * np.pi * np.arange(p) / p)[qvals]
+    corr = np.fft.fftn(g.reshape((len(reps),) + W.local_orders), axes=tuple(range(1, k + 1)))
+    corr = np.abs(corr) if k else np.hypot(corr.real, corr.imag)
+    corr = corr.reshape(len(reps), W.order)
+    bs = np.argmax(corr, axis=1)
+    A = tuple(tuple(int(v) for v in row) for row in A_local)
+    witnesses = [
+        CosetQuadraticWitness(spec.element_by_index(y), W, A, tuple(int(v) for v in t[b]))
+        for y, b in zip(reps.tolist(), bs.tolist())
+    ]
+    return witnesses, corr[np.arange(len(reps)), bs] / W.order
 
 
 def quadratic_obstruction(
@@ -403,7 +403,6 @@ def quadratic_obstruction(
     |E_{x in y+W} f(x) e(-q(x))| with the witness phase q, so each reported
     bias, and their average, is at most max |f|, and at most 1 only for
     1-bounded f."""
-    spec = f.owner
     gamma = phase_derivative_graph(f, eta)  # checks that G is F_p^n
     quad = additive_quadruples(gamma)
     K = len(gamma) ** 3 / quad if quad else float("inf")
@@ -413,15 +412,12 @@ def quadratic_obstruction(
     A_local = _restricted_form(fit, W)  # symmetric by the symmetry-subspace check
 
     reps = coset_reps(W)
-    witnesses: dict[int, tuple[CosetQuadraticWitness, float]] = {}
+    found, biases = _witness_scan(f, W, A_local, reps)
+    witnesses = {y: (w, b) for y, w, b in zip(reps.tolist(), found, biases.tolist())}
     oracle: dict[int, float] = {}
-    biases = []
-    for y in reps.tolist():
-        w, b = _witness_scan(f, W, A_local, int(y))
-        witnesses[int(y)] = (w, b)
-        biases.append(b)
-        if oracle_crosscheck and W.dim <= 3:
-            oracle[int(y)] = u3_oracle_coset(f, (spec.element_by_index(int(y)), W)).value
+    if oracle_crosscheck and W.dim <= 3:
+        for w in found:
+            oracle[w.y.index] = u3_oracle_coset(f, (w.y, W)).value
     avg = float(np.mean(biases))
     return ObstructionReport(
         W=W,

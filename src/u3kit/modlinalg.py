@@ -8,10 +8,12 @@ Two concrete subgroup families cover everything the toolkit needs:
 * ``PrimeSubspace`` -- F_p-linear subspaces of a homogeneous group Z/p x ...
   x Z/p given by a row-reduced basis.
 
-Both expose the same small surface: local cyclic orders, the generators
-whose local-coordinate combinations embed into the ambient group, and ambient
-element enumeration.  The points of a coset y+H in local lexicographic order
-are ``H.spec.coset_points(y, H.generators, H.local_orders)``.
+Both are a ``Subgroup``: coordinate rows (``basis_matrix``) and local cyclic
+orders, from which the shared base derives the order, the generators, the
+embedding t -> t @ rows of local coordinates, and the points of a coset,
+``H.coset(y)``, y + H in local lexicographic order.  ``span_points`` is the
+one lister of the coordinates t @ rows over F_p^k, for rows that are not a
+subgroup's own (a complement, or the identity for plain F_p^k coordinates).
 """
 
 from __future__ import annotations
@@ -114,6 +116,14 @@ def complete_basis(rows, candidates, p: int) -> np.ndarray:
     return np.array(comp, dtype=np.int64).reshape(len(comp), candidates.shape[1])
 
 
+def span_points(rows: np.ndarray, p: int) -> np.ndarray:
+    """Coordinates of t @ rows mod p for t in F_p^k, k = len(rows), in
+    lexicographic order of t (t_1 slowest): one zero row when k = 0."""
+    k = len(rows)
+    t = np.indices((p,) * k, dtype=np.int64).reshape(k, p**k).T
+    return (t @ rows) % p
+
+
 def solve_congruence(a: int, b: int, m: int) -> int | None:
     """Smallest nonnegative x with a*x = b (mod m), or None if unsolvable."""
     if m == 1:
@@ -130,10 +140,39 @@ def solve_congruence(a: int, b: int, m: int) -> int | None:
 
 
 @dataclass(frozen=True)
-class BoxSubgroup:
-    """H = d1 Z/n1 x ... x dk Z/nk, with each d_i dividing n_i."""
+class Subgroup:
+    """A subgroup H of ``spec`` given by coordinate rows: the points of H are
+    t @ basis_matrix() reduced mod the factor orders, for t in the product of
+    range(local_orders), each point once.  A family supplies basis_matrix()
+    and local_orders."""
 
     spec: GroupSpec
+
+    @property
+    def order(self) -> int:
+        return prod(self.local_orders)
+
+    @property
+    def generators(self) -> np.ndarray:
+        """Indices of the coordinate rows."""
+        return self.spec.encode(self.basis_matrix())
+
+    def embed_coords(self, t: Sequence[int]) -> tuple[int, ...]:
+        v = (np.array(t, dtype=np.int64) @ self.basis_matrix()) % np.array(self.spec.orders)
+        return tuple(int(c) for c in v)
+
+    def coset(self, y: int) -> np.ndarray:
+        """Indices of y + H, lexicographic in the local coordinates t."""
+        return self.spec.coset_points(y, self.generators, self.local_orders)
+
+    def element_indices(self) -> np.ndarray:
+        return np.sort(self.coset(0))
+
+
+@dataclass(frozen=True)
+class BoxSubgroup(Subgroup):
+    """H = d1 Z/n1 x ... x dk Z/nk, with each d_i dividing n_i."""
+
     divisors: tuple[int, ...]
 
     def __post_init__(self):
@@ -149,30 +188,15 @@ class BoxSubgroup:
     def local_orders(self) -> tuple[int, ...]:
         return tuple(n // d for n, d in zip(self.spec.orders, self.divisors))
 
-    @property
-    def order(self) -> int:
-        return prod(self.local_orders)
-
-    def embed_coords(self, t: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            (d * (ti % h)) % n
-            for ti, d, h, n in zip(t, self.divisors, self.local_orders, self.spec.orders)
-        )
-
-    @property
-    def generators(self) -> np.ndarray:
-        """Indices of d_i e_i, one per factor."""
-        return self.spec.encode(np.diag(np.array(self.divisors, dtype=np.int64)))
-
-    def element_indices(self) -> np.ndarray:
-        return np.sort(self.spec.coset_points(0, self.generators, self.local_orders))
+    def basis_matrix(self) -> np.ndarray:
+        """d_i e_i, one row per factor."""
+        return np.diag(np.array(self.divisors, dtype=np.int64))
 
 
 @dataclass(frozen=True)
-class PrimeSubspace:
+class PrimeSubspace(Subgroup):
     """F_p-subspace of Z/p x ... x Z/p, basis rows in row-reduced form."""
 
-    spec: GroupSpec
     basis: tuple[tuple[int, ...], ...]  # shape (dim, rank), row-reduced
 
     def __post_init__(self):
@@ -200,27 +224,11 @@ class PrimeSubspace:
         return len(self.basis)
 
     @property
-    def order(self) -> int:
-        return self.p**self.dim
-
-    @property
     def local_orders(self) -> tuple[int, ...]:
         return (self.p,) * self.dim
 
     def basis_matrix(self) -> np.ndarray:
         return np.array(self.basis, dtype=np.int64).reshape(self.dim, self.spec.rank)
-
-    def embed_coords(self, t: Sequence[int]) -> tuple[int, ...]:
-        v = (np.array(t, dtype=np.int64) @ self.basis_matrix()) % self.p
-        return tuple(int(c) for c in v)
-
-    @property
-    def generators(self) -> np.ndarray:
-        """Indices of the basis rows."""
-        return self.spec.encode(self.basis_matrix())
-
-    def element_indices(self) -> np.ndarray:
-        return np.sort(self.spec.coset_points(0, self.generators, self.local_orders))
 
     def complement_basis(self) -> np.ndarray:
         """Unit vectors e_1, e_2, ... that complete the subspace basis to a
@@ -245,8 +253,6 @@ class PrimeSubspace:
             inv[:, i] = sol
         return inv[: self.dim, :] % p
 
-
-Subgroup = BoxSubgroup | PrimeSubspace
 
 
 def enumerate_subspaces(spec: GroupSpec, k: int):
@@ -291,8 +297,7 @@ def largest_subspace_inside(spec: GroupSpec, members: Iterable[int]) -> PrimeSub
         if spec.orders[0] ** k > size:
             continue
         for W in enumerate_subspaces(spec, k):
-            gens = W.generators
-            if mask[gens].all() and mask[spec.coset_points(0, gens, W.local_orders)].all():
+            if mask[W.generators].all() and mask[W.coset(0)].all():
                 return W
     return PrimeSubspace(spec, ())
 
@@ -303,7 +308,7 @@ def isotropic_vector_in(mat: np.ndarray, p: int) -> np.ndarray | None:
     k = mat.shape[0]
     if k == 0:
         return None
-    xs = GroupSpec((p,) * k).decode(np.arange(1, p**k))  # lexicographic, zero skipped
+    xs = span_points(np.eye(k, dtype=np.int64), p)[1:]  # lexicographic, zero skipped
     vals = np.einsum("ni,ij,nj->n", xs, mat, xs) % p
     hits = np.nonzero(vals == 0)[0]
     if hits.size == 0:

@@ -584,7 +584,7 @@ def u3_oracle_coset(
     y, H = coset
     if H.order % 2 == 0:
         raise EvenOrder("coset oracle requires odd |H|")
-    fvals = f.values[f.owner.coset_points(y.index, H.generators, H.local_orders)]  # local lex order
+    fvals = f.values[H.coset(y.index)]  # local lex order
     m = len(fvals)
     if m == 1:
         return NormReport(abs(complex(fvals[0])), 3, "coset-exact",

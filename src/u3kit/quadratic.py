@@ -16,9 +16,9 @@ one common denominator D, addressed by group index.  ``_numerators`` turns
 exact torus values into that form (``PhaseTable`` wraps it for a whole
 group), ``QuadraticPhase.numerators`` evaluates a quadratic at an index
 array in it, and ``_agree`` compares two such tables mod 1.  Points are
-found through ``GroupSpec`` index arithmetic (``add_indices``,
-``coset_points``, ``CosetProgression.progression_indices``), never one
-``GroupElement`` at a time.  The scalar APIs that remain are
+found through index arithmetic (``GroupSpec.add_indices``, the coset lister
+``H.coset(y)`` of a subgroup, ``CosetProgression.progression_indices``),
+never one ``GroupElement`` at a time.  The scalar APIs that remain are
 ``QuadraticPhase.evaluate`` (with ``bilinear_value`` and ``translate``),
 ``ProgressionQuadratic.reconstruct`` and ``BracketQuadratic.eval``.
 """
@@ -337,9 +337,7 @@ def _half_mod(value: Fraction, modulus_hint: int) -> Fraction:
     return mod1(Fraction(value.numerator * inv2, den))
 
 
-def classify_global_quadratic(
-    phi: Sequence[TorusValue], spec: GroupSpec, check: bool = True
-) -> QuadraticPhase:
+def classify_global_quadratic(phi: Sequence[TorusValue], spec: GroupSpec) -> QuadraticPhase:
     """Recover (M, xi, c) from a globally quadratic phase table, exactly.
 
     The bilinear form is read off the symmetric second difference
@@ -350,7 +348,7 @@ def classify_global_quadratic(
     """
     _require_odd(spec)
     table = PhaseTable(spec, phi)
-    if check and not is_locally_quadratic(table, range(spec.order), spec):
+    if not is_locally_quadratic(table, range(spec.order), spec):
         raise NotQuadratic("third differences do not vanish")
     num, D = table.numerators, table.denominator
     k = spec.rank
@@ -404,7 +402,7 @@ def extend_from_coset(
     spec = H.spec
     _require_odd(spec)
     loc = _local_spec(H)
-    coset = spec.coset_points(y.index, H.generators, H.local_orders).tolist()
+    coset = H.coset(y.index).tolist()
     if not all(i in phi for i in coset):
         raise SpecMismatch("phase not defined on the whole coset")
     QH = classify_global_quadratic([phi[i] for i in coset], loc)
@@ -572,14 +570,12 @@ def quadratic_on_coset_progression(phi: Mapping[int, TorusValue], P) -> Progress
     _require_odd(spec)
     if not P.proper:
         raise NotProper("progression is not proper")
-    coset = spec.add_indices(H.element_indices(), np.int64(P.base.index)).tolist()
-    base_Q = extend_from_coset({i: phi[i] for i in coset}, P.base, H)
+    base_Q = extend_from_coset({i: phi[i] for i in H.coset(P.base.index).tolist()}, P.base, H)
     d = len(P.generators)
     loc = _local_spec(H)
     k = len(H.local_orders)
 
-    pts = spec.add_indices(P.progression_indices()[:, None],
-                           spec.coset_points(0, H.generators, H.local_orders)[None, :])
+    pts = spec.add_indices(P.progression_indices()[:, None], H.coset(0)[None, :])
     pnum, pD = _numerators([phi[i] for i in pts.ravel().tolist()])
     qnum, qD = base_Q.numerators(pts)
     L = lcm(pD, qD)

@@ -96,7 +96,7 @@ def bias_against(witness, f: GroupFunction) -> float:
     direct-evaluation reference for the value the coset oracle reports."""
     H = witness.subgroup
     loc = H.local_orders
-    pts = H.spec.coset_points(witness.y.index, H.generators, loc)
+    pts = H.coset(witness.y.index)
     total = 0j
     for x, t in zip(pts.tolist(), itertools.product(*[range(o) for o in loc]), strict=True):
         phase = Fraction(0)

@@ -198,7 +198,7 @@ def test_c09_quadratic_classification_roundtrip():
                 for c in (Fraction(0), Fraction(1, n), Fraction(1, 3)):
                     Q = QuadraticPhase.cyclic(spec, m, xi, c)
                     phi = Q.values()
-                    R = classify_global_quadratic(phi, spec, check=False)
+                    R = classify_global_quadratic(phi, spec)
                     assert R.values() == phi
     rng = np.random.default_rng(109)
     for gs in ("F5^2", "F5^3"):
@@ -210,7 +210,7 @@ def test_c09_quadratic_classification_roundtrip():
             xi = rng.integers(0, 5, size=k)
             Q = QuadraticPhase.from_integer_matrix(spec, A, xi, Fraction(1, 5))
             phi = Q.values()
-            R = classify_global_quadratic(phi, spec, check=False)
+            R = classify_global_quadratic(phi, spec)
             assert R.values() == phi
     gate.done("all (m, xi, c) on Z/5, Z/7, Z/9; 100 random symmetric matrices")
 

@@ -9,6 +9,7 @@ from conftest import elements, random_bounded
 import u3kit.bohr as bohr_module
 from u3kit.bohr import (
     BohrSet,
+    CosetProgression,
     _distances,
     _thin_spectrum,
     bogolyubov,
@@ -663,3 +664,27 @@ def test_character_kernel_and_progression_match_pair(data):
     left = Fraction(len(S)) ** (-2 * len(S)) * rho
     assert ext.left_inclusion_ok == ({i for i, v in enumerate(norms) if v < left} <= ph)
     assert ext.right_inclusion_ok == (ph <= {i for i, v in enumerate(norms) if v < rho})
+
+
+def reference_progression_indices(P) -> np.ndarray:
+    """The loop CosetProgression.progression_indices ran before it listed
+    the points as one coset from the corner: from the base, one generator
+    at a time, l_i over -(L_i - 1), ..., L_i - 1."""
+    idx = np.array([P.base.index], dtype=np.int64)
+    for v, L in zip(P.generators, P.half_lengths):
+        ls = np.arange(-(L - 1), L, dtype=np.int64)
+        shifts = P.spec.scale_indices(ls, v.index)
+        idx = P.spec.add_indices(idx[:, None], shifts[None, :]).reshape(-1)
+    return idx
+
+
+@given(st.data())
+def test_progression_indices_match_the_generator_loop(data):
+    orders = data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=3))
+    spec = GroupSpec(tuple(orders))
+    element = st.integers(0, spec.order - 1).map(spec.element_by_index)
+    gens = tuple(data.draw(st.lists(element, max_size=3)))
+    half = tuple(data.draw(st.integers(1, 5)) for _ in gens)
+    P = CosetProgression(spec, data.draw(element), gens, half, character_kernel(spec, []))
+    got = P.progression_indices()
+    assert got.dtype == np.int64 and got.tolist() == reference_progression_indices(P).tolist()

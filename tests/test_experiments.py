@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant, random_bounded, reference_cyclic_scan, reference_sampled_scan
-from u3kit import norms
+from u3kit import experiments, norms
 from u3kit.errors import BudgetExceeded, Has4Ap, NotPrime, TooSmall
 from u3kit.experiments import (
     EXHAUSTIVE_SCAN_LIMIT,
@@ -54,13 +56,14 @@ def test_fw_boundary_value_vanishes():
     assert f.values[2] == 0
 
 
-def test_scan_planted_quadratic():
+def test_scan_planted_quadratic(monkeypatch):
     spec = parse_group("Z/101")
     x = np.arange(101)
     f = GroupFunction(spec, np.exp(2j * np.pi * (3 * x * x + x) / 101))
     res = quadratic_correlation_scan(f, "exhaustive")
     assert res.value > 1 - 1e-9 and (res.a, res.b) == (3, 1)
-    res2 = quadratic_correlation_scan(f, "sampled", seed=4, samples=20000)
+    monkeypatch.setattr(experiments, "SCAN_SAMPLES", 20000)
+    res2 = quadratic_correlation_scan(f, "sampled", seed=4)
     assert res2.value > 1 - 1e-9 or (res2.a, res2.b) == (3, 1) or res2.value >= res.value - 0.2
 
 
@@ -149,13 +152,22 @@ def test_sampled_scan_matches_reference_property(data):
         f = GroupFunction.indicator(spec, [int(rng.integers(N))])
     else:
         f = constant(spec, 0.0 if kind == "zero" else 1.0)
-    res = quadratic_correlation_scan(f, "sampled", seed=seed, samples=samples)
+    with mock.patch.object(experiments, "SCAN_SAMPLES", samples):
+        res = quadratic_correlation_scan(f, "sampled", seed=seed)
     value, (a, b), pairs, values = reference_sampled_scan(f.values, N, seed, samples)
     assert abs(res.value - value) < 1e-12
-    assert res.pairs_examined == samples + N
+    assert res.pairs_examined == len({(int(p), int(q)) for p, q in pairs}) <= N * N
     sq = values**2
     tied = sorted({(int(p), int(q)) for p, q in pairs[sq >= sq.max() * (1 - norms._TIE_RTOL)]})
     assert (res.a, res.b) == ((a, b) if len(tied) == 1 else tied[0])
+
+
+def test_sampled_scan_counts_distinct_pairs():
+    # Z/2 has 4 pairs (a, b), and the SCAN_SAMPLES seeded pairs hit all of
+    # them: the count is of pairs scanned, not of draws
+    f = GroupFunction(parse_group("Z/2"), np.array([1.0, 0.0]))
+    res = quadratic_correlation_scan(f, "sampled")
+    assert res.pairs_examined == 4 and (res.value, res.a, res.b) == (0.5, 0, 0)
 
 
 def test_ap_free_search():

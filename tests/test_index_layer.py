@@ -7,6 +7,7 @@ import itertools
 from math import prod
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
@@ -25,11 +26,31 @@ def index_lists(spec: GroupSpec, max_size: int):
 
 
 def lex_points(H, y_index: int) -> list[int]:
-    """y + embed(t) for t in local lexicographic order, by coordinate arithmetic."""
+    """y + embed(t) for t in local lexicographic order, by coordinate
+    arithmetic, with embed_coords checked against each family's own
+    embedding: d_i t_i in factor i of a box, sum_i t_i b_i of a subspace."""
     spec = H.spec
     y = spec.element_by_index(y_index)
-    ts = itertools.product(*[range(o) for o in H.local_orders])
-    return [(spec.element(H.embed_coords(t)) + y).index for t in ts]
+    out = []
+    for t in itertools.product(*[range(o) for o in H.local_orders]):
+        if isinstance(H, BoxSubgroup):
+            x = spec.element([d * ti for d, ti in zip(H.divisors, t)])
+        else:
+            x = spec.zero()
+            for ti, row in zip(t, H.basis):
+                x = x + ti * spec.element(row)
+        assert H.embed_coords(t) == x.coords
+        out.append((x + y).index)
+    return out
+
+
+def check_coset(H, y: int) -> None:
+    pts = H.coset(y)
+    assert pts.dtype == np.int64 and pts.tolist() == lex_points(H, y)
+    assert H.element_indices().tolist() == sorted(lex_points(H, 0))
+    assert H.order == len(pts) == len(set(pts.tolist()))
+    units = np.eye(len(H.local_orders), dtype=np.int64)
+    assert H.generators.tolist() == [H.spec.index_of(H.embed_coords(e)) for e in units]
 
 
 @given(st.data())
@@ -64,10 +85,7 @@ def test_coset_points_prime_subspace(data):
     spec = GroupSpec((p,) * n)
     gens = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), max_size=n))
     H = PrimeSubspace.from_generators(spec, gens) if gens else PrimeSubspace(spec, ())
-    y = data.draw(st.integers(0, spec.order - 1))
-    pts = spec.coset_points(y, H.generators, H.local_orders)
-    assert pts.tolist() == lex_points(H, y)
-    assert H.element_indices().tolist() == sorted(lex_points(H, 0))
+    check_coset(H, data.draw(st.integers(0, spec.order - 1)))
 
 
 @given(st.data())
@@ -76,11 +94,20 @@ def test_coset_points_box_subgroup(data):
     divisors = tuple(
         data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0])) for n in spec.orders
     )
-    H = BoxSubgroup(spec, divisors)
-    y = data.draw(st.integers(0, spec.order - 1))
-    pts = spec.coset_points(y, H.generators, H.local_orders)
-    assert pts.tolist() == lex_points(H, y)
-    assert H.element_indices().tolist() == sorted(lex_points(H, 0))
+    check_coset(BoxSubgroup(spec, divisors), data.draw(st.integers(0, spec.order - 1)))
+
+
+@pytest.mark.parametrize("group", ["Z/1", "Z/7", "Z/12", "Z/4xZ/6", "F3^3", "F5^2"])
+def test_coset_of_the_trivial_and_the_whole_subgroup(group):
+    spec = groups.parse_group(group)
+    subgroups = [BoxSubgroup(spec, spec.orders), BoxSubgroup.whole(spec)]
+    if group in ("Z/7", "F3^3", "F5^2"):  # F_p^k
+        subgroups += [PrimeSubspace(spec, ()), PrimeSubspace.whole(spec)]
+    for H in subgroups:
+        for y in {0, 1 % spec.order, spec.order - 1}:
+            check_coset(H, y)
+    for H in subgroups[1::2]:  # the whole group, in index order from 0
+        assert H.coset(0).tolist() == list(range(spec.order))
 
 
 @given(st.data())

@@ -5,16 +5,19 @@ import pytest
 
 from conftest import bias_against, constant, random_pm1
 from u3kit.errors import EmptyGraph, EmptyV
-from u3kit.groups import GroupFunction, parse_group
+from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.inverse_f5 import (
+    _witness_scan,
     additive_quadruples,
+    coset_reps,
     linear_component_fit,
     phase_derivative_graph,
     quadratic_obstruction,
     random_slice,
     symmetry_subspace,
 )
-from u3kit.norms import gowers_norm, u3_oracle_coset
+from u3kit.modlinalg import PrimeSubspace
+from u3kit.norms import CosetQuadraticWitness, gowers_norm, u3_oracle_coset
 
 
 def _planted_quadratic(spec, A, b):
@@ -239,7 +242,7 @@ def test_affine_vote_matches_reference_on_random_votes(group, rows, monkeypatch)
     rng = np.random.default_rng(5)
     for trial in range(6):
         V = PrimeSubspace.from_generators(spec, rng.integers(0, p, (int(rng.integers(1, n + 1)), n)))
-        v_idx = spec.coset_points(0, V.generators, V.local_orders)
+        v_idx = V.coset(0)
         neg_two_mh = rng.integers(0, 3, len(v_idx))
         xi_at = np.where(rng.uniform(size=N) < 0.4, rng.integers(0, 4, N), -1)
         if trial == 0:
@@ -379,3 +382,67 @@ def test_largest_subspace_inside_matches_set_search(group):
         assert largest_subspace_inside(spec, members) == _reference_largest_subspace(spec, members)
     assert largest_subspace_inside(spec, []) == PrimeSubspace(spec, ())
     assert largest_subspace_inside(spec, range(N)) == PrimeSubspace.whole(spec)
+
+
+# --- all cosets of W in one witness scan ---------------------------------------
+
+
+def reference_witness_scan(f, W, A_local, y_index):
+    """The per-coset scan that quadratic_obstruction ran before it took every
+    coset of W through one transform: the row of one coset, its own fftn
+    over (p,)^k, and the first argmax."""
+    spec = f.owner
+    p = W.p
+    k = W.dim
+    if k:
+        t = GroupSpec((p,) * k).decode(np.arange(W.order))  # lex order, as the points
+        qvals = np.einsum("ni,ij,nj->n", t, A_local, t) % p
+        pts = W.coset(y_index)
+        omega = np.exp(-2j * np.pi * np.arange(p) / p)
+        g = f.values[pts] * omega[qvals]
+        corr = np.fft.fftn(g.reshape((p,) * k)).reshape(-1)
+        b = int(np.argmax(np.abs(corr)))
+        bias = float(np.abs(corr[b]) / p**k)
+        bcoords = GroupSpec((p,) * k).coords_of(b)
+    else:
+        bias = float(abs(f.values[y_index]))
+        bcoords = ()
+    witness = CosetQuadraticWitness(
+        spec.element_by_index(y_index),
+        W,
+        tuple(tuple(int(v) for v in row) for row in A_local) if k else (),
+        tuple(int(v) for v in bcoords),
+    )
+    return witness, bias
+
+
+@pytest.mark.parametrize("group", ["F5^2", "F5^3", "F3^4"])
+@pytest.mark.parametrize("kind", ["planted", "zero", "real", "constant", "point"])
+def test_batched_witness_scan_matches_per_coset_scan(group, kind):
+    # real, constant and point-mass f with A = 0 have exact ties |F(xi)| =
+    # |F(-xi)| (or all-equal rows); the batched transform must pick the same
+    # entry as each coset's own, and give the same bias to the bit
+    spec = parse_group(group)
+    p, n, N = spec.orders[0], spec.rank, spec.order
+    rng = np.random.default_rng(sum(map(ord, group + kind)))
+    for dim in range(n + 1):
+        W = PrimeSubspace.from_generators(spec, rng.integers(0, p, (dim, n))) if dim else PrimeSubspace(spec, ())
+        A = rng.integers(0, p, (W.dim, W.dim))
+        A = (A + A.T) % p if kind in ("planted", "zero") else np.zeros_like(A)
+        if kind == "planted":
+            B = rng.integers(0, p, (n, n))
+            f, _ = _planted_quadratic(spec, (B + B.T) % p, rng.integers(0, p, n))
+            f = GroupFunction(spec, f.values + 0.3 * np.exp(2j * np.pi * rng.uniform(0, 1, N)))
+        elif kind == "real":
+            f = GroupFunction(spec, rng.uniform(-1, 1, N))
+        elif kind == "point":
+            f = GroupFunction.indicator(spec, [int(rng.integers(N))])
+        else:
+            f = constant(spec, 0.0 if kind == "zero" else 1.0)
+        reps = coset_reps(W)
+        witnesses, biases = _witness_scan(f, W, A, reps)
+        assert len(witnesses) == len(biases) == len(reps) == N // W.order
+        for y, w, b in zip(reps.tolist(), witnesses, biases.tolist()):
+            w_ref, b_ref = reference_witness_scan(f, W, A, y)
+            assert w == w_ref
+            assert np.float64(b).tobytes() == np.float64(b_ref).tobytes()

@@ -17,7 +17,9 @@ what a file imports, not by spelling:
 
 An import alone is not a use, and dunder methods are exempt: the language
 calls them.  The few functions that are documented API of the source paper
-but have no caller yet are listed in ALLOWED, each with its reason.
+but have no caller yet are listed in ALLOWED, each with its reason.  An
+option is set only by a call in src/ or bench/ that resolves to its function
+the same way; ALLOWED_OPTIONS lists the options of allowlisted functions.
 """
 
 import ast
@@ -38,6 +40,13 @@ ALLOWED = {
     "quadratic.isotropic_vector": "an isotropic vector of a quadratic form over F_p, as the paper's argument uses",
     "quadratic.orthogonal_complement": "the complement of a subgroup under a bilinear form, as the paper's argument uses",
     "forms.prog_unif_slack": "the slack of the generalized von Neumann bound, checked against the paper",
+}
+
+# Options of allowlisted functions: with no caller yet, nothing sets them.
+ALLOWED_OPTIONS = {
+    "forms.prog_unif_slack(k)": "the progression length of the bound, 4 in the paper",
+    "forms.prog_unif_slack(enforce_n_bound)": "whether to refuse groups below the paper's size bound",
+    "quadratic.isotropic_vector(rng)": "the random search above dimension 3",
 }
 
 
@@ -151,23 +160,27 @@ class _Uses:
             mine |= theirs
 
 
+def _module_of(node: ast.AST, mods: dict, modules: set[str]) -> str | None:
+    """The module a receiver names: an imported module, or an attribute chain
+    through one (np.linalg, u3kit.groups); ``mods`` as from _bindings."""
+    chain = _dotted(node)
+    if chain is None or chain[0] not in mods:
+        return None
+    path = mods[chain[0]]
+    for part in chain[1:]:
+        if path in modules and f"{path}.{part}" not in modules:
+            return None  # a class or an object reached through a module of ours
+        path = f"{path}.{part}"
+    return path
+
+
 def _uses(tree: ast.AST, module: str, modules: set[str]) -> dict:
     """{scope: _Uses} of one file, scopes as in _walk."""
     mods, objs = _bindings(tree, module, modules)
     local = {name for name, _, kind in _defined(tree) if kind == "function"}
 
     def module_of(node) -> str | None:
-        """The module a receiver names: an imported module, or an attribute
-        chain through one (np.linalg, u3kit.groups)."""
-        chain = _dotted(node)
-        if chain is None or chain[0] not in mods:
-            return None
-        path = mods[chain[0]]
-        for part in chain[1:]:
-            if path in modules and f"{path}.{part}" not in modules:
-                return None  # a class or an object reached through a module of ours
-            path = f"{path}.{part}"
-        return path
+        return _module_of(node, mods, modules)
 
     out: dict = {}
     for scope, _, node in _walk(tree):
@@ -360,39 +373,85 @@ def _options(node: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]
     return out
 
 
-def _calls_by_name(tree: ast.AST):
-    """(called name, positional count, keywords) of every call; a *args
-    reaches every position and a **kwargs every keyword."""
+def _calls(tree: ast.AST, module: str, modules: set[str]):
+    """(callee, positional count, keywords) of every call in a file, the
+    callee resolved as _uses resolves names: ("function", (module, name)) for
+    a name the file defines or imports, or for module.name through an
+    imported module; ("method", name) for x.name(...) on any other receiver;
+    other calls are skipped.  A *args reaches every position and a **kwargs
+    every keyword."""
+    mods, objs = _bindings(tree, module, modules)
+    local = {name for name, _, kind in _defined(tree) if kind == "function"}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-            if name is None:
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and (f.id in objs or f.id in local):
+            callee = ("function", objs.get(f.id, (module, f.id)))
+        elif isinstance(f, ast.Attribute):
+            owner = _module_of(f.value, mods, modules)
+            callee = ("function", (owner, f.attr)) if owner else ("method", f.attr)
+        else:
+            continue
+        starred = any(isinstance(x, ast.Starred) for x in node.args)
+        yield callee, float("inf") if starred else len(node.args), {k.arg for k in node.keywords}
+
+
+def unset_options(sources: dict[str, str], allowed=()) -> list[str]:
+    """"path:line name(option)" of every option of a function, method or
+    property defined under src/u3kit in ``sources`` that no call in src/ or
+    bench/ sets, other than the ``allowed`` "module.qualname(option)".
+
+    A parameter with a default is an option.  It is set when a call that
+    resolves to its function (see _calls; a method by its name) passes it by
+    keyword, passes enough positional arguments to reach it, or passes a
+    **kwargs."""
+    trees = {rel: ast.parse(text, filename=rel) for rel, text in sources.items()
+             if rel.split("/")[0] in CALLERS}
+    modules = {_module(rel) for rel in trees}
+    reach: dict = {}
+    keywords: dict = {}
+    for rel, tree in trees.items():
+        for callee, npos, kws in _calls(tree, _module(rel), modules):
+            reach[callee] = max(reach.get(callee, 0), npos)
+            keywords.setdefault(callee, set()).update(kws)
+    out = []
+    for rel, tree in trees.items():
+        if not rel.startswith("src/u3kit/"):
+            continue
+        module = _module(rel)
+        for qual, node, kind in _defined(tree):
+            if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            starred = any(isinstance(x, ast.Starred) for x in node.args)
-            kws = {k.arg for k in node.keywords}
-            yield name, float("inf") if starred else len(node.args), kws
+            key = ("function", (module, node.name)) if kind == "function" else ("method", node.name)
+            for opt, pos in _options(node, kind == "method"):
+                where = f"{module.removeprefix('u3kit.')}.{qual}({opt})"
+                if where in allowed or opt in keywords.get(key, ()) or None in keywords.get(key, ()):
+                    continue
+                if pos is None or reach.get(key, 0) <= pos:
+                    out.append(f"{rel}:{node.lineno} {where}")
+    return out
 
 
 def test_every_option_in_src_is_set_by_a_caller():
-    """A parameter with a default is an option.  It counts as set when some
-    call, in src/, tests/ or bench/, to a function of its name passes it by
-    keyword or passes enough positional arguments to reach it.  An option
-    that nothing sets is a constant and belongs in the function body."""
-    reach: dict[str, float] = {}
-    keywords: dict[str, set] = {}
-    defined = []
-    for rel, text in _sources().items():
-        tree = ast.parse(text, filename=rel)
-        for name, npos, kws in _calls_by_name(tree):
-            reach[name] = max(reach.get(name, 0), npos)
-            keywords.setdefault(name, set()).update(kws)
-        if rel.startswith("src/u3kit/"):
-            for _, node, kind in _defined(tree):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    for opt, pos in _options(node, kind == "method"):
-                        defined.append((f"{rel}:{node.lineno} {node.name}({opt})", node.name, opt, pos))
-    unset = [where for where, name, opt, pos in defined
-             if None not in keywords.get(name, ()) and opt not in keywords.get(name, ())
-             and (pos is None or reach.get(name, 0) <= pos)]
-    assert unset == [], unset
+    """An option that no caller in src/ or bench/ sets is a constant and
+    belongs in the function body (or in a module constant that tests
+    patch)."""
+    assert unset_options(_sources(CALLERS), ALLOWED_OPTIONS) == []
+
+
+def test_allowed_options_belong_to_allowlisted_functions():
+    assert all(opt.partition("(")[0] in ALLOWED for opt in ALLOWED_OPTIONS)
+    assert set(ALLOWED_OPTIONS) <= {where.split()[1] for where in unset_options(_sources(CALLERS))}
+
+
+def test_an_option_set_only_by_a_test_or_by_a_namesake_is_unset():
+    src = {
+        "src/u3kit/groups.py": "def shift(f, h=0):\n    return f\n",
+        "src/u3kit/norms.py": "def shift(f, h=1):\n    return f\n\n"
+                              "from .groups import shift as sh\n\nsh(0)\nshift(0, 2)\n",
+        "tests/test_groups.py": "from u3kit.groups import shift\n\nshift(0, h=3)\n",
+    }
+    assert unset_options(src) == ["src/u3kit/groups.py:1 groups.shift(h)"]
+    src["bench/run.py"] = "from u3kit import groups\n\ngroups.shift(0, h=3)\n"
+    assert unset_options(src) == []

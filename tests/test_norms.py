@@ -445,7 +445,7 @@ def test_coset_oracle_matches_reference_property(data):
     if k == 0:
         assert rep.value == abs(f.values[y.index])
         return
-    fvals = f.values[spec.coset_points(y.index, W.generators, W.local_orders)]
+    fvals = f.values[W.coset(y.index)]
     mags, digits = _reference_coset_scan(fvals, p, k)
     assert abs(rep.value - mags.max()) < 1e-12
     assert abs(bias_against(rep.witness, f) - rep.value) < 1e-10
@@ -680,7 +680,7 @@ def test_coset_oracle_large_p_line_matches_reference(group, rng):
     A = rng.integers(0, p, (n, n))
     f = _planted(spec, (A + A.T) % p, rng.integers(0, p, n), 0.3, rng)
     rep = u3_oracle_coset(f, (y, W))
-    fvals = f.values[spec.coset_points(y.index, W.generators, W.local_orders)]
+    fvals = f.values[W.coset(y.index)]
     mags, digits = _reference_coset_scan(fvals, p, 1)
     assert abs(rep.value - mags.max()) < 1e-12
     assert abs(bias_against(rep.witness, f) - rep.value) < 1e-10
@@ -753,7 +753,7 @@ def test_cyclic_coset_oracle_matches_reference_property(data):
     y = spec.element_by_index(data.draw(st.integers(0, spec.order - 1)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     vals = random_bounded(spec, rng).values
-    pts = spec.coset_points(y.index, H.generators, H.local_orders)
+    pts = H.coset(y.index)
     t = np.arange(h)
     kind = data.draw(st.sampled_from(["dense", "planted", "zero", "constant"]))
     if kind == "planted":

@@ -71,7 +71,7 @@ def test_classify_roundtrip_exhaustive():
             for xi in range(n):
                 Q = QuadraticPhase.cyclic(spec, m, xi, Fraction(1, 3))
                 phi = Q.values()
-                R = classify_global_quadratic(phi, spec, check=False)
+                R = classify_global_quadratic(phi, spec)
                 assert R.values() == phi
 
 
@@ -85,7 +85,7 @@ def test_classify_roundtrip_random_matrices(rng=np.random.default_rng(11)):
             xi = rng.integers(0, 5, size=k)
             Q = QuadraticPhase.from_integer_matrix(spec, A, xi, Fraction(2, 5))
             phi = Q.values()
-            R = classify_global_quadratic(phi, spec, check=False)
+            R = classify_global_quadratic(phi, spec)
             assert R.values() == phi
 
 

@@ -111,9 +111,9 @@ def reference_is_locally_quadratic(phi, domain, spec: GroupSpec, budget: int = 4
     return True
 
 
-def reference_classify(phi, spec: GroupSpec, check: bool = True) -> QuadraticPhase:
+def reference_classify(phi, spec: GroupSpec) -> QuadraticPhase:
     _require_odd(spec)
-    if check and not reference_is_locally_quadratic(list(phi), range(spec.order), spec):
+    if not reference_is_locally_quadratic(list(phi), range(spec.order), spec):
         raise NotQuadratic("third differences do not vanish")
     fr = [Fraction(v) for v in phi]
     k = spec.rank
@@ -144,7 +144,7 @@ def reference_extend_from_coset(phi, y, H) -> QuadraticPhase:
     _require_odd(spec)
     loc = _local_spec(H)
     table = []
-    for idx in spec.coset_points(y.index, H.generators, H.local_orders).tolist():
+    for idx in H.coset(y.index).tolist():
         if idx not in phi:
             raise SpecMismatch("phase not defined on the whole coset")
         table.append(Fraction(phi[idx]))
@@ -389,7 +389,7 @@ def _coset_cases(draw):
     spec = parse_group(draw(st.sampled_from(F5 + BOX)))
     H = _subgroup(draw, spec)
     y = spec.element_by_index(draw(st.integers(0, spec.order - 1)))
-    coset = spec.coset_points(y.index, H.generators, H.local_orders).tolist()
+    coset = H.coset(y.index).tolist()
     kind = draw(st.sampled_from(["global", "restricted", "local"]))
     if kind == "local":
         local = _form(draw, _local_spec(H)).values()
@@ -539,7 +539,7 @@ def _partial_domain_cases(draw):
     elif where == "coset":
         H = _subgroup(draw, spec)
         assume(H.order <= 45)
-        dom = spec.coset_points(draw(st.integers(0, N - 1)), H.generators, H.local_orders).tolist()
+        dom = H.coset(draw(st.integers(0, N - 1))).tolist()
     else:
         v = draw(st.integers(1, N - 1))
         dom = spec.scale_indices(np.arange(draw(st.integers(1, 12))), v).tolist()
@@ -580,8 +580,7 @@ def test_values_and_classify_match_reference(case, data):
     if data.draw(st.booleans()):
         x = data.draw(st.integers(0, spec.order - 1))
         vals[x] = mod1(vals[x] + Fraction(1, 3))
-    check = data.draw(st.booleans())
-    assert outcome(classify_global_quadratic, vals, spec, check) == outcome(reference_classify, vals, spec, check)
+    assert outcome(classify_global_quadratic, vals, spec) == outcome(reference_classify, vals, spec)
 
 
 # --- what the numerator tables change ---------------------------------------------------
