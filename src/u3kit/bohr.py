@@ -236,7 +236,8 @@ def iterated_sumset(spec: GroupSpec, A: Iterable[int], plus: int, minus: int) ->
     time (K = A, then K = -A).
 
     Every fold is refused with BudgetExceeded when |acc| * |K| exceeds
-    SUMSET_BUDGET.  Once acc + K = acc (for nonempty A, in particular once
+    SUMSET_BUDGET; the message names the fold (its sign and number) and the
+    sizes.  Once acc + K = acc (for nonempty A, in particular once
     acc is all of G), the remaining folds are not computed: then acc + a =
     acc for every a in A, so acc - A = acc as well and every later fold of
     either sign returns acc.
@@ -244,10 +245,13 @@ def iterated_sumset(spec: GroupSpec, A: Iterable[int], plus: int, minus: int) ->
     A = np.array(sorted(set(int(a) for a in A)), dtype=np.int64)
     acc = np.zeros(1, dtype=np.int64)
     fixed = False
-    for K, folds in ((A, plus), (np.unique(spec.neg_indices(A)), minus)):
-        for _ in range(folds):
+    for sign, K, folds in (("plus", A, plus), ("minus", np.unique(spec.neg_indices(A)), minus)):
+        for fold in range(1, folds + 1):
             if len(acc) * len(K) > SUMSET_BUDGET:
-                raise BudgetExceeded("pair sumset budget exceeded")
+                raise BudgetExceeded(
+                    f"pair sumset budget exceeded at {sign} fold {fold} of {folds}: |acc| * |K| = "
+                    f"{len(acc)} * {len(K)} = {len(acc) * len(K)} > SUMSET_BUDGET = {SUMSET_BUDGET}"
+                )
             fixed = fixed or (len(acc) == spec.order and len(K) > 0)
             if not fixed:
                 nxt = sumset(spec, acc, K)

@@ -12,12 +12,18 @@ consecutive axes share a block while the product of their orders is at most
 _DENSE_BLOCK, and a longer axis is a block of its own.  A short block of
 order m is one matrix product with its m x m character table e(-xi.x)
 (built from exact integer pairings and cached per tuple of orders); a long
-axis goes through a length-n FFT.  After each block one transpose moves the
-transformed block in front of those done before it, so when every block is
-done the output is row-major again.  On
-F5^5 `np.fft.fftn` makes five strided passes over length-5 axes; the blocks
-(5,), (5,5) and (5,5) make three dense products instead.  `dft` and
-`convolve` use the multidimensional FFT directly.
+axis goes through a length-n FFT.  The blocks rotate the axes as they go:
+with the untransformed block last, the values are a C-contiguous (rest, m)
+matrix g, and the product W^T g^T is a C-contiguous (m, rest) matrix, the
+transformed block in front of the axes still to do.  Once the first axis
+is done, the transformed axes are in front in row-major order and the batch
+axis is last, so the result is that (N, batch) array read through a
+transposed view, and no block is copied between products.  An FFT block
+returns its axis last and is transposed as a view; when another block
+follows, that block's reshape makes the one copy.  On F5^5 `np.fft.fftn`
+makes five strided passes over length-5 axes; the blocks (5,), (5,5) and
+(5,5) make three dense products instead.  `dft` and `convolve` use the
+multidimensional FFT directly.
 """
 
 from __future__ import annotations
@@ -58,20 +64,22 @@ def dft(f: GroupFunction) -> DualFunction:
 
 
 # Largest order of a block transformed by one dense character table: a block
-# of order m costs m multiply-adds per entry, and each block one transposing
-# copy.  Sweep over the rows the U^d kernels transform, in batches of 128
-# (U^3: 1563 x F5^5, 1094 x F3^7, 4096 x F2^12; U^4: 5671 x Z/211), ms,
-# median of 9 alternating rounds, one thread, 2-core Xeon:
+# of order m costs m multiply-adds per entry.  Sweep of the fourth moments
+# (`norms._u2_pow4_batch`: this transform, then sum |F|^4) of the rows the
+# U^d kernels transform, in batches of 128 (U^3: 1563 x F5^5, 1094 x F3^7,
+# 4096 x F2^12; U^4: 5671 x Z/211), ms, median of 9 alternating rounds, one
+# thread, 2-core Xeon:
 #   _DENSE_BLOCK   F5^5  F3^7  F2^12  Z/211
-#   16              165    68    604     37
-#   32              137    72    639     46
-#   64              139    74    738     44
-#   128             194    73    831     43
-#   256             199   135   1118     51
-#   np.fft.fftn     383   363   7644     31   (5 rounds)
-# Z/211 is one FFT axis below 256, so that column is noise there; a repeat
-# without 256 read 146/72/585 at 32 and 143/78/773 at 64.  At 32, F5^5 has the
-# blocks (5,), (5, 5), (5, 5), and Z/5 x Z/6 or F2^5 is one block.
+#   16              205    90    861     54
+#   32              202    94    882     57
+#   64              202    93    960     57
+#   128             255   105    996     51
+#   256             252   166   1382     72
+#   np.fft.fftn     547   554   8809     57
+# Z/211 is one FFT axis below 256, so that column is noise there.  No block
+# size wins on all three F_p^n at once, and 16 to 64 are within noise on
+# F5^5 and F3^7.  At 32, F5^5 has the blocks (5,), (5, 5), (5, 5), and
+# Z/5 x Z/6 or F2^5 is one block.
 _DENSE_BLOCK = 32
 
 
@@ -88,20 +96,16 @@ def _character_table(orders: tuple[int, ...]) -> np.ndarray:
 
 def dft_values(spec: GroupSpec, values: np.ndarray) -> np.ndarray:
     """Transform a raw value vector (or a batch with trailing group axis),
-    one block of axes at a time (see the module docstring)."""
+    one block of axes at a time (see the module docstring).  The result is
+    a transposed view: its group axis varies slowest in memory."""
     values = np.asarray(values, dtype=np.complex128)
     batch = values.shape[:-1]
-    rows = prod(batch)
     g = values
-    done, rest = 1, spec.order  # orders of the transformed and the untouched axes
     for block in factor_runs(spec.orders, _DENSE_BLOCK):
         m = prod(block)
-        rest //= m
-        g = g.reshape(rows * done * rest, m)
-        g = g @ _character_table(block) if m <= _DENSE_BLOCK else np.fft.fft(g)
-        g = g.reshape(rows, done, rest, m).transpose(0, 3, 1, 2)
-        done *= m
-    out = g.reshape(batch + (spec.order,))
+        x = g.reshape(-1, m)
+        g = _character_table(block).T @ x.T if m <= _DENSE_BLOCK else np.fft.fft(x).T
+    out = g.reshape(spec.order, -1).T.reshape(batch + (spec.order,))
     out /= spec.order
     return out
 

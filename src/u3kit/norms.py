@@ -6,8 +6,10 @@ with U^2 evaluated through the fourth-moment identity on the Fourier side,
 U^2(f)^4 = sum_xi |fhat(xi)|^4.  Both agree to high precision and the direct
 method serves as the oracle at small N.
 
-The recursive U^3 and U^4 kernels transform only the derivative rows whose
-U^2 value is not already known, by three exact identities:
+The recursive U^2, U^3 and U^4 kernels send every row through one
+fourth-moment kernel, `_weighted_u2_pow4` (U^2 is the single row f), and
+transform only the derivative rows whose U^2 value is not already known, by
+three exact identities:
 
 * U^3(f)^8 = E_h U^2(Delta_h f)^4 and U^4(f)^16 = E_{h,k} U^2(Delta_k
   Delta_h f)^4, with Delta_h f(x) = f(x+h) conj f(x).
@@ -24,13 +26,32 @@ U^2 value is not already known, by three exact identities:
   wherever f does) and tested for zero before the transform; no threshold
   is involved.
 
+Every row vanishes off supp f, so it is transformed on a support window
+W instead of on G.  On each axis of order n, take the shortest arc
+[s, s + L) holding the coordinates of supp f, and let P be the least
+2^a 3^b 5^c >= 2L - 1; when P < n the axis becomes Z/P, with coordinate c
+at c - s mod n, and otherwise it stays Z/n.  This is exact up to rounding:
+with r_g(a) = sum_x g(x + a) conj g(x) the autocorrelation of a row g,
+
+  sum_xi |ghat(xi)|^4 = |G|^-3 sum_a |r_g(a)|^2,
+
+and on an axis where 2L - 1 <= P < n the differences of the arc, in
+(-L, L), are distinct both mod n and mod P, so r_g takes the same values on
+G and on W.  Hence U^2(g)^4 on G is (|W|/|G|)^3 times U^2 of the windowed
+row on W.  fw(4001) lies in an arc of 769 points, so its rows have length
+1600 instead of 4001; a function on F5^3 supported on a coset of
+{0} x F5^2 is transformed on Z/1 x F5^2; a full axis, or an arc longer than
+about n/2, keeps its length.
+
 Rows go through the transform in batches of ``_H_CHUNK`` or more, built
-block by block, so memory stays O(_H_CHUNK N).  The transform is the
+block by block, so memory stays O(_H_CHUNK |W|).  The transform is the
 blocked `fourier.dft_values`: runs of short axes (order product at most
 `fourier._DENSE_BLOCK`) are one matrix product each with a dense character
-table, and each longer axis is an FFT, so F5^5 takes three dense products
-and Z/4001 one FFT per row.  Only rounding changes: the row of h stands in
-for that of -h and the sum runs in another order, which moves a result by a
+table, each longer axis is an FFT, and each product leaves its block
+rotated to the front, so no block is copied; F5^5 takes three dense
+products and fw(4001) one FFT of length 1600 per row.  Only rounding
+changes: the row of h stands in for that of -h, the window's transform
+replaces G's, and the sum runs in another order, which moves a result by a
 few ulps.
 
 The direct method sums over blocks of x, so it holds O(N^d) cubes at a time.
@@ -181,8 +202,44 @@ def _check_bounded(f: GroupFunction, unchecked: bool) -> None:
 def _u2_pow4_batch(spec: GroupSpec, rows: np.ndarray) -> np.ndarray:
     """U^2(g)^4 = sum_xi |ghat(xi)|^4 for a batch of value rows."""
     F = dft_values(spec, rows)
-    mag2 = np.abs(F) ** 2
+    mag2 = F.real**2 + F.imag**2
     return np.sum(mag2 * mag2, axis=-1)
+
+
+def _fast_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, for n >= 1."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of 2 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _support_window(spec: GroupSpec, supp: np.ndarray) -> tuple[GroupSpec, np.ndarray]:
+    """The group on which the fourth moments of rows that vanish off supp are
+    computed, and the indices of supp in it (module docstring).  On each axis
+    of order n, the shortest arc [s, s + L) holding supp's coordinates becomes
+    Z/P with P = _fast_length(2L - 1), coordinate c going to c - s mod n, when
+    P < n; otherwise the axis stays as it is."""
+    if len(supp) in (0, spec.order):  # nothing to transform, or every arc is a whole axis
+        return spec, supp
+    coords = spec.decode(supp)
+    orders, starts = [], []
+    for a, n in enumerate(spec.orders):
+        c = np.unique(coords[:, a])
+        gaps = np.diff(c, append=c[0] + n)  # from each coordinate to the next, cyclically
+        i = int(np.argmax(gaps))
+        P = _fast_length(2 * (n - int(gaps[i])) + 1)  # 2L - 1 with L = n - gap + 1
+        orders.append(min(P, n))
+        starts.append(int(c[(i + 1) % len(c)]) if P < n else 0)
+    if tuple(orders) == spec.orders:
+        return spec, supp
+    window = GroupSpec(tuple(orders))
+    return window, window.encode((coords - starts) % spec.orders)
 
 
 def _neg_classes(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -218,14 +275,15 @@ def _nonzero_batches(blocks):
 
 def _weighted_u2_pow4(spec: GroupSpec, supp: np.ndarray, blocks) -> float:
     """sum w * U^2(g)^4 over rows g that vanish off supp, given as blocks of
-    (values on supp, weights)."""
+    (values on supp, weights), each row transformed on the support window."""
+    window, at = _support_window(spec, supp)
     total = 0.0
     for rows, w in _nonzero_batches(blocks):
-        if len(supp) < spec.order:
-            rows, on_supp = np.zeros((len(rows), spec.order), dtype=np.complex128), rows
-            rows[:, supp] = on_supp
-        total += float(w @ _u2_pow4_batch(spec, rows))
-    return total
+        if len(at) < window.order:  # a window that supp fills is G, or G with 1-point axes
+            rows, on_supp = np.zeros((len(rows), window.order), dtype=np.complex128), rows
+            rows[:, at] = on_supp
+        total += float(w @ _u2_pow4_batch(window, rows))
+    return (window.order / spec.order) ** 3 * total
 
 
 def _u3_pow8(f: GroupFunction) -> float:
@@ -273,7 +331,8 @@ def _gowers_recursive(f: GroupFunction, d: int) -> float:
     if d == 1:
         return abs(complex(np.mean(f.values)))
     if d == 2:
-        p4 = float(_u2_pow4_batch(spec, f.values[None, :])[0])
+        supp = np.flatnonzero(f.values)
+        p4 = _weighted_u2_pow4(spec, supp, [(f.values[None, supp], np.ones(1))])
         return max(p4, 0.0) ** 0.25
     if d == 3:
         return max(_u3_pow8(f), 0.0) ** 0.125

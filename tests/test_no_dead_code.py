@@ -13,7 +13,10 @@ what a file imports, not by spelling:
 * a method counts as used only through a call `x.name(...)` whose receiver
   is not an imported module, or through a string constant "Class.name", as
   the bench tracer names the methods it wraps; a property also counts when
-  it is read as `x.name`.
+  it is read as `x.name`.  Receivers are not typed, so `v.copy()` on an
+  array is a use of every method named `copy`: a method or property named
+  like an `np.ndarray` attribute must be listed in NDARRAY_NAMESAKES with
+  its reason.
 
 An import alone is not a use, and dunder methods are exempt: the language
 calls them.  The few functions that are documented API of the source paper
@@ -24,6 +27,8 @@ the same way; ALLOWED_OPTIONS lists the options of allowlisted functions.
 
 import ast
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = ("src", "bench")
@@ -48,6 +53,12 @@ ALLOWED_OPTIONS = {
     "forms.prog_unif_slack(enforce_n_bound)": "whether to refuse groups below the paper's size bound",
     "quadratic.isotropic_vector(rng)": "the random search above dimension 3",
 }
+
+
+# Methods and properties of src/u3kit named like an np.ndarray attribute, each
+# with the reason it stays: the caller gate cannot tell their calls from the
+# array's, so such a name needs a reason to exist.
+NDARRAY_NAMESAKES: dict[str, str] = {}
 
 
 def _sources(tops=("src", "tests", "bench")) -> dict[str, str]:
@@ -252,6 +263,27 @@ def test_allowlist_is_short_and_current():
     assert set(ALLOWED) <= dead
 
 
+def ndarray_namesakes(sources: dict[str, str]) -> list[str]:
+    """"path:line module.Class.name" of every method or property defined
+    under src/u3kit whose name is a non-dunder attribute of np.ndarray."""
+    names = {n for n in dir(np.ndarray) if not n.startswith("__")}
+    out = []
+    for rel, text in sources.items():
+        if rel.startswith("src/u3kit/"):
+            module = _module(rel).removeprefix("u3kit.")
+            for qual, node, kind in _defined(ast.parse(text, filename=rel)):
+                if kind != "function" and node.name in names:
+                    out.append(f"{rel}:{node.lineno} {module}.{qual}")
+    return out
+
+
+def test_no_method_in_src_is_named_like_an_ndarray_attribute():
+    found = ndarray_namesakes(_sources(("src",)))
+    assert [w for w in found if w.split()[1] not in NDARRAY_NAMESAKES] == []
+    assert all(reason.strip() for reason in NDARRAY_NAMESAKES.values())
+    assert set(NDARRAY_NAMESAKES) <= {w.split()[1] for w in found}
+
+
 # --- the resolver on small synthetic sources ---------------------------------
 
 _GROUPS = """
@@ -298,6 +330,14 @@ def test_np_mean_does_not_reach_a_method_named_mean():
     assert any(d.endswith("groups.GroupFunction.mean") for d in dead)
     src["src/u3kit/norms.py"] += "\ndef avg(f):\n    return f.mean()\n\navg(0)\n"
     assert not any(d.endswith("groups.GroupFunction.mean") for d in dead_functions(src))
+
+
+def test_methods_named_like_ndarray_attributes_are_caught():
+    # GroupFunction.mean and .conj share their names with np.ndarray methods;
+    # a module-level function named like one is resolved by import instead
+    src = {"src/u3kit/groups.py": _GROUPS + "\ndef copy(x):\n    return x\n"}
+    found = [w.split()[1] for w in ndarray_namesakes(src)]
+    assert found == ["groups.GroupFunction.mean", "groups.GroupFunction.conj"]
 
 
 def test_a_name_used_only_under_tests_is_dead():

@@ -913,3 +913,98 @@ def test_bracket_oracle_memory_is_bounded():
     assert peak < 64 * 2**20, peak
     assert rep.value > 1 - 1e-9
     assert (rep.witness.quad, rep.witness.lin) == (quad, bq.lin)
+
+
+# --- the support window of the fourth moments ----------------------------------
+
+
+def test_fast_length_matches_brute_force():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(6))
+    for n in range(1, 5001):
+        assert norms._fast_length(n) == next(s for s in smooth if s >= n)
+
+
+@st.composite
+def arc_planted(draw):
+    """(spec, supp): rank 1-3, factor orders 1-60 with |G| <= 4000, and supp a
+    random part of a box of arcs, one per axis: an arc that wraps past 0, one
+    point, about half the axis, or any arc; or the empty support."""
+    orders = draw(st.lists(st.integers(1, 60), min_size=1, max_size=3).filter(lambda o: prod(o) <= 4000))
+    spec = GroupSpec(tuple(orders))
+    if draw(st.integers(0, 9)) == 9:
+        return spec, np.zeros(0, dtype=np.int64)
+    axes = []
+    for n in orders:
+        kind = draw(st.sampled_from(["wrap", "point", "half", "any"]))
+        if kind == "point":
+            L = 1
+        elif kind == "half":
+            L = draw(st.integers(max(1, n // 2 - 1), max(1, (n + 1) // 2)))
+        else:
+            L = draw(st.integers(1, n))
+        s = n - draw(st.integers(1, L)) if kind == "wrap" else draw(st.integers(0, n - 1))
+        axes.append((s + np.arange(L)) % n)
+    box = spec.encode(np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1))
+    keep = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(size=box.size) < 0.7
+    return spec, np.unique(box[keep])
+
+
+@given(planted=arc_planted(), seed=st.integers(0, 2**32 - 1))
+def test_windowed_fourth_moment_matches_full_length(planted, seed):
+    # rows that vanish off supp: the windowed sum against sum_xi |ghat(xi)|^4
+    # over the whole group by the multidimensional FFT
+    spec, supp = planted
+    rng = np.random.default_rng(seed)
+    on_supp = rng.uniform(0, 1, (5, len(supp))) * np.exp(2j * np.pi * rng.uniform(0, 1, (5, len(supp))))
+    on_supp[1] = 0  # an identically zero row
+    w = rng.uniform(0.5, 2.0, 5)
+    got = norms._weighted_u2_pow4(spec, supp, [(on_supp, w)])
+
+    full = np.zeros((5, spec.order), dtype=complex)
+    full[:, supp] = on_supp
+    F = np.fft.fftn(full.reshape((5,) + spec.orders), axes=range(1, spec.rank + 1)) / spec.order
+    want = float(w @ np.sum(np.abs(F.reshape(5, -1)) ** 4, axis=1))
+    assert abs(got - want) <= 1e-12 * want
+
+    window, at = norms._support_window(spec, supp)
+    assert window.rank == spec.rank and all(p <= n for p, n in zip(window.orders, spec.orders))
+    assert len(np.unique(at)) == len(supp)
+
+
+@pytest.mark.parametrize("N, arc", [(61, range(-5, 7)), (37, range(3, 10)), (50, range(0, 1))])
+def test_recursive_matches_direct_on_a_local_support(N, arc, rng):
+    # supp f in a short arc of Z/N, wrapping past 0 in the first case, so the
+    # recursive norms run on a window shorter than N
+    spec = GroupSpec((N,))
+    vals = np.zeros(N, dtype=complex)
+    vals[np.array(arc) % N] = rng.uniform(0.2, 1, len(arc)) * np.exp(2j * np.pi * rng.uniform(0, 1, len(arc)))
+    f = GroupFunction(spec, vals)
+    assert norms._support_window(spec, np.flatnonzero(vals))[0].order < N
+    for d in (2, 3):
+        a = gowers_norm(f, d, method="direct").value
+        b = gowers_norm(f, d, method="recursive").value
+        assert abs(a - b) <= 1e-12 * a
+
+
+def test_rows_are_transformed_on_the_support_window(monkeypatch, rng):
+    # fw(4001) lives in an arc of 769 points: its rows go through Z/1600,
+    # 1600 = 2^6 5^2 the least such length >= 2 * 769 - 1; a full-support
+    # F5^3 function keeps its rows of length 125
+    from u3kit.experiments import fw_counterexample
+
+    lengths = []
+    real = norms.dft_values
+
+    def counting(spec, values):
+        assert values.shape[-1] == spec.order
+        lengths.append(spec.order)
+        return real(spec, values)
+
+    monkeypatch.setattr(norms, "dft_values", counting)
+    for d in (2, 3):
+        lengths.clear()
+        gowers_norm(fw_counterexample(4001), d)
+        assert lengths and set(lengths) == {1600}
+    lengths.clear()
+    gowers_norm(random_unimodular(parse_group("F5^3"), rng), 3)
+    assert lengths and set(lengths) == {125}

@@ -178,3 +178,29 @@ def test_random_slice_budget_matches_reference(monkeypatch):
             assert expected[b] == (len(r.graph), r.ambiguity_set_size, r.used_surrogate, r.verified)
         except BudgetExceeded:
             assert expected[b] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("plus, minus, where", [
+    (2, 2, "plus fold 2 of 2"),
+    (1, 1, "minus fold 1 of 1"),
+    (0, 3, "minus fold 2 of 3"),
+])
+def test_refusal_names_the_fold_and_the_sizes(plus, minus, where, monkeypatch):
+    # |A| = 10 on Z/101: the first fold is 1 * 10 sums, the second 10 * 10
+    monkeypatch.setattr(bohr, "SUMSET_BUDGET", 50)
+    with pytest.raises(BudgetExceeded) as err:
+        bohr.iterated_sumset(GroupSpec((101,)), range(10), plus, minus)
+    assert str(err.value) == (f"pair sumset budget exceeded at {where}: "
+                              "|acc| * |K| = 10 * 10 = 100 > SUMSET_BUDGET = 50")
+
+
+def test_cli_refusal_names_the_fold(monkeypatch, capsys):
+    import json
+
+    from u3kit.cli import main
+
+    monkeypatch.setattr(bohr, "SUMSET_BUDGET", 50)
+    assert main(["bogolyubov", "--group", "Z/101", "--set", ",".join(map(str, range(10)))]) == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "BudgetExceeded"
+    assert "plus fold 2 of 2: |acc| * |K| = 10 * 10 = 100 > SUMSET_BUDGET = 50" in error["message"]
