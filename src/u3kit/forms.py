@@ -1,5 +1,5 @@
 """The k-linear progression-counting form, AP detection, and the
-von Neumann / lack-of-progressions inequalities as executable checks.
+generalized von Neumann inequality as an executable check.
 
 Lambda_k(f_0,...,f_{k-1}) = E_{x,r} f_0(x) f_1(x+r) ... f_{k-1}(x+(k-1)r)
 is evaluated directly over all O(N^2) pairs (x, r), in blocks of steps r,
@@ -14,7 +14,7 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .errors import BadGroupOrder, HasProperAp, TooSmallN
+from .errors import BadGroupOrder
 from .groups import GroupFunction, GroupSpec
 from .norms import gowers_norm
 
@@ -101,45 +101,3 @@ def gvn_slack(fs: list[GroupFunction], unchecked: bool = False) -> float:
         raise BadGroupOrder(f"need gcd(N, {k - 1}!) = 1")
     norms = [gowers_norm(f, k - 1, unchecked=unchecked).value for f in fs]
     return min(norms) - abs(lambda_k(fs))
-
-
-@dataclass
-class ProgUnifReport:
-    slack: float
-    norm: float
-    bound: float
-    alpha: float
-    n_hypothesis_ok: bool  # N >= 2 / alpha^{k-1}
-    gcd_warning: bool
-
-
-def prog_unif_slack(spec: GroupSpec, A, k: int = 4, enforce_n_bound: bool = False) -> ProgUnifReport:
-    """Slack of ||1_A - alpha||_{U^{k-1}} >= 2^{-k-1} alpha^{k-1} for a
-    nonempty A with no proper k-term progression.
-
-    The size hypothesis N >= 2/alpha^{k-1} is surfaced in the report (and
-    enforced only on request): at desk scale it routinely fails while the
-    displayed inequality still holds with a wide margin.
-    """
-    A_idx = sorted(set(int(a) for a in A))
-    if not A_idx:
-        raise TooSmallN("A must be nonempty")
-    counts = count_aps(spec, A_idx, k)
-    if counts.proper > 0:
-        raise HasProperAp(f"A contains {counts.proper} proper {k}-APs")
-    alpha = len(A_idx) / spec.order
-    n_ok = spec.order >= 2.0 / alpha ** (k - 1)
-    if enforce_n_bound and not n_ok:
-        raise TooSmallN(f"N = {spec.order} < 2/alpha^{k - 1}")
-    ind = GroupFunction.indicator(spec, A_idx)
-    f = GroupFunction(spec, ind.values - alpha)
-    norm = gowers_norm(f, k - 1, unchecked=True).value
-    bound = 2.0 ** (-k - 1) * alpha ** (k - 1)
-    return ProgUnifReport(
-        slack=norm - bound,
-        norm=norm,
-        bound=bound,
-        alpha=alpha,
-        n_hypothesis_ok=n_ok,
-        gcd_warning=counts.gcd_warning,
-    )

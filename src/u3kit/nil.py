@@ -21,6 +21,12 @@ come from that choice.
 A bracket quadratic on Z/N factors into these flows: each quadratic
 monomial costs two circles, two Heisenberg blocks and one linear-correction
 circle (dimension 9); each linear term costs two circles (dimension 2).
+
+Float inputs take fast paths: nil_frac, the cutoff, the orbit closed forms
+and NilFunction.__call__ take [t] = floor(t + 1/2) inline and skip generic
+dispatch, but evaluate the same float expressions in the same order, so
+their results are bit-identical to the exact formulas.  Fraction and int
+inputs keep the exact path.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import floor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +46,8 @@ from .quadratic import BracketQuadratic, round_half_up
 
 def nil_frac(t):
     """{t} in [-1/2, 1/2) with halves of t rounding up (nil convention)."""
+    if type(t) is float:  # round_half_up's float branch, without the call
+        return t - floor(t + 0.5)
     return t - round_half_up(t)
 
 
@@ -47,33 +56,44 @@ def heis_project(a: tuple) -> tuple:
     element: X goes into the fundamental domain and the identification
     shifts Y by [X] Z."""
     X, Y, Z = a
-    return (nil_frac(X), nil_frac(Y - round_half_up(X) * Z), nil_frac(Z))
+    k = round_half_up(X)
+    return (X - k, nil_frac(Y - k * Z), nil_frac(Z))
 
 
 # --- cutoff ------------------------------------------------------------------
 
 
 _RHO, _EPS = Fraction(1, 4), Fraction(1, 2)  # cutoff radius and relative margin
+_PLATEAU = float(_RHO * (1 - _EPS))
+_SUPPORT = float(_RHO * (1 + _EPS))
+_RAMP = _SUPPORT - _PLATEAU
+
+
+def cutoff(t) -> float:
+    """The canonical cutoff at t mod 1: 1 on |{t}| <= rho(1-eps), 0 on
+    |{t}| >= rho(1+eps), Hermite smoothstep between.  t is read as a float."""
+    if type(t) is not float:
+        t = float(t)
+    a = abs(t - floor(t + 0.5))
+    if a <= _PLATEAU:
+        return 1.0
+    if a >= _SUPPORT:
+        return 0.0
+    u = (a - _PLATEAU) / _RAMP
+    return 1.0 - (3 * u * u - 2 * u * u * u)
 
 
 class CutoffSpec:
     """Piecewise-cubic plateau cutoff: 1 on |t| <= rho(1-eps), 0 on
     |t| >= rho(1+eps), Hermite smoothstep between, with rho = 1/4 and
-    eps = 1/2."""
+    eps = 1/2 (see `cutoff`)."""
 
-    plateau = float(_RHO * (1 - _EPS))
-    support = float(_RHO * (1 + _EPS))
+    plateau = _PLATEAU
+    support = _SUPPORT
     max_slope = 1.5 / float(2 * _RHO * _EPS)
 
     def __call__(self, t) -> float:
-        a = abs(float(nil_frac(float(t))))
-        lo, hi = self.plateau, self.support
-        if a <= lo:
-            return 1.0
-        if a >= hi:
-            return 0.0
-        u = (a - lo) / (hi - lo)
-        return 1.0 - (3 * u * u - 2 * u * u * u)
+        return cutoff(t)
 
 
 CANONICAL_CUTOFF = CutoffSpec()
@@ -103,22 +123,49 @@ class FundamentalFactor:
 
     def orbit(self, c: tuple, n: int) -> tuple:
         """Closed-form n-th point of the orbit through c."""
-        if self.kind == "circle":
-            return (nil_frac(c[0] + n * self.alpha),)
-        if self.kind == "skew":
-            x, y = c
-            y2 = y + n * self.beta + n * self.m * x + _tri(n) * self.m * self.alpha
-            return (nil_frac(x + n * self.alpha), nil_frac(y2))
-        x, y, z = c
-        return heis_project((
-            x + n * self.alpha,
-            y + n * self.beta + n * self.gamma * x + _tri(n) * self.gamma * self.alpha,
-            z + n * self.gamma,
-        ))
+        return _ORBIT[self.kind](self, c, n, _tri(n))
 
 
 def _tri(n: int):
     return n * (n + 1) // 2 if isinstance(n, int) else n * (n + 1) / 2
+
+
+# The closed forms, given t = n(n+1)/2.  When every lifted coordinate is a
+# float, {.} and [.] are taken inline as in round_half_up's float branch;
+# otherwise nil_frac / heis_project keep the exact arithmetic.
+
+
+def _circle_orbit(f: FundamentalFactor, c: tuple, n, t) -> tuple:
+    X = c[0] + n * f.alpha
+    if type(X) is float:
+        return (X - floor(X + 0.5),)
+    return (nil_frac(X),)
+
+
+def _skew_orbit(f: FundamentalFactor, c: tuple, n, t) -> tuple:
+    x, y = c
+    a, m = f.alpha, f.m
+    X = x + n * a
+    Y = y + n * f.beta + n * m * x + t * m * a
+    if type(X) is float and type(Y) is float:
+        return (X - floor(X + 0.5), Y - floor(Y + 0.5))
+    return (nil_frac(X), nil_frac(Y))
+
+
+def _heis_orbit(f: FundamentalFactor, c: tuple, n, t) -> tuple:
+    x, y, z = c
+    a, g = f.alpha, f.gamma
+    X = x + n * a
+    Y = y + n * f.beta + n * g * x + t * g * a
+    Z = z + n * g
+    if type(X) is float and type(Y) is float and type(Z) is float:
+        k = floor(X + 0.5)
+        W = Y - k * Z
+        return (X - k, W - floor(W + 0.5), Z - floor(Z + 0.5))
+    return heis_project((X, Y, Z))
+
+
+_ORBIT = {"circle": _circle_orbit, "skew": _skew_orbit, "heis": _heis_orbit}
 
 
 @dataclass(frozen=True)
@@ -153,10 +200,18 @@ class NilSystem:
                     alpha=d.get("alpha", 0.0),
                     beta=d.get("beta", 0.0),
                     gamma=d.get("gamma", 0.0),
-                    m=int(d.get("m", 0)),
+                    m=_skew_entry(d.get("m", 0)),
                 )
             )
         return NilSystem(tuple(fs))
+
+
+def _skew_entry(m) -> int:
+    """The skew shift's integer entry as read from JSON: an integer, not a
+    float or a bool (int(0.5) would silently give a different flow)."""
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise TypeError(f"skew entry m must be an integer, not {m!r}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -165,7 +220,8 @@ class NilPoint:
 
 
 def orbit_point(sys: NilSystem, x0: NilPoint, n: int) -> NilPoint:
-    return NilPoint(tuple(f.orbit(c, n) for f, c in zip(sys.factors, x0.blocks)))
+    t = _tri(n)
+    return NilPoint(tuple([_ORBIT[f.kind](f, c, n, t) for f, c in zip(sys.factors, x0.blocks)]))
 
 
 def _block_distance(f: FundamentalFactor, a: tuple, b: tuple) -> float:
@@ -211,14 +267,23 @@ class NilFunction:
 
     def __call__(self, p: NilPoint) -> complex:
         out = self.global_phase
+        pb = p.blocks
         for b in self.blocks:
-            coords = tuple(v for blk in p.blocks[b.start : b.start + b.count] for v in blk)
-            out *= b.fn(*coords)
+            s = b.start
+            if b.count == 1:
+                out *= b.fn(*pb[s])
+            elif b.count == 2:
+                out *= b.fn(*pb[s], *pb[s + 1])
+            else:
+                out *= b.fn(*(v for blk in pb[s : s + b.count] for v in blk))
         return out
 
 
+_TWO_PI_J = 2j * np.pi
+
+
 def e(t) -> complex:
-    return cmath.exp(2j * np.pi * float(t))
+    return cmath.exp(_TWO_PI_J * float(t))
 
 
 def nilsequence(F: NilFunction, sys: NilSystem, x0: NilPoint, N: int) -> GroupFunction:
@@ -254,8 +319,7 @@ def _active_terms(bq: BracketQuadratic) -> list[tuple[int, int | None, float]]:
 
 def _quadratic_term(alpha: float, gamma: float, coeff: float, start: int):
     q, s = _split_half(-coeff)
-    chi = CANONICAL_CUTOFF
-    slope = chi.max_slope
+    slope = CANONICAL_CUTOFF.max_slope
     factors = [
         FundamentalFactor("circle", alpha=alpha),
         FundamentalFactor("circle", alpha=gamma),
@@ -264,9 +328,9 @@ def _quadratic_term(alpha: float, gamma: float, coeff: float, start: int):
         FundamentalFactor("circle", alpha=nil_frac(-q * alpha * gamma)),
     ]
     blocks = [
-        BlockFunction(start, 2, lambda x, y: chi(x) * chi(y) * e(s * x * y), 2 * (slope + np.pi / 2)),
-        BlockFunction(start + 2, 1, lambda x, y, z: chi(x) * e(y), slope + 2 * np.pi),
-        BlockFunction(start + 3, 1, lambda x, y, z: chi(x) * e(y), slope + 2 * np.pi),
+        BlockFunction(start, 2, lambda x, y: cutoff(x) * cutoff(y) * e(s * x * y), 2 * (slope + np.pi / 2)),
+        BlockFunction(start + 2, 1, lambda x, y, z: cutoff(x) * e(y), slope + 2 * np.pi),
+        BlockFunction(start + 3, 1, lambda x, y, z: cutoff(x) * e(y), slope + 2 * np.pi),
         BlockFunction(start + 4, 1, lambda x: e(x), 2 * np.pi),
     ]
     return factors, blocks
@@ -274,12 +338,12 @@ def _quadratic_term(alpha: float, gamma: float, coeff: float, start: int):
 
 def _linear_term(alpha: float, coeff: float, start: int):
     q, s = _split_half(-coeff)
-    chi = CANONICAL_CUTOFF
     factors = [
         FundamentalFactor("circle", alpha=alpha),
         FundamentalFactor("circle", alpha=nil_frac(q * alpha)),
     ]
-    blocks = [BlockFunction(start, 2, lambda x, y: chi(x) * e(s * x) * e(y), chi.max_slope + 3 * np.pi)]
+    slope = CANONICAL_CUTOFF.max_slope
+    blocks = [BlockFunction(start, 2, lambda x, y: cutoff(x) * e(s * x) * e(y), slope + 3 * np.pi)]
     return factors, blocks
 
 
@@ -329,7 +393,6 @@ def bracket_weight(bq: BracketQuadratic):
     frequency of every active quadratic monomial, chi at each active linear
     frequency, with chi = CANONICAL_CUTOFF.  Returns a callable on residues n."""
     N = bq.N
-    chi = CANONICAL_CUTOFF
     terms = _active_terms(bq)
     quad = [(bq.freqs[i], bq.freqs[j]) for i, j, _ in terms if j is not None]
     lin = [bq.freqs[i] for i, j, _ in terms if j is None]
@@ -337,9 +400,9 @@ def bracket_weight(bq: BracketQuadratic):
     def weight(n: int) -> float:
         w = 1.0
         for a, b in quad:
-            w *= chi(a * n / N) ** 2 * chi(b * n / N) ** 2
+            w *= cutoff(a * n / N) ** 2 * cutoff(b * n / N) ** 2
         for a in lin:
-            w *= chi(a * n / N)
+            w *= cutoff(a * n / N)
         return w
 
     return weight

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import lipschitz_slack, per_term_blocks, random_bounded
+from test_forms import prog_unif_slack
 from u3kit.bohr import (
     BohrSet,
     bogolyubov,
@@ -23,7 +24,7 @@ from u3kit.bohr import (
     iterated_sumset,
 )
 from u3kit.errors import EmptyGraph, EmptyV
-from u3kit.forms import gvn_slack, prog_unif_slack
+from u3kit.forms import gvn_slack
 from u3kit.fourier import dft
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.inverse_f5 import quadratic_obstruction

@@ -123,7 +123,10 @@ _WRONG_SHAPE = [
     (["nilseq", "--N", "5", "--system", "{path}"],
      ['{"a": 1}', "[1, 2]", '{"factors": 3}', '{"factors": [3]}', '{"factors": [{"kind": "torus"}]}',
       '{"factors": [{"kind": "circle", "alpha": "x"}]}', '{"factors": [{"kind": "circle", "alpha": NaN}]}',
-      '{"factors": [{"kind": "circle", "alpha": -1e999}]}', '{"factors": [{"kind": "skew", "m": "q"}]}']),
+      '{"factors": [{"kind": "circle", "alpha": -1e999}]}', '{"factors": [{"kind": "skew", "m": "q"}]}',
+      # m is a JSON integer; int(m) read 0.5 as 0 and true as 1, and ran that flow with exit 0
+      '{"factors": [{"kind": "skew", "m": 0.5}]}', '{"factors": [{"kind": "skew", "m": true}]}',
+      '{"factors": [{"kind": "skew", "m": 2.0}]}']),
 ]
 
 

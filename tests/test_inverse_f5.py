@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import bias_against, constant, random_pm1
-from u3kit.errors import EmptyGraph, EmptyV
+from u3kit.errors import EmptyGraph, EmptyV, U3KitError
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.inverse_f5 import (
     _witness_scan,
@@ -337,6 +339,31 @@ def test_obstruction_planted_coset_with_noise(rng):
         if rep.W.dim == 2 and rep.best_bias >= 1 - 3 * eps:
             successes += 1
     assert successes >= 9
+
+
+_ODD_FP = [f"F{p}^{n}" for p in (3, 5, 7, 11) for n in range(1, 6) if p**n <= 300]
+
+
+@given(group=st.sampled_from(_ODD_FP), noise=st.sampled_from([0.0, 0.1, 0.3]),
+       eta=st.sampled_from([0.3, 0.5]), seed=st.integers(0, 2**16))
+def test_obstruction_invariants_on_random_odd_fp(group, noise, eta, seed):
+    # a planted x.Mx + xi.x phase with noise on any odd F_p^n: a report or a
+    # U3KitError, every bias the correlation with its witness phase, and the
+    # oracle on each cross-checked coset at least that bias
+    spec = parse_group(group)
+    p, n = spec.orders[0], spec.rank
+    rng = np.random.default_rng(seed)
+    M = rng.integers(0, p, (n, n))
+    f, _ = _planted_quadratic(spec, (M + M.T) % p, rng.integers(0, p, n))
+    f = GroupFunction(spec, f.values + noise * np.exp(2j * np.pi * rng.uniform(size=spec.order)))
+    try:
+        rep = quadratic_obstruction(f, eta, seed=seed)
+    except U3KitError:
+        return
+    for w, b in rep.witnesses.values():
+        assert abs(bias_against(w, f) - b) < 1e-10
+    for y, val in rep.oracle_check.items():
+        assert rep.witnesses[y][1] <= val + 1e-9
 
 
 def test_quadruple_statistic_planted():

@@ -1,8 +1,9 @@
+import cmath
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lipschitz_slack, per_term_blocks
@@ -15,8 +16,13 @@ from u3kit.nil import (
     NilFunction,
     NilPoint,
     NilSystem,
+    _active_terms,
+    _split_half,
+    _tri,
     bracket_to_nilsystem,
     bracket_weight,
+    cutoff,
+    e,
     hall_petresco_next,
     heis_project,
     nil_frac,
@@ -130,8 +136,6 @@ def test_orbit_homomorphism(rng):
 def test_nilsequence_basics():
     circ = FundamentalFactor("circle", alpha=3 / 101)
     sysm = NilSystem((circ,))
-    from u3kit.nil import e
-
     F = NilFunction(sysm, [BlockFunction(0, 1, lambda x: e(x), 2 * np.pi)])
     seq = nilsequence(F, sysm, sysm.zero_point(), 101)
     expect = np.exp(2j * np.pi * 3 * np.arange(101) / 101)
@@ -270,8 +274,6 @@ def test_delta_atoms():
 def test_lipschitz_slack(rng):
     circ = FundamentalFactor("circle", alpha=0.3)
     sysm = NilSystem((circ,))
-    from u3kit.nil import e
-
     const = NilFunction(sysm, [BlockFunction(0, 1, lambda x: 1.0, 0.0)])
     assert abs(lipschitz_slack(const, 5.0, 10) - 0.5) < 1e-12
     Fe = NilFunction(sysm, [BlockFunction(0, 1, lambda x: e(x), 2 * np.pi)])
@@ -315,8 +317,6 @@ def test_tgnx_stability(rng):
     bqparams = (0.41421356, 0.2, 0.61803399)
     h = FundamentalFactor("heis", alpha=bqparams[0], beta=bqparams[1], gamma=bqparams[2])
     sysm = NilSystem((h,))
-    from u3kit.nil import e
-
     chi = CANONICAL_CUTOFF
     F = NilFunction(sysm, [BlockFunction(0, 1, lambda x, y, z: chi(x) * e(y), chi.max_slope + 2 * np.pi)])
     vals = []
@@ -373,3 +373,207 @@ def test_per_term_blocks_match_the_factorization(bq):
     assert sum(d for d, _ in blocks) == sysm.dimension
     assert sum(K for _, K in blocks) == pytest.approx(lipschitz(F), rel=1e-12, abs=0.0)
     assert all(K <= 50 for _, K in blocks)
+
+
+# --- float fast paths against the exact formulas ---------------------------------
+#
+# Reference copies of the scalar nil layer without its float fast paths:
+# nil_frac, heis_project, CutoffSpec.__call__, FundamentalFactor.orbit,
+# NilFunction.__call__, e, the bracket block functions and bracket_weight.  The
+# fast paths must agree with them bit for bit, with the same result types.
+
+
+def ref_nil_frac(t):
+    return t - round_half_up(t)
+
+
+def ref_heis_project(a: tuple) -> tuple:
+    X, Y, Z = a
+    return (ref_nil_frac(X), ref_nil_frac(Y - round_half_up(X) * Z), ref_nil_frac(Z))
+
+
+def ref_cutoff(t) -> float:
+    a = abs(float(ref_nil_frac(float(t))))
+    lo, hi = CANONICAL_CUTOFF.plateau, CANONICAL_CUTOFF.support
+    if a <= lo:
+        return 1.0
+    if a >= hi:
+        return 0.0
+    u = (a - lo) / (hi - lo)
+    return 1.0 - (3 * u * u - 2 * u * u * u)
+
+
+def ref_orbit(f: FundamentalFactor, c: tuple, n: int) -> tuple:
+    if f.kind == "circle":
+        return (ref_nil_frac(c[0] + n * f.alpha),)
+    if f.kind == "skew":
+        x, y = c
+        y2 = y + n * f.beta + n * f.m * x + _tri(n) * f.m * f.alpha
+        return (ref_nil_frac(x + n * f.alpha), ref_nil_frac(y2))
+    x, y, z = c
+    return ref_heis_project((
+        x + n * f.alpha,
+        y + n * f.beta + n * f.gamma * x + _tri(n) * f.gamma * f.alpha,
+        z + n * f.gamma,
+    ))
+
+
+def ref_orbit_point(sysm: NilSystem, x0: NilPoint, n: int) -> NilPoint:
+    return NilPoint(tuple(ref_orbit(f, c, n) for f, c in zip(sysm.factors, x0.blocks)))
+
+
+def ref_call(F: NilFunction, p: NilPoint) -> complex:
+    out = F.global_phase
+    for b in F.blocks:
+        coords = tuple(v for blk in p.blocks[b.start : b.start + b.count] for v in blk)
+        out *= b.fn(*coords)
+    return out
+
+
+def ref_e(t) -> complex:
+    return cmath.exp(2j * np.pi * float(t))
+
+
+def ref_bracket_function(bq: BracketQuadratic) -> NilFunction:
+    """bracket_to_nilsystem's function with the reference block functions:
+    per active term, the same blocks on the same factors."""
+    sysm, F, _ = bracket_to_nilsystem(bq)
+    fns = []
+    for _, j, c in _active_terms(bq):
+        _, s = _split_half(-c)
+        if j is None:
+            fns.append(lambda x, y, s=s: ref_cutoff(x) * ref_e(s * x) * ref_e(y))
+        else:
+            fns += [lambda x, y, s=s: ref_cutoff(x) * ref_cutoff(y) * ref_e(s * x * y),
+                    lambda x, y, z: ref_cutoff(x) * ref_e(y),
+                    lambda x, y, z: ref_cutoff(x) * ref_e(y),
+                    lambda x: ref_e(x)]
+    blocks = [BlockFunction(b.start, b.count, fn, b.lipschitz) for b, fn in zip(F.blocks, fns, strict=True)]
+    return NilFunction(sysm, blocks, global_phase=ref_e(-float(bq.const)))
+
+
+def ref_bracket_weight(bq: BracketQuadratic):
+    N = bq.N
+    terms = _active_terms(bq)
+    quad = [(bq.freqs[i], bq.freqs[j]) for i, j, _ in terms if j is not None]
+    lin = [bq.freqs[i] for i, j, _ in terms if j is None]
+
+    def weight(n: int) -> float:
+        w = 1.0
+        for a, b in quad:
+            w *= ref_cutoff(a * n / N) ** 2 * ref_cutoff(b * n / N) ** 2
+        for a in lin:
+            w *= ref_cutoff(a * n / N)
+        return w
+
+    return weight
+
+
+def same(a, b) -> bool:
+    """Equal, of the same type, and with the same sign on zeros: bit identity
+    for floats and complexes, equality for exact values."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(same(u, v) for u, v in zip(a, b))
+    if isinstance(a, complex):
+        return same(a.real, b.real) and same(a.imag, b.imag)
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    return a == b
+
+
+_halves = st.integers(-5, 5).map(lambda k: k + 0.5)
+_values = st.one_of(
+    st.floats(-4, 4),
+    st.integers(-4 * 10**6, 4 * 10**6).map(lambda k: k / 999_983),  # floats with a full mantissa
+    _halves,
+    _halves.map(lambda h: Fraction(h)),
+    st.just(-0.0),
+    st.fractions(-4, 4, max_denominator=30),
+    st.integers(-4, 4),
+)
+_steps = st.one_of(st.integers(-10**6, 10**6), st.sampled_from([0, 1, -1, 10**6, -10**6]))
+
+
+@given(t=st.one_of(_values, st.floats(-1e6, 1e6)))
+def test_nil_frac_and_cutoff_match_exact_formulas(t):
+    assert same(nil_frac(t), ref_nil_frac(t))
+    assert same(cutoff(t), ref_cutoff(t))
+    assert same(CANONICAL_CUTOFF(t), ref_cutoff(t))
+
+
+@settings(max_examples=300)
+@given(kind=st.sampled_from(["circle", "skew", "heis"]), m=st.integers(-10**4, 10**4), n=_steps, data=st.data())
+def test_orbit_fast_paths_match_exact_formulas(kind, m, n, data):
+    # each parameter and coordinate is a float, a Fraction or an int of its own
+    alpha, beta, gamma = (data.draw(_values) for _ in range(3))
+    f = FundamentalFactor(kind, alpha=alpha, beta=beta, gamma=gamma, m=m)
+    c = tuple(data.draw(_values) for _ in range(f.dim))
+    want = ref_orbit(f, c, n)
+    assert same(f.orbit(c, n), want)
+    sysm = NilSystem((f, f))
+    assert same(orbit_point(sysm, NilPoint((c, c)), n).blocks, (want, want))
+
+
+def test_orbit_fast_paths_match_on_full_mantissa_floats(rng):
+    # random floats and steps, where a reassociated product shows in the last bit
+    for kind in ("circle", "skew", "heis"):
+        for _ in range(2000):
+            alpha, beta, gamma = rng.uniform(-4, 4, 3).tolist()
+            f = FundamentalFactor(kind, alpha, beta, gamma, m=int(rng.integers(-10**4, 10**4)))
+            c = tuple(rng.uniform(-4, 4, f.dim).tolist())
+            n = int(rng.integers(-10**6, 10**6 + 1))
+            assert same(f.orbit(c, n), ref_orbit(f, c, n))
+
+
+@given(data=st.data())
+def test_nil_function_call_matches_reference(data):
+    # blocks of 0-3 factors, so the 1- and 2-factor calls and the general one
+    # all run, on float and exact coordinates
+    kinds = data.draw(st.lists(st.sampled_from(["circle", "skew", "heis"]), min_size=1, max_size=5))
+    sysm = NilSystem(tuple(FundamentalFactor(k, alpha=0.1, beta=0.2, gamma=0.3) for k in kinds))
+    p = NilPoint(tuple(tuple(data.draw(_values) for _ in range(f.dim)) for f in sysm.factors))
+    blocks = []
+    for w in range(data.draw(st.integers(0, 4))):
+        start = data.draw(st.integers(0, len(kinds)))
+        count = data.draw(st.integers(0, min(3, len(kinds) - start)))
+        blocks.append(BlockFunction(start, count, lambda *c, w=w: e((w + 1) * sum(map(float, c)) / 7) * 1.25, 1.0))
+    F = NilFunction(sysm, blocks, global_phase=data.draw(st.sampled_from([1.0, 1j, 0.5 - 0.25j])))
+    assert same(F(p), ref_call(F, p))
+    t = data.draw(_values)
+    assert same(e(t), ref_e(t))
+
+
+def _random_bracket(rng, N: int) -> BracketQuadratic:
+    s = int(rng.integers(1, 3))
+    freqs = tuple(sorted(rng.choice(np.arange(1, N), size=s, replace=False).tolist()))
+    grid = [Fraction(k, 4) for k in range(-12, 13)]
+
+    def coeff():
+        if rng.uniform() < 0.5:
+            return grid[int(rng.integers(len(grid)))]
+        return float(rng.uniform(-3, 3))
+
+    quad = [[0] * s for _ in range(s)]
+    for i in range(s):
+        for j in range(i, s):
+            quad[i][j] = quad[j][i] = coeff()
+    return BracketQuadratic(N, freqs, tuple(map(tuple, quad)), tuple(coeff() for _ in range(s)), coeff())
+
+
+def test_bracket_factorization_matches_reference_composition(rng):
+    N = 401
+    for _ in range(6):
+        bq = _random_bracket(rng, N)
+        sysm, F, x0 = bracket_to_nilsystem(bq)
+        F_ref, w, w_ref = ref_bracket_function(bq), bracket_weight(bq), ref_bracket_weight(bq)
+        worst = worst_ref = 0.0
+        for n in range(-(N // 2), N // 2 + 1):
+            got, want = F(orbit_point(sysm, x0, n)), ref_call(F_ref, ref_orbit_point(sysm, x0, n))
+            assert same(got, want)
+            assert same(w(n), w_ref(n))
+            phase = np.exp(-2j * np.pi * float(bq.eval(n)))
+            worst = max(worst, abs(got - w(n) * phase))
+            worst_ref = max(worst_ref, abs(want - w_ref(n) * phase))
+        assert same(worst, worst_ref)

@@ -44,13 +44,10 @@ ALLOWED = {
     "quadratic.ProgressionQuadratic.reconstruct": "evaluates the fitted phase on the progression it was fit on",
     "quadratic.isotropic_vector": "an isotropic vector of a quadratic form over F_p, as the paper's argument uses",
     "quadratic.orthogonal_complement": "the complement of a subgroup under a bilinear form, as the paper's argument uses",
-    "forms.prog_unif_slack": "the slack of the generalized von Neumann bound, checked against the paper",
 }
 
 # Options of allowlisted functions: with no caller yet, nothing sets them.
 ALLOWED_OPTIONS = {
-    "forms.prog_unif_slack(k)": "the progression length of the bound, 4 in the paper",
-    "forms.prog_unif_slack(enforce_n_bound)": "whether to refuse groups below the paper's size bound",
     "quadratic.isotropic_vector(rng)": "the random search above dimension 3",
 }
 
@@ -257,7 +254,7 @@ def test_every_function_in_src_has_a_caller():
 def test_allowlist_is_short_and_current():
     """Every allowlisted function exists, has a reason, and still has no
     caller: one that gains a caller leaves the list."""
-    assert len(ALLOWED) <= 8
+    assert len(ALLOWED) <= 7
     assert all(reason.strip() for reason in ALLOWED.values())
     dead = {where.split()[1] for where in dead_functions(_sources(CALLERS))}
     assert set(ALLOWED) <= dead
