@@ -596,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inverse-f5", help="quadratic obstruction pipeline")
     common(p, func=True, seed=True)
-    p.add_argument("--n", type=int, default=None, help="informational dimension")
     p.add_argument("--eta", type=_eta, required=True)
     p.set_defaults(handler=_cmd_inverse_f5)
 

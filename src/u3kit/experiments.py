@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from math import isqrt
 from typing import Sequence
 
@@ -312,6 +312,7 @@ def szemeredi_driver(
     p = spec.orders[0]
     cur_spec = spec
     cur_A = sorted(set(int(a) for a in A))
+    th = replace(thresholds or IncrementThresholds(), force=True)  # each step checks for 4-APs first
     trace: list[DriverStep] = []
     for depth in range(DRIVER_MAX_DEPTH):
         dens = len(cur_A) / cur_spec.order
@@ -328,7 +329,7 @@ def szemeredi_driver(
             trace.append(DriverStep(depth, cur_spec.rank, dens, "dimension-floor"))
             break
         try:
-            rep = density_increment_f5(cur_spec, cur_A, thresholds)
+            rep = density_increment_f5(cur_spec, cur_A, th)
         except PipelineEmpty:
             trace.append(DriverStep(depth, cur_spec.rank, dens, "pipeline-empty"))
             break

@@ -22,8 +22,7 @@ transposed view, and no block is copied between products.  An FFT block
 returns its axis last and is transposed as a view; when another block
 follows, that block's reshape makes the one copy.  On F5^5 `np.fft.fftn`
 makes five strided passes over length-5 axes; the blocks (5,), (5,5) and
-(5,5) make three dense products instead.  `dft` and `convolve` use the
-multidimensional FFT directly.
+(5,5) make three dense products instead.
 """
 
 from __future__ import annotations
@@ -51,16 +50,9 @@ class DualFunction:
             raise ValueError("dual value vector has wrong length")
 
 
-def _as_grid(spec: GroupSpec, flat: np.ndarray) -> np.ndarray:
-    return flat.reshape(spec.orders)
-
-
 def dft(f: GroupFunction) -> DualFunction:
     """Fourier coefficients fhat(xi) = E_x f(x) e(-xi.x)."""
-    spec = f.owner
-    grid = _as_grid(spec, f.values)
-    out = np.fft.fftn(grid) / spec.order
-    return DualFunction(spec, out.reshape(-1))
+    return DualFunction(f.owner, dft_values(f.owner, f.values))
 
 
 # Largest order of a block transformed by one dense character table: a block
@@ -114,12 +106,12 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     """Normalized convolution f*g(x) = E_y f(y) g(x-y).
 
     Computed through the transform, using that the transform of f*g is the
-    pointwise product of the transforms.
+    pointwise product of the transforms; the inverse is the same transform
+    by conjugation, f*g(x) = sum_xi H(xi) e(xi.x) = N conj(dft(conj H))(x)
+    with H = fhat ghat.
     """
     if f.owner.orders != g.owner.orders:
         raise SpecMismatch("convolve: group mismatch")
     spec = f.owner
-    fh = np.fft.fftn(_as_grid(spec, f.values))
-    gh = np.fft.fftn(_as_grid(spec, g.values))
-    out = np.fft.ifftn(fh * gh) / spec.order
-    return GroupFunction(spec, out.reshape(-1))
+    H = dft_values(spec, f.values) * dft_values(spec, g.values)
+    return GroupFunction(spec, spec.order * np.conj(dft_values(spec, np.conj(H))))

@@ -19,6 +19,7 @@ import numpy as np
 from . import bohr
 from .bohr import bogolyubov, iterated_sumset
 from .errors import EmptyGraph, EmptyV, SliceFailed, SpecMismatch
+from .fourier import dft_values
 from .groups import GroupElement, GroupFunction, GroupSpec, derivative_rows
 from .modlinalg import (
     PrimeSubspace,
@@ -28,7 +29,7 @@ from .modlinalg import (
     solve_mod_p,
     span_points,
 )
-from .norms import CosetQuadraticWitness, u3_oracle_coset
+from .norms import CosetQuadraticWitness, _first_in_band, u3_oracle_coset
 
 # (x0, h) pairs, and (x0, xi0) counters, per block of the affine vote; a block
 # peaks at about 90 bytes per cell (tracemalloc), so near 24 MB at most
@@ -69,9 +70,9 @@ class PhaseGraph:
 
 def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
     """Keep shifts h with squared derivative bias >= eta^8 / 2; the witness
-    frequency is the argmax Fourier coefficient.  Exact ties are not broken
-    lexicographically: the argmax takes whichever tied entry the FFT's
-    rounding leaves larger.
+    frequency is the smallest dual index whose squared Fourier coefficient is
+    within a relative _TIE_RTOL of the row maximum, so exact ties such as
+    |F(xi)| = |F(-xi)| on real rows do not depend on rounding.
 
     When U^3(f) >= eta, the shift set is guaranteed to have density at least
     eta^8 / 2; a smaller shift set therefore certifies U^3(f) < eta and is
@@ -86,13 +87,8 @@ def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
     chunk = max(1, 2_000_000 // N)
     for start in range(0, N, chunk):
         hs = np.arange(start, min(start + chunk, N), dtype=np.int64)
-        grid = derivative_rows(f, hs).reshape((len(hs),) + spec.orders)
-        # the multidimensional FFT, not the blocked fourier.dft_values: exact
-        # ties such as |F(xi)| = |F(-xi)| on real rows go to whichever entry
-        # this rounding leaves larger, and another transform rounds them
-        # differently and picks other witness frequencies
-        F = np.abs(np.fft.fftn(grid, axes=tuple(range(1, spec.rank + 1))) / N).reshape(len(hs), N)
-        best = np.argmax(F, axis=1)
+        F = np.abs(dft_values(spec, derivative_rows(f, hs)))
+        best = _first_in_band(F * F)
         mags = F[np.arange(len(hs)), best]
         for h, xi, m in zip(hs.tolist(), best.tolist(), mags.tolist()):
             if m * m >= cut:
@@ -365,7 +361,8 @@ def _witness_scan(
     """Best linear completion of the quadratic t.At on each coset y+W, y in
     reps: one row of f(y + t.w) e(-t.At) per coset, t in local lex order, and
     one transform over the local axes of all rows (the identity when W = 0).
-    The witness b is the argmax of its row, the first of equal entries.
+    The witness b is the lex-first t whose squared entry is within a relative
+    _TIE_RTOL of its row's maximum.
 
     When W = 0 the bias is |f(y)| by hypot, as a scalar abs takes it; the
     vectorized np.abs of complex arrays can differ from it in the last bit."""
@@ -375,16 +372,14 @@ def _witness_scan(
     qvals = np.einsum("ni,ij,nj->n", t, A_local, t) % p
     pts = spec.add_indices(reps[:, None], W.coset(0)[None, :])
     g = f.values[pts] * np.exp(-2j * np.pi * np.arange(p) / p)[qvals]
-    corr = np.fft.fftn(g.reshape((len(reps),) + W.local_orders), axes=tuple(range(1, k + 1)))
-    corr = np.abs(corr) if k else np.hypot(corr.real, corr.imag)
-    corr = corr.reshape(len(reps), W.order)
-    bs = np.argmax(corr, axis=1)
+    corr = np.abs(dft_values(GroupSpec(W.local_orders), g)) if k else np.hypot(g.real, g.imag)
+    bs = _first_in_band(corr * corr)
     A = tuple(tuple(int(v) for v in row) for row in A_local)
     witnesses = [
         CosetQuadraticWitness(spec.element_by_index(y), W, A, tuple(int(v) for v in t[b]))
         for y, b in zip(reps.tolist(), bs.tolist())
     ]
-    return witnesses, corr[np.arange(len(reps)), bs] / W.order
+    return witnesses, corr[np.arange(len(reps)), bs]
 
 
 def quadratic_obstruction(

@@ -179,6 +179,17 @@ _SEEDS = 4  # states of the exact scan evaluated first, to set its cut
 _BRACKET_BLOCK = 1 << 20  # entries per table and per product block of the bracket oracle
 
 
+def _first_in_band(sq: np.ndarray, thr=None) -> np.ndarray:
+    """The tie rule of every float witness pick: per row of sq (squared
+    magnitudes along the last axis), the first index whose entry is at least
+    (1 - _TIE_RTOL) thr, thr defaulting to the row maximum.  Exact ties, such
+    as |F(xi)| = |F(-xi)| on a real row, then go to the lex-first entry
+    however the transform rounds them."""
+    if thr is None:
+        thr = sq.max(axis=-1, keepdims=True)
+    return np.argmax(sq >= thr * (1 - _TIE_RTOL), axis=-1)
+
+
 @dataclass
 class NormReport:
     value: float
@@ -390,11 +401,10 @@ def gowers_norm(
 
 
 def u2_bias(f: GroupFunction) -> NormReport:
-    """u^2 bias = max_xi |fhat(xi)|, witness the maximizing linear phase
-    (ties broken by smallest dual index)."""
-    F = dft(f)
-    mags = np.abs(F.values)
-    k = int(np.argmax(mags))
+    """u^2 bias = max_xi |fhat(xi)|, witness the linear phase of the smallest
+    dual index whose |fhat|^2 is within a relative _TIE_RTOL of the maximum."""
+    mags = np.abs(dft(f).values)
+    k = int(_first_in_band(mags * mags))
     return NormReport(float(mags[k]), 2, "fourier", witness=f.owner.dual_by_index(k))
 
 
@@ -602,10 +612,10 @@ def _lex_first_max(blocks, block_sq, key_of):
     entries of block b with its row-major order the lex order of their keys;
     key_of(b, i) is the key of the i-th of them."""
 
-    def first(b, sq: np.ndarray, thr: float):
+    def first(b, sq: np.ndarray, top: float):
         # under wide ties (zero f, a point mass) the block's first entry is in
         # the band, and the comparison over the whole block is skipped
-        at = 0 if sq[(0,) * sq.ndim] >= thr else int(np.argmax(sq >= thr))
+        at = 0 if sq.flat[0] >= top * (1 - _TIE_RTOL) else int(_first_in_band(sq.reshape(-1), top))
         return key_of(b, at), float(sq.flat[at])
 
     records, best = [], 0.0
@@ -616,12 +626,12 @@ def _lex_first_max(blocks, block_sq, key_of):
         # a block below the running maximum's tie band is below the final
         # threshold too, so its candidate is never needed
         if top >= best * (1 - _TIE_RTOL):
-            records.append((top, b) + first(b, sq, top * (1 - _TIE_RTOL)))
+            records.append((top, b) + first(b, sq, top))
     thr = best * (1 - _TIE_RTOL)
     # a block's candidate was chosen against its own maximum; when the global
     # threshold excludes it, look again in that block (rare near-ties only)
     key = min(
-        cand if val >= thr else first(b, block_sq(b), thr)[0]
+        cand if val >= thr else first(b, block_sq(b), best)[0]
         for top, b, cand, val in records
         if top >= thr
     )

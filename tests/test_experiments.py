@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -291,3 +292,20 @@ def test_driver_terminal_states(rng):
     densities = [s.density for s in trace]
     assert all(b >= a - 1e-12 for a, b in zip(densities, densities[1:]))
     assert trace[-1].outcome in ("has-4ap", "full-density", "dimension-floor", "pipeline-empty")
+
+
+def test_driver_counts_aps_once_per_step():
+    # the driver checks each step's set for a 4-AP itself, so the increment
+    # it calls must not count the same set again
+    spec = parse_group("F5^3")
+    A = ap_free_search(spec, 4, seed=0)
+    with mock.patch.object(experiments, "count_aps", wraps=count_aps) as counted:
+        trace = szemeredi_driver(spec, A)
+    assert [s.outcome for s in trace] == ["increment", "dimension-floor"]
+    assert counted.call_count == len(trace)
+
+    def unforced(spec, A, th):  # the increment with its own 4-AP check
+        return density_increment_f5(spec, A, replace(th, force=False))
+
+    with mock.patch.object(experiments, "density_increment_f5", unforced):
+        assert szemeredi_driver(spec, A) == trace

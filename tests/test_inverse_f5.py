@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import bias_against, constant, random_pm1
 from u3kit.errors import EmptyGraph, EmptyV, U3KitError
+from u3kit.fourier import dft_values
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.inverse_f5 import (
     _witness_scan,
@@ -19,7 +20,7 @@ from u3kit.inverse_f5 import (
     symmetry_subspace,
 )
 from u3kit.modlinalg import PrimeSubspace
-from u3kit.norms import CosetQuadraticWitness, gowers_norm, u3_oracle_coset
+from u3kit.norms import _TIE_RTOL, CosetQuadraticWitness, _first_in_band, gowers_norm, u2_bias, u3_oracle_coset
 
 
 def _planted_quadratic(spec, A, b):
@@ -414,33 +415,31 @@ def test_largest_subspace_inside_matches_set_search(group):
 # --- all cosets of W in one witness scan ---------------------------------------
 
 
-def reference_witness_scan(f, W, A_local, y_index):
+def reference_witness_scan(f, W, A_local, reps):
     """The per-coset scan that quadratic_obstruction ran before it took every
-    coset of W through one transform: the row of one coset, its own fftn
-    over (p,)^k, and the first argmax."""
+    coset of W through one gather: the row of each coset y from its own
+    W.coset(y), and the lex-first pick in the tie band of its transform.
+    The rows share one dft_values call, as in the batched scan: a dense block
+    is one BLAS product, whose last bits depend on where a row sits in it."""
     spec = f.owner
     p = W.p
     k = W.dim
     if k:
-        t = GroupSpec((p,) * k).decode(np.arange(W.order))  # lex order, as the points
+        local = GroupSpec((p,) * k)
+        t = local.decode(np.arange(W.order))  # lex order, as the points
         qvals = np.einsum("ni,ij,nj->n", t, A_local, t) % p
-        pts = W.coset(y_index)
         omega = np.exp(-2j * np.pi * np.arange(p) / p)
-        g = f.values[pts] * omega[qvals]
-        corr = np.fft.fftn(g.reshape((p,) * k)).reshape(-1)
-        b = int(np.argmax(np.abs(corr)))
-        bias = float(np.abs(corr[b]) / p**k)
-        bcoords = GroupSpec((p,) * k).coords_of(b)
+        rows = np.array([f.values[W.coset(y)] * omega[qvals] for y in reps.tolist()])
+        corr = np.abs(dft_values(local, rows))
+        bs = [int(_first_in_band(c * c)) for c in corr]
+        found = [(local.coords_of(b), float(c[b])) for b, c in zip(bs, corr)]
     else:
-        bias = float(abs(f.values[y_index]))
-        bcoords = ()
-    witness = CosetQuadraticWitness(
-        spec.element_by_index(y_index),
-        W,
-        tuple(tuple(int(v) for v in row) for row in A_local) if k else (),
-        tuple(int(v) for v in bcoords),
-    )
-    return witness, bias
+        found = [((), float(abs(f.values[y]))) for y in reps.tolist()]
+    A = tuple(tuple(int(v) for v in row) for row in A_local) if k else ()
+    return [
+        (CosetQuadraticWitness(spec.element_by_index(y), W, A, tuple(int(v) for v in bc)), bias)
+        for y, (bc, bias) in zip(reps.tolist(), found)
+    ]
 
 
 @pytest.mark.parametrize("group", ["F5^2", "F5^3", "F3^4"])
@@ -469,7 +468,64 @@ def test_batched_witness_scan_matches_per_coset_scan(group, kind):
         reps = coset_reps(W)
         witnesses, biases = _witness_scan(f, W, A, reps)
         assert len(witnesses) == len(biases) == len(reps) == N // W.order
-        for y, w, b in zip(reps.tolist(), witnesses, biases.tolist()):
-            w_ref, b_ref = reference_witness_scan(f, W, A, y)
+        for w, b, (w_ref, b_ref) in zip(witnesses, biases.tolist(), reference_witness_scan(f, W, A, reps)):
             assert w == w_ref
             assert np.float64(b).tobytes() == np.float64(b_ref).tobytes()
+
+
+def lex_first_in_band(spec, rows):
+    """Per row, the smallest dual index whose squared direct character sum
+    E_x row(x) e(-xi.x), built from exact pairings, is within a relative
+    _TIE_RTOL of the row's maximum."""
+    idx = np.arange(spec.order)
+    table = np.exp(-2j * np.pi / spec.exponent * spec.pairings(idx[:, None], idx[None, :]))
+    sq = np.abs(rows @ table / spec.order) ** 2
+    return np.argmax(sq >= sq.max(axis=-1, keepdims=True) * (1 - _TIE_RTOL), axis=-1)
+
+
+@st.composite
+def odd_fp_cases(draw):
+    """(f, W, A) on F_p^n, p in {3, 5, 7}, |G| <= 125: f complex noise, real
+    noise (exact ties |F(xi)| = |F(-xi)|) or a point mass (every |F| ties);
+    W a random subspace, A a random symmetric form on it or zero."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, {3: 4, 5: 3, 7: 2}[p]))
+    spec = GroupSpec((p,) * n)
+    N = spec.order
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["complex", "real", "point"]))
+    if kind == "complex":
+        f = GroupFunction(spec, rng.uniform(0, 1, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N)))
+    elif kind == "real":
+        f = GroupFunction(spec, rng.uniform(-1, 1, N))
+    else:
+        f = GroupFunction.indicator(spec, [int(rng.integers(N))])
+    dim = draw(st.integers(0, n))
+    W = PrimeSubspace.from_generators(spec, rng.integers(0, p, (dim, n))) if dim else PrimeSubspace(spec, ())
+    A = rng.integers(0, p, (W.dim, W.dim)) if draw(st.booleans()) else np.zeros((W.dim, W.dim), dtype=np.int64)
+    return f, W, (A + A.T) % p
+
+
+@given(case=odd_fp_cases())
+def test_float_witnesses_are_lex_first_in_band(case):
+    # the graph's frequencies, u2_bias's witness and the witness scan's b
+    # against a direct character sum under the one tie rule
+    f, W, A = case
+    spec = f.owner
+    gamma = phase_derivative_graph(f, 0.3)
+    hs = np.array(sorted(gamma.entries))
+    rows = f.values[spec.add_indices(np.arange(spec.order)[None, :], hs[:, None])] * np.conj(f.values)
+    assert [gamma.entries[h][0] for h in hs.tolist()] == lex_first_in_band(spec, rows).tolist()
+
+    assert u2_bias(f).witness == spec.dual_by_index(int(lex_first_in_band(spec, f.values)))
+
+    reps = coset_reps(W)
+    found, _ = _witness_scan(f, W, A, reps)
+    want = [()] * len(reps)
+    if W.dim:
+        p, local = W.p, GroupSpec((W.p,) * W.dim)
+        t = local.decode(np.arange(W.order))
+        phase = np.exp(-2j * np.pi * (np.einsum("ni,ij,nj->n", t, A, t) % p) / p)
+        rows = np.array([f.values[W.coset(y)] for y in reps.tolist()]) * phase
+        want = [local.coords_of(int(b)) for b in lex_first_in_band(local, rows)]
+    assert [w.b for w in found] == want
