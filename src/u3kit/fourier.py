@@ -4,7 +4,11 @@ Characters of Z/n1 x ... x Z/nk factor through the per-axis roots of unity,
 so the transform is a multidimensional DFT over the reshaped value array.
 The transform carries the expectation normalization
 
-    fhat(xi) = (1/N) sum_x f(x) e(-xi.x).
+    fhat(xi) = (1/N) sum_x f(x) e(-xi.x),
+
+applied inside the blocks below: a block of order m carries its own 1/m (a
+dense table holds e(-xi.x)/m, an FFT runs with norm="forward"), and the
+orders of the blocks multiply to N, so no pass over the result divides.
 
 `dft_values`, the batched transform under the Gowers kernels, splits the
 axes into blocks by `groups.factor_runs`, walking from the last axis:
@@ -23,6 +27,14 @@ returns its axis last and is transposed as a view; when another block
 follows, that block's reshape makes the one copy.  On F5^5 `np.fft.fftn`
 makes five strided passes over length-5 axes; the blocks (5,), (5,5) and
 (5,5) make three dense products instead.
+
+A row's last bits depend on its place in the batch.  A dense block is one
+BLAS product, and its edge tiles round differently from its full ones: with
+OpenBLAS, on (5,), (5,5) and (5,5,5), the first n < 25 rows of a 25-row
+batch equal an n-row batch bit for bit only when n is a multiple of 4.  A
+batched row agrees with its single-row transform to within 5e-16 of the
+row's maximum, so a reference made one row at a time is compared within a
+tolerance, never bit for bit, and a change of batching moves last bits.
 """
 
 from __future__ import annotations
@@ -57,31 +69,32 @@ def dft(f: GroupFunction) -> DualFunction:
 
 # Largest order of a block transformed by one dense character table: a block
 # of order m costs m multiply-adds per entry.  Sweep of the fourth moments
-# (`norms._u2_pow4_batch`: this transform, then sum |F|^4) of the rows the
-# U^d kernels transform, in batches of 128 (U^3: 1563 x F5^5, 1094 x F3^7,
-# 4096 x F2^12; U^4: 5671 x Z/211), ms, median of 9 alternating rounds, one
-# thread, 2-core Xeon:
+# (`norms._u2_pow4_sum`: this transform, then sum |F|^4 in place) of the rows
+# the U^d kernels transform, in batches of 128 (U^3: 1563 x F5^5, 1094 x
+# F3^7, 4096 x F2^12; U^4: 5671 x Z/211), ms, median of 9 alternating
+# rounds, one thread, 2-core Xeon (np.fft.fftn: its transform, /N, then the
+# sum of |F|^4):
 #   _DENSE_BLOCK   F5^5  F3^7  F2^12  Z/211
-#   16              205    90    861     54
-#   32              202    94    882     57
-#   64              202    93    960     57
-#   128             255   105    996     51
-#   256             252   166   1382     72
-#   np.fft.fftn     547   554   8809     57
-# Z/211 is one FFT axis below 256, so that column is noise there.  No block
-# size wins on all three F_p^n at once, and 16 to 64 are within noise on
-# F5^5 and F3^7.  At 32, F5^5 has the blocks (5,), (5, 5), (5, 5), and
-# Z/5 x Z/6 or F2^5 is one block.
+#   16              113    48    579     27
+#   32              120    51    598     26
+#   64              124    50    627     26
+#   128             171    63    690     25
+#   256             172   118   1025     42
+#   np.fft.fftn     438   393   6432     36
+# Z/211 is one FFT axis below 256, so that column is noise there.  16 to 64
+# are within 10% of each other on all three F_p^n (16 ahead by 3-6%, less
+# than earlier sweeps moved between runs), so 32 stays.  At 32, F5^5 has the
+# blocks (5,), (5, 5), (5, 5), and Z/5 x Z/6 or F2^5 is one block.
 _DENSE_BLOCK = 32
 
 
 @lru_cache(maxsize=64)
 def _character_table(orders: tuple[int, ...]) -> np.ndarray:
-    """W[x, xi] = e(-xi.x) on Z/n1 x ... x Z/nk, both indices row-major
-    (read-only: one array is shared by every call)."""
+    """W[x, xi] = e(-xi.x) / m on Z/n1 x ... x Z/nk of order m, both indices
+    row-major (read-only: one array is shared by every call)."""
     block = GroupSpec(orders)
     idx = np.arange(block.order, dtype=np.int64)
-    W = np.exp(-2j * np.pi / block.exponent * block.pairings(idx[None, :], idx[:, None]))
+    W = np.exp(-2j * np.pi / block.exponent * block.pairings(idx[None, :], idx[:, None])) / block.order
     W.flags.writeable = False
     return W
 
@@ -96,10 +109,8 @@ def dft_values(spec: GroupSpec, values: np.ndarray) -> np.ndarray:
     for block in factor_runs(spec.orders, _DENSE_BLOCK):
         m = prod(block)
         x = g.reshape(-1, m)
-        g = _character_table(block).T @ x.T if m <= _DENSE_BLOCK else np.fft.fft(x).T
-    out = g.reshape(spec.order, -1).T.reshape(batch + (spec.order,))
-    out /= spec.order
-    return out
+        g = _character_table(block).T @ x.T if m <= _DENSE_BLOCK else np.fft.fft(x, norm="forward").T
+    return g.reshape(spec.order, -1).T.reshape(batch + (spec.order,))
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:

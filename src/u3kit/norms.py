@@ -24,7 +24,20 @@ three exact identities:
   supp f), and a zero row has U^2 exactly 0, so dropping it changes no term
   of the sum.  Rows are computed on supp f only (both derivatives vanish
   wherever f does) and tested for zero before the transform; no threshold
-  is involved.
+  is involved.  When supp f = G no row is tested: a zero row can then only
+  come from underflow, and it adds exactly 0 either way.
+
+Rows are read from the periodic extension of f, the array ext of f on the
+box prod [0, 2 n_i - 1) (f wrapped along each axis), in which f(x + h) is
+ext[off(x) + off(h)] for x and h in prod [0, n_i), off being the row-major
+offset in the box.  A batch of rows is one integer outer sum of offsets and
+one gather; U^4 reduces h + k once per pair with `add_indices`.  On a full
+cyclic group Z/N a row is the window ext[h : h + N], copied out of a
+sliding-window view (measured on U^4 over Z/211 to be cheaper than the
+gather; on F5^5, with windows of length 5 along the last axis, it is not).
+The extension holds prod (2 n_i - 1) < 2^rank |G| entries; when that is more
+than one batch of rows, _H_CHUNK |G| (F2^12 and beyond), the rows are
+gathered through `add_indices` instead, so memory stays O(_H_CHUNK |W|).
 
 Every row vanishes off supp f, so it is transformed on a support window
 W instead of on G.  On each axis of order n, take the shortest arc
@@ -49,10 +62,18 @@ blocked `fourier.dft_values`: runs of short axes (order product at most
 `fourier._DENSE_BLOCK`) are one matrix product each with a dense character
 table, each longer axis is an FFT, and each product leaves its block
 rotated to the front, so no block is copied; F5^5 takes three dense
-products and fw(4001) one FFT of length 1600 per row.  Only rounding
-changes: the row of h stands in for that of -h, the window's transform
-replaces G's, and the sum runs in another order, which moves a result by a
-few ulps.
+products and fw(4001) one FFT of length 1600 per row.  The transform of a
+batch is a fresh array, C-contiguous as (rows, |W|) or as its transpose, so
+its fourth powers are taken in place: |F|^4 = |F^2|^2 is the sum of squares
+of the two floats of F^2, one `einsum` over the float view, then one
+product with the weights.  Only rounding changes: the row of h stands in
+for that of -h, the window's transform replaces G's, and the sum runs in
+another order, which moves a result by a few ulps.
+
+`gowers_norm` takes every norm of f scaled by a power of two to a largest
+|f(x)| in [1/2, 1] and scales the result back, exactly, since U^d(c f) =
+|c| U^d(f): otherwise the 2^d-fold products underflow for |f| near 1e-20
+(subnormal 16th powers) and vanish for |f| near 1e-45.
 
 The direct method sums over blocks of x, so it holds O(N^d) cubes at a time.
 
@@ -146,6 +167,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import frexp, ldexp, prod
 from typing import Sequence
 
 import numpy as np
@@ -210,11 +232,20 @@ def _check_bounded(f: GroupFunction, unchecked: bool) -> None:
         raise NotBounded("function exceeds the unit disk; pass unchecked=True to override")
 
 
-def _u2_pow4_batch(spec: GroupSpec, rows: np.ndarray) -> np.ndarray:
-    """U^2(g)^4 = sum_xi |ghat(xi)|^4 for a batch of value rows."""
+def _u2_pow4_sum(spec: GroupSpec, rows: np.ndarray, w: np.ndarray) -> float:
+    """sum_r w_r U^2(g_r)^4 = sum_r w_r sum_xi |ghat_r(xi)|^4 over a batch of
+    value rows.  The transform is a fresh array, C-contiguous as (rows, N) or
+    as its transpose (N, rows), so it is squared in place: |F|^4 = |F^2|^2 is
+    the sum of squares of the two floats of F^2."""
     F = dft_values(spec, rows)
-    mag2 = F.real**2 + F.imag**2
-    return np.sum(mag2 * mag2, axis=-1)
+    by_row = F.flags.c_contiguous
+    G = F if by_row else F.T
+    np.square(G, out=G)
+    v = G.view(np.float64)  # re and im of row r at columns 2r, 2r + 1 when not by_row
+    if by_row:
+        return float(w @ np.einsum("ij,ij->i", v, v))
+    s = np.einsum("ij,ij->j", v, v)
+    return float(w @ (s[0::2] + s[1::2]))
 
 
 def _fast_length(n: int) -> int:
@@ -266,9 +297,41 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _nonzero_batches(blocks):
+def _translator(spec: GroupSpec, vals: np.ndarray, supp: np.ndarray):
+    """A function taking element indices hs to the (len(hs), len(supp)) array
+    of f(x + h), x in supp, read from the periodic extension of f (module
+    docstring); through `add_indices` when the extension would hold more
+    than _H_CHUNK |G| entries."""
+    orders = spec.orders
+    shape = tuple(2 * n - 1 for n in orders)
+    if prod(shape) > _H_CHUNK * spec.order:
+        return lambda hs: vals[spec.add_indices(supp[None, :], hs[:, None])]
+    # filled in place: wrapping one axis at a time by concatenation, one new
+    # array per axis, left the peak RSS of repeated U^3 calls on F5^5 about
+    # 1 MB higher
+    ext = np.empty(shape, dtype=vals.dtype)
+    ext[tuple(slice(n) for n in orders)] = vals.reshape(orders)
+    for a, n in enumerate(orders):  # entries n.. of axis a repeat entries 0..n-2
+        wrapped, rest = (slice(None),) * a, tuple(slice(m) for m in orders[a + 1 :])
+        ext[wrapped + (slice(n, None),) + rest] = ext[wrapped + (slice(n - 1),) + rest]
+    if spec.rank == 1 and len(supp) == spec.order:
+        windows = np.lib.stride_tricks.sliding_window_view(ext, spec.order)
+        return lambda hs: windows[hs]
+    off = np.zeros(1, dtype=np.int64)  # off[x]: the offset of x in ext, x in index order
+    for n, stride in zip(orders, ext.strides):
+        off = (off[:, None] + np.arange(n) * (stride // ext.itemsize)).reshape(-1)
+    at_supp, ext = off[supp], ext.reshape(-1)
+    return lambda hs: ext[off[hs][:, None] + at_supp]
+
+
+def _batches(blocks, full: bool):
     """Regroup (values, weights) blocks into batches of at least _H_CHUNK rows
-    (the last may be smaller), dropping the rows that are identically zero."""
+    (the last may be smaller), dropping the rows that are identically zero.
+    When supp f = G no row is tested: the blocks are already _H_CHUNK rows,
+    and a zero row would add exactly 0 anyway."""
+    if full:
+        yield from blocks
+        return
     vals, ws, n = [], [], 0
     for v, w in blocks:
         keep = np.any(v, axis=1)
@@ -289,11 +352,11 @@ def _weighted_u2_pow4(spec: GroupSpec, supp: np.ndarray, blocks) -> float:
     (values on supp, weights), each row transformed on the support window."""
     window, at = _support_window(spec, supp)
     total = 0.0
-    for rows, w in _nonzero_batches(blocks):
+    for rows, w in _batches(blocks, len(supp) == spec.order):
         if len(at) < window.order:  # a window that supp fills is G, or G with 1-point axes
             rows, on_supp = np.zeros((len(rows), window.order), dtype=np.complex128), rows
             rows[:, at] = on_supp
-        total += float(w @ _u2_pow4_batch(window, rows))
+        total += _u2_pow4_sum(window, rows, w)
     return (window.order / spec.order) ** 3 * total
 
 
@@ -302,13 +365,14 @@ def _u3_pow8(f: GroupFunction) -> float:
     spec, vals = f.owner, f.values
     supp = np.flatnonzero(vals)
     conj_supp = np.conj(vals[supp])
+    shifted = _translator(spec, vals, supp)
     reps, weights = _neg_classes(spec)
 
     def blocks():
         for start in range(0, len(reps), _H_CHUNK):
-            hs = reps[start : start + _H_CHUNK, None]
-            yield (vals[spec.add_indices(supp[None, :], hs)] * conj_supp,
-                   weights[start : start + _H_CHUNK])
+            rows = shifted(reps[start : start + _H_CHUNK])
+            rows *= conj_supp
+            yield rows, weights[start : start + _H_CHUNK]
 
     return _weighted_u2_pow4(spec, supp, blocks()) / spec.order
 
@@ -319,6 +383,7 @@ def _u4_pow16(f: GroupFunction) -> float:
     spec, vals = f.owner, f.values
     supp = np.flatnonzero(vals)
     conj_supp = np.conj(vals[supp])
+    shifted = _translator(spec, vals, supp)
     reps, weights = _neg_classes(spec)
     # pairs (i, j), i <= j, in row-major order; row i starts at pair first[i]
     first = np.concatenate(([0], np.cumsum(np.arange(len(reps), 0, -1))))
@@ -328,11 +393,13 @@ def _u4_pow16(f: GroupFunction) -> float:
             t = np.arange(t0, min(t0 + _H_CHUNK, int(first[-1])))
             i = np.searchsorted(first, t, side="right") - 1
             j = i + t - first[i]
-            xh = spec.add_indices(supp[None, :], reps[i, None])
-            xk = spec.add_indices(supp[None, :], reps[j, None])
-            dh = vals[xh] * conj_supp  # Delta_h f(x)
-            dh_k = vals[spec.add_indices(xh, reps[j, None])] * np.conj(vals[xk])  # Delta_h f(x+k)
-            yield dh_k * np.conj(dh), weights[i] * weights[j] * np.where(i == j, 1.0, 2.0)
+            h, k = reps[i], reps[j]
+            dh = shifted(h)
+            dh *= conj_supp  # Delta_h f(x)
+            rows = shifted(spec.add_indices(h, k))
+            rows *= np.conj(shifted(k))  # Delta_h f(x+k)
+            rows *= np.conj(dh, out=dh)
+            yield rows, weights[i] * weights[j] * np.where(i == j, 1.0, 2.0)
 
     return _weighted_u2_pow4(spec, supp, blocks()) / spec.order**2
 
@@ -393,11 +460,17 @@ def gowers_norm(
     if d not in (1, 2, 3, 4):
         raise DegreeUnsupported(f"U^{d} not supported (d must be 1..4)")
     _check_bounded(f, unchecked)
-    if method == "direct":
-        return NormReport(_gowers_direct(f, d), d, "direct")
-    if method == "recursive":
-        return NormReport(_gowers_recursive(f, d), d, "recursive")
-    raise ValueError(f"unknown method {method!r}")
+    if method not in ("direct", "recursive"):
+        raise ValueError(f"unknown method {method!r}")
+    # U^d(c f) = |c| U^d(f), with c a power of two that brings max |f| into
+    # [1/2, 1], so that no 2^d-fold product underflows (module docstring)
+    top = float(np.max(np.abs(f.values)))
+    shift = 0 if top == 0 or 0.5 <= top <= 1 else -frexp(top)[1]
+    if shift:
+        parts = np.ascontiguousarray(f.values).view(np.float64)
+        f = GroupFunction(f.owner, np.ldexp(parts, shift).view(np.complex128))
+    value = _gowers_direct(f, d) if method == "direct" else _gowers_recursive(f, d)
+    return NormReport(ldexp(value, -shift), d, method)
 
 
 def u2_bias(f: GroupFunction) -> NormReport:

@@ -8,8 +8,7 @@ self-adjointness is structural and all evaluation is exact.
 The module also covers local quadraticity testing (vanishing third
 differences), classification and coset extension, the representation of
 locally quadratic functions on coset progressions, bracket quadratics on
-Z/N, and the quadratic-form sublemmas (isotropic vectors, degenerate
-subspaces, orthogonal complements).
+Z/N, and the degenerate subspace of a quadratic form over F_p.
 
 Every exact phase table is held one way: integer numerators in [0, D) over
 one common denominator D, addressed by group index.  ``_numerators`` turns
@@ -39,7 +38,6 @@ from .errors import (
     DependentGenerators,
     EvenOrder,
     ExtensionObstructed,
-    NotFound,
     NotProper,
     NotQuadratic,
     SpecMismatch,
@@ -53,7 +51,6 @@ from .modlinalg import (
     complete_basis,
     isotropic_vector_in,
     kernel_basis_mod_p,
-    rank_mod_p,
     solve_congruence,
 )
 
@@ -809,42 +806,7 @@ def bracket_from_progression(
     return bq
 
 
-# --- quadratic form sublemmas over F_p ---------------------------------------
-
-
-def isotropic_vector(
-    M: Sequence[Sequence[int]], W: PrimeSubspace, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Nonzero x in W with x.Mx = 0 mod p; exhaustive for dim <= 3, random
-    3-dimensional restriction otherwise.  Guaranteed to exist for dim >= 3."""
-    p = W.p
-    if p % 2 == 0:
-        raise EvenOrder("odd characteristic required")
-    A = np.array(M, dtype=np.int64) % p
-    V = W.basis_matrix()
-    AW = (V @ A @ V.T) % p
-    k = W.dim
-    if k == 0:
-        raise NotFound("zero subspace has no nonzero vectors")
-    if k <= 3:
-        t = isotropic_vector_in(AW, p)
-        if t is None:
-            raise NotFound("no nonzero isotropic vector (possible only for dim <= 2)")
-        x = (t @ V) % p
-        return x
-    ker = kernel_basis_mod_p(AW, p)
-    if ker.shape[0]:
-        return (ker[0] @ V) % p
-    rng = rng or np.random.default_rng(0)
-    for _ in range(200):
-        T = rng.integers(0, p, size=(3, k))
-        if rank_mod_p(T, p) < 3:
-            continue
-        AT = (T @ AW @ T.T) % p
-        t = isotropic_vector_in(AT, p)
-        if t is not None and np.any((t @ T) % p):
-            return ((t @ T) % p @ V) % p
-    raise NotFound("random restriction failed to locate an isotropic vector")
+# --- degenerate subspaces over F_p --------------------------------------------
 
 
 def degenerate_subspace(M: Sequence[Sequence[int]], W: PrimeSubspace) -> PrimeSubspace:
@@ -891,31 +853,3 @@ def degenerate_subspace(M: Sequence[Sequence[int]], W: PrimeSubspace) -> PrimeSu
     if Ub.size and np.any((Ub @ A @ Ub.T) % p):
         raise AssertionError("degenerate subspace construction failed")
     return U
-
-
-def orthogonal_complement(
-    bilinear: Sequence[Sequence[Fraction]], K: Subgroup, spec: GroupSpec
-) -> np.ndarray:
-    """K-perp = {y : Mx.y = 0 for all x in K} for a self-adjoint form on the
-    whole group; returns sorted element indices.
-
-    One integer pass over the group: for each generator x of K the linear
-    form y -> Mx.y has numerators a_j = D·(sum_i B[i][j] x_i) mod D over the
-    common denominator D of B, and y is kept when sum_j a_j y_j = 0 mod D for
-    every generator."""
-    B = [[Fraction(v) for v in row] for row in bilinear]
-    if isinstance(K, PrimeSubspace):
-        gens = K.basis_matrix().tolist()
-    else:
-        gens = [[K.divisors[t] * (s == t) for s in range(spec.rank)]
-                for t in range(spec.rank) if K.divisors[t] != spec.orders[t]]
-    D = lcm(1, *(b.denominator for row in B for b in row))
-    y = spec.decode(np.arange(spec.order)).astype(object)
-    keep = np.ones(spec.order, dtype=bool)
-    for x in gens:
-        acc = np.zeros(spec.order, dtype=object)
-        for j in range(spec.rank):
-            a = sum(B[i][j] * x[i] for i in range(spec.rank)) * D % D
-            acc = (acc + int(a) * y[:, j]) % D
-        keep &= acc == 0
-    return np.flatnonzero(keep)

@@ -380,7 +380,7 @@ def test_c14_bracket_factorization():
 
 def test_c15_gauss_sum_lemma():
     gate = _Gate("c15 isotropic vectors", 10)
-    from u3kit.quadratic import isotropic_vector
+    from test_quadratic import isotropic_vector
 
     rng = np.random.default_rng(115)
     for p in (5, 7):

@@ -1,6 +1,7 @@
 from math import prod
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -117,3 +118,16 @@ def test_dft_values_matches_character_sum(spec, batch, seed):
     grids = values.reshape((prod(batch),) + spec.orders)
     via_fftn = np.fft.fftn(grids, axes=range(1, spec.rank + 1)).reshape(shape) / spec.order
     assert np.max(np.abs(out - via_fftn)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("orders", [(5,), (5, 5), (5, 5, 5)])
+def test_batched_rows_match_single_rows_to_rounding(orders, rng):
+    # a dense block is one BLAS product, whose edge tiles round differently
+    # from its full ones, so a row's last bits depend on its place in the
+    # batch: compared within 1e-14 of the row's maximum, never bit for bit
+    spec = GroupSpec(orders)
+    rows = np.exp(2j * np.pi * rng.uniform(0, 1, (25, spec.order))) * rng.uniform(0, 1, (25, spec.order))
+    batch = dft_values(spec, rows)
+    for r in range(25):
+        single = dft_values(spec, rows[r])
+        assert np.max(np.abs(batch[r] - single)) <= 1e-14 * np.max(np.abs(single))

@@ -35,21 +35,17 @@ CALLERS = ("src", "bench")
 
 # Documented API with no caller in src/ or bench/ yet: the general-G chain of
 # the source paper (local Bogolyubov on a Bohr set, a locally quadratic phase
-# on a coset progression, its bracket form) and two paper checks.
+# on a coset progression, its bracket form).
 ALLOWED = {
     "bohr.separating_bohr": "the Bohr set B(S, rho) that separates a frequency set, step 1 of the general-G chain",
     "bohr.local_bogolyubov": "local Bogolyubov on a Bohr set, step 2 of the general-G chain",
     "quadratic.quadratic_on_coset_progression": "the locally quadratic phase on a coset progression, step 3",
     "quadratic.bracket_from_progression": "the bracket form of that phase, the last step of the general-G chain",
     "quadratic.ProgressionQuadratic.reconstruct": "evaluates the fitted phase on the progression it was fit on",
-    "quadratic.isotropic_vector": "an isotropic vector of a quadratic form over F_p, as the paper's argument uses",
-    "quadratic.orthogonal_complement": "the complement of a subgroup under a bilinear form, as the paper's argument uses",
 }
 
 # Options of allowlisted functions: with no caller yet, nothing sets them.
-ALLOWED_OPTIONS = {
-    "quadratic.isotropic_vector(rng)": "the random search above dimension 3",
-}
+ALLOWED_OPTIONS: dict[str, str] = {}
 
 
 # Methods and properties of src/u3kit named like an np.ndarray attribute, each
@@ -254,7 +250,7 @@ def test_every_function_in_src_has_a_caller():
 def test_allowlist_is_short_and_current():
     """Every allowlisted function exists, has a reason, and still has no
     caller: one that gains a caller leaves the list."""
-    assert len(ALLOWED) <= 7
+    assert len(ALLOWED) <= 5
     assert all(reason.strip() for reason in ALLOWED.values())
     dead = {where.split()[1] for where in dead_functions(_sources(CALLERS))}
     assert set(ALLOWED) <= dead

@@ -1008,3 +1008,91 @@ def test_rows_are_transformed_on_the_support_window(monkeypatch, rng):
     lengths.clear()
     gowers_norm(random_unimodular(parse_group("F5^3"), rng), 3)
     assert lengths and set(lengths) == {125}
+
+
+@st.composite
+def small_supported(draw, max_order: int) -> GroupFunction:
+    """A function on a group of rank 1-3 (1-point axes allowed) of order at
+    most max_order, supported on the whole group, nothing, one point, a box
+    of arcs one of which wraps past 0, or a random subset."""
+    orders = draw(st.lists(st.integers(1, max_order), min_size=1, max_size=3).filter(lambda o: prod(o) <= max_order))
+    spec = GroupSpec(tuple(orders))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["full", "empty", "point", "wrap", "random"]))
+    if kind == "full":
+        supp = np.arange(spec.order)
+    elif kind == "empty":
+        supp = np.zeros(0, dtype=np.int64)
+    elif kind == "point":
+        supp = rng.integers(0, spec.order, 1)
+    elif kind == "wrap":  # the first arc runs past 0 when it is longer than 1
+        arcs = []
+        for n in orders:
+            L = draw(st.integers(1, n))
+            s = draw(st.integers(0, n - 1)) if arcs else n - draw(st.integers(1, L))
+            arcs.append((s + np.arange(L)) % n)
+        supp = spec.encode(np.stack([a.ravel() for a in np.meshgrid(*arcs, indexing="ij")], axis=-1))
+    else:
+        supp = np.flatnonzero(rng.uniform(size=spec.order) < 0.6)
+    vals = np.zeros(spec.order, dtype=complex)
+    vals[supp] = rng.uniform(0.2, 1, len(supp)) * np.exp(2j * np.pi * rng.uniform(0, 1, len(supp)))
+    return GroupFunction(spec, vals)
+
+
+@given(data=st.data(), d=st.sampled_from([2, 3, 4]))
+def test_recursive_matches_direct_on_every_support_kind(data, d):
+    # the extension rows, the window and the skipped zero tests against the
+    # cube sum, on groups small enough for the direct method
+    f = data.draw(small_supported({2: 60, 3: 30, 4: 12}[d]))
+    a = gowers_norm(f, d, method="direct").value
+    b = gowers_norm(f, d, method="recursive").value
+    assert abs(a - b) <= 1e-12 * a
+
+
+@pytest.mark.parametrize("orders", [(211,), (5, 5, 5), (4, 1, 9), (2,) * 8])
+@pytest.mark.parametrize("full", [True, False])
+def test_extension_rows_equal_the_gathered_rows(orders, full, rng):
+    # f(x + h) read from the periodic extension (a sliding window on a full
+    # cyclic group) is the same float as f at add_indices(x, h)
+    spec = GroupSpec(orders)
+    vals = random_unimodular(spec, rng).values
+    supp = np.arange(spec.order) if full else np.flatnonzero(rng.uniform(size=spec.order) < 0.5)
+    hs = rng.integers(0, spec.order, 40)
+    want = vals[spec.add_indices(supp[None, :], hs[:, None])] * np.conj(vals[supp])
+    got = norms._translator(spec, vals, supp)(hs) * np.conj(vals[supp])
+    assert np.array_equal(got, want)
+
+
+def test_norms_through_add_indices_when_the_extension_is_large(monkeypatch, rng):
+    # F2^8 has an extension of 3^8 = 6561 entries: more than 16 rows of 256,
+    # so with _H_CHUNK = 16 the rows are gathered through add_indices
+    spec = parse_group("F2^8")
+    f = random_bounded(spec, rng)
+    want = {d: gowers_norm(f, d).value for d in (3, 4)}
+    calls = []
+    real = GroupSpec.add_indices
+
+    def counting(self, a, b):
+        calls.append(np.size(a) * np.size(b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(GroupSpec, "add_indices", counting)
+    gowers_norm(f, 3)
+    assert calls == []  # the extension serves every U^3 row
+    monkeypatch.setattr(norms, "_H_CHUNK", 16)
+    for d in (3, 4):
+        assert abs(gowers_norm(f, d).value - want[d]) <= 1e-12 * want[d]
+    assert calls and max(calls) >= 16 * spec.order
+
+
+@pytest.mark.parametrize("c", [1e-20, 1e-45, 1e-200])
+@pytest.mark.parametrize("method", ["direct", "recursive"])
+def test_tiny_functions_do_not_underflow(c, method):
+    # g = c e(n^2/7) on Z/7: U^1 = c/sqrt 7, U^2 = c 7^(-1/4), U^3 = U^4 = c;
+    # the 2^d-th powers of c alone underflow, so the norm is scaled
+    spec = GroupSpec((7,))
+    n = np.arange(7)
+    g = GroupFunction(spec, c * np.exp(2j * np.pi * n**2 / 7))
+    for d, want in zip((1, 2, 3, 4), (7**-0.5, 7**-0.25, 1.0, 1.0)):
+        got = gowers_norm(g, d, method=method).value
+        assert abs(got - c * want) <= 1e-12 * c * want, (d, got)

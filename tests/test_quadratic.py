@@ -1,5 +1,7 @@
 import itertools
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -9,8 +11,17 @@ from hypothesis import strategies as st
 from conftest import elements
 from u3kit.bohr import bohr_set, coset_progression_in_bohr
 from u3kit.errors import EvenOrder, ExtensionObstructed, NotFound, NotQuadratic
-from u3kit.groups import parse_group
-from u3kit.modlinalg import BoxSubgroup, PrimeSubspace, complete_basis, rank_mod_p, rref_mod_p
+from u3kit.groups import GroupSpec, parse_group
+from u3kit.modlinalg import (
+    BoxSubgroup,
+    PrimeSubspace,
+    Subgroup,
+    complete_basis,
+    isotropic_vector_in,
+    kernel_basis_mod_p,
+    rank_mod_p,
+    rref_mod_p,
+)
 from u3kit.quadratic import (
     BracketQuadratic,
     QuadraticPhase,
@@ -20,10 +31,78 @@ from u3kit.quadratic import (
     extend_from_coset,
     frac_part,
     is_locally_quadratic,
-    isotropic_vector,
-    orthogonal_complement,
     quadratic_on_coset_progression,
 )
+
+
+# Quadratic-form sublemmas of the source paper that nothing in u3kit calls,
+# kept here as references: an isotropic vector of a form over F_p, and the
+# complement of a subgroup under a bilinear form.
+
+
+def isotropic_vector(
+    M: Sequence[Sequence[int]], W: PrimeSubspace, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Nonzero x in W with x.Mx = 0 mod p; exhaustive for dim <= 3, random
+    3-dimensional restriction otherwise.  Guaranteed to exist for dim >= 3."""
+    p = W.p
+    if p % 2 == 0:
+        raise EvenOrder("odd characteristic required")
+    A = np.array(M, dtype=np.int64) % p
+    V = W.basis_matrix()
+    AW = (V @ A @ V.T) % p
+    k = W.dim
+    if k == 0:
+        raise NotFound("zero subspace has no nonzero vectors")
+    if k <= 3:
+        t = isotropic_vector_in(AW, p)
+        if t is None:
+            raise NotFound("no nonzero isotropic vector (possible only for dim <= 2)")
+        x = (t @ V) % p
+        return x
+    ker = kernel_basis_mod_p(AW, p)
+    if ker.shape[0]:
+        return (ker[0] @ V) % p
+    rng = rng or np.random.default_rng(0)
+    for _ in range(200):
+        T = rng.integers(0, p, size=(3, k))
+        if rank_mod_p(T, p) < 3:
+            continue
+        AT = (T @ AW @ T.T) % p
+        t = isotropic_vector_in(AT, p)
+        if t is not None and np.any((t @ T) % p):
+            return ((t @ T) % p @ V) % p
+    raise NotFound("random restriction failed to locate an isotropic vector")
+
+
+
+
+def orthogonal_complement(
+    bilinear: Sequence[Sequence[Fraction]], K: Subgroup, spec: GroupSpec
+) -> np.ndarray:
+    """K-perp = {y : Mx.y = 0 for all x in K} for a self-adjoint form on the
+    whole group; returns sorted element indices.
+
+    One integer pass over the group: for each generator x of K the linear
+    form y -> Mx.y has numerators a_j = D·(sum_i B[i][j] x_i) mod D over the
+    common denominator D of B, and y is kept when sum_j a_j y_j = 0 mod D for
+    every generator."""
+    B = [[Fraction(v) for v in row] for row in bilinear]
+    if isinstance(K, PrimeSubspace):
+        gens = K.basis_matrix().tolist()
+    else:
+        gens = [[K.divisors[t] * (s == t) for s in range(spec.rank)]
+                for t in range(spec.rank) if K.divisors[t] != spec.orders[t]]
+    D = lcm(1, *(b.denominator for row in B for b in row))
+    y = spec.decode(np.arange(spec.order)).astype(object)
+    keep = np.ones(spec.order, dtype=bool)
+    for x in gens:
+        acc = np.zeros(spec.order, dtype=object)
+        for j in range(spec.rank):
+            a = sum(B[i][j] * x[i] for i in range(spec.rank)) * D % D
+            acc = (acc + int(a) * y[:, j]) % D
+        keep &= acc == 0
+    return np.flatnonzero(keep)
 
 
 def test_eval_quadratic_examples():

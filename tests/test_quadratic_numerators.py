@@ -2,7 +2,8 @@
 the per-point Fraction loops they replaced: ``QuadraticPhase.values``, the
 local branch of ``is_locally_quadratic``, ``classify_global_quadratic``,
 ``extend_from_coset``, ``quadratic_on_coset_progression``,
-``bracket_from_progression`` and ``orthogonal_complement``.  Each reference
+``bracket_from_progression`` and ``orthogonal_complement`` (no longer in
+the library: a reference in test_quadratic).  Each reference
 below is the replaced code, kept here.  Both sides must return equal results,
 or raise the same exception type with the same message.
 
@@ -22,6 +23,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import elements
+from test_quadratic import orthogonal_complement
 from u3kit.bohr import CosetProgression, coset_progression_in_bohr
 from u3kit.errors import BudgetExceeded, DependentGenerators, ExtensionObstructed, NotProper, NotQuadratic, SpecMismatch
 from u3kit.groups import GroupSpec, mod1, parse_group
@@ -39,7 +41,6 @@ from u3kit.quadratic import (
     extend_from_coset,
     frac_part,
     is_locally_quadratic,
-    orthogonal_complement,
     quadratic_on_coset_progression,
 )
 
