@@ -324,14 +324,9 @@ def _translator(spec: GroupSpec, vals: np.ndarray, supp: np.ndarray):
     return lambda hs: ext[off[hs][:, None] + at_supp]
 
 
-def _batches(blocks, full: bool):
+def _nonzero_batches(blocks):
     """Regroup (values, weights) blocks into batches of at least _H_CHUNK rows
-    (the last may be smaller), dropping the rows that are identically zero.
-    When supp f = G no row is tested: the blocks are already _H_CHUNK rows,
-    and a zero row would add exactly 0 anyway."""
-    if full:
-        yield from blocks
-        return
+    (the last may be smaller), dropping the rows that are identically zero."""
     vals, ws, n = [], [], 0
     for v, w in blocks:
         keep = np.any(v, axis=1)
@@ -352,7 +347,8 @@ def _weighted_u2_pow4(spec: GroupSpec, supp: np.ndarray, blocks) -> float:
     (values on supp, weights), each row transformed on the support window."""
     window, at = _support_window(spec, supp)
     total = 0.0
-    for rows, w in _batches(blocks, len(supp) == spec.order):
+    # with supp f = G the blocks are already batches, and a zero row adds exactly 0
+    for rows, w in blocks if len(supp) == spec.order else _nonzero_batches(blocks):
         if len(at) < window.order:  # a window that supp fills is G, or G with 1-point axes
             rows, on_supp = np.zeros((len(rows), window.order), dtype=np.complex128), rows
             rows[:, at] = on_supp
