@@ -26,7 +26,12 @@ transposed view, and no block is copied between products.  An FFT block
 returns its axis last and is transposed as a view; when another block
 follows, that block's reshape makes the one copy.  On F5^5 `np.fft.fftn`
 makes five strided passes over length-5 axes; the blocks (5,), (5,5) and
-(5,5) make three dense products instead.
+(5,5) make three dense products instead.  A batched caller may pass a work
+array and give up its input: the dense products then write alternately
+into the two, and a batch allocates none of them (the Gowers kernels do,
+since a fresh 1 MB product per block was handed back to the system and
+page-faulted in again by every batch).  An FFT block still returns a
+fresh array: `np.fft.fft` takes an output array only from numpy 2.0.
 
 A row's last bits depend on its place in the batch.  A dense block is one
 BLAS product, and its edge tiles round differently from its full ones: with
@@ -70,21 +75,24 @@ def dft(f: GroupFunction) -> DualFunction:
 # Largest order of a block transformed by one dense character table: a block
 # of order m costs m multiply-adds per entry.  Sweep of the fourth moments
 # (`norms._u2_pow4_sum`: this transform, then sum |F|^4 in place) of the rows
-# the U^d kernels transform, in batches of 128 (U^3: 1563 x F5^5, 1094 x
-# F3^7, 4096 x F2^12; U^4: 5671 x Z/211), ms, median of 9 alternating
-# rounds, one thread, 2-core Xeon (np.fft.fftn: its transform, /N, then the
-# sum of |F|^4):
-#   _DENSE_BLOCK   F5^5  F3^7  F2^12  Z/211
-#   16              113    48    579     27
-#   32              120    51    598     26
-#   64              124    50    627     26
-#   128             171    63    690     25
-#   256             172   118   1025     42
-#   np.fft.fftn     438   393   6432     36
-# Z/211 is one FFT axis below 256, so that column is noise there.  16 to 64
-# are within 10% of each other on all three F_p^n (16 ahead by 3-6%, less
-# than earlier sweeps moved between runs), so 32 stays.  At 32, F5^5 has the
-# blocks (5,), (5, 5), (5, 5), and Z/5 x Z/6 or F2^5 is one block.
+# the U^d kernels transform, in the batches their entry budget gives and
+# with one work array (U^3: 1563 x F5^5 in 20s, 1094 x F3^7 in 29s, 4096 x
+# F2^12 in 16s; U^4: 5671 x Z/211 in 155s), ms, median [quartiles] of 9
+# alternating rounds, one thread, 2-core Xeon (np.fft.fftn: its transform,
+# /N, then the sum of |F|^4):
+#   _DENSE_BLOCK  F5^5          F3^7           F2^12             Z/211
+#   16             90 [90-95]    43 [42-53]     320 [313-332]    45 [28-47]
+#   32             91 [90-100]   52 [44-61]     324 [323-331]    38 [27-48]
+#   64             95 [91-100]   56 [45-63]     416 [415-422]    34 [27-38]
+#   128           140 [138-162]  67 [55-74]     485 [481-507]    31 [28-37]
+#   256           145 [139-145] 109 [100-134]   773 [761-874]    43 [42-59]
+#   np.fft.fftn   335 [329-356] 304 [299-352]  5392 [5189-5447]  39 [39-54]
+# Z/211 is one FFT axis below 256, so that column is noise there.  16 is
+# ahead of 32 on all three F_p^n by less than the spread of their rounds,
+# as in two runs of the same sweep with a fresh array per block (F5^5 169
+# and 168 ms, F3^7 46 and 49, F2^12 337 and 366 at 16 and 32), so 32
+# stays.  At 32, F5^5 has the blocks (5,), (5, 5), (5, 5), and Z/5 x Z/6
+# or F2^5 is one block.
 _DENSE_BLOCK = 32
 
 
@@ -99,17 +107,31 @@ def _character_table(orders: tuple[int, ...]) -> np.ndarray:
     return W
 
 
-def dft_values(spec: GroupSpec, values: np.ndarray) -> np.ndarray:
+def dft_values(spec: GroupSpec, values: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Transform a raw value vector (or a batch with trailing group axis),
     one block of axes at a time (see the module docstring).  The result is
-    a transposed view: its group axis varies slowest in memory."""
+    a transposed view: its group axis varies slowest in memory.
+
+    With work, a flat complex128 array of at least values.size entries,
+    the dense blocks write alternately into work and into values, a
+    C-contiguous complex128 array whose entries the caller gives up, so
+    that a batched caller allocates nothing per batch for them; the result
+    may then be a view of either."""
     values = np.asarray(values, dtype=np.complex128)
     batch = values.shape[:-1]
     g = values
+    if work is not None:
+        bufs = (values.reshape(-1), work)  # g is in bufs[0] whenever it is in either
     for block in factor_runs(spec.orders, _DENSE_BLOCK):
         m = prod(block)
         x = g.reshape(-1, m)
-        g = _character_table(block).T @ x.T if m <= _DENSE_BLOCK else np.fft.fft(x, norm="forward").T
+        if m > _DENSE_BLOCK:  # a fresh array, so both buffers are free
+            g = np.fft.fft(x, norm="forward").T
+        elif work is None:
+            g = _character_table(block).T @ x.T
+        else:
+            g = np.matmul(_character_table(block).T, x.T, out=bufs[1][: x.size].reshape(m, -1))
+            bufs = bufs[::-1]
     return g.reshape(spec.order, -1).T.reshape(batch + (spec.order,))
 
 

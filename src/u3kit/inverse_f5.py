@@ -29,7 +29,7 @@ from .modlinalg import (
     solve_mod_p,
     span_points,
 )
-from .norms import CosetQuadraticWitness, _first_in_band, u3_oracle_coset
+from .norms import CosetQuadraticWitness, _batch_rows, _first_in_band, u3_oracle_coset
 
 # (x0, h) pairs, and (x0, xi0) counters, per block of the affine vote; a block
 # peaks at about 90 bytes per cell (tracemalloc), so near 24 MB at most
@@ -84,7 +84,7 @@ def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
     N = spec.order
     cut = eta**8 / 2.0
     entries: dict[int, tuple[int, float]] = {}
-    chunk = max(1, 2_000_000 // N)
+    chunk = _batch_rows(N, live=2)  # live: a batch of rows and its transform
     for start in range(0, N, chunk):
         hs = np.arange(start, min(start + chunk, N), dtype=np.int64)
         F = np.abs(dft_values(spec, derivative_rows(f, hs)))

@@ -31,13 +31,15 @@ Rows are read from the periodic extension of f, the array ext of f on the
 box prod [0, 2 n_i - 1) (f wrapped along each axis), in which f(x + h) is
 ext[off(x) + off(h)] for x and h in prod [0, n_i), off being the row-major
 offset in the box.  A batch of rows is one integer outer sum of offsets and
-one gather; U^4 reduces h + k once per pair with `add_indices`.  On a full
+one gather; U^4 reduces h + k once per pair with `add_indices`, and reads
+its conjugated factors from a second extension, of conj f, so that its
+pair rows keep one gathered factor beside them instead of three.  On a full
 cyclic group Z/N a row is the window ext[h : h + N], copied out of a
 sliding-window view (measured on U^4 over Z/211 to be cheaper than the
 gather; on F5^5, with windows of length 5 along the last axis, it is not).
 The extension holds prod (2 n_i - 1) < 2^rank |G| entries; when that is more
-than one batch of rows, _H_CHUNK |G| (F2^12 and beyond), the rows are
-gathered through `add_indices` instead, so memory stays O(_H_CHUNK |W|).
+than _EXTENSION_PER_ELEMENT |G| (F2^12 and beyond), the rows are gathered
+through `add_indices` instead, so memory stays that of the batches.
 
 Every row vanishes off supp f, so it is transformed on a support window
 W instead of on G.  On each axis of order n, take the shortest arc
@@ -56,19 +58,33 @@ row on W.  fw(4001) lies in an arc of 769 points, so its rows have length
 {0} x F5^2 is transformed on Z/1 x F5^2; a full axis, or an arc longer than
 about n/2, keeps its length.
 
-Rows go through the transform in batches of ``_H_CHUNK`` or more, built
-block by block, so memory stays O(_H_CHUNK |W|).  The transform is the
-blocked `fourier.dft_values`: runs of short axes (order product at most
-`fourier._DENSE_BLOCK`) are one matrix product each with a dense character
-table, each longer axis is an FFT, and each product leaves its block
-rotated to the front, so no block is copied; F5^5 takes three dense
-products and fw(4001) one FFT of length 1600 per row.  The transform of a
-batch is a fresh array, C-contiguous as (rows, |W|) or as its transpose, so
-its fourth powers are taken in place: |F|^4 = |F^2|^2 is the sum of squares
-of the two floats of F^2, one `einsum` over the float view, then one
-product with the weights.  Only rounding changes: the row of h stands in
-for that of -h, the window's transform replaces G's, and the sum runs in
-another order, which moves a result by a few ulps.
+Rows go through the transform in batches sized by entries, not rows, so
+that a batch stays in a core's L2 cache: a kernel whose row function keeps
+`live` arrays of shape (rows, |W|) at once (1 for U^2 and U^3, the rows;
+2 for U^4, the rows and one gathered factor) takes _BATCH_ENTRIES //
+(live |W|) rows per batch, and at least one.  The dense blocks of a
+batch's transform write into the batch's own rows and into one work array
+allocated once per norm, so no batch allocates them: with a fresh array per
+block, glibc handed the freed 1 MB blocks back to the system and faulted
+them in again, 36,000 minor page faults per U^3 call on F5^5 (1,050 now),
+which cost more than the cache misses of 128-row batches.  In-process U^3
+on a unimodular F5^5 function, median of 9 alternating rounds on a 2-core
+Xeon, one BLAS thread, at _BATCH_ENTRIES = 2^14 ... 2^18: 147, 140, 139,
+146 and 151 ms, and 165 ms at 128 rows (4e5 entries); U^4 on Z/211, with
+its pair rows built as above, at 103, 155 and 310 rows: 67, 66 and 81 ms.
+
+The transform is the blocked `fourier.dft_values`: runs of short axes
+(order product at most `fourier._DENSE_BLOCK`) are one matrix product each
+with a dense character table, each longer axis is an FFT, and each product
+leaves its block rotated to the front, so no block is copied; F5^5 takes
+three dense products and fw(4001) one FFT of length 1600 per row.  The
+transform of a batch is C-contiguous as (rows, |W|) or as its transpose,
+and nothing reads it afterwards, so its fourth powers are taken in place:
+|F|^4 = |F^2|^2 is the sum of squares of the two floats of F^2, one
+`einsum` over the float view, then one product with the weights.  Only
+rounding changes: the row of h stands in for that of -h, the window's
+transform replaces G's, and the sum runs in another order, which moves a
+result by a few ulps.
 
 `gowers_norm` takes every norm of f scaled by a power of two to a largest
 |f(x)| in [1/2, 1] and scales the result back, exactly, since U^d(c f) =
@@ -188,7 +204,15 @@ from .quadratic import BracketQuadratic, bracket_table
 
 DIRECT_BUDGET = 30_000_000
 ORACLE_BUDGET = 2_000_000_000
-_H_CHUNK = 128
+# complex entries per batch of Gowers rows: 2^16 complex128 values are 1 MiB,
+# half a core's L2, so a batch and its transform's blocks stay in the cache
+# (module docstring)
+_BATCH_ENTRIES = 1 << 16
+# rows come from the periodic extension of f while it holds at most this many
+# entries per element of G: every Z/N (under 2), F2^8 (25.6), F5^5 (18.9) and
+# F3^7 (35.7); F2^12 (129.7) and beyond gather through add_indices instead,
+# whose memory is the batch alone
+_EXTENSION_PER_ELEMENT = 128
 _DIRECT_BLOCK = 1 << 18  # cubes per block of the direct method
 # |correlation|^2 values per chunk of the exact scan: 2^17 complex128 values
 # are 2 MiB, so a chunk's temporaries stay in a core's L2 (module docstring)
@@ -232,12 +256,13 @@ def _check_bounded(f: GroupFunction, unchecked: bool) -> None:
         raise NotBounded("function exceeds the unit disk; pass unchecked=True to override")
 
 
-def _u2_pow4_sum(spec: GroupSpec, rows: np.ndarray, w: np.ndarray) -> float:
+def _u2_pow4_sum(spec: GroupSpec, rows: np.ndarray, w: np.ndarray, work: np.ndarray) -> float:
     """sum_r w_r U^2(g_r)^4 = sum_r w_r sum_xi |ghat_r(xi)|^4 over a batch of
-    value rows.  The transform is a fresh array, C-contiguous as (rows, N) or
-    as its transpose (N, rows), so it is squared in place: |F|^4 = |F^2|^2 is
-    the sum of squares of the two floats of F^2."""
-    F = dft_values(spec, rows)
+    value rows, which the transform overwrites, with work as its second
+    buffer.  The transform is C-contiguous as (rows, N) or as its transpose
+    (N, rows), and is not needed afterwards, so it is squared in place:
+    |F|^4 = |F^2|^2 is the sum of squares of the two floats of F^2."""
+    F = dft_values(spec, rows, work)
     by_row = F.flags.c_contiguous
     G = F if by_row else F.T
     np.square(G, out=G)
@@ -301,10 +326,10 @@ def _translator(spec: GroupSpec, vals: np.ndarray, supp: np.ndarray):
     """A function taking element indices hs to the (len(hs), len(supp)) array
     of f(x + h), x in supp, read from the periodic extension of f (module
     docstring); through `add_indices` when the extension would hold more
-    than _H_CHUNK |G| entries."""
+    than _EXTENSION_PER_ELEMENT |G| entries."""
     orders = spec.orders
     shape = tuple(2 * n - 1 for n in orders)
-    if prod(shape) > _H_CHUNK * spec.order:
+    if prod(shape) > _EXTENSION_PER_ELEMENT * spec.order:
         return lambda hs: vals[spec.add_indices(supp[None, :], hs[:, None])]
     # filled in place: wrapping one axis at a time by concatenation, one new
     # array per axis, left the peak RSS of repeated U^3 calls on F5^5 about
@@ -324,9 +349,16 @@ def _translator(spec: GroupSpec, vals: np.ndarray, supp: np.ndarray):
     return lambda hs: ext[off[hs][:, None] + at_supp]
 
 
-def _nonzero_batches(blocks):
-    """Regroup (values, weights) blocks into batches of at least _H_CHUNK rows
-    (the last may be smaller), dropping the rows that are identically zero."""
+def _batch_rows(width: int, live: int) -> int:
+    """Rows per batch when a batch keeps `live` arrays of shape (rows, width)
+    at once: _BATCH_ENTRIES entries among them, and at least one row."""
+    return max(1, _BATCH_ENTRIES // (live * width))
+
+
+def _nonzero_batches(blocks, size: int):
+    """Regroup (values, weights) blocks of at most `size` rows into batches of
+    `size` rows (the last may be smaller), dropping the rows that are
+    identically zero."""
     vals, ws, n = [], [], 0
     for v, w in blocks:
         keep = np.any(v, axis=1)
@@ -335,24 +367,31 @@ def _nonzero_batches(blocks):
         vals.append(v)
         ws.append(w)
         n += len(v)
-        if n >= _H_CHUNK:
-            yield _joined(vals), _joined(ws)
-            vals, ws, n = [], [], 0
+        if n >= size:  # n < 2 size, so one batch is full
+            v, w = _joined(vals), _joined(ws)
+            yield v[:size], w[:size]
+            vals, ws, n = [v[size:]], [w[size:]], n - size
     if n:
         yield _joined(vals), _joined(ws)
 
 
-def _weighted_u2_pow4(spec: GroupSpec, supp: np.ndarray, blocks) -> float:
-    """sum w * U^2(g)^4 over rows g that vanish off supp, given as blocks of
-    (values on supp, weights), each row transformed on the support window."""
+def _weighted_u2_pow4(spec: GroupSpec, supp: np.ndarray, n: int, rows, live: int) -> float:
+    """sum_r w_r U^2(g_r)^4 over rows g_r, r < n, that vanish off supp, each
+    transformed on the support window W.  rows(r0, r1) returns rows r0..r1-1
+    (clipped to n) as values on supp, with their weights, keeping `live`
+    arrays of that shape at once, so a batch gets _batch_rows(|W|, live)
+    rows."""
     window, at = _support_window(spec, supp)
+    size = _batch_rows(window.order, live)
+    blocks = (rows(r, min(r + size, n)) for r in range(0, n, size))
+    work = np.empty(min(size, n) * window.order, dtype=np.complex128)
     total = 0.0
     # with supp f = G the blocks are already batches, and a zero row adds exactly 0
-    for rows, w in blocks if len(supp) == spec.order else _nonzero_batches(blocks):
+    for g, w in blocks if len(supp) == spec.order else _nonzero_batches(blocks, size):
         if len(at) < window.order:  # a window that supp fills is G, or G with 1-point axes
-            rows, on_supp = np.zeros((len(rows), window.order), dtype=np.complex128), rows
-            rows[:, at] = on_supp
-        total += _u2_pow4_sum(window, rows, w)
+            g, on_supp = np.zeros((len(g), window.order), dtype=np.complex128), g
+            g[:, at] = on_supp
+        total += _u2_pow4_sum(window, g, w, work)
     return (window.order / spec.order) ** 3 * total
 
 
@@ -364,13 +403,12 @@ def _u3_pow8(f: GroupFunction) -> float:
     shifted = _translator(spec, vals, supp)
     reps, weights = _neg_classes(spec)
 
-    def blocks():
-        for start in range(0, len(reps), _H_CHUNK):
-            rows = shifted(reps[start : start + _H_CHUNK])
-            rows *= conj_supp
-            yield rows, weights[start : start + _H_CHUNK]
+    def rows(r0, r1):  # live: the rows alone
+        g = shifted(reps[r0:r1])
+        g *= conj_supp  # Delta_h f(x)
+        return g, weights[r0:r1]
 
-    return _weighted_u2_pow4(spec, supp, blocks()) / spec.order
+    return _weighted_u2_pow4(spec, supp, len(reps), rows, live=1) / spec.order
 
 
 def _u4_pow16(f: GroupFunction) -> float:
@@ -378,26 +416,26 @@ def _u4_pow16(f: GroupFunction) -> float:
     of classes i <= j of {h, -h} and {k, -k}."""
     spec, vals = f.owner, f.values
     supp = np.flatnonzero(vals)
-    conj_supp = np.conj(vals[supp])
+    on_supp = vals[supp]
     shifted = _translator(spec, vals, supp)
+    conj_shifted = _translator(spec, np.conj(vals), supp)
     reps, weights = _neg_classes(spec)
     # pairs (i, j), i <= j, in row-major order; row i starts at pair first[i]
     first = np.concatenate(([0], np.cumsum(np.arange(len(reps), 0, -1))))
 
-    def blocks():
-        for t0 in range(0, int(first[-1]), _H_CHUNK):
-            t = np.arange(t0, min(t0 + _H_CHUNK, int(first[-1])))
-            i = np.searchsorted(first, t, side="right") - 1
-            j = i + t - first[i]
-            h, k = reps[i], reps[j]
-            dh = shifted(h)
-            dh *= conj_supp  # Delta_h f(x)
-            rows = shifted(spec.add_indices(h, k))
-            rows *= np.conj(shifted(k))  # Delta_h f(x+k)
-            rows *= np.conj(dh, out=dh)
-            yield rows, weights[i] * weights[j] * np.where(i == j, 1.0, 2.0)
+    def rows(t0, t1):  # live: the rows and one gathered factor
+        t = np.arange(t0, t1)
+        i = np.searchsorted(first, t, side="right") - 1
+        j = i + t - first[i]
+        h, k = reps[i], reps[j]
+        g = shifted(spec.add_indices(h, k))  # f(x + h + k)
+        g *= conj_shifted(k)
+        dh = conj_shifted(h)
+        dh *= on_supp  # conj Delta_h f(x)
+        g *= dh
+        return g, weights[i] * weights[j] * np.where(i == j, 1.0, 2.0)
 
-    return _weighted_u2_pow4(spec, supp, blocks()) / spec.order**2
+    return _weighted_u2_pow4(spec, supp, int(first[-1]), rows, live=2) / spec.order**2
 
 
 def _gowers_recursive(f: GroupFunction, d: int) -> float:
@@ -406,7 +444,7 @@ def _gowers_recursive(f: GroupFunction, d: int) -> float:
         return abs(complex(np.mean(f.values)))
     if d == 2:
         supp = np.flatnonzero(f.values)
-        p4 = _weighted_u2_pow4(spec, supp, [(f.values[None, supp], np.ones(1))])
+        p4 = _weighted_u2_pow4(spec, supp, 1, lambda r0, r1: (f.values[None, supp], np.ones(1)), live=1)
         return max(p4, 0.0) ** 0.25
     if d == 3:
         return max(_u3_pow8(f), 0.0) ** 0.125

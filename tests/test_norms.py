@@ -243,21 +243,67 @@ def test_u4_direct_recursive_agreement(rng):
         assert abs(a - b) / max(a, 1e-6) < 1e-8
 
 
-def test_recursive_norm_chunk_independent(rng):
-    # the h-chunked reduction must not depend on the chunk size
-    import u3kit.norms as norms
-
+def test_recursive_norm_chunk_independent(monkeypatch, rng):
+    # the batched reduction must not depend on the batch size: one row per
+    # batch, and batches of a few rows, against the default, for U^3 and U^4
+    # on a full support and on an arc of Z/101 with holes, whose window is
+    # proper and whose zero rows are dropped and regrouped
     spec = parse_group("Z/101")
-    f = random_bounded(spec, rng)
-    old = norms._H_CHUNK
+    full = random_bounded(spec, rng).values
+    arc = np.zeros(spec.order, dtype=complex)
+    arc[80:] = full[80:] * (rng.uniform(size=21) < 0.7)
+    window = norms._support_window(spec, np.flatnonzero(arc))[0]
+    assert window.order < spec.order
+    for vals in (full, arc):
+        f = GroupFunction(spec, vals)
+        want = {d: gowers_norm(f, d).value for d in (3, 4)}
+        for entries in (1, 6 * window.order):
+            monkeypatch.setattr(norms, "_BATCH_ENTRIES", entries)
+            for d in (3, 4):
+                assert abs(gowers_norm(f, d).value - want[d]) < 1e-12
+        monkeypatch.undo()
+
+
+def test_gowers_batches_fit_the_entry_budget(monkeypatch, rng):
+    # every batch the U^3 and U^4 kernels transform holds at least one row and
+    # at most max(live |W|, 2^16) entries (1 MiB of complex128, half a core's
+    # L2), live being the arrays the kernel's row function keeps: 1 for U^3,
+    # 2 for U^4
+    from u3kit.experiments import fw_counterexample
+
+    budget = 1 << 16
+    shapes = []
+    real = norms._u2_pow4_sum
+
+    def spy(window, rows, w, work):
+        shapes.append((len(rows), window.order))
+        return real(window, rows, w, work)
+
+    monkeypatch.setattr(norms, "_u2_pow4_sum", spy)
+    cases = [(random_unimodular(parse_group("F5^5"), rng), 3, 1, 3125),
+             (random_unimodular(parse_group("Z/211"), rng), 4, 2, 211),
+             (fw_counterexample(4001), 3, 1, 1600)]
+    for f, d, live, width in cases:
+        shapes.clear()
+        gowers_norm(f, d)
+        assert shapes and all(w == width for _, w in shapes)
+        assert all(1 <= r and r * w <= max(live * w, budget) for r, w in shapes)
+
+
+def test_u3_on_f5_5_stays_within_a_few_batches_of_memory(rng):
+    # one U^3 call on F5^5 peaks at about 4.4 MiB of numpy arrays; batches of
+    # 128 rows of 3125 entries, 6.4 MB each, peaked at 19.4 MiB
+    import tracemalloc
+
+    f = random_unimodular(parse_group("F5^5"), rng)
+    gowers_norm(f, 3)  # character tables are cached on the first call
+    tracemalloc.start()
     try:
-        norms._H_CHUNK = 7
-        a = gowers_norm(f, 3).value
-        norms._H_CHUNK = 128
-        b = gowers_norm(f, 3).value
+        gowers_norm(f, 3)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        norms._H_CHUNK = old
-    assert abs(a - b) < 1e-12
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_coset_oracle_vs_brute_force(rng):
@@ -958,7 +1004,7 @@ def test_windowed_fourth_moment_matches_full_length(planted, seed):
     on_supp = rng.uniform(0, 1, (5, len(supp))) * np.exp(2j * np.pi * rng.uniform(0, 1, (5, len(supp))))
     on_supp[1] = 0  # an identically zero row
     w = rng.uniform(0.5, 2.0, 5)
-    got = norms._weighted_u2_pow4(spec, supp, [(on_supp, w)])
+    got = norms._weighted_u2_pow4(spec, supp, 5, lambda r0, r1: (on_supp[r0:r1], w[r0:r1]), live=1)
 
     full = np.zeros((5, spec.order), dtype=complex)
     full[:, supp] = on_supp
@@ -995,10 +1041,10 @@ def test_rows_are_transformed_on_the_support_window(monkeypatch, rng):
     lengths = []
     real = norms.dft_values
 
-    def counting(spec, values):
+    def counting(spec, values, work=None):
         assert values.shape[-1] == spec.order
         lengths.append(spec.order)
-        return real(spec, values)
+        return real(spec, values, work)
 
     monkeypatch.setattr(norms, "dft_values", counting)
     for d in (2, 3):
@@ -1064,8 +1110,9 @@ def test_extension_rows_equal_the_gathered_rows(orders, full, rng):
 
 
 def test_norms_through_add_indices_when_the_extension_is_large(monkeypatch, rng):
-    # F2^8 has an extension of 3^8 = 6561 entries: more than 16 rows of 256,
-    # so with _H_CHUNK = 16 the rows are gathered through add_indices
+    # F2^8 has an extension of 3^8 = 6561 entries: more than 16 per element
+    # of the 256, so with _EXTENSION_PER_ELEMENT = 16 the rows are gathered
+    # through add_indices
     spec = parse_group("F2^8")
     f = random_bounded(spec, rng)
     want = {d: gowers_norm(f, d).value for d in (3, 4)}
@@ -1079,7 +1126,7 @@ def test_norms_through_add_indices_when_the_extension_is_large(monkeypatch, rng)
     monkeypatch.setattr(GroupSpec, "add_indices", counting)
     gowers_norm(f, 3)
     assert calls == []  # the extension serves every U^3 row
-    monkeypatch.setattr(norms, "_H_CHUNK", 16)
+    monkeypatch.setattr(norms, "_EXTENSION_PER_ELEMENT", 16)
     for d in (3, 4):
         assert abs(gowers_norm(f, d).value - want[d]) <= 1e-12 * want[d]
     assert calls and max(calls) >= 16 * spec.order
