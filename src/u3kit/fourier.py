@@ -26,12 +26,13 @@ transposed view, and no block is copied between products.  An FFT block
 returns its axis last and is transposed as a view; when another block
 follows, that block's reshape makes the one copy.  On F5^5 `np.fft.fftn`
 makes five strided passes over length-5 axes; the blocks (5,), (5,5) and
-(5,5) make three dense products instead.  A batched caller may pass a work
-array and give up its input: the dense products then write alternately
-into the two, and a batch allocates none of them (the Gowers kernels do,
-since a fresh 1 MB product per block was handed back to the system and
-page-faulted in again by every batch).  An FFT block still returns a
-fresh array: `np.fft.fft` takes an output array only from numpy 2.0.
+(5,5) make three dense products instead.  The dense products write
+alternately into two buffers: two arrays allocated per call, or a work
+array and the input of a batched caller that gives its input up, so that
+a batch allocates none of them (the Gowers kernels do, since a fresh 1 MB
+product per block was handed back to the system and page-faulted in again
+by every batch).  An FFT block still returns a fresh array: `np.fft.fft`
+takes an output array only from numpy 2.0.
 
 A row's last bits depend on its place in the batch.  A dense block is one
 BLAS product, and its edge tiles round differently from its full ones: with
@@ -89,9 +90,7 @@ def dft(f: GroupFunction) -> DualFunction:
 #   np.fft.fftn   335 [329-356] 304 [299-352]  5392 [5189-5447]  39 [39-54]
 # Z/211 is one FFT axis below 256, so that column is noise there.  16 is
 # ahead of 32 on all three F_p^n by less than the spread of their rounds,
-# as in two runs of the same sweep with a fresh array per block (F5^5 169
-# and 168 ms, F3^7 46 and 49, F2^12 337 and 366 at 16 and 32), so 32
-# stays.  At 32, F5^5 has the blocks (5,), (5, 5), (5, 5), and Z/5 x Z/6
+# so 32 stays.  At 32, F5^5 has the blocks (5,), (5, 5), (5, 5), and Z/5 x Z/6
 # or F2^5 is one block.
 _DENSE_BLOCK = 32
 
@@ -112,23 +111,25 @@ def dft_values(spec: GroupSpec, values: np.ndarray, work: np.ndarray | None = No
     one block of axes at a time (see the module docstring).  The result is
     a transposed view: its group axis varies slowest in memory.
 
-    With work, a flat complex128 array of at least values.size entries,
-    the dense blocks write alternately into work and into values, a
-    C-contiguous complex128 array whose entries the caller gives up, so
-    that a batched caller allocates nothing per batch for them; the result
-    may then be a view of either."""
+    The dense blocks write alternately into two buffers of values.size
+    entries.  Without work they are two arrays allocated per call, and
+    values is not written.  With work, a flat complex128 array of at least
+    values.size entries, they are work and values itself, a C-contiguous
+    complex128 array whose entries the caller gives up, so that a batched
+    caller allocates nothing per batch for them; the result may then be a
+    view of either."""
     values = np.asarray(values, dtype=np.complex128)
     batch = values.shape[:-1]
     g = values
-    if work is not None:
+    if work is None:
+        bufs = (np.empty(values.size, dtype=np.complex128), np.empty(values.size, dtype=np.complex128))
+    else:
         bufs = (values.reshape(-1), work)  # g is in bufs[0] whenever it is in either
     for block in factor_runs(spec.orders, _DENSE_BLOCK):
         m = prod(block)
         x = g.reshape(-1, m)
         if m > _DENSE_BLOCK:  # a fresh array, so both buffers are free
             g = np.fft.fft(x, norm="forward").T
-        elif work is None:
-            g = _character_table(block).T @ x.T
         else:
             g = np.matmul(_character_table(block).T, x.T, out=bufs[1][: x.size].reshape(m, -1))
             bufs = bufs[::-1]

@@ -58,20 +58,19 @@ row on W.  fw(4001) lies in an arc of 769 points, so its rows have length
 {0} x F5^2 is transformed on Z/1 x F5^2; a full axis, or an arc longer than
 about n/2, keeps its length.
 
-Rows go through the transform in batches sized by entries, not rows, so
-that a batch stays in a core's L2 cache: a kernel whose row function keeps
-`live` arrays of shape (rows, |W|) at once (1 for U^2 and U^3, the rows;
-2 for U^4, the rows and one gathered factor) takes _BATCH_ENTRIES //
-(live |W|) rows per batch, and at least one.  The dense blocks of a
-batch's transform write into the batch's own rows and into one work array
-allocated once per norm, so no batch allocates them: with a fresh array per
-block, glibc handed the freed 1 MB blocks back to the system and faulted
-them in again, 36,000 minor page faults per U^3 call on F5^5 (1,050 now),
-which cost more than the cache misses of 128-row batches.  In-process U^3
-on a unimodular F5^5 function, median of 9 alternating rounds on a 2-core
-Xeon, one BLAS thread, at _BATCH_ENTRIES = 2^14 ... 2^18: 147, 140, 139,
-146 and 151 ms, and 165 ms at 128 rows (4e5 entries); U^4 on Z/211, with
-its pair rows built as above, at 103, 155 and 310 rows: 67, 66 and 81 ms.
+Rows go through the transform in batches sized by entries, not rows: a
+kernel whose row function keeps `live` arrays of shape (rows, |W|) at once
+(1 for U^2 and U^3, the rows; 2 for U^4, the rows and one gathered factor)
+takes _BATCH_ENTRIES // (live |W|) rows per batch, and at least one.  The
+dense blocks of a batch's transform write into the batch's own rows and
+into one work array of the same size, allocated once per norm, so no batch
+allocates them: a fresh array per block was freed and page-faulted in
+again by every batch.  The budget comes from a sweep: in-process U^3 on a
+unimodular F5^5 function, median of 9 alternating rounds on a 2-core Xeon
+(2 MiB of L2 per core), one BLAS thread, at _BATCH_ENTRIES = 2^14 ... 2^18:
+147, 140, 139, 146 and 151 ms, and 165 ms at 4e5 entries (128 rows); U^4
+on Z/211, with its pair rows built as above, at 103, 155 and 310 rows
+(live = 3, 2 and 1 at 2^16): 67, 66 and 81 ms.
 
 The transform is the blocked `fourier.dft_values`: runs of short axes
 (order product at most `fourier._DENSE_BLOCK`) are one matrix product each
@@ -205,8 +204,8 @@ from .quadratic import BracketQuadratic, bracket_table
 DIRECT_BUDGET = 30_000_000
 ORACLE_BUDGET = 2_000_000_000
 # complex entries per batch of Gowers rows: 2^16 complex128 values are 1 MiB,
-# half a core's L2, so a batch and its transform's blocks stay in the cache
-# (module docstring)
+# the middle of a flat stretch of the budget sweep in the module docstring
+# (2^14 to 2^18); with its work array a U^3 batch then takes 2 MiB
 _BATCH_ENTRIES = 1 << 16
 # rows come from the periodic extension of f while it holds at most this many
 # entries per element of G: every Z/N (under 2), F2^8 (25.6), F5^5 (18.9) and
@@ -380,7 +379,7 @@ def _weighted_u2_pow4(spec: GroupSpec, supp: np.ndarray, n: int, rows, live: int
     transformed on the support window W.  rows(r0, r1) returns rows r0..r1-1
     (clipped to n) as values on supp, with their weights, keeping `live`
     arrays of that shape at once, so a batch gets _batch_rows(|W|, live)
-    rows."""
+    rows.  The values must be a fresh array: the transform overwrites it."""
     window, at = _support_window(spec, supp)
     size = _batch_rows(window.order, live)
     blocks = (rows(r, min(r + size, n)) for r in range(0, n, size))
