@@ -114,42 +114,85 @@ off-diagonal vectors are enumerated, in chunks of _ORACLE_CHUNK outputs.
 A chunk is sized for the cache, not for the memory budget: each chunk
 passes through several complex temporaries of its own size, and 2^17
 outputs (2 MiB of complex128, the per-core L2 of the Xeon below) keep
-them there.  A whole-group scan that evaluates every state (before the
-cut below), median of 15 to 61 calls on a 2-core Xeon, every value and
-witness identical (chunk: F5^3, F3^4):
-2,000,000: 37-43 ms, 101-109 ms; 400,000: 18-30 ms, 68-76 ms;
-131,072: 16-21 ms, 54-58 ms; 65,536: 21 ms, 51 ms.  On F5^3 the 2M chunk
-is one block of 1.95M outputs (tracemalloc peak 62.5 MB) and 2^17 is 25
-blocks of 78,125 (3.1 MB).
+them there.  A whole-group scan of the zero function, where no state is
+cut, median [quartiles] of 15 calls on a 2-core Xeon with one BLAS
+thread, and its tracemalloc peak, every value and witness identical:
+
+  chunk       F5^3                             F3^4
+  2,000,000   45.5 [45.0-46.1] ms, 65.7 MiB    102.9 [100.6-106.4] ms, 69.1 MiB
+  400,000     26.6 [26.1-27.4] ms, 16.1 MiB    58.9 [57.6-61.8] ms, 7.7 MiB
+  131,072     19.5 [17.0-20.1] ms, 3.3 MiB     56.3 [55.6-56.9] ms, 2.6 MiB
+  65,536      22.6 [22.3-23.2] ms, 0.7 MiB     54.9 [51.7-56.6] ms, 2.6 MiB
+
+On F5^3 the 2M chunk is one block of 1.95M outputs and 2^17 is 25 blocks
+of 78,125; on F3^4, 2^17 and 2^16 give the same 81 blocks of 59,049.
+The tables that depend only on p, k and the chunk are built once and
+cached: D, the phase exponents of the off-diagonal vectors and the index
+maps below, in the least integer type that holds them.
 A cyclic group Z/h is the case k = 1 with p = h, for any modulus h: one
 state, so nothing to cut, and `_cyclic_scan` makes the rows a without D,
 which would cost more than the one transform it serves (whole scan at
 h = 49, median of 9 on a 2-core Xeon: 8.0 ms with D, 0.13 ms without).
 
-The last axis is cut by the triangle inequality.  A state is one
-off-diagonal vector with (c_ii, xi_i) for every axis i >= 1; with h(s), s
-in Z/p, its partial sums after axes k-1, ..., 1, each of its p^2 outputs
-|sum_s h(s) w^(c s^2 + xi s)|^2 is at most B = (sum_s |h(s)|)^2.
-A first pass computes every B chunk by chunk and keeps each chunk's
-largest and smallest; the top states of the _SEEDS chunks with the largest
-B are evaluated in full, and their maximum seeds `best`.  The second pass
-visits the chunks in decreasing order of their largest B, redoes their
-partial transforms, evaluates the last axis only on the states with
-B >= best (1 - _TIE_RTOL)(1 - _BOUND_SLACK) (the whole chunk when its
-smallest B passes), raises best as it goes, and stops at the first chunk
-whose largest B is below that cut.  Skipped entries read -1, below any
-threshold.  Why the result cannot change: an entry within the final tie
-band is at least best (1 - _TIE_RTOL) for every best seen on the way, and
-its B is at least the entry, up to the rounding of two sums over the same
-h (about 1e-15 relative), so its state passes the cut; the maximum and the
-lex-first witness are therefore those of the full scan, and only rounding
-can move.  _BOUND_SLACK = 1e-9 is a fixed margin far above that rounding.
-At worst every B reaches the maximum and nothing is skipped: the zero
-function and a point mass (every entry ties) pay the partial transforms
-twice.  A constant f is not a worst case: its partial sums are Gauss
-sums, every state but that of C = 0, xi = 0 has B <= m^2 / p, and the cut
-keeps that one.  A planted F5^3 phase evaluates the last axis on 5 of its
-78,125 states (the 4 seeds and 1 in the second pass).
+Every axis is cut by the triangle inequality.  After the axes k-1, ...,
+j, a state is one off-diagonal vector with (c_ii, xi_i) for each i >= j,
+and its partial sums h are a function of t_0, ..., t_{j-1}; every entry
+it leads to, |sum_t h(t) w^(...)|^2, is at most B = (sum_t |h(t)|)^2.
+The next axis turns h into p^2 children, with partial sums
+sum_s h(.., s) w^(c s^2 + xi s), and each child's absolute sum is at most
+that of h: B only falls from a state to its children, down to the
+entries.  So a state whose B is below the tie band of an entry already
+found leads to no entry in the final band, and no later axis runs on it.
+
+The first axis runs once, on f itself.  With t' = (t_0, ..., t_{k-2}) and
+s = t_{k-1}, the terms 2 c_ij t_i t_j with j < k-1 do not depend on s, and
+those with j = k-1 add 2 (u.t') s, u = u(v) = (c_{i,k-1})_{i<k-1}; so with
+H(t', c, xi) the partial sums of f after axis k-1, the state (v, c, xi)
+has h(t') = w^(phi_v(t')) H(t', c, xi + 2 u.t'), phi_v(t') the terms with
+j < k-1: a phase times a shear of H, one gather.  Its B depends on v
+through u alone, so the bounds after the first axis are p^(k-1) p^2 sums
+of |H| (625 for the 3,125 states of F5^3).  Each chunk is ranked by its
+largest B.  The top state of each of the _SEEDS chunks ranked first,
+followed down the child with the largest B at each axis, gives an entry,
+and the largest seeds `best`.  The chunks are then visited in decreasing
+order of their largest B, up to the first whose largest B is below the cut
+best (1 - _TIE_RTOL)(1 - _BOUND_SLACK).  A chunk's states after the first
+axis are read from H, and at each level the next axis runs only on the
+states whose B reaches the cut, or on the whole block, without a gather,
+when every state does.  A chunk none of whose entries reaches the cut
+gives no block.  Otherwise best rises to its largest entry, and its
+entries, with -1 for the states cut on the way, go to `_lex_first_max` in
+lex order of the key, the entries of gathered states written straight to
+their lex places.  Why the result cannot change: an entry within the final
+tie band is at least best (1 - _TIE_RTOL) for every best seen on the way,
+and the B of each state it descends from is at least the entry, up to
+rounding, so no cut drops it; the maximum and the lex-first witness are
+therefore those of the full scan, and only rounding can move.  That
+rounding is about 1e-15 S^2 with S = sum |f|, and the maximum is at least
+S^2 / m (for any C the entries over all xi sum to m sum |f|^2 >= S^2), so
+against the final band it is about 1e-15 m, below 1e-12 for every group
+within ORACLE_BUDGET; _BOUND_SLACK = 1e-9 is a fixed margin far above
+that.
+
+At worst every B reaches the maximum and nothing is cut: on the zero
+function and a point mass (every entry ties) every axis runs on whole
+blocks, with one bound per state and level beside them.  A constant f is
+not a worst case: its partial sums are Gauss sums, every state but those
+with u(v) = 0 and c = xi = 0 on the first axis has B <= m^2 / p, and the
+cut keeps those alone.  A planted F5^3 phase runs the middle axis on 9 of
+its 3,125 states and the last axis on 5 or 6 of its 78,125, 4 of each
+for the seeds.  Whole-group scans, median of 15 interleaved in-process
+calls on a 2-core Xeon with one BLAS thread, with a cut at the last axis
+only and with a cut at every axis, in ms, and the tracemalloc peak of
+the latter in MiB:
+
+             F5^3                F3^4                F7^2                F13^2
+  zero       18.8 -> 16.9 (3.3)  56.2 -> 48.0 (2.6)  0.24 -> 0.21 (0.6)  3.1 -> 2.8 (1.2)
+  point      18.3 -> 17.2 (3.3)  74.1 -> 62.3 (2.6)  0.24 -> 0.21 (0.6)  3.2 -> 2.8 (1.2)
+  constant    4.2 -> 0.8 (0.8)   24.1 -> 2.6 (0.6)   0.22 -> 0.18 (0.2)  0.7 -> 0.3 (0.3)
+  noise       6.1 -> 5.4 (1.2)   20.2 -> 13.7 (0.9)  0.24 -> 0.19 (0.2)  4.0 -> 2.1 (0.5)
+
+(noise: a random modulus in [0, 1) and phase at each point).
 
 D is stored as a dense matrix only when p^3 <= _ORACLE_CHUNK, where one
 matrix is reused across the k axes and all the chunks; otherwise an axis
@@ -182,8 +225,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import frexp, ldexp, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -540,26 +584,94 @@ def _base_p_digits(n: np.ndarray, p: int, width: int) -> np.ndarray:
     return (n[..., None] // p ** np.arange(width - 1, -1, -1, dtype=np.int64)) % p
 
 
-def _along_axis(g: np.ndarray, D: np.ndarray | None, omega: np.ndarray) -> np.ndarray:
-    """(B, p, r) -> (B, p^2, r): the middle axis s becomes rows (c, xi) of
-    sum_s g[s] w^(c s^2 + xi s), w = omega[1], by the dense map D or, when D
-    is None, by the chirp w^(c s^2) and a length-p FFT in s."""
+def _along_axis(h: np.ndarray, D: np.ndarray | None, omega: np.ndarray) -> np.ndarray:
+    """(B, n, r) -> (B, n / p, p^2 r) for the states h[b, :, c], each a
+    function of (t_0, ..., t_j) in lex order (n = p^(j+1)): the last
+    coordinate t_j = s becomes the rows (c, xi), ahead of the r columns, of
+    sum_s h[.., s] w^(c s^2 + xi s), w = omega[1], by the dense map D or,
+    when D is None, by the chirp w^(c s^2) and a length-p FFT in s."""
+    B, n, r = h.shape
+    p = len(omega)
+    g = h.reshape(-1, p, r)
     if D is not None:
-        # one column (the first axis): one 2-D product in place of B
-        # matrix-vector products, 2-3x faster at B = 125 and 243 (one BLAS thread)
-        return (g[:, :, 0] @ D.T)[:, :, None] if g.shape[2] == 1 else np.matmul(D, g)
-    s = np.arange(len(omega), dtype=np.int64)
-    h = omega[(s[:, None] * s * s) % len(omega)][:, :, None] * g[:, None]
-    return np.fft.fft(h, axis=2).reshape(len(g), -1, g.shape[-1])
+        # one column: one 2-D product in place of B matrix-vector products,
+        # 2-3x faster at B = 125 and 243 (one BLAS thread)
+        out = g[:, :, 0] @ D.T if r == 1 else np.matmul(D, g)
+    else:
+        s = np.arange(p, dtype=np.int64)
+        out = np.fft.fft(omega[(s[:, None] * s * s) % p][:, :, None] * g[:, None], axis=2)
+    return out.reshape(B, n // p, p * p * r)
 
 
 def _last_axis(h: np.ndarray, D: np.ndarray | None, omega: np.ndarray) -> np.ndarray:
-    """|.|^2 of the last axis for the B r states h[b, :, r]: (B, p, r) ->
-    (B, p^2, r).  Every state the scan evaluates passes through here."""
+    """|.|^2 of the last axis for the B r states h[b, :, c]: (B, p, r) ->
+    (B, 1, p^2 r).  Every state the scan evaluates passes through here."""
     out = _along_axis(h, D, omega)
     sq = np.square(out.real)
     sq += np.square(out.imag)
     return sq
+
+
+class _ScanPlan(NamedTuple):
+    """What `quadratic_scan` on (Z/p)^k needs besides f; shared by every scan
+    with the same p, k and chunk size, so its arrays are read-only.  v runs
+    over the off-diagonal vectors (c_ij)_{i<j}, t over (Z/p)^k and t' over
+    (Z/p)^(k-1), all in lex order, and u(v) = (c_{i,k-1})_{i<k-1}."""
+
+    omega: np.ndarray  # w^s for s in Z/p, w = e(-1/p)
+    D: np.ndarray | None  # D[(c, xi), s] = w^(c s^2 + xi s), rows in lex order; None when p^3 > chunk
+    E: np.ndarray  # E[v, t'] = sum_{i<j<k-1} 2 c_ij t_i t_j mod p, v's phase at (t', 0)
+    u_of: np.ndarray  # the lex index of u(v), for each v
+    shear: np.ndarray  # shear[u, t', c, xi] = (t', c, xi + 2 u.t' mod p) as a flat index
+    nb: int  # vectors per chunk
+    lex: tuple  # the axes of the key in lex order
+    varying: tuple  # those that vary within a chunk
+    perm: tuple  # the chunk axis of each varying one
+    place: np.ndarray  # the place in lex order of each chunk digit
+
+
+@lru_cache(maxsize=16)
+def _scan_plan(p: int, k: int, chunk: int) -> _ScanPlan:
+    """The `_ScanPlan` of the scans on (Z/p)^k in chunks of `chunk` outputs."""
+    s = np.arange(p, dtype=np.int64)
+    omega = np.exp(-2j * np.pi * s / p)
+    # One product with D takes half the time of p chirps and length-p FFTs
+    # on F5^3, but D has p^3 entries and pays off only when reused across
+    # axes and chunks
+    D = omega[(s[:, None, None] * s * s + s[:, None] * s) % p].reshape(-1, p) if p**3 <= chunk else None
+    off = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    t = _base_p_digits(np.arange(p**k), p, k)
+    P = np.array([2 * t[:, i] * t[:, j] % p for i, j in off], dtype=np.int64).reshape(-1, p**k)
+    odig = _base_p_digits(np.arange(p ** len(off)), p, len(off))
+    # exponents in the least integer type, not phases: a complex table of
+    # every (v, t) held 250 KB on F5^3 and raised the peak RSS of a run of
+    # f5_planted by about 0.5 MB
+    E = ((odig @ P[:, ::p]) % p).astype(np.min_scalar_type(p - 1))
+    u_of = odig[:, [n for n, (i, j) in enumerate(off) if j == k - 1]] @ p ** np.arange(k - 2, -1, -1)
+    u = _base_p_digits(np.arange(p ** (k - 1)), p, k - 1)
+    tp = t[::p, : k - 1]  # t' = the first k-1 coordinates, s = 0
+    shift = 2 * (u @ tp.T)[:, :, None, None]
+    shear = np.arange(len(tp))[:, None, None] * p * p + s[:, None] * p + (s + shift) % p
+    shear = shear.astype(np.min_scalar_type(p ** (k + 1)))
+    # A chunk is a box of p^jv off-diagonal vectors (the trailing jv digits
+    # vary), with p^(2k) outputs each: at most `chunk` outputs, or one
+    # vector's when that is more (never within ORACLE_BUDGET).
+    jv = 0
+    while jv < len(off) and p ** (jv + 1 + 2 * k) <= chunk:
+        jv += 1
+    # Axes of a chunk: trailing off-diagonal digits, then (c_ii, xi_i) for
+    # each i; lex order of the key names them ("o", n), ("c", i), ("x", i).
+    names = [("o", n) for n in range(len(off) - jv, len(off))]
+    names += [(kind, i) for i in range(k) for kind in ("c", "x")]
+    lex = [("c", i) if i == j else ("o", off.index((i, j))) for i in range(k) for j in range(i, k)]
+    lex += [("x", i) for i in range(k)]
+    varying = tuple(a for a in lex if a in names)
+    perm = tuple(names.index(a) for a in varying)
+    place = p ** (len(perm) - 1 - np.argsort(perm))
+    for a in (omega, D, E, u_of, shear, place):
+        if a is not None:
+            a.flags.writeable = False
+    return _ScanPlan(omega, D, E, u_of, shear, p**jv, tuple(lex), varying, perm, place)
 
 
 def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int, ...]]:
@@ -573,94 +685,97 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
     composite, and the key is (a, b) for the phase a t^2 + b t (see the
     module docstring for the separable identity).
 
-    The last axis (t_0) runs only on states whose triangle-inequality bound
-    reaches the tie band of the best entry found so far, which keeps the
-    value and the witness those of the full scan (module docstring)."""
+    After every axis, a state goes on only when its triangle-inequality
+    bound reaches the tie band of the best entry found so far, which keeps
+    the value and the witness those of the full scan (module docstring)."""
     if k == 1:  # one state: nothing to cut
         return _cyclic_scan(fvals)
-    m = p**k
-    s = np.arange(p, dtype=np.int64)
-    omega = np.exp(-2j * np.pi * s / p)
-    # D[(c, xi), s] = w^(c s^2 + xi s), rows in lex order.  One product with D
-    # takes half the time of p chirps and length-p FFTs on F5^3, but D has p^3
-    # entries and pays off only when reused across axes and chunks
-    dense = p**3 <= _ORACLE_CHUNK
-    D = omega[(s[:, None, None] * s * s + s[:, None] * s) % p].reshape(-1, p) if dense else None
-
-    off = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    t = _base_p_digits(np.arange(m), p, k)
-    P = np.array([2 * t[:, i] * t[:, j] % p for i, j in off], dtype=np.int64).reshape(-1, m)
-    # A chunk is a box of p^jv off-diagonal vectors (the trailing jv digits
-    # vary), with p^(2k) outputs each: at most _ORACLE_CHUNK outputs, or one
-    # vector's when that is more (never within ORACLE_BUDGET).
-    jv = 0
-    while jv < len(off) and p ** (jv + 1 + 2 * k) <= _ORACLE_CHUNK:
-        jv += 1
-    nb = p**jv
-
-    # Axes of a chunk: trailing off-diagonal digits, then (c_ii, xi_i) for each
-    # i; lex order of the key names them ("o", n), ("c", i), ("x", i).
-    names = [("o", n) for n in range(len(off) - jv, len(off))]
-    names += [(kind, i) for i in range(k) for kind in ("c", "x")]
-    lex = [("c", i) if i == j else ("o", off.index((i, j))) for i in range(k) for j in range(i, k)]
-    lex += [("x", i) for i in range(k)]
-    varying = [a for a in lex if a in names]
-    perm = [names.index(a) for a in varying]
-
-    def partial(v0: int) -> np.ndarray:
-        """The states of the off-diagonal vectors v0, ..., v0 + nb - 1 after
-        axes k-1, ..., 1: (nb, p, r), t_0 in the middle."""
-        odig = _base_p_digits(v0 + np.arange(nb), p, len(off))
-        g = fvals * omega[(odig @ P) % p]  # (nb, m): off-diagonal phase applied
-        done = 1  # size of the transformed trailing block
-        for _ in range(k - 1):
-            g = _along_axis(g.reshape(-1, p, done), D, omega)
-            done *= p * p
-        return g.reshape(nb, p, done)
+    omega, D, E, u_of, shear, nb, lex, varying, perm, place = _scan_plan(p, k, _ORACLE_CHUNK)
+    n_off = k * (k - 1) // 2
+    # The first axis runs once, on f: after it the state (v, c, xi) is
+    # w^(phi_v(t')) H(t', c, xi + 2 u(v).t') at t', a phase times a shear of
+    # the partial sums H of f, so its bound depends on v through u(v) alone
+    # (module docstring).
+    H = _along_axis(fvals[None, :, None], D, omega).reshape(-1)  # (t', c, xi), flat
+    U, n = shear.shape[:2]
 
     def bounds(h: np.ndarray) -> np.ndarray:
-        return np.square(np.abs(h).sum(axis=1))
+        """(sum_s |h(s)|)^2 for the states h[b, :, c]: (B, n, r) -> (B, r).
+        The sum is a product with ones: summing the short middle axis of
+        many rows took twice as long."""
+        return np.square(np.ones(h.shape[1]) @ np.abs(h))
 
-    # first pass: (largest bound, smallest bound, v0, top state) per chunk
-    chunks = []
-    for v0 in range(0, p ** len(off), nb):
-        h = partial(v0)
-        b = bounds(h)
-        i, j = np.unravel_index(int(np.argmax(b)), b.shape)
-        chunks.append((float(b[i, j]), float(b.min()), v0, h[i, :, j].copy()))
-    chunks.sort(key=lambda c: -c[0])
-    # the largest entry so far, seeded by the top states of the first chunks
-    best = float(_last_axis(np.stack([c[3] for c in chunks[:_SEEDS]], axis=1)[None], D, omega).max())
+    by_u = np.square(np.ones(n) @ np.abs(H)[shear].reshape(U, n, -1))  # (u, (c, xi))
+    per = by_u.max(axis=1)[u_of].reshape(-1, nb)  # the largest bound of each vector, a row per chunk
+    chunks = sorted(zip(per.max(axis=1).tolist(), range(0, len(E), nb)), key=lambda c: -c[0])
+    # the largest entry so far, seeded by the top state of each of the first
+    # chunks, followed down the child with the largest bound
+    vs = np.array([v0 for _, v0 in chunks[:_SEEDS]])
+    vs += np.argmax(per, axis=1)[vs // nb]
+    top = np.argmax(by_u[u_of[vs]], axis=1)  # (c, xi) of each seed
+    h = (omega[E[vs]] * H[shear[u_of[vs], :, top // p, top % p]])[:, :, None]
+    for _ in range(k - 2):
+        h = _along_axis(h, D, omega)
+        h = h[np.arange(len(h)), :, np.argmax(bounds(h), axis=1)][:, :, None]
+    best = float(_last_axis(h, D, omega).max())
 
     def cut() -> float:
         return best * (1 - _TIE_RTOL) * (1 - _BOUND_SLACK)
 
-    def chunk_sq(c: tuple) -> np.ndarray:
-        """|.|^2 for chunk c, axes in lex order of the key; entries of states
-        below the cut are -1."""
+    def descend(c: tuple) -> np.ndarray | None:
+        """|.|^2 for chunk c, axes in lex order of the key, entries of states
+        cut on the way reading -1; None when no entry reaches the cut."""
         nonlocal best
-        h = partial(c[2])
-        if c[1] >= cut():  # every state reaches the cut
-            sq = _last_axis(h, D, omega)
-        else:
-            sq = np.full((nb, p * p, h.shape[2]), -1.0)
-            i, j = np.nonzero(bounds(h) >= cut())
-            sq[i, :, j] = _last_axis(h[i, :, j].T[None], D, omega)[0].T
-        best = max(best, float(sq.max()))
-        return sq.reshape((p,) * (jv + 2 * k)).transpose(perm)
+        vs = slice(c[1], c[1] + nb)
+        # the states after the first axis, (nb, p^(k-1), p^2), and their bounds
+        h, b = omega[E[vs]][:, :, None] * H[shear[u_of[vs]]].reshape(nb, n, p * p), by_u[u_of[vs]]
+        # the output offset of each row of h, and the stride of its columns:
+        # 1 until a cut gathers states, p^(2 level) after
+        at, stride = np.arange(nb) * p ** (2 * k), 1
+        for level in range(1, k):  # h holds the states after `level` axes
+            keep = (b if level == 1 else bounds(h)) >= cut()
+            if not keep.all():  # the states that reach the cut go on, one per row
+                i, col = np.nonzero(keep)
+                if not len(i):
+                    return None
+                h, at, stride = h[i, :, col][:, :, None], at[i] + col * stride, p ** (2 * level)
+            h = _last_axis(h, D, omega) if level == k - 1 else _along_axis(h, D, omega)
+        sq = h[:, 0]  # (rows, columns): after the last axis each state is one entry
+        top = float(sq.max())
+        if top < cut():  # no entry reaches the tie band
+            return None
+        best = max(best, top)
+        if stride == 1:  # nothing was cut: the whole chunk in its own order
+            return sq.reshape((p,) * len(perm)).transpose(perm)
+        # entry at + c stride goes to its place in lex order; the digits of
+        # at and of c stride are disjoint, so their places add
+        out = np.full(nb * p ** (2 * k), -1.0)
+        out[(_base_p_digits(at, p, len(perm)) @ place)[:, None]
+            + _base_p_digits(np.arange(sq.shape[1]) * stride, p, len(perm)) @ place] = sq
+        return out
 
     def key_of(c: tuple, at: int) -> tuple[int, ...]:
-        digit = {("o", n): dn for n, dn in enumerate(_base_p_digits(np.asarray(c[2]), p, len(off)))}
+        digit = {("o", n): dn for n, dn in enumerate(_base_p_digits(np.asarray(c[1]), p, n_off))}
         digit.update(zip(varying, np.unravel_index(at, (p,) * len(varying))))
         return tuple(int(digit[a]) for a in lex)
 
+    ready = (None, None)  # the chunk `visits` last yielded, and its entries
+
     def visits():
         """The chunks in decreasing order of their largest bound, up to the
-        first one below the cut."""
+        first one below the cut, without those that have no entry above it."""
+        nonlocal ready
         for c in chunks:
             if c[0] < cut():
                 return
-            yield c
+            ready = (c, descend(c))
+            if ready[1] is not None:
+                yield c
+
+    def chunk_sq(c: tuple) -> np.ndarray:
+        # _lex_first_max asks for each chunk as soon as visits yields it, and
+        # again only for a chunk whose entries reach the final tie band
+        return ready[1] if ready[0] is c else descend(c)
 
     return _lex_first_max(visits(), chunk_sq, key_of)
 

@@ -3,9 +3,9 @@
 A curated, fast subset of the property checks: exact pairing bilinearity,
 Plancherel and the convolution identity, norm monotonicity and the degree-2
 Fourier identity, direct against recursive U^3 and U^4 on a group with
-2-torsion, the von Neumann slack, Bohr size bounds, and the
-parallelepiped constraint.  The pytest suite is the full surface; this is a
-smoke check for installations.
+2-torsion, the exact quadratic scan against brute force, the von Neumann
+slack, Bohr size bounds, and the parallelepiped constraint.  The pytest
+suite is the full surface; this is a smoke check for installations.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from .fourier import convolve, dft
 from .forms import gvn_slack
 from .groups import GroupFunction, GroupSpec, pair, parse_group
-from .norms import gowers_norm, u2_bias
+from .norms import _TIE_RTOL, gowers_norm, quadratic_scan, u2_bias
 
 
 def _random_bounded(spec: GroupSpec, rng) -> GroupFunction:
@@ -67,6 +67,23 @@ def run_selftest() -> list[tuple[str, bool]]:
         out.append((f"U{d} direct vs recursive on Z/6", abs(direct - recursive) < 1e-9))
     out.append(("u2 <= U2 <= sqrt(u2)",
                 u2_bias(f).value <= u2 + 1e-9 and u2 <= u2_bias(f).value ** 0.5 + 1e-9))
+
+    # the exact scan, with its cut after every axis, against the brute-force
+    # maximum over all 3^6 symmetric C and 3^3 xi, keys in lex order
+    # (c_00, c_01, c_02, c_11, c_12, c_22, xi_0, xi_1, xi_2)
+    f3 = parse_group("F3^3")
+    t = f3.decode(np.arange(f3.order))
+    mono = np.array([t[:, i] * t[:, j] * (1 if i == j else 2) for i in range(3) for j in range(i, 3)]
+                    + [t[:, i] for i in range(3)])
+    keys = np.indices((3,) * 9).reshape(9, -1).T
+    noise = _random_bounded(f3, np.random.default_rng(3)).values
+    q = t[:, 0] * t[:, 2] + t[:, 1] * t[:, 2] + t[:, 1] ** 2 + t[:, 0]
+    g = 0.7 * np.exp(2j * np.pi * q / 3) + 0.3 * noise
+    sq = np.abs(np.exp(-2j * np.pi * (keys @ mono % 3) / 3) @ g) ** 2
+    value, key = quadratic_scan(g, 3, 3)
+    first = keys[int(np.argmax(sq >= sq.max() * (1 - _TIE_RTOL)))]
+    out.append(("quadratic scan against brute force on F3^3",
+                abs(value - sq.max()) <= 1e-12 * sq.max() and key == tuple(first.tolist())))
 
     fs = [_random_bounded(spec, rng) for _ in range(4)]
     out.append(("von Neumann slack >= 0", gvn_slack(fs) >= -1e-9))

@@ -1138,6 +1138,7 @@ def test_selftest_subcommand(capsys):
     code, out, err = run_cli(["selftest"], capsys)
     assert code == 0
     assert result_of(out)["ok"] is True
+    assert "PASS quadratic scan against brute force on F3^3" in err
 
 
 def test_entrypoint_process():

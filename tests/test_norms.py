@@ -552,7 +552,9 @@ def _reference_lex_first_max(blocks, block_sq, key_of):
 @pytest.mark.parametrize("rtol", [1e-12, 0.3])
 def test_lex_first_max_matches_reference(group, chunk, rtol, monkeypatch):
     # skipping the candidate search in blocks below the running maximum
-    # changes neither the value nor the witness, ties included
+    # changes neither the value nor the witness, ties included; on F_p^k as
+    # on Z/h the scan's pick goes through _lex_first_max, so the reference
+    # makes the pick of every call and sees at least one block of it
     import u3kit.norms as norms
 
     spec = parse_group(group)
@@ -567,9 +569,15 @@ def test_lex_first_max_matches_reference(group, chunk, rtol, monkeypatch):
           _planted(spec, (A + A.T) % spec.orders[0], rng.integers(0, spec.orders[0], k), 0.3, rng)]
     for f in fs:
         rep = u3_oracle_coset(f, (spec.zero(), W))
+        seen = []
+
+        def reference(blocks, block_sq, key_of):
+            return _reference_lex_first_max((seen.append(b) or b for b in blocks), block_sq, key_of)
+
         with monkeypatch.context() as m:
-            m.setattr(norms, "_lex_first_max", _reference_lex_first_max)
+            m.setattr(norms, "_lex_first_max", reference)
             ref = u3_oracle_coset(f, (spec.zero(), W))
+        assert seen
         assert rep.value == ref.value
         assert (rep.witness.A, rep.witness.b) == (ref.witness.A, ref.witness.b)
 
@@ -578,20 +586,30 @@ def test_lex_first_max_matches_reference(group, chunk, rtol, monkeypatch):
 def test_quadratic_scan_memory_within_chunk_bound(group, rng):
     # a chunk goes through a few complex temporaries of its own size, so the
     # whole scan peaks at a small multiple of _ORACLE_CHUNK; the old chunk of
-    # 2,000,000 outputs took all of F5^3 at once and peaked at 62 MB
+    # 2,000,000 outputs took all of F5^3 at once and peaked at 62 MB.  The
+    # bound holds where the cut leaves little (random f, and a phase on one
+    # coset of a hyperplane plus 0.05 noise, as in the cut plants of the
+    # f5_planted benchmark) and where it leaves everything (zero, a point)
     import tracemalloc
 
     import u3kit.norms as norms
 
     spec = parse_group(group)
-    f = random_bounded(spec, rng)
-    tracemalloc.start()
-    try:
-        norms.quadratic_scan(f.values, spec.orders[0], spec.rank)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * norms._ORACLE_CHUNK
+    p, k, m = spec.orders[0], spec.rank, spec.order
+    A = rng.integers(0, p, (k, k))
+    phase = _planted(spec, (A + A.T) % p, rng.integers(0, p, k), 0.0, rng).values
+    on_coset = np.where(spec.decode(np.arange(m))[:, 0] == 1, phase, 0)
+    inputs = {"random": random_bounded(spec, rng).values, "zero": np.zeros(m, dtype=complex),
+              "point": np.eye(1, m, m - 1)[0].astype(complex),
+              "coset": on_coset + 0.05 * random_unimodular(spec, rng).values}
+    for kind, fvals in inputs.items():
+        tracemalloc.start()
+        try:
+            norms.quadratic_scan(fvals, p, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * norms._ORACLE_CHUNK, kind
 
 
 def _traced_peak(call):
@@ -694,19 +712,32 @@ def test_quadratic_scan_cut_matches_reference(data):
 
 
 def test_quadratic_scan_evaluates_few_states_on_a_plant(monkeypatch):
-    # the last axis of a planted F5^3 scan runs on a handful of its 78,125
-    # states (off-diagonal vector with (c_ii, xi_i) for i >= 1)
+    # the cut acts after every axis: on a planted F5^3 phase the middle axis
+    # runs on at most 1% of the 3,125 states after the first (an off-diagonal
+    # vector with (c_22, xi_2)), and the last axis on a handful of the 78,125
+    # after the second (with (c_ii, xi_i) for i >= 1)
     spec = parse_group("F5^3")
     rng = np.random.default_rng(3)
     counted, last_axis = [], norms._last_axis
     monkeypatch.setattr(norms, "_last_axis", lambda h, *a: counted.append(h.shape[0] * h.shape[2])
                         or last_axis(h, *a))
+    entering, along_axis = {}, norms._along_axis
+
+    def along(h, *a):  # h is (rows, p^(k - axes done), columns), a state per row and column
+        if h.shape[1] < spec.order:  # an axis after the first
+            entering[h.shape[1]] = entering.get(h.shape[1], 0) + h.shape[0] * h.shape[2]
+        return along_axis(h, *a)
+
+    monkeypatch.setattr(norms, "_along_axis", along)
     for _ in range(3):
         A = rng.integers(0, 5, (3, 3))
         f = _planted(spec, (A + A.T) % 5, rng.integers(0, 5, 3), 0.3, rng)
         counted.clear()
+        entering.clear()
         best_sq, key = norms.quadratic_scan(f.values, 5, 3)
+        assert 1 <= entering[25] <= 0.01 * 5**3 * 25
         assert 1 <= sum(counted) <= 2 * norms._SEEDS
+        assert entering[5] == sum(counted)
         mags, digits = _reference_coset_scan(f.values, 5, 3)
         row, col = divmod(int(np.argmax(mags)), spec.order)
         assert key == tuple(digits[row].tolist()) + spec.coords_of(col)
