@@ -385,12 +385,8 @@ def _cmd_bracket(args) -> dict:
 
 def _cmd_inverse_f5(args) -> dict:
     from .inverse_f5 import quadratic_obstruction
-    from .norms import gowers_norm
 
-    f = _load_function(args)
-    u3 = gowers_norm(f, 3, unchecked=True).value
-    rep = quadratic_obstruction(f, args.eta, seed=args.seed, u3_value=u3)
-    return rep.to_json()
+    return quadratic_obstruction(_load_function(args), args.eta, seed=args.seed).to_json()
 
 
 def _cmd_nilseq(args) -> dict:

@@ -10,7 +10,7 @@ serialized layout bit-for-bit.
 
 This module is the only one that knows the row-major layout
 (index = sum_i coord_i * prod_{j>i} n_j, the first factor varying slowest).
-The numeric code elsewhere works on index arrays through three entry points:
+The numeric code elsewhere works on index arrays through two entry points:
 
 * index arithmetic -- ``GroupSpec.add_indices`` / ``neg_indices`` work on
   broadcasting int64 arrays one run of factors at a time: consecutive factors
@@ -22,10 +22,7 @@ The numeric code elsewhere works on index arrays through three entry points:
   digit mod n_i, and ``decode`` / ``encode`` convert to and from coordinates;
 * coset points -- ``GroupSpec.coset_points(y, gens, orders)`` lists
   y + t_1 g_1 + ... + t_k g_k for t in lexicographic order (t_1 slowest); a
-  subgroup of ``modlinalg`` lists its cosets through it as ``H.coset(y)``;
-* batched shift -- ``GroupSpec.translates(hs)`` gives one row x -> x + h per
-  shift h, from which ``derivative_rows`` and the derivatives elsewhere are
-  read.
+  subgroup of ``modlinalg`` lists its cosets through it as ``H.coset(y)``.
 """
 
 from __future__ import annotations
@@ -273,11 +270,6 @@ class GroupSpec:
             pts = self.add_indices(pts[:, None], steps[None, :]).reshape(-1)
         return pts
 
-    def translates(self, hs) -> np.ndarray:
-        """The batched shift: row r lists x + hs[r] for x in index order."""
-        hs = np.asarray(hs, dtype=np.int64)
-        return self.add_indices(np.arange(self.order, dtype=np.int64)[None, :], hs[:, None])
-
     def __str__(self) -> str:
         return "x".join(f"Z/{n}" for n in self.orders)
 
@@ -411,12 +403,6 @@ class GroupFunction:
 
 
 # GroupFunction "owner" attribute lets _check_owner treat it like a vector.
-
-
-def derivative_rows(f: GroupFunction, hs) -> np.ndarray:
-    """Row r is x -> f(x + hs[r]) * conj(f(x)), one multiplicative derivative
-    per shift index."""
-    return f.values[f.owner.translates(hs)] * np.conj(f.values)[None, :]
 
 
 # --- group spec string grammar -------------------------------------------

@@ -12,7 +12,7 @@ exact coset oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import bohr
 from .bohr import bogolyubov, iterated_sumset
 from .errors import EmptyGraph, EmptyV, SliceFailed, SpecMismatch
 from .fourier import dft_values
-from .groups import GroupElement, GroupFunction, GroupSpec, derivative_rows
+from .groups import GroupElement, GroupFunction, GroupSpec
 from .modlinalg import (
     PrimeSubspace,
     is_prime,
@@ -29,7 +29,7 @@ from .modlinalg import (
     solve_mod_p,
     span_points,
 )
-from .norms import CosetQuadraticWitness, _batch_rows, _first_in_band, u3_oracle_coset
+from .norms import CosetQuadraticWitness, _batch_rows, _first_in_band, _neg_classes, _translator, u3_oracle_coset
 
 # (x0, h) pairs, and (x0, xi0) counters, per block of the affine vote; a block
 # peaks at about 90 bytes per cell (tracemalloc), so near 24 MB at most
@@ -54,6 +54,7 @@ class PhaseGraph:
     spec: GroupSpec
     threshold: float  # the eta used to build the graph
     entries: dict[int, tuple[int, float]]  # h index -> (xi index, |corr|)
+    u3: float | None = None  # ||f||_{U^3} from the transforms that built the graph; None by hand
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -74,6 +75,11 @@ def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
     within a relative _TIE_RTOL of the row maximum, so exact ties such as
     |F(xi)| = |F(-xi)| on real rows do not depend on rounding.
 
+    The rows Delta_h f(x) = f(x + h) conj f(x) are the U^3 kernel's, one per
+    class {h, -h}.  As |F_{-h}(xi)| = |F_h(-xi)|, the witness of -h is the
+    pick of row h read at -xi (not always -xi(h), which can tie with another
+    entry), and ||f||_{U^3}^8 = E_h sum_xi |F_h(xi)|^4 comes with the rows.
+
     When U^3(f) >= eta, the shift set is guaranteed to have density at least
     eta^8 / 2; a smaller shift set therefore certifies U^3(f) < eta and is
     reported as EmptyGraph.  (The bare "no shift qualifies" reading would be
@@ -83,22 +89,34 @@ def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
     _homogeneous_prime(spec)
     N = spec.order
     cut = eta**8 / 2.0
-    entries: dict[int, tuple[int, float]] = {}
-    chunk = _batch_rows(N, live=2)  # live: a batch of rows and its transform
-    for start in range(0, N, chunk):
-        hs = np.arange(start, min(start + chunk, N), dtype=np.int64)
-        F = np.abs(dft_values(spec, derivative_rows(f, hs)))
-        best = _first_in_band(F * F)
-        mags = F[np.arange(len(hs)), best]
-        for h, xi, m in zip(hs.tolist(), best.tolist(), mags.tolist()):
-            if m * m >= cut:
-                entries[h] = (int(xi), float(m))
+    every = np.arange(N, dtype=np.int64)
+    neg = spec.neg_indices(every)
+    shifted, conj_f = _translator(spec, f.values, every), np.conj(f.values)
+    reps, weights = _neg_classes(spec)
+    size = _batch_rows(N, live=2)  # live: a batch of rows and its transform
+    work = np.empty(min(size, len(reps)) * N, dtype=np.complex128)
+    pow8, picks = 0.0, []  # picks: (shifts, frequencies, magnitudes), h then -h
+    for r0 in range(0, len(reps), size):
+        hs = reps[r0 : r0 + size]
+        g = shifted(hs)
+        g *= conj_f  # Delta_h f
+        F = np.abs(dft_values(spec, g, work))
+        sq = F * F
+        pow8 += float(weights[r0 : r0 + size] @ np.einsum("ij,ij->i", sq, sq))
+        best = _first_in_band(sq)
+        two = np.flatnonzero(neg[hs] != hs)  # the rows whose class also holds -h
+        xi_neg = _first_in_band(sq[two[:, None], neg])  # xi(-h), read at -xi in row h
+        picks += [(hs, best, F[np.arange(len(hs)), best]), (neg[hs[two]], xi_neg, F[two, neg[xi_neg]])]
+    hs, xis, mags = (np.concatenate(a) for a in zip(*picks))
+    keep = np.argsort(hs)
+    keep = keep[mags[keep] * mags[keep] >= cut]
+    entries = {h: (xi, m) for h, xi, m in zip(hs[keep].tolist(), xis[keep].tolist(), mags[keep].tolist())}
     if len(entries) < max(1.0, cut * N):
         raise EmptyGraph(
             f"shift set of size {len(entries)} below the density floor "
             f"{cut:.3g} * {N}; certifies U^3 < {eta}"
         )
-    return PhaseGraph(spec, eta, entries)
+    return PhaseGraph(spec, eta, entries, max(pow8 / N, 0.0) ** 0.125)
 
 
 def additive_quadruples(gamma: PhaseGraph) -> int:
@@ -137,41 +155,31 @@ def random_slice(gamma: PhaseGraph, seed: int) -> SliceResult:
     surrogate = len(keys) * (N * N) > bohr.SUMSET_BUDGET
     folds = 4 if surrogate else 8
     diff = iterated_sumset(gamma.pair_group, keys, folds, folds)
-    zero_fiber = diff[diff // N == 0] % N
-    A = np.unique(zero_fiber)
+    A = np.unique(diff[diff // N == 0] % N)
     A_nonzero = A[A != 0]
     if len(A_nonzero) == 0:
-        result_graph = gamma
-        m = 0
+        result_graph, m = gamma, 0
     else:
         m = int(np.ceil(np.log(len(A)) / np.log(p)))
         rng = np.random.default_rng(seed)
         coords = spec.decode(A_nonzero)
-        psi = None
         for _ in range(100):
-            cand = rng.integers(0, p, size=(m, spec.rank))
-            image = coords @ cand.T % p
-            if np.all(np.any(image != 0, axis=1)):
-                psi = cand
+            psi = rng.integers(0, p, size=(m, spec.rank))
+            if np.all(np.any(coords @ psi.T % p, axis=1)):
                 break
-        if psi is None:
-            raise SliceFailed("no nonvanishing compression found in 100 tries")
+        else:
+            raise SliceFailed(f"random slice: no compression in 100 tries (|graph| = {len(gamma)}, |A| = {len(A)})")
         hs = np.array(sorted(gamma.entries), dtype=np.int64)
         xis = np.array([gamma.entries[h][0] for h in hs.tolist()], dtype=np.int64)
-        fibers = spec.decode(xis) @ psi.T % p
-        fiber_key = np.zeros(len(hs), dtype=np.int64)
-        for c in range(m):
-            fiber_key = fiber_key * p + fibers[:, c]
+        fiber_key = GroupSpec((p,) * m).encode(spec.decode(xis) @ psi.T)  # psi(xi) as an index
         vals, counts = np.unique(fiber_key, return_counts=True)
         best = vals[np.argmax(counts)]  # np.argmax: first max = smallest key
         keep = fiber_key == best
         entries = {int(h): gamma.entries[int(h)] for h in hs[keep]}
-        result_graph = PhaseGraph(spec, gamma.threshold, entries)
+        result_graph = PhaseGraph(spec, gamma.threshold, entries, gamma.u3)
     # verify: (0, xi) in the sliced iterated difference set forces xi = 0
-    keys2 = result_graph.pair_keys()
-    diff2 = iterated_sumset(gamma.pair_group, keys2, folds, folds)
-    zf = np.unique(diff2[diff2 // N == 0] % N)
-    verified = bool(np.all(zf == 0)) if len(zf) else True
+    diff2 = iterated_sumset(gamma.pair_group, result_graph.pair_keys(), folds, folds)
+    verified = bool(np.all(diff2[diff2 // N == 0] % N == 0))
     return SliceResult(result_graph, int(len(A)), m, surrogate, verified, seed)
 
 
@@ -209,7 +217,8 @@ def _affine_vote(spec: GroupSpec, xi_at: np.ndarray, v_idx: np.ndarray,
         if counts[i] > best[0]:
             best = (int(counts[i]), start + i // N, i % N)
     if best[0] == 0:
-        raise EmptyV("no agreement found on any translate")
+        raise EmptyV(f"affine vote: no translate x0 + V meets the graph "
+                     f"(|sliced graph| = {int(np.sum(xi_at >= 0))}, |V| = {len(v_idx)})")
     return best
 
 
@@ -223,11 +232,10 @@ def linear_component_fit(sliced: SliceResult) -> LinearComponentFit:
     p = _homogeneous_prime(spec)
     N = spec.order
     if len(gamma) == 0:
-        raise EmptyV("empty graph")
+        raise EmptyV("linear fit: the sliced graph is empty (|sliced graph| = 0)")
     d2 = iterated_sumset(gamma.pair_group, gamma.pair_keys(), 2, 2)  # 2G - 2G
 
-    H2 = np.array(sorted(gamma.entries), dtype=np.int64)
-    spectrum = bogolyubov(spec, H2.tolist())
+    spectrum = bogolyubov(spec, sorted(gamma.entries))
     V_ann = PrimeSubspace.from_generators(spec, kernel_basis_mod_p(
         np.array([list(xi.coords) for xi in spectrum], dtype=np.int64).reshape(-1, spec.rank), p
     ))
@@ -236,37 +244,30 @@ def linear_component_fit(sliced: SliceResult) -> LinearComponentFit:
     # annihilator is trivial, so also search for the largest subspace lying
     # directly inside the doubled shift set (a strictly stronger certificate
     # of the only property used downstream) and keep the better of the two.
-    doubled_support = np.unique(d2 // N)
+    doubled_support, mult = np.unique(d2 // N, return_counts=True)
     V_direct = largest_subspace_inside(spec, doubled_support.tolist())
     Vsub = V_ann if V_ann.dim >= V_direct.dim else V_direct
     if Vsub.dim == 0:
-        raise EmptyV("no nontrivial subspace inside the doubled shift set")
-    lookup: dict[int, int] = {}
-    ambiguous = set()
-    for kk in d2.tolist():
-        h, xi = kk // N, kk % N
-        if h in lookup and lookup[h] != xi:
-            ambiguous.add(h)
-        lookup[h] = xi
-    inv2 = pow(2, -1, p)
-    rows = []
-    for hb in Vsub.generators.tolist():
-        if hb not in lookup or hb in ambiguous:
-            raise EmptyV("doubled graph does not cover the subspace")
-        xi = spec.decode(np.int64(lookup[hb]))
-        rows.append((inv2 * xi) % p)
-    M_rows = np.array(rows, dtype=np.int64).reshape(Vsub.dim, spec.rank)
+        raise EmptyV(f"linear fit: no nontrivial subspace inside the doubled shift set "
+                     f"(|sliced graph| = {len(gamma)}, |2H''-2H''| = {len(doubled_support)}, dim V = 0)")
+    # the doubled graph as a map h -> xi: -1 off its domain, -2 where d2 has two
+    xi_of = np.full(N, -1, dtype=np.int64)
+    xi_of[d2 // N] = d2 % N
+    xi_of[doubled_support[mult > 1]] = -2
+    if np.any(xi_of[Vsub.generators] < 0):
+        raise EmptyV(f"linear fit: the doubled graph does not cover V "
+                     f"(|sliced graph| = {len(gamma)}, dim V = {Vsub.dim})")
+    M_rows = pow(2, -1, p) * spec.decode(xi_of[Vsub.generators]) % p
     # the doubled graph must agree with the linear model on all of V: the
     # points h of V and the predictions 2Mh, both in V-local lex order
     v_idx = Vsub.coset(0)
     two_mh = spec.coset_points(0, spec.encode(2 * M_rows), Vsub.local_orders)
-    for hv, pv in zip(v_idx.tolist(), two_mh.tolist()):
-        if hv in ambiguous or lookup.get(hv, pv) != pv:
-            raise EmptyV("doubled graph is not linear on the subspace")
+    if np.any((xi_of[v_idx] != -1) & (xi_of[v_idx] != two_mh)):
+        raise EmptyV(f"linear fit: the doubled graph is not linear on V "
+                     f"(|sliced graph| = {len(gamma)}, dim V = {Vsub.dim})")
 
     xi_at = np.full(N, -1, dtype=np.int64)
-    for h, (xi, _) in gamma.entries.items():
-        xi_at[h] = xi
+    xi_at[list(gamma.entries)] = [xi for xi, _ in gamma.entries.values()]
     cnt, x0, xi0 = _affine_vote(spec, xi_at, v_idx, spec.neg_indices(two_mh))
     return LinearComponentFit(
         Vsub,
@@ -325,8 +326,8 @@ class ObstructionReport:
     agreement: float
     eta: float
     seed: int
-    oracle_check: dict[int, float] = field(default_factory=dict)
-    u3_value: float | None = None
+    oracle_check: dict[int, float]
+    u3_value: float  # ||f||_{U^3}, from the graph's transforms
 
     def to_json(self) -> dict:
         return {
@@ -387,7 +388,6 @@ def quadratic_obstruction(
     eta: float,
     seed: int = 0,
     oracle_crosscheck: bool = True,
-    u3_value: float | None = None,
 ) -> ObstructionReport:
     """End-to-end assembly of a quadratic obstruction for a function with
     large U^3 norm.  Never fabricates a witness: every bias is the directly
@@ -413,11 +413,10 @@ def quadratic_obstruction(
     if oracle_crosscheck and W.dim <= 3:
         for w in found:
             oracle[w.y.index] = u3_oracle_coset(f, (w.y, W)).value
-    avg = float(np.mean(biases))
     return ObstructionReport(
         W=W,
         witnesses=witnesses,
-        average_bias=avg,
+        average_bias=float(np.mean(biases)),
         best_bias=float(np.max(biases)),
         graph_size=len(gamma),
         sliced_size=len(sliced.graph),
@@ -427,5 +426,5 @@ def quadratic_obstruction(
         eta=eta,
         seed=seed,
         oracle_check=oracle,
-        u3_value=u3_value,
+        u3_value=gamma.u3,
     )

@@ -19,6 +19,7 @@ subgroup's own (a complement, or the identity for plain F_p^k coordinates).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 from typing import Iterable, Sequence
 
@@ -161,9 +162,14 @@ class Subgroup:
         v = (np.array(t, dtype=np.int64) @ self.basis_matrix()) % np.array(self.spec.orders)
         return tuple(int(c) for c in v)
 
+    @cached_property
+    def _span(self) -> np.ndarray:
+        """The points of H in local lex order, listed once per subgroup."""
+        return self.spec.coset_points(0, self.generators, self.local_orders)
+
     def coset(self, y: int) -> np.ndarray:
-        """Indices of y + H, lexicographic in the local coordinates t."""
-        return self.spec.coset_points(y, self.generators, self.local_orders)
+        """Indices of y + H, lexicographic in the local coordinates t (a new array)."""
+        return self.spec.add_indices(y, self._span)
 
     def element_indices(self) -> np.ndarray:
         return np.sort(self.coset(0))

@@ -3,19 +3,21 @@
 A curated, fast subset of the property checks: exact pairing bilinearity,
 Plancherel and the convolution identity, norm monotonicity and the degree-2
 Fourier identity, direct against recursive U^3 and U^4 on a group with
-2-torsion, the exact quadratic scan against brute force, the von Neumann
-slack, Bohr size bounds, and the parallelepiped constraint.  The pytest
-suite is the full surface; this is a smoke check for installations.
+2-torsion, the exact quadratic scan against brute force, the U^3 value and
+the -h witnesses of the phase-derivative graph, the von Neumann slack, Bohr
+size bounds, and the parallelepiped constraint.  The pytest suite is the
+full surface; this is a smoke check for installations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fourier import convolve, dft
+from .fourier import convolve, dft, dft_values
 from .forms import gvn_slack
 from .groups import GroupFunction, GroupSpec, pair, parse_group
-from .norms import _TIE_RTOL, gowers_norm, quadratic_scan, u2_bias
+from .inverse_f5 import phase_derivative_graph
+from .norms import _TIE_RTOL, _translator, gowers_norm, quadratic_scan, u2_bias
 
 
 def _random_bounded(spec: GroupSpec, rng) -> GroupFunction:
@@ -84,6 +86,16 @@ def run_selftest() -> list[tuple[str, bool]]:
     first = keys[int(np.argmax(sq >= sq.max() * (1 - _TIE_RTOL)))]
     out.append(("quadratic scan against brute force on F3^3",
                 abs(value - sq.max()) <= 1e-12 * sq.max() and key == tuple(first.tolist())))
+
+    # the -h witnesses read off row h against row -h transformed, on real f (ties |F(xi)| = |F(-xi)|)
+    real = GroupFunction(f3, np.random.default_rng(4).uniform(-1, 1, f3.order))
+    gamma, every = phase_derivative_graph(real, 0.1), np.arange(f3.order)
+    hs = every[f3.neg_indices(every) < every]  # the -h of each class {h, -h}
+    sq = np.abs(dft_values(f3, _translator(f3, real.values, every)(hs) * np.conj(real.values))) ** 2
+    first = np.argmax(sq >= sq.max(axis=1, keepdims=True) * (1 - _TIE_RTOL), axis=1)
+    out.append(("phase-derivative graph: U3 and -h witnesses on F3^3",
+                len(gamma) == f3.order and abs(gamma.u3 - gowers_norm(real, 3).value) <= 1e-12
+                and [gamma.entries[h][0] for h in hs.tolist()] == first.tolist()))
 
     fs = [_random_bounded(spec, rng) for _ in range(4)]
     out.append(("von Neumann slack >= 0", gvn_slack(fs) >= -1e-9))

@@ -1139,6 +1139,7 @@ def test_selftest_subcommand(capsys):
     assert code == 0
     assert result_of(out)["ok"] is True
     assert "PASS quadratic scan against brute force on F3^3" in err
+    assert "PASS phase-derivative graph: U3 and -h witnesses on F3^3" in err
 
 
 def test_entrypoint_process():

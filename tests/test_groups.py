@@ -3,14 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import constant, elements
+from conftest import elements
 from u3kit.errors import ParseError, SpecMismatch
 from u3kit.groups import (
     GroupFunction,
     GroupSpec,
     function_from_json,
     function_to_json,
-    derivative_rows,
     mod1,
     pair,
     parse_group,
@@ -18,8 +17,8 @@ from u3kit.groups import (
 
 
 def shifted(f: GroupFunction, h) -> np.ndarray:
-    """x -> f(x + h), read through the batched shift."""
-    return f.values[f.owner.translates([h.index])[0]]
+    """x -> f(x + h), read through index addition."""
+    return f.values[f.owner.add_indices(np.arange(f.owner.order), h.index)]
 
 
 def test_parse_group_grammar():
@@ -76,17 +75,6 @@ def test_shift_examples(rng):
     g_h1 = GroupFunction(spec, shifted(g, h1))
     assert np.array_equal(shifted(g, h1 + h2), shifted(g_h1, h2))
     assert np.array_equal(shifted(g_h1, -h1), g.values)
-
-
-def test_mult_derivative():
-    Z5 = parse_group("Z/5")
-    ones = constant(Z5, 1.0)
-    assert np.allclose(derivative_rows(ones, [3])[0], 1.0)
-    f = GroupFunction(Z5, np.exp(2j * np.pi * np.arange(5) ** 2 / 5))
-    d = derivative_rows(f, [1])[0]
-    expect = np.exp(2j * np.pi * (2 * np.arange(5) + 1) / 5)
-    assert np.max(np.abs(d - expect)) < 1e-12
-    assert np.max(np.abs(np.abs(d) - 1)) < 1e-12
 
 
 def test_mod1_stays_below_one():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bias_against, constant, random_pm1
-from u3kit.errors import EmptyGraph, EmptyV, U3KitError
+from u3kit.errors import EmptyGraph, EmptyV, SliceFailed, U3KitError
 from u3kit.fourier import dft_values
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.inverse_f5 import (
@@ -121,6 +121,30 @@ def test_slice_empty_graph():
     assert len(sl.graph) == 0 and sl.verified
 
 
+def test_pipeline_failures_name_their_stage_and_sizes(monkeypatch):
+    # (1, 1) + (2, 0) - (3, 0) = (0, 1), so A = {xi : (0, xi) in 8G - 8G} is
+    # all of F5; a compression that is always 0 finds no slice
+    from u3kit.inverse_f5 import PhaseGraph, SliceResult
+
+    spec = parse_group("F5^1")
+    g = PhaseGraph(spec, 0.5, {1: (1, 1.0), 2: (0, 1.0), 3: (0, 1.0)})
+
+    class ZeroRng:
+        def integers(self, low, high, size):
+            return np.zeros(size, dtype=np.int64)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda seed: ZeroRng())
+        with pytest.raises(SliceFailed, match=r"^random slice: .*\(\|graph\| = 3, \|A\| = 5\)$"):
+            random_slice(g, seed=0)
+    empty = SliceResult(PhaseGraph(spec, 0.5, {}), 0, 0, False, True, 0)
+    with pytest.raises(EmptyV, match=r"^linear fit: .*\(\|sliced graph\| = 0\)$"):
+        linear_component_fit(empty)
+    point = SliceResult(PhaseGraph(parse_group("F5^2"), 0.5, {2: (3, 1.0)}), 0, 0, False, True, 0)
+    with pytest.raises(EmptyV, match=r"^linear fit: .*\(\|sliced graph\| = 1, \|2H''-2H''\| = 1, dim V = 0\)$"):
+        linear_component_fit(point)
+
+
 def test_linear_fit_planted():
     spec = parse_group("F5^2")
     A = np.array([[2, 1], [1, 3]])
@@ -198,6 +222,74 @@ def test_linear_fit_vote_matches_reference_loop(monkeypatch):
         assert checked >= 3, group
 
 
+def _reference_fit_checks(sliced):
+    """The checks of linear_component_fit on the doubled graph 2G-2G, as the
+    loops over a dict and a set that its array map h -> xi replaced:
+    "subspace", "cover", "linear", or the rows of M."""
+    from u3kit.bohr import bogolyubov, iterated_sumset
+    from u3kit.modlinalg import kernel_basis_mod_p, largest_subspace_inside
+
+    gamma = sliced.graph
+    spec, p, N = gamma.spec, gamma.spec.orders[0], gamma.spec.order
+    d2 = iterated_sumset(gamma.pair_group, gamma.pair_keys(), 2, 2)
+    spectrum = np.array([xi.coords for xi in bogolyubov(spec, sorted(gamma.entries))]).reshape(-1, spec.rank)
+    V_ann = PrimeSubspace.from_generators(spec, kernel_basis_mod_p(spectrum, p))
+    V_direct = largest_subspace_inside(spec, np.unique(d2 // N).tolist())
+    V = V_ann if V_ann.dim >= V_direct.dim else V_direct
+    if V.dim == 0:
+        return "subspace"
+    lookup, ambiguous = {}, set()
+    for kk in d2.tolist():
+        h, xi = kk // N, kk % N
+        if h in lookup and lookup[h] != xi:
+            ambiguous.add(h)
+        lookup[h] = xi
+    rows = []
+    for hb in V.generators.tolist():
+        if hb not in lookup or hb in ambiguous:
+            return "cover"
+        rows.append(pow(2, -1, p) * spec.decode(np.int64(lookup[hb])) % p)
+    M_rows = np.array(rows).reshape(V.dim, spec.rank)
+    two_mh = spec.coset_points(0, spec.encode(2 * M_rows), V.local_orders)
+    for hv, pv in zip(V.coset(0).tolist(), two_mh.tolist()):
+        if hv in ambiguous or lookup.get(hv, pv) != pv:
+            return "linear"
+    return M_rows
+
+
+@pytest.mark.parametrize("group", sorted(_VOTE_PLANTS))
+def test_linear_fit_checks_match_reference_loops(group):
+    # graphs of h -> 2Ah on random domains, some frequencies replaced at
+    # random: the doubled graph then holds two frequencies at many h, and the
+    # fit refuses V or reads M off it as the loops do
+    from u3kit.inverse_f5 import PhaseGraph, SliceResult
+
+    spec = parse_group(group)
+    p, N = spec.orders[0], spec.order
+    A = 2 * np.array(_VOTE_PLANTS[group][0])
+    outcomes = set()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        density, flips = [(0.95, 0.0), (0.6, 0.0), (0.9, 0.01), (0.5, 0.05), (0.97, 0.003)][seed % 5]
+        hs = np.flatnonzero(rng.uniform(size=N) < density)
+        xis = spec.encode(spec.decode(hs) @ A % p)
+        flip = rng.uniform(size=len(hs)) < flips
+        xis[flip] = rng.integers(0, N, int(flip.sum()))
+        graph = PhaseGraph(spec, 0.5, {h: (xi, 1.0) for h, xi in zip(hs.tolist(), xis.tolist())})
+        want = _reference_fit_checks(SliceResult(graph, 0, 0, False, True, seed))
+        try:
+            got = linear_component_fit(SliceResult(graph, 0, 0, False, True, seed)).M_rows
+        except EmptyV as exc:
+            got = next(k for k, text in (("subspace", "no nontrivial subspace"), ("cover", "does not cover V"),
+                                         ("linear", "not linear on V"), ("vote", "affine vote")) if text in str(exc))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str) and np.array_equal(got, want)
+        outcomes.add(want if isinstance(want, str) else "M")
+    assert outcomes == {"cover", "M"}
+
+
 @pytest.mark.parametrize("rows", [None, 1, 7])
 @pytest.mark.parametrize("group", sorted(_VOTE_PLANTS))
 def test_linear_fit_vote_tie_across_blocks(group, rows, monkeypatch):
@@ -250,7 +342,7 @@ def test_affine_vote_matches_reference_on_random_votes(group, rows, monkeypatch)
         xi_at = np.where(rng.uniform(size=N) < 0.4, rng.integers(0, 4, N), -1)
         if trial == 0:
             xi_at[:] = -1
-            with pytest.raises(EmptyV):
+            with pytest.raises(EmptyV, match=rf"^affine vote: .*\(\|sliced graph\| = 0, \|V\| = {len(v_idx)}\)$"):
                 _affine_vote(spec, xi_at, v_idx, neg_two_mh)
             continue
         assert _affine_vote(spec, xi_at, v_idx, neg_two_mh) == _reference_affine_vote(
@@ -346,21 +438,30 @@ _ODD_FP = [f"F{p}^{n}" for p in (3, 5, 7, 11) for n in range(1, 6) if p**n <= 30
 
 
 @given(group=st.sampled_from(_ODD_FP), noise=st.sampled_from([0.0, 0.1, 0.3]),
-       eta=st.sampled_from([0.3, 0.5]), seed=st.integers(0, 2**16))
-def test_obstruction_invariants_on_random_odd_fp(group, noise, eta, seed):
-    # a planted x.Mx + xi.x phase with noise on any odd F_p^n: a report or a
-    # U3KitError, every bias the correlation with its witness phase, and the
-    # oracle on each cross-checked coset at least that bias
+       eta=st.sampled_from([0.3, 0.5]), seed=st.integers(0, 2**16), on_coset=st.booleans())
+def test_obstruction_invariants_on_random_odd_fp(group, noise, eta, seed, on_coset):
+    # a planted x.Mx + xi.x phase with noise on any odd F_p^n, whole or cut to
+    # one coset of a hyperplane (the shape of half the planted bench inputs,
+    # whose U^3 gowers_norm takes on a support window): a report or a
+    # U3KitError, the U^3 read off the graph's transforms equal to
+    # gowers_norm's, every bias the correlation with its witness phase, and
+    # the oracle on each cross-checked coset at least that bias
     spec = parse_group(group)
     p, n = spec.orders[0], spec.rank
     rng = np.random.default_rng(seed)
     M = rng.integers(0, p, (n, n))
     f, _ = _planted_quadratic(spec, (M + M.T) % p, rng.integers(0, p, n))
     f = GroupFunction(spec, f.values + noise * np.exp(2j * np.pi * rng.uniform(size=spec.order)))
+    if on_coset:
+        normal = rng.integers(0, p, n)
+        normal[rng.integers(n)] = rng.integers(1, p)  # nonzero: a hyperplane
+        f = GroupFunction(spec, np.where(spec.decode(np.arange(spec.order)) @ normal % p == rng.integers(p),
+                                         f.values, 0))
     try:
         rep = quadratic_obstruction(f, eta, seed=seed)
     except U3KitError:
         return
+    assert abs(rep.u3_value - gowers_norm(f, 3, unchecked=True).value) <= 1e-12
     for w, b in rep.witnesses.values():
         assert abs(bias_against(w, f) - b) < 1e-10
     for y, val in rep.oracle_check.items():

@@ -37,7 +37,7 @@ def reference_full_group_quadratic(phi, spec: GroupSpec) -> bool:
     for i in range(N):
         f = vals[i]
         num[i] = (f.numerator * (D // f.denominator)) % D
-    rows = spec.translates(np.arange(N))  # rows[h, x] = x + h
+    rows = spec.add_indices(np.arange(N)[None, :], np.arange(N)[:, None])  # rows[h, x] = x + h
     for h1 in range(N):
         base = (num[rows[h1]] - num) % D  # (h1.grad) phi
         d2 = (base[rows] - base) % D
