@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import elements
+from conftest import constant, elements
+from u3kit import norms
 from u3kit.errors import ParseError, SpecMismatch
 from u3kit.groups import (
     GroupFunction,
@@ -75,6 +76,19 @@ def test_shift_examples(rng):
     g_h1 = GroupFunction(spec, shifted(g, h1))
     assert np.array_equal(shifted(g, h1 + h2), shifted(g_h1, h2))
     assert np.array_equal(shifted(g_h1, -h1), g.values)
+
+
+def test_mult_derivative():
+    # Delta_h f(x) = f(x + h) conj f(x), rows read by the Gowers kernel's translator
+    Z5 = parse_group("Z/5")
+    x = np.arange(5)
+    ones = constant(Z5, 1.0)
+    assert np.allclose(norms._translator(Z5, ones.values, x)(np.array([3]))[0] * np.conj(ones.values), 1.0)
+    f = GroupFunction(Z5, np.exp(2j * np.pi * x**2 / 5))
+    d = norms._translator(Z5, f.values, x)(np.array([1]))[0] * np.conj(f.values)
+    expect = np.exp(2j * np.pi * (2 * x + 1) / 5)
+    assert np.max(np.abs(d - expect)) < 1e-12
+    assert np.max(np.abs(np.abs(d) - 1)) < 1e-12
 
 
 def test_mod1_stays_below_one():

@@ -1,5 +1,5 @@
 """Property tests of the index layer in u3kit.groups: index arithmetic on
-run tables and coset points, checked against coordinate
+run tables, coset points and the batched shift, checked against coordinate
 arithmetic on GroupElement over random group specs and against the
 digit-by-digit loop that the run tables replaced."""
 
@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
-from u3kit import groups
-from u3kit.groups import GroupSpec
+from conftest import elements
+from u3kit import groups, norms
+from u3kit.groups import GroupFunction, GroupSpec
 from u3kit.modlinalg import BoxSubgroup, PrimeSubspace
 
 # rank 1-4, factor orders 1-13
@@ -107,6 +108,27 @@ def test_coset_of_the_trivial_and_the_whole_subgroup(group):
             check_coset(H, y)
     for H in subgroups[1::2]:  # the whole group, in index order from 0
         assert H.coset(0).tolist() == list(range(spec.order))
+
+
+@given(st.data())
+def test_batched_shift_matches_shift(data):
+    # the rows add_indices(x, h) and the derivative rows f(x + h) conj f(x)
+    # of the Gowers kernel's translator, against element arithmetic
+    spec = data.draw(specs.filter(lambda s: s.order <= 3000))
+    hs = data.draw(index_lists(spec, 3))
+    rng = np.random.default_rng(len(hs) * 7919 + spec.order)
+    f = GroupFunction(spec, rng.normal(size=spec.order) + 1j * rng.normal(size=spec.order))
+    xs = np.arange(spec.order)
+    rows = spec.add_indices(xs[None, :], np.array(hs)[:, None])
+    shifts = norms._translator(spec, f.values, xs)(np.array(hs))
+    assert rows.shape == shifts.shape == (len(hs), spec.order)
+    for r, h in enumerate(hs):
+        H = spec.element_by_index(h)
+        at = [(x + H).index for x in elements(spec)]
+        assert rows[r].tolist() == at
+        assert np.array_equal(shifts[r], f.values[at])
+    # one product over the whole batch, as the kernel forms it
+    assert np.array_equal(shifts * np.conj(f.values), f.values[rows] * np.conj(f.values))
 
 
 def digit_loop_add(spec: GroupSpec, a, b) -> np.ndarray:

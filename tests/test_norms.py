@@ -1130,9 +1130,7 @@ def test_recursive_matches_direct_on_every_support_kind(data, d):
 @pytest.mark.parametrize("full", [True, False])
 def test_extension_rows_equal_the_gathered_rows(orders, full, rng):
     # f(x + h) read from the periodic extension (a sliding window on a full
-    # cyclic group) is the same float as f at add_indices(x, h), and the
-    # derivative rows Delta_h f(x) = f(x + h) conj f(x) are those of element
-    # arithmetic
+    # cyclic group) is the same float as f at add_indices(x, h)
     spec = GroupSpec(orders)
     vals = random_unimodular(spec, rng).values
     supp = np.arange(spec.order) if full else np.flatnonzero(rng.uniform(size=spec.order) < 0.5)
@@ -1140,17 +1138,6 @@ def test_extension_rows_equal_the_gathered_rows(orders, full, rng):
     want = vals[spec.add_indices(supp[None, :], hs[:, None])] * np.conj(vals[supp])
     got = norms._translator(spec, vals, supp)(hs) * np.conj(vals[supp])
     assert np.array_equal(got, want)
-    for r, h in enumerate(hs[:3].tolist()):
-        H = spec.element_by_index(h)
-        at = [(spec.element_by_index(x) + H).index for x in supp.tolist()]
-        assert np.array_equal(got[r], vals[at] * np.conj(vals[supp]))
-    # on Z/5: Delta_h of a constant is 1, and Delta_1 e(x^2 / 5) = e((2x + 1) / 5)
-    z5, x = GroupSpec((5,)), np.arange(5)
-    assert np.array_equal(norms._translator(z5, np.ones(5, dtype=complex), x)(np.array([3])), np.ones((1, 5)))
-    q = np.exp(2j * np.pi * x**2 / 5)
-    d = norms._translator(z5, q, x)(np.array([1]))[0] * np.conj(q)
-    assert np.max(np.abs(d - np.exp(2j * np.pi * (2 * x + 1) / 5))) < 1e-12
-    assert np.max(np.abs(np.abs(d) - 1)) < 1e-12
 
 
 def test_norms_through_add_indices_when_the_extension_is_large(monkeypatch, rng):
