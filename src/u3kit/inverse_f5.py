@@ -48,25 +48,21 @@ def _homogeneous_prime(spec: GroupSpec) -> int:
 
 @dataclass
 class PhaseGraph:
-    """h -> (frequency of the best linear correlation of the derivative,
-    correlation magnitude), for shifts above the threshold."""
+    """The graph {(h, xi(h))} in G x dual(G): each kept shift h with the
+    frequency of the best linear correlation of its derivative, as the
+    ascending pair keys h * N + xi, the row-major indices of `pair_group`."""
 
     spec: GroupSpec
-    threshold: float  # the eta used to build the graph
-    entries: dict[int, tuple[int, float]]  # h index -> (xi index, |corr|)
+    keys: np.ndarray  # ascending int64 pair keys h * N + xi
     u3: float | None = None  # ||f||_{U^3} from the transforms that built the graph; None by hand
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
     @property
     def pair_group(self) -> GroupSpec:
         """G x dual(G), whose row-major indices are the pair keys h * N + xi."""
         return GroupSpec(self.spec.orders * 2)
-
-    def pair_keys(self) -> np.ndarray:
-        N = self.spec.order
-        return np.array([h * N + xi for h, (xi, _) in sorted(self.entries.items())], dtype=np.int64)
 
 
 def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
@@ -89,98 +85,77 @@ def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
     _homogeneous_prime(spec)
     N = spec.order
     cut = eta**8 / 2.0
-    every = np.arange(N, dtype=np.int64)
-    neg = spec.neg_indices(every)
-    shifted, conj_f = _translator(spec, f.values, every), np.conj(f.values)
-    reps, weights = _neg_classes(spec)
+    shifted, conj_f = _translator(spec, f.values, np.arange(N, dtype=np.int64)), np.conj(f.values)
+    reps, weights, neg = _neg_classes(spec)
     size = _batch_rows(N, live=2)  # live: a batch of rows and its transform
     work = np.empty(min(size, len(reps)) * N, dtype=np.complex128)
-    pow8, picks = 0.0, []  # picks: (shifts, frequencies, magnitudes), h then -h
+    pow8, picks = 0.0, []  # picks: (shifts, frequencies, squared magnitudes), h then -h
     for r0 in range(0, len(reps), size):
         hs = reps[r0 : r0 + size]
         g = shifted(hs)
         g *= conj_f  # Delta_h f
-        F = np.abs(dft_values(spec, g, work))
-        sq = F * F
+        sq = np.square(np.abs(dft_values(spec, g, work)))
         pow8 += float(weights[r0 : r0 + size] @ np.einsum("ij,ij->i", sq, sq))
         best = _first_in_band(sq)
         two = np.flatnonzero(neg[hs] != hs)  # the rows whose class also holds -h
         xi_neg = _first_in_band(sq[two[:, None], neg])  # xi(-h), read at -xi in row h
-        picks += [(hs, best, F[np.arange(len(hs)), best]), (neg[hs[two]], xi_neg, F[two, neg[xi_neg]])]
-    hs, xis, mags = (np.concatenate(a) for a in zip(*picks))
-    keep = np.argsort(hs)
-    keep = keep[mags[keep] * mags[keep] >= cut]
-    entries = {h: (xi, m) for h, xi, m in zip(hs[keep].tolist(), xis[keep].tolist(), mags[keep].tolist())}
-    if len(entries) < max(1.0, cut * N):
+        picks += [(hs, best, sq[np.arange(len(hs)), best]), (neg[hs[two]], xi_neg, sq[two, neg[xi_neg]])]
+    hs, xis, sqs = (np.concatenate(a) for a in zip(*picks))
+    keys = np.sort((hs * N + xis)[sqs >= cut])
+    if len(keys) < max(1.0, cut * N):
         raise EmptyGraph(
-            f"shift set of size {len(entries)} below the density floor "
+            f"shift set of size {len(keys)} below the density floor "
             f"{cut:.3g} * {N}; certifies U^3 < {eta}"
         )
-    return PhaseGraph(spec, eta, entries, max(pow8 / N, 0.0) ** 0.125)
+    return PhaseGraph(spec, keys, max(pow8 / N, 0.0) ** 0.125)
 
 
 def additive_quadruples(gamma: PhaseGraph) -> int:
     """Exact count of (z1,z2,z3,z4) in the graph with z1+z2 = z3+z4."""
-    keys = gamma.pair_keys()
+    keys = gamma.keys
     _, counts = np.unique(gamma.pair_group.add_indices(keys[:, None], keys[None, :]),
                           return_counts=True)
     return int(np.sum(counts.astype(object) ** 2))
 
 
-@dataclass
-class SliceResult:
-    graph: PhaseGraph
-    ambiguity_set_size: int  # |A| = frequencies over 0 in the 8-fold difference set
-    m: int  # compression dimension
-    used_surrogate: bool  # 4-fold difference set used instead of 8-fold
-    verified: bool  # 4G''-4G'' is a graph (checked through the 8-fold set)
-    seed: int
+def random_slice(gamma: PhaseGraph, seed: int) -> PhaseGraph:
+    """The graph cut to one fiber of a random linear map, so that its
+    iterated difference sets are graphs.
 
+    A = {xi : (0, xi) in 8G - 8G} is compressed by a random linear map psi
+    from dual(G) to F_p^m, nonvanishing on A \\ {0}, with m = ceil(log_p |A|);
+    the densest fiber {h : psi(xi(h)) = c} is kept (the smallest c, as an
+    index, on ties).  When |graph| |G|^2 exceeds bohr.SUMSET_BUDGET, 4G - 4G
+    stands in for 8G - 8G.
 
-def random_slice(gamma: PhaseGraph, seed: int) -> SliceResult:
-    """Slice the graph along a random fiber so that 4G''-4G'' is a graph.
-
-    A = {xi : (0,xi) in 8G-8G} is compressed by a random linear map
-    nonvanishing on A \\ {0}; the densest fiber is kept (lexicographically
-    smallest on ties) and the graph property is re-verified on the sliced
-    difference set.  When |graph| |G|^2 exceeds bohr.SUMSET_BUDGET, the
-    4-fold difference set stands in for the 8-fold (used_surrogate).
+    The sliced graph G' needs no check.  A (0, xi) in 8G' - 8G' lies in A,
+    as G' is part of G, and psi(xi) = 8c - 8c = 0 by linearity; psi vanishes
+    on no point of A \\ {0}, so xi = 0.  Then (h, xi) and (h, xi') in
+    4G' - 4G' give (0, xi - xi') in 8G' - 8G', so xi = xi' and 4G' - 4G' is
+    a graph.  With the 4-fold surrogate the same argument makes 2G' - 2G' one.
     """
     spec = gamma.spec
     p = _homogeneous_prime(spec)
     N = spec.order
-    keys = gamma.pair_keys()
-    if len(keys) == 0:
-        return SliceResult(gamma, 0, 0, False, True, seed)
-    surrogate = len(keys) * (N * N) > bohr.SUMSET_BUDGET
-    folds = 4 if surrogate else 8
-    diff = iterated_sumset(gamma.pair_group, keys, folds, folds)
+    folds = 4 if len(gamma) * (N * N) > bohr.SUMSET_BUDGET else 8
+    diff = iterated_sumset(gamma.pair_group, gamma.keys, folds, folds)
     A = np.unique(diff[diff // N == 0] % N)
     A_nonzero = A[A != 0]
     if len(A_nonzero) == 0:
-        result_graph, m = gamma, 0
+        return gamma
+    m = int(np.ceil(np.log(len(A)) / np.log(p)))
+    rng = np.random.default_rng(seed)
+    coords = spec.decode(A_nonzero)
+    for _ in range(100):
+        psi = rng.integers(0, p, size=(m, spec.rank))
+        if np.all(np.any(coords @ psi.T % p, axis=1)):
+            break
     else:
-        m = int(np.ceil(np.log(len(A)) / np.log(p)))
-        rng = np.random.default_rng(seed)
-        coords = spec.decode(A_nonzero)
-        for _ in range(100):
-            psi = rng.integers(0, p, size=(m, spec.rank))
-            if np.all(np.any(coords @ psi.T % p, axis=1)):
-                break
-        else:
-            raise SliceFailed(f"random slice: no compression in 100 tries (|graph| = {len(gamma)}, |A| = {len(A)})")
-        hs = np.array(sorted(gamma.entries), dtype=np.int64)
-        xis = np.array([gamma.entries[h][0] for h in hs.tolist()], dtype=np.int64)
-        fiber_key = GroupSpec((p,) * m).encode(spec.decode(xis) @ psi.T)  # psi(xi) as an index
-        vals, counts = np.unique(fiber_key, return_counts=True)
-        best = vals[np.argmax(counts)]  # np.argmax: first max = smallest key
-        keep = fiber_key == best
-        entries = {int(h): gamma.entries[int(h)] for h in hs[keep]}
-        result_graph = PhaseGraph(spec, gamma.threshold, entries, gamma.u3)
-    # verify: (0, xi) in the sliced iterated difference set forces xi = 0
-    diff2 = iterated_sumset(gamma.pair_group, result_graph.pair_keys(), folds, folds)
-    verified = bool(np.all(diff2[diff2 // N == 0] % N == 0))
-    return SliceResult(result_graph, int(len(A)), m, surrogate, verified, seed)
+        raise SliceFailed(f"random slice: no compression in 100 tries (|graph| = {len(gamma)}, |A| = {len(A)})")
+    fiber = GroupSpec((p,) * m).encode(spec.decode(gamma.keys % N) @ psi.T)  # psi(xi) as an index
+    vals, counts = np.unique(fiber, return_counts=True)
+    # np.argmax: the first maximum, the smallest fiber index
+    return PhaseGraph(spec, gamma.keys[fiber == vals[np.argmax(counts)]], gamma.u3)
 
 
 @dataclass
@@ -222,20 +197,20 @@ def _affine_vote(spec: GroupSpec, xi_at: np.ndarray, v_idx: np.ndarray,
     return best
 
 
-def linear_component_fit(sliced: SliceResult) -> LinearComponentFit:
-    """Read a linear map off the doubled sliced graph, on the subspace
-    annihilating the Bogolyubov spectrum of the shift set, then pick the
-    affine translate (x0, xi0) with maximal agreement by exhaustive
-    pigeonhole."""
-    gamma = sliced.graph
+def linear_component_fit(gamma: PhaseGraph) -> LinearComponentFit:
+    """Read a linear map off the doubled graph 2G - 2G of the sliced graph G,
+    on the subspace annihilating the Bogolyubov spectrum of its shift set
+    (keys // N), then pick the affine translate (x0, xi0) with maximal
+    agreement by exhaustive pigeonhole over the map h -> xi (keys % N)."""
     spec = gamma.spec
     p = _homogeneous_prime(spec)
     N = spec.order
     if len(gamma) == 0:
         raise EmptyV("linear fit: the sliced graph is empty (|sliced graph| = 0)")
-    d2 = iterated_sumset(gamma.pair_group, gamma.pair_keys(), 2, 2)  # 2G - 2G
+    hs, xis = gamma.keys // N, gamma.keys % N
+    d2 = iterated_sumset(gamma.pair_group, gamma.keys, 2, 2)  # 2G - 2G
 
-    spectrum = bogolyubov(spec, sorted(gamma.entries))
+    spectrum = bogolyubov(spec, hs)
     V_ann = PrimeSubspace.from_generators(spec, kernel_basis_mod_p(
         np.array([list(xi.coords) for xi in spectrum], dtype=np.int64).reshape(-1, spec.rank), p
     ))
@@ -267,7 +242,7 @@ def linear_component_fit(sliced: SliceResult) -> LinearComponentFit:
                      f"(|sliced graph| = {len(gamma)}, dim V = {Vsub.dim})")
 
     xi_at = np.full(N, -1, dtype=np.int64)
-    xi_at[list(gamma.entries)] = [xi for xi, _ in gamma.entries.values()]
+    xi_at[hs] = xis
     cnt, x0, xi0 = _affine_vote(spec, xi_at, v_idx, spec.neg_indices(two_mh))
     return LinearComponentFit(
         Vsub,
@@ -419,7 +394,7 @@ def quadratic_obstruction(
         average_bias=float(np.mean(biases)),
         best_bias=float(np.max(biases)),
         graph_size=len(gamma),
-        sliced_size=len(sliced.graph),
+        sliced_size=len(sliced),
         quadruples=quad,
         doubling_K=K,
         agreement=fit.agreement,

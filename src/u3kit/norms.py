@@ -352,13 +352,13 @@ def _support_window(spec: GroupSpec, supp: np.ndarray) -> tuple[GroupSpec, np.nd
     return window, window.encode((coords - starts) % spec.orders)
 
 
-def _neg_classes(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The least element h <= -h of each class {h, -h}, ascending, and the
-    class size: 1 when h = -h, else 2."""
+def _neg_classes(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The least element h <= -h of each class {h, -h}, ascending, the class
+    size (1 when h = -h, else 2), and the table h -> -h they are read from."""
     h = np.arange(spec.order, dtype=np.int64)
     neg = spec.neg_indices(h)
     reps = h[h <= neg]
-    return reps, np.where(neg[reps] == reps, 1.0, 2.0)
+    return reps, np.where(neg[reps] == reps, 1.0, 2.0), neg
 
 
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:
@@ -444,7 +444,7 @@ def _u3_pow8(f: GroupFunction) -> float:
     supp = np.flatnonzero(vals)
     conj_supp = np.conj(vals[supp])
     shifted = _translator(spec, vals, supp)
-    reps, weights = _neg_classes(spec)
+    reps, weights, _ = _neg_classes(spec)
 
     def rows(r0, r1):  # live: the rows alone
         g = shifted(reps[r0:r1])
@@ -462,7 +462,7 @@ def _u4_pow16(f: GroupFunction) -> float:
     on_supp = vals[supp]
     shifted = _translator(spec, vals, supp)
     conj_shifted = _translator(spec, np.conj(vals), supp)
-    reps, weights = _neg_classes(spec)
+    reps, weights, _ = _neg_classes(spec)
     # pairs (i, j), i <= j, in row-major order; row i starts at pair first[i]
     first = np.concatenate(([0], np.cumsum(np.arange(len(reps), 0, -1))))
 

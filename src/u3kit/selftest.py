@@ -95,7 +95,7 @@ def run_selftest() -> list[tuple[str, bool]]:
     first = np.argmax(sq >= sq.max(axis=1, keepdims=True) * (1 - _TIE_RTOL), axis=1)
     out.append(("phase-derivative graph: U3 and -h witnesses on F3^3",
                 len(gamma) == f3.order and abs(gamma.u3 - gowers_norm(real, 3).value) <= 1e-12
-                and [gamma.entries[h][0] for h in hs.tolist()] == first.tolist()))
+                and (gamma.keys[hs] % f3.order).tolist() == first.tolist()))
 
     fs = [_random_bounded(spec, rng) for _ in range(4)]
     out.append(("von Neumann slack >= 0", gvn_slack(fs) >= -1e-9))

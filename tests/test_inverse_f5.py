@@ -6,10 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bias_against, constant, random_pm1
-from u3kit.errors import EmptyGraph, EmptyV, SliceFailed, U3KitError
+from u3kit import bohr
+from u3kit import inverse_f5 as inverse_f5_module
+from u3kit.bohr import iterated_sumset
+from u3kit.errors import BudgetExceeded, EmptyGraph, EmptyV, SliceFailed, U3KitError
 from u3kit.fourier import dft_values
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.inverse_f5 import (
+    PhaseGraph,
     _witness_scan,
     additive_quadruples,
     coset_reps,
@@ -30,25 +34,46 @@ def _planted_quadratic(spec, A, b):
     return GroupFunction(spec, np.exp(2j * np.pi * q / p)), q
 
 
+def _derivative_sq(f):
+    """|E_x f(x + h) conj f(x) e(-xi.x)|^2 for every (h, xi), from element
+    arithmetic and exact pairings, with no transform."""
+    spec = f.owner
+    idx = np.arange(spec.order)
+    rows = f.values[spec.add_indices(idx[None, :], idx[:, None])] * np.conj(f.values)
+    table = np.exp(-2j * np.pi / spec.exponent * spec.pairings(idx[:, None], idx[None, :]))
+    return np.abs(rows @ table / spec.order) ** 2
+
+
+def _assert_cut_from_definition(f, g, eta):
+    """Every kept pair (h, xi) has |Delta_h f^(xi)|^2 >= eta^8 / 2, and every
+    shift left out has all of its coefficients below that cut."""
+    N, cut = f.owner.order, eta**8 / 2
+    sq = _derivative_sq(f)
+    hs, xis = g.keys // N, g.keys % N
+    assert np.all(np.diff(g.keys) > 0)  # ascending, one pair per shift
+    assert np.all(sq[hs, xis] >= cut * (1 - 1e-12))
+    out = np.setdiff1d(np.arange(N), hs)
+    assert np.all(sq[out].max(axis=1, initial=0.0) < cut * (1 + 1e-12))
+
+
 def test_graph_planted_global_quadratic():
     spec = parse_group("F5^2")
     A = np.array([[2, 1], [1, 3]])
     f, _ = _planted_quadratic(spec, A, [0, 0])
     g = phase_derivative_graph(f, 0.5)
     assert len(g) == 25
-    # every correlation is 1 and the frequency matches 2 A h
-    for h, (xi, corr) in g.entries.items():
-        hc = np.array(spec.coords_of(h))
-        expect = spec.encode((2 * (hc @ A)) % 5)
-        assert xi == int(expect)
-        assert corr > 1 - 1e-9
+    # every frequency is 2 A h, and every pair passes the cut by definition
+    hs = g.keys // 25
+    assert np.array_equal(g.keys % 25, spec.encode(2 * spec.decode(hs) @ A % 5))
+    _assert_cut_from_definition(f, g, 0.5)
+    assert np.allclose(_derivative_sq(f)[hs, g.keys % 25], 1.0)
 
 
 def test_graph_constant_function():
     spec = parse_group("F5^2")
     ones = constant(spec, 1.0)
     g = phase_derivative_graph(ones, 0.5)
-    assert len(g) == 25 and all(xi == 0 for xi, _ in g.entries.values())
+    assert len(g) == 25 and np.all(g.keys % 25 == 0)
 
 
 def test_graph_empty_on_random_signs(rng):
@@ -59,17 +84,21 @@ def test_graph_empty_on_random_signs(rng):
 
 
 def test_witness_bound(rng):
-    # every stored entry satisfies |corr| >= eta^4 / sqrt(2)
+    # every kept pair has |corr|^2 >= eta^8 / 2 and every other shift fails
+    # it, both recomputed from the definition; at eta = 0.8 the cut drops
+    # about half of the shifts
     spec = parse_group("F5^2")
     mags = rng.uniform(0.6, 1.0, 25)
     f = GroupFunction(spec, mags * np.exp(2j * np.pi * rng.uniform(size=25)))
-    eta = 0.45
-    try:
-        g = phase_derivative_graph(f, eta)
-    except EmptyGraph:
-        return
-    for _, (_, corr) in g.entries.items():
-        assert corr >= eta**4 / np.sqrt(2) - 1e-9
+    sizes = []
+    for eta in (0.45, 0.8):
+        try:
+            g = phase_derivative_graph(f, eta)
+        except EmptyGraph:
+            continue
+        _assert_cut_from_definition(f, g, eta)
+        sizes.append(len(g))
+    assert any(0 < n < 25 for n in sizes)
 
 
 def test_quadruples_counts():
@@ -78,13 +107,11 @@ def test_quadruples_counts():
     f, _ = _planted_quadratic(spec, A, [1])
     g = phase_derivative_graph(f, 0.5)
     assert additive_quadruples(g) == 125  # graph of a linear map: N^3
-    # single entry: only the diagonal quadruple
-    from u3kit.inverse_f5 import PhaseGraph
-
-    g1 = PhaseGraph(spec, 0.5, {2: (3, 1.0)})
+    # single entry (2, 3): only the diagonal quadruple
+    g1 = PhaseGraph(spec, np.array([2 * 5 + 3]))
     assert additive_quadruples(g1) == 1
-    # diagonal lower bound m^2
-    g2 = PhaseGraph(spec, 0.5, {0: (1, 1.0), 1: (3, 1.0), 2: (2, 1.0)})
+    # diagonal lower bound m^2 for (0, 1), (1, 3), (2, 2)
+    g2 = PhaseGraph(spec, np.array([0 * 5 + 1, 1 * 5 + 3, 2 * 5 + 2]))
     assert additive_quadruples(g2) >= 9
 
 
@@ -93,8 +120,7 @@ def test_random_slice_noop_on_linear_graph():
     f, _ = _planted_quadratic(spec, [[1, 0], [0, 2]], [0, 1])
     g = phase_derivative_graph(f, 0.5)
     sl = random_slice(g, seed=3)
-    assert len(sl.graph) == len(g)  # A = {0}: nothing to slice
-    assert sl.m == 0 and sl.verified
+    assert np.array_equal(sl.keys, g.keys)  # A = {0}: nothing to slice
 
 
 def test_random_slice_removes_corruption():
@@ -102,32 +128,69 @@ def test_random_slice_removes_corruption():
     f, _ = _planted_quadratic(spec, [[1, 0], [0, 2]], [0, 0])
     g = phase_derivative_graph(f, 0.5)
     # corrupt one entry's frequency
-    h0 = sorted(g.entries)[7]
-    xi0, c0 = g.entries[h0]
-    g.entries[h0] = ((xi0 + 11) % 25, c0)
-    sl = random_slice(g, seed=5)
-    assert sl.verified
-    hs = sorted(sl.graph.entries)
+    keys = g.keys.copy()
+    h0, xi0 = divmod(int(keys[7]), 25)
+    keys[7] = h0 * 25 + (xi0 + 11) % 25
+    sl = random_slice(PhaseGraph(spec, keys), seed=5)
     # the sliced graph is linear again: differences single-valued
-    assert len(sl.graph) >= 1
+    assert len(sl) >= 1 and np.all(np.isin(sl.keys, keys))
+    diff = iterated_sumset(sl.pair_group, sl.keys, 8, 8)
+    assert np.all(diff[diff // 25 == 0] == 0)
+
+
+@st.composite
+def slice_graphs(draw):
+    """A graph on F3^2, F5^2 or F3^3: a random linear map on a random set of
+    shifts (never empty), with none, some or all of its frequencies replaced
+    at random, so that A ranges from {0} to all of dual(G)."""
+    spec = parse_group(draw(st.sampled_from(["F3^2", "F5^2", "F3^3"])))
+    p, n, N = spec.orders[0], spec.rank, spec.order
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.uniform(size=N) < draw(st.sampled_from([0.2, 0.6, 1.0]))
+    mask[rng.integers(N)] = True
+    hs = np.flatnonzero(mask)
+    xis = spec.encode(spec.decode(hs) @ rng.integers(0, p, (n, n)) % p)
+    flip = rng.uniform(size=len(hs)) < draw(st.sampled_from([0.0, 0.05, 0.15, 1.0]))
+    xis[flip] = rng.integers(0, N, int(flip.sum()))
+    return PhaseGraph(spec, hs * N + xis)
+
+
+@given(gamma=slice_graphs(), low=st.booleans(), seed=st.integers(0, 2**16))
+def test_slice_leaves_a_graph(gamma, low, seed):
+    # the invariant the slice's docstring proves: over h = 0 the sliced
+    # graph's folds-fold difference set holds only xi = 0, and the slice
+    # keeps a subset of the pairs; with the budget just below |graph| |G|^2
+    # the 4-fold surrogate runs, and it may then refuse a fold that fills
+    # G x dual(G)
+    N = gamma.spec.order
+    folds = []
+    real = inverse_f5_module.iterated_sumset
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bohr, "SUMSET_BUDGET", len(gamma) * N * N - 1 if low else bohr.SUMSET_BUDGET)
+        mp.setattr(inverse_f5_module, "iterated_sumset", lambda *a: folds.append(a[2]) or real(*a))
+        try:
+            sliced = random_slice(gamma, seed)
+        except (BudgetExceeded, SliceFailed):
+            assert low or folds == [8]
+            return
+    assert folds == [4 if low else 8]
+    assert len(sliced) and np.all(np.isin(sliced.keys, gamma.keys))
+    diff = iterated_sumset(gamma.pair_group, sliced.keys, folds[0], folds[0])
+    assert diff[diff // N == 0].tolist() == [0]
 
 
 def test_slice_empty_graph():
     spec = parse_group("F5^1")
-    from u3kit.inverse_f5 import PhaseGraph
-
-    g = PhaseGraph(spec, 0.5, {})
+    g = PhaseGraph(spec, np.zeros(0, dtype=np.int64))
     sl = random_slice(g, seed=0)
-    assert len(sl.graph) == 0 and sl.verified
+    assert len(sl) == 0
 
 
 def test_pipeline_failures_name_their_stage_and_sizes(monkeypatch):
     # (1, 1) + (2, 0) - (3, 0) = (0, 1), so A = {xi : (0, xi) in 8G - 8G} is
     # all of F5; a compression that is always 0 finds no slice
-    from u3kit.inverse_f5 import PhaseGraph, SliceResult
-
     spec = parse_group("F5^1")
-    g = PhaseGraph(spec, 0.5, {1: (1, 1.0), 2: (0, 1.0), 3: (0, 1.0)})
+    g = PhaseGraph(spec, np.array([1 * 5 + 1, 2 * 5 + 0, 3 * 5 + 0]))
 
     class ZeroRng:
         def integers(self, low, high, size):
@@ -137,10 +200,10 @@ def test_pipeline_failures_name_their_stage_and_sizes(monkeypatch):
         mp.setattr(np.random, "default_rng", lambda seed: ZeroRng())
         with pytest.raises(SliceFailed, match=r"^random slice: .*\(\|graph\| = 3, \|A\| = 5\)$"):
             random_slice(g, seed=0)
-    empty = SliceResult(PhaseGraph(spec, 0.5, {}), 0, 0, False, True, 0)
+    empty = PhaseGraph(spec, np.zeros(0, dtype=np.int64))
     with pytest.raises(EmptyV, match=r"^linear fit: .*\(\|sliced graph\| = 0\)$"):
         linear_component_fit(empty)
-    point = SliceResult(PhaseGraph(parse_group("F5^2"), 0.5, {2: (3, 1.0)}), 0, 0, False, True, 0)
+    point = PhaseGraph(parse_group("F5^2"), np.array([2 * 25 + 3]))
     with pytest.raises(EmptyV, match=r"^linear fit: .*\(\|sliced graph\| = 1, \|2H''-2H''\| = 1, dim V = 0\)$"):
         linear_component_fit(point)
 
@@ -161,14 +224,15 @@ def _reference_vote(gamma, fit):
     """The affine-fit vote as a plain loop over x0 and t in V-local lex order:
     most votes, then smallest x0, then smallest xi0."""
     spec, V = gamma.spec, fit.V
+    xi_of = {k // spec.order: k % spec.order for k in gamma.keys.tolist()}
     best = (-1, 0, 0)
     for x0 in range(spec.order):
         votes = {}
         for t in itertools.product(range(V.p), repeat=V.dim):
             pt = (spec.element_by_index(x0) + spec.element(V.embed_coords(t))).index
-            if pt in gamma.entries:
+            if pt in xi_of:
                 two_mh = spec.dual((2 * (np.array(t) @ fit.M_rows)) % V.p)
-                xi0 = (spec.dual_by_index(gamma.entries[pt][0]) - two_mh).index
+                xi0 = (spec.dual_by_index(xi_of[pt]) - two_mh).index
                 votes[xi0] = votes.get(xi0, 0) + 1
         if votes:
             xi0, cnt = min(votes.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -211,7 +275,7 @@ def test_linear_fit_vote_matches_reference_loop(monkeypatch):
                 fit = linear_component_fit(sl)
             except (EmptyGraph, EmptyV):
                 continue
-            cnt, x0, xi0 = _reference_vote(sl.graph, fit)
+            cnt, x0, xi0 = _reference_vote(sl, fit)
             for rows in (None, 1, 7):
                 with monkeypatch.context() as mp:
                     _vote_rows(mp, spec, rows)
@@ -222,17 +286,17 @@ def test_linear_fit_vote_matches_reference_loop(monkeypatch):
         assert checked >= 3, group
 
 
-def _reference_fit_checks(sliced):
+def _reference_fit_checks(gamma):
     """The checks of linear_component_fit on the doubled graph 2G-2G, as the
     loops over a dict and a set that its array map h -> xi replaced:
     "subspace", "cover", "linear", or the rows of M."""
-    from u3kit.bohr import bogolyubov, iterated_sumset
+    from u3kit.bohr import bogolyubov
     from u3kit.modlinalg import kernel_basis_mod_p, largest_subspace_inside
 
-    gamma = sliced.graph
     spec, p, N = gamma.spec, gamma.spec.orders[0], gamma.spec.order
-    d2 = iterated_sumset(gamma.pair_group, gamma.pair_keys(), 2, 2)
-    spectrum = np.array([xi.coords for xi in bogolyubov(spec, sorted(gamma.entries))]).reshape(-1, spec.rank)
+    d2 = iterated_sumset(gamma.pair_group, gamma.keys, 2, 2)
+    shifts = (gamma.keys // N).tolist()
+    spectrum = np.array([xi.coords for xi in bogolyubov(spec, shifts)]).reshape(-1, spec.rank)
     V_ann = PrimeSubspace.from_generators(spec, kernel_basis_mod_p(spectrum, p))
     V_direct = largest_subspace_inside(spec, np.unique(d2 // N).tolist())
     V = V_ann if V_ann.dim >= V_direct.dim else V_direct
@@ -262,8 +326,6 @@ def test_linear_fit_checks_match_reference_loops(group):
     # graphs of h -> 2Ah on random domains, some frequencies replaced at
     # random: the doubled graph then holds two frequencies at many h, and the
     # fit refuses V or reads M off it as the loops do
-    from u3kit.inverse_f5 import PhaseGraph, SliceResult
-
     spec = parse_group(group)
     p, N = spec.orders[0], spec.order
     A = 2 * np.array(_VOTE_PLANTS[group][0])
@@ -275,10 +337,10 @@ def test_linear_fit_checks_match_reference_loops(group):
         xis = spec.encode(spec.decode(hs) @ A % p)
         flip = rng.uniform(size=len(hs)) < flips
         xis[flip] = rng.integers(0, N, int(flip.sum()))
-        graph = PhaseGraph(spec, 0.5, {h: (xi, 1.0) for h, xi in zip(hs.tolist(), xis.tolist())})
-        want = _reference_fit_checks(SliceResult(graph, 0, 0, False, True, seed))
+        graph = PhaseGraph(spec, hs * N + xis)
+        want = _reference_fit_checks(graph)
         try:
-            got = linear_component_fit(SliceResult(graph, 0, 0, False, True, seed)).M_rows
+            got = linear_component_fit(graph).M_rows
         except EmptyV as exc:
             got = next(k for k, text in (("subspace", "no nontrivial subspace"), ("cover", "does not cover V"),
                                          ("linear", "not linear on V"), ("vote", "affine vote")) if text in str(exc))
@@ -303,7 +365,7 @@ def test_linear_fit_vote_tie_across_blocks(group, rows, monkeypatch):
     fit = linear_component_fit(sl)
     assert fit.V.order == spec.order and fit.agreement == 1.0
     assert fit.x0.index == 0
-    cnt, x0, xi0 = _reference_vote(sl.graph, fit)
+    cnt, x0, xi0 = _reference_vote(sl, fit)
     assert (fit.x0.index, fit.xi0) == (x0, spec.coords_of(xi0)) and cnt == spec.order
 
 
@@ -614,9 +676,9 @@ def test_float_witnesses_are_lex_first_in_band(case):
     f, W, A = case
     spec = f.owner
     gamma = phase_derivative_graph(f, 0.3)
-    hs = np.array(sorted(gamma.entries))
+    hs = gamma.keys // spec.order
     rows = f.values[spec.add_indices(np.arange(spec.order)[None, :], hs[:, None])] * np.conj(f.values)
-    assert [gamma.entries[h][0] for h in hs.tolist()] == lex_first_in_band(spec, rows).tolist()
+    assert (gamma.keys % spec.order).tolist() == lex_first_in_band(spec, rows).tolist()
 
     assert u2_bias(f).witness == spec.dual_by_index(int(lex_first_in_band(spec, f.values)))
 
