@@ -128,7 +128,8 @@ On F5^3 the 2M chunk is one block of 1.95M outputs and 2^17 is 25 blocks
 of 78,125; on F3^4, 2^17 and 2^16 give the same 81 blocks of 59,049.
 The tables that depend only on p, k and the chunk are built once and
 cached: D, the phase exponents of the off-diagonal vectors and the index
-maps below, in the least integer type that holds them.
+maps below, in the least integer type that holds them.  D has p^3
+entries, at most 19^3 = 6,859: for k >= 2, ORACLE_BUDGET bounds p by 19.
 A cyclic group Z/h is the case k = 1 with p = h, for any modulus h: one
 state, so nothing to cut, and `_cyclic_scan` makes the rows a without D,
 which would cost more than the one transform it serves (whole scan at
@@ -193,10 +194,6 @@ the latter in MiB:
   noise       6.1 -> 5.4 (1.2)   20.2 -> 13.7 (0.9)  0.24 -> 0.19 (0.2)  4.0 -> 2.1 (0.5)
 
 (noise: a random modulus in [0, 1) and phase at each point).
-
-D is stored as a dense matrix only when p^3 <= _ORACLE_CHUNK, where one
-matrix is reused across the k axes and all the chunks; otherwise an axis
-goes through the chirp w^(c s^2) and a length-p FFT in s.
 
 The bracket oracle regroups the same way.  With brackets b_i(x) = {xi_i x/N}
 on the region, a coefficient tuple splits into its quadratic part q (the
@@ -584,29 +581,24 @@ def _base_p_digits(n: np.ndarray, p: int, width: int) -> np.ndarray:
     return (n[..., None] // p ** np.arange(width - 1, -1, -1, dtype=np.int64)) % p
 
 
-def _along_axis(h: np.ndarray, D: np.ndarray | None, omega: np.ndarray) -> np.ndarray:
+def _along_axis(h: np.ndarray, D: np.ndarray) -> np.ndarray:
     """(B, n, r) -> (B, n / p, p^2 r) for the states h[b, :, c], each a
     function of (t_0, ..., t_j) in lex order (n = p^(j+1)): the last
     coordinate t_j = s becomes the rows (c, xi), ahead of the r columns, of
-    sum_s h[.., s] w^(c s^2 + xi s), w = omega[1], by the dense map D or,
-    when D is None, by the chirp w^(c s^2) and a length-p FFT in s."""
+    sum_s h[.., s] w^(c s^2 + xi s), by the dense map D."""
     B, n, r = h.shape
-    p = len(omega)
+    p = D.shape[1]
     g = h.reshape(-1, p, r)
-    if D is not None:
-        # one column: one 2-D product in place of B matrix-vector products,
-        # 2-3x faster at B = 125 and 243 (one BLAS thread)
-        out = g[:, :, 0] @ D.T if r == 1 else np.matmul(D, g)
-    else:
-        s = np.arange(p, dtype=np.int64)
-        out = np.fft.fft(omega[(s[:, None] * s * s) % p][:, :, None] * g[:, None], axis=2)
+    # one column: one 2-D product in place of B matrix-vector products,
+    # 2-3x faster at B = 125 and 243 (one BLAS thread)
+    out = g[:, :, 0] @ D.T if r == 1 else np.matmul(D, g)
     return out.reshape(B, n // p, p * p * r)
 
 
-def _last_axis(h: np.ndarray, D: np.ndarray | None, omega: np.ndarray) -> np.ndarray:
+def _last_axis(h: np.ndarray, D: np.ndarray) -> np.ndarray:
     """|.|^2 of the last axis for the B r states h[b, :, c]: (B, p, r) ->
     (B, 1, p^2 r).  Every state the scan evaluates passes through here."""
-    out = _along_axis(h, D, omega)
+    out = _along_axis(h, D)
     sq = np.square(out.real)
     sq += np.square(out.imag)
     return sq
@@ -619,7 +611,7 @@ class _ScanPlan(NamedTuple):
     (Z/p)^(k-1), all in lex order, and u(v) = (c_{i,k-1})_{i<k-1}."""
 
     omega: np.ndarray  # w^s for s in Z/p, w = e(-1/p)
-    D: np.ndarray | None  # D[(c, xi), s] = w^(c s^2 + xi s), rows in lex order; None when p^3 > chunk
+    D: np.ndarray  # D[(c, xi), s] = w^(c s^2 + xi s), rows in lex order
     E: np.ndarray  # E[v, t'] = sum_{i<j<k-1} 2 c_ij t_i t_j mod p, v's phase at (t', 0)
     u_of: np.ndarray  # the lex index of u(v), for each v
     shear: np.ndarray  # shear[u, t', c, xi] = (t', c, xi + 2 u.t' mod p) as a flat index
@@ -635,10 +627,7 @@ def _scan_plan(p: int, k: int, chunk: int) -> _ScanPlan:
     """The `_ScanPlan` of the scans on (Z/p)^k in chunks of `chunk` outputs."""
     s = np.arange(p, dtype=np.int64)
     omega = np.exp(-2j * np.pi * s / p)
-    # One product with D takes half the time of p chirps and length-p FFTs
-    # on F5^3, but D has p^3 entries and pays off only when reused across
-    # axes and chunks
-    D = omega[(s[:, None, None] * s * s + s[:, None] * s) % p].reshape(-1, p) if p**3 <= chunk else None
+    D = omega[(s[:, None, None] * s * s + s[:, None] * s) % p].reshape(-1, p)
     off = [(i, j) for i in range(k) for j in range(i + 1, k)]
     t = _base_p_digits(np.arange(p**k), p, k)
     P = np.array([2 * t[:, i] * t[:, j] % p for i, j in off], dtype=np.int64).reshape(-1, p**k)
@@ -669,8 +658,7 @@ def _scan_plan(p: int, k: int, chunk: int) -> _ScanPlan:
     perm = tuple(names.index(a) for a in varying)
     place = p ** (len(perm) - 1 - np.argsort(perm))
     for a in (omega, D, E, u_of, shear, place):
-        if a is not None:
-            a.flags.writeable = False
+        a.flags.writeable = False
     return _ScanPlan(omega, D, E, u_of, shear, p**jv, tuple(lex), varying, perm, place)
 
 
@@ -696,7 +684,7 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
     # w^(phi_v(t')) H(t', c, xi + 2 u(v).t') at t', a phase times a shear of
     # the partial sums H of f, so its bound depends on v through u(v) alone
     # (module docstring).
-    H = _along_axis(fvals[None, :, None], D, omega).reshape(-1)  # (t', c, xi), flat
+    H = _along_axis(fvals[None, :, None], D).reshape(-1)  # (t', c, xi), flat
     U, n = shear.shape[:2]
 
     def bounds(h: np.ndarray) -> np.ndarray:
@@ -715,9 +703,9 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
     top = np.argmax(by_u[u_of[vs]], axis=1)  # (c, xi) of each seed
     h = (omega[E[vs]] * H[shear[u_of[vs], :, top // p, top % p]])[:, :, None]
     for _ in range(k - 2):
-        h = _along_axis(h, D, omega)
+        h = _along_axis(h, D)
         h = h[np.arange(len(h)), :, np.argmax(bounds(h), axis=1)][:, :, None]
-    best = float(_last_axis(h, D, omega).max())
+    best = float(_last_axis(h, D).max())
 
     def cut() -> float:
         return best * (1 - _TIE_RTOL) * (1 - _BOUND_SLACK)
@@ -739,7 +727,7 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int,
                 if not len(i):
                     return None
                 h, at, stride = h[i, :, col][:, :, None], at[i] + col * stride, p ** (2 * level)
-            h = _last_axis(h, D, omega) if level == k - 1 else _along_axis(h, D, omega)
+            h = _last_axis(h, D) if level == k - 1 else _along_axis(h, D)
         sq = h[:, 0]  # (rows, columns): after the last axis each state is one entry
         top = float(sq.max())
         if top < cut():  # no entry reaches the tie band

@@ -745,8 +745,8 @@ def test_quadratic_scan_evaluates_few_states_on_a_plant(monkeypatch):
 
 @pytest.mark.parametrize("group", ["F127^1", "F131^2"])
 def test_coset_oracle_large_p_line_matches_reference(group, rng):
-    # a line has k = 1, so the axis goes through the chirp and the FFT
-    # instead of the dense matrix D
+    # a line has k = 1, so the scan is `_cyclic_scan`: a chirp and one
+    # length-p FFT per row, with no dense matrix D
     import u3kit.norms as norms
 
     spec = parse_group(group)
