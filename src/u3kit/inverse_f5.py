@@ -123,10 +123,10 @@ def random_slice(gamma: PhaseGraph, seed: int) -> PhaseGraph:
     iterated difference sets are graphs.
 
     A = {xi : (0, xi) in 8G - 8G} is compressed by a random linear map psi
-    from dual(G) to F_p^m, nonvanishing on A \\ {0}, with m = ceil(log_p |A|);
-    the densest fiber {h : psi(xi(h)) = c} is kept (the smallest c, as an
-    index, on ties).  When |graph| |G|^2 exceeds bohr.SUMSET_BUDGET, 4G - 4G
-    stands in for 8G - 8G.
+    from dual(G) to F_p^m, m the least with p^m >= |A|, that vanishes on no
+    point of A \\ {0}; the densest fiber {h : psi(xi(h)) = c} is kept (the
+    smallest c, as an index, on ties).  When |graph| |G|^2 exceeds
+    bohr.SUMSET_BUDGET, 4G - 4G stands in for 8G - 8G.
 
     The sliced graph G' needs no check.  A (0, xi) in 8G' - 8G' lies in A,
     as G' is part of G, and psi(xi) = 8c - 8c = 0 by linearity; psi vanishes
@@ -143,7 +143,9 @@ def random_slice(gamma: PhaseGraph, seed: int) -> PhaseGraph:
     A_nonzero = A[A != 0]
     if len(A_nonzero) == 0:
         return gamma
-    m = int(np.ceil(np.log(len(A)) / np.log(p)))
+    m = 1  # the least m with p^m >= |A| >= 2, in integers
+    while p**m < len(A):
+        m += 1
     rng = np.random.default_rng(seed)
     coords = spec.decode(A_nonzero)
     for _ in range(100):

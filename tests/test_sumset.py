@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from u3kit import bohr, inverse_f5
 from u3kit.errors import BudgetExceeded
 from u3kit.groups import GroupFunction, GroupSpec
-from u3kit.inverse_f5 import phase_derivative_graph, random_slice
+from u3kit.inverse_f5 import PhaseGraph, phase_derivative_graph, random_slice
 
 
 def reference_iterated_sumset(spec, A, plus, minus, budget=bohr.SUMSET_BUDGET, products=None):
@@ -174,6 +174,56 @@ def test_random_slice_budget_matches_reference(monkeypatch):
                 assert expected[b] == random_slice(gamma, 0).keys.tolist()
         except BudgetExceeded:
             assert expected[b] == "BudgetExceeded"
+
+
+def reference_random_slice(gamma, seed):
+    """random_slice by plain loops, with m the least integer such that
+    p^m >= |A|: A from the reference 8-fold sumset, psi the first seeded
+    draw that vanishes on no point of A \\ {0}, and the densest fiber, the
+    lex-smallest value of psi on ties.  Returns (|A|, m, sliced keys)."""
+    spec = gamma.spec
+    p, N = spec.orders[0], spec.order
+    diff = reference_iterated_sumset(gamma.pair_group, gamma.keys.tolist(), 8, 8)
+    A = [k % N for k in diff.tolist() if k // N == 0]
+    m = 0
+    while p**m < len(A):
+        m += 1
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        psi = rng.integers(0, p, size=(m, spec.rank))
+        if all(np.any(psi @ spec.coords_of(xi) % p) for xi in A if xi):
+            break
+    fibers = {}
+    for k in gamma.keys.tolist():
+        fibers.setdefault(tuple((psi @ spec.coords_of(k % N) % p).tolist()), []).append(k)
+    return len(A), m, fibers[min(fibers, key=lambda c: (-len(fibers[c]), c))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_slice_matches_reference_at_a_power_of_p(seed, monkeypatch):
+    # |A| = 125 = 5^3 on F5^3 takes m = 3; ceil(log 125 / log 5) in floats
+    # is 4, since the quotient rounds to 3.0000000000000004.  A 4-row psi
+    # only refines the fibers of the 3-row one drawn first, so the kept fiber
+    # often agrees (at seed 2 it does not); the rows drawn show m itself
+    spec = GroupSpec((5,) * 3)
+    rng = np.random.default_rng(seed)
+    hs = np.sort(rng.choice(spec.order, 12, replace=False))
+    gamma = PhaseGraph(spec, hs * spec.order + rng.integers(0, spec.order, 12))
+    size, m, keys = reference_random_slice(gamma, seed)
+    assert (size, m) == (125, 3)
+    rows, default_rng = [], np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def integers(self, low, high, size):
+            rows.append(size[0])
+            return self.rng.integers(low, high, size=size)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    assert random_slice(gamma, seed).keys.tolist() == keys
+    assert rows and set(rows) == {m}
 
 
 @pytest.mark.parametrize("plus, minus, where", [
