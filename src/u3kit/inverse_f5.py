@@ -209,7 +209,7 @@ def linear_component_fit(gamma: PhaseGraph) -> LinearComponentFit:
     N = spec.order
     if len(gamma) == 0:
         raise EmptyV("linear fit: the sliced graph is empty (|sliced graph| = 0)")
-    hs, xis = gamma.keys // N, gamma.keys % N
+    hs, xis = np.divmod(gamma.keys, N)
     d2 = iterated_sumset(gamma.pair_group, gamma.keys, 2, 2)  # 2G - 2G
 
     spectrum = bogolyubov(spec, hs)
