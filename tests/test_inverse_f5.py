@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bias_against, constant, random_pm1
-from u3kit import bohr
-from u3kit import inverse_f5 as inverse_f5_module
+from u3kit import bohr, inverse_f5
 from u3kit.bohr import iterated_sumset
 from u3kit.errors import BudgetExceeded, EmptyGraph, EmptyV, SliceFailed, U3KitError
 from u3kit.fourier import dft_values
@@ -49,8 +48,8 @@ def _assert_cut_from_definition(f, g, eta):
     shift left out has all of its coefficients below that cut."""
     N, cut = f.owner.order, eta**8 / 2
     sq = _derivative_sq(f)
-    hs, xis = g.keys // N, g.keys % N
-    assert np.all(np.diff(g.keys) > 0)  # ascending, one pair per shift
+    hs, xis = np.divmod(g.keys, N)
+    assert np.all(np.diff(hs) > 0)  # ascending, one pair per shift
     assert np.all(sq[hs, xis] >= cut * (1 - 1e-12))
     out = np.setdiff1d(np.arange(N), hs)
     assert np.all(sq[out].max(axis=1, initial=0.0) < cut * (1 + 1e-12))
@@ -164,14 +163,14 @@ def test_slice_leaves_a_graph(gamma, low, seed):
     # G x dual(G)
     N = gamma.spec.order
     folds = []
-    real = inverse_f5_module.iterated_sumset
+    real = inverse_f5.iterated_sumset
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bohr, "SUMSET_BUDGET", len(gamma) * N * N - 1 if low else bohr.SUMSET_BUDGET)
-        mp.setattr(inverse_f5_module, "iterated_sumset", lambda *a: folds.append(a[2]) or real(*a))
+        mp.setattr(inverse_f5, "iterated_sumset", lambda *a: folds.append(a[2]) or real(*a))
         try:
             sliced = random_slice(gamma, seed)
-        except (BudgetExceeded, SliceFailed):
-            assert low or folds == [8]
+        except BudgetExceeded:
+            assert low
             return
     assert folds == [4 if low else 8]
     assert len(sliced) and np.all(np.isin(sliced.keys, gamma.keys))
