@@ -235,28 +235,28 @@ def iterated_sumset(spec: GroupSpec, A: Iterable[int], plus: int, minus: int) ->
     """plus*A - minus*A as a sorted index array, one fold acc -> acc + K at a
     time (K = A, then K = -A).
 
-    Every fold is refused with BudgetExceeded when |acc| * |K| exceeds
-    SUMSET_BUDGET; the message names the fold (its sign and number) and the
-    sizes.  Once acc + K = acc (for nonempty A, in particular once
-    acc is all of G), the remaining folds are not computed: then acc + a =
-    acc for every a in A, so acc - A = acc as well and every later fold of
-    either sign returns acc.
+    Once acc + K = acc (for nonempty A, in particular once acc is all of G),
+    the remaining folds are not computed: then acc + a = acc for every a in
+    A, so acc - A = acc as well and every later fold of either sign returns
+    acc.  A fold that is computed is refused with BudgetExceeded when
+    |acc| * |K| exceeds SUMSET_BUDGET; the message names the fold (its sign
+    and number) and the sizes.
     """
     A = np.array(sorted(set(int(a) for a in A)), dtype=np.int64)
     acc = np.zeros(1, dtype=np.int64)
     fixed = False
     for sign, K, folds in (("plus", A, plus), ("minus", np.unique(spec.neg_indices(A)), minus)):
         for fold in range(1, folds + 1):
+            if fixed or (len(acc) == spec.order and len(K) > 0):
+                break
             if len(acc) * len(K) > SUMSET_BUDGET:
                 raise BudgetExceeded(
                     f"pair sumset budget exceeded at {sign} fold {fold} of {folds}: |acc| * |K| = "
                     f"{len(acc)} * {len(K)} = {len(acc) * len(K)} > SUMSET_BUDGET = {SUMSET_BUDGET}"
                 )
-            fixed = fixed or (len(acc) == spec.order and len(K) > 0)
-            if not fixed:
-                nxt = sumset(spec, acc, K)
-                fixed = np.array_equal(nxt, acc)
-                acc = nxt
+            nxt = sumset(spec, acc, K)
+            fixed = np.array_equal(nxt, acc)
+            acc = nxt
     return acc
 
 

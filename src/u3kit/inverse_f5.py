@@ -2,7 +2,7 @@
 
 The chain: a phase-derivative graph (shifts h whose multiplicative
 derivative correlates with a linear character), a random slice making the
-iterated difference sets of the graph single-valued, a Bogolyubov subspace
+iterated difference sets of the graph single-valued, the largest subspace
 inside the doubled shift set, a linear fit of the derivative frequency map,
 the symmetry subspace on which the fitted map is self-adjoint, and per-coset
 quadratic witnesses assembled from the self-adjoint part.  Every reported
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bohr
-from .bohr import bogolyubov, iterated_sumset
+from .bohr import iterated_sumset
 from .errors import EmptyGraph, EmptyV, SliceFailed, SpecMismatch
 from .fourier import dft_values
 from .groups import GroupElement, GroupFunction, GroupSpec
@@ -26,7 +26,6 @@ from .modlinalg import (
     is_prime,
     kernel_basis_mod_p,
     largest_subspace_inside,
-    solve_mod_p,
     span_points,
 )
 from .norms import CosetQuadraticWitness, _batch_rows, _first_in_band, _neg_classes, _translator, u3_oracle_coset
@@ -201,9 +200,18 @@ def _affine_vote(spec: GroupSpec, xi_at: np.ndarray, v_idx: np.ndarray,
 
 def linear_component_fit(gamma: PhaseGraph) -> LinearComponentFit:
     """Read a linear map off the doubled graph 2G - 2G of the sliced graph G,
-    on the subspace annihilating the Bogolyubov spectrum of its shift set
-    (keys // N), then pick the affine translate (x0, xi0) with maximal
-    agreement by exhaustive pigeonhole over the map h -> xi (keys % N)."""
+    on V, the lex-first subspace of largest dimension inside the doubled
+    shift set 2H - 2H (H = keys // N), then pick the affine translate
+    (x0, xi0) with maximal agreement by exhaustive pigeonhole over the map
+    h -> xi (keys % N).
+
+    V is the paper's Bogolyubov subspace at its best: the annihilator of the
+    spectrum S = bogolyubov(spec, H) lies in 2H - 2H, so it is never larger.
+    S holds xi = 0, as |1_H^(0)| = delta >= delta^{3/2} / sqrt 2.  For x in
+    the annihilator, 1_H * 1_H * 1_{-H} * 1_{-H}(x) = sum_xi |1_H^(xi)|^4
+    e(xi.x) has terms over S summing to at least delta^4, and the others to
+    at most max_{xi not in S} |1_H^(xi)|^2 sum_xi |1_H^(xi)|^2 < delta^4 / 2;
+    so x is in 2H - 2H, which is the shift projection of 2G - 2G."""
     spec = gamma.spec
     p = _homogeneous_prime(spec)
     N = spec.order
@@ -212,18 +220,8 @@ def linear_component_fit(gamma: PhaseGraph) -> LinearComponentFit:
     hs, xis = np.divmod(gamma.keys, N)
     d2 = iterated_sumset(gamma.pair_group, gamma.keys, 2, 2)  # 2G - 2G
 
-    spectrum = bogolyubov(spec, hs)
-    V_ann = PrimeSubspace.from_generators(spec, kernel_basis_mod_p(
-        np.array([list(xi.coords) for xi in spectrum], dtype=np.int64).reshape(-1, spec.rank), p
-    ))
-    # The spectrum annihilator sits inside B(spectrum, 1/4) and hence inside
-    # 2H''-2H''.  At desk scale the sliced set can be so sparse that the
-    # annihilator is trivial, so also search for the largest subspace lying
-    # directly inside the doubled shift set (a strictly stronger certificate
-    # of the only property used downstream) and keep the better of the two.
     doubled_support, mult = np.unique(d2 // N, return_counts=True)
-    V_direct = largest_subspace_inside(spec, doubled_support.tolist())
-    Vsub = V_ann if V_ann.dim >= V_direct.dim else V_direct
+    Vsub = largest_subspace_inside(spec, doubled_support.tolist())
     if Vsub.dim == 0:
         raise EmptyV(f"linear fit: no nontrivial subspace inside the doubled shift set "
                      f"(|sliced graph| = {len(gamma)}, |2H''-2H''| = {len(doubled_support)}, dim V = 0)")
@@ -235,11 +233,11 @@ def linear_component_fit(gamma: PhaseGraph) -> LinearComponentFit:
         raise EmptyV(f"linear fit: the doubled graph does not cover V "
                      f"(|sliced graph| = {len(gamma)}, dim V = {Vsub.dim})")
     M_rows = pow(2, -1, p) * spec.decode(xi_of[Vsub.generators]) % p
-    # the doubled graph must agree with the linear model on all of V: the
-    # points h of V and the predictions 2Mh, both in V-local lex order
+    # the doubled graph is defined on all of V and must agree with the linear
+    # model there: the points h of V and the predictions 2Mh, in V-local lex order
     v_idx = Vsub.coset(0)
     two_mh = spec.coset_points(0, spec.encode(2 * M_rows), Vsub.local_orders)
-    if np.any((xi_of[v_idx] != -1) & (xi_of[v_idx] != two_mh)):
+    if np.any(xi_of[v_idx] != two_mh):
         raise EmptyV(f"linear fit: the doubled graph is not linear on V "
                      f"(|sliced graph| = {len(gamma)}, dim V = {Vsub.dim})")
 
@@ -276,16 +274,13 @@ def symmetry_subspace(fit: LinearComponentFit) -> PrimeSubspace:
 
 
 def _restricted_form(fit: LinearComponentFit, W: PrimeSubspace) -> np.ndarray:
-    """A[i][j] = M(w_i).w_j on the basis of W, a subspace of V: each w_i is
-    solved in V's basis and M applied to its coordinates (0 x 0 when W is
-    trivial)."""
+    """A[i][j] = M(w_i).w_j on the basis of W, a subspace of V: V's basis is
+    row-reduced, so the coordinates of w_i in it are w_i at V's pivot
+    columns, and M is applied to them (0 x 0 when W is trivial)."""
     p, B, WB = W.p, fit.V.basis_matrix(), W.basis_matrix()
-    tloc = np.zeros((W.dim, fit.V.dim), dtype=np.int64)
-    for i, w in enumerate(WB):
-        sol = solve_mod_p(B.T, w, p)
-        if sol is None:
-            raise AssertionError("vector outside subspace")
-        tloc[i] = sol
+    tloc = WB[:, np.argmax(B != 0, axis=1)]
+    if np.any((tloc @ B - WB) % p):
+        raise AssertionError("vector outside subspace")
     MW = (tloc @ fit.M_rows) % p  # dual coords of M on the W basis
     return (MW @ WB.T) % p
 

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from conftest import bias_against, constant, random_pm1
 from u3kit import bohr, inverse_f5
 from u3kit.bohr import iterated_sumset
-from u3kit.errors import BudgetExceeded, EmptyGraph, EmptyV, SliceFailed, U3KitError
+from u3kit.errors import EmptyGraph, EmptyV, SliceFailed, U3KitError
 from u3kit.fourier import dft_values
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.inverse_f5 import (
+    LinearComponentFit,
     PhaseGraph,
+    _restricted_form,
     _witness_scan,
     additive_quadruples,
     coset_reps,
@@ -22,7 +24,7 @@ from u3kit.inverse_f5 import (
     random_slice,
     symmetry_subspace,
 )
-from u3kit.modlinalg import PrimeSubspace
+from u3kit.modlinalg import PrimeSubspace, kernel_basis_mod_p, largest_subspace_inside, solve_mod_p
 from u3kit.norms import _TIE_RTOL, CosetQuadraticWitness, _first_in_band, gowers_norm, u2_bias, u3_oracle_coset
 
 
@@ -159,19 +161,15 @@ def test_slice_leaves_a_graph(gamma, low, seed):
     # the invariant the slice's docstring proves: over h = 0 the sliced
     # graph's folds-fold difference set holds only xi = 0, and the slice
     # keeps a subset of the pairs; with the budget just below |graph| |G|^2
-    # the 4-fold surrogate runs, and it may then refuse a fold that fills
-    # G x dual(G)
+    # the 4-fold surrogate runs, and no fold of it is refused: only a fold
+    # from all of G x dual(G) costs that much, and such a fold does no work
     N = gamma.spec.order
     folds = []
     real = inverse_f5.iterated_sumset
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bohr, "SUMSET_BUDGET", len(gamma) * N * N - 1 if low else bohr.SUMSET_BUDGET)
         mp.setattr(inverse_f5, "iterated_sumset", lambda *a: folds.append(a[2]) or real(*a))
-        try:
-            sliced = random_slice(gamma, seed)
-        except BudgetExceeded:
-            assert low
-            return
+        sliced = random_slice(gamma, seed)
     assert folds == [4 if low else 8]
     assert len(sliced) and np.all(np.isin(sliced.keys, gamma.keys))
     diff = iterated_sumset(gamma.pair_group, sliced.keys, folds[0], folds[0])
@@ -349,6 +347,81 @@ def test_linear_fit_checks_match_reference_loops(group):
             assert not isinstance(got, str) and np.array_equal(got, want)
         outcomes.add(want if isinstance(want, str) else "M")
     assert outcomes == {"cover", "M"}
+
+
+@st.composite
+def fit_graphs(draw):
+    """A graph h -> Lh, L a random linear map, on a random shift set H of
+    F3^2, F5^2, F3^3 or F5^3 (its doubled graph is then linear on 2H - 2H,
+    so the fit reaches V whenever dim V > 0), or a random slice of a
+    slice_graphs() graph, as the pipeline fits it."""
+    if draw(st.booleans()):
+        return random_slice(draw(slice_graphs()), draw(st.integers(0, 2**16)))
+    spec = parse_group(draw(st.sampled_from(["F3^2", "F5^2", "F3^3", "F5^3"])))
+    p, n, N = spec.orders[0], spec.rank, spec.order
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.uniform(size=N) < draw(st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+    mask[rng.integers(N)] = True
+    hs = np.flatnonzero(mask)
+    return PhaseGraph(spec, hs * N + spec.encode(spec.decode(hs) @ rng.integers(0, p, (n, n)) % p))
+
+
+@given(gamma=fit_graphs())
+def test_bogolyubov_annihilator_never_beats_the_direct_search(gamma):
+    # the argument of linear_component_fit's docstring: the annihilator of
+    # the Bogolyubov spectrum of the shift set H lies in 2H - 2H, so the
+    # largest subspace inside 2H - 2H, the fit's V, is never smaller
+    spec, N = gamma.spec, gamma.spec.order
+    H = gamma.keys // N
+    two = iterated_sumset(spec, H, 2, 2)
+    spectrum = np.array([xi.coords for xi in bohr.bogolyubov(spec, H)]).reshape(-1, spec.rank)
+    ann = PrimeSubspace.from_generators(spec, kernel_basis_mod_p(spectrum, spec.orders[0]))
+    assert np.all(np.isin(ann.coset(0), two))
+    largest = largest_subspace_inside(spec, two.tolist())
+    assert ann.dim <= largest.dim
+    try:
+        V = linear_component_fit(gamma).V
+    except EmptyV as exc:
+        if "no nontrivial subspace" in str(exc):
+            assert largest.dim == 0
+        return
+    assert V == largest
+
+
+def _reference_restricted_form(fit, W):
+    """_restricted_form by one solve_mod_p elimination per basis vector of W,
+    the loop that reading coordinates at V's pivot columns replaced."""
+    p, B, WB = W.p, fit.V.basis_matrix(), W.basis_matrix()
+    tloc = np.zeros((W.dim, fit.V.dim), dtype=np.int64)
+    for i, w in enumerate(WB):
+        sol = solve_mod_p(B.T, w, p)
+        if sol is None:
+            raise AssertionError("vector outside subspace")
+        tloc[i] = sol
+    MW = (tloc @ fit.M_rows) % p
+    return (MW @ WB.T) % p
+
+
+@given(group=st.sampled_from(["F3^2", "F5^2", "F3^3", "F5^3", "F3^4"]), seed=st.integers(0, 2**32 - 1))
+def test_restricted_form_matches_solve_loop(group, seed):
+    # random V from random generators (any dimension, row-reduced by
+    # from_generators) and a random M on it; W = 0, a random W inside V, and
+    # W = V agree with the loop, and a W that leaves V is refused by both
+    spec = parse_group(group)
+    p, n = spec.orders[0], spec.rank
+    rng = np.random.default_rng(seed)
+    V = PrimeSubspace.from_generators(spec, rng.integers(0, p, (rng.integers(0, n + 1), n)))
+    B = V.basis_matrix()
+    fit = LinearComponentFit(V, spec.zero(), rng.integers(0, p, (V.dim, n)), (0,) * n, 1.0)
+    inside = PrimeSubspace.from_generators(spec, rng.integers(0, p, (rng.integers(0, V.dim + 1), V.dim)) @ B % p)
+    for W in (PrimeSubspace(spec, ()), inside, V):
+        got = _restricted_form(fit, W)
+        assert got.shape == (W.dim, W.dim) and np.array_equal(got, _reference_restricted_form(fit, W))
+    if V.dim < n:
+        outside = PrimeSubspace.from_generators(spec, np.vstack([B, V.complement_basis()[:1]]))
+        for form in (_restricted_form, _reference_restricted_form):
+            with pytest.raises(AssertionError, match="^vector outside subspace$"):
+                form(fit, outside)
 
 
 @pytest.mark.parametrize("rows", [None, 1, 7])

@@ -16,16 +16,22 @@ from u3kit.inverse_f5 import PhaseGraph, phase_derivative_graph, random_slice
 
 def reference_iterated_sumset(spec, A, plus, minus, budget=bohr.SUMSET_BUDGET, products=None):
     """plus*A - minus*A: np.unique over all |acc| x |K| sums at every fold,
-    each fold refused when |acc| * |K| exceeds the budget."""
+    each fold refused when |acc| * |K| exceeds the budget, unless it is idle:
+    acc is all of G (and K is not empty), or the fold before it left acc
+    unchanged."""
     A = np.unique(np.asarray(list(A), dtype=np.int64))
     acc = np.zeros(1, dtype=np.int64)
+    idle = False
     for K, folds in ((A, plus), (np.unique(spec.neg_indices(A)), minus)):
         for _ in range(folds):
-            if products is not None:
-                products.append(len(acc) * len(K))
-            if len(acc) * len(K) > budget:
-                raise BudgetExceeded("pair sumset budget exceeded")
-            acc = np.unique(spec.add_indices(acc[:, None], K[None, :]))
+            idle = idle or (len(acc) == spec.order and len(K) > 0)
+            if not idle:
+                if products is not None:
+                    products.append(len(acc) * len(K))
+                if len(acc) * len(K) > budget:
+                    raise BudgetExceeded("pair sumset budget exceeded")
+            nxt = np.unique(spec.add_indices(acc[:, None], K[None, :]))
+            idle, acc = np.array_equal(nxt, acc), nxt
     return acc
 
 
@@ -141,6 +147,19 @@ def test_fixed_point_stops_folding(A, folds, monkeypatch):
     got = bohr.iterated_sumset(spec, A, 8, 8)
     assert len(calls) == folds  # neither phase folds again after the fixed point
     assert got.tolist() == reference_iterated_sumset(spec, A, 8, 8).tolist()
+
+
+def test_fixed_point_is_decided_before_the_budget(monkeypatch):
+    # a graph with all 9 shifts of F3^2: its plus folds cost 9, 81, 39 * 9 and
+    # 76 * 9 = 684 sums, and 4G is all 81 points of G x dual(G), so no minus
+    # fold does work, and none is priced at 81 * 9 = 729 > 728
+    spec = GroupSpec((3, 3))
+    gamma = PhaseGraph(spec, np.arange(9) * 9 + np.random.default_rng(0).integers(0, 9, 9))
+    monkeypatch.setattr(bohr, "SUMSET_BUDGET", 728)
+    assert bohr.iterated_sumset(gamma.pair_group, gamma.keys, 4, 4).tolist() == list(range(81))
+    monkeypatch.setattr(bohr, "SUMSET_BUDGET", 683)  # a fold that does work is still refused
+    with pytest.raises(BudgetExceeded, match=r"at plus fold 4 of 4: \|acc\| \* \|K\| = 76 \* 9 = 684 > "):
+        bohr.iterated_sumset(gamma.pair_group, gamma.keys, 4, 4)
 
 
 def test_random_slice_budget_matches_reference(monkeypatch):
