@@ -235,6 +235,7 @@ from .errors import (
     NotBounded,
     NotPrime,
     SpecMismatch,
+    TooManyFrequencies,
     TooSmall,
 )
 from .fourier import dft, dft_values
@@ -925,7 +926,7 @@ def u3_oracle_bracket(
     freqs = tuple(int(x.coords[0]) if isinstance(x, DualElement) else int(x) for x in S)
     s = len(freqs)
     if s > 4:
-        raise BudgetExceeded("at most 4 frequencies supported")
+        raise TooManyFrequencies("at most 4 frequencies supported")
     N = spec.order
     idx = _region_indices(region)
     m = len(idx)

@@ -878,6 +878,14 @@ def test_bracket_grid_below_one_is_too_small(grid, capsys):
     assert json.loads(err)["error"] == "TooSmall"
 
 
+def test_bracket_frequency_cap_is_too_many_frequencies(capsys):
+    # the same cap as the nil factorization's, under the same error name
+    argv = ["u3-oracle", "--group", "Z/101", "--expr", "1", "--kind", "bracket", "--S", "1,2,3,4,5", "--grid", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "TooManyFrequencies", "message": "at most 4 frequencies supported"}
+
+
 # --H span: is the F_p-span of vectors, so the group must be F_p^k with p prime.
 @pytest.mark.parametrize("argv", [
     ["u3-oracle", "--group", "Z/9", "--expr", "1", "--H", "span:3"],
