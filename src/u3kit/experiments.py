@@ -32,7 +32,7 @@ from .forms import count_aps
 from .groups import GroupFunction, GroupSpec
 from .inverse_f5 import ObstructionReport, quadratic_obstruction
 from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, solve_mod_p, span_points
-from .norms import _cyclic_scan, gowers_norm, quadratic_scan
+from .norms import _cyclic_scan, quadratic_scan
 from .quadratic import degenerate_subspace
 
 EXHAUSTIVE_SCAN_LIMIT = 1 << 24  # most (a, b) pairs, N^2, of an exhaustive quadratic_correlation_scan
@@ -146,7 +146,7 @@ def quadratic_correlation_scan(
 
 @dataclass
 class IncrementThresholds:
-    eta: float | None = None  # None: 0.8 * U^3(1_A - alpha)
+    eta: float | None = None  # None: max(0.8 * U^3(1_A - alpha), 1e-3), picked by the graph
     seed: int = 0
     force: bool = False  # run even if A has a proper 4-AP
 
@@ -212,8 +212,6 @@ def density_increment_f5(
     in_A = np.zeros(spec.order, dtype=np.float64)
     in_A[np.array(A_idx, dtype=np.int64)] = 1.0
     f = GroupFunction(spec, in_A - alpha)
-    u3 = gowers_norm(f, 3, unchecked=True).value
-    eta = th.eta if th.eta is not None else max(0.8 * u3, 1e-3)
 
     candidates: list[tuple[float, int, np.ndarray, int | None, int | None]] = []
     # pigeonhole branch 0: plain cosets of the whole space decompositions are
@@ -221,7 +219,7 @@ def density_increment_f5(
     obstruction = None
     outcome = "ok"
     try:
-        obstruction = quadratic_obstruction(f, eta, seed=th.seed, oracle_crosscheck=False)
+        obstruction = quadratic_obstruction(f, th.eta, seed=th.seed, oracle_crosscheck=False)
     except (EmptyGraph, EmptyV) as exc:
         outcome = f"pipeline-empty: {type(exc).__name__}"
     degen_dim = None
@@ -260,7 +258,7 @@ def density_increment_f5(
                     zz = int(spec.add_indices(np.int64(z), np.int64(off)))
                     dd = _affine_subspace_density(spec, in_A, zz, Vbasis)
                     candidates.append((dd, zz, Vbasis, t, U.dim))
-    if not candidates:
+    if not candidates:  # so the obstruction below is not None
         raise PipelineEmpty(outcome)
     candidates.sort(key=lambda c: (-c[0], c[1]))
     best = candidates[0]
@@ -270,8 +268,8 @@ def density_increment_f5(
         old_density=alpha,
         new_density=best[0],
         increment=best[0] - alpha,
-        u3_value=u3,
-        eta_used=eta,
+        u3_value=obstruction.u3_value,
+        eta_used=obstruction.eta,
         chosen_t=best[3],
         degenerate_dim=degen_dim,
         obstruction=obstruction,

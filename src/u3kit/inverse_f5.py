@@ -54,6 +54,7 @@ class PhaseGraph:
     spec: GroupSpec
     keys: np.ndarray  # ascending int64 pair keys h * N + xi
     u3: float | None = None  # ||f||_{U^3} from the transforms that built the graph; None by hand
+    eta: float | None = None  # the eta of the cut eta^8 / 2; None by hand
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -64,7 +65,7 @@ class PhaseGraph:
         return GroupSpec(self.spec.orders * 2)
 
 
-def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
+def phase_derivative_graph(f: GroupFunction, eta: float | None = None) -> PhaseGraph:
     """Keep shifts h with squared derivative bias >= eta^8 / 2; the witness
     frequency is the smallest dual index whose squared Fourier coefficient is
     within a relative _TIE_RTOL of the row maximum, so exact ties such as
@@ -74,6 +75,8 @@ def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
     class {h, -h}.  As |F_{-h}(xi)| = |F_h(-xi)|, the witness of -h is the
     pick of row h read at -xi (not always -xi(h), which can tie with another
     entry), and ||f||_{U^3}^8 = E_h sum_xi |F_h(xi)|^4 comes with the rows.
+    So eta = None can resolve to max(0.8 U^3(f), 1e-3) from those same
+    transforms: the cut is read only after the last row.
 
     When U^3(f) >= eta, the shift set is guaranteed to have density at least
     eta^8 / 2; a smaller shift set therefore certifies U^3(f) < eta and is
@@ -83,7 +86,6 @@ def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
     spec = f.owner
     _homogeneous_prime(spec)
     N = spec.order
-    cut = eta**8 / 2.0
     shifted, conj_f = _translator(spec, f.values, np.arange(N, dtype=np.int64)), np.conj(f.values)
     reps, weights, neg = _neg_classes(spec)
     size = _batch_rows(N, live=2)  # live: a batch of rows and its transform
@@ -99,6 +101,10 @@ def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
         two = np.flatnonzero(neg[hs] != hs)  # the rows whose class also holds -h
         xi_neg = _first_in_band(sq[two[:, None], neg])  # xi(-h), read at -xi in row h
         picks += [(hs, best, sq[np.arange(len(hs)), best]), (neg[hs[two]], xi_neg, sq[two, neg[xi_neg]])]
+    u3 = max(pow8 / N, 0.0) ** 0.125
+    if eta is None:
+        eta = max(0.8 * u3, 1e-3)
+    cut = eta**8 / 2.0
     hs, xis, sqs = (np.concatenate(a) for a in zip(*picks))
     keys = np.sort((hs * N + xis)[sqs >= cut])
     if len(keys) < max(1.0, cut * N):
@@ -106,7 +112,7 @@ def phase_derivative_graph(f: GroupFunction, eta: float) -> PhaseGraph:
             f"shift set of size {len(keys)} below the density floor "
             f"{cut:.3g} * {N}; certifies U^3 < {eta}"
         )
-    return PhaseGraph(spec, keys, max(pow8 / N, 0.0) ** 0.125)
+    return PhaseGraph(spec, keys, u3, eta)
 
 
 def additive_quadruples(gamma: PhaseGraph) -> int:
@@ -156,7 +162,7 @@ def random_slice(gamma: PhaseGraph, seed: int) -> PhaseGraph:
     fiber = GroupSpec((p,) * m).encode(spec.decode(gamma.keys % N) @ psi.T)  # psi(xi) as an index
     vals, counts = np.unique(fiber, return_counts=True)
     # np.argmax: the first maximum, the smallest fiber index
-    return PhaseGraph(spec, gamma.keys[fiber == vals[np.argmax(counts)]], gamma.u3)
+    return PhaseGraph(spec, gamma.keys[fiber == vals[np.argmax(counts)]], gamma.u3, gamma.eta)
 
 
 @dataclass
@@ -357,7 +363,7 @@ def _witness_scan(
 
 def quadratic_obstruction(
     f: GroupFunction,
-    eta: float,
+    eta: float | None = None,
     seed: int = 0,
     oracle_crosscheck: bool = True,
 ) -> ObstructionReport:
@@ -369,7 +375,8 @@ def quadratic_obstruction(
     eps·e(u) reaches modulus 1 + eps.  A bias is a correlation
     |E_{x in y+W} f(x) e(-q(x))| with the witness phase q, so each reported
     bias, and their average, is at most max |f|, and at most 1 only for
-    1-bounded f."""
+    1-bounded f.  With eta = None the graph picks eta from U^3(f), as
+    `phase_derivative_graph` does; the report gives the eta used."""
     gamma = phase_derivative_graph(f, eta)  # checks that G is F_p^n
     quad = additive_quadruples(gamma)
     K = len(gamma) ** 3 / quad if quad else float("inf")
@@ -395,7 +402,7 @@ def quadratic_obstruction(
         quadruples=quad,
         doubling_K=K,
         agreement=fit.agreement,
-        eta=eta,
+        eta=gamma.eta,
         seed=seed,
         oracle_check=oracle,
         u3_value=gamma.u3,

@@ -18,6 +18,7 @@ subgroup's own (a complement, or the identity for plain F_p^k coordinates).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
@@ -73,48 +74,40 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 def kernel_basis_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis of {x : mat @ x = 0 mod p} as rows; shape (dim, ncols)."""
     mat = np.atleast_2d(np.array(mat, dtype=np.int64) % p)
-    rows, cols = mat.shape
+    cols = mat.shape[1]
     r, pivots = rref_mod_p(mat, p)
     free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-r[i, fc]) % p
-        basis.append(v)
-    return np.array(basis, dtype=np.int64).reshape(len(basis), cols)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-r[:, free].T) % p
+    return basis
 
 
 def solve_mod_p(mat: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     """One solution of mat @ x = b mod p, or None."""
     mat = np.atleast_2d(np.array(mat, dtype=np.int64) % p)
     b = np.array(b, dtype=np.int64) % p
-    rows, cols = mat.shape
-    aug = np.hstack([mat, b.reshape(-1, 1)])
-    r, pivots = rref_mod_p(aug, p)
+    cols = mat.shape[1]
+    r, pivots = rref_mod_p(np.hstack([mat, b.reshape(-1, 1)]), p)
+    if pivots and pivots[-1] == cols:
+        return None
     x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        if pc == cols:
-            return None
-        x[pc] = r[i, cols] % p
+    x[pivots] = r[:, cols]
     return x
-
-
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    return rref_mod_p(np.atleast_2d(mat), p)[0].shape[0]
 
 
 def complete_basis(rows, candidates, p: int) -> np.ndarray:
     """The candidates, in order, that each raise the rank mod p of the
-    independent ``rows`` together with the candidates kept before them."""
-    kept = [list(r) for r in rows]
+    independent ``rows`` together with the candidates kept before them.
+
+    One elimination: a column of [rows; candidates]^T is a pivot exactly when
+    it lies outside the span of the columns before it, and the span of the
+    rows and all earlier candidates is that of the rows and the earlier kept
+    ones; so the kept candidates are the pivot columns past the rows."""
     candidates = np.asarray(candidates, dtype=np.int64)
-    comp: list[np.ndarray] = []
-    for cand in candidates:
-        if rank_mod_p(np.array(kept + comp + [cand]), p) > len(kept) + len(comp):
-            comp.append(cand)
-    return np.array(comp, dtype=np.int64).reshape(len(comp), candidates.shape[1])
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, candidates.shape[1])
+    _, pivots = rref_mod_p(np.vstack([rows, candidates]).T, p)
+    return candidates[[c - len(rows) for c in pivots if c >= len(rows)]]
 
 
 def span_points(rows: np.ndarray, p: int) -> np.ndarray:
@@ -153,10 +146,12 @@ class Subgroup:
     def order(self) -> int:
         return prod(self.local_orders)
 
-    @property
+    @cached_property
     def generators(self) -> np.ndarray:
-        """Indices of the coordinate rows."""
-        return self.spec.encode(self.basis_matrix())
+        """Indices of the coordinate rows, computed once per subgroup (read-only)."""
+        g = self.spec.encode(self.basis_matrix())
+        g.flags.writeable = False
+        return g
 
     def embed_coords(self, t: Sequence[int]) -> tuple[int, ...]:
         v = (np.array(t, dtype=np.int64) @ self.basis_matrix()) % np.array(self.spec.orders)
@@ -247,38 +242,25 @@ class PrimeSubspace(Subgroup):
         Gives local coordinates t(x) = R @ x of the projection onto the
         subspace along the chosen complement.
         """
-        p = self.p
-        full = np.vstack([self.basis_matrix(), self.complement_basis()])  # invertible
         n = self.spec.rank
-        inv = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            e = np.zeros(n, dtype=np.int64)
-            e[i] = 1
-            sol = solve_mod_p(full.T, e, p)
-            assert sol is not None
-            inv[:, i] = sol
-        return inv[: self.dim, :] % p
+        full = np.vstack([self.basis_matrix(), self.complement_basis()])  # invertible
+        # [full^T | I] reduces to [I | full^-T], whose first dim rows are R
+        r, _ = rref_mod_p(np.hstack([full.T, np.eye(n, dtype=np.int64)]), self.p)
+        return r[: self.dim, n:]
 
 
 
 def enumerate_subspaces(spec: GroupSpec, k: int):
     """All k-dimensional subspaces of F_p^n as PrimeSubspace, via canonical
     reduced-echelon bases (each subspace exactly once), lexicographic order."""
-    import itertools
-
     p = spec.orders[0]
     n = spec.rank
     if k == 0:
         yield PrimeSubspace(spec, ())
         return
     for pivots in itertools.combinations(range(n), k):
-        free_cols = [
-            c
-            for c in range(n)
-            if c not in pivots and any(c > piv for piv in pivots)
-        ]
         free_positions = [
-            (r, c) for r in range(k) for c in free_cols if c > pivots[r]
+            (r, c) for r in range(k) for c in range(n) if c not in pivots and c > pivots[r]
         ]
         for vals in itertools.product(range(p), repeat=len(free_positions)):
             mat = np.zeros((k, n), dtype=np.int64)

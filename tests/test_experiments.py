@@ -309,3 +309,20 @@ def test_driver_counts_aps_once_per_step():
 
     with mock.patch.object(experiments, "density_increment_f5", unforced):
         assert szemeredi_driver(spec, A) == trace
+
+
+@pytest.mark.parametrize("eta", [None, 0.2])
+def test_increment_makes_one_derivative_pass(eta):
+    # the graph's transforms give U^3 and, with eta None, the eta of its cut,
+    # so the step runs no separate Gowers-norm pass
+    spec = parse_group("F5^3")
+    A = ap_free_search(spec, 4, seed=0)
+    with mock.patch.object(norms, "dft_values", wraps=norms.dft_values) as counted:
+        rep = density_increment_f5(spec, A, IncrementThresholds(eta=eta))
+    assert counted.call_count == 0
+    alpha = len(A) / spec.order
+    f = GroupFunction(spec, np.isin(np.arange(spec.order), A) - alpha)
+    assert rep.u3_value == rep.obstruction.u3_value
+    assert abs(rep.u3_value - norms.gowers_norm(f, 3).value) <= 1e-12
+    want = max(0.8 * rep.u3_value, 1e-3) if eta is None else eta
+    assert rep.eta_used == rep.obstruction.eta == want

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import elements
+from u3kit import modlinalg
 from u3kit.bohr import bohr_set, coset_progression_in_bohr
 from u3kit.errors import EvenOrder, ExtensionObstructed, NotFound, NotQuadratic
 from u3kit.groups import GroupSpec, parse_group
@@ -19,8 +21,8 @@ from u3kit.modlinalg import (
     complete_basis,
     isotropic_vector_in,
     kernel_basis_mod_p,
-    rank_mod_p,
     rref_mod_p,
+    solve_mod_p,
 )
 from u3kit.quadratic import (
     BracketQuadratic,
@@ -66,7 +68,7 @@ def isotropic_vector(
     rng = rng or np.random.default_rng(0)
     for _ in range(200):
         T = rng.integers(0, p, size=(3, k))
-        if rank_mod_p(T, p) < 3:
+        if rref_mod_p(T, p)[0].shape[0] < 3:
             continue
         AT = (T @ AW @ T.T) % p
         t = isotropic_vector_in(AT, p)
@@ -401,20 +403,63 @@ def test_degenerate_subspace_examples():
 
 def test_complete_basis_matches_greedy_loop(rng):
     # the loop that PrimeSubspace.complement_basis, degenerate_subspace and the
-    # density increment each ran before they shared complete_basis
-    for _ in range(60):
+    # density increment each ran before they shared complete_basis, one rank
+    # per candidate
+    def rank(mat, p):
+        return rref_mod_p(np.atleast_2d(mat), p)[0].shape[0]
+
+    for trial in range(80):
         p = int(rng.choice([2, 3, 5, 7]))
         n = int(rng.integers(1, 5))
-        rows = [list(r) for r in rref_mod_p(rng.integers(0, p, (int(rng.integers(0, n + 1)), n)), p)[0]]
+        nrows = 0 if trial % 4 == 0 else int(rng.integers(0, n + 1))
+        rows = [list(r) for r in rref_mod_p(rng.integers(0, p, (nrows, n)), p)[0]]
         cands = rng.integers(0, p, (int(rng.integers(0, 6)), n))
-        if rng.uniform() < 0.5:
+        if trial % 4 == 1 and rows:  # every candidate a combination of the rows
+            cands = rng.integers(0, p, (int(rng.integers(1, 6)), len(rows))) @ np.array(rows)
+        elif rng.uniform() < 0.5:
             cands = np.eye(n, dtype=np.int64)
         want = []
         for c in cands:
-            if rank_mod_p(np.array(rows + want + [list(c)]), p) > len(rows) + len(want):
+            if rank(np.array(rows + want + [list(c)]), p) > len(rows) + len(want):
                 want.append(list(c))
         got = complete_basis(rows, cands, p)
         assert got.shape == (len(want), n) and got.tolist() == want
+        if trial % 4 == 1 and rows:
+            assert want == []
+
+
+def test_basis_questions_take_one_elimination_each():
+    W = PrimeSubspace.from_generators(parse_group("F5^4"), [[1, 2, 0, 3], [0, 1, 4, 4]])
+    with mock.patch.object(modlinalg, "rref_mod_p", wraps=modlinalg.rref_mod_p) as counted:
+        complete_basis(W.basis, np.eye(4, dtype=np.int64), 5)
+        assert counted.call_count == 1
+        W.coordinate_map()  # its own elimination and the complement's
+        assert counted.call_count == 3
+
+
+def _coordinate_map_by_solves(W: PrimeSubspace) -> np.ndarray:
+    """R from one solve of full^T x = e_i per axis, full = [basis; complement]."""
+    p, n = W.p, W.spec.rank
+    full = np.vstack([W.basis_matrix(), W.complement_basis()])
+    inv = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        sol = solve_mod_p(full.T, np.eye(n, dtype=np.int64)[i], p)
+        assert sol is not None
+        inv[:, i] = sol
+    return inv[: W.dim, :] % p
+
+
+@given(group=st.sampled_from(["F3^4", "F5^3", "F7^2"]), data=st.data())
+def test_coordinate_map_inverts_the_basis_and_kills_the_complement(group, data):
+    spec = parse_group(group)
+    p, n = spec.orders[0], spec.rank
+    gens = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), max_size=n + 1))
+    W = PrimeSubspace.from_generators(spec, gens)
+    R, B, C = W.coordinate_map(), W.basis_matrix(), W.complement_basis()
+    assert R.shape == (W.dim, n) and C.shape == (n - W.dim, n)
+    assert np.array_equal(R @ B.T % p, np.eye(W.dim, dtype=np.int64))
+    assert not np.any(R @ C.T % p)
+    assert np.array_equal(R, _coordinate_map_by_solves(W))
 
 
 def test_degenerate_subspace_dimension_guarantee(rng=np.random.default_rng(5)):
