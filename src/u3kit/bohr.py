@@ -32,7 +32,7 @@ from .errors import (
     RhoTooLarge,
     SpecMismatch,
 )
-from .fourier import dft
+from .fourier import dft, dft_values
 from .groups import DualElement, GroupElement, GroupFunction, GroupSpec, pair
 from .lattice import TaggedLattice, hermite_reduce, lll_reduce, product_bound_certified, rref_rational
 from .modlinalg import BoxSubgroup, PrimeSubspace, is_prime
@@ -40,7 +40,28 @@ from .quadratic import frac_part
 
 SUMSET_BUDGET = 40_000_000
 _THIN_CHUNK = 1 << 20  # (candidate, member) pairs per block of the spectrum thinning
-_SUMSET_CHUNK = 1 << 18  # sums a + b marked per block of rows of A in sumset
+_SUMSET_CHUNK = 1 << 18  # sums a + b marked per block of rows of A in _pair_sumset
+# The cost of one group point of _conv_sumset, in pair sums of _pair_sumset:
+# sumset convolves once |A| * |B| > _CONV_COST * |G|, and iterated_sumset
+# prices a fold at min(|acc| * |K|, _CONV_COST * |G|).  Sweep: |K| ~ |G|^(1/2)
+# and |A| |K| ~ 16 |G|, median of 7 rounds of the best of 2-5 calls, one
+# thread, 2-core Xeon; c is (conv ns per point) / (pair ns per sum):
+#   group      |G|      pair ns/sum  conv ns/point    c
+#   F5^4          625     9.7          184           19.0
+#   F5^6        15625     5.6           81           14.3
+#   F5^6 fold   15625     5.3           83           15.6   (5811 x 125, f5_driver's)
+#   F5^8       390625     8.8          209           23.7
+#   F3^10       59049     4.8           89           18.7
+#   F7^6       117649     6.6          113           17.1
+#   F2^16       65536     6.8          117           17.2
+#   Z/60xZ/60    3600     5.4           91           16.7
+#   Z/211         211    15.9          657           41.4   (one Bluestein FFT axis)
+#   Z/4001       4001     6.0          440           73.5   (one Bluestein FFT axis)
+# F_p^n and smooth axes cost 14-24 sums a point, and 16 is F5^6's, the pair
+# group of the F5^3 pipeline.  A prime cyclic axis above fourier._DENSE_BLOCK runs
+# Bluestein's FFT at 40-75 sums a point, so there a convolution of
+# 16 |G| < |A| |B| < 75 |G| is up to 4.6 times slower than pair sums.
+_CONV_COST = 16
 
 
 def bohr_norm_exact(x: GroupElement, S: Sequence[DualElement]) -> Fraction:
@@ -217,18 +238,65 @@ def bogolyubov(spec: GroupSpec, A: Iterable[int]) -> list[DualElement]:
     return S
 
 
-def sumset(spec: GroupSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A + B as a sorted index array: every sum is marked on a mask over the
-    group, which is read back in index order.  The sums are built for a block
-    of rows of A at a time, about _SUMSET_CHUNK of them, so memory stays
+def _pair_sumset(spec: GroupSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A + B by pair sums: every sum is marked on a mask over the group,
+    which is read back in index order.  The sums are built for a block of
+    rows of A at a time, about _SUMSET_CHUNK of them, so memory stays
     O(_SUMSET_CHUNK + |B| + |G|) whatever |A| * |B|."""
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
     mark = np.zeros(spec.order, dtype=bool)
     rows = max(1, _SUMSET_CHUNK // max(len(B), 1))
     for lo in range(0, len(A), rows):
         mark[spec.add_indices(A[lo : lo + rows, None], B[None, :])] = True
     return np.flatnonzero(mark)
+
+
+def _conv_sumset(spec: GroupSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A + B as the support of the count 1_A * 1_B(x) = #{(a, b) : a + b = x}.
+
+    With the transform of `fourier.dft_values` (1/N inside), the count is
+    N^2 Re dft(conj(1_A^ 1_B^))(x), so three transforms, then a threshold
+    at 1/2.  Each transform writes into its own input and one work array
+    (both given up), so a call holds at most three complex arrays over G:
+    48 |G| bytes, and a few KB more, when every block of the transform is
+    dense (F_p^n with p <= 32); the fresh arrays of FFT blocks add up to
+    32 |G| bytes (81 |G| in all on Z/60 x Z/60, by tracemalloc).
+
+    Float error, to first order: in the unitary normalization a transform
+    computed with relative 2-norm error delta gives counts off by at most
+    3 delta sqrt(|A| |B| max(|A|, |B|)) <= 3 delta |G|^{3/2} in each entry,
+    since |1_A^| <= |A| / N pointwise and by Parseval.  delta is about the
+    unit roundoff u = 1.1e-16 times the sum over the blocks of `dft_values`
+    of m (a dense block of order m <= 32) or log2 m (an FFT block), which is
+    at most 6.4 log2 |G|.  For |G| <= 10^7 the counts are thus off by less
+    than 3 * 150 u * |G|^{3/2} < 2e-3, and the threshold decides them; every
+    count is checked to lie within 1/4 of an integer, and an AssertionError
+    names the worst one otherwise."""
+    N = spec.order
+    fa = dft_values(spec, GroupFunction.indicator(spec, A).values, np.empty(N, dtype=np.complex128))
+    fb = dft_values(spec, GroupFunction.indicator(spec, B).values, np.empty(N, dtype=np.complex128))
+    fa *= fb
+    fa *= N * N
+    np.conj(fa, out=fa)
+    counts = dft_values(spec, np.ascontiguousarray(fa), np.ascontiguousarray(fb)).real
+    off = np.rint(counts)
+    off -= counts
+    worst = float(np.max(np.abs(off, out=off), initial=0.0))
+    del off
+    if worst >= 0.25:
+        raise AssertionError(f"convolution sumset: a count lies {worst:.3g} from an integer (|G| = {N}, "
+                             f"|A| = {len(A)}, |B| = {len(B)})")
+    return np.flatnonzero(counts > 0.5)
+
+
+def sumset(spec: GroupSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A + B as a sorted int64 index array, by the kernel of lower predicted
+    cost in pair sums: pair sums while |A| * |B| <= _CONV_COST * |G|, else
+    the support of the convolution 1_A * 1_B (see _CONV_COST)."""
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    if len(A) * len(B) <= _CONV_COST * spec.order:
+        return _pair_sumset(spec, A, B)
+    return _conv_sumset(spec, A, B)
 
 
 def iterated_sumset(spec: GroupSpec, A: Iterable[int], plus: int, minus: int) -> np.ndarray:
@@ -238,9 +306,12 @@ def iterated_sumset(spec: GroupSpec, A: Iterable[int], plus: int, minus: int) ->
     Once acc + K = acc (for nonempty A, in particular once acc is all of G),
     the remaining folds are not computed: then acc + a = acc for every a in
     A, so acc - A = acc as well and every later fold of either sign returns
-    acc.  A fold that is computed is refused with BudgetExceeded when
-    |acc| * |K| exceeds SUMSET_BUDGET; the message names the fold (its sign
-    and number) and the sizes.
+    acc.  A fold that is computed is priced by the kernel `sumset` runs for
+    it, min(|acc| * |K|, _CONV_COST * |G|) pair sums, and refused with
+    BudgetExceeded when that exceeds SUMSET_BUDGET; the message names the
+    fold (its sign and number), both quantities and the sizes.  So a fold
+    convolves only on |G| <= SUMSET_BUDGET / _CONV_COST = 2.5 * 10^6, where
+    it holds at most 48 |G| <= 120 MB when the transform blocks are dense.
     """
     A = np.array(sorted(set(int(a) for a in A)), dtype=np.int64)
     acc = np.zeros(1, dtype=np.int64)
@@ -249,10 +320,12 @@ def iterated_sumset(spec: GroupSpec, A: Iterable[int], plus: int, minus: int) ->
         for fold in range(1, folds + 1):
             if fixed or (len(acc) == spec.order and len(K) > 0):
                 break
-            if len(acc) * len(K) > SUMSET_BUDGET:
+            cost = min(len(acc) * len(K), _CONV_COST * spec.order)
+            if cost > SUMSET_BUDGET:
                 raise BudgetExceeded(
-                    f"pair sumset budget exceeded at {sign} fold {fold} of {folds}: |acc| * |K| = "
-                    f"{len(acc)} * {len(K)} = {len(acc) * len(K)} > SUMSET_BUDGET = {SUMSET_BUDGET}"
+                    f"pair sumset budget exceeded at {sign} fold {fold} of {folds}: "
+                    f"min(|acc| * |K|, {_CONV_COST} * |G|) = min({len(acc)} * {len(K)}, "
+                    f"{_CONV_COST} * {spec.order}) = {cost} > SUMSET_BUDGET = {SUMSET_BUDGET}"
                 )
             nxt = sumset(spec, acc, K)
             fixed = np.array_equal(nxt, acc)

@@ -374,7 +374,14 @@ def ap_free_search(spec: GroupSpec, k: int = 4, strategy: str = "greedy", seed: 
     """A k-AP-free subset, verified by exhaustive counting.
 
     greedy: seeded-deterministic insertion order, each element kept only if
-    it creates no proper k-AP (the result is inclusion-maximal).
+    it creates no proper k-AP (the result is inclusion-maximal).  ``closes``
+    marks the points that would complete a proper k-AP whose other k - 1
+    points are members, so a candidate is decided by one lookup; a kept x
+    makes one gather of the progressions through it, and each of them that
+    then has k - 1 members marks its remaining point.  A proper k-AP that
+    lacks only y is a progression through its last member to be kept, whose
+    gather marked y, so no mark is missed.  With no members only k = 1
+    closes: a lone point is a proper 1-AP (when G has a step r != 0).
     exhaustive: depth-first maximum search, N <= EXHAUSTIVE_SEARCH_LIMIT.
     """
     N = spec.order
@@ -382,9 +389,14 @@ def ap_free_search(spec: GroupSpec, k: int = 4, strategy: str = "greedy", seed: 
         rng = np.random.default_rng(seed)
         offsets = _kap_offsets(spec, k)
         member = np.zeros(N, dtype=bool)
+        closes = np.full(N, k == 1 and len(offsets) > 0)
         for x in rng.permutation(N).tolist():
-            member[x] = True  # kept unless it closes a proper k-AP
-            member[x] = not _creates_proper_kap(spec, member, x, offsets)
+            if closes[x]:
+                continue
+            member[x] = True
+            aps = spec.add_indices(x, offsets)
+            one_short = aps[member[aps].sum(axis=1) == k - 1]
+            closes[one_short[~member[one_short]]] = True
         chosen = np.flatnonzero(member).tolist()
         assert count_aps(spec, chosen, k).proper == 0
         return chosen

@@ -396,9 +396,9 @@ class GroupFunction:
 
     @staticmethod
     def indicator(spec: GroupSpec, subset: Iterable[int]) -> "GroupFunction":
+        idx = subset if isinstance(subset, np.ndarray) else list(subset)
         vals = np.zeros(spec.order, dtype=np.complex128)
-        for i in subset:
-            vals[int(i) % spec.order] = 1.0
+        vals[np.asarray(idx, dtype=np.int64) % spec.order] = 1.0
         return GroupFunction(spec, vals)
 
 

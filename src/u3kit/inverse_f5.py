@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bohr
 from .bohr import iterated_sumset
 from .errors import EmptyGraph, EmptyV, SliceFailed, SpecMismatch
 from .fourier import dft_values
@@ -130,20 +129,18 @@ def random_slice(gamma: PhaseGraph, seed: int) -> PhaseGraph:
     A = {xi : (0, xi) in 8G - 8G} is compressed by a random linear map psi
     from dual(G) to F_p^m, m the least with p^m >= |A|, that vanishes on no
     point of A \\ {0}; the densest fiber {h : psi(xi(h)) = c} is kept (the
-    smallest c, as an index, on ties).  When |graph| |G|^2 exceeds
-    bohr.SUMSET_BUDGET, 4G - 4G stands in for 8G - 8G.
+    smallest c, as an index, on ties).
 
     The sliced graph G' needs no check.  A (0, xi) in 8G' - 8G' lies in A,
     as G' is part of G, and psi(xi) = 8c - 8c = 0 by linearity; psi vanishes
     on no point of A \\ {0}, so xi = 0.  Then (h, xi) and (h, xi') in
     4G' - 4G' give (0, xi - xi') in 8G' - 8G', so xi = xi' and 4G' - 4G' is
-    a graph.  With the 4-fold surrogate the same argument makes 2G' - 2G' one.
+    a graph.
     """
     spec = gamma.spec
     p = _homogeneous_prime(spec)
     N = spec.order
-    folds = 4 if len(gamma) * (N * N) > bohr.SUMSET_BUDGET else 8
-    diff = iterated_sumset(gamma.pair_group, gamma.keys, folds, folds)
+    diff = iterated_sumset(gamma.pair_group, gamma.keys, 8, 8)
     A = np.unique(diff[diff // N == 0] % N)
     A_nonzero = A[A != 0]
     if len(A_nonzero) == 0:

@@ -1103,6 +1103,21 @@ def test_increment_and_driver_subcommands(tmp_path, capsys):
     assert len(result_of(out)["trace"]) >= 1
 
 
+def test_driver_answers_on_a_greedy_f5_4_set(tmp_path, capsys):
+    # the 120-point greedy 4-AP-free set of F5^4 at seed 0: a slice fold of
+    # |acc| * |K| = 144658 * 625 pair sums, over SUMSET_BUDGET, convolves
+    # over the 5^8 points of G x dual(G) at a price of 16 * 5^8, inside it
+    from u3kit.experiments import ap_free_search
+
+    A = ap_free_search(parse_group("F5^4"), 4, "greedy", seed=0)
+    path = tmp_path / "A.json"
+    path.write_text(json.dumps(A))
+    code, out, err = run_cli(["driver", "--n", "4", "--set", str(path), "--seed", "0"], capsys)
+    assert code == 0, err
+    trace = result_of(out)["trace"]
+    assert trace and trace[0]["dimension"] == 4 and trace[0]["density"] == len(A) / 625
+
+
 def test_u3_oracle_subcommand(capsys):
     code, out, _ = run_cli(
         ["u3-oracle", "--group", "Z/9", "--expr", "e((4*x^2+2*x)/9)", "--kind", "coset",

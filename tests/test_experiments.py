@@ -241,6 +241,27 @@ def test_ap_free_greedy_matches_reference(group, seed, k):
     assert ap_free_search(spec, k, "greedy", seed=seed) == reference_ap_free_greedy(spec, k, seed)
 
 
+def reference_ap_free_mask_loop(spec: GroupSpec, k: int, seed: int) -> list[int]:
+    """The greedy search as it was before the `closes` marks: one gather of
+    the progressions through every candidate, on a mask of the members."""
+    offsets = _kap_offsets(spec, k)
+    member = np.zeros(spec.order, dtype=bool)
+    for x in np.random.default_rng(seed).permutation(spec.order).tolist():
+        member[x] = True  # kept unless it closes a proper k-AP
+        member[x] = not _creates_proper_kap(spec, member, x, offsets)
+    return np.flatnonzero(member).tolist()
+
+
+# F3^4 has p < k = 4, so its 4-term progressions repeat a point and none is
+# proper; Z/8 has steps of order 2 and 4
+@pytest.mark.parametrize("group", ["F5^2", "F5^3", "F7^2", "F3^4", "Z/101", "Z/8"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_ap_free_greedy_matches_mask_loop(group, k):
+    spec = parse_group(group)
+    for seed in range(3):
+        assert ap_free_search(spec, k, "greedy", seed=seed) == reference_ap_free_mask_loop(spec, k, seed)
+
+
 def test_density_increment_planted_quadric(rng):
     spec = parse_group("F5^3")
     coords = spec.decode(np.arange(125))

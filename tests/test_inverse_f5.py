@@ -156,23 +156,20 @@ def slice_graphs(draw):
     return PhaseGraph(spec, hs * N + xis)
 
 
-@given(gamma=slice_graphs(), low=st.booleans(), seed=st.integers(0, 2**16))
-def test_slice_leaves_a_graph(gamma, low, seed):
+@given(gamma=slice_graphs(), seed=st.integers(0, 2**16))
+def test_slice_leaves_a_graph(gamma, seed):
     # the invariant the slice's docstring proves: over h = 0 the sliced
-    # graph's folds-fold difference set holds only xi = 0, and the slice
-    # keeps a subset of the pairs; with the budget just below |graph| |G|^2
-    # the 4-fold surrogate runs, and no fold of it is refused: only a fold
-    # from all of G x dual(G) costs that much, and such a fold does no work
+    # graph's 8-fold difference set holds only xi = 0, and the slice keeps
+    # a subset of the pairs
     N = gamma.spec.order
     folds = []
     real = inverse_f5.iterated_sumset
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bohr, "SUMSET_BUDGET", len(gamma) * N * N - 1 if low else bohr.SUMSET_BUDGET)
         mp.setattr(inverse_f5, "iterated_sumset", lambda *a: folds.append(a[2]) or real(*a))
         sliced = random_slice(gamma, seed)
-    assert folds == [4 if low else 8]
+    assert folds == [8]
     assert len(sliced) and np.all(np.isin(sliced.keys, gamma.keys))
-    diff = iterated_sumset(gamma.pair_group, sliced.keys, folds[0], folds[0])
+    diff = iterated_sumset(gamma.pair_group, sliced.keys, 8, 8)
     assert diff[diff // N == 0].tolist() == [0]
 
 

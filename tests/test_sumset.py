@@ -1,5 +1,6 @@
-"""Property tests of the one sumset kernel, bohr.sumset / bohr.iterated_sumset,
-against the plain fold-by-fold np.unique construction with no early exit."""
+"""Property tests of the sumset kernels, bohr.sumset / bohr.iterated_sumset
+and the pair-sum and convolution kernels behind sumset, against the plain
+fold-by-fold np.unique construction with no early exit."""
 
 from unittest import mock
 
@@ -16,9 +17,9 @@ from u3kit.inverse_f5 import PhaseGraph, phase_derivative_graph, random_slice
 
 def reference_iterated_sumset(spec, A, plus, minus, budget=bohr.SUMSET_BUDGET, products=None):
     """plus*A - minus*A: np.unique over all |acc| x |K| sums at every fold,
-    each fold refused when |acc| * |K| exceeds the budget, unless it is idle:
-    acc is all of G (and K is not empty), or the fold before it left acc
-    unchanged."""
+    each fold refused when its price min(|acc| * |K|, _CONV_COST * |G|)
+    exceeds the budget, unless it is idle: acc is all of G (and K is not
+    empty), or the fold before it left acc unchanged."""
     A = np.unique(np.asarray(list(A), dtype=np.int64))
     acc = np.zeros(1, dtype=np.int64)
     idle = False
@@ -26,9 +27,10 @@ def reference_iterated_sumset(spec, A, plus, minus, budget=bohr.SUMSET_BUDGET, p
         for _ in range(folds):
             idle = idle or (len(acc) == spec.order and len(K) > 0)
             if not idle:
+                cost = min(len(acc) * len(K), bohr._CONV_COST * spec.order)
                 if products is not None:
-                    products.append(len(acc) * len(K))
-                if len(acc) * len(K) > budget:
+                    products.append(cost)
+                if cost > budget:
                     raise BudgetExceeded("pair sumset budget exceeded")
             nxt = np.unique(spec.add_indices(acc[:, None], K[None, :]))
             idle, acc = np.array_equal(nxt, acc), nxt
@@ -97,7 +99,8 @@ def test_sumset_matches_unique(data):
 def test_sumset_memory_within_chunk_bound():
     # 10^7 sums on F5^6: all of them at once peaked at 86 MB under
     # tracemalloc; blocks of _SUMSET_CHUNK sums keep a few int64 arrays of
-    # that length at a time (about 4 MB)
+    # that length at a time (about 4 MB).  sumset itself convolves at this
+    # size (see test_conv_fold_memory_bound), so the pair kernel is called
     import tracemalloc
 
     spec = GroupSpec((5,) * 6)
@@ -106,12 +109,100 @@ def test_sumset_memory_within_chunk_bound():
     B = rng.choice(spec.order, 3125, replace=False)
     tracemalloc.start()
     try:
-        got = bohr.sumset(spec, A, B)
+        got = bohr._pair_sumset(spec, A, B)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert got.tolist() == list(range(spec.order))
     assert peak <= 5 * 8 * bohr._SUMSET_CHUNK
+
+
+# F_p^n, whose transform blocks are all dense; cyclic groups with one long
+# FFT axis; mixed groups, some with an FFT axis
+kernel_specs = st.one_of(
+    st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4)).map(lambda pn: GroupSpec((pn[0],) * pn[1])),
+    st.sampled_from([(211,), (101,), (64,), (97,)]).map(GroupSpec),
+    st.sampled_from([(4, 6), (12, 35), (2, 3, 5), (6, 10, 2), (4, 45)]).map(GroupSpec),
+)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(spec, A, B): A empty, A = G, or random sets with |A| |B| at most
+    (below) or above _CONV_COST |G|, the crossover of sumset."""
+    spec = draw(kernel_specs)
+    N, cap = spec.order, bohr._CONV_COST * spec.order
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sides = ["empty", "whole", "below"] + (["above"] if N * N > cap else [])
+    side = draw(st.sampled_from(sides))
+    a = {"empty": 0, "whole": N}.get(side, int(rng.integers(1, N + 1)))
+    if side == "above":
+        a = max(a, cap // N + 1)
+        b = int(rng.integers(cap // a + 1, N + 1))
+    else:
+        b = int(rng.integers(0, min(N, cap // max(a, 1)) + 1))
+    A, B = (np.sort(rng.choice(N, size, replace=False)) for size in (a, b))
+    return spec, A, B
+
+
+@given(kernel_cases(), st.booleans())
+def test_both_sumset_kernels_match_pair_reference(case, swap):
+    spec, A, B = case
+    if swap:
+        A, B = B, A
+    ref = np.unique(spec.add_indices(A[:, None], B[None, :])).tolist()
+    for kernel in (bohr._pair_sumset, bohr._conv_sumset, bohr.sumset):
+        got = kernel(spec, A, B)
+        assert got.dtype == np.int64 and got.tolist() == ref
+
+
+@pytest.mark.parametrize("shift, trips", [(0.2, False), (0.3, True)])
+def test_conv_sumset_checks_the_integer_margin(shift, trips, monkeypatch):
+    # a perturbation of the last transform moves every count by `shift`:
+    # within 1/4 of an integer the counts still threshold to A + B, past it
+    # the kernel refuses to read them
+    spec = GroupSpec((5,) * 4)
+    A, B = np.arange(0, 625, 3), np.arange(0, 625, 7)
+    ref = np.unique(spec.add_indices(A[:, None], B[None, :])).tolist()
+    calls, real = [], bohr.dft_values
+
+    def perturbed(spec, values, work=None):
+        calls.append(1)
+        out = real(spec, values, work)
+        return out + shift if len(calls) == 3 else out  # the last transform gives the counts
+
+    monkeypatch.setattr(bohr, "dft_values", perturbed)
+    if trips:
+        with pytest.raises(AssertionError, match=r"a count lies 0\.3 from an integer"):
+            bohr._conv_sumset(spec, A, B)
+    else:
+        assert bohr._conv_sumset(spec, A, B).tolist() == ref
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("orders, per_point", [((5,) * 6, 48), ((60, 60), 80)])
+def test_conv_fold_memory_bound(orders, per_point):
+    # the bound of _conv_sumset's docstring: three complex arrays over G
+    # (48 |G| bytes) when every transform block is dense, as on F5^6, and
+    # up to 32 |G| more for FFT blocks (Z/60 has one), plus a few KB
+    import tracemalloc
+
+    spec = GroupSpec(orders)
+    N = spec.order
+    rng = np.random.default_rng(0)
+    A = np.sort(rng.choice(N, N // 3, replace=False))
+    K = np.sort(rng.choice(N, 125, replace=False))
+    assert len(A) * len(K) > bohr._CONV_COST * N  # sumset convolves
+    ref = bohr._pair_sumset(spec, A, K)
+    bohr.sumset(spec, A, K)  # character tables are cached before the count
+    tracemalloc.start()
+    try:
+        got = bohr.sumset(spec, A, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == ref.tolist()
+    assert peak <= per_point * N + 4096
 
 
 def test_outer_sum_over_two_runs_peaks_near_its_output():
@@ -158,7 +249,8 @@ def test_fixed_point_is_decided_before_the_budget(monkeypatch):
     monkeypatch.setattr(bohr, "SUMSET_BUDGET", 728)
     assert bohr.iterated_sumset(gamma.pair_group, gamma.keys, 4, 4).tolist() == list(range(81))
     monkeypatch.setattr(bohr, "SUMSET_BUDGET", 683)  # a fold that does work is still refused
-    with pytest.raises(BudgetExceeded, match=r"at plus fold 4 of 4: \|acc\| \* \|K\| = 76 \* 9 = 684 > "):
+    with pytest.raises(BudgetExceeded, match=r"at plus fold 4 of 4: min\(\|acc\| \* \|K\|, 16 \* \|G\|\) = "
+                                             r"min\(76 \* 9, 16 \* 81\) = 684 > "):
         bohr.iterated_sumset(gamma.pair_group, gamma.keys, 4, 4)
 
 
@@ -255,8 +347,22 @@ def test_refusal_names_the_fold_and_the_sizes(plus, minus, where, monkeypatch):
     monkeypatch.setattr(bohr, "SUMSET_BUDGET", 50)
     with pytest.raises(BudgetExceeded) as err:
         bohr.iterated_sumset(GroupSpec((101,)), range(10), plus, minus)
-    assert str(err.value) == (f"pair sumset budget exceeded at {where}: "
-                              "|acc| * |K| = 10 * 10 = 100 > SUMSET_BUDGET = 50")
+    assert str(err.value) == (f"pair sumset budget exceeded at {where}: min(|acc| * |K|, 16 * |G|) = "
+                              "min(10 * 10, 16 * 101) = 100 > SUMSET_BUDGET = 50")
+
+
+def test_budget_prices_a_fold_by_the_kernel_that_runs(monkeypatch):
+    # 200 points of F5^4: the second fold has 200 * 200 = 40000 pair sums,
+    # but it convolves at 16 * 625 = 10000, which is its price
+    spec = GroupSpec((5,) * 4)
+    A = np.random.default_rng(0).choice(spec.order, 200, replace=False)
+    monkeypatch.setattr(bohr, "SUMSET_BUDGET", 10_000)
+    assert bohr.iterated_sumset(spec, A, 2, 0).tolist() == reference_iterated_sumset(spec, A, 2, 0).tolist()
+    monkeypatch.setattr(bohr, "SUMSET_BUDGET", 9_999)
+    with pytest.raises(BudgetExceeded) as err:
+        bohr.iterated_sumset(spec, A, 2, 0)
+    assert str(err.value) == ("pair sumset budget exceeded at plus fold 2 of 2: min(|acc| * |K|, 16 * |G|) = "
+                              "min(200 * 200, 16 * 625) = 10000 > SUMSET_BUDGET = 9999")
 
 
 def test_cli_refusal_names_the_fold(monkeypatch, capsys):
@@ -268,4 +374,5 @@ def test_cli_refusal_names_the_fold(monkeypatch, capsys):
     assert main(["bogolyubov", "--group", "Z/101", "--set", ",".join(map(str, range(10)))]) == 3
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "BudgetExceeded"
-    assert "plus fold 2 of 2: |acc| * |K| = 10 * 10 = 100 > SUMSET_BUDGET = 50" in error["message"]
+    assert ("plus fold 2 of 2: min(|acc| * |K|, 16 * |G|) = min(10 * 10, 16 * 101) = 100 > SUMSET_BUDGET = 50"
+            in error["message"])
