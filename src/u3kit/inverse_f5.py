@@ -29,11 +29,6 @@ from .modlinalg import (
 )
 from .norms import CosetQuadraticWitness, _batch_rows, _first_in_band, _neg_classes, _translator, u3_oracle_coset
 
-# (x0, h) pairs, and (x0, xi0) counters, per block of the affine vote; a block
-# peaks at about 90 bytes per cell (tracemalloc), so near 24 MB at most
-_VOTE_CELLS = 1 << 18
-
-
 def _homogeneous_prime(spec: GroupSpec) -> int:
     ps = set(spec.orders)
     if len(ps) != 1:
@@ -171,34 +166,32 @@ class LinearComponentFit:
     agreement: float
 
 
-def _affine_vote(spec: GroupSpec, xi_at: np.ndarray, v_idx: np.ndarray,
-                 neg_two_mh: np.ndarray) -> tuple[int, int, int]:
+def _affine_vote(xi_at: np.ndarray, V: PrimeSubspace, neg_two_mh: np.ndarray) -> tuple[int, int, int]:
     """Exhaustive affine fit: each x0 and each h of V with x0 + h in the graph
-    (xi_at[x0 + h] >= 0) vote for xi0 = xi_{x0+h} - 2Mh.  Returns (votes, x0,
-    xi0) for the most votes, then the smallest x0, then the smallest xi0.
+    (xi_at[x0 + h] >= 0) vote for xi0 = xi_{x0+h} - 2Mh, where neg_two_mh
+    lists -2Mh for a linear M over h in V.coset(0).  Returns (votes, x0, xi0)
+    for the most votes, then the smallest x0, then the smallest xi0.
 
-    The votes of a block of x0 are counted by one bincount over the keys
-    (x0 - start) N + xi0, whose flat argmax is that order within the block; a
-    later block takes over only with strictly more votes.  A block has at most
-    _VOTE_CELLS // N rows (|V| <= N), so the gather and the count hold
-    O(_VOTE_CELLS) entries whatever the size of G."""
-    N = spec.order
-    rows = max(1, _VOTE_CELLS // N)
-    best = (0, 0, 0)
-    for start in range(0, N, rows):
-        x0s = np.arange(start, min(start + rows, N), dtype=np.int64)
-        xis = xi_at[spec.add_indices(x0s[:, None], v_idx[None, :])]
-        r, c = np.nonzero(xis >= 0)
-        if len(r) == 0:
-            continue
-        counts = np.bincount(r * N + spec.add_indices(xis[r, c], neg_two_mh[c]))
-        i = int(np.argmax(counts))
-        if counts[i] > best[0]:
-            best = (int(counts[i]), start + i // N, i % N)
-    if best[0] == 0:
+    For v in V, vote(x0 + v, xi0) = vote(x0, xi0 - 2Mv) (put h' = v + h), so
+    the most votes of an x0 are those of every point of its coset, and the
+    winner lies at a coset's least point.  V's basis is row-reduced, so the
+    least point of a coset is its one point that is zero at V's pivot
+    columns: a nonzero v of V leads at a pivot column.  Those points r, in
+    ascending order, are the span of the other unit vectors; r + V is
+    gathered once, so each point of G is read once, and the keys
+    (rank of r) N + xi0 are counted by np.unique, whose first maximum is
+    the tie order, in O(N) memory."""
+    spec, N = V.spec, V.spec.order
+    pivots = np.argmax(V.basis_matrix() != 0, axis=1)
+    reps = spec.encode(span_points(np.delete(np.eye(spec.rank, dtype=np.int64), pivots, axis=0), V.p))
+    xis = xi_at[spec.add_indices(reps[:, None], V.coset(0)[None, :])]
+    r, c = np.nonzero(xis >= 0)
+    if len(r) == 0:
         raise EmptyV(f"affine vote: no translate x0 + V meets the graph "
-                     f"(|sliced graph| = {int(np.sum(xi_at >= 0))}, |V| = {len(v_idx)})")
-    return best
+                     f"(|sliced graph| = {int(np.sum(xi_at >= 0))}, |V| = {V.order})")
+    keys, counts = np.unique(r * N + spec.add_indices(xis[r, c], neg_two_mh[c]), return_counts=True)
+    i = int(np.argmax(counts))
+    return int(counts[i]), int(reps[keys[i] // N]), int(keys[i] % N)
 
 
 def linear_component_fit(gamma: PhaseGraph) -> LinearComponentFit:
@@ -224,7 +217,7 @@ def linear_component_fit(gamma: PhaseGraph) -> LinearComponentFit:
     d2 = iterated_sumset(gamma.pair_group, gamma.keys, 2, 2)  # 2G - 2G
 
     doubled_support, mult = np.unique(d2 // N, return_counts=True)
-    Vsub = largest_subspace_inside(spec, doubled_support.tolist())
+    Vsub = largest_subspace_inside(spec, doubled_support)
     if Vsub.dim == 0:
         raise EmptyV(f"linear fit: no nontrivial subspace inside the doubled shift set "
                      f"(|sliced graph| = {len(gamma)}, |2H''-2H''| = {len(doubled_support)}, dim V = 0)")
@@ -238,15 +231,14 @@ def linear_component_fit(gamma: PhaseGraph) -> LinearComponentFit:
     M_rows = pow(2, -1, p) * spec.decode(xi_of[Vsub.generators]) % p
     # the doubled graph is defined on all of V and must agree with the linear
     # model there: the points h of V and the predictions 2Mh, in V-local lex order
-    v_idx = Vsub.coset(0)
     two_mh = spec.coset_points(0, spec.encode(2 * M_rows), Vsub.local_orders)
-    if np.any(xi_of[v_idx] != two_mh):
+    if np.any(xi_of[Vsub.coset(0)] != two_mh):
         raise EmptyV(f"linear fit: the doubled graph is not linear on V "
                      f"(|sliced graph| = {len(gamma)}, dim V = {Vsub.dim})")
 
     xi_at = np.full(N, -1, dtype=np.int64)
     xi_at[hs] = xis
-    cnt, x0, xi0 = _affine_vote(spec, xi_at, v_idx, spec.neg_indices(two_mh))
+    cnt, x0, xi0 = _affine_vote(xi_at, Vsub, spec.neg_indices(two_mh))
     return LinearComponentFit(
         Vsub,
         spec.element_by_index(x0),
@@ -375,9 +367,9 @@ def quadratic_obstruction(
     1-bounded f.  With eta = None the graph picks eta from U^3(f), as
     `phase_derivative_graph` does; the report gives the eta used."""
     gamma = phase_derivative_graph(f, eta)  # checks that G is F_p^n
+    sliced = random_slice(gamma, seed)  # before the quadruples: it refuses far sooner
     quad = additive_quadruples(gamma)
     K = len(gamma) ** 3 / quad if quad else float("inf")
-    sliced = random_slice(gamma, seed)
     fit = linear_component_fit(sliced)
     W = symmetry_subspace(fit)
     A_local = _restricted_form(fit, W)  # symmetric by the symmetry-subspace check

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import SpecMismatch
-from .groups import GroupSpec
+from .groups import _ADD_BLOCK, GroupSpec
 
 
 def is_prime(n: int) -> bool:
@@ -250,43 +250,47 @@ class PrimeSubspace(Subgroup):
 
 
 
-def enumerate_subspaces(spec: GroupSpec, k: int):
-    """All k-dimensional subspaces of F_p^n as PrimeSubspace, via canonical
-    reduced-echelon bases (each subspace exactly once), lexicographic order."""
-    p = spec.orders[0]
-    n = spec.rank
-    if k == 0:
-        yield PrimeSubspace(spec, ())
-        return
+def subspace_bases(p: int, n: int, k: int, block: int):
+    """The canonical bases of the k-dimensional subspaces of F_p^n, each
+    subspace once, as int64 arrays of shape (b, k, n) with 1 <= b <= block.
+
+    A basis is row-reduced: by its pivot columns, in lexicographic order,
+    then by its free entries (right of a row's pivot and off the pivot
+    columns, row by row) in lexicographic order, the first entry slowest."""
     for pivots in itertools.combinations(range(n), k):
-        free_positions = [
-            (r, c) for r in range(k) for c in range(n) if c not in pivots and c > pivots[r]
-        ]
-        for vals in itertools.product(range(p), repeat=len(free_positions)):
-            mat = np.zeros((k, n), dtype=np.int64)
-            for r, piv in enumerate(pivots):
-                mat[r, piv] = 1
-            for (r, c), v in zip(free_positions, vals):
-                mat[r, c] = v
-            yield PrimeSubspace(spec, tuple(tuple(int(x) for x in row) for row in mat))
+        free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n) if c not in pivots]
+        rows, cols = np.array(free, dtype=np.int64).reshape(-1, 2).T
+        places = p ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
+        for start in range(0, p ** len(free), block):
+            vals = np.arange(start, min(start + block, p ** len(free)), dtype=np.int64)
+            mats = np.zeros((len(vals), k, n), dtype=np.int64)
+            mats[:, np.arange(k), list(pivots)] = 1
+            mats[:, rows, cols] = vals[:, None] // places % p
+            yield mats
 
 
 def largest_subspace_inside(spec: GroupSpec, members: Iterable[int]) -> PrimeSubspace:
-    """The first (lexicographically) subspace of maximal dimension whose
-    elements all lie in the given index set.
+    """The first subspace, in `subspace_bases` order, of the largest
+    dimension whose points all lie in the given index set.
 
-    Membership is read off a boolean mask over G: a dimension with more
-    points than members is skipped, and a subspace is listed point by point
-    only once its basis vectors are members."""
+    One masked pass per dimension on a boolean mask over G, skipping a
+    dimension with more points than members: per block of bases, with at
+    most _ADD_BLOCK span points (one basis at least), the bases whose rows
+    are all members are kept, and then those whose span points are all
+    members."""
+    p, n = spec.orders[0], spec.rank
     mask = np.zeros(spec.order, dtype=bool)
     mask[np.fromiter(members, dtype=np.int64)] = True
-    size = int(mask.sum())
-    for k in range(spec.rank, -1, -1):
-        if spec.orders[0] ** k > size:
+    size = int(mask.sum()) if mask[0] else 0  # every subspace holds 0
+    for k in range(n, 0, -1):
+        if p**k > size:
             continue
-        for W in enumerate_subspaces(spec, k):
-            if mask[W.generators].all() and mask[W.coset(0)].all():
-                return W
+        t = span_points(np.eye(k, dtype=np.int64), p)
+        for mats in subspace_bases(p, n, k, max(1, _ADD_BLOCK // p**k)):
+            mats = mats[mask[spec.encode(mats)].all(axis=1)]
+            hit = mask[spec.encode(t @ mats)].all(axis=1)  # t @ mats: (b, p^k, n)
+            if hit.any():
+                return PrimeSubspace(spec, tuple(map(tuple, mats[np.argmax(hit)].tolist())))
     return PrimeSubspace(spec, ())
 
 

@@ -243,18 +243,21 @@ _VOTE_PLANTS = {
 }
 
 
-def _vote_rows(monkeypatch, spec, rows):
-    """Force blocks of `rows` x0 (None: the default block)."""
-    import u3kit.inverse_f5 as inverse_f5
+def _subspace_block(monkeypatch, block):
+    """Force blocks of at most `block` span points in the subspace pass of
+    the fit (None: the default); 1 and 7 make one basis a block, or two on
+    F3 at dim 1."""
+    from u3kit import modlinalg
 
-    if rows is not None:
-        monkeypatch.setattr(inverse_f5, "_VOTE_CELLS", rows * spec.order)
+    if block is not None:
+        monkeypatch.setattr(modlinalg, "_ADD_BLOCK", block)
 
 
 def test_linear_fit_vote_matches_reference_loop(monkeypatch):
-    # noisy plants on three groups, each fit at the default block and at
-    # blocks of 1 and 7 rows of x0; at the heavier noise the sliced graph is
-    # small, so the agreement is partial and the best x0 is often not 0
+    # noisy plants on three groups, each fit at the default block of the
+    # subspace pass and at blocks of 1 and 7 points; at the heavier noise the
+    # sliced graph is small, so V is often smaller than G, the agreement is
+    # partial and the best x0 is often not 0
     for group, (A, b) in _VOTE_PLANTS.items():
         spec = parse_group(group)
         checked = 0
@@ -270,9 +273,9 @@ def test_linear_fit_vote_matches_reference_loop(monkeypatch):
             except (EmptyGraph, EmptyV):
                 continue
             cnt, x0, xi0 = _reference_vote(sl, fit)
-            for rows in (None, 1, 7):
+            for block in (None, 1, 7):
                 with monkeypatch.context() as mp:
-                    _vote_rows(mp, spec, rows)
+                    _subspace_block(mp, block)
                     fit = linear_component_fit(sl)
                 assert fit.x0.index == x0 and fit.xi0 == spec.coords_of(xi0)
                 assert fit.agreement == cnt / fit.V.order
@@ -421,14 +424,14 @@ def test_restricted_form_matches_solve_loop(group, seed):
                 form(fit, outside)
 
 
-@pytest.mark.parametrize("rows", [None, 1, 7])
+@pytest.mark.parametrize("block", [None, 1, 7])
 @pytest.mark.parametrize("group", sorted(_VOTE_PLANTS))
-def test_linear_fit_vote_tie_across_blocks(group, rows, monkeypatch):
+def test_linear_fit_vote_tie_across_blocks(group, block, monkeypatch):
     # an exactly quadratic plant has the linear derivative map h -> 2Ah, so
     # every x0 gets |V| votes (for xi0 = 2A x0 + b'); the tie spans every
-    # block and must resolve to x0 = 0
+    # x0 and must resolve to x0 = 0, at every block of the subspace pass
     spec = parse_group(group)
-    _vote_rows(monkeypatch, spec, rows)
+    _subspace_block(monkeypatch, block)
     f, _ = _planted_quadratic(spec, *_VOTE_PLANTS[group])
     sl = random_slice(phase_derivative_graph(f, 0.9), seed=0)
     fit = linear_component_fit(sl)
@@ -455,53 +458,93 @@ def _reference_affine_vote(spec, xi_at, v_idx, neg_two_mh):
     return best
 
 
-@pytest.mark.parametrize("rows", [None, 1, 7])
-@pytest.mark.parametrize("group", ["F3^3", "F5^2"])
-def test_affine_vote_matches_reference_on_random_votes(group, rows, monkeypatch):
-    # few distinct frequencies and a sparse graph, so counts tie often
+def _linear_vote_input(V, M, freqs, density, rng):
+    """-2Mh over V.coset(0) for the rows M of a linear map on V's basis, and
+    a random partial map xi_at of about that density, defined at one point at
+    least, valued in `freqs` random frequencies (None: any of dual(G))."""
+    spec, N = V.spec, V.spec.order
+    neg_two_mh = spec.neg_indices(spec.coset_points(0, spec.encode(2 * M), V.local_orders))
+    domain = rng.uniform(size=N) < density
+    domain[rng.integers(0, N)] = True
+    values = rng.integers(0, N, N if freqs is None else freqs)
+    return np.where(domain, rng.choice(values, N), -1), neg_two_mh
+
+
+@pytest.mark.parametrize("freqs", [None, 1, 7])
+@pytest.mark.parametrize("group", ["F3^2", "F3^3", "F5^2", "F5^3", "F7^2"])
+def test_affine_vote_matches_reference_on_random_votes(group, freqs):
+    # a random linear M on a random V, and a partial map with `freqs` distinct
+    # frequencies (None: any), so that at 1 and 7 the counts tie often
     from u3kit.inverse_f5 import _affine_vote
     from u3kit.modlinalg import PrimeSubspace
 
     spec = parse_group(group)
-    _vote_rows(monkeypatch, spec, rows)
-    p, n, N = spec.orders[0], spec.rank, spec.order
+    p, n = spec.orders[0], spec.rank
     rng = np.random.default_rng(5)
     for trial in range(6):
         V = PrimeSubspace.from_generators(spec, rng.integers(0, p, (int(rng.integers(1, n + 1)), n)))
-        v_idx = V.coset(0)
-        neg_two_mh = rng.integers(0, 3, len(v_idx))
-        xi_at = np.where(rng.uniform(size=N) < 0.4, rng.integers(0, 4, N), -1)
+        M = rng.integers(0, p, (V.dim, n))
+        xi_at, neg_two_mh = _linear_vote_input(V, M, freqs, rng.uniform(0.1, 0.7), rng)
         if trial == 0:
             xi_at[:] = -1
-            with pytest.raises(EmptyV, match=rf"^affine vote: .*\(\|sliced graph\| = 0, \|V\| = {len(v_idx)}\)$"):
-                _affine_vote(spec, xi_at, v_idx, neg_two_mh)
+            with pytest.raises(EmptyV, match=rf"^affine vote: .*\(\|sliced graph\| = 0, \|V\| = {V.order}\)$"):
+                _affine_vote(xi_at, V, neg_two_mh)
             continue
-        assert _affine_vote(spec, xi_at, v_idx, neg_two_mh) == _reference_affine_vote(
-            spec, xi_at, v_idx, neg_two_mh)
+        assert _affine_vote(xi_at, V, neg_two_mh) == _reference_affine_vote(
+            spec, xi_at, V.coset(0), neg_two_mh)
 
 
-@pytest.mark.parametrize("rows", [None, 7])
-def test_affine_vote_memory_within_block_bound(rows, monkeypatch):
-    # the worst case on F5^4: V = G and every point in the graph; the vote
-    # holds a few int64 arrays of one block (rows x N), never an N x N count
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_affine_vote_shear_identity(p, n, seed):
+    # vote(x0 + v, xi0) = vote(x0, xi0 - 2Mv) for v in V: each table of votes
+    # over xi0 is the table at the coset's least point, shifted by 2Mv
+    from u3kit.modlinalg import PrimeSubspace
+
+    spec, N = GroupSpec((p,) * n), p**n
+    rng = np.random.default_rng(seed)
+    V = PrimeSubspace.from_generators(spec, rng.integers(0, p, (int(rng.integers(1, n + 1)), n)))
+    M = rng.integers(0, p, (V.dim, n))
+    xi_at, neg_two_mh = _linear_vote_input(V, M, int(rng.integers(1, 8)), rng.uniform(0.1, 0.9), rng)
+    v_idx = V.coset(0)
+
+    def table(x0):
+        xi = xi_at[spec.add_indices(x0, v_idx)]
+        return np.bincount(spec.add_indices(xi, neg_two_mh)[xi >= 0], minlength=N)
+
+    B = V.basis_matrix()
+    pivots = np.argmax(B != 0, axis=1)
+    for x0 in rng.integers(0, N, 4).tolist():
+        base = table(x0)
+        for j in rng.integers(0, len(v_idx), 3).tolist():
+            shifted = spec.add_indices(np.arange(N), neg_two_mh[j])  # xi0 - 2Mv
+            assert np.array_equal(table(spec.add_indices(x0, v_idx[j])), base[shifted])
+        # the least point of x0 + V is its one point that is zero at V's pivots
+        x = spec.decode(x0)
+        assert spec.encode((x - x[pivots] @ B) % p) == V.coset(x0).min()
+
+
+@pytest.mark.parametrize("freqs", [None, 7])
+def test_affine_vote_memory_within_block_bound(freqs):
+    # F5^4 with every point in the graph, at V = G and at dim V = 1: the vote
+    # gathers each point of G once and counts at most N keys, so it holds a
+    # few int64 arrays of length N, never an N x N or (N / |V|) x N count
     import tracemalloc
 
-    import u3kit.inverse_f5 as inverse_f5
+    from u3kit.inverse_f5 import _affine_vote
+    from u3kit.modlinalg import PrimeSubspace
 
     spec = parse_group("F5^4")
     N = spec.order
-    _vote_rows(monkeypatch, spec, rows)
-    block = min(N, max(1, inverse_f5._VOTE_CELLS // N))
     rng = np.random.default_rng(0)
-    xi_at = rng.integers(0, N, N)
-    neg_two_mh = rng.integers(0, N, N)
-    tracemalloc.start()
-    try:
-        inverse_f5._affine_vote(spec, xi_at, np.arange(N), neg_two_mh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 128 * block * N + 65536
+    for V in (PrimeSubspace.whole(spec), PrimeSubspace.from_generators(spec, [[0, 1, 2, 3]])):
+        xi_at, neg_two_mh = _linear_vote_input(V, rng.integers(0, 5, (V.dim, 4)), freqs, 1.0, rng)
+        tracemalloc.start()
+        try:
+            _affine_vote(xi_at, V, neg_two_mh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * N + 65536, V.dim
 
 
 def test_symmetry_subspace_cases():
@@ -599,6 +642,26 @@ def test_obstruction_invariants_on_random_odd_fp(group, noise, eta, seed, on_cos
         assert rep.witnesses[y][1] <= val + 1e-9
 
 
+def test_obstruction_refuses_at_the_slice_before_the_quadruples(monkeypatch):
+    # the quadruple count does not feed the slice, so the slice runs first:
+    # when it refuses, additive_quadruples is never called
+    from u3kit.errors import BudgetExceeded
+
+    spec = parse_group("F5^3")
+    f, _ = _planted_quadratic(spec, *_VOTE_PLANTS["F5^3"])
+    rng = np.random.default_rng(0)
+    noisy = rng.uniform(size=spec.order) < 0.2
+    f = GroupFunction(spec, np.where(noisy, np.exp(2j * np.pi * rng.uniform(size=spec.order)), f.values))
+
+    def uncalled(gamma):
+        raise AssertionError("additive_quadruples ran before the slice refused")
+
+    monkeypatch.setattr(inverse_f5, "additive_quadruples", uncalled)
+    monkeypatch.setattr(bohr, "SUMSET_BUDGET", 1000)
+    with pytest.raises(BudgetExceeded, match=r"^pair sumset budget exceeded at plus fold 2 of 8: "):
+        quadratic_obstruction(f, 0.5, seed=0)
+
+
 def test_quadruple_statistic_planted():
     # at threshold eta with a planted pure quadratic the quadruple-count
     # floor 2^-8 eta^64 N^3 is nonvacuous and holds
@@ -611,21 +674,45 @@ def test_quadruple_statistic_planted():
 
 
 def _reference_largest_subspace(spec, members):
-    """The subspace search over a Python set, point by point."""
-    from u3kit.modlinalg import PrimeSubspace, enumerate_subspaces
+    """The subspace search over a Python set, point by point, one canonical
+    basis at a time."""
+    from u3kit.modlinalg import PrimeSubspace, subspace_bases
 
     mem = set(int(i) for i in members)
     for k in range(spec.rank, -1, -1):
-        for W in enumerate_subspaces(spec, k):
+        for mats in subspace_bases(spec.orders[0], spec.rank, k, 1):
+            W = PrimeSubspace(spec, tuple(tuple(int(v) for v in row) for row in mats[0]))
             if all(int(i) in mem for i in W.element_indices().tolist()):
                 return W
     return PrimeSubspace(spec, ())
 
 
-@pytest.mark.parametrize("group", ["F3^3", "F5^2"])
-def test_largest_subspace_inside_matches_set_search(group):
+def test_subspace_bases_list_each_subspace_once():
+    # the canonical bases of F3^3, F5^2 and F2^4, in any block: row-reduced, in
+    # lexicographic order of (pivot columns, entries), and as many as the
+    # Gaussian binomial counts
+    from u3kit.modlinalg import rref_mod_p, subspace_bases
+
+    for p, n in ((3, 3), (5, 2), (2, 4)):
+        for k in range(n + 1):
+            blocks = [list(subspace_bases(p, n, k, b)) for b in (1, 4, 10**6)]
+            assert all(1 <= len(m) <= b for ms, b in zip(blocks, (1, 4, 10**6)) for m in ms)
+            flat = [np.concatenate(ms) for ms in blocks]
+            assert all(np.array_equal(flat[0], f) for f in flat)
+            count = np.prod([(p ** (n - i) - 1) / (p ** (k - i) - 1) for i in range(k)])
+            assert len(flat[0]) == round(count)
+            pivots = [tuple(np.argmax(m != 0, axis=1)) for m in flat[0]]
+            order = [(piv, tuple(m.ravel())) for piv, m in zip(pivots, flat[0])]
+            assert order == sorted(order) and len(set(order)) == len(order)
+            for m in flat[0]:
+                assert np.array_equal(rref_mod_p(m, p)[0], m)
+
+
+@pytest.mark.parametrize("group", ["F3^3", "F5^2", "F3^4"])
+def test_largest_subspace_inside_matches_set_search(group, monkeypatch):
     # member sets: a random subspace (or two) plus random extra points, some
-    # without 0, and plain random sets of every density
+    # without 0, and plain random sets of every density; each at the default
+    # block of the subspace pass and at blocks of 1 and 7 points
     from u3kit.modlinalg import PrimeSubspace, largest_subspace_inside
 
     spec = parse_group(group)
@@ -639,7 +726,11 @@ def test_largest_subspace_inside_matches_set_search(group):
         if trial % 5 == 4:
             mask[0] = False
         members = np.flatnonzero(mask).tolist()
-        assert largest_subspace_inside(spec, members) == _reference_largest_subspace(spec, members)
+        want = _reference_largest_subspace(spec, members)
+        for block in (None, 1, 7):
+            with monkeypatch.context() as mp:
+                _subspace_block(mp, block)
+                assert largest_subspace_inside(spec, members) == want
     assert largest_subspace_inside(spec, []) == PrimeSubspace(spec, ())
     assert largest_subspace_inside(spec, range(N)) == PrimeSubspace.whole(spec)
 
