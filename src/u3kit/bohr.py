@@ -32,7 +32,7 @@ from .errors import (
     RhoTooLarge,
     SpecMismatch,
 )
-from .fourier import dft, dft_values
+from .fourier import convolve_values, dft
 from .groups import DualElement, GroupElement, GroupFunction, GroupSpec, pair
 from .lattice import TaggedLattice, hermite_reduce, lll_reduce, product_bound_certified, rref_rational
 from .modlinalg import BoxSubgroup, PrimeSubspace, is_prime
@@ -251,15 +251,12 @@ def _pair_sumset(spec: GroupSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _conv_sumset(spec: GroupSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A + B as the support of the count 1_A * 1_B(x) = #{(a, b) : a + b = x}.
-
-    With the transform of `fourier.dft_values` (1/N inside), the count is
-    N^2 Re dft(conj(1_A^ 1_B^))(x), so three transforms, then a threshold
-    at 1/2.  Each transform writes into its own input and one work array
-    (both given up), so a call holds at most three complex arrays over G:
-    48 |G| bytes, and a few KB more, when every block of the transform is
-    dense (F_p^n with p <= 32); the fresh arrays of FFT blocks add up to
-    32 |G| bytes (81 |G| in all on Z/60 x Z/60, by tracemalloc).
+    """A + B as the support of the count 1_A * 1_B(x) = #{(a, b) : a + b = x},
+    read off `fourier.convolve_values` of N 1_A and 1_B, thresholded at 1/2.
+    A call holds what that convolution holds: 48 |G| bytes, and a few KB
+    more, when every block of the transform is dense (F_p^n with p <= 32);
+    the fresh arrays of FFT blocks add up to 32 |G| bytes (81 |G| in all on
+    Z/60 x Z/60, by tracemalloc).
 
     Float error, to first order: in the unitary normalization a transform
     computed with relative 2-norm error delta gives counts off by at most
@@ -272,12 +269,9 @@ def _conv_sumset(spec: GroupSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     count is checked to lie within 1/4 of an integer, and an AssertionError
     names the worst one otherwise."""
     N = spec.order
-    fa = dft_values(spec, GroupFunction.indicator(spec, A).values, np.empty(N, dtype=np.complex128))
-    fb = dft_values(spec, GroupFunction.indicator(spec, B).values, np.empty(N, dtype=np.complex128))
-    fa *= fb
-    fa *= N * N
-    np.conj(fa, out=fa)
-    counts = dft_values(spec, np.ascontiguousarray(fa), np.ascontiguousarray(fb)).real
+    a = GroupFunction.indicator(spec, A).values
+    a *= N
+    counts = convolve_values(spec, a, GroupFunction.indicator(spec, B).values).real
     off = np.rint(counts)
     off -= counts
     worst = float(np.max(np.abs(off, out=off), initial=0.0))

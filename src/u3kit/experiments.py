@@ -31,7 +31,7 @@ from .errors import (
 from .forms import count_aps
 from .groups import GroupFunction, GroupSpec
 from .inverse_f5 import ObstructionReport, quadratic_obstruction
-from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, solve_mod_p, span_points
+from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, span_points
 from .norms import _cyclic_scan, quadratic_scan
 from .quadratic import degenerate_subspace
 
@@ -180,11 +180,50 @@ class IncrementReport:
         }
 
 
-def _affine_subspace_density(
-    spec: GroupSpec, in_A: np.ndarray, base: int, basis: np.ndarray
-) -> float:
-    pts = spec.coset_points(base, spec.encode(basis), (spec.orders[0],) * len(basis))
-    return float(np.mean(in_A[pts]))
+def _increment_candidates(
+    spec: GroupSpec, in_A: np.ndarray, W: PrimeSubspace, witnesses: dict
+) -> tuple[list[tuple[float, int, np.ndarray, int | None, int | None]], int | None]:
+    """The increment's candidates (density, base index, basis, level t,
+    dim U), and dim U.  First the witness cosets y + W, from one gather;
+    then, if the best witness clears MIN_WITNESS_BIAS and dim W > 0, the
+    level sets of its phase on each coset z + U of U, a degenerate subspace
+    of its form inside y + W.  The point z + v.UB (v on U's lex grid) has
+    level (base_val + lin.v) mod p, so each coset is listed once and its
+    level densities are two bincounts (sums of 0/1 floats: exact means).
+    For lin != 0, j its first nonzero entry, level t is z + ((t - base_val)
+    / lin_j) UB_j + ker(lin).UB; for lin = 0 (or dim U = 0), z + U at t = base_val."""
+    p = spec.orders[0]
+    WB = W.basis_matrix()
+    ys = np.fromiter(witnesses, dtype=np.int64, count=len(witnesses))
+    dens = in_A[spec.add_indices(ys[:, None], W.coset(0)[None, :])].mean(axis=1)
+    candidates = [(d, y, WB, None, None) for d, y in zip(dens.tolist(), ys.tolist())]
+    best_y, (wit, bias) = max(witnesses.items(), key=lambda kv: kv[1][1])
+    if bias < MIN_WITNESS_BIAS or W.dim == 0:
+        return candidates, None
+    A_loc = np.array(wit.A, dtype=np.int64).reshape(W.dim, W.dim)
+    b_loc = np.array(wit.b, dtype=np.int64)
+    U = degenerate_subspace(A_loc, PrimeSubspace.whole(GroupSpec((p,) * W.dim)))
+    UB_loc = U.basis_matrix()  # in W-local coordinates
+    UB = (UB_loc @ WB) % p
+    # the cosets z + U inside best_y + W: z = best_y + rep, rep in the complement of U in W
+    reps = span_points(U.complement_basis(), p)
+    zs = spec.add_indices(best_y, spec.encode(reps @ WB))
+    base_vals = (np.einsum("ci,ij,cj->c", reps, A_loc, reps) + reps @ b_loc) % p
+    lins = ((2 * reps @ A_loc + b_loc) @ UB_loc.T) % p  # lin.v = (2 rep.A + b).(v UB_loc)
+    grid = span_points(np.eye(U.dim, dtype=np.int64), p)
+    hits = in_A[spec.add_indices(zs[:, None], spec.encode(grid @ UB)[None, :])]
+    levels = (base_vals[:, None] + lins @ grid.T) % p
+    for z, hit, level, lin, base_val in zip(zs.tolist(), hits, levels, lins, base_vals.tolist()):
+        if not lin.any():
+            candidates.append((float(np.mean(hit)), z, UB, base_val, U.dim))
+            continue
+        level_dens = np.bincount(level, weights=hit, minlength=p) / np.bincount(level, minlength=p)
+        j = int(np.flatnonzero(lin)[0])
+        steps = (np.arange(p) - base_val) * pow(int(lin[j]), -1, p) % p
+        bases = spec.add_indices(z, spec.encode(np.outer(steps, UB[j]))).tolist()
+        basis = (kernel_basis_mod_p(lin, p) @ UB) % p
+        candidates += [(d, zz, basis, t, U.dim) for t, (d, zz) in enumerate(zip(level_dens.tolist(), bases))]
+    return candidates, U.dim
 
 
 def density_increment_f5(
@@ -195,16 +234,14 @@ def density_increment_f5(
     Runs the obstruction pipeline on 1_A - alpha, slices the best witness
     coset by the level sets of its quadratic phase, passes to a maximal
     degenerate subspace on which the phase is affine-linear, and returns the
-    densest coset among all pigeonhole branches.  The asymptotic increment
-    constant is astronomically small and never asserted; reported increments
-    may be nonpositive at desk scale.
+    densest of the `_increment_candidates`, the one of least base index among
+    equals.  The asymptotic increment constant is astronomically small and
+    never asserted; reported increments may be nonpositive at desk scale.
     """
     th = thresholds or IncrementThresholds()
     A_idx = sorted(set(int(a) for a in A))
     if not A_idx:
         raise DensityTooLow("empty set")
-    p = spec.orders[0]
-    n = spec.rank
     if not th.force:
         if count_aps(spec, A_idx, 4).proper > 0:
             raise Has4Ap("A contains a proper 4-AP")
@@ -213,53 +250,11 @@ def density_increment_f5(
     in_A[np.array(A_idx, dtype=np.int64)] = 1.0
     f = GroupFunction(spec, in_A - alpha)
 
-    candidates: list[tuple[float, int, np.ndarray, int | None, int | None]] = []
-    # pigeonhole branch 0: plain cosets of the whole space decompositions are
-    # deferred to the witness subspace below; always include the trivial one.
-    obstruction = None
-    outcome = "ok"
     try:
         obstruction = quadratic_obstruction(f, th.eta, seed=th.seed, oracle_crosscheck=False)
     except (EmptyGraph, EmptyV) as exc:
-        outcome = f"pipeline-empty: {type(exc).__name__}"
-    degen_dim = None
-    if obstruction is not None:
-        W = obstruction.W
-        WB = W.basis_matrix()
-        # branch 1: densities of the plain cosets of W
-        for y, (_, bias) in obstruction.witnesses.items():
-            d = _affine_subspace_density(spec, in_A, y, WB)
-            candidates.append((d, y, WB, None, None))
-        # branch 2: level-set slices inside the best-bias coset
-        best_y, (wit, bias) = max(
-            obstruction.witnesses.items(), key=lambda kv: kv[1][1]
-        )
-        if bias >= MIN_WITNESS_BIAS and W.dim >= 1:
-            A_loc = np.array(wit.A, dtype=np.int64).reshape(W.dim, W.dim)
-            U = degenerate_subspace(A_loc, PrimeSubspace.whole(GroupSpec((p,) * W.dim)))
-            degen_dim = U.dim
-            UB_loc = U.basis_matrix()  # in W-local coordinates
-            UB = (UB_loc @ WB) % p if U.dim else np.zeros((0, n), dtype=np.int64)
-            # cosets of U inside best_y + W: reps = best_y + (complement of U in W)
-            comp_loc = U.complement_basis()
-            reps_loc = span_points(comp_loc, p)
-            zs = spec.add_indices(best_y, spec.encode(reps_loc @ WB))
-            b_loc = np.array(wit.b, dtype=np.int64)
-            for rep, z in zip(reps_loc, zs.tolist()):
-                # on z + U the witness phase is affine: value and direction
-                base_val = int((rep @ A_loc @ rep + b_loc @ rep) % p)
-                # linear form on U-local coords: l(u) = (2 rep.A + b) . (u UB_loc)
-                lin = ((2 * (rep @ A_loc) + b_loc) @ UB_loc.T) % p if U.dim else np.zeros(0, np.int64)
-                for t in range(p):
-                    sol = _affine_slice(UB, lin, (t - base_val) % p, p, spec)
-                    if sol is None:
-                        continue
-                    off, Vbasis = sol
-                    zz = int(spec.add_indices(np.int64(z), np.int64(off)))
-                    dd = _affine_subspace_density(spec, in_A, zz, Vbasis)
-                    candidates.append((dd, zz, Vbasis, t, U.dim))
-    if not candidates:  # so the obstruction below is not None
-        raise PipelineEmpty(outcome)
+        raise PipelineEmpty(f"pipeline-empty: {type(exc).__name__}") from exc
+    candidates, degen_dim = _increment_candidates(spec, in_A, obstruction.W, obstruction.witnesses)
     candidates.sort(key=lambda c: (-c[0], c[1]))
     best = candidates[0]
     return IncrementReport(
@@ -273,22 +268,8 @@ def density_increment_f5(
         chosen_t=best[3],
         degenerate_dim=degen_dim,
         obstruction=obstruction,
-        outcome=outcome,
+        outcome="ok",
     )
-
-
-def _affine_slice(UB: np.ndarray, lin: np.ndarray, target: int, p: int, spec: GroupSpec):
-    """Solve lin.u = target over U-local coords; return (ambient offset of a
-    particular solution, ambient basis of the solution subspace), or None."""
-    if np.all(lin % p == 0):  # also when U = 0 (lin is empty)
-        return (0, UB) if target == 0 else None
-    sol = solve_mod_p(lin.reshape(1, -1), np.array([target]), p)
-    if sol is None:
-        return None
-    ker = kernel_basis_mod_p(lin.reshape(1, -1), p)
-    off = int(spec.encode((sol @ UB) % p))
-    Vbasis = (ker @ UB) % p if ker.shape[0] else np.zeros((0, UB.shape[1]), dtype=np.int64)
-    return (off, Vbasis)
 
 
 @dataclass
@@ -343,7 +324,7 @@ def szemeredi_driver(
         in_A = np.zeros(cur_spec.order, dtype=bool)
         in_A[np.array(cur_A, dtype=np.int64)] = True
         # point t of the new F_p^k is base + t @ basis, in lex order = index order
-        amb = cur_spec.coset_points(base_idx, cur_spec.encode(basis), (p,) * k)
+        amb = cur_spec.add_indices(base_idx, cur_spec.encode(span_points(basis, p)))
         cur_spec, cur_A = GroupSpec((p,) * k), np.flatnonzero(in_A[amb]).tolist()
     return trace
 

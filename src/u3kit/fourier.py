@@ -137,15 +137,23 @@ def dft_values(spec: GroupSpec, values: np.ndarray, work: np.ndarray | None = No
 
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """Normalized convolution f*g(x) = E_y f(y) g(x-y).
-
-    Computed through the transform, using that the transform of f*g is the
-    pointwise product of the transforms; the inverse is the same transform
-    by conjugation, f*g(x) = sum_xi H(xi) e(xi.x) = N conj(dft(conj H))(x)
-    with H = fhat ghat.
-    """
+    """Normalized convolution f*g(x) = E_y f(y) g(x-y), on copies of the values."""
     if f.owner.orders != g.owner.orders:
         raise SpecMismatch("convolve: group mismatch")
-    spec = f.owner
-    H = dft_values(spec, f.values) * dft_values(spec, g.values)
-    return GroupFunction(spec, spec.order * np.conj(dft_values(spec, np.conj(H))))
+    return GroupFunction(f.owner, convolve_values(f.owner, f.values.copy(), g.values.copy()))
+
+
+def convolve_values(spec: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """f*g from value vectors a and b (C-contiguous complex128, given up):
+    the transform of f*g is the product H of the transforms, inverted by the
+    same transform by conjugation, f*g = conj(dft(conj(N H))).  Each forward
+    transform is written back into its input, so a call holds a, b and one
+    work array (48 |G| bytes), and up to 32 |G| more while an FFT block runs."""
+    work = np.empty(a.size, dtype=np.complex128)
+    a[...] = dft_values(spec, a, work)
+    b[...] = dft_values(spec, b, work)
+    a *= b
+    a *= spec.order
+    np.conj(a, out=a)
+    out = dft_values(spec, a, b)
+    return np.conj(out, out=out)

@@ -21,8 +21,11 @@ The numeric code elsewhere works on index arrays through two entry points:
   digits by compare-and-subtract.  ``scale_indices`` scales each factor's
   digit mod n_i, and ``decode`` / ``encode`` convert to and from coordinates;
 * coset points -- ``GroupSpec.coset_points(y, gens, orders)`` lists
-  y + t_1 g_1 + ... + t_k g_k for t in lexicographic order (t_1 slowest); a
-  subgroup of ``modlinalg`` lists its cosets through it as ``H.coset(y)``.
+  y + t_1 g_1 + ... + t_k g_k for t in lexicographic order (t_1 slowest),
+  for boxes and progressions: a ``modlinalg.BoxSubgroup`` lists its span
+  through it, and ``bohr`` a coset progression.  The points of an
+  F_p-subspace are listed one way, as the encoded coordinates
+  ``modlinalg.span_points(rows, p)``, in the same order.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Constructive inverse-U^3 pipeline on F_p^n (p = 5 by default).
+"""Constructive inverse-U^3 pipeline on F_p^n, p odd (p = 5 by default).
 
 The chain: a phase-derivative graph (shifts h whose multiplicative
 derivative correlates with a linear character), a random slice making the
@@ -36,6 +36,8 @@ def _homogeneous_prime(spec: GroupSpec) -> int:
     p = ps.pop()
     if not is_prime(p):
         raise SpecMismatch("factor order must be prime")
+    if p == 2:
+        raise SpecMismatch("the linear fit halves 2M, so the pipeline needs an odd p, not F_2^n")
     return p
 
 
@@ -231,7 +233,7 @@ def linear_component_fit(gamma: PhaseGraph) -> LinearComponentFit:
     M_rows = pow(2, -1, p) * spec.decode(xi_of[Vsub.generators]) % p
     # the doubled graph is defined on all of V and must agree with the linear
     # model there: the points h of V and the predictions 2Mh, in V-local lex order
-    two_mh = spec.coset_points(0, spec.encode(2 * M_rows), Vsub.local_orders)
+    two_mh = spec.encode(span_points(2 * M_rows, p))
     if np.any(xi_of[Vsub.coset(0)] != two_mh):
         raise EmptyV(f"linear fit: the doubled graph is not linear on V "
                      f"(|sliced graph| = {len(gamma)}, dim V = {Vsub.dim})")
@@ -319,8 +321,7 @@ class ObstructionReport:
 
 def coset_reps(W: PrimeSubspace) -> np.ndarray:
     """One representative per coset of W, via a complement basis."""
-    comp = W.complement_basis()
-    return np.sort(W.spec.coset_points(0, W.spec.encode(comp), (W.p,) * len(comp)))
+    return np.sort(W.spec.encode(span_points(W.complement_basis(), W.p)))
 
 
 def _witness_scan(
@@ -366,7 +367,7 @@ def quadratic_obstruction(
     bias, and their average, is at most max |f|, and at most 1 only for
     1-bounded f.  With eta = None the graph picks eta from U^3(f), as
     `phase_derivative_graph` does; the report gives the eta used."""
-    gamma = phase_derivative_graph(f, eta)  # checks that G is F_p^n
+    gamma = phase_derivative_graph(f, eta)  # checks that G is F_p^n, p odd, before it computes
     sliced = random_slice(gamma, seed)  # before the quadruples: it refuses far sooner
     quad = additive_quadruples(gamma)
     K = len(gamma) ** 3 / quad if quad else float("inf")

@@ -11,9 +11,13 @@ Two concrete subgroup families cover everything the toolkit needs:
 Both are a ``Subgroup``: coordinate rows (``basis_matrix``) and local cyclic
 orders, from which the shared base derives the order, the generators, the
 embedding t -> t @ rows of local coordinates, and the points of a coset,
-``H.coset(y)``, y + H in local lexicographic order.  ``span_points`` is the
-one lister of the coordinates t @ rows over F_p^k, for rows that are not a
-subgroup's own (a complement, or the identity for plain F_p^k coordinates).
+``H.coset(y)``, y + H in local lexicographic order, from the span of H
+listed once.  ``span_points`` is the one lister of the points of an
+F_p-subspace: the coordinates t @ rows over F_p^k in lexicographic order of
+t, for a ``PrimeSubspace``'s own rows (its span) and for any other rows (a
+complement, or the identity for plain F_p^k coordinates), encoded where
+indices are needed.  ``GroupSpec.coset_points`` serves only boxes (the span
+of a ``BoxSubgroup``) and progressions.
 """
 
 from __future__ import annotations
@@ -81,19 +85,6 @@ def kernel_basis_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-r[:, free].T) % p
     return basis
-
-
-def solve_mod_p(mat: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution of mat @ x = b mod p, or None."""
-    mat = np.atleast_2d(np.array(mat, dtype=np.int64) % p)
-    b = np.array(b, dtype=np.int64) % p
-    cols = mat.shape[1]
-    r, pivots = rref_mod_p(np.hstack([mat, b.reshape(-1, 1)]), p)
-    if pivots and pivots[-1] == cols:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    x[pivots] = r[:, cols]
-    return x
 
 
 def complete_basis(rows, candidates, p: int) -> np.ndarray:
@@ -230,6 +221,11 @@ class PrimeSubspace(Subgroup):
 
     def basis_matrix(self) -> np.ndarray:
         return np.array(self.basis, dtype=np.int64).reshape(self.dim, self.spec.rank)
+
+    @cached_property
+    def _span(self) -> np.ndarray:
+        """The points of the subspace in local lex order, by `span_points`."""
+        return self.spec.encode(span_points(self.basis_matrix(), self.p))
 
     def complement_basis(self) -> np.ndarray:
         """Unit vectors e_1, e_2, ... that complete the subspace basis to a

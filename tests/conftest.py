@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from u3kit.groups import GroupFunction, GroupSpec
+from u3kit.modlinalg import rref_mod_p
 from u3kit.nil import NilFunction, NilPoint, _factor_terms
 
 # One setting for every property test: derandomized, with no example database.
@@ -35,6 +36,20 @@ def constant(spec: GroupSpec, c: complex) -> GroupFunction:
 def elements(spec: GroupSpec):
     """Every element of the group, in index order."""
     return [spec.element_by_index(i) for i in range(spec.order)]
+
+
+def solve_mod_p(mat: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """One solution of mat @ x = b mod p, or None: the reference elimination
+    of [mat | b], the free variables set to 0."""
+    mat = np.atleast_2d(np.array(mat, dtype=np.int64) % p)
+    b = np.array(b, dtype=np.int64) % p
+    cols = mat.shape[1]
+    r, pivots = rref_mod_p(np.hstack([mat, b.reshape(-1, 1)]), p)
+    if pivots and pivots[-1] == cols:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    x[pivots] = r[:, cols]
+    return x
 
 
 @pytest.fixture

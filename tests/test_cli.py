@@ -53,6 +53,10 @@ def test_domain_error_exit_code(capsys):
     (["scan", "--group", "Z/2xZ/3", "--expr", "1"], "scan requires a cyclic group"),
     (["u3-oracle", "--group", "Z/3xZ/9", "--expr", "1", "--H", "whole"],
      "coset oracle supports F_p subspaces and cyclic subgroups"),
+    (["inverse-f5", "--group", "F2^3", "--expr", "1", "--eta", "0.5"],
+     "the linear fit halves 2M, so the pipeline needs an odd p, not F_2^n"),
+    (["inverse-f5", "--group", "F2^4", "--expr", "1 - 2*ind{0,3,5,6}", "--eta", "0.5"],
+     "the linear fit halves 2M, so the pipeline needs an odd p, not F_2^n"),
 ])
 def test_unsupported_group_is_a_spec_mismatch(argv, message, capsys):
     # neither input exceeds a budget: the group is outside the supported family

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant, random_bounded, reference_cyclic_scan, reference_sampled_scan
+from conftest import constant, random_bounded, reference_cyclic_scan, reference_sampled_scan, solve_mod_p
 from u3kit import experiments, norms
 from u3kit.errors import BudgetExceeded, Has4Ap, NotPrime, TooSmall
 from u3kit.experiments import (
@@ -14,6 +14,7 @@ from u3kit.experiments import (
     FwSpec,
     IncrementThresholds,
     _creates_proper_kap,
+    _increment_candidates,
     _kap_offsets,
     ap_free_search,
     density_increment_f5,
@@ -24,6 +25,10 @@ from u3kit.experiments import (
 )
 from u3kit.forms import count_aps
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
+from u3kit.inverse_f5 import coset_reps
+from u3kit.modlinalg import PrimeSubspace, kernel_basis_mod_p, span_points
+from u3kit.norms import CosetQuadraticWitness
+from u3kit.quadratic import degenerate_subspace
 
 
 def test_fw_spec():
@@ -281,6 +286,109 @@ def test_density_increment_planted_quadric(rng):
         t = np.stack([g.reshape(-1) for g in grids], axis=-1)
         pts = spec.add_indices(spec.encode((t @ basis) % 5), np.int64(base))
         assert abs(float(np.mean(in_A[pts])) - rep.new_density) < 1e-12
+
+
+def _reference_increment_candidates(spec, in_A, W, witnesses):
+    """The increment's candidates by the first loop: per coset z + U and
+    level t, one solve_mod_p and one kernel_basis_mod_p elimination, and
+    each candidate listed again through coset_points for its density."""
+    p, n = spec.orders[0], spec.rank
+
+    def density(base, basis):
+        return float(np.mean(in_A[spec.coset_points(base, spec.encode(basis), (p,) * len(basis))]))
+
+    WB = W.basis_matrix()
+    candidates = [(density(y, WB), y, WB, None, None) for y in witnesses]
+    best_y, (wit, bias) = max(witnesses.items(), key=lambda kv: kv[1][1])
+    if bias < experiments.MIN_WITNESS_BIAS or W.dim == 0:
+        return candidates, None
+    A_loc = np.array(wit.A, dtype=np.int64).reshape(W.dim, W.dim)
+    U = degenerate_subspace(A_loc, PrimeSubspace.whole(GroupSpec((p,) * W.dim)))
+    UB_loc = U.basis_matrix()
+    UB = (UB_loc @ WB) % p if U.dim else np.zeros((0, n), dtype=np.int64)
+    reps_loc = span_points(U.complement_basis(), p)
+    zs = spec.add_indices(best_y, spec.encode(reps_loc @ WB))
+    b_loc = np.array(wit.b, dtype=np.int64)
+    for rep, z in zip(reps_loc, zs.tolist()):
+        base_val = int((rep @ A_loc @ rep + b_loc @ rep) % p)
+        lin = ((2 * (rep @ A_loc) + b_loc) @ UB_loc.T) % p if U.dim else np.zeros(0, np.int64)
+        for t in range(p):
+            target = (t - base_val) % p
+            if np.all(lin % p == 0):
+                if target:
+                    continue
+                off, basis = 0, UB
+            else:
+                sol = solve_mod_p(lin.reshape(1, -1), np.array([target]), p)
+                if sol is None:
+                    continue
+                ker = kernel_basis_mod_p(lin.reshape(1, -1), p)
+                off = int(spec.encode((sol @ UB) % p))
+                basis = (ker @ UB) % p if ker.shape[0] else np.zeros((0, n), dtype=np.int64)
+            zz = int(spec.add_indices(np.int64(z), np.int64(off)))
+            candidates.append((density(zz, basis), zz, basis, t, U.dim))
+    return candidates, U.dim
+
+
+def _witnesses(spec, W, A_loc, bs, biases):
+    """One witness per coset of W, the form A_loc on all, as the obstruction
+    pipeline reports them."""
+    return {
+        y: (CosetQuadraticWitness(spec.element_by_index(y), W, tuple(map(tuple, A_loc.tolist())), tuple(b)), bias)
+        for y, b, bias in zip(coset_reps(W).tolist(), bs.tolist(), biases)
+    }
+
+
+def _assert_candidates_match(spec, in_A, W, witnesses):
+    got, dim_u = _increment_candidates(spec, in_A, W, witnesses)
+    ref, ref_dim_u = _reference_increment_candidates(spec, in_A, W, witnesses)
+    assert dim_u == ref_dim_u
+    assert [(d, y, B.tolist(), t, k) for d, y, B, t, k in got] == \
+        [(d, y, B.tolist(), t, k) for d, y, B, t, k in ref]
+    return dim_u
+
+
+@st.composite
+def increment_inputs(draw):
+    """A random set (possibly empty, full or sparse, so densities tie), a
+    random W (possibly trivial), one symmetric form (possibly zero, so lin
+    can vanish) and random b and biases (possibly all below the cut)."""
+    p, n = draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4), (7, 2)]))
+    spec = GroupSpec((p,) * n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    in_A = (rng.random(spec.order) < draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]))).astype(np.float64)
+    W = PrimeSubspace.from_generators(spec, rng.integers(0, p, size=(draw(st.integers(0, n)), n)))
+    A_loc = rng.integers(0, p, size=(W.dim, W.dim)) * draw(st.sampled_from([0, 1]))
+    A_loc = (A_loc + A_loc.T) % p
+    bs = rng.integers(0, p, size=(p ** (n - W.dim), W.dim)) * draw(st.sampled_from([0, 1]))
+    biases = rng.choice([0.0, 0.25, 0.5], size=len(bs)).tolist()
+    return spec, in_A, W, _witnesses(spec, W, A_loc, bs, biases)
+
+
+@given(increment_inputs())
+def test_increment_candidates_match_reference_loop(case):
+    _assert_candidates_match(*case)
+
+
+@pytest.mark.parametrize("p, form, b, dim_u", [
+    (5, [[1]], [0], 0),  # x^2 is anisotropic: dim U = 0, and lin is empty
+    (3, [[1, 0], [0, 1]], [1, 2], 0),  # x^2 + y^2 over F_3: no isotropic vector
+    (5, [[0, 0], [0, 0]], [0, 0], 2),  # zero phase: lin = 0 on every coset of U = W
+    (5, [[0, 1], [1, 0]], [2, 0], 1),  # 2xy + 2x: U a line, lin != 0 on some cosets
+])
+def test_increment_candidates_built_cases(p, form, b, dim_u):
+    # degenerate subspaces that random forms reach rarely or not at all; the
+    # half-dense set gives each coset its own density, the empty set ties all
+    spec = GroupSpec((p,) * 3)
+    W = PrimeSubspace.from_generators(spec, np.eye(3, dtype=np.int64)[: len(form)])
+    bs = np.array([b] * p ** (3 - W.dim))
+    for in_A in (np.arange(spec.order) % 2.0, np.zeros(spec.order)):
+        witnesses = _witnesses(spec, W, np.array(form), bs, [0.5] * len(bs))
+        assert _assert_candidates_match(spec, in_A, W, witnesses) == dim_u
+    trivial = PrimeSubspace(spec, ())  # dim W = 0: the plain points only
+    witnesses = _witnesses(spec, trivial, np.zeros((0, 0), dtype=np.int64), np.zeros((spec.order, 0), int),
+                           [0.5] * spec.order)
+    assert _assert_candidates_match(spec, np.arange(spec.order) % 2.0, trivial, witnesses) is None
 
 
 def test_density_increment_guards():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bias_against, constant, random_pm1
+from conftest import bias_against, constant, random_pm1, solve_mod_p
 from u3kit import bohr, inverse_f5
 from u3kit.bohr import iterated_sumset
 from u3kit.errors import EmptyGraph, EmptyV, SliceFailed, U3KitError
@@ -24,7 +24,7 @@ from u3kit.inverse_f5 import (
     random_slice,
     symmetry_subspace,
 )
-from u3kit.modlinalg import PrimeSubspace, kernel_basis_mod_p, largest_subspace_inside, solve_mod_p
+from u3kit.modlinalg import PrimeSubspace, kernel_basis_mod_p, largest_subspace_inside
 from u3kit.norms import _TIE_RTOL, CosetQuadraticWitness, _first_in_band, gowers_norm, u2_bias, u3_oracle_coset
 
 

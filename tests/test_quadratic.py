@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import elements
+from conftest import elements, solve_mod_p
 from u3kit import modlinalg
 from u3kit.bohr import bohr_set, coset_progression_in_bohr
 from u3kit.errors import EvenOrder, ExtensionObstructed, NotFound, NotQuadratic
@@ -22,7 +22,6 @@ from u3kit.modlinalg import (
     isotropic_vector_in,
     kernel_basis_mod_p,
     rref_mod_p,
-    solve_mod_p,
 )
 from u3kit.quadratic import (
     BracketQuadratic,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from u3kit import bohr, inverse_f5
+from u3kit import bohr, fourier, inverse_f5
 from u3kit.errors import BudgetExceeded
 from u3kit.groups import GroupFunction, GroupSpec
 from u3kit.inverse_f5 import PhaseGraph, phase_derivative_graph, random_slice
@@ -164,14 +164,14 @@ def test_conv_sumset_checks_the_integer_margin(shift, trips, monkeypatch):
     spec = GroupSpec((5,) * 4)
     A, B = np.arange(0, 625, 3), np.arange(0, 625, 7)
     ref = np.unique(spec.add_indices(A[:, None], B[None, :])).tolist()
-    calls, real = [], bohr.dft_values
+    calls, real = [], fourier.dft_values
 
     def perturbed(spec, values, work=None):
         calls.append(1)
         out = real(spec, values, work)
         return out + shift if len(calls) == 3 else out  # the last transform gives the counts
 
-    monkeypatch.setattr(bohr, "dft_values", perturbed)
+    monkeypatch.setattr(fourier, "dft_values", perturbed)
     if trips:
         with pytest.raises(AssertionError, match=r"a count lies 0\.3 from an integer"):
             bohr._conv_sumset(spec, A, B)
