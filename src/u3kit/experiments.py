@@ -162,7 +162,9 @@ class IncrementReport:
     eta_used: float
     chosen_t: int | None
     degenerate_dim: int | None
-    obstruction: ObstructionReport | None
+    obstruction: ObstructionReport
+    # always "ok": a step whose pipeline finds nothing raises PipelineEmpty
+    # instead; kept so that the `increment` result keeps its bytes
     outcome: str
 
     def to_json(self) -> dict:

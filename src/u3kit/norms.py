@@ -61,16 +61,39 @@ about n/2, keeps its length.
 Rows go through the transform in batches sized by entries, not rows: a
 kernel whose row function keeps `live` arrays of shape (rows, |W|) at once
 (1 for U^2 and U^3, the rows; 2 for U^4, the rows and one gathered factor)
-takes _BATCH_ENTRIES // (live |W|) rows per batch, and at least one.  The
-dense blocks of a batch's transform write into the batch's own rows and
-into one work array of the same size, allocated once per norm, so no batch
-allocates them: a fresh array per block was freed and page-faulted in
-again by every batch.  The budget comes from a sweep: in-process U^3 on a
-unimodular F5^5 function, median of 9 alternating rounds on a 2-core Xeon
-(2 MiB of L2 per core), one BLAS thread, at _BATCH_ENTRIES = 2^14 ... 2^18:
-147, 140, 139, 146 and 151 ms, and 165 ms at 4e5 entries (128 rows); U^4
-on Z/211, with its pair rows built as above, at 103, 155 and 310 rows
-(live = 3, 2 and 1 at 2^16): 67, 66 and 81 ms.
+takes _BATCH_ENTRIES // (live |W|) rows per batch, and at least one; batch
+b holds rows b size ... (b + 1) size - 1.  The budget comes from a sweep
+on one thread: in-process U^3 on a unimodular F5^5 function, median of 9
+alternating rounds on a 2-core Xeon (2 MiB of L2 per core), one BLAS
+thread, at _BATCH_ENTRIES = 2^14 ... 2^18: 147, 140, 139, 146 and 151 ms,
+and 165 ms at 4e5 entries (128 rows); U^4 on Z/211, with its pair rows
+built as above, at 103, 155 and 310 rows (live = 3, 2 and 1 at 2^16): 67,
+66 and 81 ms.
+
+The batches run on W = min(number of CPUs the process may run on, number
+of batches) threads; the CPUs are its affinity mask, so `taskset -c 0`
+gives W = 1.  Batch b goes to worker b mod W, which builds its rows through
+the row function, drops its identically zero rows (unless supp f = G),
+transforms the rest and writes its weighted fourth moment into slot b; the
+slots are then added in batch order.  A batch's rows, and so every float of
+its sum, depend on b alone, so the value is the same for every W, bit for
+bit.  The dense products and the elementwise steps release the
+interpreter lock, so those run at once; `np.fft.fft` holds it (numpy
+2.4.6), so the FFT axes of a batch, as on fw(4001) and Z/211, still run
+one at a time.  A BLAS left multi-threaded would put its own threads on
+the cores the workers use and oversubscribe them.  Each worker owns one
+work array of a batch's size, into which, with the batch's own rows, the
+dense blocks of its transforms write, so no batch allocates them: a fresh
+array per block was freed and page-faulted in again by every batch.  The
+kernel therefore holds W batches, W work arrays and W sets of gather
+temporaries at once (about 3.4 MiB a worker for U^3 on F5^5).  Worker 0
+is the caller's thread, so W = 1 starts no thread and imports no thread
+pool; otherwise a pool of W - 1 threads is made per call, so no thread
+outlives it.  Keeping the caller busy rather than waiting on W pool threads
+was faster in the median on each `gowers` bench input (3 alternating
+in-process runs of 21 calls, 2-core Xeon, one BLAS thread; U^3 on fw(2003)
+3.2-3.5 -> 2.4-3.0 ms, on fw(4001) 8.6-9.7 -> 6.8-8.0 ms, on F5^5 66-67 ->
+57-66 ms; U^4 on Z/211 29-33 -> 24-31 ms).
 
 The transform is the blocked `fourier.dft_values`: runs of short axes
 (order product at most `fourier._DENSE_BLOCK`) are one matrix product each
@@ -220,6 +243,7 @@ running maximum; only blocks near the overall maximum are looked at again.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -359,10 +383,6 @@ def _neg_classes(spec: GroupSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return reps, np.where(neg[reps] == reps, 1.0, 2.0), neg
 
 
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def _translator(spec: GroupSpec, vals: np.ndarray, supp: np.ndarray):
     """A function taking element indices hs to the (len(hs), len(supp)) array
     of f(x + h), x in supp, read from the periodic extension of f (module
@@ -396,24 +416,12 @@ def _batch_rows(width: int, live: int) -> int:
     return max(1, _BATCH_ENTRIES // (live * width))
 
 
-def _nonzero_batches(blocks, size: int):
-    """Regroup (values, weights) blocks of at most `size` rows into batches of
-    `size` rows (the last may be smaller), dropping the rows that are
-    identically zero."""
-    vals, ws, n = [], [], 0
-    for v, w in blocks:
-        keep = np.any(v, axis=1)
-        if not keep.all():
-            v, w = v[keep], w[keep]
-        vals.append(v)
-        ws.append(w)
-        n += len(v)
-        if n >= size:  # n < 2 size, so one batch is full
-            v, w = _joined(vals), _joined(ws)
-            yield v[:size], w[:size]
-            vals, ws, n = [v[size:]], [w[size:]], n - size
-    if n:
-        yield _joined(vals), _joined(ws)
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (so `taskset` limits it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _weighted_u2_pow4(spec: GroupSpec, supp: np.ndarray, n: int, rows, live: int) -> float:
@@ -421,18 +429,43 @@ def _weighted_u2_pow4(spec: GroupSpec, supp: np.ndarray, n: int, rows, live: int
     transformed on the support window W.  rows(r0, r1) returns rows r0..r1-1
     (clipped to n) as values on supp, with their weights, keeping `live`
     arrays of that shape at once, so a batch gets _batch_rows(|W|, live)
-    rows.  The values must be a fresh array: the transform overwrites it."""
+    rows.  The values must be a fresh array: the transform overwrites it, and
+    rows is called from several threads at once (module docstring)."""
     window, at = _support_window(spec, supp)
     size = _batch_rows(window.order, live)
-    blocks = (rows(r, min(r + size, n)) for r in range(0, n, size))
-    work = np.empty(min(size, n) * window.order, dtype=np.complex128)
+    batches = -(-n // size)
+    sums = [0.0] * batches
+
+    def worker(first: int, step: int) -> None:  # batches first, first + step, ...
+        work = np.empty(min(size, n) * window.order, dtype=np.complex128)
+        for b in range(first, batches, step):
+            g, w = rows(b * size, min((b + 1) * size, n))
+            # with supp f = G a zero row can only come from underflow, and it adds exactly 0
+            if len(supp) < spec.order:
+                keep = np.any(g, axis=1)
+                if not keep.any():
+                    continue
+                if not keep.all():
+                    g, w = g[keep], w[keep]
+            if len(at) < window.order:  # a window that supp fills is G, or G with 1-point axes
+                g, on_supp = np.zeros((len(g), window.order), dtype=np.complex128), g
+                g[:, at] = on_supp
+            sums[b] = _u2_pow4_sum(window, g, w, work)
+
+    workers = min(_cpus(), batches)
+    if workers <= 1:
+        worker(0, 1)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1) as pool:  # the caller's thread is worker 0
+            others = [pool.submit(worker, i, workers) for i in range(1, workers)]
+            worker(0, workers)
+            for done in others:
+                done.result()
     total = 0.0
-    # with supp f = G the blocks are already batches, and a zero row adds exactly 0
-    for g, w in blocks if len(supp) == spec.order else _nonzero_batches(blocks, size):
-        if len(at) < window.order:  # a window that supp fills is G, or G with 1-point axes
-            g, on_supp = np.zeros((len(g), window.order), dtype=np.complex128), g
-            g[:, at] = on_supp
-        total += _u2_pow4_sum(window, g, w, work)
+    for s in sums:  # in batch order, so the sum does not depend on the workers
+        total += s
     return (window.order / spec.order) ** 3 * total
 
 

@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 from fractions import Fraction
 from math import prod
 
@@ -247,7 +250,7 @@ def test_recursive_norm_chunk_independent(monkeypatch, rng):
     # the batched reduction must not depend on the batch size: one row per
     # batch, and batches of a few rows, against the default, for U^3 and U^4
     # on a full support and on an arc of Z/101 with holes, whose window is
-    # proper and whose zero rows are dropped and regrouped
+    # proper and whose zero rows are dropped batch by batch
     spec = parse_group("Z/101")
     full = random_bounded(spec, rng).values
     arc = np.zeros(spec.order, dtype=complex)
@@ -290,20 +293,120 @@ def test_gowers_batches_fit_the_entry_budget(monkeypatch, rng):
         assert all(1 <= r and live * r * w <= max(live * w, budget) for r, w in shapes)
 
 
-def test_u3_on_f5_5_stays_within_a_few_batches_of_memory(rng):
-    # one U^3 call on F5^5 peaks at about 4.4 MiB of numpy arrays; batches of
-    # 128 rows of 3125 entries, 6.4 MB each, peaked at 19.4 MiB
+def test_u3_on_f5_5_stays_within_a_few_batches_of_memory(monkeypatch, rng):
+    # one U^3 call on F5^5 peaks at W times (one batch, one work array and
+    # the temporaries of its gather), W the workers, plus the extension of f:
+    # about 4.5 MiB of numpy arrays with one worker and 7.8 MiB with two
+    # (tracemalloc counts every thread, so W is pinned); batches of 128 rows
+    # of 3125 entries, 6.4 MB each, peaked at 19.4 MiB on one thread
     import tracemalloc
 
     f = random_unimodular(parse_group("F5^5"), rng)
     gowers_norm(f, 3)  # character tables are cached on the first call
-    tracemalloc.start()
-    try:
+    for workers in (2, 1):
+        monkeypatch.setattr(norms, "_cpus", lambda w=workers: w)
+        tracemalloc.start()
+        try:
+            gowers_norm(f, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+# groups small enough for the direct method at d = 3, and all but Z/n, n > 20,
+# at d = 4 (0.3 s on F5^2)
+worker_specs = st.one_of(
+    st.integers(2, 24).map(lambda n: parse_group(f"Z/{n}")),
+    st.sampled_from(["F3^1", "F3^2", "F3^3", "F5^1", "F5^2", "F5^3", "Z/4xZ/6"]).map(parse_group),
+)
+
+
+@st.composite
+def supported_values(draw, spec):
+    """Values in the unit disk on a support of one of four kinds: G; an arc
+    of the first axis, whose window is proper when it is short; the subgroup
+    of x_0 divisible by d, whose zero rows (h_0 not divisible by d) fill whole
+    batches when the group has a second axis; a few points, whose zero rows
+    are scattered.  A few values of the support may be zero too."""
+    N, n0 = spec.order, spec.orders[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.uniform(0, 1, N) * np.exp(2j * np.pi * rng.uniform(size=N))
+    x0 = spec.decode(np.arange(N))[:, 0]
+    kind = draw(st.sampled_from(["full", "arc", "subgroup", "points"]))
+    if kind == "arc":
+        vals[(x0 - draw(st.integers(0, n0 - 1))) % n0 >= draw(st.integers(1, n0))] = 0
+    elif kind == "subgroup":
+        vals[x0 % draw(st.sampled_from([d for d in range(2, n0 + 1) if n0 % d == 0])) != 0] = 0
+    elif kind == "points":
+        keep = rng.choice(N, size=min(N, draw(st.integers(1, 4))), replace=False)
+        vals[np.setdiff1d(np.arange(N), keep)] = 0
+    if draw(st.booleans()):
+        vals[rng.uniform(size=N) < 0.2] = 0
+    return vals
+
+
+@given(st.data())
+def test_gowers_norm_does_not_depend_on_the_worker_count(data):
+    # batch b goes to worker b mod W, and the batch sums are added in batch
+    # order, so U^2, U^3 and U^4 are the same floats for W = 1, 2 and 3; a
+    # small entry budget gives small groups many batches, and no worker
+    # thread outlives its call
+    spec = data.draw(worker_specs)
+    f = GroupFunction(spec, data.draw(supported_values(spec)))
+    values = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_BATCH_ENTRIES", data.draw(st.sampled_from([1, 8, 64, 1 << 16])))
+        for workers in (1, 2, 3):
+            mp.setattr(norms, "_cpus", lambda w=workers: w)
+            for d in (2, 3, 4):
+                threads = threading.active_count()
+                values[workers, d] = gowers_norm(f, d).value
+                assert threading.active_count() == threads
+    for d in (2, 3, 4):
+        assert values[1, d] == values[2, d] == values[3, d]
+        if spec.order ** (d + 1) <= norms.DIRECT_BUDGET:
+            direct = gowers_norm(f, d, method="direct").value
+            assert abs(values[1, d] - direct) <= 1e-12 * direct
+
+
+def test_gowers_batches_run_on_the_workers(monkeypatch, rng):
+    # with W workers the batches run on W threads, the caller's among them;
+    # with one worker every batch runs on the caller's thread
+    f = random_unimodular(parse_group("F5^3"), rng)
+    monkeypatch.setattr(norms, "_BATCH_ENTRIES", 8 * 125)  # 8 rows a batch: 8 batches of U^3
+    seen = []
+    real = norms._u2_pow4_sum
+
+    def spy(window, rows, w, work):
+        seen.append(threading.current_thread())
+        return real(window, rows, w, work)
+
+    monkeypatch.setattr(norms, "_u2_pow4_sum", spy)
+    for workers in (3, 1):
+        monkeypatch.setattr(norms, "_cpus", lambda w=workers: w)
+        seen.clear()
         gowers_norm(f, 3)
-        peak = tracemalloc.get_traced_memory()[1]
+        assert len(seen) == 8 and len(set(seen)) == workers
+        assert threading.main_thread() in seen
+
+
+def test_gowers_slots_survive_fast_thread_switches(monkeypatch, rng):
+    # more workers than CPUs, one row a batch (2,016 batches of U^4 on F5^3)
+    # and a thread switch every microsecond: a lost or misplaced slot write
+    # would change the value
+    f = random_bounded(parse_group("F5^3"), rng)
+    monkeypatch.setattr(norms, "_BATCH_ENTRIES", 1)
+    monkeypatch.setattr(norms, "_cpus", lambda: 1)
+    want = gowers_norm(f, 4).value
+    monkeypatch.setattr(norms, "_cpus", lambda: (os.cpu_count() or 1) + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = gowers_norm(f, 4).value
     finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_coset_oracle_vs_brute_force(rng):
