@@ -131,7 +131,7 @@ def quadratic_correlation_scan(
         if N * N > EXHAUSTIVE_SCAN_LIMIT:
             raise BudgetExceeded(f"exhaustive scan limited to N^2 <= EXHAUSTIVE_SCAN_LIMIT = "
                                  f"{EXHAUSTIVE_SCAN_LIMIT} pairs")
-        best_sq, (a, b) = quadratic_scan(f.values, N, 1)
+        [(best_sq, (a, b))] = quadratic_scan(f.values[None], N, 1)
         return ScanResult(float(np.sqrt(best_sq)) / N, a, b, mode, N * N)
     if mode != "sampled":
         raise ValueError("mode must be 'exhaustive' or 'sampled'")

@@ -27,7 +27,7 @@ from .modlinalg import (
     largest_subspace_inside,
     span_points,
 )
-from .norms import CosetQuadraticWitness, _batch_rows, _first_in_band, _neg_classes, _translator, u3_oracle_coset
+from .norms import CosetQuadraticWitness, _batch_rows, _first_in_band, _neg_classes, _translator, u3_oracle_cosets
 
 def _homogeneous_prime(spec: GroupSpec) -> int:
     ps = set(spec.orders)
@@ -379,9 +379,9 @@ def quadratic_obstruction(
     found, biases = _witness_scan(f, W, A_local, reps)
     witnesses = {y: (w, b) for y, w, b in zip(reps.tolist(), found, biases.tolist())}
     oracle: dict[int, float] = {}
-    if oracle_crosscheck and W.dim <= 3:
-        for w in found:
-            oracle[w.y.index] = u3_oracle_coset(f, (w.y, W)).value
+    if oracle_crosscheck and W.dim <= 3:  # one batched scan for all the cosets of W
+        reports = u3_oracle_cosets(f, [w.y for w in found], W)
+        oracle = {w.y.index: rep.value for w, rep in zip(found, reports)}
     return ObstructionReport(
         W=W,
         witnesses=witnesses,

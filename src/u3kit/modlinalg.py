@@ -153,8 +153,9 @@ class Subgroup:
         """The points of H in local lex order, listed once per subgroup."""
         return self.spec.coset_points(0, self.generators, self.local_orders)
 
-    def coset(self, y: int) -> np.ndarray:
-        """Indices of y + H, lexicographic in the local coordinates t (a new array)."""
+    def coset(self, y) -> np.ndarray:
+        """Indices of y + H, lexicographic in the local coordinates t (a new
+        array); for an (n, 1) array of y, one such row per y."""
         return self.spec.add_indices(y, self._span)
 
     def element_indices(self) -> np.ndarray:

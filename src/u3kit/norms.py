@@ -122,8 +122,16 @@ bound; bracket quadratics on Bohr sets admit no complete parametrization).
 
 One separable kernel, `quadratic_scan`, is the only exact scan: the coset
 oracle and the exhaustive `experiments.quadratic_correlation_scan` both
-call it.  On a coset of an F_p-subspace of dimension k, in local
-coordinates t, and with w = e(-1/p) and C symmetric,
+call it.  It takes a batch of rows, one per coset of the same subspace:
+`u3_oracle_cosets` gathers every coset asked for with one `add_indices`,
+so the cross-check of `inverse_f5.quadratic_obstruction` makes one scan
+per W, not one per coset (a plane of F5^3 has 5 cosets of 25 points, and a
+scan of one is mostly fixed numpy overhead).  What the rows share is
+elementwise or a stacked `np.matmul`, which computes each matrix of the
+stack as a call of its own, so a row gets the bits of a batch of its own;
+one taller 2-D product would not give them, since BLAS rounds a row by its
+place in a product (see `fourier`).  On a coset of an F_p-subspace of
+dimension k, in local coordinates t, and with w = e(-1/p) and C symmetric,
 
   sum_t g(t) w^(t.Ct + xi.t)
     = sum_t [g(t) w^(sum_{i<j} 2 c_ij t_i t_j)] prod_i w^(c_ii t_i^2 + xi_i t_i),
@@ -152,7 +160,21 @@ of 78,125; on F3^4, 2^17 and 2^16 give the same 81 blocks of 59,049.
 The tables that depend only on p, k and the chunk are built once and
 cached: D, the phase exponents of the off-diagonal vectors and the index
 maps below, in the least integer type that holds them.  D has p^3
-entries, at most 19^3 = 6,859: for k >= 2, ORACLE_BUDGET bounds p by 19.
+entries, at most 31^3 = 29,791.
+
+A scan is priced by the axis products it runs with nothing cut, its worst
+case (`_scan_price`): the first axis, a (p^(k-1), p) x (p, p^2) product,
+costs p^(k+2) multiply-adds, and the axis after `level` others costs
+p^(k+level+2) for each of the p^(k(k-1)/2) off-diagonal vectors, so the
+price is about p^(k(k-1)/2 + 2k + 1), most of it the last axis.
+ORACLE_BUDGET = 2e9 then admits p <= 31 for k = 2, p <= 7 for k = 3 and
+p = 3 for k = 4, and refuses F5^4 (3.8e10).  A line or a cyclic subgroup
+(k = 1) is priced h^3, its h^2 pairs times h points.  From F23^2 on one
+vector's p^(2k) outputs exceed a chunk, so a chunk is one vector.  A
+whole-group scan of the zero function, where no state is cut, on a 2-core
+Xeon with one BLAS thread, and its tracemalloc peak: F7^3 0.25-0.32 s,
+4.9 MiB; F23^2 0.05 s, 11.2 MiB; F29^2 0.16 s, 27.9 MiB; F31^2 0.22 s,
+36.4 MiB.
 A cyclic group Z/h is the case k = 1 with p = h, for any modulus h: one
 state, so nothing to cut, and `_cyclic_scan` makes the rows a without D,
 which would cost more than the one transform it serves (whole scan at
@@ -168,35 +190,41 @@ that of h: B only falls from a state to its children, down to the
 entries.  So a state whose B is below the tie band of an entry already
 found leads to no entry in the final band, and no later axis runs on it.
 
-The first axis runs once, on f itself.  With t' = (t_0, ..., t_{k-2}) and
-s = t_{k-1}, the terms 2 c_ij t_i t_j with j < k-1 do not depend on s, and
-those with j = k-1 add 2 (u.t') s, u = u(v) = (c_{i,k-1})_{i<k-1}; so with
-H(t', c, xi) the partial sums of f after axis k-1, the state (v, c, xi)
-has h(t') = w^(phi_v(t')) H(t', c, xi + 2 u.t'), phi_v(t') the terms with
-j < k-1: a phase times a shear of H, one gather.  Its B depends on v
-through u alone, so the bounds after the first axis are p^(k-1) p^2 sums
-of |H| (625 for the 3,125 states of F5^3).  Each chunk is ranked by its
-largest B.  The top state of each of the _SEEDS chunks ranked first,
+The first axis runs once, on f itself, for all the rows of a batch at
+once.  With t' = (t_0, ..., t_{k-2}) and s = t_{k-1}, the terms 2 c_ij
+t_i t_j with j < k-1 do not depend on s, and those with j = k-1 add 2
+(u.t') s, u = u(v) = (c_{i,k-1})_{i<k-1}; so with H(t', c, xi) the partial
+sums of f after axis k-1, the state (v, c, xi) has h(t') = w^(phi_v(t'))
+H(t', c, xi + 2 u.t'), phi_v(t') the terms with j < k-1: a phase times a
+shear of H, one gather.  Its B depends on v through u alone, so the
+bounds after the first axis are p^(k-1) p^2 sums of |H| (625 for the 3,125
+states of F5^3), one stacked pass for the batch.  Each chunk is ranked by
+its largest B.  The top state of each of the _SEEDS chunks ranked first,
 followed down the child with the largest B at each axis, gives an entry,
-and the largest seeds `best`.  The chunks are then visited in decreasing
-order of their largest B, up to the first whose largest B is below the cut
-best (1 - _TIE_RTOL)(1 - _BOUND_SLACK).  A chunk's states after the first
-axis are read from H, and at each level the next axis runs only on the
-states whose B reaches the cut, or on the whole block, without a gather,
-when every state does.  A chunk none of whose entries reaches the cut
-gives no block.  Otherwise best rises to its largest entry, and its
-entries, with -1 for the states cut on the way, go to `_lex_first_max` in
-lex order of the key, the entries of gathered states written straight to
-their lex places.  Why the result cannot change: an entry within the final
-tie band is at least best (1 - _TIE_RTOL) for every best seen on the way,
-and the B of each state it descends from is at least the entry, up to
-rounding, so no cut drops it; the maximum and the lex-first witness are
-therefore those of the full scan, and only rounding can move.  That
-rounding is about 1e-15 S^2 with S = sum |f|, and the maximum is at least
-S^2 / m (for any C the entries over all xi sum to m sum |f|^2 >= S^2), so
-against the final band it is about 1e-15 m, below 1e-12 for every group
-within ORACLE_BUDGET; _BOUND_SLACK = 1e-9 is a fixed margin far above
-that.
+and the largest seeds `best`; the seeds of all rows run as stacked
+products.  From here on each row is scanned on its own, with its own
+best, cut and `_lex_first_max` tie band: stacking the rows' descents too,
+grouped by how many states each keeps, halved the 5 plane scans of a W of
+F5^3 but made a one-row whole-F5^3 scan 1.3x slower (2-core Xeon, one
+BLAS thread).  The chunks are visited in decreasing order of their largest
+B, up to the first whose largest B is below the cut best
+(1 - _TIE_RTOL)(1 - _BOUND_SLACK).  A chunk's states after the first
+axis are read from H only where their B reaches the cut, and at each level
+the next axis runs only on the states whose B reaches the cut, or on the
+whole block, without a gather, when every state does.
+A chunk none of whose entries reaches the cut gives no block.  Otherwise
+best rises to its largest entry, and its entries, with -1 for the states
+cut on the way, go to `_lex_first_max` in lex order of the key, the
+entries of gathered states written straight to their lex places.  Why the
+result cannot change: an entry within the final tie band is at least best
+(1 - _TIE_RTOL) for every best seen on the way, and the B of each state it
+descends from is at least the entry, up to rounding, so no cut drops it;
+the maximum and the lex-first witness are therefore those of the full
+scan, and only rounding can move.  That rounding is about 1e-15 S^2 with
+S = sum |f|, and the maximum is at least S^2 / m (for any C the entries
+over all xi sum to m sum |f|^2 >= S^2), so against the final band it is
+about 1e-15 m, below 1e-12 for every group within ORACLE_BUDGET;
+_BOUND_SLACK = 1e-9 is a fixed margin far above that.
 
 At worst every B reaches the maximum and nothing is cut: on the zero
 function and a point mass (every entry ties) every axis runs on whole
@@ -616,22 +644,23 @@ def _base_p_digits(n: np.ndarray, p: int, width: int) -> np.ndarray:
 
 
 def _along_axis(h: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """(B, n, r) -> (B, n / p, p^2 r) for the states h[b, :, c], each a
-    function of (t_0, ..., t_j) in lex order (n = p^(j+1)): the last
+    """(..., R, n, r) -> (..., R, n / p, p^2 r) for the states h[.., b, :, c],
+    each a function of (t_0, ..., t_j) in lex order (n = p^(j+1)): the last
     coordinate t_j = s becomes the rows (c, xi), ahead of the r columns, of
-    sum_s h[.., s] w^(c s^2 + xi s), by the dense map D."""
-    B, n, r = h.shape
+    sum_s h[.., s] w^(c s^2 + xi s), by the dense map D.  Each leading index
+    is a product of its own (numpy's stacked matmul), so it rounds as it
+    would alone; one taller 2-D product would not (module docstring)."""
+    *lead, R, n, r = h.shape
     p = D.shape[1]
-    g = h.reshape(-1, p, r)
-    # one column: one 2-D product in place of B matrix-vector products,
-    # 2-3x faster at B = 125 and 243 (one BLAS thread)
-    out = g[:, :, 0] @ D.T if r == 1 else np.matmul(D, g)
-    return out.reshape(B, n // p, p * p * r)
+    # one column: one 2-D product in place of R n / p matrix-vector products,
+    # 2-3x faster at R = 125 and 243 (one BLAS thread)
+    out = h.reshape(*lead, R * n // p, p) @ D.T if r == 1 else np.matmul(D, h.reshape(-1, p, r))
+    return out.reshape(*lead, R, n // p, p * p * r)
 
 
 def _last_axis(h: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """|.|^2 of the last axis for the B r states h[b, :, c]: (B, p, r) ->
-    (B, 1, p^2 r).  Every state the scan evaluates passes through here."""
+    """|.|^2 of the last axis for the R r states h[.., b, :, c]: (..., R, p, r)
+    -> (..., R, 1, p^2 r).  Every state the scan evaluates passes through here."""
     out = _along_axis(h, D)
     sq = np.square(out.real)
     sq += np.square(out.imag)
@@ -678,7 +707,7 @@ def _scan_plan(p: int, k: int, chunk: int) -> _ScanPlan:
     shear = shear.astype(np.min_scalar_type(p ** (k + 1)))
     # A chunk is a box of p^jv off-diagonal vectors (the trailing jv digits
     # vary), with p^(2k) outputs each: at most `chunk` outputs, or one
-    # vector's when that is more (never within ORACLE_BUDGET).
+    # vector's when that is more (from F23^2 on).
     jv = 0
     while jv < len(off) and p ** (jv + 1 + 2 * k) <= chunk:
         jv += 1
@@ -696,110 +725,133 @@ def _scan_plan(p: int, k: int, chunk: int) -> _ScanPlan:
     return _ScanPlan(omega, D, E, u_of, shear, p**jv, tuple(lex), varying, perm, place)
 
 
-def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> tuple[float, tuple[int, ...]]:
-    """max over symmetric C and xi of |sum_t g(t) w^(t.Ct + xi.t)|^2, w =
-    e(-1/p), for g = fvals on (Z/p)^k in lex order, and the argmax as
-    (c_00, c_01, ..., c_kk, xi_0, ..., xi_{k-1}): the lex-smallest key whose
-    entry is within a relative _TIE_RTOL of the maximum, so exact ties do
-    not depend on rounding.
+def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> list[tuple[float, tuple[int, ...]]]:
+    """For each row g of fvals, a (B, p^k) array of functions on (Z/p)^k in
+    lex order (one per coset of a subspace), the max over symmetric C and xi
+    of |sum_t g(t) w^(t.Ct + xi.t)|^2, w = e(-1/p), and the argmax as (c_00,
+    c_01, ..., c_kk, xi_0, ..., xi_{k-1}): the lex-smallest key whose entry
+    is within a relative _TIE_RTOL of the maximum, so exact ties do not
+    depend on rounding.
 
     p is prime for k > 1; with k = 1 it may be any modulus h, even or
     composite, and the key is (a, b) for the phase a t^2 + b t (see the
     module docstring for the separable identity).
 
     After every axis, a state goes on only when its triangle-inequality
-    bound reaches the tie band of the best entry found so far, which keeps
-    the value and the witness those of the full scan (module docstring)."""
+    bound reaches the tie band of the best entry found so far in its row,
+    which keeps the value and the witness those of the full scan (module
+    docstring).  The rows share the plan, the first axis, the bounds after
+    it and the seeds; each keeps its own best, cut and tie band, and each
+    gets the value and witness, bit for bit, of a batch of its own."""
     if k == 1:  # one state: nothing to cut
-        return _cyclic_scan(fvals)
+        return [_cyclic_scan(g) for g in fvals]
     omega, D, E, u_of, shear, nb, lex, varying, perm, place = _scan_plan(p, k, _ORACLE_CHUNK)
     n_off = k * (k - 1) // 2
+    B = len(fvals)
     # The first axis runs once, on f: after it the state (v, c, xi) is
     # w^(phi_v(t')) H(t', c, xi + 2 u(v).t') at t', a phase times a shear of
     # the partial sums H of f, so its bound depends on v through u(v) alone
     # (module docstring).
-    H = _along_axis(fvals[None, :, None], D).reshape(-1)  # (t', c, xi), flat
+    H = _along_axis(fvals[:, None, :, None], D).reshape(B, -1)  # (t', c, xi), flat, per row
     U, n = shear.shape[:2]
 
     def bounds(h: np.ndarray) -> np.ndarray:
-        """(sum_s |h(s)|)^2 for the states h[b, :, c]: (B, n, r) -> (B, r).
-        The sum is a product with ones: summing the short middle axis of
-        many rows took twice as long."""
-        return np.square(np.ones(h.shape[1]) @ np.abs(h))
+        """(sum_s |h(s)|)^2 for the states h[.., b, :, c]: (..., R, n, r) ->
+        (..., R, r).  The sum is a product with ones: summing the short
+        middle axis of many rows took twice as long."""
+        return np.square(np.ones(h.shape[-2]) @ np.abs(h))
 
-    by_u = np.square(np.ones(n) @ np.abs(H)[shear].reshape(U, n, -1))  # (u, (c, xi))
-    per = by_u.max(axis=1)[u_of].reshape(-1, nb)  # the largest bound of each vector, a row per chunk
-    chunks = sorted(zip(per.max(axis=1).tolist(), range(0, len(E), nb)), key=lambda c: -c[0])
-    # the largest entry so far, seeded by the top state of each of the first
-    # chunks, followed down the child with the largest bound
-    vs = np.array([v0 for _, v0 in chunks[:_SEEDS]])
-    vs += np.argmax(per, axis=1)[vs // nb]
-    top = np.argmax(by_u[u_of[vs]], axis=1)  # (c, xi) of each seed
-    h = (omega[E[vs]] * H[shear[u_of[vs], :, top // p, top % p]])[:, :, None]
+    by_u = np.square(np.ones(n) @ np.abs(H)[:, shear].reshape(B, U, n, -1))  # (row, u, (c, xi))
+    per = by_u.max(axis=2)[:, u_of].reshape(B, -1, nb)  # the largest bound of each vector, by chunk
+    order = [sorted(zip(top.tolist(), range(0, len(E), nb)), key=lambda c: -c[0]) for top in per.max(axis=2)]
+    # the largest entry so far in each row, seeded by the top state of each
+    # of its first chunks, followed down the child with the largest bound
+    rows = np.arange(B)[:, None]
+    vs = np.array([[v0 for _, v0 in chunks[:_SEEDS]] for chunks in order])
+    vs += np.argmax(per, axis=2)[rows, vs // nb]
+    top = np.argmax(by_u[rows, u_of[vs]], axis=2)  # (c, xi) of each seed
+    h = (omega[E[vs]] * H[rows[:, :, None], shear[u_of[vs], :, top // p, top % p]])[..., None]
     for _ in range(k - 2):
         h = _along_axis(h, D)
-        h = h[np.arange(len(h)), :, np.argmax(bounds(h), axis=1)][:, :, None]
-    best = float(_last_axis(h, D).max())
-
-    def cut() -> float:
-        return best * (1 - _TIE_RTOL) * (1 - _BOUND_SLACK)
-
-    def descend(c: tuple) -> np.ndarray | None:
-        """|.|^2 for chunk c, axes in lex order of the key, entries of states
-        cut on the way reading -1; None when no entry reaches the cut."""
-        nonlocal best
-        vs = slice(c[1], c[1] + nb)
-        # the states after the first axis, (nb, p^(k-1), p^2), and their bounds
-        h, b = omega[E[vs]][:, :, None] * H[shear[u_of[vs]]].reshape(nb, n, p * p), by_u[u_of[vs]]
-        # the output offset of each row of h, and the stride of its columns:
-        # 1 until a cut gathers states, p^(2 level) after
-        at, stride = np.arange(nb) * p ** (2 * k), 1
-        for level in range(1, k):  # h holds the states after `level` axes
-            keep = (b if level == 1 else bounds(h)) >= cut()
-            if not keep.all():  # the states that reach the cut go on, one per row
-                i, col = np.nonzero(keep)
-                if not len(i):
-                    return None
-                h, at, stride = h[i, :, col][:, :, None], at[i] + col * stride, p ** (2 * level)
-            h = _last_axis(h, D) if level == k - 1 else _along_axis(h, D)
-        sq = h[:, 0]  # (rows, columns): after the last axis each state is one entry
-        top = float(sq.max())
-        if top < cut():  # no entry reaches the tie band
-            return None
-        best = max(best, top)
-        if stride == 1:  # nothing was cut: the whole chunk in its own order
-            return sq.reshape((p,) * len(perm)).transpose(perm)
-        # entry at + c stride goes to its place in lex order; the digits of
-        # at and of c stride are disjoint, so their places add
-        out = np.full(nb * p ** (2 * k), -1.0)
-        out[(_base_p_digits(at, p, len(perm)) @ place)[:, None]
-            + _base_p_digits(np.arange(sq.shape[1]) * stride, p, len(perm)) @ place] = sq
-        return out
+        h = h[rows, np.arange(h.shape[1]), :, np.argmax(bounds(h), axis=2)][..., None]
+    seeded = _last_axis(h, D).reshape(B, -1).max(axis=1).tolist()
 
     def key_of(c: tuple, at: int) -> tuple[int, ...]:
-        digit = {("o", n): dn for n, dn in enumerate(_base_p_digits(np.asarray(c[1]), p, n_off))}
+        digit = {("o", j): c[1] // p ** (n_off - 1 - j) % p for j in range(n_off)}
         digit.update(zip(varying, np.unravel_index(at, (p,) * len(varying))))
         return tuple(int(digit[a]) for a in lex)
 
-    ready = (None, None)  # the chunk `visits` last yielded, and its entries
+    def scan_row(H: np.ndarray, by_u: np.ndarray, chunks: list, best: float):
+        """One row's maximum and witness: H and by_u its rows of the arrays
+        above, chunks its visiting order and best its seeded value."""
 
-    def visits():
-        """The chunks in decreasing order of their largest bound, up to the
-        first one below the cut, without those that have no entry above it."""
-        nonlocal ready
-        for c in chunks:
-            if c[0] < cut():
-                return
-            ready = (c, descend(c))
-            if ready[1] is not None:
-                yield c
+        def cut() -> float:
+            return best * (1 - _TIE_RTOL) * (1 - _BOUND_SLACK)
 
-    def chunk_sq(c: tuple) -> np.ndarray:
-        # _lex_first_max asks for each chunk as soon as visits yields it, and
-        # again only for a chunk whose entries reach the final tie band
-        return ready[1] if ready[0] is c else descend(c)
+        def descend(c: tuple) -> np.ndarray | None:
+            """|.|^2 for chunk c, axes in lex order of the key, entries of
+            states cut on the way reading -1; None when no entry reaches the
+            cut."""
+            nonlocal best
+            vs = slice(c[1], c[1] + nb)
+            # the output offset of each row of states, and the stride of its
+            # columns: 1 until a cut gathers states, p^(2 level) after
+            at, stride = np.arange(nb) * p ** (2 * k), 1
+            # the states after the first axis, (nb, p^(k-1), p^2), read from H
+            # only where their bounds reach the cut
+            keep = by_u[u_of[vs]] >= cut()
+            if keep.all():
+                h = omega[E[vs]][:, :, None] * H[shear[u_of[vs]]].reshape(nb, n, p * p)
+            else:  # the states that reach the cut go on, one per row
+                i, col = np.nonzero(keep)
+                if not len(i):
+                    return None
+                v = c[1] + i
+                h = (omega[E[v]] * H[shear[u_of[v], :, col // p, col % p]])[:, :, None]
+                at, stride = at[i] + col, p * p
+            for level in range(1, k):  # h holds the states after `level` axes
+                if level > 1 and not (keep := bounds(h) >= cut()).all():
+                    i, col = np.nonzero(keep)
+                    if not len(i):
+                        return None
+                    h, at, stride = h[i, :, col][:, :, None], at[i] + col * stride, p ** (2 * level)
+                h = _last_axis(h, D) if level == k - 1 else _along_axis(h, D)
+            sq = h[:, 0]  # (rows, columns): after the last axis each state is one entry
+            top = float(sq.max())
+            if top < cut():  # no entry reaches the tie band
+                return None
+            best = max(best, top)
+            if stride == 1:  # nothing was cut: the whole chunk in its own order
+                return sq.reshape((p,) * len(perm)).transpose(perm)
+            # entry at + c stride goes to its place in lex order; the digits
+            # of at and of c stride are disjoint, so their places add
+            out = np.full(nb * p ** (2 * k), -1.0)
+            out[(_base_p_digits(at, p, len(perm)) @ place)[:, None]
+                + _base_p_digits(np.arange(sq.shape[1]) * stride, p, len(perm)) @ place] = sq
+            return out
 
-    return _lex_first_max(visits(), chunk_sq, key_of)
+        ready = (None, None)  # the chunk `visits` last yielded, and its entries
+
+        def visits():
+            """The chunks in decreasing order of their largest bound, up to
+            the first one below the cut, without those that have no entry
+            above it."""
+            nonlocal ready
+            for c in chunks:
+                if c[0] < cut():
+                    return
+                ready = (c, descend(c))
+                if ready[1] is not None:
+                    yield c
+
+        def chunk_sq(c: tuple) -> np.ndarray:
+            # _lex_first_max asks for each chunk as soon as visits yields it,
+            # and again only for a chunk whose entries reach the final tie band
+            return ready[1] if ready[0] is c else descend(c)
+
+        return _lex_first_max(visits(), chunk_sq, key_of)
+
+    return [scan_row(*row) for row in zip(H, by_u, order, seeded)]
 
 
 def _cyclic_scan(fvals: np.ndarray, pairs: np.ndarray | None = None):
@@ -881,26 +933,36 @@ def _lex_first_max(blocks, block_sq, key_of):
     return best, key
 
 
-def u3_oracle_coset(
-    f: GroupFunction,
-    coset: tuple[GroupElement, Subgroup],
-) -> NormReport:
-    """Exact u^3 bias on a coset y+H of odd order: the maximum over all
-    quadratic phases M t.t + xi.t (constant dropped) of |E_{x in y+H} f(x)
-    e(-phi(x))|, with the witness phase.
+def _scan_price(p: int, k: int) -> int:
+    """Multiply-adds in the axis products of `quadratic_scan` on (Z/p)^k
+    with nothing cut, its worst case (zero f, a point mass).  The first axis
+    is one (p^(k-1), p) x (p, p^2) product.  The axis after `level` others
+    runs on the p^(k-level) x p^(2 level) states of each of the p^(k(k-1)/2)
+    off-diagonal vectors and costs p^(k+level+2) for each; the last axis
+    dominates.  At k = 1 it is the h^2 pairs (a, b) times the h points."""
+    if k == 1:
+        return p**3
+    return p ** (k + 2) + p ** (k * (k - 1) // 2) * sum(p ** (k + level + 2) for level in range(1, k))
 
-    Supported families: F_p-subspaces (dimension-limited by ORACLE_BUDGET) and
-    cyclic subgroups of order h (k = 1, p = h), both scanned by
-    `quadratic_scan`, whose tie rule gives A = 0, b = 0 on exact ties.
+
+def u3_oracle_cosets(f: GroupFunction, ys: Sequence[GroupElement], H: Subgroup) -> list[NormReport]:
+    """Exact u^3 bias on each coset y+H, y in ys, of a subgroup H of odd
+    order: the maximum over all quadratic phases M t.t + xi.t (constant
+    dropped) of |E_{x in y+H} f(x) e(-phi(x))|, with the witness phase.
+
+    Supported families: F_p-subspaces and cyclic subgroups of order h (k =
+    1, p = h), both scanned by `quadratic_scan` in one batch of a row per
+    coset, whose tie rule gives A = 0, b = 0 on exact ties.  A scan is
+    priced by `_scan_price`, per coset, against ORACLE_BUDGET.
     """
-    y, H = coset
     if H.order % 2 == 0:
         raise EvenOrder("coset oracle requires odd |H|")
-    fvals = f.values[H.coset(y.index)]  # local lex order
-    m = len(fvals)
+    ys = list(ys)
+    fvals = f.values[H.coset(np.array([y.index for y in ys], dtype=np.int64)[:, None])]  # a row per coset
+    m = H.order
     if m == 1:
-        return NormReport(abs(complex(fvals[0])), 3, "coset-exact",
-                          CosetQuadraticWitness(y, H, (), ()))
+        return [NormReport(abs(complex(v[0])), 3, "coset-exact", CosetQuadraticWitness(y, H, (), ()))
+                for y, v in zip(ys, fvals)]
 
     if isinstance(H, PrimeSubspace):
         p, k, message = H.p, H.dim, "symmetric-matrix scan exceeds budget"
@@ -908,15 +970,28 @@ def u3_oracle_coset(
         p, k, message = H.local_orders[0], 1, "cyclic quadratic scan exceeds budget"
     else:
         raise SpecMismatch("coset oracle supports F_p subspaces and cyclic subgroups")
-    if p ** (k * (k + 1) // 2) * m * p**k > ORACLE_BUDGET:
-        raise BudgetExceeded(message)
-    best_sq, key = quadratic_scan(fvals, p, k)
+    price = _scan_price(p, k)
+    if price > ORACLE_BUDGET:
+        raise BudgetExceeded(message if k == 1 else
+                             f"{message}: {price} multiply-adds in the axis products of (Z/{p})^{k} "
+                             f"> ORACLE_BUDGET = {ORACLE_BUDGET}")
+    if not ys:
+        return []
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    A = [[0] * k for _ in range(k)]
-    for (i, j), cval in zip(pairs, key):
-        A[i][j] = A[j][i] = cval
-    witness = CosetQuadraticWitness(y, H, tuple(tuple(r) for r in A), key[len(pairs):])
-    return NormReport(float(np.sqrt(best_sq)) / m, 3, "coset-exact", witness)
+    reports = []
+    for y, (best_sq, key) in zip(ys, quadratic_scan(fvals, p, k)):
+        A = [[0] * k for _ in range(k)]
+        for (i, j), cval in zip(pairs, key):
+            A[i][j] = A[j][i] = cval
+        witness = CosetQuadraticWitness(y, H, tuple(tuple(r) for r in A), key[len(pairs):])
+        reports.append(NormReport(float(np.sqrt(best_sq)) / m, 3, "coset-exact", witness))
+    return reports
+
+
+def u3_oracle_coset(f: GroupFunction, coset: tuple[GroupElement, Subgroup]) -> NormReport:
+    """`u3_oracle_cosets` on the one coset y+H given as coset = (y, H)."""
+    y, H = coset
+    return u3_oracle_cosets(f, [y], H)[0]
 
 
 # --- grid bracket-quadratic oracle on regions of Z/N -------------------------

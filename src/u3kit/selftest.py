@@ -82,7 +82,7 @@ def run_selftest() -> list[tuple[str, bool]]:
     q = t[:, 0] * t[:, 2] + t[:, 1] * t[:, 2] + t[:, 1] ** 2 + t[:, 0]
     g = 0.7 * np.exp(2j * np.pi * q / 3) + 0.3 * noise
     sq = np.abs(np.exp(-2j * np.pi * (keys @ mono % 3) / 3) @ g) ** 2
-    value, key = quadratic_scan(g, 3, 3)
+    [(value, key)] = quadratic_scan(g[None], 3, 3)
     first = keys[int(np.argmax(sq >= sq.max() * (1 - _TIE_RTOL)))]
     out.append(("quadratic scan against brute force on F3^3",
                 abs(value - sq.max()) <= 1e-12 * sq.max() and key == tuple(first.tolist())))

@@ -991,6 +991,26 @@ def test_inverse_f5_subcommand(tmp_path, capsys):
     assert res["average_bias"] > 0.99
 
 
+def test_inverse_f5_cross_checks_f7_3(tmp_path, capsys):
+    # the oracle is priced by the axis products its scan runs, so a planted
+    # F7^3 phase is cross-checked; at the price of a naive scan, 7^12
+    # correlation terms, it exited 3 with BudgetExceeded
+    from u3kit.groups import GroupFunction, parse_group
+
+    spec = parse_group("F7^3")
+    x = spec.decode(np.arange(spec.order))
+    q = (np.einsum("ni,ij,nj->n", x, np.array([[1, 2, 0], [2, 3, 1], [0, 1, 5]]), x) + x @ [1, 0, 4]) % 7
+    noise = 0.05 * np.exp(2j * np.pi * np.random.default_rng(0).uniform(size=spec.order))
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(function_to_json(GroupFunction(spec, np.exp(2j * np.pi * q / 7) + noise))))
+    code, out, err = run_cli(["inverse-f5", "--input", str(path), "--eta", "0.5", "--seed", "1"], capsys)
+    assert code == 0, err
+    res = result_of(out)
+    assert res["oracle_check"].keys() == res["witnesses"].keys()
+    for y, w in res["witnesses"].items():
+        assert res["oracle_check"][y] >= w["bias"] - 1e-9
+
+
 def test_nilseq_subcommand(tmp_path, capsys):
     sysj = {"factors": [{"kind": "skew", "m": 1, "alpha": 0.3, "beta": 0.0},
                         {"kind": "heis", "alpha": 0.3, "beta": 0.0, "gamma": 0.7}]}

@@ -576,6 +576,29 @@ def test_obstruction_planted_global(rng):
         assert rep.witnesses[y][1] <= val + 1e-9
 
 
+def test_obstruction_scans_each_subspace_once(monkeypatch):
+    # the oracle cross-check scans all the cosets of W in one batch: one
+    # quadratic_scan call, with a row per coset, for the plant on a coset of
+    # a hyperplane (W a plane with 5 cosets) as for the global plant (W = G)
+    from u3kit import norms
+
+    spec = parse_group("F5^3")
+    x = spec.decode(np.arange(spec.order))
+    rng = np.random.default_rng(5)
+    calls, scan = [], norms.quadratic_scan
+    monkeypatch.setattr(norms, "quadratic_scan", lambda fvals, p, k: calls.append(fvals.shape) or scan(fvals, p, k))
+    for on_coset in (True, False):
+        A = rng.integers(0, 5, (3, 3))
+        q = (np.einsum("ni,ij,nj->n", x, (A + A.T) % 5, x) + x @ rng.integers(0, 5, 3)) % 5
+        vals = np.exp(2j * np.pi * q / 5) * (x[:, 0] == 2 if on_coset else 1)
+        f = GroupFunction(spec, vals + 0.05 * np.exp(2j * np.pi * rng.uniform(size=spec.order)))
+        calls.clear()
+        rep = quadratic_obstruction(f, 0.5, seed=1)
+        assert rep.W.dim == (2 if on_coset else 3)
+        assert calls == [(len(rep.witnesses), rep.W.order)]
+        assert sorted(rep.oracle_check) == sorted(rep.witnesses)
+
+
 def test_obstruction_u3_chain(rng):
     # U3(f) >= 5^-n |W| (best coset witness bias) - 1e-9
     spec = parse_group("F5^2")

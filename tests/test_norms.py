@@ -708,7 +708,7 @@ def test_quadratic_scan_memory_within_chunk_bound(group, rng):
     for kind, fvals in inputs.items():
         tracemalloc.start()
         try:
-            norms.quadratic_scan(fvals, p, k)
+            norms.quadratic_scan(fvals[None], p, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -732,7 +732,7 @@ def test_cyclic_scan_memory_within_chunk_bound():
     from u3kit.experiments import fw_counterexample
 
     f = fw_counterexample(4001)
-    peak = _traced_peak(lambda: norms.quadratic_scan(f.values, 4001, 1))[1]
+    peak = _traced_peak(lambda: norms.quadratic_scan(f.values[None], 4001, 1))[1]
     assert peak <= 64 * norms._ORACLE_CHUNK
 
 
@@ -806,7 +806,7 @@ def test_quadratic_scan_cut_matches_reference(data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(norms, "_ORACLE_CHUNK", chunk)
         mp.setattr(norms, "_TIE_RTOL", rtol)
-        best_sq, key = norms.quadratic_scan(fvals, p, k)
+        [(best_sq, key)] = norms.quadratic_scan(fvals[None], p, k)
     mags, digits = _reference_coset_scan(fvals, p, k)
     sq = (mags * m) ** 2
     assert abs(best_sq - sq.max()) <= 1e-12 * max(sq.max(), 1.0)
@@ -822,13 +822,13 @@ def test_quadratic_scan_evaluates_few_states_on_a_plant(monkeypatch):
     spec = parse_group("F5^3")
     rng = np.random.default_rng(3)
     counted, last_axis = [], norms._last_axis
-    monkeypatch.setattr(norms, "_last_axis", lambda h, *a: counted.append(h.shape[0] * h.shape[2])
+    monkeypatch.setattr(norms, "_last_axis", lambda h, *a: counted.append(prod(h.shape[:-2]) * h.shape[-1])
                         or last_axis(h, *a))
     entering, along_axis = {}, norms._along_axis
 
-    def along(h, *a):  # h is (rows, p^(k - axes done), columns), a state per row and column
-        if h.shape[1] < spec.order:  # an axis after the first
-            entering[h.shape[1]] = entering.get(h.shape[1], 0) + h.shape[0] * h.shape[2]
+    def along(h, *a):  # h is (..., rows, p^(k - axes done), columns), a state per row and column
+        if h.shape[-2] < spec.order:  # an axis after the first
+            entering[h.shape[-2]] = entering.get(h.shape[-2], 0) + prod(h.shape[:-2]) * h.shape[-1]
         return along_axis(h, *a)
 
     monkeypatch.setattr(norms, "_along_axis", along)
@@ -837,13 +837,89 @@ def test_quadratic_scan_evaluates_few_states_on_a_plant(monkeypatch):
         f = _planted(spec, (A + A.T) % 5, rng.integers(0, 5, 3), 0.3, rng)
         counted.clear()
         entering.clear()
-        best_sq, key = norms.quadratic_scan(f.values, 5, 3)
+        [(best_sq, key)] = norms.quadratic_scan(f.values[None], 5, 3)
         assert 1 <= entering[25] <= 0.01 * 5**3 * 25
         assert 1 <= sum(counted) <= 2 * norms._SEEDS
         assert entering[5] == sum(counted)
         mags, digits = _reference_coset_scan(f.values, 5, 3)
         row, col = divmod(int(np.argmax(mags)), spec.order)
         assert key == tuple(digits[row].tolist()) + spec.coords_of(col)
+
+
+BATCH_SPACES = ["F3^1", "F3^2", "F3^3", "F5^1", "F5^2", "F5^3", "F7^2"]
+BATCH_ROWS = ["zero", "point", "constant", "noise", "real", "planted"]
+
+
+@given(data=st.data())
+def test_batched_scan_matches_row_scans(data):
+    # every row of a batch gets the value and witness of a batch of its own,
+    # bit for bit: rows whose entries tie exactly (zero, a point mass, a
+    # constant) share a batch with rows whose cuts are far apart
+    spec = parse_group(data.draw(st.sampled_from(BATCH_SPACES)))
+    p, k, m = spec.orders[0], spec.rank, spec.order
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in data.draw(st.lists(st.sampled_from(BATCH_ROWS), min_size=1, max_size=7)):
+        if kind == "planted":
+            A = rng.integers(0, p, (k, k))
+            rows.append(_planted(spec, (A + A.T) % p, rng.integers(0, p, k), 0.3, rng).values)
+        else:
+            rows.append({"zero": np.zeros(m, dtype=complex), "constant": np.full(m, 0.6 + 0.3j),
+                         "point": np.eye(1, m, int(rng.integers(m)))[0].astype(complex),
+                         "noise": random_bounded(spec, rng).values,
+                         "real": rng.uniform(-1, 1, m) + 0j}[kind])
+    fvals = np.array(rows)
+    chunk = data.draw(st.sampled_from([norms._ORACLE_CHUNK, 1, 30, 700]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_ORACLE_CHUNK", chunk)
+        batched = norms.quadratic_scan(fvals, p, k)
+        alone = [norms.quadratic_scan(row[None], p, k)[0] for row in fvals]
+    assert batched == alone
+
+
+@pytest.mark.parametrize("group", ["F3^2", "F3^3", "F5^2", "F5^3", "F7^2"])
+def test_scan_price_counts_the_axis_products(group, monkeypatch):
+    # on the zero function no state is cut, and the first axis and the
+    # chunks' axes run p multiply-adds per output entry; the seeds' products
+    # (stacked over the rows, so with a leading axis, after the first axis)
+    # are not part of the price
+    spec = parse_group(group)
+    p, k = spec.orders[0], spec.rank
+    madds, along_axis = [], norms._along_axis
+
+    def along(h, D):
+        out = along_axis(h, D)
+        if h.ndim == 3 or h.shape[-2] == p**k:
+            madds.append(out.size * p)
+        return out
+
+    monkeypatch.setattr(norms, "_along_axis", along)
+    norms.quadratic_scan(np.zeros((1, spec.order), dtype=complex), p, k)
+    assert sum(madds) == norms._scan_price(p, k)
+
+
+def test_coset_oracle_price_edges():
+    # the scan is priced by the axis products it runs, about p^(k(k-1)/2 +
+    # 2k + 1): F7^3 and F31^2 are within ORACLE_BUDGET, F11^3 and F37^2 are not
+    assert norms._scan_price(7, 3) <= norms.ORACLE_BUDGET < norms._scan_price(11, 3)
+    assert norms._scan_price(31, 2) <= norms.ORACLE_BUDGET < norms._scan_price(37, 2)
+    spec = parse_group("F11^3")
+    message = (f"symmetric-matrix scan exceeds budget: {norms._scan_price(11, 3)} multiply-adds .* "
+               f"> ORACLE_BUDGET = {norms.ORACLE_BUDGET}")
+    with pytest.raises(BudgetExceeded, match=message):
+        u3_oracle_coset(constant(spec, 1.0), (spec.zero(), PrimeSubspace.whole(spec)))
+
+
+def test_coset_oracle_batch_of_cosets(rng):
+    # one call for all the cosets of W gives the report of each coset alone
+    spec = parse_group("F5^3")
+    f = random_bounded(spec, rng)
+    for W in (PrimeSubspace.from_generators(spec, [[1, 2, 0], [0, 1, 3]]),
+              PrimeSubspace.from_generators(spec, [[0, 1, 4]]), PrimeSubspace.from_generators(spec, [])):
+        ys = [spec.element_by_index(int(y)) for y in rng.integers(0, spec.order, 6)]
+        together = norms.u3_oracle_cosets(f, ys, W)
+        assert [r.to_json() for r in together] == [u3_oracle_coset(f, (y, W)).to_json() for y in ys]
+    assert norms.u3_oracle_cosets(f, [], W) == []
 
 
 @pytest.mark.parametrize("group", ["F127^1", "F131^2"])
