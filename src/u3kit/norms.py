@@ -745,6 +745,11 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> list[tuple[float, tuple
     gets the value and witness, bit for bit, of a batch of its own."""
     if k == 1:  # one state: nothing to cut
         return [_cyclic_scan(g) for g in fvals]
+    # the bound pass gathers p^(2k) bounds a row: rows go together while
+    # that holds at most _ORACLE_CHUNK of them
+    group = max(1, _ORACLE_CHUNK // p ** (2 * k))
+    if len(fvals) > group:
+        return [res for r0 in range(0, len(fvals), group) for res in quadratic_scan(fvals[r0 : r0 + group], p, k)]
     omega, D, E, u_of, shear, nb, lex, varying, perm, place = _scan_plan(p, k, _ORACLE_CHUNK)
     n_off = k * (k - 1) // 2
     B = len(fvals)

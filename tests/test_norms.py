@@ -692,7 +692,9 @@ def test_quadratic_scan_memory_within_chunk_bound(group, rng):
     # 2,000,000 outputs took all of F5^3 at once and peaked at 62 MB.  The
     # bound holds where the cut leaves little (random f, and a phase on one
     # coset of a hyperplane plus 0.05 noise, as in the cut plants of the
-    # f5_planted benchmark) and where it leaves everything (zero, a point)
+    # f5_planted benchmark) and where it leaves everything (zero, a point);
+    # and for a batch of 64 random rows, whose bounds go through the bound
+    # pass a group of rows at a time
     import tracemalloc
 
     import u3kit.norms as norms
@@ -704,11 +706,12 @@ def test_quadratic_scan_memory_within_chunk_bound(group, rng):
     on_coset = np.where(spec.decode(np.arange(m))[:, 0] == 1, phase, 0)
     inputs = {"random": random_bounded(spec, rng).values, "zero": np.zeros(m, dtype=complex),
               "point": np.eye(1, m, m - 1)[0].astype(complex),
-              "coset": on_coset + 0.05 * random_unimodular(spec, rng).values}
+              "coset": on_coset + 0.05 * random_unimodular(spec, rng).values,
+              "batch": np.array([random_bounded(spec, rng).values for _ in range(64)])}
     for kind, fvals in inputs.items():
         tracemalloc.start()
         try:
-            norms.quadratic_scan(fvals[None], p, k)
+            norms.quadratic_scan(np.atleast_2d(fvals), p, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
