@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import norms
 from .bohr import iterated_sumset
 from .errors import EmptyGraph, EmptyV, SliceFailed, SpecMismatch
 from .fourier import dft_values
@@ -27,7 +28,16 @@ from .modlinalg import (
     largest_subspace_inside,
     span_points,
 )
-from .norms import CosetQuadraticWitness, _batch_rows, _first_in_band, _neg_classes, _translator, u3_oracle_cosets
+from .norms import (
+    CosetQuadraticWitness,
+    _batch_rows,
+    _first_in_band,
+    _neg_classes,
+    _scan_price,
+    _translator,
+    u3_oracle_cosets,
+)
+
 
 def _homogeneous_prime(spec: GroupSpec) -> int:
     ps = set(spec.orders)
@@ -379,7 +389,9 @@ def quadratic_obstruction(
     found, biases = _witness_scan(f, W, A_local, reps)
     witnesses = {y: (w, b) for y, w, b in zip(reps.tolist(), found, biases.tolist())}
     oracle: dict[int, float] = {}
-    if oracle_crosscheck and W.dim <= 3:  # one batched scan for all the cosets of W
+    # one batched scan for all the cosets of W, skipped where the oracle
+    # would refuse it, so that its refusal does not cost the witnesses
+    if oracle_crosscheck and W.dim <= 3 and _scan_price(W.p, W.dim) <= norms.ORACLE_BUDGET:
         reports = u3_oracle_cosets(f, [w.y for w in found], W)
         oracle = {w.y.index: rep.value for w, rep in zip(found, reports)}
     return ObstructionReport(

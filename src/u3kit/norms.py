@@ -113,7 +113,17 @@ result by a few ulps.
 |c| U^d(f): otherwise the 2^d-fold products underflow for |f| near 1e-20
 (subnormal 16th powers) and vanish for |f| near 1e-45.
 
-The direct method sums over blocks of x, so it holds O(N^d) cubes at a time.
+The direct method holds at most _DIRECT_BLOCK = 2^16 cubes at a time, for
+every N and d.  Of the cube coordinates (x, h_1, ..., h_d), it takes the
+fewest leading ones that leave at most 2^16 cubes to the others; a block
+fixes all of those but the last and takes a run of the last, and the other
+coordinates stay broadcast axes.  Each corner index x + sum_{t in S} h_t is
+built from the corner without its last shift, 2^d - 1 `add_indices` calls
+a block with at most d + 1 corners alive, and the corners are multiplied
+along that tree, smallest first, so that most products are of arrays
+smaller than a block (U^3 on Z/74 makes 3 products of a full block, not
+8).  At the DIRECT_BUDGET edges (README) the peak is under 4 MiB; with a
+block of whole rows of x, U^4 on Z/31 held 49.3 MiB.
 
 The u^3 oracles search explicit families of quadratic phases: an exact scan
 over M x.x + xi.x on cosets of odd subgroups (the complete family there),
@@ -296,6 +306,7 @@ from .modlinalg import BoxSubgroup, PrimeSubspace, Subgroup, is_prime
 from .quadratic import BracketQuadratic, bracket_table
 
 DIRECT_BUDGET = 30_000_000
+_DIRECT_BLOCK = 1 << 16  # cubes per block of the direct method (module docstring)
 ORACLE_BUDGET = 2_000_000_000
 # complex entries per batch of Gowers rows: 2^16 complex128 values are 1 MiB,
 # the middle of a flat stretch of the budget sweep in the module docstring
@@ -306,7 +317,6 @@ _BATCH_ENTRIES = 1 << 16
 # F3^7 (35.7); F2^12 (129.7) and beyond gather through add_indices instead,
 # whose memory is the batch alone
 _EXTENSION_PER_ELEMENT = 128
-_DIRECT_BLOCK = 1 << 18  # cubes per block of the direct method
 # |correlation|^2 values per chunk of the exact scan: 2^17 complex128 values
 # are 2 MiB, so a chunk's temporaries stay in a core's L2 (module docstring)
 _ORACLE_CHUNK = 1 << 17
@@ -558,24 +568,35 @@ def _gowers_direct(f: GroupFunction, d: int) -> float:
     N = spec.order
     if N ** (d + 1) > DIRECT_BUDGET:
         raise BudgetExceeded(
-            f"direct method needs N^{d + 1} = {N ** (d + 1)} > budget {DIRECT_BUDGET}"
+            f"direct method needs N^{d + 1} = {N ** (d + 1)} > budget {DIRECT_BUDGET} (DIRECT_BUDGET)"
         )
-    vals = f.values
-    # h_t varies along axis t + 1; x along axis 0, a block of x at a time
-    hs = [np.arange(N).reshape((1,) * (t + 1) + (N,) + (1,) * (d - 1 - t)) for t in range(d)]
-    block = max(1, _DIRECT_BLOCK // N**d)
+    vals, conj = f.values, f.values.conj()
+    # a block fixes the `lead` leading cube coordinates but the last, whose
+    # run is axis 0; each later coordinate is an axis of its own
+    lead = next(j for j in range(1, d + 2) if N ** (d + 1 - j) <= _DIRECT_BLOCK)
+    rest = d + 1 - lead
+    tail = [np.arange(N).reshape((1,) * (i + 1) + (N,) + (1,) * (rest - 1 - i)) for i in range(rest)]
+    run = min(N, _DIRECT_BLOCK // N**rest)
+
+    def cube_product(idx, hs, odd):
+        # the product over the subsets S of hs of f(idx + sum S), conjugated
+        # when |S| + odd is odd: f(idx) times the product over t of the
+        # corners that have h_t as their last shift, each built from idx +
+        # h_t.  The axes of the t-th part hold those of every later one, so
+        # a product taken from the last t back lands in place in each part
+        acc = (conj if odd else vals)[idx]
+        for t in reversed(range(len(hs))):
+            part = cube_product(spec.add_indices(idx, hs[t]), hs[t + 1 :], not odd)
+            part *= acc
+            acc = part
+        return acc
+
     total = 0j
-    for x0 in range(0, N, block):
-        x = np.arange(x0, min(N, x0 + block)).reshape((-1,) + (1,) * d)
-        acc = np.ones((len(x),) + (N,) * d, dtype=np.complex128)
-        for omega in itertools.product((0, 1), repeat=d):
-            idx = x
-            for t, w in enumerate(omega):
-                if w:
-                    idx = spec.add_indices(idx, hs[t])
-            v = vals[idx]
-            acc *= np.conj(v, out=v) if sum(omega) % 2 else v
-        total += complex(acc.sum())
+    for fixed in itertools.product(range(N), repeat=lead - 1):
+        for r0 in range(0, N, run):
+            runs = np.arange(r0, min(N, r0 + run)).reshape((-1,) + (1,) * rest)
+            x, *hs = [*fixed, runs, *tail]
+            total += complex(cube_product(x, hs, False).sum())
     mean = total / N ** (d + 1)
     return max(mean.real, 0.0) ** (1.0 / 2**d)
 

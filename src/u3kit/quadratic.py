@@ -55,6 +55,9 @@ from .modlinalg import (
 )
 
 DEFAULT_CUBE_BUDGET = 400_000_000
+# cubes per block of the domain scan of `is_locally_quadratic`: a run of first
+# points times |B|^2 (|B| <= 141 within the default budget, so |B|^2 < 2^16)
+_CUBE_BLOCK = 1 << 16
 
 
 def frac_part(t: TorusValue) -> TorusValue:
@@ -135,7 +138,10 @@ def is_locally_quadratic(
     Δ_{e_b}Δ_hφ, then (with F = Δ_hφ) each Δ_kΔ_hφ, which is the statement
     that every third difference vanishes.
     Third differences commute, so a <= b <= c covers every ordered triple.
-    On a proper domain every cube of |B|^4 base points and shifts is scanned.
+    On a proper domain every cube of |B|^4 base points and shifts is scanned:
+    per base point x, in blocks of at most _CUBE_BLOCK cubes, each a run of
+    first points, with the corners that do not involve the first point
+    computed once per x.
     Either count above DEFAULT_CUBE_BUDGET raises BudgetExceeded.
     """
     dom = np.array(sorted(set(int(i) for i in domain)), dtype=np.int64)
@@ -147,7 +153,7 @@ def is_locally_quadratic(
         if k**3 * N > DEFAULT_CUBE_BUDGET:
             raise BudgetExceeded(
                 f"rank^3*N = {k}^3*{N} generator third-difference scan exceeds budget "
-                f"{DEFAULT_CUBE_BUDGET}"
+                f"{DEFAULT_CUBE_BUDGET} (DEFAULT_CUBE_BUDGET)"
             )
     if isinstance(phi, PhaseTable):
         num, D = phi.numerators, phi.denominator
@@ -171,34 +177,38 @@ def is_locally_quadratic(
     member = np.zeros(N, dtype=bool)
     member[dom] = True
     if m**4 > DEFAULT_CUBE_BUDGET:
-        raise BudgetExceeded(f"|B|^4 = {m**4} cube scan exceeds budget")
+        raise BudgetExceeded(
+            f"|B|^4 = {m**4} cube scan exceeds budget: DEFAULT_CUBE_BUDGET = {DEFAULT_CUBE_BUDGET}"
+        )
     if m == 0:
         return True
     if D >= 2**61:  # the eight-term sum below lies in (-4D, 4D)
         num = num.astype(object)
     neg = spec.neg_indices(dom)
+    run = max(1, _CUBE_BLOCK // m**2)
+    p2 = dom.reshape(1, -1, 1)
+    p3 = dom.reshape(1, 1, -1)
     for xi in range(m):
+        # the cube at x with h_i = p_i - x, p_i in B: corners x, p_i, p_i +
+        # p_j - x and p1 + p2 + p3 - 2x; what does not involve p1 is set
+        # once per x, and p1 runs in blocks of at most _CUBE_BLOCK cubes
         x = dom[xi]
-        nx = neg[xi]
-        # h_i = dom[j] - x; cube corners from sums of the chosen points
-        p1 = dom.reshape(-1, 1, 1)
-        p2 = dom.reshape(1, -1, 1)
-        p3 = dom.reshape(1, 1, -1)
-        s12 = spec.add_indices(spec.add_indices(p1, p2), np.int64(nx))
-        s13 = spec.add_indices(spec.add_indices(p1, p3), np.int64(nx))
-        s23 = spec.add_indices(spec.add_indices(p2, p3), np.int64(nx))
-        s123 = spec.add_indices(spec.add_indices(s12, p3), np.int64(nx))
-        ok = member[s12] & member[s13] & member[s23] & member[s123]
-        if not np.any(ok):
-            continue
-        total = (
-            -num[x]
-            + (num[p1] + num[p2] + num[p3])
-            - (num[s12] + num[s13] + num[s23])
-            + num[s123]
-        ) % D
-        if np.any(total[ok] != 0):
-            return False
+        nx = np.int64(neg[xi])
+        h1 = spec.add_indices(dom, nx).reshape(-1, 1, 1)
+        s23 = spec.add_indices(spec.add_indices(p2, p3), nx)
+        in23 = member[s23]
+        fixed = num[p2] + num[p3] - num[s23] - num[x]
+        for r0 in range(0, m, run):
+            p1, h = dom[r0 : r0 + run].reshape(-1, 1, 1), h1[r0 : r0 + run]
+            s12 = spec.add_indices(h, p2)
+            s13 = spec.add_indices(h, p3)
+            s123 = spec.add_indices(h, s23)
+            ok = member[s12] & member[s13] & in23 & member[s123]
+            if not np.any(ok):
+                continue
+            total = (num[p1] + fixed - (num[s12] + num[s13]) + num[s123]) % D
+            if np.any(total[ok] != 0):
+                return False
     return True
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,17 @@ def solve_mod_p(mat: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     x = np.zeros(cols, dtype=np.int64)
     x[pivots] = r[:, cols]
     return x
+
+
+def traced_peak(call):
+    """(call(), the tracemalloc peak in bytes while it ran).  tracemalloc
+    counts the allocations of every thread."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1011,6 +1011,28 @@ def test_inverse_f5_cross_checks_f7_3(tmp_path, capsys):
         assert res["oracle_check"][y] >= w["bias"] - 1e-9
 
 
+def test_inverse_f5_skips_a_cross_check_over_the_oracle_budget(tmp_path, capsys):
+    # W = F11^3 prices the oracle's scan at 2.8e10 axis multiply-adds, over
+    # ORACLE_BUDGET: the check is skipped before it runs, and the witnesses
+    # found without it are the answer (the refusal used to exit 3)
+    from u3kit.groups import GroupFunction, parse_group
+    from u3kit.norms import ORACLE_BUDGET, _scan_price
+
+    spec = parse_group("F11^3")
+    assert _scan_price(11, 3) > ORACLE_BUDGET
+    x = spec.decode(np.arange(spec.order))
+    A, b = [[1, 2, 0], [2, 3, 1], [0, 1, 5]], [1, 0, 4]
+    q = (np.einsum("ni,ij,nj->n", x, np.array(A), x) + x @ b) % 11
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(function_to_json(GroupFunction(spec, np.exp(2j * np.pi * q / 11)))))
+    code, out, err = run_cli(["inverse-f5", "--input", str(path), "--eta", "0.5", "--seed", "1"], capsys)
+    assert code == 0, err
+    res = result_of(out)
+    assert res["W_basis"] == np.eye(3, dtype=int).tolist() and res["oracle_check"] == {}
+    (w,) = res["witnesses"].values()
+    assert (w["A"], w["b"]) == (A, b) and w["bias"] > 1 - 1e-9
+
+
 def test_nilseq_subcommand(tmp_path, capsys):
     sysj = {"factors": [{"kind": "skew", "m": 1, "alpha": 0.3, "beta": 0.0},
                         {"kind": "heis", "alpha": 0.3, "beta": 0.0, "gamma": 0.7}]}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bias_against, constant, random_pm1, solve_mod_p
+from conftest import bias_against, constant, random_pm1, solve_mod_p, traced_peak
 from u3kit import bohr, inverse_f5
 from u3kit.bohr import iterated_sumset
 from u3kit.errors import EmptyGraph, EmptyV, SliceFailed, U3KitError
@@ -528,8 +528,6 @@ def test_affine_vote_memory_within_block_bound(freqs):
     # F5^4 with every point in the graph, at V = G and at dim V = 1: the vote
     # gathers each point of G once and counts at most N keys, so it holds a
     # few int64 arrays of length N, never an N x N or (N / |V|) x N count
-    import tracemalloc
-
     from u3kit.inverse_f5 import _affine_vote
     from u3kit.modlinalg import PrimeSubspace
 
@@ -538,12 +536,7 @@ def test_affine_vote_memory_within_block_bound(freqs):
     rng = np.random.default_rng(0)
     for V in (PrimeSubspace.whole(spec), PrimeSubspace.from_generators(spec, [[0, 1, 2, 3]])):
         xi_at, neg_two_mh = _linear_vote_input(V, rng.integers(0, 5, (V.dim, 4)), freqs, 1.0, rng)
-        tracemalloc.start()
-        try:
-            _affine_vote(xi_at, V, neg_two_mh)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: _affine_vote(xi_at, V, neg_two_mh))[1]
         assert peak <= 128 * N + 65536, V.dim
 
 

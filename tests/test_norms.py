@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bias_against, constant, random_bounded, random_unimodular, reference_cyclic_scan
+from conftest import bias_against, constant, random_bounded, random_unimodular, reference_cyclic_scan, traced_peak
 from u3kit import norms
 from u3kit.errors import BudgetExceeded, DegreeUnsupported, EvenOrder, NotBounded, NotPrime, TooSmall
 from u3kit.fourier import dft
@@ -299,18 +299,11 @@ def test_u3_on_f5_5_stays_within_a_few_batches_of_memory(monkeypatch, rng):
     # about 4.5 MiB of numpy arrays with one worker and 7.8 MiB with two
     # (tracemalloc counts every thread, so W is pinned); batches of 128 rows
     # of 3125 entries, 6.4 MB each, peaked at 19.4 MiB on one thread
-    import tracemalloc
-
     f = random_unimodular(parse_group("F5^5"), rng)
     gowers_norm(f, 3)  # character tables are cached on the first call
     for workers in (2, 1):
         monkeypatch.setattr(norms, "_cpus", lambda w=workers: w)
-        tracemalloc.start()
-        try:
-            gowers_norm(f, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: gowers_norm(f, 3))[1]
         assert peak < 8 * 2**20
 
 
@@ -695,10 +688,6 @@ def test_quadratic_scan_memory_within_chunk_bound(group, rng):
     # f5_planted benchmark) and where it leaves everything (zero, a point);
     # and for a batch of 64 random rows, whose bounds go through the bound
     # pass a group of rows at a time
-    import tracemalloc
-
-    import u3kit.norms as norms
-
     spec = parse_group(group)
     p, k, m = spec.orders[0], spec.rank, spec.order
     A = rng.integers(0, p, (k, k))
@@ -709,24 +698,8 @@ def test_quadratic_scan_memory_within_chunk_bound(group, rng):
               "coset": on_coset + 0.05 * random_unimodular(spec, rng).values,
               "batch": np.array([random_bounded(spec, rng).values for _ in range(64)])}
     for kind, fvals in inputs.items():
-        tracemalloc.start()
-        try:
-            norms.quadratic_scan(np.atleast_2d(fvals), p, k)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: norms.quadratic_scan(np.atleast_2d(fvals), p, k))[1]
         assert peak <= 64 * norms._ORACLE_CHUNK, kind
-
-
-def _traced_peak(call):
-    import tracemalloc
-
-    tracemalloc.start()
-    try:
-        out = call()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_cyclic_scan_memory_within_chunk_bound():
@@ -735,7 +708,7 @@ def test_cyclic_scan_memory_within_chunk_bound():
     from u3kit.experiments import fw_counterexample
 
     f = fw_counterexample(4001)
-    peak = _traced_peak(lambda: norms.quadratic_scan(f.values[None], 4001, 1))[1]
+    peak = traced_peak(lambda: norms.quadratic_scan(f.values[None], 4001, 1))[1]
     assert peak <= 64 * norms._ORACLE_CHUNK
 
 
@@ -744,7 +717,7 @@ def test_cyclic_coset_oracle_memory_within_chunk_bound(rng):
     # of 1259^2 entries its scan would peak at 51 MB
     spec = parse_group("Z/1259")
     f = random_bounded(spec, rng)
-    rep, peak = _traced_peak(lambda: u3_oracle_coset(f, (spec.zero(), BoxSubgroup.whole(spec))))
+    rep, peak = traced_peak(lambda: u3_oracle_coset(f, (spec.zero(), BoxSubgroup.whole(spec))))
     assert abs(bias_against(rep.witness, f) - rep.value) < 1e-10
     assert peak <= 64 * norms._ORACLE_CHUNK
 
@@ -1153,22 +1126,13 @@ def test_bracket_oracle_empty_region():
 def test_bracket_oracle_memory_is_bounded():
     # 36^3 quadratic x 36^2 linear tuples (6.0e7) on 33 points is inside the
     # budget; the whole correlation matrix would take about 1 GB
-    import tracemalloc
-
-    import u3kit.norms as norms
-
     N, freqs, grid = 101, (1, 30), 4
     region = np.array([n % N for n in range(-16, 17)], dtype=np.int64)
     assert 36**5 >= 5e7 and 36**5 * len(region) <= norms.ORACLE_BUDGET
     quad = ((Fraction(5, 4), Fraction(-3, 2)), (Fraction(-3, 2), Fraction(1, 4)))
     bq = BracketQuadratic(N, freqs, quad, (Fraction(-2), Fraction(7, 4)))
     f = GroupFunction(parse_group("Z/101"), bq.exp_values(sign=1.0))
-    tracemalloc.start()
-    try:
-        rep = u3_oracle_bracket(f, region, freqs, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(lambda: u3_oracle_bracket(f, region, freqs, grid))
     assert peak < 64 * 2**20, peak
     assert rep.value > 1 - 1e-9
     assert (rep.witness.quad, rep.witness.lin) == (quad, bq.lin)
@@ -1356,3 +1320,32 @@ def test_tiny_functions_do_not_underflow(c, method):
     for d, want in zip((1, 2, 3, 4), (7**-0.5, 7**-0.25, 1.0, 1.0)):
         got = gowers_norm(g, d, method=method).value
         assert abs(got - c * want) <= 1e-12 * c * want, (d, got)
+
+
+# --- the direct method's blocks ----------------------------------------------------
+
+
+@given(data=st.data(), d=st.integers(1, 4))
+def test_direct_value_does_not_depend_on_the_block(data, d):
+    # a block of one cube fixes every coordinate but the last; seven lets a
+    # short axis run whole and a long one in parts; the default takes small
+    # groups in one block.  Only the order of the sum changes
+    spec = data.draw(specs(int(1024 ** (1 / (d + 1)))))
+    f = data.draw(functions(spec))
+    want = gowers_norm(f, d, method="direct").value
+    with pytest.MonkeyPatch.context() as mp:
+        for block in (1, 7):
+            mp.setattr(norms, "_DIRECT_BLOCK", block)
+            assert abs(gowers_norm(f, d, method="direct").value - want) <= 1e-12 * want, block
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_direct_method_memory_within_block_bound(d, rng):
+    # U^3 on Z/31 held all 31^4 cubes at once (12.7 MiB under tracemalloc) and
+    # U^4 31 blocks of 31^4 (49.3 MiB); a block of _DIRECT_BLOCK cubes keeps
+    # a few arrays of that length, each built from a smaller corner
+    f = random_bounded(parse_group("Z/31"), rng)
+    got, peak = traced_peak(lambda: gowers_norm(f, d, method="direct").value)
+    want = gowers_norm(f, d).value
+    assert abs(got - want) <= 1e-12 * want
+    assert peak <= 64 * norms._DIRECT_BLOCK

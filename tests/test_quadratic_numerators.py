@@ -22,8 +22,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import elements
+from conftest import elements, traced_peak
 from test_quadratic import orthogonal_complement
+from u3kit import quadratic
 from u3kit.bohr import CosetProgression, coset_progression_in_bohr
 from u3kit.errors import BudgetExceeded, DependentGenerators, ExtensionObstructed, NotProper, NotQuadratic, SpecMismatch
 from u3kit.groups import GroupSpec, mod1, parse_group
@@ -563,6 +564,33 @@ def _partial_domain_cases(draw):
 def test_partial_domain_locality_matches_reference(case):
     phi, dom, spec = case
     assert outcome(is_locally_quadratic, phi, dom, spec) == outcome(reference_is_locally_quadratic, phi, dom, spec)
+
+
+@settings(max_examples=80)
+@given(_partial_domain_cases(), st.sampled_from([1, 20, 300]))
+def test_blocked_domain_scan_matches_reference(case, block):
+    # one first point a block, or a few: the blocks of a run of first points
+    # see the same cubes as the reference's |B|^3 per x, True or False
+    phi, dom, spec = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadratic, "_CUBE_BLOCK", block)
+        assert outcome(is_locally_quadratic, phi, dom, spec) == outcome(reference_is_locally_quadratic, phi, dom, spec)
+
+
+def test_domain_scan_memory_within_block_bound():
+    # a 60-point progression of Z/20011 with a planted quadratic scans every
+    # cube; |B|^3 cubes per x peaked at 8.8 MiB under tracemalloc.  One
+    # value moved off the quadratic makes a cube fail
+    N = 20011
+    spec = GroupSpec((N,))
+    dom = [(7 + 13 * t) % N for t in range(60)]
+    phi = {i: Fraction((3 * i * i + 5 * i) % N, N) for i in dom}
+    moved = dict(phi)
+    moved[dom[-1]] += Fraction(1, N)
+    for table, want in ((phi, True), (moved, False)):
+        got, peak = traced_peak(lambda: is_locally_quadratic(table, dom, spec))
+        assert got is want
+        assert peak <= 64 * quadratic._CUBE_BLOCK
 
 
 @st.composite

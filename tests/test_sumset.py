@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from u3kit import bohr, fourier, inverse_f5
 from u3kit.errors import BudgetExceeded
 from u3kit.groups import GroupFunction, GroupSpec
@@ -101,18 +102,11 @@ def test_sumset_memory_within_chunk_bound():
     # tracemalloc; blocks of _SUMSET_CHUNK sums keep a few int64 arrays of
     # that length at a time (about 4 MB).  sumset itself convolves at this
     # size (see test_conv_fold_memory_bound), so the pair kernel is called
-    import tracemalloc
-
     spec = GroupSpec((5,) * 6)
     rng = np.random.default_rng(0)
     A = rng.choice(spec.order, 3200, replace=False)
     B = rng.choice(spec.order, 3125, replace=False)
-    tracemalloc.start()
-    try:
-        got = bohr._pair_sumset(spec, A, B)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: bohr._pair_sumset(spec, A, B))
     assert got.tolist() == list(range(spec.order))
     assert peak <= 5 * 8 * bohr._SUMSET_CHUNK
 
@@ -185,8 +179,6 @@ def test_conv_fold_memory_bound(orders, per_point):
     # the bound of _conv_sumset's docstring: three complex arrays over G
     # (48 |G| bytes) when every transform block is dense, as on F5^6, and
     # up to 32 |G| more for FFT blocks (Z/60 has one), plus a few KB
-    import tracemalloc
-
     spec = GroupSpec(orders)
     N = spec.order
     rng = np.random.default_rng(0)
@@ -195,12 +187,7 @@ def test_conv_fold_memory_bound(orders, per_point):
     assert len(A) * len(K) > bohr._CONV_COST * N  # sumset convolves
     ref = bohr._pair_sumset(spec, A, K)
     bohr.sumset(spec, A, K)  # character tables are cached before the count
-    tracemalloc.start()
-    try:
-        got = bohr.sumset(spec, A, K)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: bohr.sumset(spec, A, K))
     assert got.tolist() == ref.tolist()
     assert peak <= per_point * N + 4096
 
@@ -209,19 +196,12 @@ def test_outer_sum_over_two_runs_peaks_near_its_output():
     # F5^5 is two table runs; the U^3 rows add 128 shifts to all 3125
     # points.  One full 128 x 3125 array per run peaked at 7.08 MB under
     # tracemalloc; later runs added in row blocks keep it near the 3.2 MB output
-    import tracemalloc
-
     spec = GroupSpec((5,) * 5)
     assert len(spec._runs) == 2
     x = np.arange(spec.order, dtype=np.int64)[None, :]
     hs = np.arange(128, dtype=np.int64)[:, None] * 7
     spec.add_indices(x, hs)  # the run tables are cached before the count
-    tracemalloc.start()
-    try:
-        got = spec.add_indices(x, hs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: spec.add_indices(x, hs))
     assert np.array_equal(got, spec.encode(spec.decode(x) + spec.decode(hs)))
     assert peak <= 1.25 * got.nbytes
 
