@@ -2,9 +2,12 @@
 JSON output.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (error name + message
-as JSON on stderr).  Every output embeds a run manifest (command line, seed,
-version, group, input digests, wall time); outputs are byte-identical across
-runs up to the wall-time field.
+as JSON on stderr).  Running out of memory is a domain error too: a
+MemoryError, such as numpy's for `fw --N 1000000000039`, exits 3 as
+BudgetExceeded with the message "out of memory: " and the allocator's own.
+Every output embeds a run manifest (command line, seed, version, group,
+input digests, wall time); outputs are byte-identical across runs up to the
+wall-time field.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import ParseError, U3KitError
+from .errors import BudgetExceeded, ParseError, U3KitError
 from .groups import (
     GroupFunction,
     GroupSpec,
@@ -692,7 +695,9 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.time()
     try:
         text = _run(args, argv, t0)
-    except U3KitError as exc:
+    except (U3KitError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # an allocation the host cannot make
+            exc = BudgetExceeded(f"out of memory: {exc}")
         json.dump({"error": exc.name, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 3

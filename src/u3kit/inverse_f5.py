@@ -30,9 +30,9 @@ from .modlinalg import (
 )
 from .norms import (
     CosetQuadraticWitness,
-    _batch_rows,
     _first_in_band,
     _neg_classes,
+    _run_row_batches,
     _scan_price,
     _translator,
     u3_oracle_cosets,
@@ -82,7 +82,10 @@ def phase_derivative_graph(f: GroupFunction, eta: float | None = None) -> PhaseG
     pick of row h read at -xi (not always -xi(h), which can tie with another
     entry), and ||f||_{U^3}^8 = E_h sum_xi |F_h(xi)|^4 comes with the rows.
     So eta = None can resolve to max(0.8 U^3(f), 1e-3) from those same
-    transforms: the cut is read only after the last row.
+    transforms: the cut is read only after the last row.  The rows run in
+    the kernel's batches on its workers (`norms._run_row_batches`), and
+    their picks are read in batch order, so the graph, u3 and eta are the
+    same for every worker count.
 
     When U^3(f) >= eta, the shift set is guaranteed to have density at least
     eta^8 / 2; a smaller shift set therefore certifies U^3(f) < eta and is
@@ -94,19 +97,25 @@ def phase_derivative_graph(f: GroupFunction, eta: float | None = None) -> PhaseG
     N = spec.order
     shifted, conj_f = _translator(spec, f.values, np.arange(N, dtype=np.int64)), np.conj(f.values)
     reps, weights, neg = _neg_classes(spec)
-    size = _batch_rows(N, live=2)  # live: a batch of rows and its transform
-    work = np.empty(min(size, len(reps)) * N, dtype=np.complex128)
-    pow8, picks = 0.0, []  # picks: (shifts, frequencies, squared magnitudes), h then -h
-    for r0 in range(0, len(reps), size):
-        hs = reps[r0 : r0 + size]
+
+    # a batch's part of N ||f||_{U^3}^8, and its picks (shifts, frequencies,
+    # squared magnitudes), h then -h
+    def batch(r0: int, r1: int, work: np.ndarray):
+        hs = reps[r0:r1]
         g = shifted(hs)
         g *= conj_f  # Delta_h f
         sq = np.square(np.abs(dft_values(spec, g, work)))
-        pow8 += float(weights[r0 : r0 + size] @ np.einsum("ij,ij->i", sq, sq))
         best = _first_in_band(sq)
         two = np.flatnonzero(neg[hs] != hs)  # the rows whose class also holds -h
         xi_neg = _first_in_band(sq[two[:, None], neg])  # xi(-h), read at -xi in row h
-        picks += [(hs, best, sq[np.arange(len(hs)), best]), (neg[hs[two]], xi_neg, sq[two, neg[xi_neg]])]
+        return (float(weights[r0:r1] @ np.einsum("ij,ij->i", sq, sq)),
+                [(hs, best, sq[np.arange(len(hs)), best]), (neg[hs[two]], xi_neg, sq[two, neg[xi_neg]])])
+
+    pow8, picks = 0.0, []
+    # live = 2: a batch of rows and its transform
+    for part, pick in _run_row_batches(len(reps), N, 2, batch):
+        pow8 += part
+        picks += pick
     u3 = max(pow8 / N, 0.0) ** 0.125
     if eta is None:
         eta = max(0.8 * u3, 1e-3)

@@ -70,30 +70,39 @@ and 165 ms at 4e5 entries (128 rows); U^4 on Z/211, with its pair rows
 built as above, at 103, 155 and 310 rows (live = 3, 2 and 1 at 2^16): 67,
 66 and 81 ms.
 
-The batches run on W = min(number of CPUs the process may run on, number
-of batches) threads; the CPUs are its affinity mask, so `taskset -c 0`
-gives W = 1.  Batch b goes to worker b mod W, which builds its rows through
-the row function, drops its identically zero rows (unless supp f = G),
-transforms the rest and writes its weighted fourth moment into slot b; the
-slots are then added in batch order.  A batch's rows, and so every float of
-its sum, depend on b alone, so the value is the same for every W, bit for
-bit.  The dense products and the elementwise steps release the
-interpreter lock, so those run at once; `np.fft.fft` holds it (numpy
-2.4.6), so the FFT axes of a batch, as on fw(4001) and Z/211, still run
-one at a time.  A BLAS left multi-threaded would put its own threads on
-the cores the workers use and oversubscribe them.  Each worker owns one
-work array of a batch's size, into which, with the batch's own rows, the
-dense blocks of its transforms write, so no batch allocates them: a fresh
-array per block was freed and page-faulted in again by every batch.  The
-kernel therefore holds W batches, W work arrays and W sets of gather
-temporaries at once (about 3.4 MiB a worker for U^3 on F5^5).  Worker 0
-is the caller's thread, so W = 1 starts no thread and imports no thread
-pool; otherwise a pool of W - 1 threads is made per call, so no thread
-outlives it.  Keeping the caller busy rather than waiting on W pool threads
-was faster in the median on each `gowers` bench input (3 alternating
-in-process runs of 21 calls, 2-core Xeon, one BLAS thread; U^3 on fw(2003)
-3.2-3.5 -> 2.4-3.0 ms, on fw(4001) 8.6-9.7 -> 6.8-8.0 ms, on F5^5 66-67 ->
-57-66 ms; U^4 on Z/211 29-33 -> 24-31 ms).
+One runner, `_run_row_batches`, sizes and runs the batches, for its two
+callers: `_weighted_u2_pow4`, and `inverse_f5.phase_derivative_graph`,
+which takes the U^3 rows (one per class {h, -h}, live = 2: the rows and
+their transform) and keeps, beside each batch's part of U^3(f)^8, the
+frequency of each row's largest coefficient.  The batches run on
+W = min(number of CPUs the process may run on, number of batches)
+threads; the CPUs are its affinity mask, so `taskset -c 0` gives W = 1.
+Batch b goes to worker b mod W, which runs the caller's task on it and
+puts the result in slot b; the caller reads the slots in batch order.  For
+`_weighted_u2_pow4` the task builds the batch's rows through the row
+function, drops its identically zero rows (unless supp f = G) and returns
+the weighted fourth moment of the rest, and the slots are added in batch
+order.  A batch's rows, and so every float of its result, depend on b
+alone, so the value, and the graph, are the same for every W, bit for bit.
+The dense products and the elementwise steps release the interpreter
+lock, so those run at once; `np.fft.fft` holds it (numpy 2.4.6), so the
+FFT axes of a batch, as on fw(4001) and Z/211, still run one at a time.  A
+BLAS left multi-threaded would put its own threads on the cores the
+workers use and oversubscribe them.  Each worker owns one work array of a
+batch's size, into which, with the batch's own rows, the dense blocks of
+its transforms write, so no batch allocates them: a fresh array per block
+was freed and page-faulted in again by every batch.  The kernel therefore
+holds W batches, W work arrays and W sets of gather temporaries at once
+(about 3.4 MiB a worker for U^3 on F5^5).  Worker 0 is the caller's
+thread, so W = 1 starts no thread and imports no thread pool; otherwise a
+pool of W - 1 threads is made per call, so no thread outlives it.  The
+pool's futures carry an exception of any worker back to the caller, which
+plain threads would need code of their own for.  Keeping the caller busy
+rather than waiting on W pool threads was faster in the median on each
+`gowers` bench input (3 alternating in-process runs of 21 calls, 2-core
+Xeon, one BLAS thread; U^3 on fw(2003) 3.2-3.5 -> 2.4-3.0 ms, on fw(4001)
+8.6-9.7 -> 6.8-8.0 ms, on F5^5 66-67 -> 57-66 ms; U^4 on Z/211 29-33 ->
+24-31 ms).
 
 The transform is the blocked `fourier.dft_values`: runs of short axes
 (order product at most `fourier._DENSE_BLOCK`) are one matrix product each
@@ -462,33 +471,21 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _weighted_u2_pow4(spec: GroupSpec, supp: np.ndarray, n: int, rows, live: int) -> float:
-    """sum_r w_r U^2(g_r)^4 over rows g_r, r < n, that vanish off supp, each
-    transformed on the support window W.  rows(r0, r1) returns rows r0..r1-1
-    (clipped to n) as values on supp, with their weights, keeping `live`
-    arrays of that shape at once, so a batch gets _batch_rows(|W|, live)
-    rows.  The values must be a fresh array: the transform overwrites it, and
-    rows is called from several threads at once (module docstring)."""
-    window, at = _support_window(spec, supp)
-    size = _batch_rows(window.order, live)
+def _run_row_batches(n: int, width: int, live: int, task) -> list:
+    """[task(r0, r1, work) for each batch of rows r0..r1-1 of n], in batch
+    order.  A batch holds _batch_rows(width, live) rows, and work is its
+    worker's own complex array of a full batch's rows x width entries.
+    Batch b runs on worker b mod W, W = min(_cpus(), batches), worker 0 being
+    the caller's thread, so task is called from several threads at once
+    (module docstring); an exception of any worker reaches the caller."""
+    size = _batch_rows(width, live)
     batches = -(-n // size)
-    sums = [0.0] * batches
+    out = [None] * batches
 
     def worker(first: int, step: int) -> None:  # batches first, first + step, ...
-        work = np.empty(min(size, n) * window.order, dtype=np.complex128)
+        work = np.empty(min(size, n) * width, dtype=np.complex128)
         for b in range(first, batches, step):
-            g, w = rows(b * size, min((b + 1) * size, n))
-            # with supp f = G a zero row can only come from underflow, and it adds exactly 0
-            if len(supp) < spec.order:
-                keep = np.any(g, axis=1)
-                if not keep.any():
-                    continue
-                if not keep.all():
-                    g, w = g[keep], w[keep]
-            if len(at) < window.order:  # a window that supp fills is G, or G with 1-point axes
-                g, on_supp = np.zeros((len(g), window.order), dtype=np.complex128), g
-                g[:, at] = on_supp
-            sums[b] = _u2_pow4_sum(window, g, w, work)
+            out[b] = task(b * size, min((b + 1) * size, n), work)
 
     workers = min(_cpus(), batches)
     if workers <= 1:
@@ -501,8 +498,34 @@ def _weighted_u2_pow4(spec: GroupSpec, supp: np.ndarray, n: int, rows, live: int
             worker(0, workers)
             for done in others:
                 done.result()
+    return out
+
+
+def _weighted_u2_pow4(spec: GroupSpec, supp: np.ndarray, n: int, rows, live: int) -> float:
+    """sum_r w_r U^2(g_r)^4 over rows g_r, r < n, that vanish off supp, each
+    transformed on the support window W.  rows(r0, r1) returns rows r0..r1-1
+    (clipped to n) as values on supp, with their weights, keeping `live`
+    arrays of that shape at once, so a batch gets _batch_rows(|W|, live)
+    rows.  The values must be a fresh array: the transform overwrites it, and
+    rows is called from several threads at once (module docstring)."""
+    window, at = _support_window(spec, supp)
+
+    def batch(r0: int, r1: int, work: np.ndarray) -> float:
+        g, w = rows(r0, r1)
+        # with supp f = G a zero row can only come from underflow, and it adds exactly 0
+        if len(supp) < spec.order:
+            keep = np.any(g, axis=1)
+            if not keep.any():
+                return 0.0
+            if not keep.all():
+                g, w = g[keep], w[keep]
+        if len(at) < window.order:  # a window that supp fills is G, or G with 1-point axes
+            g, on_supp = np.zeros((len(g), window.order), dtype=np.complex128), g
+            g[:, at] = on_supp
+        return _u2_pow4_sum(window, g, w, work)
+
     total = 0.0
-    for s in sums:  # in batch order, so the sum does not depend on the workers
+    for s in _run_row_batches(n, window.order, live, batch):  # in batch order, whatever the workers
         total += s
     return (window.order / spec.order) ** 3 * total
 

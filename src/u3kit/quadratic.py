@@ -844,15 +844,11 @@ def degenerate_subspace(M: Sequence[Sequence[int]], W: PrimeSubspace) -> PrimeSu
         q = comp.shape[0]
         if q == 0:
             break
-        AC = (comp @ AW @ comp.T) % p
-        if q > 2:
-            t = isotropic_vector_in(AC, p)
-            assert t is not None  # dim >= 3 guarantees existence
-            U_rows.append((t @ comp) % p)
-            continue
-        # opportunistic sweep of the small leftover quotient
-        t = isotropic_vector_in(AC, p)
+        # dim >= 3 guarantees an isotropic vector; a quotient of dim <= 2 is
+        # swept opportunistically
+        t = isotropic_vector_in((comp @ AW @ comp.T) % p, p)
         if t is None:
+            assert q <= 2
             break
         U_rows.append((t @ comp) % p)
 

@@ -49,6 +49,23 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+def test_out_of_memory_exits_3_as_budget_exceeded(monkeypatch, capsys):
+    # numpy raises MemoryError for an array the host cannot hold (fw --N
+    # 1000000000039, or norm --d 2 on Z/1000000007 under a 3 GB address-space
+    # limit); here the function the fw handler calls raises it, so nothing
+    # large is allocated (the handler itself is bound in the cached parser)
+    def out_of_memory(N):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape (1000000000039,)")
+
+    monkeypatch.setattr("u3kit.experiments.fw_counterexample", out_of_memory)
+    code, out, err = run_cli(["fw", "--N", "1000000000039"], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "BudgetExceeded",
+        "message": "out of memory: Unable to allocate 14.6 TiB for an array with shape (1000000000039,)",
+    }
+
+
 @pytest.mark.parametrize("argv, message", [
     (["scan", "--group", "Z/2xZ/3", "--expr", "1"], "scan requires a cyclic group"),
     (["u3-oracle", "--group", "Z/3xZ/9", "--expr", "1", "--H", "whole"],

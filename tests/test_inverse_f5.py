@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import bias_against, constant, random_pm1, solve_mod_p, traced_peak
-from u3kit import bohr, inverse_f5
+from u3kit import bohr, inverse_f5, norms
 from u3kit.bohr import iterated_sumset
 from u3kit.errors import EmptyGraph, EmptyV, SliceFailed, U3KitError
 from u3kit.fourier import dft_values
@@ -100,6 +101,40 @@ def test_witness_bound(rng):
         _assert_cut_from_definition(f, g, eta)
         sizes.append(len(g))
     assert any(0 < n < 25 for n in sizes)
+
+
+@given(p_n=st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 2)]),
+       kind=st.sampled_from(["planted", "complex", "real"]), seed=st.integers(0, 2**32 - 1))
+def test_graph_does_not_depend_on_the_worker_count(p_n, kind, seed):
+    # the graph's rows run as the U^3 kernel's, batch b on worker b mod W:
+    # with one row a batch (2 to 63 batches here), the keys, u3 and eta (or
+    # the EmptyGraph message) are the same for W = 1, 2 and 3, bit for bit,
+    # and no worker thread outlives its call
+    p, n = p_n
+    spec = GroupSpec((p,) * n)
+    N = spec.order
+    rng = np.random.default_rng(seed)
+    if kind == "planted":
+        M = rng.integers(0, p, (n, n))
+        f, _ = _planted_quadratic(spec, (M + M.T) % p, rng.integers(0, p, n))
+        f = GroupFunction(spec, f.values + 0.2 * np.exp(2j * np.pi * rng.uniform(size=N)))
+    elif kind == "complex":
+        f = GroupFunction(spec, rng.uniform(0, 1, N) * np.exp(2j * np.pi * rng.uniform(size=N)))
+    else:
+        f = GroupFunction(spec, rng.uniform(-1, 1, N))
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_BATCH_ENTRIES", 1)
+        for workers in (1, 2, 3):
+            mp.setattr(norms, "_cpus", lambda w=workers: w)
+            threads = threading.active_count()
+            try:
+                g = phase_derivative_graph(f)
+                outcomes.append((g.keys.tolist(), g.u3, g.eta))
+            except EmptyGraph as exc:
+                outcomes.append(str(exc))
+            assert threading.active_count() == threads
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_quadruples_counts():

@@ -364,24 +364,54 @@ def test_gowers_norm_does_not_depend_on_the_worker_count(data):
 
 
 def test_gowers_batches_run_on_the_workers(monkeypatch, rng):
-    # with W workers the batches run on W threads, the caller's among them;
-    # with one worker every batch runs on the caller's thread
+    # batch b runs on worker b mod W, worker 0 being the caller's thread: the
+    # batches of one residue share a thread, residue 0 that of the caller and
+    # no other residue it, and all 8 batches of U^3 run.  Which pool thread
+    # takes which residue is the pool's choice (one idle pool thread may take
+    # two), so distinct threads are not asserted
     f = random_unimodular(parse_group("F5^3"), rng)
     monkeypatch.setattr(norms, "_BATCH_ENTRIES", 8 * 125)  # 8 rows a batch: 8 batches of U^3
-    seen = []
-    real = norms._u2_pow4_sum
+    ran = {}  # batch -> the thread that ran it
+    real = norms._run_row_batches
 
-    def spy(window, rows, w, work):
-        seen.append(threading.current_thread())
+    def spy(n, width, live, task):
+        size = norms._batch_rows(width, live)
+
+        def recorded(r0, r1, work):
+            ran[r0 // size] = threading.current_thread()
+            return task(r0, r1, work)
+
+        return real(n, width, live, recorded)
+
+    monkeypatch.setattr(norms, "_run_row_batches", spy)
+    for workers in (3, 2, 1):
+        monkeypatch.setattr(norms, "_cpus", lambda w=workers: w)
+        ran.clear()
+        gowers_norm(f, 3)
+        assert sorted(ran) == list(range(8))
+        for b, thread in ran.items():
+            assert thread is ran[b % workers]
+            assert (thread is threading.current_thread()) == (b % workers == 0)
+
+
+def test_a_pool_worker_exception_reaches_the_caller(monkeypatch, rng):
+    # a batch that raises on a pool thread fails the call as it would on the
+    # caller's thread, and the pool's threads end with the call
+    f = random_unimodular(parse_group("F5^3"), rng)
+    monkeypatch.setattr(norms, "_BATCH_ENTRIES", 8 * 125)  # 8 batches of U^3, odd ones on the pool
+    monkeypatch.setattr(norms, "_cpus", lambda: 2)
+    caller, real = threading.current_thread(), norms._u2_pow4_sum
+
+    def pool_fails(window, rows, w, work):
+        if threading.current_thread() is not caller:
+            raise MemoryError("a batch on a pool thread")
         return real(window, rows, w, work)
 
-    monkeypatch.setattr(norms, "_u2_pow4_sum", spy)
-    for workers in (3, 1):
-        monkeypatch.setattr(norms, "_cpus", lambda w=workers: w)
-        seen.clear()
+    monkeypatch.setattr(norms, "_u2_pow4_sum", pool_fails)
+    threads = threading.active_count()
+    with pytest.raises(MemoryError, match="a batch on a pool thread"):
         gowers_norm(f, 3)
-        assert len(seen) == 8 and len(set(seen)) == workers
-        assert threading.main_thread() in seen
+    assert threading.active_count() == threads
 
 
 def test_gowers_slots_survive_fast_thread_switches(monkeypatch, rng):
