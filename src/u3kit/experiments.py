@@ -35,7 +35,6 @@ from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, span_points
 from .norms import _cyclic_scan, quadratic_scan
 from .quadratic import degenerate_subspace
 
-EXHAUSTIVE_SCAN_LIMIT = 1 << 24  # most (a, b) pairs, N^2, of an exhaustive quadratic_correlation_scan
 SCAN_SAMPLES = 100_000  # seeded random (a, b) pairs of a sampled quadratic_correlation_scan
 EXHAUSTIVE_SEARCH_LIMIT = 20  # largest N of an exhaustive ap_free_search
 MIN_WITNESS_BIAS = 1e-6  # least best-coset bias for the level-set branch of the increment
@@ -118,19 +117,17 @@ def quadratic_correlation_scan(
     seed: int = 0,
 ) -> ScanResult:
     """max over (a, b) of |E f(x) e(-(a x^2 + b x)/N)| by the k = 1 scan of
-    `norms.quadratic_scan`: over all N^2 <= EXHAUSTIVE_SCAN_LIMIT pairs, or
-    (sampled, not budgeted) SCAN_SAMPLES seeded pairs plus a = 0, all b.  A
-    sample that touches every a often enough (100,000 pairs on Z/4001) costs
-    the same as the exact scan; a sparse one costs about N operations a pair.
+    `norms.quadratic_scan`: over all N^2 pairs, which that scan prices
+    against `norms.ORACLE_BUDGET` (N <= 11547), or (sampled, not budgeted)
+    SCAN_SAMPLES seeded pairs plus a = 0, all b.  A sample that touches
+    every a often enough (100,000 pairs on Z/4001) costs the same as the
+    exact scan; a sparse one costs about N operations a pair.
     pairs_examined counts the distinct pairs scanned, at most N^2."""
     spec = f.owner
     if spec.rank != 1:
         raise SpecMismatch("scan requires a cyclic group")
     N = spec.order
     if mode == "exhaustive":
-        if N * N > EXHAUSTIVE_SCAN_LIMIT:
-            raise BudgetExceeded(f"exhaustive scan limited to N^2 <= EXHAUSTIVE_SCAN_LIMIT = "
-                                 f"{EXHAUSTIVE_SCAN_LIMIT} pairs")
         [(best_sq, (a, b))] = quadratic_scan(f.values[None], N, 1)
         return ScanResult(float(np.sqrt(best_sq)) / N, a, b, mode, N * N)
     if mode != "sampled":

@@ -7,7 +7,11 @@
 
 e(P/Q) evaluates the polynomial exactly mod Q per residue; ind{...} is an
 indicator of row-major element indices (the only form valid on product
-groups).
+groups).  Coefficients, exponents and Q are unsigned integers that the
+grammar does not bound, except that Q must be at least 1: a term c*x^k is
+held as k -> c whatever k, and x^k mod Q is taken by repeated squaring, in
+int64 while Q < 2^31 and in Python integers from there on, where a product
+of two residues could pass 2^63.
 """
 
 from __future__ import annotations
@@ -52,9 +56,9 @@ class _Tokens:
             raise ParseError(f"expected {value!r}, found {v!r}", pos)
 
 
-def _parse_poly(tk: _Tokens) -> list[int]:
-    """Integer-coefficient polynomial in x as a coefficient list."""
-    coeffs = [0]
+def _parse_poly(tk: _Tokens) -> dict[int, int]:
+    """Integer-coefficient polynomial in x as its terms {exponent: coefficient}."""
+    terms: dict[int, int] = {}
     sign = 1
     kind, v, pos = tk.peek()
     if v in ("+", "-"):
@@ -83,9 +87,7 @@ def _parse_poly(tk: _Tokens) -> list[int]:
                 if kind != "num" or "." in v:
                     raise ParseError("integer exponent expected", pos)
                 k = int(v)
-        while len(coeffs) <= k:
-            coeffs.append(0)
-        coeffs[k] += sign * c
+        terms[k] = terms.get(k, 0) + sign * c
         kind, v, pos = tk.peek()
         if v == "+":
             sign = 1
@@ -94,16 +96,24 @@ def _parse_poly(tk: _Tokens) -> list[int]:
             sign = -1
             tk.next()
         else:
-            return coeffs
+            return terms
 
 
-def _eval_poly_mod(coeffs: list[int], N: int, Q: int) -> np.ndarray:
-    xs = np.arange(N, dtype=np.int64)
-    acc = np.zeros(N, dtype=np.int64)
-    power = np.ones(N, dtype=np.int64)
-    for c in coeffs:
-        acc = (acc + (c % Q) * power) % Q
-        power = (power * xs) % Q
+def _eval_poly_mod(terms: dict[int, int], N: int, Q: int) -> np.ndarray:
+    """sum_k c_k x^k mod Q for x = 0..N-1, each x^k by repeated squaring;
+    on Python integers once Q >= 2^31, where a product of two residues could
+    pass 2^63."""
+    dtype = object if Q >= 2**31 else np.int64
+    xs = np.arange(N, dtype=np.int64).astype(dtype) % Q
+    acc = np.zeros(N, dtype=dtype)
+    for k, c in terms.items():
+        power, base = np.ones(N, dtype=dtype), xs
+        while k:
+            if k & 1:
+                power = power * base % Q
+            base = base * base % Q
+            k >>= 1
+        acc = (acc + c % Q * power) % Q
     return acc
 
 
@@ -122,16 +132,21 @@ def _parse_factor(tk: _Tokens, spec: GroupSpec) -> np.ndarray:
         wrapped = tk.peek()[1] == "("
         if wrapped:
             tk.next()
-        coeffs = _parse_poly(tk)
+        terms = _parse_poly(tk)
         if wrapped:
             tk.expect(")")
         tk.expect("/")
         kind, q, qpos = tk.next()
         if kind != "num" or "." in q:
             raise ParseError("integer denominator expected", qpos)
+        Q = int(q)
+        if Q < 1:
+            raise ParseError("denominator must be at least 1", qpos)
         tk.expect(")")
-        r = _eval_poly_mod(coeffs, spec.order, int(q))
-        return np.exp(2j * np.pi * r / int(q))
+        r = _eval_poly_mod(terms, spec.order, Q)
+        if r.dtype == object:  # Python integers: r / Q rounds once, for Q of any size
+            return np.exp(2j * np.pi * (r / Q).astype(np.float64))
+        return np.exp(2j * np.pi * r / Q)
     if v == "ind":
         tk.expect("{")
         idx = []

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import norms
 from .bohr import iterated_sumset
-from .errors import EmptyGraph, EmptyV, SliceFailed, SpecMismatch
+from .errors import BudgetExceeded, EmptyGraph, EmptyV, SliceFailed, SpecMismatch
 from .fourier import dft_values
 from .groups import GroupElement, GroupFunction, GroupSpec
 from .modlinalg import (
@@ -33,7 +32,6 @@ from .norms import (
     _first_in_band,
     _neg_classes,
     _run_row_batches,
-    _scan_price,
     _translator,
     u3_oracle_cosets,
 )
@@ -385,7 +383,13 @@ def quadratic_obstruction(
     |E_{x in y+W} f(x) e(-q(x))| with the witness phase q, so each reported
     bias, and their average, is at most max |f|, and at most 1 only for
     1-bounded f.  With eta = None the graph picks eta from U^3(f), as
-    `phase_derivative_graph` does; the report gives the eta used."""
+    `phase_derivative_graph` does; the report gives the eta used.
+
+    With oracle_crosscheck, the exact bias on each coset of W is asked of
+    `u3_oracle_cosets`, one batched call for all of them, and reported as
+    oracle_check.  Where that oracle refuses W as over its budget (W = F11^3,
+    or F5^4), oracle_check is empty and the witnesses are reported all the
+    same."""
     gamma = phase_derivative_graph(f, eta)  # checks that G is F_p^n, p odd, before it computes
     sliced = random_slice(gamma, seed)  # before the quadruples: it refuses far sooner
     quad = additive_quadruples(gamma)
@@ -398,10 +402,11 @@ def quadratic_obstruction(
     found, biases = _witness_scan(f, W, A_local, reps)
     witnesses = {y: (w, b) for y, w, b in zip(reps.tolist(), found, biases.tolist())}
     oracle: dict[int, float] = {}
-    # one batched scan for all the cosets of W, skipped where the oracle
-    # would refuse it, so that its refusal does not cost the witnesses
-    if oracle_crosscheck and W.dim <= 3 and _scan_price(W.p, W.dim) <= norms.ORACLE_BUDGET:
-        reports = u3_oracle_cosets(f, [w.y for w in found], W)
+    if oracle_crosscheck:  # one batched scan for all the cosets of W
+        try:
+            reports = u3_oracle_cosets(f, [w.y for w in found], W)
+        except BudgetExceeded:  # the oracle's refusal must not cost the witnesses
+            reports = []
         oracle = {w.y.index: rep.value for w, rep in zip(found, reports)}
     return ObstructionReport(
         W=W,

@@ -188,7 +188,12 @@ p^(k+level+2) for each of the p^(k(k-1)/2) off-diagonal vectors, so the
 price is about p^(k(k-1)/2 + 2k + 1), most of it the last axis.
 ORACLE_BUDGET = 2e9 then admits p <= 31 for k = 2, p <= 7 for k = 3 and
 p = 3 for k = 4, and refuses F5^4 (3.8e10).  A line or a cyclic subgroup
-(k = 1) is priced h^3, its h^2 pairs times h points.  From F23^2 on one
+(k = 1) is priced at the work of `_cyclic_scan`, h chirp rows of h entries
+and h FFTs of length h at h ceil(log2 h) each, h^2 (1 + ceil(log2 h)), so
+Z/11547 is the largest cyclic group admitted (6.9-7.2 s, median of 5 on a
+2-core Xeon with one BLAS thread, 5.6 MiB tracemalloc peak).  The scan
+checks the price itself, for every k, before it builds anything, and so
+does the bracket oracle, so no caller prices a scan.  From F23^2 on one
 vector's p^(2k) outputs exceed a chunk, so a chunk is one vector.  A
 whole-group scan of the zero function, where no state is cut, on a 2-core
 Xeon with one BLAS thread, and its tracemalloc peak: F7^3 0.25-0.32 s,
@@ -242,8 +247,9 @@ the maximum and the lex-first witness are therefore those of the full
 scan, and only rounding can move.  That rounding is about 1e-15 S^2 with
 S = sum |f|, and the maximum is at least S^2 / m (for any C the entries
 over all xi sum to m sum |f|^2 >= S^2), so against the final band it is
-about 1e-15 m, below 1e-12 for every group within ORACLE_BUDGET;
-_BOUND_SLACK = 1e-9 is a fixed margin far above that.
+about 1e-15 m, below 1e-12 for every k >= 2 within ORACLE_BUDGET (m <=
+961; k = 1 cuts nothing); _BOUND_SLACK = 1e-9 is a fixed margin far above
+that.
 
 At worst every B reaches the maximum and nothing is cut: on the zero
 function and a point mass (every entry ties) every axis runs on whole
@@ -786,7 +792,14 @@ def quadratic_scan(fvals: np.ndarray, p: int, k: int) -> list[tuple[float, tuple
     which keeps the value and the witness those of the full scan (module
     docstring).  The rows share the plan, the first axis, the bounds after
     it and the seeds; each keeps its own best, cut and tie band, and each
-    gets the value and witness, bit for bit, of a batch of its own."""
+    gets the value and witness, bit for bit, of a batch of its own.
+
+    A row is priced by `_scan_price(p, k)` before anything is built; over
+    ORACLE_BUDGET the call raises BudgetExceeded."""
+    price = _scan_price(p, k)
+    if price > ORACLE_BUDGET:
+        raise BudgetExceeded(f"symmetric-matrix scan exceeds budget: {price} multiply-adds a row "
+                             f"in the scan of (Z/{p})^{k} > ORACLE_BUDGET = {ORACLE_BUDGET}")
     if k == 1:  # one state: nothing to cut
         return [_cyclic_scan(g) for g in fvals]
     # the bound pass gathers p^(2k) bounds a row: rows go together while
@@ -983,14 +996,16 @@ def _lex_first_max(blocks, block_sq, key_of):
 
 
 def _scan_price(p: int, k: int) -> int:
-    """Multiply-adds in the axis products of `quadratic_scan` on (Z/p)^k
-    with nothing cut, its worst case (zero f, a point mass).  The first axis
-    is one (p^(k-1), p) x (p, p^2) product.  The axis after `level` others
-    runs on the p^(k-level) x p^(2 level) states of each of the p^(k(k-1)/2)
+    """Multiply-adds of `quadratic_scan` on (Z/p)^k for one row, with
+    nothing cut, its worst case (zero f, a point mass).  The first axis is
+    one (p^(k-1), p) x (p, p^2) product.  The axis after `level` others runs
+    on the p^(k-level) x p^(2 level) states of each of the p^(k(k-1)/2)
     off-diagonal vectors and costs p^(k+level+2) for each; the last axis
-    dominates.  At k = 1 it is the h^2 pairs (a, b) times the h points."""
+    dominates.  At k = 1, h = p, `_cyclic_scan` makes h chirp rows of h
+    entries and h FFTs of length h, each counted h ceil(log2 h): h^2 (1 +
+    ceil(log2 h)) in all."""
     if k == 1:
-        return p**3
+        return p * p * (1 + (p - 1).bit_length())
     return p ** (k + 2) + p ** (k * (k - 1) // 2) * sum(p ** (k + level + 2) for level in range(1, k))
 
 
@@ -1001,8 +1016,9 @@ def u3_oracle_cosets(f: GroupFunction, ys: Sequence[GroupElement], H: Subgroup) 
 
     Supported families: F_p-subspaces and cyclic subgroups of order h (k =
     1, p = h), both scanned by `quadratic_scan` in one batch of a row per
-    coset, whose tie rule gives A = 0, b = 0 on exact ties.  A scan is
-    priced by `_scan_price`, per coset, against ORACLE_BUDGET.
+    coset, whose tie rule gives A = 0, b = 0 on exact ties.  The scan prices
+    itself, per coset, against ORACLE_BUDGET and raises BudgetExceeded
+    before it runs; a subgroup of one point is read off f, with no scan.
     """
     if H.order % 2 == 0:
         raise EvenOrder("coset oracle requires odd |H|")
@@ -1014,16 +1030,11 @@ def u3_oracle_cosets(f: GroupFunction, ys: Sequence[GroupElement], H: Subgroup) 
                 for y, v in zip(ys, fvals)]
 
     if isinstance(H, PrimeSubspace):
-        p, k, message = H.p, H.dim, "symmetric-matrix scan exceeds budget"
+        p, k = H.p, H.dim
     elif isinstance(H, BoxSubgroup) and f.owner.rank == 1:
-        p, k, message = H.local_orders[0], 1, "cyclic quadratic scan exceeds budget"
+        p, k = H.local_orders[0], 1
     else:
         raise SpecMismatch("coset oracle supports F_p subspaces and cyclic subgroups")
-    price = _scan_price(p, k)
-    if price > ORACLE_BUDGET:
-        raise BudgetExceeded(message if k == 1 else
-                             f"{message}: {price} multiply-adds in the axis products of (Z/{p})^{k} "
-                             f"> ORACLE_BUDGET = {ORACLE_BUDGET}")
     if not ys:
         return []
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
@@ -1071,15 +1082,15 @@ def u3_oracle_bracket(
     docstring), computed in blocks of q rows and l rows.  The witness is the
     lexicographically smallest tuple (quadratic coefficients in pair order,
     then linear ones) whose |correlation|^2 is within a relative 1e-12 of the
-    maximum.
+    maximum.  The grid is priced at its coefficient tuples times the region's
+    points against ORACLE_BUDGET before any table is built; over it the call
+    raises BudgetExceeded.
     """
     spec = f.owner
     if spec.rank != 1 or not is_prime(spec.order):
         raise NotPrime("bracket oracle requires prime N")
     if grid < 1:
         raise TooSmall("grid must be at least 1")
-    if grid > 64:
-        raise BudgetExceeded("grid must be between 1 and 64")
     freqs = tuple(int(x.coords[0]) if isinstance(x, DualElement) else int(x) for x in S)
     s = len(freqs)
     if s > 4:
@@ -1091,23 +1102,23 @@ def u3_oracle_bracket(
         raise TooSmall("bracket oracle needs a nonempty region")
 
     pairs = [(i, j) for i in range(s) for j in range(i, s)]
-    coef_values = [Fraction(k) + Fraction(j, grid) for k in range(-grid, grid + 1) for j in range(grid)]
-    coef_values.sort()
-    nv = len(coef_values)
+    # the grid values k + j/grid, ascending, are (d - grid^2)/grid for the
+    # digits d = 0 .. nv - 1
+    nv = (2 * grid + 1) * grid
     combos = nv ** (len(pairs) + s)
     if combos * m > ORACLE_BUDGET:
-        raise BudgetExceeded(f"{combos} coefficient tuples x {m} points exceed budget")
+        raise BudgetExceeded(f"bracket grid exceeds budget: {combos} coefficient tuples x {m} points "
+                             f"> ORACLE_BUDGET = {ORACLE_BUDGET}")
 
     brk = bracket_table(N, freqs, idx)
     qmono = np.array([brk[i] * brk[j] * (1 if i == j else 2) for i, j in pairs]).reshape(-1, m)
-    cv = np.array([float(v) for v in coef_values])
     fvals = f.values[idx]
 
     def phases(first: int, count: int, monos: np.ndarray) -> np.ndarray:
         """e(-sum_t c_t monos[t]) on the region for the coefficient tuples
         first, ..., first + count - 1 (base-nv digits, lex order)."""
         dig = _base_p_digits(first + np.arange(count), nv, len(monos))
-        return np.exp(-2j * np.pi * (cv[dig] @ monos))
+        return np.exp(-2j * np.pi * (((dig - grid * grid) / grid) @ monos))
 
     nq, nl = nv ** len(pairs), nv**s
     bl = min(nl, max(1, _BRACKET_BLOCK // m))
@@ -1130,9 +1141,10 @@ def u3_oracle_bracket(
     blocks = [(q0, l0) for q0 in range(0, nq, bq) for l0 in range(0, nl, bl)]
     best_sq, rank = _lex_first_max(blocks, block_sq, key_of)
     digits = _base_p_digits(np.asarray(rank), nv, len(pairs) + s).tolist()
+    coef = [Fraction(d - grid * grid, grid) for d in digits]
     quad = [[Fraction(0)] * s for _ in range(s)]
-    for (i, j), d in zip(pairs, digits):
-        quad[i][j] = quad[j][i] = coef_values[d]
-    lin = tuple(coef_values[d] for d in digits[len(pairs):])
+    for (i, j), c in zip(pairs, coef):
+        quad[i][j] = quad[j][i] = c
+    lin = tuple(coef[len(pairs):])
     witness = BracketQuadratic(N, freqs, tuple(tuple(r) for r in quad), lin)
     return NormReport(float(np.sqrt(best_sq)) / m, 3, "bracket-grid", witness)

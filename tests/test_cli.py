@@ -37,6 +37,57 @@ def test_norm_expr(capsys):
     assert abs(result_of(out)["value"] - 1.0) < 1e-9
 
 
+def test_expr_denominator_below_one_is_a_parse_error(capsys):
+    # e(P/0) was a ZeroDivisionError traceback with exit 1
+    code, out, err = run_cli(["norm", "--d", "2", "--group", "Z/11", "--expr", "e(x/0)"], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "ParseError", "message": "denominator must be at least 1 (at position 4)"}
+
+
+def test_expr_huge_exponent_returns_at_once():
+    # a term is held as exponent -> coefficient and x^k mod Q taken by
+    # repeated squaring; a coefficient list of 10^20 + 1 entries grew without
+    # bound, so the child runs under a 1 GiB address-space cap and a timeout
+    src = os.path.dirname(os.path.dirname(u3kit.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    k = 10**20
+    code = ("import json; from u3kit.exprparse import parse_expr; from u3kit.groups import parse_group; "
+            f"v = parse_expr('e(x^{k}/7)', parse_group('Z/11')).values; "
+            "print(json.dumps([v.real.tolist(), v.imag.tolist()]))")
+
+    def cap_memory():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=cap_memory)
+    assert proc.returncode == 0, proc.stderr
+    re, im = json.loads(proc.stdout)
+    want = np.exp(2j * np.pi * np.array([pow(x, k, 7) for x in range(11)]) / 7)
+    assert np.array_equal(np.array(re) + 1j * np.array(im), want)
+
+
+def test_expr_large_denominator_is_exact():
+    # once Q >= 2^31 a product of two residues can pass 2^63, so the
+    # residues are Python integers: in int64, 96,965 of the 100,003 values
+    # below wrapped, the first at x = 3038
+    from u3kit.exprparse import _eval_poly_mod, parse_expr
+
+    N, Q, c = 100_003, 1_000_000_000_039, 999_999_999_999
+    r = _eval_poly_mod({2: c}, N, Q)
+    assert r.tolist() == [c * x * x % Q for x in range(N)]
+    f = parse_expr(f"e({c}*x^2/{Q})", parse_group(f"Z/{N}"))
+    xs = [0, 1, 3037, 3038, 50_000, N - 1]
+    want = np.exp(2j * np.pi * np.array([(c * x * x % Q) / Q for x in xs]))
+    assert np.max(np.abs(f.values[xs] - want)) < 1e-12
+    # a denominator past any float still gives r / Q rounded once
+    Q = 10**400 + 1
+    f = parse_expr(f"e(x^3/{Q})", parse_group("Z/5"))
+    assert np.array_equal(f.values, np.ones(5, dtype=complex))
+
+
 def test_aps(capsys):
     code, out, _ = run_cli(["aps", "--group", "Z/13", "--set", "0,1,2,4", "--k", "4"], capsys)
     assert code == 0
@@ -1028,10 +1079,32 @@ def test_inverse_f5_cross_checks_f7_3(tmp_path, capsys):
         assert res["oracle_check"][y] >= w["bias"] - 1e-9
 
 
+def test_inverse_f5_cross_checks_a_four_dimensional_w(tmp_path, capsys):
+    # the pipeline asks the oracle instead of pricing W itself, so W = F3^4,
+    # 2.1e7 axis multiply-adds, is cross-checked; a rule of dim W <= 3
+    # used to skip it
+    from u3kit.groups import GroupFunction, parse_group
+
+    spec = parse_group("F3^4")
+    x = spec.decode(np.arange(spec.order))
+    A = [[1, 2, 0, 1], [2, 0, 1, 0], [0, 1, 2, 2], [1, 0, 2, 1]]
+    q = (np.einsum("ni,ij,nj->n", x, np.array(A), x) + x @ [1, 0, 2, 2]) % 3
+    noise = 0.05 * np.exp(2j * np.pi * np.random.default_rng(0).uniform(size=spec.order))
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(function_to_json(GroupFunction(spec, np.exp(2j * np.pi * q / 3) + noise))))
+    code, out, err = run_cli(["inverse-f5", "--input", str(path), "--eta", "0.5", "--seed", "1"], capsys)
+    assert code == 0, err
+    res = result_of(out)
+    assert len(res["W_basis"]) == 4 and res["oracle_check"].keys() == res["witnesses"].keys() == {"0"}
+    assert res["witnesses"]["0"]["A"] == A
+    assert res["oracle_check"]["0"] >= res["witnesses"]["0"]["bias"] - 1e-9
+
+
 def test_inverse_f5_skips_a_cross_check_over_the_oracle_budget(tmp_path, capsys):
     # W = F11^3 prices the oracle's scan at 2.8e10 axis multiply-adds, over
-    # ORACLE_BUDGET: the check is skipped before it runs, and the witnesses
-    # found without it are the answer (the refusal used to exit 3)
+    # ORACLE_BUDGET: the oracle refuses before it runs, the pipeline drops the
+    # check, and the witnesses found without it are the answer (the refusal
+    # used to exit 3)
     from u3kit.groups import GroupFunction, parse_group
     from u3kit.norms import ORACLE_BUDGET, _scan_price
 
@@ -1121,16 +1194,31 @@ def test_fw_and_scan_subcommands(tmp_path, capsys):
     assert res["a"] == 3 and res["b"] == 1
 
 
-def test_scan_exhaustive_limit_on_pairs(tmp_path, capsys):
-    # the limit is on N^2 pairs: Z/4097 is refused before any work, fw(4001)
-    # is admitted (its maxima are pinned in test_two_scale_exact_scan_maxima)
-    code, out, err = run_cli(["scan", "--group", "Z/4097", "--expr", "0", "--mode", "exhaustive"], capsys)
+def test_scan_exhaustive_limit_on_pairs(capsys):
+    # the scan is priced at N^2 (1 + ceil(log2 N)) multiply-adds against
+    # ORACLE_BUDGET: Z/11549 is refused before any work, and Z/4097, past the
+    # old limit of 2^24 pairs, is admitted
+    code, out, err = run_cli(["scan", "--group", "Z/11549", "--expr", "0", "--mode", "exhaustive"], capsys)
     assert code == 3 and out == ""
     error = json.loads(err)
-    assert error["error"] == "BudgetExceeded" and "EXHAUSTIVE_SCAN_LIMIT = 16777216" in error["message"]
-    fpath = tmp_path / "fw.json"
-    assert run_cli(["fw", "--N", "4001", "--out", str(fpath)], capsys)[0] == 0
-    assert run_cli(["scan", "--input", str(fpath), "--mode", "exhaustive"], capsys)[0] == 0
+    assert error["error"] == "BudgetExceeded" and "> ORACLE_BUDGET = 2000000000" in error["message"]
+    code, out, err = run_cli(["scan", "--group", "Z/4097", "--expr", "0", "--mode", "exhaustive"], capsys)
+    assert code == 0, err
+    assert result_of(out) == {"value": 0.0, "a": 0, "b": 0, "mode": "exhaustive", "pairs_examined": 4097**2}
+
+
+def test_bracket_grid_is_priced_not_capped(capsys):
+    # no cap on the grid itself: grid 65 on a one-point region, 8515^2
+    # tuples, is within ORACLE_BUDGET; grid 10^9 is refused before any table
+    argv = ["u3-oracle", "--group", "Z/101", "--expr", "1", "--kind", "bracket", "--S", "1", "--rho", "0.001"]
+    code, out, err = run_cli(argv + ["--grid", "65"], capsys)
+    assert code == 0, err
+    res = result_of(out)
+    assert res["value"] == 1.0 and res["witness"]["quad"] == [["-65/1"]] and res["witness"]["lin"] == ["-65/1"]
+    code, out, err = run_cli(argv + ["--grid", str(10**9)], capsys)
+    assert code == 3 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "BudgetExceeded" and error["message"].endswith("> ORACLE_BUDGET = 2000000000")
 
 
 def test_gvn_subcommand(tmp_path, capsys):

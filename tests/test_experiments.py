@@ -3,14 +3,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import constant, random_bounded, reference_cyclic_scan, reference_sampled_scan, solve_mod_p
 from u3kit import experiments, norms
 from u3kit.errors import BudgetExceeded, Has4Ap, NotPrime, TooSmall
 from u3kit.experiments import (
-    EXHAUSTIVE_SCAN_LIMIT,
     FwSpec,
     IncrementThresholds,
     _creates_proper_kap,
@@ -26,8 +25,8 @@ from u3kit.experiments import (
 from u3kit.forms import count_aps
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.inverse_f5 import coset_reps
-from u3kit.modlinalg import PrimeSubspace, kernel_basis_mod_p, span_points
-from u3kit.norms import CosetQuadraticWitness
+from u3kit.modlinalg import BoxSubgroup, PrimeSubspace, kernel_basis_mod_p, span_points
+from u3kit.norms import CosetQuadraticWitness, u3_oracle_coset
 from u3kit.quadratic import degenerate_subspace
 
 
@@ -77,11 +76,34 @@ def test_scan_zero_and_budget():
     spec = parse_group("Z/101")
     zero = constant(spec, 0.0)
     assert quadratic_correlation_scan(zero, "exhaustive").value == 0.0
-    # the limit is on N^2 pairs: 4096^2 = 2^24 is the most it admits
-    assert 4096**2 <= EXHAUSTIVE_SCAN_LIMIT < 4097**2
-    big = constant(parse_group("Z/4097"), 0.0)
-    with pytest.raises(BudgetExceeded, match=f"EXHAUSTIVE_SCAN_LIMIT = {EXHAUSTIVE_SCAN_LIMIT}"):
+    # the scan is priced at N^2 (1 + ceil(log2 N)) multiply-adds against
+    # ORACLE_BUDGET: Z/11547 is the largest group it admits
+    assert norms._scan_price(11547, 1) <= norms.ORACLE_BUDGET < norms._scan_price(11548, 1)
+    big = constant(parse_group("Z/11548"), 0.0)
+    with pytest.raises(BudgetExceeded, match=f"> ORACLE_BUDGET = {norms.ORACLE_BUDGET}"):
         quadratic_correlation_scan(big, "exhaustive")
+
+
+@settings(max_examples=20)
+@given(N=st.integers(1, 700).map(lambda i: 2 * i + 1), kind=st.sampled_from(["random", "planted", "zero", "constant"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(N=1301, kind="planted", seed=0)  # the old price of h^3 refused the oracle on it, the scan admitted it
+def test_coset_oracle_and_exhaustive_scan_agree(N, kind, seed):
+    # one kernel, one price: on a whole cyclic group both give the same
+    # value and the same (a, b)
+    spec = parse_group(f"Z/{N}")
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        f = random_bounded(spec, rng)
+    elif kind == "planted":
+        x = np.arange(N)
+        a, b = rng.integers(0, N, 2)
+        f = GroupFunction(spec, (np.exp(2j * np.pi * ((a * x * x + b * x) % N) / N) + 0.3 * random_bounded(spec, rng).values) / 1.3)
+    else:
+        f = constant(spec, 0.0 if kind == "zero" else 1.0)
+    rep = u3_oracle_coset(f, (spec.zero(), BoxSubgroup.whole(spec)))
+    res = quadratic_correlation_scan(f, "exhaustive")
+    assert rep.value == res.value and (rep.witness.A, rep.witness.b) == (((res.a,),), (res.b,))
 
 
 def test_scan_consistency_planted(rng):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import bias_against, constant, random_bounded, random_unimodular, reference_cyclic_scan, traced_peak
 from u3kit import norms
 from u3kit.errors import BudgetExceeded, DegreeUnsupported, EvenOrder, NotBounded, NotPrime, TooSmall
+from u3kit.experiments import quadratic_correlation_scan
 from u3kit.fourier import dft
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.modlinalg import BoxSubgroup, PrimeSubspace
@@ -743,9 +744,11 @@ def test_cyclic_scan_memory_within_chunk_bound():
 
 
 def test_cyclic_coset_oracle_memory_within_chunk_bound(rng):
-    # Z/1259 is the largest cyclic group under ORACLE_BUDGET; as one block
-    # of 1259^2 entries its scan would peak at 51 MB
-    spec = parse_group("Z/1259")
+    # Z/11547 is the largest cyclic group under ORACLE_BUDGET (11547^2 (1 +
+    # 14) multiply-adds); as one block of 11547^2 entries its scan would
+    # peak at 2 GiB
+    spec = parse_group("Z/11547")
+    assert norms._scan_price(11547, 1) <= norms.ORACLE_BUDGET < norms._scan_price(11548, 1)
     f = random_bounded(spec, rng)
     rep, peak = traced_peak(lambda: u3_oracle_coset(f, (spec.zero(), BoxSubgroup.whole(spec))))
     assert abs(bias_against(rep.witness, f) - rep.value) < 1e-10
@@ -994,7 +997,7 @@ def test_coset_oracle_budget_on_f5_4():
     ("ORACLE_BUDGET", lambda f: u3_oracle_bracket(f, np.arange(f.owner.order), [1], grid=1)),
 ], ids=["direct", "coset_oracle", "bracket_oracle"])
 def test_budgets_are_read_when_called(name, call, monkeypatch):
-    # N^3 = 1331 cubes, 11^3 coset-scan entries, 3^2 tuples x 11 points
+    # N^3 = 1331 cubes, 11^2 (1 + 4) coset-scan multiply-adds, 3^2 tuples x 11 points
     f = constant(parse_group("Z/11"), 1.0)
     call(f)
     monkeypatch.setattr(norms, name, 10)
@@ -1035,11 +1038,38 @@ def test_cyclic_coset_oracle_matches_reference_property(data):
 
 
 def test_coset_oracle_budget_on_cyclic():
-    # 1263^3 exceeds ORACLE_BUDGET, 1259^3 does not
+    # a cyclic scan is priced at the work `_cyclic_scan` does, h^2 (1 +
+    # ceil(log2 h)): Z/11549 exceeds ORACLE_BUDGET, and Z/1263, which the
+    # old price of h^3 refused, is admitted
+    spec = parse_group("Z/11549")
+    message = (f"symmetric-matrix scan exceeds budget: {norms._scan_price(11549, 1)} multiply-adds .* "
+               f"\\(Z/11549\\)\\^1 > ORACLE_BUDGET = {norms.ORACLE_BUDGET}")
+    with pytest.raises(BudgetExceeded, match=message):
+        u3_oracle_coset(constant(spec, 1.0), (spec.zero(), BoxSubgroup.whole(spec)))
     spec = parse_group("Z/1263")
-    f = constant(spec, 1.0)
-    with pytest.raises(BudgetExceeded, match="cyclic quadratic scan exceeds budget"):
-        u3_oracle_coset(f, (spec.zero(), BoxSubgroup.whole(spec)))
+    rep = u3_oracle_coset(constant(spec, 1.0), (spec.zero(), BoxSubgroup.whole(spec)))
+    assert abs(rep.value - 1.0) < 1e-12 and (rep.witness.A, rep.witness.b) == (((0,),), (0,))
+
+
+@pytest.mark.parametrize("group, call", [
+    ("Z/11549", lambda f: u3_oracle_coset(f, (f.owner.zero(), BoxSubgroup.whole(f.owner)))),
+    ("Z/11549", lambda f: quadratic_correlation_scan(f, "exhaustive")),
+    ("F37^2", lambda f: u3_oracle_coset(f, (f.owner.zero(), PrimeSubspace.whole(f.owner)))),
+    ("F11^3", lambda f: u3_oracle_coset(f, (f.owner.zero(), PrimeSubspace.whole(f.owner)))),
+    ("F5^4", lambda f: norms.u3_oracle_cosets(f, [f.owner.zero()] * 3, PrimeSubspace.whole(f.owner))),
+    ("Z/101", lambda f: u3_oracle_bracket(f, np.arange(101), [1, 2], grid=4)),
+    ("Z/101", lambda f: u3_oracle_bracket(f, np.zeros(1, dtype=np.int64), [1], grid=10**9)),
+], ids=["cyclic", "scan", "k2", "k3", "k4", "bracket", "bracket_huge_grid"])
+def test_over_budget_oracles_refuse_before_any_work(group, call, monkeypatch):
+    # every kernel step of the oracles fails if it is called
+    def work(*args, **kwargs):
+        raise AssertionError("an over-budget call did work")
+
+    for name in ("_cyclic_scan", "_along_axis", "_scan_plan", "bracket_table"):
+        monkeypatch.setattr(norms, name, work)
+    f = constant(parse_group(group), 1.0)
+    with pytest.raises(BudgetExceeded, match=f"> ORACLE_BUDGET = {norms.ORACLE_BUDGET}$"):
+        call(f)
 
 
 # --- the bracket-grid oracle ----------------------------------------------------
