@@ -26,9 +26,7 @@ from .errors import (
     BudgetExceeded,
     DensityTooLow,
     NotFound,
-    NoZero,
     NotProper,
-    NotRegular,
     RhoTooLarge,
     SpecMismatch,
 )
@@ -39,7 +37,6 @@ from .modlinalg import BoxSubgroup, PrimeSubspace, is_prime
 from .quadratic import frac_part
 
 SUMSET_BUDGET = 40_000_000
-_THIN_CHUNK = 1 << 20  # (candidate, member) pairs per block of the spectrum thinning
 _SUMSET_CHUNK = 1 << 18  # sums a + b marked per block of rows of A in _pair_sumset
 # The cost of one group point of _conv_sumset, in pair sums of _pair_sumset:
 # sumset convolves once |A| * |B| > _CONV_COST * |G|, and iterated_sumset
@@ -62,15 +59,6 @@ _SUMSET_CHUNK = 1 << 18  # sums a + b marked per block of rows of A in _pair_sum
 # Bluestein's FFT at 40-75 sums a point, so there a convolution of
 # 16 |G| < |A| |B| < 75 |G| is up to 4.6 times slower than pair sums.
 _CONV_COST = 16
-
-
-def bohr_norm_exact(x: GroupElement, S: Sequence[DualElement]) -> Fraction:
-    """||x||_S = sup_{xi in S} distance of xi.x to the nearest integer."""
-    best = Fraction(0)
-    for xi in S:
-        v = pair(xi, x)
-        best = max(best, min(v, 1 - v))
-    return best
 
 
 def _distances(spec: GroupSpec, xis, idx) -> np.ndarray:
@@ -189,38 +177,6 @@ def find_regular_rho(spec: GroupSpec, S: Sequence[DualElement], eps) -> Fraction
     raise NotFound("no regular radius found in [eps, 2eps]")
 
 
-# --- separation --------------------------------------------------------------
-
-
-def separating_bohr(spec: GroupSpec, A: Iterable[int]) -> list[DualElement]:
-    """Characters S with |S| <= 1 + ceil(log2 |A|) and A cap B(S,1/4) = {0}.
-
-    Derandomized halving: each step keeps the first character (in index
-    order) that traps at most floor(m/2) of the m surviving nonzero points
-    inside B(xi, 1/4).
-    """
-    A_set = set(int(a) for a in A)
-    if 0 not in A_set:
-        raise NoZero("separation requires 0 in A")
-    S: list[DualElement] = []
-    pts = np.array(sorted(A_set - {0}), dtype=np.int64)
-    quarter = ceil(Fraction(spec.exponent, 4))
-    while pts.size:
-        for xi in range(spec.order):
-            trapped = _distances(spec, xi, pts) < quarter
-            if np.count_nonzero(trapped) <= pts.size // 2:
-                break
-        else:  # cannot happen; averaging guarantees existence
-            raise NotFound("no halving character found")
-        S.append(spec.dual_by_index(xi))
-        pts = pts[trapped]
-    # verification
-    for a in A_set:
-        if a != 0 and bohr_norm_exact(spec.element_by_index(a), S) < Fraction(1, 4):
-            raise AssertionError("separation verification failed")
-    return S
-
-
 # --- Bogolyubov --------------------------------------------------------------
 
 
@@ -325,138 +281,6 @@ def iterated_sumset(spec: GroupSpec, A: Iterable[int], plus: int, minus: int) ->
             fixed = np.array_equal(nxt, acc)
             acc = nxt
     return acc
-
-
-@dataclass
-class LocalBogolyubovReport:
-    S_prime: list[DualElement]
-    k_bound: float
-    guaranteed_radius: float
-    guaranteed_bohr_size: int
-    guaranteed_inclusion_ok: bool
-    empirical_radius: float
-    empirical_bohr_size: int
-    base_point: int
-    inner_rho: Fraction
-
-
-def _thin_spectrum(spec: GroupSpec, R: Sequence[int], members: np.ndarray, delta_sep: float) -> list[int]:
-    """Greedy thinning of the frequencies R, in order: xi is kept unless
-    ||xi - xi'|| < delta_sep for a kept xi', in the dual norm
-    max_{x in members} ||(xi - xi').x|| as a correctly rounded float.
-    Keeping xi' computes that norm for every later candidate at once, one
-    row of the table of D·||xi - xi'|| that the greedy loop reads, and marks
-    the candidates it rules out."""
-    D = spec.exponent
-    R = np.asarray(R, dtype=np.int64)
-    ruled_out = np.zeros(len(R), dtype=bool)
-    kept: list[int] = []
-    rows = max(1, _THIN_CHUNK // max(1, len(members)))
-    for a, xi in enumerate(R.tolist()):
-        if ruled_out[a]:
-            continue
-        kept.append(xi)
-        neg = spec.neg_indices(np.int64(xi))
-        for lo in range(a + 1, len(R), rows):
-            diffs = spec.add_indices(R[lo : lo + rows], neg)
-            worst = _distances(spec, diffs[:, None], members[None, :]).max(axis=1, initial=0)
-            # int / int: correctly rounded, as float(Fraction) is
-            ruled_out[lo : lo + rows] |= np.array([w / D < delta_sep for w in worst.tolist()], dtype=bool)
-    return kept
-
-
-def local_bogolyubov(spec: GroupSpec, A: Iterable[int], B: BohrSet) -> LocalBogolyubovReport:
-    """Relative Bogolyubov on a regular Bohr set.
-
-    Follows the density-increment-free proof: pass to a regular sub-Bohr
-    set, intersect A with its densest translate, take the large spectrum of
-    the piece, and thin it with the dual local Bessel covering.  The
-    guaranteed radius 2^-33 delta^6 rho / d is used as stated even when the
-    resulting Bohr set collapses to {0} (reported), and the largest radius
-    at which the inclusion into 2A-2A holds is found by scanning the exact
-    norm thresholds.
-    """
-    A_idx = sorted(set(int(a) for a in A))
-    members = set(B.members.tolist())
-    if not set(A_idx) <= members:
-        raise SpecMismatch("A must be a subset of the Bohr set")
-    if not is_regular(B):
-        raise NotRegular("local Bogolyubov requires a regular Bohr set")
-    if not A_idx:
-        raise DensityTooLow("empty set")
-    delta = len(A_idx) / len(B)
-    d = B.d
-    if d == 0:
-        S2 = bogolyubov(spec, A_idx)
-        two = iterated_sumset(spec, A_idx, 2, 2)
-        quarter_set = BohrSet(spec, tuple(S2), Fraction(1, 4))
-        ok = set(quarter_set.members.tolist()) <= set(two.tolist())
-        return LocalBogolyubovReport(
-            S2, 2 * delta**-2, 0.25, len(quarter_set), ok, 0.25, len(quarter_set), 0, Fraction(1, 4)
-        )
-
-    eps = Fraction(delta).limit_denominator(10**6) / (400 * d)
-    rho_inner = find_regular_rho(spec, B.S, eps * B.rho)
-    B_inner = B.with_rho(rho_inner)
-    inner_members = B_inner.members
-    A_arr = np.array(A_idx, dtype=np.int64)
-    in_A = np.zeros(spec.order, dtype=bool)
-    in_A[A_arr] = True
-    # densest translate x + B' with x in B
-    best_x, best_cnt = 0, -1
-    for x in B.members.tolist():
-        cnt = int(np.sum(in_A[spec.add_indices(inner_members, np.int64(x))]))
-        if cnt > best_cnt:
-            best_x, best_cnt = x, cnt
-    A_prime = [
-        int(i)
-        for i in spec.add_indices(inner_members, np.int64(best_x)).tolist()
-        if in_A[int(i)]
-    ]
-    if not A_prime:
-        raise DensityTooLow("no dense translate found")
-    indA = GroupFunction.indicator(spec, A_prime)
-    coeffs = np.abs(dft(indA).values)
-    thresh = (delta**1.5 / 8.0) * (len(B_inner) / spec.order)
-    R = [int(i) for i in np.nonzero(coeffs >= thresh)[0]]
-
-    theta = Fraction(2) ** -33 * Fraction(delta).limit_denominator(10**6) ** 6 / d
-    sep_bohr = B.with_rho(theta * B.rho)
-    sep_members = sep_bohr.members
-    delta_sep = 2**28 * float(delta) ** -6 * theta * d
-
-    S_prime = [spec.dual_by_index(i) for i in _thin_spectrum(spec, R, sep_members, delta_sep)]
-
-    in_two = np.zeros(spec.order, dtype=bool)
-    in_two[iterated_sumset(spec, A_idx, 2, 2)] = True
-    S_union = tuple(B.S) + tuple(S_prime)
-    union_bohr = BohrSet(spec, S_union, max(theta * B.rho, Fraction(1, 10**9)))
-    thm_members = union_bohr.members
-    thm_ok = bool(in_two[thm_members].all())
-
-    # largest radius whose Bohr set still sits inside 2A-2A: the closed sets
-    # {||x||_S <= v} stay inside up to the last threshold v below the
-    # smallest norm outside 2A-2A
-    D, norms = spec.exponent, union_bohr._norms
-    values = np.unique(norms)
-    outside = norms[~in_two]
-    k = int(np.count_nonzero(values < outside.min())) if outside.size else len(values)
-    best_r, best_sz = 0.0, 1
-    if k:
-        v = Fraction(int(values[k - 1]), D)
-        upper = Fraction(int(values[k]), D) if k < len(values) else Fraction(1, 2)
-        best_r, best_sz = float((v + upper) / 2), int(np.count_nonzero(norms <= values[k - 1]))
-    return LocalBogolyubovReport(
-        S_prime,
-        2**7 * float(delta) ** -3,
-        float(theta * B.rho),
-        len(thm_members),
-        thm_ok,
-        best_r,
-        best_sz,
-        best_x,
-        rho_inner,
-    )
 
 
 # --- subgroup kernel of a character set --------------------------------------

@@ -67,16 +67,8 @@ class DensityTooLow(U3KitError):
     """Set density below the required floor."""
 
 
-class NotRegular(U3KitError):
-    """The Bohr set is not regular."""
-
-
 class RhoTooLarge(U3KitError):
     """Bohr radius too large for the requested construction."""
-
-
-class NoZero(U3KitError):
-    """The input set must contain zero."""
 
 
 class NotFound(U3KitError):
@@ -87,20 +79,8 @@ class NotQuadratic(U3KitError):
     """Phase function is not locally quadratic on the stated domain."""
 
 
-class ExtensionObstructed(NotQuadratic):
-    """A locally quadratic phase admits no global quadratic extension.
-
-    Can occur for subgroups of non-squarefree cyclic factors, where the
-    restriction map on self-adjoint homomorphisms is not surjective.
-    """
-
-
 class NotProper(U3KitError):
     """Coset progression is not proper."""
-
-
-class DependentGenerators(U3KitError):
-    """Progression generator images are linearly dependent."""
 
 
 class EmptyGraph(U3KitError):

@@ -7,11 +7,13 @@
 
 e(P/Q) evaluates the polynomial exactly mod Q per residue; ind{...} is an
 indicator of row-major element indices (the only form valid on product
-groups).  Coefficients, exponents and Q are unsigned integers that the
-grammar does not bound, except that Q must be at least 1: a term c*x^k is
-held as k -> c whatever k, and x^k mod Q is taken by repeated squaring, in
-int64 while Q < 2^31 and in Python integers from there on, where a product
-of two residues could pass 2^63.
+groups).  Coefficients, exponents, indices and Q are unsigned integers that
+the grammar does not bound, except that Q must be at least 1 and that a
+number past Python's limit on the digits of an integer conversion (4300 by
+default) is a ParseError: a term c*x^k is held as k -> c whatever k, and
+x^k mod Q is taken by repeated squaring, in int64 while Q < 2^31 and in
+Python integers from there on, where a product of two residues could pass
+2^63.
 """
 
 from __future__ import annotations
@@ -56,6 +58,16 @@ class _Tokens:
             raise ParseError(f"expected {value!r}, found {v!r}", pos)
 
 
+def _integer(v: str, pos: int, what: str) -> int:
+    """The integer that a number token spells; a token past Python's limit
+    on the digits of an integer string conversion (4300 by default) is a
+    ParseError, not a ValueError."""
+    try:
+        return int(v)
+    except ValueError:
+        raise ParseError(f"{what} has {len(v)} digits, more than Python converts to an integer", pos) from None
+
+
 def _parse_poly(tk: _Tokens) -> dict[int, int]:
     """Integer-coefficient polynomial in x as its terms {exponent: coefficient}."""
     terms: dict[int, int] = {}
@@ -70,7 +82,7 @@ def _parse_poly(tk: _Tokens) -> dict[int, int]:
         if kind == "num":
             if "." in v:
                 raise ParseError("polynomial coefficients must be integers", pos)
-            c = int(v)
+            c = _integer(v, pos, "coefficient")
             tk.next()
             if tk.peek()[1] == "*":
                 tk.next()
@@ -86,7 +98,7 @@ def _parse_poly(tk: _Tokens) -> dict[int, int]:
                 kind, v, pos = tk.next()
                 if kind != "num" or "." in v:
                     raise ParseError("integer exponent expected", pos)
-                k = int(v)
+                k = _integer(v, pos, "exponent")
         terms[k] = terms.get(k, 0) + sign * c
         kind, v, pos = tk.peek()
         if v == "+":
@@ -139,7 +151,7 @@ def _parse_factor(tk: _Tokens, spec: GroupSpec) -> np.ndarray:
         kind, q, qpos = tk.next()
         if kind != "num" or "." in q:
             raise ParseError("integer denominator expected", qpos)
-        Q = int(q)
+        Q = _integer(q, qpos, "denominator")
         if Q < 1:
             raise ParseError("denominator must be at least 1", qpos)
         tk.expect(")")
@@ -154,7 +166,7 @@ def _parse_factor(tk: _Tokens, spec: GroupSpec) -> np.ndarray:
             kind, t, tpos = tk.next()
             if kind != "num" or "." in t:
                 raise ParseError("integer index expected", tpos)
-            idx.append(int(t))
+            idx.append(_integer(t, tpos, "index"))
             kind, t, tpos = tk.next()
             if t == "}":
                 break

@@ -350,8 +350,9 @@ def _witness_scan(
     The witness b is the lex-first t whose squared entry is within a relative
     _TIE_RTOL of its row's maximum.
 
-    When W = 0 the bias is |f(y)| by hypot, as a scalar abs takes it; the
-    vectorized np.abs of complex arrays can differ from it in the last bit."""
+    When W = 0 the bias is |f(y)| by hypot.  The coset oracle takes |f(y)|
+    on a one-point coset as the root of re^2 + im^2, as its k = 1 scan does,
+    so its oracle_check can differ from this bias in the last bit."""
     spec = f.owner
     p, k = W.p, W.dim
     t = span_points(np.eye(k, dtype=np.int64), p)  # lex order, as W.coset lists the points

@@ -9,10 +9,10 @@ Two concrete subgroup families cover everything the toolkit needs:
   x Z/p given by a row-reduced basis.
 
 Both are a ``Subgroup``: coordinate rows (``basis_matrix``) and local cyclic
-orders, from which the shared base derives the order, the generators, the
-embedding t -> t @ rows of local coordinates, and the points of a coset,
-``H.coset(y)``, y + H in local lexicographic order, from the span of H
-listed once.  ``span_points`` is the one lister of the points of an
+orders, from which the shared base derives the order, the generators and
+the points of a coset, ``H.coset(y)``, y + H in local lexicographic order
+of the coordinates t of the points t @ rows, from the span of H listed
+once.  ``span_points`` is the one lister of the points of an
 F_p-subspace: the coordinates t @ rows over F_p^k in lexicographic order of
 t, for a ``PrimeSubspace``'s own rows (its span) and for any other rows (a
 complement, or the identity for plain F_p^k coordinates), encoded where
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, prod
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,18 +109,6 @@ def span_points(rows: np.ndarray, p: int) -> np.ndarray:
     return (t @ rows) % p
 
 
-def solve_congruence(a: int, b: int, m: int) -> int | None:
-    """Smallest nonnegative x with a*x = b (mod m), or None if unsolvable."""
-    if m == 1:
-        return 0
-    a, b = a % m, b % m
-    g = gcd(a, m)
-    if b % g:
-        return None
-    a, b, m2 = a // g, b // g, m // g
-    return (b * pow(a, -1, m2)) % m2
-
-
 # --- subgroup representations ----------------------------------------------
 
 
@@ -143,10 +131,6 @@ class Subgroup:
         g = self.spec.encode(self.basis_matrix())
         g.flags.writeable = False
         return g
-
-    def embed_coords(self, t: Sequence[int]) -> tuple[int, ...]:
-        v = (np.array(t, dtype=np.int64) @ self.basis_matrix()) % np.array(self.spec.orders)
-        return tuple(int(c) for c in v)
 
     @cached_property
     def _span(self) -> np.ndarray:
@@ -232,19 +216,6 @@ class PrimeSubspace(Subgroup):
         """Unit vectors e_1, e_2, ... that complete the subspace basis to a
         basis of the whole space, each kept when it raises the rank."""
         return complete_basis(self.basis, np.eye(self.spec.rank, dtype=np.int64), self.p)
-
-    def coordinate_map(self) -> np.ndarray:
-        """Matrix R (dim x rank) with R @ basis.T = I and R @ complement.T = 0.
-
-        Gives local coordinates t(x) = R @ x of the projection onto the
-        subspace along the chosen complement.
-        """
-        n = self.spec.rank
-        full = np.vstack([self.basis_matrix(), self.complement_basis()])  # invertible
-        # [full^T | I] reduces to [I | full^-T], whose first dim rows are R
-        r, _ = rref_mod_p(np.hstack([full.T, np.eye(n, dtype=np.int64)]), self.p)
-        return r[: self.dim, n:]
-
 
 
 def subspace_bases(p: int, n: int, k: int, block: int):

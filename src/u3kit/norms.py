@@ -1018,7 +1018,8 @@ def u3_oracle_cosets(f: GroupFunction, ys: Sequence[GroupElement], H: Subgroup) 
     1, p = h), both scanned by `quadratic_scan` in one batch of a row per
     coset, whose tie rule gives A = 0, b = 0 on exact ties.  The scan prices
     itself, per coset, against ORACLE_BUDGET and raises BudgetExceeded
-    before it runs; a subgroup of one point is read off f, with no scan.
+    before it runs; a subgroup of one point is read off f, with no scan, as
+    the root of re^2 + im^2 that the k = 1 scan takes (not hypot).
     """
     if H.order % 2 == 0:
         raise EvenOrder("coset oracle requires odd |H|")
@@ -1026,8 +1027,9 @@ def u3_oracle_cosets(f: GroupFunction, ys: Sequence[GroupElement], H: Subgroup) 
     fvals = f.values[H.coset(np.array([y.index for y in ys], dtype=np.int64)[:, None])]  # a row per coset
     m = H.order
     if m == 1:
-        return [NormReport(abs(complex(v[0])), 3, "coset-exact", CosetQuadraticWitness(y, H, (), ()))
-                for y, v in zip(ys, fvals)]
+        sq = np.square(fvals.real[:, 0]) + np.square(fvals.imag[:, 0])
+        return [NormReport(float(np.sqrt(v)), 3, "coset-exact", CosetQuadraticWitness(y, H, (), ()))
+                for y, v in zip(ys, sq)]
 
     if isinstance(H, PrimeSubspace):
         p, k = H.p, H.dim

@@ -6,20 +6,17 @@ form Mx.y as a matrix of exact Fractions B with B[i][j] = M e_i . e_j, so
 self-adjointness is structural and all evaluation is exact.
 
 The module also covers local quadraticity testing (vanishing third
-differences), classification and coset extension, the representation of
-locally quadratic functions on coset progressions, bracket quadratics on
-Z/N, and the degenerate subspace of a quadratic form over F_p.
+differences), classification, bracket quadratics on Z/N, and the degenerate
+subspace of a quadratic form over F_p.
 
 Every exact phase table is held one way: integer numerators in [0, D) over
 one common denominator D, addressed by group index.  ``_numerators`` turns
 exact torus values into that form (``PhaseTable`` wraps it for a whole
-group), ``QuadraticPhase.numerators`` evaluates a quadratic at an index
-array in it, and ``_agree`` compares two such tables mod 1.  Points are
-found through index arithmetic (``GroupSpec.add_indices``, the coset lister
-``H.coset(y)`` of a subgroup, ``CosetProgression.progression_indices``),
-never one ``GroupElement`` at a time.  The scalar APIs that remain are
-``QuadraticPhase.evaluate`` (with ``bilinear_value`` and ``translate``),
-``ProgressionQuadratic.reconstruct`` and ``BracketQuadratic.eval``.
+group), ``QuadraticPhase.numerators`` evaluates a quadratic at every index
+in it, and ``_agree`` compares two such tables mod 1.  Points are found
+through index arithmetic (``GroupSpec.add_indices``), never one
+``GroupElement`` at a time.  The one scalar API that remains is
+``BracketQuadratic.eval``.
 """
 
 from __future__ import annotations
@@ -28,31 +25,14 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, gcd, lcm, prod
+from math import floor, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    DependentGenerators,
-    EvenOrder,
-    ExtensionObstructed,
-    NotProper,
-    NotQuadratic,
-    SpecMismatch,
-)
-from .groups import DualElement, GroupElement, GroupSpec, TorusValue, mod1
-from .lattice import rref_rational
-from .modlinalg import (
-    BoxSubgroup,
-    PrimeSubspace,
-    Subgroup,
-    complete_basis,
-    isotropic_vector_in,
-    kernel_basis_mod_p,
-    solve_congruence,
-)
+from .errors import BudgetExceeded, EvenOrder, NotQuadratic, SpecMismatch
+from .groups import GroupSpec, TorusValue, mod1
+from .modlinalg import PrimeSubspace, complete_basis, isotropic_vector_in, kernel_basis_mod_p
 
 DEFAULT_CUBE_BUDGET = 400_000_000
 # cubes per block of the domain scan of `is_locally_quadratic`: a run of first
@@ -266,28 +246,14 @@ class QuadraticPhase:
         n = self.spec.orders[0]
         return int(self.bilinear[0][0] * n) % n
 
-    def bilinear_value(self, x: GroupElement, y: GroupElement) -> Fraction:
-        total = Fraction(0)
-        for i, a in enumerate(x.coords):
-            for j, b in enumerate(y.coords):
-                total += self.bilinear[i][j] * a * b
-        return mod1(total)
-
-    def evaluate(self, x: GroupElement) -> Fraction:
-        total = self.bilinear_value(x, x)
-        for j, v in enumerate(x.coords):
-            total += Fraction(self.xi[j] * v, self.spec.orders[j])
-        return mod1(total + self.c)
-
     def values(self) -> list[Fraction]:
         """The value at every index, in index order."""
         num, D = self.numerators()
         return [Fraction(v, D) for v in num.tolist()]
 
-    def numerators(self, idx=None) -> tuple[np.ndarray, int]:
-        """(numerators at the indices ``idx``, every index by default, common
-        denominator), vectorized on Python integers (object dtype), so no
-        denominator overflows."""
+    def numerators(self) -> tuple[np.ndarray, int]:
+        """(numerators at every index, common denominator), vectorized on
+        Python integers (object dtype), so no denominator overflows."""
         spec = self.spec
         D = lcm(
             1,
@@ -295,35 +261,15 @@ class QuadraticPhase:
             *spec.orders,
             self.c.denominator,
         )
-        coords = spec.decode(np.arange(spec.order) if idx is None else idx).astype(object)
-        acc = np.full(coords.shape[:-1], (self.c.numerator * (D // self.c.denominator)) % D, object)
+        coords = spec.decode(np.arange(spec.order)).astype(object)
+        acc = np.full(spec.order, (self.c.numerator * (D // self.c.denominator)) % D, object)
         for i in range(spec.rank):
             for j in range(spec.rank):
                 b = self.bilinear[i][j]
-                acc = (acc + (b.numerator * (D // b.denominator)) % D * coords[..., i] * coords[..., j]) % D
+                acc = (acc + (b.numerator * (D // b.denominator)) % D * coords[:, i] * coords[:, j]) % D
         for j in range(spec.rank):
-            acc = (acc + (self.xi[j] * (D // spec.orders[j])) % D * coords[..., j]) % D
+            acc = (acc + (self.xi[j] * (D // spec.orders[j])) % D * coords[:, j]) % D
         return acc % D, D
-
-    def translate(self, y: GroupElement) -> "QuadraticPhase":
-        """The phase x -> phi(x - y) in standard form."""
-        spec = self.spec
-        k = spec.rank
-        xi_new = []
-        for j in range(k):
-            shift = Fraction(0)
-            for i in range(k):
-                shift += self.bilinear[i][j] * y.coords[i]
-            # xi_new . e_j = xi . e_j - 2 M y . e_j
-            val = mod1(Fraction(self.xi[j], spec.orders[j]) - 2 * shift)
-            num = val * spec.orders[j]
-            if num.denominator != 1:
-                raise NotQuadratic("translate produced a non-character linear part")
-            xi_new.append(int(num) % spec.orders[j])
-        byy = self.bilinear_value(y, y)
-        xiy = sum(Fraction(self.xi[j] * y.coords[j], spec.orders[j]) for j in range(k))
-        c_new = mod1(byy - xiy + self.c)
-        return QuadraticPhase(spec, self.bilinear, tuple(xi_new), Fraction(c_new))
 
     def to_json(self) -> dict:
         return {
@@ -383,238 +329,6 @@ def classify_global_quadratic(phi: Sequence[TorusValue], spec: GroupSpec) -> Qua
     if not _agree(*Q.numerators(), num, D):
         raise NotQuadratic("reconstruction mismatch")
     return Q
-
-
-# --- extension from cosets ---------------------------------------------------
-
-
-def _local_spec(H: Subgroup) -> GroupSpec:
-    orders = tuple(H.local_orders)
-    return GroupSpec(orders if orders else (1,))
-
-
-def extend_from_coset(
-    phi: Mapping[int, TorusValue], y: GroupElement, H: Subgroup
-) -> QuadraticPhase:
-    """Extend a quadratic phase on y+H to a global quadratic phase.
-
-    The extension is non-unique; undetermined coefficients take the zero
-    lift.  Prime subspaces lift through a complement; box subgroups lift
-    coefficient congruences factor by factor.  For subgroups of
-    non-squarefree cyclic factors the congruence may be unsolvable, in which
-    case no global quadratic extension exists and ExtensionObstructed is
-    raised.  The extension is checked against phi at every index of phi,
-    on the coset and off it.
-    """
-    spec = H.spec
-    _require_odd(spec)
-    loc = _local_spec(H)
-    coset = H.coset(y.index).tolist()
-    if not all(i in phi for i in coset):
-        raise SpecMismatch("phase not defined on the whole coset")
-    QH = classify_global_quadratic([phi[i] for i in coset], loc)
-
-    if isinstance(H, PrimeSubspace):
-        p = H.p
-        kk = H.dim
-        n = spec.rank
-        if kk == 0:
-            Q0 = QuadraticPhase.from_integer_matrix(
-                spec, np.zeros((n, n), int), [0] * n, QH.c
-            )
-        else:
-            A_H = np.array(
-                [[int(QH.bilinear[i][j] * p) % p for j in range(kk)] for i in range(kk)],
-                dtype=np.int64,
-            )
-            R = H.coordinate_map()  # local coords of the projection onto H
-            A_G = (R.T @ A_H @ R) % p
-            xi_G = (np.array(QH.xi, dtype=np.int64) @ R) % p
-            Q0 = QuadraticPhase.from_integer_matrix(spec, A_G, xi_G, QH.c)
-    elif isinstance(H, BoxSubgroup):
-        k = spec.rank
-        B = [[Fraction(0)] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                target = QH.bilinear[i][j]
-                if target == 0:
-                    continue
-                u, mden = target.numerator, target.denominator
-                g = gcd(spec.orders[i], spec.orders[j])
-                di, dj = H.divisors[i], H.divisors[j]
-                v = solve_congruence(di * dj * mden, u * g, g * mden)
-                if v is None:
-                    raise ExtensionObstructed(
-                        "no global self-adjoint lift of the coset bilinear form"
-                    )
-                B[i][j] = mod1(Fraction(v, g))
-        # symmetrize exactly (targets are symmetric; congruence picks one rep)
-        for i in range(k):
-            for j in range(i + 1, k):
-                B[j][i] = B[i][j]
-        xi_G = tuple(int(x) for x in QH.xi)
-        Q0 = QuadraticPhase(spec, tuple(tuple(r) for r in B), xi_G, QH.c)
-    else:  # pragma: no cover
-        raise SpecMismatch("unsupported subgroup representation")
-
-    Q = Q0.translate(y)
-    num, D = _numerators(phi.values())
-    if not _agree(*Q.numerators(np.fromiter(phi, np.int64, len(phi))), num, D):
-        raise ExtensionObstructed("constructed extension disagrees on the coset")
-    return Q
-
-
-# --- coset progressions: representation of locally quadratic phases ---------
-
-
-@dataclass
-class ProgressionQuadratic:
-    """Data of phi(a + sum l_i v_i + h) = Mh.h + 2 sum l_i xi_i.h
-    + sum l_i l_j lambda_ij + xi_0.h + sum l_i eta_i + c on a proper
-    symmetric coset progression."""
-
-    base_quadratic: QuadraticPhase  # global quadratic matching phi on a+H
-    xi_cross: list[tuple[int, ...]]  # xi_i in local dual coords of H
-    lam: list[list[Fraction]]  # symmetric
-    eta: list[Fraction]
-
-    def reconstruct(self, P, l: Sequence[int], h_local: Sequence[int]) -> Fraction:
-        H = P.subgroup
-        spec = H.spec
-        h_local = tuple(h_local) + (0,) * (len(H.local_orders) - len(h_local))
-        amb = H.embed_coords(h_local) if H.local_orders else (0,) * spec.rank
-        x = P.point(l, spec.element(amb))
-        val = self.base_quadratic.evaluate(x)  # covers Mh.h + xi0.h + c + base shift
-        d = len(l)
-        loc = _local_spec(H)
-        for i in range(d):
-            cross = sum(
-                Fraction(self.xi_cross[i][t] * h_local[t], loc.orders[t])
-                for t in range(len(h_local))
-            ) if h_local else Fraction(0)
-            val += 2 * l[i] * cross + l[i] * self.eta[i]
-            for j in range(d):
-                val += l[i] * l[j] * self.lam[i][j]
-        return mod1(val)
-
-
-def _grid(half_lengths: Sequence[int]) -> np.ndarray:
-    """The l-grid prod range(-(L_i - 1), L_i) as a (d, n) array of Python
-    integers, lexicographic with l_1 slowest: the order of
-    ``CosetProgression.progression_indices``."""
-    sizes = [2 * L - 1 for L in half_lengths]
-    ls = np.indices(sizes, dtype=np.int64).reshape(len(sizes), prod(sizes))
-    return (ls - np.array(half_lengths, dtype=np.int64).reshape(-1, 1) + 1).astype(object)
-
-
-def _grid_position(l: Sequence[int], half_lengths: Sequence[int]) -> int:
-    """Position of the point l in ``_grid`` (a KeyError off the grid)."""
-    pos = 0
-    for li, L in zip(l, half_lengths, strict=True):
-        if not -L < li < L:
-            raise KeyError(tuple(l))
-        pos = pos * (2 * L - 1) + li + L - 1
-    return pos
-
-
-def _pure_numerators(ls: np.ndarray, lam, eta, c, E: int) -> np.ndarray:
-    """E·(c + sum_i l_i eta_i + sum_{i,j} l_i l_j lam_ij) at every grid
-    point l (columns of ``ls``), for coefficients with denominators dividing
-    E; not reduced mod E."""
-    d = len(eta)
-    acc = np.full(ls.shape[1], int(c * E), dtype=object)
-    for i in range(d):
-        acc = acc + ls[i] * int(eta[i] * E)
-        for j in range(d):
-            acc = acc + ls[i] * ls[j] * int(lam[i][j] * E)
-    return acc
-
-
-def _fit_pure_progression(g: np.ndarray, D: int, half_lengths: Sequence[int]):
-    """Fit g(l)/D = sum_{i,j} l_i l_j lam_ij + sum_i l_i eta_i + c exactly,
-    mod 1, for numerators g in [0, D) on the l-grid of ``_grid``.
-
-    lam is half the second differences.  Halving in R/Z is two-valued, but
-    the halves differ by 1/2, and l_i^2 = l_i, 2 l_i l_j = 0 mod 2, so every
-    choice gives the same function mod 1 once eta is read off: the lower
-    half is taken, and the fit is validated against the whole table in one
-    comparison over the common denominator 2D of the coefficients.
-    """
-    d = len(half_lengths)
-
-    def at(*steps: tuple[int, int]) -> Fraction:
-        """g/D at the sum of the unit steps (axis, ±1)."""
-        l = [0] * d
-        for i, s in steps:
-            l[i] += s
-        return Fraction(int(g[_grid_position(l, half_lengths)]), D)
-
-    c = at()
-    lam: list[list[Fraction]] = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        lam[i][i] = mod1(at((i, 1)) + at((i, -1)) - 2 * c) / 2
-    for i in range(d):
-        for j in range(i + 1, d):
-            lam[i][j] = lam[j][i] = mod1(at((i, 1), (j, 1)) - at((i, 1)) - at((j, 1)) + c) / 2
-    eta = [mod1(at((i, 1)) - lam[i][i] - c) for i in range(d)]
-    if not _agree(_pure_numerators(_grid(half_lengths), lam, eta, c, 2 * D) % (2 * D), 2 * D, g, D):
-        raise NotQuadratic("no exact quadratic fit of the progression table")
-    return lam, eta, c
-
-
-def quadratic_on_coset_progression(phi: Mapping[int, TorusValue], P) -> ProgressionQuadratic:
-    """Represent a locally quadratic phase on a proper coset progression.
-
-    Returns reconstruction-verified coefficients; coefficient-level
-    uniqueness is not claimed (halving in R/Z is two-valued).  Everything is
-    read off one table: the numerators of phi - base_Q at the points
-    base + sum l_i v_i + h of P, one row per l (in the order of
-    ``P.progression_indices``) and one column per h (H in its local
-    coordinates, lexicographic).
-    """
-    H = P.subgroup
-    spec = H.spec
-    _require_odd(spec)
-    if not P.proper:
-        raise NotProper("progression is not proper")
-    base_Q = extend_from_coset({i: phi[i] for i in H.coset(P.base.index).tolist()}, P.base, H)
-    d = len(P.generators)
-    loc = _local_spec(H)
-    k = len(H.local_orders)
-
-    pts = spec.add_indices(P.progression_indices()[:, None], H.coset(0)[None, :])
-    pnum, pD = _numerators([phi[i] for i in pts.ravel().tolist()])
-    qnum, qD = base_Q.numerators(pts)
-    L = lcm(pD, qD)
-    resid = (pnum.reshape(pts.shape).astype(object) * (L // pD) - qnum * (L // qD)) % L
-    lam, eta, c0 = _fit_pure_progression(resid[:, 0], L, P.half_lengths)
-    if c0 != 0:
-        raise NotQuadratic("residual must vanish on the base coset")
-
-    xi_cross: list[tuple[int, ...]] = []
-    for i in range(d):
-        row = resid[_grid_position([int(t == i) for t in range(d)], P.half_lengths)]
-        coords = []
-        for t in range(k):
-            chi = mod1(Fraction(int(row[loc.index_of([int(s == t) for s in range(k)])] - row[0]), L))
-            half = _half_mod(chi, loc.orders[t])
-            numer = half * loc.orders[t]
-            if numer.denominator != 1:
-                raise NotQuadratic("cross term is not a character of H")
-            coords.append(int(numer) % loc.orders[t])
-        xi_cross.append(tuple(coords))
-
-    # phi - base_Q = sum_i 2 l_i xi_i.h + (the pure part) at every (l, h)
-    E = lcm(2 * L, *H.local_orders)
-    h = loc.decode(np.arange(loc.order))[:, :k].astype(object)
-    ls = _grid(P.half_lengths)
-    pred = _pure_numerators(ls, lam, eta, 0, E)[:, None]
-    for i in range(d):
-        cross = h @ np.array([x * (E // n) for x, n in zip(xi_cross[i], H.local_orders)], dtype=object)
-        pred = pred + 2 * ls[i][:, None] * cross[None, :]
-    if not _agree(pred % E, E, resid, L):
-        raise NotQuadratic("progression reconstruction mismatch")
-    return ProgressionQuadratic(base_Q, xi_cross, lam, eta)
 
 
 # --- bracket quadratics on Z/N ----------------------------------------------
@@ -749,71 +463,6 @@ class BracketQuadratic:
             tuple(dec(v) for v in obj["lin"]),
             dec(obj.get("const", 0)),
         )
-
-
-def bracket_from_progression(
-    phi: Mapping[int, TorusValue], P, S: Sequence[DualElement], rho
-) -> BracketQuadratic:
-    """Convert a locally quadratic phase on a Bohr set into a bracket
-    quadratic agreeing with it on the extracted progression P.
-
-    Requires prime N, the progression produced by the Bohr-set extraction
-    (independent fractional-part images of the generators), and exact
-    rational phi; agreement on every point of P is verified exactly.
-    """
-    spec = P.subgroup.spec
-    N = spec.order
-    if spec.rank != 1:
-        raise SpecMismatch("bracket quadratics live on Z/N")
-    if P.subgroup.order != 1:
-        raise SpecMismatch("expected trivial subgroup component for prime N")
-    d = len(P.generators)
-    freqs = tuple(int(xi.coords[0]) for xi in S)
-    s = len(freqs)
-    if d == 0:
-        zero_q = tuple(tuple(Fraction(0) for _ in range(s)) for _ in range(s))
-        return BracketQuadratic(N, freqs, zero_q, (Fraction(0),) * s, mod1(Fraction(phi[0])))
-
-    # exact coefficients on the progression grid
-    pts = P.progression_indices().tolist()
-    g, D = _numerators([phi[x] for x in pts])
-    lam, eta, c = _fit_pure_progression(g, D, P.half_lengths)
-
-    # dual vectors: Phi(x) . u_i = l_i where Phi(x) = ({xi x / N})_{xi in S}
-    V = [[frac_part(Fraction(xi * g.coords[0], N)) for xi in freqs] for g in P.generators]
-    Vm = np.array(
-        [[Fraction(v) for v in row] for row in V], dtype=object
-    ).reshape(d, s).T  # s x d
-    if len(rref_rational(Vm)[1]) < d:
-        raise DependentGenerators("generator images are linearly dependent")
-    G = Vm.T @ Vm  # d x d Gram, exact
-    inv, pivots = rref_rational(np.hstack([G, np.eye(d, dtype=np.int64)]))  # [I | G^-1]
-    if pivots != list(range(d)):
-        raise DependentGenerators("singular Gram matrix")
-    U = Vm @ inv[:, d:]  # |S| x d; columns u_i with Phi(v_j).u_i = delta_ij
-
-    s = len(freqs)
-    quad = [[Fraction(0)] * s for _ in range(s)]
-    lin = [Fraction(0)] * s
-    for i in range(d):
-        for j in range(d):
-            for a in range(s):
-                for b in range(s):
-                    quad[a][b] += lam[i][j] * U[a, i] * U[b, j]
-    # symmetrize exactly (lam is symmetric so this only reorders terms)
-    for a in range(s):
-        for b in range(a + 1, s):
-            v = (quad[a][b] + quad[b][a]) / 2
-            quad[a][b] = quad[b][a] = v
-    for i in range(d):
-        for a in range(s):
-            lin[a] += eta[i] * U[a, i]
-    bq = BracketQuadratic(N, freqs, tuple(tuple(r) for r in quad), tuple(lin), mod1(c))
-
-    for x, v in zip(pts, g.tolist()):
-        if mod1(bq.eval(x)) != Fraction(v, D):
-            raise NotQuadratic("bracket quadratic disagrees on the progression")
-    return bq
 
 
 # --- degenerate subspaces over F_p --------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from u3kit.groups import GroupFunction, GroupSpec
+from u3kit.groups import GroupFunction, GroupSpec, mod1, pair
 from u3kit.modlinalg import rref_mod_p
 from u3kit.nil import NilFunction, NilPoint, _factor_terms
 
@@ -37,6 +37,42 @@ def constant(spec: GroupSpec, c: complex) -> GroupFunction:
 def elements(spec: GroupSpec):
     """Every element of the group, in index order."""
     return [spec.element_by_index(i) for i in range(spec.order)]
+
+
+def embed_coords(H, t) -> tuple[int, ...]:
+    """The point t @ basis_matrix() of a subgroup H, for local coordinates t,
+    as ambient coordinates."""
+    v = (np.array(t, dtype=np.int64) @ H.basis_matrix()) % np.array(H.spec.orders)
+    return tuple(int(c) for c in v)
+
+
+def bohr_norm_exact(x, S) -> Fraction:
+    """||x||_S = sup_{xi in S} distance of xi.x to the nearest integer, one
+    exact pairing at a time: the reference for the integer norms of a
+    `bohr.BohrSet`."""
+    best = Fraction(0)
+    for xi in S:
+        v = pair(xi, x)
+        best = max(best, min(v, 1 - v))
+    return best
+
+
+def bilinear_value(Q, x, y) -> Fraction:
+    """Mx.y mod 1 for a `quadratic.QuadraticPhase` Q, summed in Fractions."""
+    total = Fraction(0)
+    for i, a in enumerate(x.coords):
+        for j, b in enumerate(y.coords):
+            total += Q.bilinear[i][j] * a * b
+    return mod1(total)
+
+
+def evaluate(Q, x) -> Fraction:
+    """Q at the element x, Mx.x + xi.x + c mod 1 in Fractions: the
+    per-point reference for `QuadraticPhase.numerators` and `values`."""
+    total = bilinear_value(Q, x, x)
+    for j, v in enumerate(x.coords):
+        total += Fraction(Q.xi[j] * v, Q.spec.orders[j])
+    return mod1(total + Q.c)
 
 
 def solve_mod_p(mat: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:

@@ -5,40 +5,37 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import elements, random_bounded
-import u3kit.bohr as bohr_module
+from conftest import bohr_norm_exact, elements, random_bounded
 from u3kit.bohr import (
     BohrSet,
     CosetProgression,
-    _distances,
-    _thin_spectrum,
+    _scaled_norms,
     bogolyubov,
-    bohr_norm_exact,
     bohr_set,
     character_kernel,
     coset_progression_in_bohr,
     find_regular_rho,
     is_regular,
     iterated_sumset,
-    local_bogolyubov,
-    separating_bohr,
 )
-from u3kit.errors import BudgetExceeded, NoZero, NotFound, NotProper, RhoTooLarge
+from u3kit.errors import BudgetExceeded, NotFound, NotProper, RhoTooLarge
 from u3kit.groups import GroupFunction, GroupSpec, pair, parse_group
 
 
 def test_bohr_norm_examples(rng):
+    # the integer norms D ||x||_S that a Bohr set keeps: examples, the exact
+    # reference, and subadditivity
     Z12 = parse_group("Z/12")
-    S = [Z12.dual([1])]
-    assert bohr_norm_exact(Z12.zero(), S) == 0
-    assert bohr_norm_exact(Z12.element([7]), S) == Fraction(5, 12)
-    # subadditivity
+    norms = _scaled_norms(Z12, [Z12.dual([1])])
+    assert norms[0] == 0 and Fraction(int(norms[7]), Z12.exponent) == Fraction(5, 12)
     spec = parse_group("Z/4xZ/9")
     S = [spec.dual([1, 2]), spec.dual([3, 1])]
+    norms = _scaled_norms(spec, S)
     for _ in range(50):
         x = spec.element_by_index(int(rng.integers(36)))
         y = spec.element_by_index(int(rng.integers(36)))
-        assert bohr_norm_exact(x + y, S) <= bohr_norm_exact(x, S) + bohr_norm_exact(y, S)
+        assert Fraction(int(norms[x.index]), spec.exponent) == bohr_norm_exact(x, S)
+        assert norms[(x + y).index] <= norms[x.index] + norms[y.index]
 
 
 def test_bohr_set_members():
@@ -100,22 +97,6 @@ def test_bohr_size_bounds(rng):
         assert len(B.with_rho(2 * rho)) <= 5**d * len(B)
 
 
-def test_separation_examples(rng):
-    Z12 = parse_group("Z/12")
-    assert separating_bohr(Z12, [0]) == []
-    S = separating_bohr(Z12, [0, 6])
-    assert len(S) <= 2
-    with pytest.raises(NoZero):
-        separating_bohr(Z12, [1, 2])
-    Z101 = parse_group("Z/101")
-    for _ in range(5):
-        A = [0] + sorted(int(v) for v in rng.choice(np.arange(1, 101), 7, replace=False))
-        S = separating_bohr(Z101, A)
-        assert len(S) <= 1 + int(np.ceil(np.log2(len(A))))
-        for a in A[1:]:
-            assert bohr_norm_exact(Z101.element_by_index(a), S) >= Fraction(1, 4)
-
-
 def test_bogolyubov_examples():
     Z12 = parse_group("Z/12")
     S = bogolyubov(Z12, [0, 3, 6, 9])
@@ -141,33 +122,6 @@ def test_bogolyubov_randomized(rng):
         B = BohrSet(spec, tuple(S), Fraction(1, 4))
         two = set(iterated_sumset(spec, A, 2, 2).tolist())
         assert set(B.members.tolist()) <= two
-
-
-def test_local_bogolyubov(rng):
-    spec = parse_group("Z/101")
-    S = [spec.dual([1])]
-    rho = find_regular_rho(spec, S, Fraction(1, 5))
-    B = bohr_set(spec, S, rho)
-    members = B.members.tolist()
-    # A = B itself
-    rep = local_bogolyubov(spec, members, B)
-    assert rep.guaranteed_inclusion_ok
-    assert rep.k_bound >= len(rep.S_prime)
-    # random dense subset
-    keep = [m for m in members if rng.uniform() < 0.6] or members[:3]
-    if 0 not in keep:
-        keep.append(0)
-    rep = local_bogolyubov(spec, keep, B)
-    assert rep.guaranteed_inclusion_ok
-    assert rep.empirical_radius >= rep.guaranteed_radius - 1e-12
-
-
-def test_local_bogolyubov_trivial_S(rng):
-    spec = parse_group("Z/97")
-    B = bohr_set(spec, [], Fraction(1, 4))
-    A = sorted(int(v) for v in rng.choice(97, 40, replace=False))
-    rep = local_bogolyubov(spec, A, B)
-    assert rep.guaranteed_inclusion_ok
 
 
 def test_character_kernel():
@@ -463,39 +417,6 @@ def reference_find_regular_rho(norms: list[Fraction], d: int, eps: Fraction) -> 
     raise NotFound("no regular radius found in [eps, 2eps]")
 
 
-def reference_radius_scan(norms: list[Fraction], two: set[int]) -> tuple[float, int]:
-    """The largest radius whose Bohr set sits inside 2A-2A, and its size."""
-    values = sorted(set(norms))
-    best_r, best_sz = 0.0, 1
-    for i, v in enumerate(values):
-        mem = {j for j, w in enumerate(norms) if w <= v}
-        if mem <= two:
-            upper = values[i + 1] if i + 1 < len(values) else Fraction(1, 2)
-            best_r, best_sz = float((v + upper) / 2), len(mem)
-        else:
-            break
-    return best_r, best_sz
-
-
-def reference_separating_bohr(spec: GroupSpec, A) -> list:
-    current = set(A)
-    S = []
-    while len(current) > 1:
-        target = (len(current) - 1) // 2
-        for i in range(spec.order):
-            xi = spec.dual_by_index(i)
-            kept = set()
-            for a in current - {0}:
-                v = pair(xi, spec.element_by_index(a))
-                if min(v, 1 - v) < Fraction(1, 4):
-                    kept.add(a)
-            if len(kept) <= target:
-                break
-        S.append(xi)
-        current = {0} | kept
-    return S
-
-
 # mixed factor orders 1-12, rank 1-3
 kernel_specs = st.lists(st.integers(1, 12), min_size=1, max_size=3).map(lambda o: GroupSpec(tuple(o)))
 
@@ -573,78 +494,6 @@ def test_find_regular_rho_matches_reference(data):
             find_regular_rho(spec, S, eps)
         return
     assert find_regular_rho(spec, S, eps) == want
-
-
-@given(st.data())
-def test_local_bogolyubov_radius_scan_matches_reference(data):
-    spec = data.draw(kernel_specs)
-    S = data.draw(character_sets(spec, min_size=1))
-    eps = data.draw(st.builds(Fraction, st.integers(10, 40), st.just(200)))
-    try:
-        rho = find_regular_rho(spec, S, eps)
-    except NotFound:
-        return
-    B = bohr_set(spec, S, rho)
-    members = B.members.tolist()
-    A = sorted(set(data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=8))))
-    rep = local_bogolyubov(spec, A, B)
-    union = tuple(S) + tuple(rep.S_prime)
-    norms = reference_norms(spec, union)
-    two = set(iterated_sumset(spec, A, 2, 2).tolist())
-    assert (rep.empirical_radius, rep.empirical_bohr_size) == reference_radius_scan(norms, two)
-    delta = Fraction(len(A) / len(B)).limit_denominator(10**6)
-    theta_rho = Fraction(2) ** -33 * delta**6 / len(S) * rho
-    inside = {i for i, v in enumerate(norms) if v < max(theta_rho, Fraction(1, 10**9))}
-    assert rep.guaranteed_bohr_size == len(inside)
-    assert rep.guaranteed_inclusion_ok == (inside <= two)
-
-
-def reference_thin_spectrum(spec: GroupSpec, R, sep_members, delta_sep: float) -> list[int]:
-    """The thinning loop of `local_bogolyubov` before the table: one dual
-    norm over the members per (candidate, kept) pair."""
-
-    def bohr_dual_norm(xi_idx: int) -> float:
-        worst = int(_distances(spec, xi_idx, sep_members).max(initial=0))
-        return worst / spec.exponent
-
-    S_prime_idx: list[int] = []
-    for xi_idx in R:
-        separated = True
-        for kept in S_prime_idx:
-            diff = int(spec.add_indices(np.int64(xi_idx), spec.neg_indices(np.int64(kept))))
-            if bohr_dual_norm(diff) < delta_sep:
-                separated = False
-                break
-        if separated:
-            S_prime_idx.append(xi_idx)
-    return S_prime_idx
-
-
-@given(st.data())
-def test_thin_spectrum_matches_reference(data):
-    spec = data.draw(kernel_specs)
-    R = data.draw(st.lists(st.integers(0, spec.order - 1), unique=True, max_size=40))
-    S = data.draw(character_sets(spec))
-    B = bohr_set(spec, S, data.draw(radii))
-    sub = data.draw(st.sets(st.sampled_from(B.members.tolist())))
-    members = np.array(sorted(sub), dtype=np.int64)
-    # thresholds on the grid of norms k/D hit the strict inequality's edge
-    D = spec.exponent
-    delta_sep = data.draw(st.one_of(st.integers(0, D // 2 + 1).map(lambda k: k / D), st.floats(0, 0.6)))
-    want = reference_thin_spectrum(spec, R, members, delta_sep)
-    chunk = bohr_module._THIN_CHUNK
-    bohr_module._THIN_CHUNK = data.draw(st.sampled_from([1, 7, chunk]))  # blocks of 1, a few, all rows
-    try:
-        assert _thin_spectrum(spec, R, members, delta_sep) == want
-    finally:
-        bohr_module._THIN_CHUNK = chunk
-
-
-@given(st.data())
-def test_separating_bohr_matches_reference(data):
-    spec = data.draw(kernel_specs)
-    A = {0} | set(data.draw(st.lists(st.integers(0, spec.order - 1), max_size=10)))
-    assert separating_bohr(spec, A) == reference_separating_bohr(spec, A)
 
 
 @given(st.data())

@@ -44,6 +44,23 @@ def test_expr_denominator_below_one_is_a_parse_error(capsys):
     assert json.loads(err) == {"error": "ParseError", "message": "denominator must be at least 1 (at position 4)"}
 
 
+_LONG = "7" * 5000  # past Python's default 4300-digit limit on int(str)
+
+
+@pytest.mark.parametrize("expr, what, pos", [
+    (f"e(x/{_LONG})", "denominator", 4),
+    (f"e({_LONG}*x/7)", "coefficient", 2),
+    (f"e(x^{_LONG}/7)", "exponent", 4),
+    (f"ind{{{_LONG}}}", "index", 4),
+], ids=["denominator", "coefficient", "exponent", "index"])
+def test_expr_number_too_long_to_convert_is_a_parse_error(expr, what, pos, capsys):
+    # int() raised ValueError on such a token: a traceback and exit 1
+    code, out, err = run_cli(["norm", "--d", "2", "--group", "Z/11", "--expr", expr], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "ParseError", "message":
+                               f"{what} has 5000 digits, more than Python converts to an integer (at position {pos})"}
+
+
 def test_expr_huge_exponent_returns_at_once():
     # a term is held as exponent -> coefficient and x^k mod Q taken by
     # repeated squaring; a coefficient list of 10^20 + 1 entries grew without

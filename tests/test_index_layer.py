@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
-from conftest import elements
+from conftest import elements, embed_coords
 from u3kit import groups, norms
 from u3kit.groups import GroupFunction, GroupSpec
 from u3kit.modlinalg import BoxSubgroup, PrimeSubspace
@@ -39,7 +39,7 @@ def lex_points(H, y_index: int) -> list[int]:
             x = spec.zero()
             for ti, row in zip(t, H.basis):
                 x = x + ti * spec.element(row)
-        assert H.embed_coords(t) == x.coords
+        assert embed_coords(H, t) == x.coords
         out.append((x + y).index)
     return out
 
@@ -50,7 +50,7 @@ def check_coset(H, y: int) -> None:
     assert H.element_indices().tolist() == sorted(lex_points(H, 0))
     assert H.order == len(pts) == len(set(pts.tolist()))
     units = np.eye(len(H.local_orders), dtype=np.int64)
-    assert H.generators.tolist() == [H.spec.index_of(H.embed_coords(e)) for e in units]
+    assert H.generators.tolist() == [H.spec.index_of(embed_coords(H, e)) for e in units]
 
 
 @given(st.data())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bias_against, constant, random_pm1, solve_mod_p, traced_peak
+from conftest import bias_against, constant, embed_coords, random_pm1, solve_mod_p, traced_peak
 from u3kit import bohr, inverse_f5, norms
 from u3kit.bohr import iterated_sumset
 from u3kit.errors import EmptyGraph, EmptyV, SliceFailed, U3KitError
@@ -258,7 +258,7 @@ def _reference_vote(gamma, fit):
     for x0 in range(spec.order):
         votes = {}
         for t in itertools.product(range(V.p), repeat=V.dim):
-            pt = (spec.element_by_index(x0) + spec.element(V.embed_coords(t))).index
+            pt = (spec.element_by_index(x0) + spec.element(embed_coords(V, t))).index
             if pt in xi_of:
                 two_mh = spec.dual((2 * (np.array(t) @ fit.M_rows)) % V.p)
                 xi0 = (spec.dual_by_index(xi_of[pt]) - two_mh).index

@@ -19,10 +19,10 @@ what a file imports, not by spelling:
   its reason.
 
 An import alone is not a use, and dunder methods are exempt: the language
-calls them.  The few functions that are documented API of the source paper
-but have no caller yet are listed in ALLOWED, each with its reason.  An
-option is set only by a call in src/ or bench/ that resolves to its function
-the same way; ALLOWED_OPTIONS lists the options of allowlisted functions.
+calls them.  ALLOWED would list a function kept without a caller, with its
+reason; it is empty.  An option is set only by a call in src/ or bench/ that
+resolves to its function the same way; ALLOWED_OPTIONS would list the options
+of allowlisted functions.
 """
 
 import ast
@@ -33,18 +33,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = ("src", "bench")
 
-# Documented API with no caller in src/ or bench/ yet: the general-G chain of
-# the source paper (local Bogolyubov on a Bohr set, a locally quadratic phase
-# on a coset progression, its bracket form).
-ALLOWED = {
-    "bohr.separating_bohr": "the Bohr set B(S, rho) that separates a frequency set, step 1 of the general-G chain",
-    "bohr.local_bogolyubov": "local Bogolyubov on a Bohr set, step 2 of the general-G chain",
-    "quadratic.quadratic_on_coset_progression": "the locally quadratic phase on a coset progression, step 3",
-    "quadratic.bracket_from_progression": "the bracket form of that phase, the last step of the general-G chain",
-    "quadratic.ProgressionQuadratic.reconstruct": "evaluates the fitted phase on the progression it was fit on",
-}
-
-# Options of allowlisted functions: with no caller yet, nothing sets them.
+# Functions kept without a caller in src/ or bench/, each with its reason, and
+# their options: both empty, and the cap in test_allowlist_is_short_and_current
+# keeps them so.
+ALLOWED: dict[str, str] = {}
 ALLOWED_OPTIONS: dict[str, str] = {}
 
 
@@ -78,16 +70,22 @@ def _is_property(node: ast.FunctionDef) -> bool:
     return False
 
 
+def _qualname(node: ast.FunctionDef, scope: str | None, cls: str | None) -> str:
+    """Class.name for a method, outer.name for a nested function, else the name."""
+    return f"{cls or scope}.{node.name}" if cls or scope else node.name
+
+
 def _walk(tree: ast.AST):
     """(scope, class, node) for every node of a module.  The scope is the
     qualified name of the innermost function whose body holds the node
-    (Class.name for a method), or None at module level; the class is set on
-    the statements of a class body.  A function's decorators, defaults and
-    annotations run in the scope around it."""
+    (Class.name for a method, outer.name for a function nested in another),
+    or None at module level; the class is set on the statements of a class
+    body.  A function's decorators, defaults and annotations run in the
+    scope around it."""
     def visit(node, scope, cls):
         yield scope, cls, node
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            qual = f"{cls}.{node.name}" if cls else node.name
+            qual = _qualname(node, scope, cls)
             for part in (*node.decorator_list, node.args, *([node.returns] if node.returns else [])):
                 yield from visit(part, scope, None)
             for stmt in node.body:
@@ -102,13 +100,12 @@ def _walk(tree: ast.AST):
 def _defined(tree: ast.AST):
     """(qualified name, node, kind) of every function in a module: kind is
     "function" (module level or nested in a function), "method" or
-    "property"; a method's qualified name is Class.name."""
-    for _, cls, node in _walk(tree):
+    "property"; names are qualified as in _walk, so a nested function's is
+    outer.name."""
+    for scope, cls, node in _walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if cls is None:
-                yield node.name, node, "function"
-            else:
-                yield f"{cls}.{node.name}", node, "property" if _is_property(node) else "method"
+            kind = "function" if cls is None else "property" if _is_property(node) else "method"
+            yield _qualname(node, scope, cls), node, kind
 
 
 def _bindings(tree: ast.AST, module: str, modules: set[str]):
@@ -181,7 +178,7 @@ def _module_of(node: ast.AST, mods: dict, modules: set[str]) -> str | None:
 def _uses(tree: ast.AST, module: str, modules: set[str]) -> dict:
     """{scope: _Uses} of one file, scopes as in _walk."""
     mods, objs = _bindings(tree, module, modules)
-    local = {name for name, _, kind in _defined(tree) if kind == "function"}
+    local = {node.name for _, node, kind in _defined(tree) if kind == "function"}
 
     def module_of(node) -> str | None:
         return _module_of(node, mods, modules)
@@ -208,6 +205,12 @@ def _uses(tree: ast.AST, module: str, modules: set[str]) -> dict:
     return out
 
 
+def _enclosing(key: tuple[str, str]) -> tuple[str, str | None]:
+    """The scope key around a function's key (path, qualified name): its
+    enclosing function's, or (path, None), the module's, at module level."""
+    return key[0], key[1].rpartition(".")[0] or None
+
+
 def dead_functions(sources: dict[str, str], allowed=()) -> list[str]:
     """"path:line module.qualname" of every function, method and property
     defined under src/u3kit in ``sources`` (path -> text, paths relative to
@@ -216,7 +219,9 @@ def dead_functions(sources: dict[str, str], allowed=()) -> list[str]:
     Live code is module-level code, all of bench/, the bodies of dunder
     methods and of the ``allowed`` qualified names, and the body of every
     function that live code uses, so a function whose only callers are dead
-    is dead too."""
+    is dead too.  A nested function is live only when live code uses its
+    name and its enclosing function is live: a dead function's nested
+    namesake of a live one stays dead, and so do the functions it calls."""
     trees = {rel: ast.parse(text, filename=rel) for rel, text in sources.items()
              if rel.split("/")[0] in CALLERS}
     modules = {_module(rel) for rel in trees}
@@ -237,7 +242,8 @@ def dead_functions(sources: dict[str, str], allowed=()) -> list[str]:
             seen.update(scopes.get(key, _Uses()))
         read |= live
         live |= {key for key, module, name, node, kind, root in defs
-                 if ((module, node.name) in seen.functions if kind == "function"
+                 if ((module, node.name) in seen.functions and _enclosing(key) in live
+                     if kind == "function"
                      else node.name in seen.called or key[1] in seen.strings
                      or (kind == "property" and node.name in seen.read))}
     return [f"{key[0]}:{node.lineno} {name}" for key, module, name, node, kind, root in defs if key not in live]
@@ -248,9 +254,10 @@ def test_every_function_in_src_has_a_caller():
 
 
 def test_allowlist_is_short_and_current():
-    """Every allowlisted function exists, has a reason, and still has no
-    caller: one that gains a caller leaves the list."""
-    assert len(ALLOWED) <= 5
+    """The allowlist is capped at 0 entries.  Every allowlisted function
+    exists, has a reason, and still has no caller: one that gains a caller
+    leaves the list."""
+    assert len(ALLOWED) <= 0
     assert all(reason.strip() for reason in ALLOWED.values())
     dead = {where.split()[1] for where in dead_functions(_sources(CALLERS))}
     assert set(ALLOWED) <= dead
@@ -344,6 +351,19 @@ def test_a_name_used_only_under_tests_is_dead():
     assert any(d.endswith("groups.GroupFunction.conj") for d in dead)
 
 
+def test_a_nested_function_is_live_only_inside_a_live_function():
+    # live() and dead() each nest an `at`; only dead's calls helper(), so the
+    # live `at` must not carry dead's body, or helper with it
+    src = {
+        "src/u3kit/quadratic.py": "def helper():\n    return 1\n\n"
+                                  "def live():\n    def at():\n        return 0\n    return at()\n\n"
+                                  "def dead():\n    def at():\n        return helper()\n    return at()\n\n"
+                                  "live()\n",
+    }
+    assert [d.split()[1] for d in dead_functions(src)] == [
+        "quadratic.helper", "quadratic.dead", "quadratic.dead.at"]
+
+
 def test_a_class_name_string_in_bench_is_a_use():
     src = {
         "src/u3kit/groups.py": _GROUPS,
@@ -414,7 +434,7 @@ def _calls(tree: ast.AST, module: str, modules: set[str]):
     other calls are skipped.  A *args reaches every position and a **kwargs
     every keyword."""
     mods, objs = _bindings(tree, module, modules)
-    local = {name for name, _, kind in _defined(tree) if kind == "function"}
+    local = {node.name for _, node, kind in _defined(tree) if kind == "function"}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue

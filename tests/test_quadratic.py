@@ -1,4 +1,3 @@
-import itertools
 from unittest import mock
 from fractions import Fraction
 from math import lcm
@@ -6,13 +5,10 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from conftest import elements, solve_mod_p
+from conftest import bilinear_value, elements
 from u3kit import modlinalg
-from u3kit.bohr import bohr_set, coset_progression_in_bohr
-from u3kit.errors import EvenOrder, ExtensionObstructed, NotFound, NotQuadratic
+from u3kit.errors import EvenOrder, NotFound, NotQuadratic
 from u3kit.groups import GroupSpec, parse_group
 from u3kit.modlinalg import (
     BoxSubgroup,
@@ -26,13 +22,10 @@ from u3kit.modlinalg import (
 from u3kit.quadratic import (
     BracketQuadratic,
     QuadraticPhase,
-    bracket_from_progression,
     classify_global_quadratic,
     degenerate_subspace,
-    extend_from_coset,
     frac_part,
     is_locally_quadratic,
-    quadratic_on_coset_progression,
 )
 
 
@@ -109,12 +102,12 @@ def orthogonal_complement(
 def test_eval_quadratic_examples():
     Z5 = parse_group("Z/5")
     Q = QuadraticPhase.cyclic(Z5, 2, 3, 0)
-    assert Q.evaluate(Z5.element([1])) == 0  # (2+3)/5
+    assert Q.values()[1] == 0  # (2+3)/5
     Qc = QuadraticPhase.cyclic(Z5, 0, 0, Fraction(1, 3))
-    assert all(Qc.evaluate(x) == Fraction(1, 3) for x in elements(Z5))
+    assert Qc.values() == [Fraction(1, 3)] * 5
     F52 = parse_group("F5^2")
     QI = QuadraticPhase.from_integer_matrix(F52, [[1, 0], [0, 1]], [0, 0])
-    assert QI.evaluate(F52.element([1, 2])) == 0  # (1+4)/5
+    assert QI.values()[F52.index_of([1, 2])] == 0  # (1+4)/5
 
 
 def test_is_locally_quadratic():
@@ -182,85 +175,18 @@ def test_classify_even_order():
 
 
 def test_self_adjoint_decomposition(rng=np.random.default_rng(2)):
-    # 2Mh.x = M(x+h).(x+h) - Mx.x - Mh.h exactly
-    spec = parse_group("Z/4xZ/9")  # even order factor: skip; use odd group
+    # 2Mh.x = M(x+h).(x+h) - Mx.x - Mh.h exactly: the reference form against
+    # the second differences of the values, Mx.x with xi = 0 and c = 0
     spec = parse_group("Z/3xZ/9")
     B = ((Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 9)))
     Q = QuadraticPhase(spec, B, (0, 0), Fraction(0))
+    vals = Q.values()
     for _ in range(60):
         x = spec.element_by_index(int(rng.integers(spec.order)))
         h = spec.element_by_index(int(rng.integers(spec.order)))
-        lhs = (2 * Q.bilinear_value(h, x)) % 1
-        rhs = (
-            Q.bilinear_value(x + h, x + h) - Q.bilinear_value(x, x) - Q.bilinear_value(h, h)
-        ) % 1
-        assert lhs == rhs
-
-
-@given(st.sampled_from(["Z/9", "F5^3", "Z/25xZ/5", "Z/15xZ/21", "Z/9xZ/15xZ/7"]), st.data())
-def test_translate_is_the_shifted_phase(group, data):
-    # Q.translate(y) at x is Q at x - y, for a random self-adjoint form
-    # (B[i][j] in (1/gcd(n_i, n_j))Z), a random character and constant
-    spec = parse_group(group)
-    k, orders = spec.rank, spec.orders
-    B = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            g = np.gcd(orders[i], orders[j])
-            B[i][j] = B[j][i] = Fraction(data.draw(st.integers(0, g - 1)), int(g))
-    xi = tuple(data.draw(st.integers(0, n - 1)) for n in orders)
-    Q = QuadraticPhase(spec, tuple(map(tuple, B)), xi, Fraction(data.draw(st.integers(0, 10)), 11))
-    y = spec.element_by_index(data.draw(st.integers(0, spec.order - 1)))
-    T = Q.translate(y)
-    values = Q.values()
-    shifted = spec.add_indices(np.arange(spec.order), spec.neg_indices(y.index))
-    assert T.values() == [values[i] for i in shifted.tolist()]
-    x = spec.element_by_index(data.draw(st.integers(0, spec.order - 1)))
-    assert T.evaluate(x) == Q.evaluate(x - y)
-
-
-def test_extension_from_subspace_coset():
-    spec = parse_group("F5^2")
-    H = PrimeSubspace.from_generators(spec, [[1, 2]])
-    y = spec.element([0, 2])
-    # plant a quadratic on y+H in local coordinates
-    phi = {}
-    for t in range(5):
-        amb = spec.element(tuple((y.coords[i] + t * H.basis[0][i]) % 5 for i in range(2)))
-        phi[amb.index] = Fraction(3 * t * t + 2 * t, 5) % 1
-    Q = extend_from_coset(phi, y, H)
-    for idx, v in phi.items():
-        assert Q.evaluate(spec.element_by_index(idx)) == v
-
-
-def test_extension_identity_and_degenerate():
-    Z9 = parse_group("Z/9")
-    whole = BoxSubgroup.whole(Z9)
-    phi = {x: Fraction(2 * x * x + x, 9) % 1 for x in range(9)}
-    Q = extend_from_coset(phi, Z9.zero(), whole)
-    assert all(Q.evaluate(Z9.element_by_index(i)) == phi[i] for i in range(9))
-    trivial = BoxSubgroup(Z9, Z9.orders)
-    Q0 = extend_from_coset({4: Fraction(1, 3)}, Z9.element([4]), trivial)
-    assert Q0.evaluate(Z9.element([4])) == Fraction(1, 3)
-
-
-def test_extension_even_order_rejected():
-    Z12 = parse_group("Z/12")
-    H = BoxSubgroup(Z12, (3,))
-    phi = {i: Fraction(0) for i in [0, 3, 6, 9]}
-    with pytest.raises(EvenOrder):
-        extend_from_coset(phi, Z12.zero(), H)
-
-
-def test_extension_obstruction_on_nonsquarefree():
-    # t^2/3 on 3Z/9 is locally quadratic but admits no global quadratic
-    # extension: the restriction map on self-adjoint homs is not onto
-    Z9 = parse_group("Z/9")
-    H = BoxSubgroup(Z9, (3,))
-    phi = {(3 * t) % 9: Fraction(t * t, 3) % 1 for t in range(3)}
-    assert is_locally_quadratic(phi, [0, 3, 6], Z9)
-    with pytest.raises(ExtensionObstructed):
-        extend_from_coset(phi, Z9.zero(), H)
+        lhs = (2 * bilinear_value(Q, h, x)) % 1
+        assert lhs == (vals[(x + h).index] - vals[x.index] - vals[h.index]) % 1
+        assert vals[x.index] == bilinear_value(Q, x, x)
 
 
 def test_bracket_eval_examples():
@@ -296,58 +222,6 @@ def test_bracket_local_linearity_exact():
                 if abs(vh) > 2 * rho:
                     continue
                 assert frac_part(Fraction(xi * (x + h), N)) == vx + vh
-
-
-def test_bracket_from_progression_planted():
-    # restriction of a global quadratic agrees with the recovered bracket
-    N = 101
-    spec = parse_group("Z/101")
-    S = [spec.dual([1])]
-    ext = coset_progression_in_bohr(spec, S, Fraction(1, 5))
-    P = ext.progression
-    phi = {x: Fraction(3 * x * x + 2 * x, N) % 1 for x in range(N)}
-    bq = bracket_from_progression(phi, P, S, Fraction(1, 5))
-    for l in range(-(P.half_lengths[0] - 1), P.half_lengths[0]):
-        x = P.point([l], spec.zero())
-        assert bq.eval(x.coords[0]) == phi[x.index]
-
-
-def test_bracket_from_progression_zero():
-    N = 101
-    spec = parse_group("Z/101")
-    S = [spec.dual([3])]
-    ext = coset_progression_in_bohr(spec, S, Fraction(1, 5))
-    phi = {x: Fraction(0) for x in range(N)}
-    bq = bracket_from_progression(phi, ext.progression, S, Fraction(1, 5))
-    assert all(v == 0 for v in bq.lin) and all(v == 0 for row in bq.quad for v in row)
-
-
-def test_bracket_from_progression_rank2():
-    N = 97
-    spec = parse_group("Z/97")
-    S = [spec.dual([1]), spec.dual([22])]
-    ext = coset_progression_in_bohr(spec, S, Fraction(1, 5))
-    P = ext.progression
-    phi = {x: Fraction(5 * x * x + x, N) % 1 for x in range(N)}
-    bq = bracket_from_progression(phi, P, S, Fraction(1, 5))
-    import itertools as it
-
-    for l in it.product(*[range(-(L - 1), L) for L in P.half_lengths]):
-        x = P.point(l, spec.zero())
-        assert bq.eval(x.coords[0]) == phi[x.index]
-
-
-def test_quadratic_on_coset_progression():
-    # planted representation data on a rank-1 progression with H = {0}
-    spec = parse_group("Z/101")
-    S = [spec.dual([1])]
-    ext = coset_progression_in_bohr(spec, S, Fraction(1, 5))
-    P = ext.progression
-    phi = {x: Fraction(7 * x * x + 3 * x + 55, 101) % 1 for x in range(101)}
-    rep = quadratic_on_coset_progression(phi, P)
-    for l in range(-(P.half_lengths[0] - 1), P.half_lengths[0]):
-        x = P.point([l], spec.zero())
-        assert rep.reconstruct(P, [l], ()) == phi[x.index]
 
 
 def test_isotropic_examples():
@@ -432,33 +306,8 @@ def test_basis_questions_take_one_elimination_each():
     with mock.patch.object(modlinalg, "rref_mod_p", wraps=modlinalg.rref_mod_p) as counted:
         complete_basis(W.basis, np.eye(4, dtype=np.int64), 5)
         assert counted.call_count == 1
-        W.coordinate_map()  # its own elimination and the complement's
-        assert counted.call_count == 3
-
-
-def _coordinate_map_by_solves(W: PrimeSubspace) -> np.ndarray:
-    """R from one solve of full^T x = e_i per axis, full = [basis; complement]."""
-    p, n = W.p, W.spec.rank
-    full = np.vstack([W.basis_matrix(), W.complement_basis()])
-    inv = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        sol = solve_mod_p(full.T, np.eye(n, dtype=np.int64)[i], p)
-        assert sol is not None
-        inv[:, i] = sol
-    return inv[: W.dim, :] % p
-
-
-@given(group=st.sampled_from(["F3^4", "F5^3", "F7^2"]), data=st.data())
-def test_coordinate_map_inverts_the_basis_and_kills_the_complement(group, data):
-    spec = parse_group(group)
-    p, n = spec.orders[0], spec.rank
-    gens = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), max_size=n + 1))
-    W = PrimeSubspace.from_generators(spec, gens)
-    R, B, C = W.coordinate_map(), W.basis_matrix(), W.complement_basis()
-    assert R.shape == (W.dim, n) and C.shape == (n - W.dim, n)
-    assert np.array_equal(R @ B.T % p, np.eye(W.dim, dtype=np.int64))
-    assert not np.any(R @ C.T % p)
-    assert np.array_equal(R, _coordinate_map_by_solves(W))
+        W.complement_basis()
+        assert counted.call_count == 2
 
 
 def test_degenerate_subspace_dimension_guarantee(rng=np.random.default_rng(5)):
