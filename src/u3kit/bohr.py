@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd, isqrt, lcm
+from math import ceil, floor, isqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,13 +28,10 @@ from .errors import (
     NotFound,
     NotProper,
     RhoTooLarge,
-    SpecMismatch,
 )
 from .fourier import convolve_values, dft
-from .groups import DualElement, GroupElement, GroupFunction, GroupSpec, pair
+from .groups import DualElement, GroupElement, GroupFunction, GroupSpec
 from .lattice import TaggedLattice, hermite_reduce, lll_reduce, product_bound_certified, rref_rational
-from .modlinalg import BoxSubgroup, PrimeSubspace, is_prime
-from .quadratic import frac_part
 
 SUMSET_BUDGET = 40_000_000
 _SUMSET_CHUNK = 1 << 18  # sums a + b marked per block of rows of A in _pair_sumset
@@ -286,45 +283,10 @@ def iterated_sumset(spec: GroupSpec, A: Iterable[int], plus: int, minus: int) ->
 # --- subgroup kernel of a character set --------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumeratedSubgroup:
-    """Fallback subgroup representation: just its sorted element indices."""
-
-    spec: GroupSpec
-    indices: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.indices)
-
-    @property
-    def local_orders(self) -> tuple[int, ...]:
-        raise SpecMismatch("enumerated subgroup has no canonical coordinates")
-
-    def element_indices(self) -> np.ndarray:
-        return np.array(self.indices, dtype=np.int64)
-
-
-def character_kernel(spec: GroupSpec, S: Sequence[DualElement]):
-    """H = {x : xi.x = 0 for all xi in S} in the most structured
-    representation available."""
-    if not S:
-        return BoxSubgroup.whole(spec)
-    if spec.rank == 1:
-        N = spec.order
-        m = 1
-        for xi in S:
-            g = gcd(int(xi.coords[0]), N)
-            m = lcm(m, N // g)
-        return BoxSubgroup(spec, (m,))
-    if len(set(spec.orders)) == 1 and is_prime(spec.orders[0]):
-        from .modlinalg import kernel_basis_mod_p
-
-        mat = np.array([list(xi.coords) for xi in S], dtype=np.int64)
-        ker = kernel_basis_mod_p(mat, spec.orders[0])
-        return PrimeSubspace.from_generators(spec, ker)
-    idx = np.flatnonzero(_scaled_norms(spec, S) == 0)
-    return EnumeratedSubgroup(spec, tuple(idx.tolist()))
+def character_kernel(B: BohrSet) -> np.ndarray:
+    """H = {x : xi.x = 0 for all xi in B.S}, as the sorted indices where B's
+    norms D ||x||_S vanish (all of G when S is empty)."""
+    return np.flatnonzero(B._norms == 0)
 
 
 # --- coset progressions -------------------------------------------------------
@@ -332,35 +294,33 @@ def character_kernel(spec: GroupSpec, S: Sequence[DualElement]):
 
 @dataclass
 class CosetProgression:
-    """Symmetric coset progression base + (-L, L).v + H."""
+    """Symmetric coset progression base + (-L, L).v + H, with H given by its
+    sorted element indices."""
 
     spec: GroupSpec
     base: GroupElement
     generators: tuple[GroupElement, ...]
     half_lengths: tuple[int, ...]
-    subgroup: object
+    subgroup: np.ndarray
     proper: bool = False
-
-    def point(self, l: Sequence[int], h: GroupElement) -> GroupElement:
-        x = self.base
-        for li, v in zip(l, self.generators):
-            x = x + int(li) * v
-        return x + h
 
     def progression_indices(self) -> np.ndarray:
         """All l-combinations (with multiplicity, for the properness check),
         l lexicographic with l_1 slowest: the points corner + t.v for
         0 <= t_i <= 2 L_i - 2, from the corner l = (1 - L_1, ..., 1 - L_d)."""
-        corner = self.point([1 - L for L in self.half_lengths], self.spec.zero())
-        return self.spec.coset_points(corner.index, [v.index for v in self.generators],
-                                      [2 * L - 1 for L in self.half_lengths])
+        spec = self.spec
+        gens = [v.index for v in self.generators]
+        corner = self.base.index
+        for g, L in zip(gens, self.half_lengths):
+            corner = spec.add_indices(corner, spec.scale_indices(1 - L, g))
+        return spec.coset_points(corner, gens, [2 * L - 1 for L in self.half_lengths])
 
     def element_indices(self) -> np.ndarray:
-        return sumset(self.spec, self.progression_indices(), self.subgroup.element_indices())
+        return sumset(self.spec, self.progression_indices(), self.subgroup)
 
     @property
     def expected_size(self) -> int:
-        sz = int(self.subgroup.order)
+        sz = len(self.subgroup)
         for L in self.half_lengths:
             sz *= 2 * L - 1
         return sz
@@ -373,7 +333,7 @@ class CosetProgression:
             "base": list(self.base.coords),
             "generators": [list(v.coords) for v in self.generators],
             "half_lengths": list(self.half_lengths),
-            "subgroup_order": int(self.subgroup.order),
+            "subgroup_order": len(self.subgroup),
             "proper": self.proper,
         }
 
@@ -405,7 +365,8 @@ def coset_progression_in_bohr(
         raise RhoTooLarge("progression extraction requires rho < 1/4")
     S = tuple(S)
     d = len(S)
-    H = character_kernel(spec, S)
+    B = BohrSet(spec, S, rho)
+    H = character_kernel(B)
     if d == 0:
         prog = CosetProgression(spec, spec.zero(), (), (), H, True)
         prog.proper = prog.check_proper()
@@ -457,7 +418,6 @@ def coset_progression_in_bohr(
     if not prog.proper:
         raise NotProper("extracted progression failed the properness check")
 
-    B = BohrSet(spec, S, rho)
     left_radius = Fraction(d) ** (-2 * d) * rho
     in_ph = np.zeros(spec.order, dtype=bool)
     in_ph[prog.element_indices()] = True
@@ -466,9 +426,9 @@ def coset_progression_in_bohr(
 
     # independence of the fractional-part images of the kept generators
     if rank:
-        img = np.array(
-            [[frac_part(pair(xi, v)) for xi in S] for v in prog.generators], dtype=object
-        ).T
+        pv = spec.pairings(xis[:, None], [g.index for g in prog.generators])
+        centred = np.where(2 * pv <= D, pv, pv - D).tolist()  # D times the fractional part in (-1/2, 1/2]
+        img = np.array([[Fraction(n, D) for n in row] for row in centred], dtype=object)
         independent = len(rref_rational(img)[1]) == rank
     else:
         independent = True

@@ -1019,7 +1019,9 @@ def u3_oracle_cosets(f: GroupFunction, ys: Sequence[GroupElement], H: Subgroup) 
     coset, whose tie rule gives A = 0, b = 0 on exact ties.  The scan prices
     itself, per coset, against ORACLE_BUDGET and raises BudgetExceeded
     before it runs; a subgroup of one point is read off f, with no scan, as
-    the root of re^2 + im^2 that the k = 1 scan takes (not hypot).
+    the root of re^2 + im^2 that the k = 1 scan takes (not hypot), with the
+    zero phase A = 0, b = 0 on its k = len(H.local_orders) local coordinates
+    as its witness, the one a cyclic scan gives on ties.
     """
     if H.order % 2 == 0:
         raise EvenOrder("coset oracle requires odd |H|")
@@ -1027,8 +1029,10 @@ def u3_oracle_cosets(f: GroupFunction, ys: Sequence[GroupElement], H: Subgroup) 
     fvals = f.values[H.coset(np.array([y.index for y in ys], dtype=np.int64)[:, None])]  # a row per coset
     m = H.order
     if m == 1:
+        k = len(H.local_orders)
+        A, b = ((0,) * k,) * k, (0,) * k
         sq = np.square(fvals.real[:, 0]) + np.square(fvals.imag[:, 0])
-        return [NormReport(float(np.sqrt(v)), 3, "coset-exact", CosetQuadraticWitness(y, H, (), ()))
+        return [NormReport(float(np.sqrt(v)), 3, "coset-exact", CosetQuadraticWitness(y, H, A, b))
                 for y, v in zip(ys, sq)]
 
     if isinstance(H, PrimeSubspace):

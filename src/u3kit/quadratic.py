@@ -5,15 +5,15 @@ is a self-adjoint homomorphism.  We store the associated symmetric bilinear
 form Mx.y as a matrix of exact Fractions B with B[i][j] = M e_i . e_j, so
 self-adjointness is structural and all evaluation is exact.
 
-The module also covers local quadraticity testing (vanishing third
-differences), classification, bracket quadratics on Z/N, and the degenerate
-subspace of a quadratic form over F_p.
+The module also covers the test that a phase table is quadratic
+(vanishing third differences on the whole group), classification, bracket
+quadratics on Z/N, and the degenerate subspace of a quadratic form over F_p.
 
 Every exact phase table is held one way: integer numerators in [0, D) over
 one common denominator D, addressed by group index.  ``_numerators`` turns
-exact torus values into that form (``PhaseTable`` wraps it for a whole
-group), ``QuadraticPhase.numerators`` evaluates a quadratic at every index
-in it, and ``_agree`` compares two such tables mod 1.  Points are found
+exact torus values into that form, ``is_locally_quadratic`` reads it,
+``QuadraticPhase.numerators`` evaluates a quadratic at every index in it,
+and ``_agree`` compares two such tables mod 1.  Points are found
 through index arithmetic (``GroupSpec.add_indices``), never one
 ``GroupElement`` at a time.  The one scalar API that remains is
 ``BracketQuadratic.eval``.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,17 +35,6 @@ from .groups import GroupSpec, TorusValue, mod1
 from .modlinalg import PrimeSubspace, complete_basis, isotropic_vector_in, kernel_basis_mod_p
 
 DEFAULT_CUBE_BUDGET = 400_000_000
-# cubes per block of the domain scan of `is_locally_quadratic`: a run of first
-# points times |B|^2 (|B| <= 141 within the default budget, so |B|^2 < 2^16)
-_CUBE_BLOCK = 1 << 16
-
-
-def frac_part(t: TorusValue) -> TorusValue:
-    """Fractional part in the fundamental domain (-1/2, 1/2]."""
-    t = mod1(t)
-    if isinstance(t, Fraction):
-        return t if 2 * t <= 1 else t - 1
-    return t if t <= 0.5 else t - 1.0
 
 
 def round_half_up(t: TorusValue):
@@ -83,34 +72,14 @@ def _agree(a: np.ndarray, Da: int, b: np.ndarray, Db: int) -> bool:
     return bool(np.all(np.asarray(a, object) * (L // Da) == np.asarray(b, object) * (L // Db)))
 
 
-class PhaseTable:
-    """Exact torus-valued table over group indices: numerators over a common
-    denominator, enabling vectorized integer arithmetic mod D (see
-    ``_numerators`` for the dtype)."""
+def is_locally_quadratic(num: np.ndarray, D: int, spec: GroupSpec) -> bool:
+    """Exact check that all third differences of the phase num/D vanish on
+    the whole group, from its numerators in [0, D) by group index (as
+    ``_numerators`` makes them).
 
-    def __init__(self, spec: GroupSpec, values: Sequence[TorusValue]):
-        if len(values) != spec.order:
-            raise SpecMismatch("phase table must have one value per element")
-        self.spec = spec
-        self.numerators, self.denominator = _numerators(values)
-
-
-def is_locally_quadratic(
-    phi: Mapping[int, TorusValue] | Sequence[TorusValue] | PhaseTable,
-    domain: Iterable[int],
-    spec: GroupSpec,
-) -> bool:
-    """Exact check that all third differences of phi vanish on cubes in the
-    domain.
-
-    ``phi`` maps ambient group indices to exact rationals (a Mapping, a
-    Sequence, or a ``PhaseTable`` already converted); ``domain`` is the set
-    of indices where phi is defined.  Both branches read phi's numerators
-    over their common denominator D.
-
-    On the full group only the generators e_1, ..., e_k of the factors are
-    tried: Δ_{e_a}Δ_{e_b}Δ_{e_c}φ(x) = 0 for every a <= b <= c and every x,
-    read off the numerators mod D, in rank^3·N steps.  That is exact.  A
+    Only the generators e_1, ..., e_k of the factors are tried:
+    Δ_{e_a}Δ_{e_b}Δ_{e_c}φ(x) = 0 for every a <= b <= c and every x, read
+    off the numerators mod D, in rank^3·N steps.  That is exact.  A
     function F with Δ_{e_c}F = 0 for every generator is constant, and
     Δ_{h+k}F = T^kΔ_hF + Δ_kF extends "Δ_hF is constant" from generators h
     to every h.  So vanishing along generator triples makes each
@@ -118,76 +87,23 @@ def is_locally_quadratic(
     Δ_{e_b}Δ_hφ, then (with F = Δ_hφ) each Δ_kΔ_hφ, which is the statement
     that every third difference vanishes.
     Third differences commute, so a <= b <= c covers every ordered triple.
-    On a proper domain every cube of |B|^4 base points and shifts is scanned:
-    per base point x, in blocks of at most _CUBE_BLOCK cubes, each a run of
-    first points, with the corners that do not involve the first point
-    computed once per x.
-    Either count above DEFAULT_CUBE_BUDGET raises BudgetExceeded.
+    A count rank^3·N above DEFAULT_CUBE_BUDGET raises BudgetExceeded.
     """
-    dom = np.array(sorted(set(int(i) for i in domain)), dtype=np.int64)
-    m = len(dom)
-    N = spec.order
-    if m == N:
-        dom = np.arange(N, dtype=np.int64)
-        k = spec.rank
-        if k**3 * N > DEFAULT_CUBE_BUDGET:
-            raise BudgetExceeded(
-                f"rank^3*N = {k}^3*{N} generator third-difference scan exceeds budget "
-                f"{DEFAULT_CUBE_BUDGET} (DEFAULT_CUBE_BUDGET)"
-            )
-    if isinstance(phi, PhaseTable):
-        num, D = phi.numerators, phi.denominator
-    else:
-        vals, D = _numerators([phi[int(i)] for i in dom])
-        num = np.zeros(N, dtype=vals.dtype)
-        num[dom] = vals
-    if m == N:
-        idx = dom
-        gens = [spec.index_of([int(t == a) for t in range(k)]) for a in range(k)]
-        shifted = [spec.add_indices(idx, np.int64(g)) for g in gens]  # x + e_a
-        for a in range(k):
-            d1 = (num[shifted[a]] - num) % D
-            for b in range(a, k):
-                d2 = (d1[shifted[b]] - d1) % D
-                # both sides lie in [0, D): Δ_{e_c} d2 vanishes mod D iff equal
-                if any(np.any(d2[shifted[c]] != d2) for c in range(b, k)):
-                    return False
-        return True
-
-    member = np.zeros(N, dtype=bool)
-    member[dom] = True
-    if m**4 > DEFAULT_CUBE_BUDGET:
+    N, k = spec.order, spec.rank
+    if k**3 * N > DEFAULT_CUBE_BUDGET:
         raise BudgetExceeded(
-            f"|B|^4 = {m**4} cube scan exceeds budget: DEFAULT_CUBE_BUDGET = {DEFAULT_CUBE_BUDGET}"
+            f"rank^3*N = {k}^3*{N} generator third-difference scan exceeds budget "
+            f"{DEFAULT_CUBE_BUDGET} (DEFAULT_CUBE_BUDGET)"
         )
-    if m == 0:
-        return True
-    if D >= 2**61:  # the eight-term sum below lies in (-4D, 4D)
-        num = num.astype(object)
-    neg = spec.neg_indices(dom)
-    run = max(1, _CUBE_BLOCK // m**2)
-    p2 = dom.reshape(1, -1, 1)
-    p3 = dom.reshape(1, 1, -1)
-    for xi in range(m):
-        # the cube at x with h_i = p_i - x, p_i in B: corners x, p_i, p_i +
-        # p_j - x and p1 + p2 + p3 - 2x; what does not involve p1 is set
-        # once per x, and p1 runs in blocks of at most _CUBE_BLOCK cubes
-        x = dom[xi]
-        nx = np.int64(neg[xi])
-        h1 = spec.add_indices(dom, nx).reshape(-1, 1, 1)
-        s23 = spec.add_indices(spec.add_indices(p2, p3), nx)
-        in23 = member[s23]
-        fixed = num[p2] + num[p3] - num[s23] - num[x]
-        for r0 in range(0, m, run):
-            p1, h = dom[r0 : r0 + run].reshape(-1, 1, 1), h1[r0 : r0 + run]
-            s12 = spec.add_indices(h, p2)
-            s13 = spec.add_indices(h, p3)
-            s123 = spec.add_indices(h, s23)
-            ok = member[s12] & member[s13] & in23 & member[s123]
-            if not np.any(ok):
-                continue
-            total = (num[p1] + fixed - (num[s12] + num[s13]) + num[s123]) % D
-            if np.any(total[ok] != 0):
+    idx = np.arange(N, dtype=np.int64)
+    gens = [spec.index_of([int(t == a) for t in range(k)]) for a in range(k)]
+    shifted = [spec.add_indices(idx, np.int64(g)) for g in gens]  # x + e_a
+    for a in range(k):
+        d1 = (num[shifted[a]] - num) % D
+        for b in range(a, k):
+            d2 = (d1[shifted[b]] - d1) % D
+            # both sides lie in [0, D): Δ_{e_c} d2 vanishes mod D iff equal
+            if any(np.any(d2[shifted[c]] != d2) for c in range(b, k)):
                 return False
     return True
 
@@ -300,10 +216,11 @@ def classify_global_quadratic(phi: Sequence[TorusValue], spec: GroupSpec) -> Qua
     the reconstruction is compared with it at every index.
     """
     _require_odd(spec)
-    table = PhaseTable(spec, phi)
-    if not is_locally_quadratic(table, range(spec.order), spec):
+    if len(phi) != spec.order:
+        raise SpecMismatch("phase table must have one value per element")
+    num, D = _numerators(phi)
+    if not is_locally_quadratic(num, D, spec):
         raise NotQuadratic("third differences do not vanish")
-    num, D = table.numerators, table.denominator
     k = spec.rank
 
     def at(i) -> Fraction:

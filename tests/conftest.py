@@ -46,6 +46,15 @@ def embed_coords(H, t) -> tuple[int, ...]:
     return tuple(int(c) for c in v)
 
 
+def frac_part(t) -> Fraction:
+    """The fractional part of t in (-1/2, 1/2], the bracket {t} of a
+    bracket quadratic: a Fraction for a Fraction, a float for a float."""
+    t = mod1(t)
+    if isinstance(t, Fraction):
+        return t if 2 * t <= 1 else t - 1
+    return t if t <= 0.5 else t - 1.0
+
+
 def bohr_norm_exact(x, S) -> Fraction:
     """||x||_S = sup_{xi in S} distance of xi.x to the nearest integer, one
     exact pairing at a time: the reference for the integer norms of a

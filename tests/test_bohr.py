@@ -126,18 +126,15 @@ def test_bogolyubov_randomized(rng):
 
 def test_character_kernel():
     Z12 = parse_group("Z/12")
-    H = character_kernel(Z12, [Z12.dual([4])])
-    assert H.element_indices().tolist() == [0, 3, 6, 9]
+    H = character_kernel(bohr_set(Z12, [Z12.dual([4])], 1))
+    assert H.tolist() == [0, 3, 6, 9]
     F52 = parse_group("F5^2")
-    H = character_kernel(F52, [F52.dual([1, 2])])
-    assert H.order == 5
+    H = character_kernel(bohr_set(F52, [F52.dual([1, 2])], 1))
+    assert len(H) == 5
     spec = parse_group("Z/4xZ/9")
-    H = character_kernel(spec, [spec.dual([2, 3])])
-    for i in H.element_indices().tolist():
-        x = spec.element_by_index(int(i))
-        from u3kit.groups import pair
-
-        assert pair(spec.dual([2, 3]), x) == 0
+    H = character_kernel(bohr_set(spec, [spec.dual([2, 3])], 1))
+    for i in H.tolist():
+        assert pair(spec.dual([2, 3]), spec.element_by_index(i)) == 0
 
 
 def test_progression_extraction_examples():
@@ -151,11 +148,11 @@ def test_progression_extraction_examples():
 
     F52 = parse_group("F5^2")
     ext = coset_progression_in_bohr(F52, [F52.dual([1, 0])], Fraction(1, 5))
-    assert ext.progression.subgroup.order == 5
+    assert len(ext.progression.subgroup) == 5
     assert ext.left_inclusion_ok and ext.right_inclusion_ok
 
     ext = coset_progression_in_bohr(Z101, [], Fraction(1, 5))
-    assert ext.progression.subgroup.order == 101  # S empty: H = G
+    assert len(ext.progression.subgroup) == 101  # S empty: H = G
 
     with pytest.raises(RhoTooLarge):
         coset_progression_in_bohr(Z101, [Z101.dual([1])], Fraction(1, 3))
@@ -496,13 +493,33 @@ def test_find_regular_rho_matches_reference(data):
     assert find_regular_rho(spec, S, eps) == want
 
 
+cyclic_prime_and_mixed_specs = st.one_of(
+    st.integers(1, 60).map(lambda n: GroupSpec((n,))),
+    st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3)).map(lambda pn: GroupSpec((pn[0],) * pn[1])),
+    st.lists(st.integers(2, 12), min_size=2, max_size=3).map(lambda o: GroupSpec(tuple(o))),
+)
+
+
+@given(st.data())
+def test_character_kernel_is_the_common_zero_set_of_S(data):
+    # the kernel is read off the Bohr set's norms: on Z/n, F_p^n and mixed
+    # groups it is exactly the x with xi.x = 0 for every xi in S, sorted,
+    # and all of G for an empty S
+    spec = data.draw(cyclic_prime_and_mixed_specs)
+    S = data.draw(character_sets(spec))
+    rho = data.draw(radii)
+    H = character_kernel(BohrSet(spec, S, rho))
+    want = [x.index for x in elements(spec) if all(pair(xi, x) == 0 for xi in S)]
+    assert H.dtype == np.int64 and H.tolist() == want
+
+
 @given(st.data())
 def test_character_kernel_and_progression_match_pair(data):
     spec = data.draw(kernel_specs)
     S = data.draw(character_sets(spec, min_size=1))
-    H = character_kernel(spec, S)
+    H = character_kernel(BohrSet(spec, S, Fraction(1, 4)))
     want = [x.index for x in elements(spec) if all(pair(xi, x) == 0 for xi in S)]
-    assert sorted(H.element_indices().tolist()) == want
+    assert H.tolist() == want
     rho = data.draw(st.builds(Fraction, st.integers(1, 59), st.just(240)))
     try:
         ext = coset_progression_in_bohr(spec, S, rho)
@@ -534,6 +551,6 @@ def test_progression_indices_match_the_generator_loop(data):
     element = st.integers(0, spec.order - 1).map(spec.element_by_index)
     gens = tuple(data.draw(st.lists(element, max_size=3)))
     half = tuple(data.draw(st.integers(1, 5)) for _ in gens)
-    P = CosetProgression(spec, data.draw(element), gens, half, character_kernel(spec, []))
+    P = CosetProgression(spec, data.draw(element), gens, half, np.arange(spec.order))
     got = P.progression_indices()
     assert got.dtype == np.int64 and got.tolist() == reference_progression_indices(P).tolist()

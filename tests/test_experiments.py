@@ -92,7 +92,7 @@ def test_scan_zero_and_budget():
 def test_coset_oracle_and_exhaustive_scan_agree(N, kind, seed):
     # one kernel, one price: on a whole cyclic group both give the same
     # value and the same (a, b); on one point the oracle reads |f(0)| off f,
-    # with the empty phase as its witness
+    # with the zero phase that the scan's tie rule gives
     spec = parse_group(f"Z/{N}")
     rng = np.random.default_rng(seed)
     if kind == "random":
@@ -106,8 +106,7 @@ def test_coset_oracle_and_exhaustive_scan_agree(N, kind, seed):
     rep = u3_oracle_coset(f, (spec.zero(), BoxSubgroup.whole(spec)))
     res = quadratic_correlation_scan(f, "exhaustive")
     assert rep.value == res.value
-    want = ((), ()) if N == 1 else (((res.a,),), (res.b,))
-    assert (rep.witness.A, rep.witness.b) == want
+    assert (rep.witness.A, rep.witness.b) == (((res.a,),), (res.b,))
 
 
 def test_scan_consistency_planted(rng):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lipschitz_slack, per_term_blocks
+from conftest import frac_part, lipschitz_slack, per_term_blocks
 from u3kit.errors import BadArity, EvenN, NotInSigma, TooManyFrequencies
 from u3kit.groups import parse_group
 from u3kit.nil import (
@@ -164,15 +164,9 @@ def test_bracket_factorization_identity_exact():
         for xi, xj in ((1, 2), (17, 23)):
             a, g = Fraction(xi, N), Fraction(xj, N)
             for n in range(-50, 51):
-                lhs = (q * (a * n - round(a * n)) * 0 + q * _fr(a * n) * _fr(g * n)) % 1
+                lhs = (q * (a * n - round(a * n)) * 0 + q * frac_part(a * n) * frac_part(g * n)) % 1
                 rhs = (q * a * g * n * n - q * a * n * _ip(g * n) - q * g * n * _ip(a * n)) % 1
                 assert lhs == rhs
-
-
-def _fr(t: Fraction) -> Fraction:
-    from u3kit.quadratic import frac_part
-
-    return frac_part(t)
 
 
 def _ip(t: Fraction):

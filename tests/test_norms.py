@@ -166,6 +166,20 @@ def test_coset_oracle_planted_cyclic():
     assert rep.witness.A == ((4,),) and rep.witness.b == (2,)
 
 
+@pytest.mark.parametrize("group, H, k", [
+    ("Z/9", lambda s: BoxSubgroup(s, (9,)), 1),
+    ("Z/9xZ/15", lambda s: BoxSubgroup(s, (9, 15)), 2),
+    ("F5^2", lambda s: PrimeSubspace(s, ()), 0),
+])
+def test_coset_oracle_one_point_witness_is_the_zero_phase(group, H, k):
+    # |f(y)| with no scan, and the k x k zero phase on H's local coordinates
+    spec = parse_group(group)
+    f = GroupFunction.indicator(spec, [1])
+    reps = norms.u3_oracle_cosets(f, [spec.element_by_index(1), spec.zero()], H(spec))
+    assert [r.value for r in reps] == [1.0, 0.0]
+    assert all((r.witness.A, r.witness.b) == (((0,) * k,) * k, (0,) * k) for r in reps)
+
+
 def test_coset_oracle_even_order_rejected():
     Z12 = parse_group("Z/12")
     f = constant(Z12, 1.0)

@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import frac_part
 from u3kit import quadratic
 from u3kit.errors import BudgetExceeded
 from u3kit.groups import GroupSpec, mod1, parse_group
 from u3kit.quadratic import (
     BracketQuadratic,
-    PhaseTable,
     QuadraticPhase,
+    _numerators,
     classify_global_quadratic,
-    frac_part,
     is_locally_quadratic,
     round_half_up,
 )
@@ -87,9 +87,9 @@ def _phase_tables(draw):
 @given(_phase_tables())
 def test_generator_third_differences_match_the_full_scan(case):
     spec, phi, _ = case
-    table = PhaseTable(spec, phi)
-    assert (table.numerators.dtype == object) == (table.denominator >= 2**62)
-    assert is_locally_quadratic(phi, range(spec.order), spec) == reference_full_group_quadratic(phi, spec)
+    num, D = _numerators(phi)
+    assert (num.dtype == object) == (D >= 2**62)
+    assert is_locally_quadratic(num, D, spec) == reference_full_group_quadratic(phi, spec)
 
 
 @given(_phase_tables())
@@ -116,31 +116,31 @@ def test_object_fallback_past_2_62():
     q = 45 * (2**62 // 45 + 1)
     Q = QuadraticPhase(spec, ((Fraction(2, 9), Fraction(0)), (Fraction(0), Fraction(3, 5))), (4, 1), Fraction(1, q))
     phi = Q.values()
-    assert PhaseTable(spec, phi).numerators.dtype == object
-    assert is_locally_quadratic(phi, range(spec.order), spec)
+    assert _numerators(phi)[0].dtype == object
+    assert is_locally_quadratic(*_numerators(phi), spec)
     assert reference_full_group_quadratic(phi, spec)
     phi[7] = mod1(phi[7] + Fraction(1, q))
-    assert not is_locally_quadratic(phi, range(spec.order), spec)
+    assert not is_locally_quadratic(*_numerators(phi), spec)
     assert not reference_full_group_quadratic(phi, spec)
 
 
 def test_full_group_budget_is_on_rank_cubed_times_order(monkeypatch):
     spec = parse_group("Z/3xZ/5xZ/7")
-    phi = QuadraticPhase(spec, ((Fraction(0),) * 3,) * 3, (1, 2, 3), Fraction(0)).values()
+    num, D = QuadraticPhase(spec, ((Fraction(0),) * 3,) * 3, (1, 2, 3), Fraction(0)).numerators()
     monkeypatch.setattr(quadratic, "DEFAULT_CUBE_BUDGET", 27 * 105)
-    assert is_locally_quadratic(phi, range(105), spec)
+    assert is_locally_quadratic(num, D, spec)
     monkeypatch.setattr(quadratic, "DEFAULT_CUBE_BUDGET", 27 * 105 - 1)
     with pytest.raises(BudgetExceeded, match=r"rank\^3\*N = 3\^3\*105 generator third-difference scan"):
-        is_locally_quadratic(phi, range(105), spec)
+        is_locally_quadratic(num, D, spec)
 
 
 def test_large_cyclic_group_is_checked_not_refused():
     # Z/1009 was refused by the N^3 budget; the generator test is N steps
     spec = parse_group("Z/1009")
     phi = QuadraticPhase.cyclic(spec, 17, 5, Fraction(3, 1009)).values()
-    assert is_locally_quadratic(phi, range(1009), spec)
+    assert is_locally_quadratic(*_numerators(phi), spec)
     phi[500] = mod1(phi[500] + Fraction(1, 1009))
-    assert not is_locally_quadratic(phi, range(1009), spec)
+    assert not is_locally_quadratic(*_numerators(phi), spec)
 
 
 # --- bracket evaluation ------------------------------------------------------------
