@@ -29,8 +29,8 @@ from .errors import (
     NotProper,
     RhoTooLarge,
 )
-from .fourier import convolve_values, dft
-from .groups import DualElement, GroupElement, GroupFunction, GroupSpec
+from .fourier import convolve_values, dft_values
+from .groups import GroupFunction, GroupSpec
 from .lattice import TaggedLattice, hermite_reduce, lll_reduce, product_bound_certified, rref_rational
 
 SUMSET_BUDGET = 40_000_000
@@ -64,16 +64,16 @@ def _distances(spec: GroupSpec, xis, idx) -> np.ndarray:
     return np.minimum(v, spec.exponent - v)
 
 
-def _scaled_norms(spec: GroupSpec, S: Sequence[DualElement]) -> np.ndarray:
+def _scaled_norms(spec: GroupSpec, S: Sequence[int]) -> np.ndarray:
     """D ||x||_S for every x in G, in index order (0 when S is empty)."""
-    xis = np.array([xi.index for xi in S], dtype=np.int64)
+    xis = np.array(S, dtype=np.int64)
     return _distances(spec, xis[:, None], np.arange(spec.order)[None, :]).max(axis=0, initial=0)
 
 
 @dataclass
 class BohrSet:
     spec: GroupSpec
-    S: tuple[DualElement, ...]
+    S: tuple[int, ...]  # dual indices
     rho: Fraction
     _norms: np.ndarray | None = field(repr=False, default=None)  # D ||x||_S over G
 
@@ -106,7 +106,7 @@ class BohrSet:
         return BohrSet(self.spec, self.S, Fraction(r), self._norms)
 
 
-def bohr_set(spec: GroupSpec, S: Sequence[DualElement], rho) -> BohrSet:
+def bohr_set(spec: GroupSpec, S: Sequence[int], rho) -> BohrSet:
     rho = Fraction(rho)
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
@@ -140,7 +140,7 @@ def is_regular(B: BohrSet) -> bool:
     return True
 
 
-def find_regular_rho(spec: GroupSpec, S: Sequence[DualElement], eps) -> Fraction:
+def find_regular_rho(spec: GroupSpec, S: Sequence[int], eps) -> Fraction:
     """A radius rho in [eps, 2 eps] whose Bohr set is regular, found by
     scanning the exact thresholds of ||.||_S (plus midpoints and endpoints)."""
     eps = Fraction(eps)
@@ -177,18 +177,17 @@ def find_regular_rho(spec: GroupSpec, S: Sequence[DualElement], eps) -> Fraction
 # --- Bogolyubov --------------------------------------------------------------
 
 
-def bogolyubov(spec: GroupSpec, A: Iterable[int]) -> list[DualElement]:
-    """Large spectrum S of A at threshold delta^{3/2}/sqrt(2); then
-    B(S, 1/4) is contained in 2A - 2A and |S| <= 2 delta^{-2}."""
+def bogolyubov(spec: GroupSpec, A: Iterable[int]) -> list[int]:
+    """Large spectrum S of A at threshold delta^{3/2}/sqrt(2), as ascending
+    dual indices; then B(S, 1/4) is contained in 2A - 2A and |S| <= 2
+    delta^{-2}."""
     A_idx = sorted(set(int(a) for a in A))
     if not A_idx:
         raise DensityTooLow("empty set")
     delta = len(A_idx) / spec.order
-    ind = GroupFunction.indicator(spec, A_idx)
-    coeffs = np.abs(dft(ind).values)
+    coeffs = np.abs(dft_values(spec, GroupFunction.indicator(spec, A_idx).values))
     alpha = delta**1.5 / np.sqrt(2.0)
-    S = [spec.dual_by_index(int(i)) for i in np.nonzero(coeffs >= alpha)[0]]
-    return S
+    return np.flatnonzero(coeffs >= alpha).tolist()
 
 
 def _pair_sumset(spec: GroupSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -298,8 +297,8 @@ class CosetProgression:
     sorted element indices."""
 
     spec: GroupSpec
-    base: GroupElement
-    generators: tuple[GroupElement, ...]
+    base: int  # element indices
+    generators: tuple[int, ...]
     half_lengths: tuple[int, ...]
     subgroup: np.ndarray
     proper: bool = False
@@ -309,11 +308,10 @@ class CosetProgression:
         l lexicographic with l_1 slowest: the points corner + t.v for
         0 <= t_i <= 2 L_i - 2, from the corner l = (1 - L_1, ..., 1 - L_d)."""
         spec = self.spec
-        gens = [v.index for v in self.generators]
-        corner = self.base.index
-        for g, L in zip(gens, self.half_lengths):
+        corner = self.base
+        for g, L in zip(self.generators, self.half_lengths):
             corner = spec.add_indices(corner, spec.scale_indices(1 - L, g))
-        return spec.coset_points(corner, gens, [2 * L - 1 for L in self.half_lengths])
+        return spec.coset_points(corner, self.generators, [2 * L - 1 for L in self.half_lengths])
 
     def element_indices(self) -> np.ndarray:
         return sumset(self.spec, self.progression_indices(), self.subgroup)
@@ -330,8 +328,8 @@ class CosetProgression:
 
     def to_json(self) -> dict:
         return {
-            "base": list(self.base.coords),
-            "generators": [list(v.coords) for v in self.generators],
+            "base": list(self.spec.coords_of(self.base)),
+            "generators": [list(self.spec.coords_of(v)) for v in self.generators],
             "half_lengths": list(self.half_lengths),
             "subgroup_order": len(self.subgroup),
             "proper": self.proper,
@@ -350,7 +348,7 @@ class ProgressionExtraction:
 
 
 def coset_progression_in_bohr(
-    spec: GroupSpec, S: Sequence[DualElement], rho
+    spec: GroupSpec, S: Sequence[int], rho
 ) -> ProgressionExtraction:
     """Extract a proper coset progression with
     B(S, d^-2d rho) <= P + H <= B(S, rho) and H the kernel of S.
@@ -368,7 +366,7 @@ def coset_progression_in_bohr(
     B = BohrSet(spec, S, rho)
     H = character_kernel(B)
     if d == 0:
-        prog = CosetProgression(spec, spec.zero(), (), (), H, True)
+        prog = CosetProgression(spec, 0, (), (), H, True)
         prog.proper = prog.check_proper()
         return ProgressionExtraction(prog, 0, float(rho), True, True, True, True)
 
@@ -381,7 +379,7 @@ def coset_progression_in_bohr(
         tags.append([0] * spec.rank)
     # images D (xi.e_i) of the group basis vectors
     basis = np.eye(spec.rank, dtype=np.int64)
-    xis = np.array([xi.index for xi in S], dtype=np.int64)
+    xis = np.array(S, dtype=np.int64)
     rows += spec.pairings(xis[None, :], spec.encode(basis)[:, None]).tolist()
     tags += basis.tolist()
     lat = TaggedLattice(np.array(rows, dtype=object), np.array(tags, dtype=object))
@@ -400,16 +398,16 @@ def coset_progression_in_bohr(
         while k > 0 and k * k * lhs_unit >= rhs:
             k -= 1
         half_lengths.append(k + 1)
-        gens.append(spec.element([int(t) for t in tag]))
+        gens.append(spec.index_of([int(t) for t in tag]))
 
-    order = sorted(range(d), key=lambda j: (-half_lengths[j], gens[j].index))
+    order = sorted(range(d), key=lambda j: (-half_lengths[j], gens[j]))
     gens = [gens[j] for j in order]
     half_lengths = [half_lengths[j] for j in order]
     keep = [j for j in range(d) if half_lengths[j] >= 2]
     rank = len(keep)
     prog = CosetProgression(
         spec,
-        spec.zero(),
+        0,
         tuple(gens[j] for j in keep),
         tuple(half_lengths[j] for j in keep),
         H,
@@ -426,7 +424,7 @@ def coset_progression_in_bohr(
 
     # independence of the fractional-part images of the kept generators
     if rank:
-        pv = spec.pairings(xis[:, None], [g.index for g in prog.generators])
+        pv = spec.pairings(xis[:, None], prog.generators)
         centred = np.where(2 * pv <= D, pv, pv - D).tolist()  # D times the fractional part in (-1/2, 1/2]
         img = np.array([[Fraction(n, D) for n in row] for row in centred], dtype=object)
         independent = len(rref_rational(img)[1]) == rank

@@ -158,15 +158,15 @@ def _load_set(spec: GroupSpec, path: str) -> list[int]:
     return _set_members(spec, _read_json(path))
 
 
-def _dual_list(spec: GroupSpec, s: str):
-    """"1,17" on cyclic groups; "1,0;0,1" (semicolon-separated vectors) on
-    products.  At least one frequency."""
+def _dual_list(spec: GroupSpec, s: str) -> list[int]:
+    """Dual indices from "1,17" on cyclic groups or "1,0;0,1"
+    (semicolon-separated vectors) on products.  At least one frequency."""
     if ";" in s or spec.rank > 1:
-        return [spec.dual(v) for v in _int_vectors(spec, s, "frequency list")]
+        return [spec.index_of(v) for v in _int_vectors(spec, s, "frequency list")]
     values = _int_list(s, "frequency list")
     if not values:
         raise ParseError(f"bad frequency list {s!r}: no frequency given")
-    return [spec.dual([v]) for v in values]
+    return [spec.index_of([v]) for v in values]
 
 
 def _coset_subgroup(spec: GroupSpec, H: str):
@@ -255,7 +255,7 @@ def _cmd_u3_oracle(args) -> dict:
         H = _coset_subgroup(spec, args.H)
         if not 0 <= args.y < spec.order:
             raise ParseError(f"--y {args.y} is not an element index 0..{spec.order - 1}")
-        rep = u3_oracle_coset(f, (spec.element_by_index(args.y), H))
+        rep = u3_oracle_coset(f, (args.y, H))
         return rep.to_json()
     S = _dual_list(spec, args.S)
     if args.rho is not None:
@@ -321,7 +321,7 @@ def _cmd_bogolyubov(args) -> dict:
     two = set(iterated_sumset(spec, A, 2, 2).tolist())
     included = set(quarter.members.tolist()) <= two
     return {
-        "S": [list(xi.coords) for xi in S],
+        "S": [list(spec.coords_of(xi)) for xi in S],
         "size_bound": 2.0 * (len(A) / spec.order) ** -2,
         "bohr_size": len(quarter),
         "included_in_2A_minus_2A": included,
@@ -382,7 +382,7 @@ def _cmd_bracket(args) -> dict:
         out["n"] = args.n
         out["value"] = float(bq.eval(args.n))
     if args.out:
-        _write_function(args, out, GroupFunction(GroupSpec((bq.N,)), bq.exp_values()))
+        _write_function(args, out, GroupFunction(parse_group(f"Z/{bq.N}"), bq.exp_values()))
     return out
 
 
@@ -420,6 +420,7 @@ def _cmd_nilseq(args) -> dict:
             raise ParseError(f"unknown builtin {kind!r}")
         pos += 1
     F = NilFunction(sysm, blocks)
+    parse_group(f"Z/{args.N}")  # a ParseError past the 64-bit bound on the group order
     try:
         seq = nilsequence(F, sysm, sysm.zero_point(), args.N)
     except (ValueError, OverflowError) as exc:  # inf or nan reached an integer lift

@@ -24,6 +24,7 @@ from .errors import (
     EmptyV,
     Has4Ap,
     NotPrime,
+    ParseError,
     PipelineEmpty,
     SpecMismatch,
     TooSmall,
@@ -62,6 +63,8 @@ class FwSpec:
 
     @staticmethod
     def for_modulus(N: int) -> "FwSpec":
+        if N >= 2**63:  # before the primality test, as GroupSpec bounds the order
+            raise ParseError(f"bad N {N}: group order must fit in 64 bits")
         if not is_prime(N):
             raise NotPrime(f"{N} is not prime")
         if N < 401:
@@ -78,7 +81,10 @@ def fw_counterexample(N: int) -> GroupFunction:
     spec_fw = FwSpec.for_modulus(N)
     M = spec_fw.M
     spec = GroupSpec((N,))
-    vals = np.zeros(N, dtype=np.complex128)
+    try:
+        vals = np.zeros(N, dtype=np.complex128)
+    except ValueError as exc:  # numpy's "array is too big": more bytes than an address space
+        raise MemoryError(str(exc)) from exc
     lim = M // 10 + 1
     for y in range(-lim, lim + 1):
         wy = smooth_cutoff(y / M)

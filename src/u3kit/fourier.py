@@ -45,7 +45,6 @@ tolerance, never bit for bit, and a change of batching moves last bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
@@ -53,24 +52,6 @@ import numpy as np
 
 from .errors import SpecMismatch
 from .groups import GroupFunction, GroupSpec, factor_runs
-
-
-@dataclass
-class DualFunction:
-    """Dense complex function on the dual group, row-major over dual indices."""
-
-    owner: GroupSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.owner.order,):
-            raise ValueError("dual value vector has wrong length")
-
-
-def dft(f: GroupFunction) -> DualFunction:
-    """Fourier coefficients fhat(xi) = E_x f(x) e(-xi.x)."""
-    return DualFunction(f.owner, dft_values(f.owner, f.values))
 
 
 # Largest order of a block transformed by one dense character table: a block
@@ -146,9 +127,10 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
 def convolve_values(spec: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """f*g from value vectors a and b (C-contiguous complex128, given up):
     the transform of f*g is the product H of the transforms, inverted by the
-    same transform by conjugation, f*g = conj(dft(conj(N H))).  Each forward
-    transform is written back into its input, so a call holds a, b and one
-    work array (48 |G| bytes), and up to 32 |G| more while an FFT block runs."""
+    same transform by conjugation, f*g = conj(dft_values(conj(N H))).  Each
+    forward transform is written back into its input, so a call holds a, b
+    and one work array (48 |G| bytes), and up to 32 |G| more while an FFT
+    block runs."""
     work = np.empty(a.size, dtype=np.complex128)
     a[...] = dft_values(spec, a, work)
     b[...] = dft_values(spec, b, work)

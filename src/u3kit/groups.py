@@ -1,12 +1,14 @@
 """Exact arithmetic for finite abelian groups, their duals and dense functions.
 
 A group is a product of cyclic factors Z/n1 x ... x Z/nk.  Elements and
-characters are coordinate vectors reduced mod the factor orders; the pairing
-of a character with an element lands in the torus R/Z and is kept as an exact
-Fraction by ``pair``, or in bulk by ``GroupSpec.pairings`` as integers over the
-exponent D = lcm of the factor orders.  Dense complex-valued functions on a
-group are stored as numpy vectors in row-major element order, which fixes the
-serialized layout bit-for-bit.
+characters are int64 row-major indices of their coordinate vectors, reduced
+mod the factor orders; ``GroupSpec.index_of`` / ``coords_of`` convert one
+index at the JSON and command-line boundary.  The pairing of a character with
+an element lands in the torus R/Z and is computed exactly, in bulk, by
+``GroupSpec.pairings`` as integers over the exponent D = lcm of the factor
+orders.  Dense complex-valued functions on a group are stored as numpy
+vectors in row-major element order, which fixes the serialized layout
+bit-for-bit.
 
 This module is the only one that knows the row-major layout
 (index = sum_i coord_i * prod_{j>i} n_j, the first factor varying slowest).
@@ -39,7 +41,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetExceeded, ParseError, SpecMismatch
+from .errors import BudgetExceeded, ParseError
 
 # Values on the torus R/Z: exact Fraction whenever the input data is exact,
 # float otherwise.  All helpers below accept either.
@@ -137,15 +139,6 @@ class GroupSpec:
             acc *= n
         return tuple(reversed(w))
 
-    def element(self, coords: Sequence[int]) -> "GroupElement":
-        return GroupElement(self, tuple(c % n for c, n in zip(coords, self.orders, strict=True)))
-
-    def dual(self, coords: Sequence[int]) -> "DualElement":
-        return DualElement(self, tuple(c % n for c, n in zip(coords, self.orders, strict=True)))
-
-    def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.rank)
-
     def index_of(self, coords: Sequence[int]) -> int:
         return sum((c % n) * w for c, n, w in zip(coords, self.orders, self._weights, strict=True))
 
@@ -154,12 +147,6 @@ class GroupSpec:
         for n, w in zip(self.orders, self._weights):
             out.append((index // w) % n)
         return tuple(out)
-
-    def element_by_index(self, index: int) -> "GroupElement":
-        return GroupElement(self, self.coords_of(index))
-
-    def dual_by_index(self, index: int) -> "DualElement":
-        return DualElement(self, self.coords_of(index))
 
     # Vectorized index arithmetic (used by the heavy numeric paths).
     def decode(self, idx: np.ndarray) -> np.ndarray:
@@ -313,67 +300,6 @@ def _run_tables(orders: tuple[int, ...], place: int) -> tuple[np.ndarray, np.nda
     return add, neg
 
 
-def _check_owner(a, b) -> None:
-    if a.owner.orders != b.owner.orders:
-        raise SpecMismatch(f"group mismatch: {a.owner} vs {b.owner}")
-
-
-@dataclass(frozen=True)
-class _CoordVector:
-    owner: GroupSpec
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != self.owner.rank:
-            raise ValueError("coordinate arity mismatch")
-
-    @property
-    def index(self) -> int:
-        return self.owner.index_of(self.coords)
-
-    def _make(self, coords: Iterable[int]):
-        return type(self)(self.owner, tuple(c % n for c, n in zip(coords, self.owner.orders)))
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        _check_owner(self, other)
-        return self._make(a + b for a, b in zip(self.coords, other.coords))
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        _check_owner(self, other)
-        return self._make(a - b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self):
-        return self._make(-c for c in self.coords)
-
-    def __rmul__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        return self._make(k * c for c in self.coords)
-
-
-class GroupElement(_CoordVector):
-    """x in G, coordinates reduced mod the factor orders."""
-
-
-class DualElement(_CoordVector):
-    """xi in the Pontryagin dual, same coordinate shape as GroupElement."""
-
-
-def pair(xi: DualElement, x: GroupElement) -> Fraction:
-    """Character pairing xi . x = sum_i xi_i x_i / n_i, exact in [0,1)."""
-    if not isinstance(xi, DualElement) or not isinstance(x, GroupElement):
-        raise SpecMismatch("pair() wants (DualElement, GroupElement)")
-    _check_owner(xi, x)
-    total = Fraction(0)
-    for a, b, n in zip(xi.coords, x.coords, xi.owner.orders):
-        total += Fraction(a * b, n)
-    return mod1(total)
-
-
 @dataclass
 class GroupFunction:
     """Dense complex function on a group, row-major over element indices."""
@@ -389,23 +315,12 @@ class GroupFunction:
     def is_bounded(self) -> bool:
         return bool(np.max(np.abs(self.values)) <= 1.0 + BOUNDED_SLACK)
 
-    def __call__(self, x: GroupElement) -> complex:
-        _check_owner(self, x)  # type: ignore[arg-type]
-        return complex(self.values[x.index])
-
-    def __mul__(self, other: "GroupFunction") -> "GroupFunction":
-        _check_owner(self, other)  # type: ignore[arg-type]
-        return GroupFunction(self.owner, self.values * other.values)
-
     @staticmethod
     def indicator(spec: GroupSpec, subset: Iterable[int]) -> "GroupFunction":
         idx = subset if isinstance(subset, np.ndarray) else list(subset)
         vals = np.zeros(spec.order, dtype=np.complex128)
         vals[np.asarray(idx, dtype=np.int64) % spec.order] = 1.0
         return GroupFunction(spec, vals)
-
-
-# GroupFunction "owner" attribute lets _check_owner treat it like a vector.
 
 
 # --- group spec string grammar -------------------------------------------

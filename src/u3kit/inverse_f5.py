@@ -19,7 +19,7 @@ import numpy as np
 from .bohr import iterated_sumset
 from .errors import BudgetExceeded, EmptyGraph, EmptyV, SliceFailed, SpecMismatch
 from .fourier import dft_values
-from .groups import GroupElement, GroupFunction, GroupSpec
+from .groups import GroupFunction, GroupSpec
 from .modlinalg import (
     PrimeSubspace,
     is_prime,
@@ -179,7 +179,7 @@ def random_slice(gamma: PhaseGraph, seed: int) -> PhaseGraph:
 @dataclass
 class LinearComponentFit:
     V: PrimeSubspace
-    x0: GroupElement
+    x0: int  # element index
     M_rows: np.ndarray  # (dim V, n): dual coords of M(b_i) for the V basis
     xi0: tuple[int, ...]
     agreement: float
@@ -260,7 +260,7 @@ def linear_component_fit(gamma: PhaseGraph) -> LinearComponentFit:
     cnt, x0, xi0 = _affine_vote(xi_at, Vsub, spec.neg_indices(two_mh))
     return LinearComponentFit(
         Vsub,
-        spec.element_by_index(x0),
+        x0,
         M_rows,
         tuple(int(v) for v in spec.coords_of(xi0)),
         cnt / Vsub.order,
@@ -363,7 +363,7 @@ def _witness_scan(
     bs = _first_in_band(corr * corr)
     A = tuple(tuple(int(v) for v in row) for row in A_local)
     witnesses = [
-        CosetQuadraticWitness(spec.element_by_index(y), W, A, tuple(int(v) for v in t[b]))
+        CosetQuadraticWitness(y, W, A, tuple(int(v) for v in t[b]))
         for y, b in zip(reps.tolist(), bs.tolist())
     ]
     return witnesses, corr[np.arange(len(reps)), bs]
@@ -408,7 +408,7 @@ def quadratic_obstruction(
             reports = u3_oracle_cosets(f, [w.y for w in found], W)
         except BudgetExceeded:  # the oracle's refusal must not cost the witnesses
             reports = []
-        oracle = {w.y.index: rep.value for w, rep in zip(found, reports)}
+        oracle = {w.y: rep.value for w, rep in zip(found, reports)}
     return ObstructionReport(
         W=W,
         witnesses=witnesses,

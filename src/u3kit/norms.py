@@ -315,8 +315,8 @@ from .errors import (
     TooManyFrequencies,
     TooSmall,
 )
-from .fourier import dft, dft_values
-from .groups import DualElement, GroupElement, GroupFunction, GroupSpec
+from .fourier import dft_values
+from .groups import GroupFunction, GroupSpec
 from .modlinalg import BoxSubgroup, PrimeSubspace, Subgroup, is_prime
 from .quadratic import BracketQuadratic, bracket_table
 
@@ -365,7 +365,7 @@ class NormReport:
         out = {"value": self.value, "d": self.d, "method": self.method}
         if self.witness is not None:
             w = self.witness
-            out["witness"] = w.to_json() if hasattr(w, "to_json") else str(w)
+            out["witness"] = w if isinstance(w, int) else w.to_json()  # u2_bias's is a dual index
         return out
 
 
@@ -660,11 +660,11 @@ def gowers_norm(
 
 
 def u2_bias(f: GroupFunction) -> NormReport:
-    """u^2 bias = max_xi |fhat(xi)|, witness the linear phase of the smallest
-    dual index whose |fhat|^2 is within a relative _TIE_RTOL of the maximum."""
-    mags = np.abs(dft(f).values)
+    """u^2 bias = max_xi |fhat(xi)|, witness the smallest dual index whose
+    |fhat|^2 is within a relative _TIE_RTOL of the maximum."""
+    mags = np.abs(dft_values(f.owner, f.values))
     k = int(_first_in_band(mags * mags))
-    return NormReport(float(mags[k]), 2, "fourier", witness=f.owner.dual_by_index(k))
+    return NormReport(float(mags[k]), 2, "fourier", witness=k)
 
 
 # --- exact u^3 oracle on cosets ----------------------------------------------
@@ -679,13 +679,13 @@ class CosetQuadraticWitness:
     dropped.
     """
 
-    y: GroupElement
+    y: int  # element index
     subgroup: Subgroup
     A: tuple[tuple[int, ...], ...]  # symmetric, local coords
     b: tuple[int, ...]
 
     def to_json(self) -> dict:
-        return {"y": list(self.y.coords), "A": [list(r) for r in self.A], "b": list(self.b)}
+        return {"y": list(self.subgroup.spec.coords_of(self.y)), "A": [list(r) for r in self.A], "b": list(self.b)}
 
 
 def _base_p_digits(n: np.ndarray, p: int, width: int) -> np.ndarray:
@@ -1009,10 +1009,11 @@ def _scan_price(p: int, k: int) -> int:
     return p ** (k + 2) + p ** (k * (k - 1) // 2) * sum(p ** (k + level + 2) for level in range(1, k))
 
 
-def u3_oracle_cosets(f: GroupFunction, ys: Sequence[GroupElement], H: Subgroup) -> list[NormReport]:
-    """Exact u^3 bias on each coset y+H, y in ys, of a subgroup H of odd
-    order: the maximum over all quadratic phases M t.t + xi.t (constant
-    dropped) of |E_{x in y+H} f(x) e(-phi(x))|, with the witness phase.
+def u3_oracle_cosets(f: GroupFunction, ys: Sequence[int], H: Subgroup) -> list[NormReport]:
+    """Exact u^3 bias on each coset y+H, y in the element indices ys, of a
+    subgroup H of odd order: the maximum over all quadratic phases M t.t +
+    xi.t (constant dropped) of |E_{x in y+H} f(x) e(-phi(x))|, with the
+    witness phase.
 
     Supported families: F_p-subspaces and cyclic subgroups of order h (k =
     1, p = h), both scanned by `quadratic_scan` in one batch of a row per
@@ -1026,7 +1027,7 @@ def u3_oracle_cosets(f: GroupFunction, ys: Sequence[GroupElement], H: Subgroup) 
     if H.order % 2 == 0:
         raise EvenOrder("coset oracle requires odd |H|")
     ys = list(ys)
-    fvals = f.values[H.coset(np.array([y.index for y in ys], dtype=np.int64)[:, None])]  # a row per coset
+    fvals = f.values[H.coset(np.array(ys, dtype=np.int64)[:, None])]  # a row per coset
     m = H.order
     if m == 1:
         k = len(H.local_orders)
@@ -1054,7 +1055,7 @@ def u3_oracle_cosets(f: GroupFunction, ys: Sequence[GroupElement], H: Subgroup) 
     return reports
 
 
-def u3_oracle_coset(f: GroupFunction, coset: tuple[GroupElement, Subgroup]) -> NormReport:
+def u3_oracle_coset(f: GroupFunction, coset: tuple[int, Subgroup]) -> NormReport:
     """`u3_oracle_cosets` on the one coset y+H given as coset = (y, H)."""
     y, H = coset
     return u3_oracle_cosets(f, [y], H)[0]
@@ -1074,7 +1075,7 @@ def _region_indices(region) -> np.ndarray:
 def u3_oracle_bracket(
     f: GroupFunction,
     region,
-    S: Sequence[DualElement] | Sequence[int],
+    S: Sequence[int],
     grid: int,
 ) -> NormReport:
     """Grid search over bracket quadratics with frequencies in S.
@@ -1097,7 +1098,7 @@ def u3_oracle_bracket(
         raise NotPrime("bracket oracle requires prime N")
     if grid < 1:
         raise TooSmall("grid must be at least 1")
-    freqs = tuple(int(x.coords[0]) if isinstance(x, DualElement) else int(x) for x in S)
+    freqs = tuple(int(x) for x in S)
     s = len(freqs)
     if s > 4:
         raise TooManyFrequencies("at most 4 frequencies supported")

@@ -14,9 +14,8 @@ one common denominator D, addressed by group index.  ``_numerators`` turns
 exact torus values into that form, ``is_locally_quadratic`` reads it,
 ``QuadraticPhase.numerators`` evaluates a quadratic at every index in it,
 and ``_agree`` compares two such tables mod 1.  Points are found
-through index arithmetic (``GroupSpec.add_indices``), never one
-``GroupElement`` at a time.  The one scalar API that remains is
-``BracketQuadratic.eval``.
+through index arithmetic (``GroupSpec.add_indices``) on whole index
+arrays.  The one scalar API that remains is ``BracketQuadratic.eval``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Quick in-process invariant suites behind `u3kit selftest`.
 
-A curated, fast subset of the property checks: exact pairing bilinearity,
+A curated, fast subset of the property checks: exact pairing bilinearity
+(on indices, through ``GroupSpec.pairings`` and ``add_indices``),
 Plancherel and the convolution identity, norm monotonicity and the degree-2
 Fourier identity, direct against recursive U^3 and U^4 on a group with
 2-torsion, the exact quadratic scan against brute force, the U^3 value and
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fourier import convolve, dft, dft_values
+from .fourier import convolve, dft_values
 from .forms import gvn_slack
-from .groups import GroupFunction, GroupSpec, pair, parse_group
+from .groups import GroupFunction, GroupSpec, parse_group
 from .inverse_f5 import phase_derivative_graph
 from .norms import _TIE_RTOL, _translator, gowers_norm, quadratic_scan, u2_bias
 
@@ -31,25 +32,21 @@ def run_selftest() -> list[tuple[str, bool]]:
     out: list[tuple[str, bool]] = []
 
     spec = parse_group("Z/4xZ/9")
-    ok = True
-    for _ in range(50):
-        xi = spec.dual_by_index(int(rng.integers(spec.order)))
-        xj = spec.dual_by_index(int(rng.integers(spec.order)))
-        x = spec.element_by_index(int(rng.integers(spec.order)))
-        y = spec.element_by_index(int(rng.integers(spec.order)))
-        ok &= (pair(xi + xj, x) - pair(xi, x) - pair(xj, x)) % 1 == 0
-        ok &= (pair(xi, x + y) - pair(xi, x) - pair(xi, y)) % 1 == 0
-    out.append(("pairing bilinearity (exact)", ok))
+    xi, xj, x, y = rng.integers(spec.order, size=(50, 4)).T
+    pr, D = spec.pairings, spec.exponent
+    ok = np.all((pr(spec.add_indices(xi, xj), x) - pr(xi, x) - pr(xj, x)) % D == 0)
+    ok &= np.all((pr(xi, spec.add_indices(x, y)) - pr(xi, x) - pr(xi, y)) % D == 0)
+    out.append(("pairing bilinearity (exact)", bool(ok)))
 
     spec = parse_group("Z/60")
     f = _random_bounded(spec, rng)
-    F = dft(f)
-    ok = abs(np.mean(np.abs(f.values) ** 2) - np.sum(np.abs(F.values) ** 2)) < 1e-10
+    F = dft_values(spec, f.values)
+    ok = abs(np.mean(np.abs(f.values) ** 2) - np.sum(np.abs(F) ** 2)) < 1e-10
     out.append(("Plancherel identity", bool(ok)))
 
     g = _random_bounded(spec, rng)
-    lhs = dft(convolve(f, g)).values
-    rhs = dft(f).values * dft(g).values
+    lhs = dft_values(spec, convolve(f, g).values)
+    rhs = dft_values(spec, f.values) * dft_values(spec, g.values)
     out.append(("convolution identity", bool(np.max(np.abs(lhs - rhs)) < 1e-10)))
 
     spec = parse_group("Z/31")
@@ -108,7 +105,7 @@ def run_selftest() -> list[tuple[str, bool]]:
     ok = True
     for _ in range(10):
         d = int(rng.integers(1, 4))
-        S = [spec.dual_by_index(int(rng.integers(1, spec.order))) for _ in range(d)]
+        S = [int(rng.integers(1, spec.order)) for _ in range(d)]
         rho = Fraction(int(rng.integers(5, 40)), 100)
         B = bohr_set(spec, S, rho)
         ok &= len(B) >= float(rho) ** d * spec.order

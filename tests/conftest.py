@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from u3kit.groups import GroupFunction, GroupSpec, mod1, pair
+from u3kit.groups import GroupFunction, GroupSpec, mod1
 from u3kit.modlinalg import rref_mod_p
 from u3kit.nil import NilFunction, NilPoint, _factor_terms
 
@@ -34,9 +34,25 @@ def constant(spec: GroupSpec, c: complex) -> GroupFunction:
     return GroupFunction(spec, np.full(spec.order, c, dtype=np.complex128))
 
 
-def elements(spec: GroupSpec):
-    """Every element of the group, in index order."""
-    return [spec.element_by_index(i) for i in range(spec.order)]
+def pair(spec: GroupSpec, xi: int, x: int) -> Fraction:
+    """The character pairing xi.x = sum_i xi_i x_i / n_i mod 1 of a dual
+    index and an element index, as an exact Fraction in [0, 1): the
+    reference for `GroupSpec.pairings`."""
+    total = Fraction(0)
+    for a, b, n in zip(spec.coords_of(xi), spec.coords_of(x), spec.orders):
+        total += Fraction(a * b, n)
+    return mod1(total)
+
+
+def coord_add(spec: GroupSpec, x: int, y: int) -> int:
+    """x + y for element (or dual) indices by coordinates: coords_of both,
+    add, and index_of reduces mod each factor order."""
+    return spec.index_of([a + b for a, b in zip(spec.coords_of(x), spec.coords_of(y))])
+
+
+def coord_scale(spec: GroupSpec, k: int, x: int) -> int:
+    """k * x by coordinates, on Python integers."""
+    return spec.index_of([k * a for a in spec.coords_of(x)])
 
 
 def embed_coords(H, t) -> tuple[int, ...]:
@@ -55,31 +71,32 @@ def frac_part(t) -> Fraction:
     return t if t <= 0.5 else t - 1.0
 
 
-def bohr_norm_exact(x, S) -> Fraction:
+def bohr_norm_exact(spec: GroupSpec, x: int, S) -> Fraction:
     """||x||_S = sup_{xi in S} distance of xi.x to the nearest integer, one
     exact pairing at a time: the reference for the integer norms of a
     `bohr.BohrSet`."""
     best = Fraction(0)
     for xi in S:
-        v = pair(xi, x)
+        v = pair(spec, xi, x)
         best = max(best, min(v, 1 - v))
     return best
 
 
-def bilinear_value(Q, x, y) -> Fraction:
-    """Mx.y mod 1 for a `quadratic.QuadraticPhase` Q, summed in Fractions."""
+def bilinear_value(Q, x: int, y: int) -> Fraction:
+    """Mx.y mod 1 for a `quadratic.QuadraticPhase` Q and element indices x
+    and y, summed in Fractions."""
     total = Fraction(0)
-    for i, a in enumerate(x.coords):
-        for j, b in enumerate(y.coords):
+    for i, a in enumerate(Q.spec.coords_of(x)):
+        for j, b in enumerate(Q.spec.coords_of(y)):
             total += Q.bilinear[i][j] * a * b
     return mod1(total)
 
 
-def evaluate(Q, x) -> Fraction:
-    """Q at the element x, Mx.x + xi.x + c mod 1 in Fractions: the
+def evaluate(Q, x: int) -> Fraction:
+    """Q at the element index x, Mx.x + xi.x + c mod 1 in Fractions: the
     per-point reference for `QuadraticPhase.numerators` and `values`."""
     total = bilinear_value(Q, x, x)
-    for j, v in enumerate(x.coords):
+    for j, v in enumerate(Q.spec.coords_of(x)):
         total += Fraction(Q.xi[j] * v, Q.spec.orders[j])
     return mod1(total + Q.c)
 
@@ -168,7 +185,7 @@ def bias_against(witness, f: GroupFunction) -> float:
     direct-evaluation reference for the value the coset oracle reports."""
     H = witness.subgroup
     loc = H.local_orders
-    pts = H.coset(witness.y.index)
+    pts = H.coset(witness.y)
     total = 0j
     for x, t in zip(pts.tolist(), itertools.product(*[range(o) for o in loc]), strict=True):
         phase = Fraction(0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bohr_norm_exact, elements, random_bounded
+from conftest import bohr_norm_exact, coord_add, pair, random_bounded
 from u3kit.bohr import (
     BohrSet,
     CosetProgression,
@@ -19,57 +19,57 @@ from u3kit.bohr import (
     iterated_sumset,
 )
 from u3kit.errors import BudgetExceeded, NotFound, NotProper, RhoTooLarge
-from u3kit.groups import GroupFunction, GroupSpec, pair, parse_group
+from u3kit.groups import GroupFunction, GroupSpec, parse_group
 
 
 def test_bohr_norm_examples(rng):
     # the integer norms D ||x||_S that a Bohr set keeps: examples, the exact
     # reference, and subadditivity
     Z12 = parse_group("Z/12")
-    norms = _scaled_norms(Z12, [Z12.dual([1])])
+    norms = _scaled_norms(Z12, [1])
     assert norms[0] == 0 and Fraction(int(norms[7]), Z12.exponent) == Fraction(5, 12)
     spec = parse_group("Z/4xZ/9")
-    S = [spec.dual([1, 2]), spec.dual([3, 1])]
+    S = [spec.index_of([1, 2]), spec.index_of([3, 1])]
     norms = _scaled_norms(spec, S)
     for _ in range(50):
-        x = spec.element_by_index(int(rng.integers(36)))
-        y = spec.element_by_index(int(rng.integers(36)))
-        assert Fraction(int(norms[x.index]), spec.exponent) == bohr_norm_exact(x, S)
-        assert norms[(x + y).index] <= norms[x.index] + norms[y.index]
+        x = int(rng.integers(36))
+        y = int(rng.integers(36))
+        assert Fraction(int(norms[x]), spec.exponent) == bohr_norm_exact(spec, x, S)
+        assert norms[coord_add(spec, x, y)] <= norms[x] + norms[y]
 
 
 def test_bohr_set_members():
     Z12 = parse_group("Z/12")
-    B = bohr_set(Z12, [Z12.dual([1])], Fraction(1, 5))
+    B = bohr_set(Z12, [1], Fraction(1, 5))
     assert B.members.tolist() == [0, 1, 2, 10, 11]
     # empty constraint set gives the whole group
     assert len(bohr_set(Z12, [], Fraction(1, 10))) == 12
     # rho > 1/2 with a full-order character gives the whole group
     Z11 = parse_group("Z/11")
-    assert len(bohr_set(Z11, [Z11.dual([1])], Fraction(51, 100))) == 11
+    assert len(bohr_set(Z11, [1], Fraction(51, 100))) == 11
     # symmetry and zero membership
-    B = bohr_set(Z12, [Z12.dual([5])], Fraction(3, 10))
+    B = bohr_set(Z12, [5], Fraction(3, 10))
     mem = set(B.members.tolist())
     assert 0 in mem and all((12 - m) % 12 in mem for m in mem)
 
 
 def test_regularity_examples():
     Z101 = parse_group("Z/101")
-    assert is_regular(bohr_set(Z101, [Z101.dual([1])], Fraction(1, 5)))
+    assert is_regular(bohr_set(Z101, [1], Fraction(1, 5)))
     F34 = parse_group("F3^4")
-    assert not is_regular(bohr_set(F34, [F34.dual([1, 0, 0, 0])], Fraction(332, 1000)))
+    assert not is_regular(bohr_set(F34, [F34.index_of([1, 0, 0, 0])], Fraction(332, 1000)))
     # d = 0 is always regular
     assert is_regular(bohr_set(Z101, [], Fraction(1, 5)))
 
 
 def test_find_regular(rng):
     Z101 = parse_group("Z/101")
-    r = find_regular_rho(Z101, [Z101.dual([1])], Fraction(15, 100))
+    r = find_regular_rho(Z101, [1], Fraction(15, 100))
     assert Fraction(15, 100) <= r <= Fraction(30, 100)
-    assert is_regular(bohr_set(Z101, [Z101.dual([1])], r))
+    assert is_regular(bohr_set(Z101, [1], r))
     F52 = parse_group("F5^2")
-    r = find_regular_rho(F52, [F52.dual([1, 0])], Fraction(1, 10))
-    assert is_regular(bohr_set(F52, [F52.dual([1, 0])], r))
+    r = find_regular_rho(F52, [F52.index_of([1, 0])], Fraction(1, 10))
+    assert is_regular(bohr_set(F52, [F52.index_of([1, 0])], r))
     assert r != Fraction(1, 5)  # avoids the discontinuity 1/5
 
 
@@ -78,7 +78,7 @@ def test_find_regular_randomized(rng):
         N = int(rng.integers(20, 300))
         spec = parse_group(f"Z/{N}")
         d = int(rng.integers(1, 4))
-        S = [spec.dual_by_index(int(rng.integers(1, N))) for _ in range(d)]
+        S = [int(rng.integers(1, N)) for _ in range(d)]
         eps = Fraction(int(rng.integers(8, 40)), 200)
         r = find_regular_rho(spec, S, eps)
         assert eps <= r <= 2 * eps
@@ -90,7 +90,7 @@ def test_bohr_size_bounds(rng):
         N = int(rng.integers(10, 400))
         spec = parse_group(f"Z/{N}")
         d = int(rng.integers(1, 4))
-        S = [spec.dual_by_index(int(rng.integers(1, N))) for _ in range(d)]
+        S = [int(rng.integers(1, N)) for _ in range(d)]
         rho = Fraction(int(rng.integers(4, 45)), 100)
         B = bohr_set(spec, S, rho)
         assert len(B) >= float(rho) ** d * N  # exact integer comparison wrapper
@@ -100,13 +100,13 @@ def test_bohr_size_bounds(rng):
 def test_bogolyubov_examples():
     Z12 = parse_group("Z/12")
     S = bogolyubov(Z12, [0, 3, 6, 9])
-    assert sorted(xi.index for xi in S) == [0, 4, 8]
+    assert S == [0, 4, 8]
     B = BohrSet(Z12, tuple(S), Fraction(1, 4))
     two = set(iterated_sumset(Z12, [0, 3, 6, 9], 2, 2).tolist())
     assert set(B.members.tolist()) <= two
     # A = G: S = {0} and B = G
     S = bogolyubov(Z12, range(12))
-    assert [xi.index for xi in S] == [0]
+    assert S == [0]
     assert len(BohrSet(Z12, tuple(S), Fraction(1, 4))) == 12
 
 
@@ -126,28 +126,28 @@ def test_bogolyubov_randomized(rng):
 
 def test_character_kernel():
     Z12 = parse_group("Z/12")
-    H = character_kernel(bohr_set(Z12, [Z12.dual([4])], 1))
+    H = character_kernel(bohr_set(Z12, [4], 1))
     assert H.tolist() == [0, 3, 6, 9]
     F52 = parse_group("F5^2")
-    H = character_kernel(bohr_set(F52, [F52.dual([1, 2])], 1))
+    H = character_kernel(bohr_set(F52, [F52.index_of([1, 2])], 1))
     assert len(H) == 5
     spec = parse_group("Z/4xZ/9")
-    H = character_kernel(bohr_set(spec, [spec.dual([2, 3])], 1))
+    H = character_kernel(bohr_set(spec, [spec.index_of([2, 3])], 1))
     for i in H.tolist():
-        assert pair(spec.dual([2, 3]), spec.element_by_index(i)) == 0
+        assert pair(spec, spec.index_of([2, 3]), i) == 0
 
 
 def test_progression_extraction_examples():
     Z101 = parse_group("Z/101")
-    ext = coset_progression_in_bohr(Z101, [Z101.dual([1])], Fraction(1, 5))
+    ext = coset_progression_in_bohr(Z101, [1], Fraction(1, 5))
     p = ext.progression
     assert ext.rank == 1 and p.half_lengths == (21,)
-    B = bohr_set(Z101, [Z101.dual([1])], Fraction(1, 5))
+    B = bohr_set(Z101, [1], Fraction(1, 5))
     assert set(p.element_indices().tolist()) == set(B.members.tolist())
     assert ext.left_inclusion_ok and ext.right_inclusion_ok and p.proper
 
     F52 = parse_group("F5^2")
-    ext = coset_progression_in_bohr(F52, [F52.dual([1, 0])], Fraction(1, 5))
+    ext = coset_progression_in_bohr(F52, [F52.index_of([1, 0])], Fraction(1, 5))
     assert len(ext.progression.subgroup) == 5
     assert ext.left_inclusion_ok and ext.right_inclusion_ok
 
@@ -155,7 +155,7 @@ def test_progression_extraction_examples():
     assert len(ext.progression.subgroup) == 101  # S empty: H = G
 
     with pytest.raises(RhoTooLarge):
-        coset_progression_in_bohr(Z101, [Z101.dual([1])], Fraction(1, 3))
+        coset_progression_in_bohr(Z101, [1], Fraction(1, 3))
 
 
 def test_progression_extraction_randomized(rng):
@@ -163,7 +163,7 @@ def test_progression_extraction_randomized(rng):
         N = int(rng.integers(20, 400))
         spec = parse_group(f"Z/{N}")
         d = int(rng.integers(1, 4))
-        S = [spec.dual_by_index(int(rng.integers(1, N))) for _ in range(d)]
+        S = [int(rng.integers(1, N)) for _ in range(d)]
         rho = Fraction(int(rng.integers(5, 24)), 100)
         ext = coset_progression_in_bohr(spec, S, rho)
         assert ext.progression.proper
@@ -185,7 +185,7 @@ def test_averaging_on_subgroup(rng):
 def test_averaging_on_bohr(rng):
     # parts (i)-(iv) with the stated constants on a regular Bohr set
     spec = parse_group("Z/101")
-    S = [spec.dual([1])]
+    S = [1]
     d = 1
     rho = find_regular_rho(spec, S, Fraction(1, 5))
     B = bohr_set(spec, S, rho)
@@ -219,7 +219,7 @@ def test_averaging_on_bohr(rng):
 def test_generalized_fourier_decay(rng):
     # planted locally linear phase with large mean forces small values near 0
     spec = parse_group("Z/101")
-    S = [spec.dual([1])]
+    S = [1]
     rho = find_regular_rho(spec, S, Fraction(1, 6))
     B = bohr_set(spec, S, rho)
     members = B.members.tolist()
@@ -230,15 +230,14 @@ def test_generalized_fourier_decay(rng):
         if eta < 1e-3:
             continue
         for i, m in enumerate(members):
-            y = spec.element_by_index(m)
             lhs = min(phase[i], 1 - phase[i])
-            rhs = 2**12 * d * float(bohr_norm_exact(y, S)) / (float(rho) * eta**2)
+            rhs = 2**12 * d * float(bohr_norm_exact(spec, m, S)) / (float(rho) * eta**2)
             assert lhs <= rhs + 1e-9
 
 
 def test_fourier_decay_and_local_bessel(rng):
     spec = parse_group("Z/101")
-    S = [spec.dual([1])]
+    S = [1]
     d = 1
     rho = find_regular_rho(spec, S, Fraction(1, 5))
     B = bohr_set(spec, S, rho)
@@ -279,7 +278,7 @@ def test_local_bessel_dual_covering(rng):
     # large spectrum of A <= B at threshold eta E(1_B) is covered by
     # k <= 2/eta^2 balls of radius 2^16 theta d / eta^4 in the dual norm
     spec = parse_group("Z/101")
-    S = [spec.dual([1])]
+    S = [1]
     d = 1
     rho = find_regular_rho(spec, S, Fraction(1, 5))
     B = bohr_set(spec, S, rho)
@@ -295,9 +294,9 @@ def test_local_bessel_dual_covering(rng):
     for trial in range(5):
         A = [m for m in members if rng.uniform() < 0.5] or members[:2]
         indA = GroupFunction.indicator(spec, A)
-        from u3kit.fourier import dft
+        from u3kit.fourier import dft_values
 
-        coeffs = np.abs(dft(indA).values)
+        coeffs = np.abs(dft_values(indA.owner, indA.values))
         eta = 0.3
         gamma = [int(i) for i in np.nonzero(coeffs >= eta * len(members) / 101)[0]]
         radius = 2**16 * float(theta) * d / eta**4
@@ -313,7 +312,7 @@ def test_local_bessel_dual_covering(rng):
 def test_trilinear_bound(rng):
     # u2 bias on B' dominates the trilinear form, scaled by E1_B / E1_{B+B'}
     spec = parse_group("Z/101")
-    S = [spec.dual([1])]
+    S = [1]
     B = bohr_set(spec, S, Fraction(1, 6)).members.tolist()
     Bp = bohr_set(spec, S, Fraction(1, 8)).members.tolist()
     BplusBp = sorted({(a + b) % 101 for a in B for b in Bp})
@@ -339,7 +338,7 @@ def test_is_regular_against_dense_sampling(rng):
         N = int(rng.integers(12, 200))
         spec = parse_group(f"Z/{N}")
         d = int(rng.integers(1, 4))
-        S = [spec.dual_by_index(int(rng.integers(1, N))) for _ in range(d)]
+        S = [int(rng.integers(1, N)) for _ in range(d)]
         rho = Fraction(int(rng.integers(5, 45)), 100)
         B = bohr_set(spec, S, rho)
         verdict = is_regular(B)
@@ -369,7 +368,7 @@ def test_is_regular_against_dense_sampling(rng):
 
 
 def reference_norms(spec: GroupSpec, S) -> list[Fraction]:
-    return [bohr_norm_exact(x, S) for x in elements(spec)]
+    return [bohr_norm_exact(spec, x, S) for x in range(spec.order)]
 
 
 def reference_is_regular(norms: list[Fraction], d: int, rho: Fraction) -> bool:
@@ -419,8 +418,7 @@ kernel_specs = st.lists(st.integers(1, 12), min_size=1, max_size=3).map(lambda o
 
 
 def character_sets(spec: GroupSpec, min_size: int = 0):
-    return st.lists(st.integers(0, spec.order - 1), min_size=min_size, max_size=3).map(
-        lambda ix: tuple(spec.dual_by_index(i) for i in ix))
+    return st.lists(st.integers(0, spec.order - 1), min_size=min_size, max_size=3).map(tuple)
 
 
 radii = st.builds(Fraction, st.integers(1, 60), st.integers(60, 240))
@@ -436,7 +434,7 @@ def test_pairings_match_pair(data):
     assert table.dtype == np.int64 and table.shape == (len(xis), len(idx))
     for i, xi in enumerate(xis.tolist()):
         for j, x in enumerate(idx.tolist()):
-            want = pair(spec.dual_by_index(xi), spec.element_by_index(x)) * D
+            want = pair(spec, xi, x) * D
             assert want.denominator == 1 and table[i, j] == want
 
 
@@ -509,7 +507,7 @@ def test_character_kernel_is_the_common_zero_set_of_S(data):
     S = data.draw(character_sets(spec))
     rho = data.draw(radii)
     H = character_kernel(BohrSet(spec, S, rho))
-    want = [x.index for x in elements(spec) if all(pair(xi, x) == 0 for xi in S)]
+    want = [x for x in range(spec.order) if all(pair(spec, xi, x) == 0 for xi in S)]
     assert H.dtype == np.int64 and H.tolist() == want
 
 
@@ -518,7 +516,7 @@ def test_character_kernel_and_progression_match_pair(data):
     spec = data.draw(kernel_specs)
     S = data.draw(character_sets(spec, min_size=1))
     H = character_kernel(BohrSet(spec, S, Fraction(1, 4)))
-    want = [x.index for x in elements(spec) if all(pair(xi, x) == 0 for xi in S)]
+    want = [x for x in range(spec.order) if all(pair(spec, xi, x) == 0 for xi in S)]
     assert H.tolist() == want
     rho = data.draw(st.builds(Fraction, st.integers(1, 59), st.just(240)))
     try:
@@ -536,10 +534,10 @@ def reference_progression_indices(P) -> np.ndarray:
     """The loop CosetProgression.progression_indices ran before it listed
     the points as one coset from the corner: from the base, one generator
     at a time, l_i over -(L_i - 1), ..., L_i - 1."""
-    idx = np.array([P.base.index], dtype=np.int64)
+    idx = np.array([P.base], dtype=np.int64)
     for v, L in zip(P.generators, P.half_lengths):
         ls = np.arange(-(L - 1), L, dtype=np.int64)
-        shifts = P.spec.scale_indices(ls, v.index)
+        shifts = P.spec.scale_indices(ls, v)
         idx = P.spec.add_indices(idx[:, None], shifts[None, :]).reshape(-1)
     return idx
 
@@ -548,7 +546,7 @@ def reference_progression_indices(P) -> np.ndarray:
 def test_progression_indices_match_the_generator_loop(data):
     orders = data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=3))
     spec = GroupSpec(tuple(orders))
-    element = st.integers(0, spec.order - 1).map(spec.element_by_index)
+    element = st.integers(0, spec.order - 1)
     gens = tuple(data.draw(st.lists(element, max_size=3)))
     half = tuple(data.draw(st.integers(1, 5)) for _ in gens)
     P = CosetProgression(spec, data.draw(element), gens, half, np.arange(spec.order))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import prod
@@ -132,6 +133,45 @@ def test_out_of_memory_exits_3_as_budget_exceeded(monkeypatch, capsys):
         "error": "BudgetExceeded",
         "message": "out of memory: Unable to allocate 14.6 TiB for an array with shape (1000000000039,)",
     }
+
+
+@pytest.mark.parametrize("N, error", [
+    (str(2**63 - 25), "BudgetExceeded"),  # the largest prime below 2^63: an array numpy refuses to make
+    (str(2**63 + 1), "ParseError"),
+    (str(2**64 + 13), "ParseError"),  # prime, refused before the primality test
+    ("0", "NotPrime"),
+    ("1", "NotPrime"),
+    ("4", "NotPrime"),
+])
+def test_fw_near_the_64_bit_bound_exits_3_at_once(N, error, capsys):
+    # trial division took minutes on a prime near 2^63, and a prime past it
+    # ended in GroupSpec's ValueError
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["fw", "--N", N], capsys)
+    assert (code, out, json.loads(err)["error"]) == (3, "", error)
+    assert time.perf_counter() - t0 < 5
+    if error == "ParseError":
+        assert json.loads(err)["message"] == f"bad N {N}: group order must fit in 64 bits"
+
+
+def test_bracket_out_past_the_64_bit_bound_is_a_parse_error(tmp_path, capsys):
+    # GroupSpec's ValueError ended the run in a traceback
+    bq = tmp_path / "bq.json"
+    bq.write_text(json.dumps({"N": 2**63 + 1, "S": [1], "quad": [["1/2"]], "lin": [0]}))
+    code, out, err = run_cli(["bracket", "--bq", str(bq), "--out", str(tmp_path / "o.json")], capsys)
+    assert (code, out) == (3, "") and not (tmp_path / "o.json").exists()
+    assert json.loads(err) == {"error": "ParseError",
+                               "message": f"bad group 'Z/{2**63 + 1}': group order must fit in 64 bits"}
+
+
+def test_nilseq_past_the_64_bit_bound_names_the_bound(tmp_path, capsys):
+    # the bound was reported as an orbit that is not finite in floats
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({"factors": [{"kind": "circle", "alpha": 0.3}]}))
+    code, out, err = run_cli(["nilseq", "--system", str(system), "--N", str(2**63 + 1)], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "ParseError",
+                               "message": f"bad group 'Z/{2**63 + 1}': group order must fit in 64 bits"}
 
 
 @pytest.mark.parametrize("argv, message", [

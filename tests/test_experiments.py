@@ -25,7 +25,7 @@ from u3kit.experiments import (
 from u3kit.forms import count_aps
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.inverse_f5 import coset_reps
-from u3kit.modlinalg import BoxSubgroup, PrimeSubspace, kernel_basis_mod_p, span_points
+from u3kit.modlinalg import BoxSubgroup, PrimeSubspace, is_prime, kernel_basis_mod_p, span_points
 from u3kit.norms import CosetQuadraticWitness, u3_oracle_coset
 from u3kit.quadratic import degenerate_subspace
 
@@ -36,6 +36,22 @@ def test_fw_spec():
         FwSpec.for_modulus(1000)
     with pytest.raises(TooSmall):
         FwSpec.for_modulus(101)
+
+
+def test_is_prime_matches_a_sieve():
+    n = 10**5
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, 317):  # 317^2 > n
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    assert [is_prime(k) for k in range(n)] == sieve.tolist()
+    assert not any(is_prime(k) for k in (-7, -2, -1))
+    # a Carmichael number, and the least strong pseudoprimes to the bases 2-7
+    # and to the bases 2-23 (= 149491 * 747451 * 34233211)
+    for composite in (561, 3215031751, 3825123056546413051):
+        assert not is_prime(composite)
+    assert is_prime(2**63 - 25) and is_prime(2**64 + 13)
 
 
 def test_fw_center_and_cutoff_boundary():
@@ -103,7 +119,7 @@ def test_coset_oracle_and_exhaustive_scan_agree(N, kind, seed):
         f = GroupFunction(spec, (np.exp(2j * np.pi * ((a * x * x + b * x) % N) / N) + 0.3 * random_bounded(spec, rng).values) / 1.3)
     else:
         f = constant(spec, 0.0 if kind == "zero" else 1.0)
-    rep = u3_oracle_coset(f, (spec.zero(), BoxSubgroup.whole(spec)))
+    rep = u3_oracle_coset(f, (0, BoxSubgroup.whole(spec)))
     res = quadratic_correlation_scan(f, "exhaustive")
     assert rep.value == res.value
     assert (rep.witness.A, rep.witness.b) == (((res.a,),), (res.b,))
@@ -359,7 +375,7 @@ def _witnesses(spec, W, A_loc, bs, biases):
     """One witness per coset of W, the form A_loc on all, as the obstruction
     pipeline reports them."""
     return {
-        y: (CosetQuadraticWitness(spec.element_by_index(y), W, tuple(map(tuple, A_loc.tolist())), tuple(b)), bias)
+        y: (CosetQuadraticWitness(y, W, tuple(map(tuple, A_loc.tolist())), tuple(b)), bias)
         for y, b, bias in zip(coset_reps(W).tolist(), bs.tolist(), biases)
     }
 

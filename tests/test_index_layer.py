@@ -1,7 +1,7 @@
 """Property tests of the index layer in u3kit.groups: index arithmetic on
 run tables, coset points and the batched shift, checked against coordinate
-arithmetic on GroupElement over random group specs and against the
-digit-by-digit loop that the run tables replaced."""
+arithmetic through coords_of / index_of over random group specs and against
+the digit-by-digit loop that the run tables replaced."""
 
 import itertools
 from math import prod
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
-from conftest import elements, embed_coords
+from conftest import coord_add, coord_scale, embed_coords
 from u3kit import groups, norms
 from u3kit.groups import GroupFunction, GroupSpec
 from u3kit.modlinalg import BoxSubgroup, PrimeSubspace
@@ -30,17 +30,16 @@ def lex_points(H, y_index: int) -> list[int]:
     arithmetic, with embed_coords checked against each family's own
     embedding: d_i t_i in factor i of a box, sum_i t_i b_i of a subspace."""
     spec = H.spec
-    y = spec.element_by_index(y_index)
     out = []
     for t in itertools.product(*[range(o) for o in H.local_orders]):
         if isinstance(H, BoxSubgroup):
-            x = spec.element([d * ti for d, ti in zip(H.divisors, t)])
+            x = spec.index_of([d * ti for d, ti in zip(H.divisors, t)])
         else:
-            x = spec.zero()
+            x = 0
             for ti, row in zip(t, H.basis):
-                x = x + ti * spec.element(row)
-        assert embed_coords(H, t) == x.coords
-        out.append((x + y).index)
+                x = coord_add(spec, x, coord_scale(spec, ti, spec.index_of(row)))
+        assert embed_coords(H, t) == spec.coords_of(x)
+        out.append(coord_add(spec, x, y_index))
     return out
 
 
@@ -66,15 +65,13 @@ def test_index_arithmetic_matches_elements(data):
     assert sums.shape == (len(a), len(b)) and negs.shape == (len(a), 1)
     assert scaled.shape == (len(ks), len(b))
     for i, x in enumerate(a):
-        X = spec.element_by_index(x)
-        assert negs[i, 0] == (-X).index
+        assert negs[i, 0] == coord_scale(spec, -1, x)
         for j, y in enumerate(b):
-            assert sums[i, j] == (X + spec.element_by_index(y)).index
+            assert sums[i, j] == coord_add(spec, x, y)
     for i, k in enumerate(ks):
         for j, y in enumerate(b):
-            Y = spec.element_by_index(y)
-            assert scaled[i, j] == (k * Y).index
-            assert spec.scale_indices(k, np.int64(y)) == (k * Y).index
+            assert scaled[i, j] == coord_scale(spec, k, y)
+            assert spec.scale_indices(k, np.int64(y)) == coord_scale(spec, k, y)
     assert spec.add_indices(np.int64(a[0]), np.int64(b[0])) == sums[0, 0]
 
 
@@ -113,7 +110,7 @@ def test_coset_of_the_trivial_and_the_whole_subgroup(group):
 @given(st.data())
 def test_batched_shift_matches_shift(data):
     # the rows add_indices(x, h) and the derivative rows f(x + h) conj f(x)
-    # of the Gowers kernel's translator, against element arithmetic
+    # of the Gowers kernel's translator, against coordinate arithmetic
     spec = data.draw(specs.filter(lambda s: s.order <= 3000))
     hs = data.draw(index_lists(spec, 3))
     rng = np.random.default_rng(len(hs) * 7919 + spec.order)
@@ -123,8 +120,7 @@ def test_batched_shift_matches_shift(data):
     shifts = norms._translator(spec, f.values, xs)(np.array(hs))
     assert rows.shape == shifts.shape == (len(hs), spec.order)
     for r, h in enumerate(hs):
-        H = spec.element_by_index(h)
-        at = [(x + H).index for x in elements(spec)]
+        at = [coord_add(spec, x, h) for x in range(spec.order)]
         assert rows[r].tolist() == at
         assert np.array_equal(shifts[r], f.values[at])
     # one product over the whole batch, as the kernel forms it
@@ -233,7 +229,6 @@ def test_scale_indices_matches_coordinates(data):
     spec = data.draw(st.one_of(specs, big_specs))
     x = data.draw(st.integers(0, spec.order - 1))
     cs = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=4))
-    X = spec.element_by_index(x)
     got = spec.scale_indices(np.array(cs, dtype=np.int64), np.int64(x))
-    assert got.dtype == np.int64 and got.tolist() == [(c * X).index for c in cs]
-    assert spec.scale_indices(cs[0], x) == (cs[0] * X).index
+    assert got.dtype == np.int64 and got.tolist() == [coord_scale(spec, c, x) for c in cs]
+    assert spec.scale_indices(cs[0], x) == coord_scale(spec, cs[0], x)

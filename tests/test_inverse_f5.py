@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import bias_against, constant, embed_coords, random_pm1, solve_mod_p, traced_peak
+from conftest import (
+    bias_against,
+    constant,
+    coord_add,
+    coord_scale,
+    embed_coords,
+    random_pm1,
+    solve_mod_p,
+    traced_peak,
+)
 from u3kit import bohr, inverse_f5, norms
 from u3kit.bohr import iterated_sumset
 from u3kit.errors import EmptyGraph, EmptyV, SliceFailed, U3KitError
@@ -258,10 +267,10 @@ def _reference_vote(gamma, fit):
     for x0 in range(spec.order):
         votes = {}
         for t in itertools.product(range(V.p), repeat=V.dim):
-            pt = (spec.element_by_index(x0) + spec.element(embed_coords(V, t))).index
+            pt = coord_add(spec, x0, spec.index_of(embed_coords(V, t)))
             if pt in xi_of:
-                two_mh = spec.dual((2 * (np.array(t) @ fit.M_rows)) % V.p)
-                xi0 = (spec.dual_by_index(xi_of[pt]) - two_mh).index
+                two_mh = spec.index_of(((2 * (np.array(t) @ fit.M_rows)) % V.p).tolist())
+                xi0 = coord_add(spec, xi_of[pt], coord_scale(spec, -1, two_mh))
                 votes[xi0] = votes.get(xi0, 0) + 1
         if votes:
             xi0, cnt = min(votes.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -312,7 +321,7 @@ def test_linear_fit_vote_matches_reference_loop(monkeypatch):
                 with monkeypatch.context() as mp:
                     _subspace_block(mp, block)
                     fit = linear_component_fit(sl)
-                assert fit.x0.index == x0 and fit.xi0 == spec.coords_of(xi0)
+                assert fit.x0 == x0 and fit.xi0 == spec.coords_of(xi0)
                 assert fit.agreement == cnt / fit.V.order
             checked += 1
         assert checked >= 3, group
@@ -328,7 +337,7 @@ def _reference_fit_checks(gamma):
     spec, p, N = gamma.spec, gamma.spec.orders[0], gamma.spec.order
     d2 = iterated_sumset(gamma.pair_group, gamma.keys, 2, 2)
     shifts = (gamma.keys // N).tolist()
-    spectrum = np.array([xi.coords for xi in bogolyubov(spec, shifts)]).reshape(-1, spec.rank)
+    spectrum = np.array([spec.coords_of(xi) for xi in bogolyubov(spec, shifts)]).reshape(-1, spec.rank)
     V_ann = PrimeSubspace.from_generators(spec, kernel_basis_mod_p(spectrum, p))
     V_direct = largest_subspace_inside(spec, np.unique(d2 // N).tolist())
     V = V_ann if V_ann.dim >= V_direct.dim else V_direct
@@ -409,7 +418,7 @@ def test_bogolyubov_annihilator_never_beats_the_direct_search(gamma):
     spec, N = gamma.spec, gamma.spec.order
     H = gamma.keys // N
     two = iterated_sumset(spec, H, 2, 2)
-    spectrum = np.array([xi.coords for xi in bohr.bogolyubov(spec, H)]).reshape(-1, spec.rank)
+    spectrum = np.array([spec.coords_of(xi) for xi in bohr.bogolyubov(spec, H)]).reshape(-1, spec.rank)
     ann = PrimeSubspace.from_generators(spec, kernel_basis_mod_p(spectrum, spec.orders[0]))
     assert np.all(np.isin(ann.coset(0), two))
     largest = largest_subspace_inside(spec, two.tolist())
@@ -447,7 +456,7 @@ def test_restricted_form_matches_solve_loop(group, seed):
     rng = np.random.default_rng(seed)
     V = PrimeSubspace.from_generators(spec, rng.integers(0, p, (rng.integers(0, n + 1), n)))
     B = V.basis_matrix()
-    fit = LinearComponentFit(V, spec.zero(), rng.integers(0, p, (V.dim, n)), (0,) * n, 1.0)
+    fit = LinearComponentFit(V, 0, rng.integers(0, p, (V.dim, n)), (0,) * n, 1.0)
     inside = PrimeSubspace.from_generators(spec, rng.integers(0, p, (rng.integers(0, V.dim + 1), V.dim)) @ B % p)
     for W in (PrimeSubspace(spec, ()), inside, V):
         got = _restricted_form(fit, W)
@@ -471,20 +480,20 @@ def test_linear_fit_vote_tie_across_blocks(group, block, monkeypatch):
     sl = random_slice(phase_derivative_graph(f, 0.9), seed=0)
     fit = linear_component_fit(sl)
     assert fit.V.order == spec.order and fit.agreement == 1.0
-    assert fit.x0.index == 0
+    assert fit.x0 == 0
     cnt, x0, xi0 = _reference_vote(sl, fit)
-    assert (fit.x0.index, fit.xi0) == (x0, spec.coords_of(xi0)) and cnt == spec.order
+    assert (fit.x0, fit.xi0) == (x0, spec.coords_of(xi0)) and cnt == spec.order
 
 
 def _reference_affine_vote(spec, xi_at, v_idx, neg_two_mh):
-    """The vote over x0 and h as plain loops with group-element arithmetic."""
+    """The vote over x0 and h as plain loops with coordinate arithmetic."""
     best = (0, 0, 0)
     for x0 in range(spec.order):
         votes = {}
         for h, neg in zip(v_idx.tolist(), neg_two_mh.tolist()):
-            xi = int(xi_at[(spec.element_by_index(x0) + spec.element_by_index(h)).index])
+            xi = int(xi_at[coord_add(spec, x0, h)])
             if xi >= 0:
-                key = (spec.dual_by_index(xi) + spec.dual_by_index(neg)).index
+                key = coord_add(spec, xi, neg)
                 votes[key] = votes.get(key, 0) + 1
         if votes:
             xi0, cnt = min(votes.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -581,10 +590,10 @@ def test_symmetry_subspace_cases():
     from u3kit.modlinalg import PrimeSubspace
 
     V = PrimeSubspace.whole(spec)
-    sym = LinearComponentFit(V, spec.zero(), np.array([[1, 2], [2, 4]]) % 5, (0, 0), 1.0)
+    sym = LinearComponentFit(V, 0, np.array([[1, 2], [2, 4]]) % 5, (0, 0), 1.0)
     W = symmetry_subspace(sym)
     assert W.dim == 2  # symmetric M keeps all of V
-    anti = LinearComponentFit(V, spec.zero(), np.array([[0, 1], [4, 0]]) % 5, (0, 0), 1.0)
+    anti = LinearComponentFit(V, 0, np.array([[0, 1], [4, 0]]) % 5, (0, 0), 1.0)
     W2 = symmetry_subspace(anti)
     assert W2.dim == 0  # antisymmetric invertible form kills V
 
@@ -811,7 +820,7 @@ def reference_witness_scan(f, W, A_local, reps):
         found = [((), float(abs(f.values[y]))) for y in reps.tolist()]
     A = tuple(tuple(int(v) for v in row) for row in A_local) if k else ()
     return [
-        (CosetQuadraticWitness(spec.element_by_index(y), W, A, tuple(int(v) for v in bc)), bias)
+        (CosetQuadraticWitness(y, W, A, tuple(int(v) for v in bc)), bias)
         for y, (bc, bias) in zip(reps.tolist(), found)
     ]
 
@@ -891,7 +900,7 @@ def test_float_witnesses_are_lex_first_in_band(case):
     rows = f.values[spec.add_indices(np.arange(spec.order)[None, :], hs[:, None])] * np.conj(f.values)
     assert (gamma.keys % spec.order).tolist() == lex_first_in_band(spec, rows).tolist()
 
-    assert u2_bias(f).witness == spec.dual_by_index(int(lex_first_in_band(spec, f.values)))
+    assert u2_bias(f).witness == int(lex_first_in_band(spec, f.values))
 
     reps = coset_reps(W)
     found, _ = _witness_scan(f, W, A, reps)

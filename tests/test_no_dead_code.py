@@ -18,8 +18,11 @@ what a file imports, not by spelling:
   like an `np.ndarray` attribute must be listed in NDARRAY_NAMESAKES with
   its reason.
 
-An import alone is not a use, and dunder methods are exempt: the language
-calls them.  ALLOWED would list a function kept without a caller, with its
+An import alone is not a use.  Dunder methods count as live, since the
+language calls them, but every one other than __init__ and __post_init__
+must be listed in DUNDERS with the src/ or bench/ expression that reaches
+it: an operator or call dunder with no such expression is dead all the
+same.  ALLOWED would list a function kept without a caller, with its
 reason; it is empty.  An option is set only by a call in src/ or bench/ that
 resolves to its function the same way; ALLOWED_OPTIONS would list the options
 of allowlisted functions.
@@ -44,6 +47,17 @@ ALLOWED_OPTIONS: dict[str, str] = {}
 # with the reason it stays: the caller gate cannot tell their calls from the
 # array's, so such a name needs a reason to exist.
 NDARRAY_NAMESAKES: dict[str, str] = {}
+
+
+# Every dunder method of src/u3kit other than __init__ and __post_init__, with
+# the expression in src/ or bench/ that makes the language call it.
+DUNDERS: dict[str, str] = {
+    "bohr.BohrSet.__len__": "len(B) in cli._cmd_bohr and selftest.run_selftest",
+    "inverse_f5.PhaseGraph.__len__": "len(gamma) in inverse_f5.quadratic_obstruction",
+    "groups.GroupSpec.__str__": "str(f.owner) in groups.function_to_json",
+    "nil.CutoffSpec.__call__": "chi(x) in the heis block function of cli._cmd_nilseq",
+    "nil.NilFunction.__call__": "F(orbit_point(sys, x0, n)) in nil.nilsequence",
+}
 
 
 def _sources(tops=("src", "tests", "bench")) -> dict[str, str]:
@@ -277,6 +291,27 @@ def ndarray_namesakes(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def dunders(sources: dict[str, str]) -> list[str]:
+    """"path:line module.Class.name" of every dunder method defined under
+    src/u3kit other than __init__ and __post_init__."""
+    out = []
+    for rel, text in sources.items():
+        if rel.startswith("src/u3kit/"):
+            module = _module(rel).removeprefix("u3kit.")
+            for qual, node, kind in _defined(ast.parse(text, filename=rel)):
+                name = node.name
+                if name.startswith("__") and name.endswith("__") and name not in ("__init__", "__post_init__"):
+                    out.append(f"{rel}:{node.lineno} {module}.{qual}")
+    return out
+
+
+def test_every_dunder_in_src_is_listed_with_its_caller():
+    found = dunders(_sources(("src",)))
+    assert [w for w in found if w.split()[1] not in DUNDERS] == []
+    assert all(reason.strip() for reason in DUNDERS.values())
+    assert set(DUNDERS) <= {w.split()[1] for w in found}
+
+
 def test_no_method_in_src_is_named_like_an_ndarray_attribute():
     found = ndarray_namesakes(_sources(("src",)))
     assert [w for w in found if w.split()[1] not in NDARRAY_NAMESAKES] == []
@@ -338,6 +373,12 @@ def test_methods_named_like_ndarray_attributes_are_caught():
     src = {"src/u3kit/groups.py": _GROUPS + "\ndef copy(x):\n    return x\n"}
     found = [w.split()[1] for w in ndarray_namesakes(src)]
     assert found == ["groups.GroupFunction.mean", "groups.GroupFunction.conj"]
+
+
+def test_dunders_other_than_init_are_found():
+    src = {"src/u3kit/groups.py": _GROUPS + "\n    def __init__(self):\n        pass\n"
+                                            "\n    def __mul__(self, other):\n        return self\n"}
+    assert [w.split()[1] for w in dunders(src)] == ["groups.GroupFunction.__mul__"]
 
 
 def test_a_name_used_only_under_tests_is_dead():

@@ -13,7 +13,7 @@ from conftest import bias_against, constant, random_bounded, random_unimodular, 
 from u3kit import norms
 from u3kit.errors import BudgetExceeded, DegreeUnsupported, EvenOrder, NotBounded, NotPrime, TooSmall
 from u3kit.experiments import quadratic_correlation_scan
-from u3kit.fourier import dft
+from u3kit.fourier import dft_values
 from u3kit.groups import GroupFunction, GroupSpec, parse_group
 from u3kit.modlinalg import BoxSubgroup, PrimeSubspace
 from u3kit.norms import gowers_norm, u2_bias, u3_oracle_bracket, u3_oracle_coset
@@ -94,7 +94,7 @@ def test_u2_fourth_moment_identity(rng):
         spec = parse_group(gs)
         f = random_bounded(spec, rng)
         u2 = gowers_norm(f, 2, method="direct").value
-        fourth = float(np.sum(np.abs(dft(f).values) ** 4))
+        fourth = float(np.sum(np.abs(dft_values(f.owner, f.values)) ** 4))
         assert abs(u2**4 - fourth) < 1e-10
 
 
@@ -114,7 +114,8 @@ def test_u2_bias_examples(rng):
     Z7 = parse_group("Z/7")
     f = GroupFunction(Z7, np.exp(2j * np.pi * 3 * np.arange(7) / 7))
     rep = u2_bias(f)
-    assert abs(rep.value - 1.0) < 1e-12 and rep.witness.coords == (3,)
+    assert abs(rep.value - 1.0) < 1e-12 and rep.witness == 3
+    assert rep.to_json() == {"value": rep.value, "d": 2, "method": "fourier", "witness": 3}
     ZN = parse_group("Z/11")
     rep = u2_bias(GroupFunction.indicator(ZN, [0]))
     assert abs(rep.value - 1 / 11) < 1e-12
@@ -131,7 +132,7 @@ def test_u_le_U(rng):
     spec = parse_group("F5^2")
     for _ in range(5):
         f = random_bounded(spec, rng)
-        oracle = u3_oracle_coset(f, (spec.zero(), PrimeSubspace.whole(spec)))
+        oracle = u3_oracle_coset(f, (0, PrimeSubspace.whole(spec)))
         assert oracle.value <= gowers_norm(f, 3).value + 1e-9
 
 
@@ -141,7 +142,7 @@ def test_coset_oracle_planted_subspace():
     A = np.array([[2, 1], [1, 3]])
     q = (np.einsum("ni,ij,nj->n", coords, A, coords) + coords @ np.array([1, 0])) % 5
     f = GroupFunction(spec, np.exp(2j * np.pi * q / 5))
-    rep = u3_oracle_coset(f, (spec.zero(), PrimeSubspace.whole(spec)))
+    rep = u3_oracle_coset(f, (0, PrimeSubspace.whole(spec)))
     assert abs(rep.value - 1.0) < 1e-9
     # witness reproducible
     assert abs(bias_against(rep.witness, f) - rep.value) < 1e-10
@@ -151,9 +152,9 @@ def test_coset_oracle_zero_and_flat():
     Z5 = parse_group("Z/5")
     zero = constant(Z5, 0.0)
     H = BoxSubgroup.whole(Z5)
-    assert u3_oracle_coset(zero, (Z5.zero(), H)).value == 0.0
+    assert u3_oracle_coset(zero, (0, H)).value == 0.0
     ind = GroupFunction.indicator(Z5, [0])
-    rep = u3_oracle_coset(ind, (Z5.zero(), H))
+    rep = u3_oracle_coset(ind, (0, H))
     assert abs(rep.value - 1 / 5) < 1e-12
 
 
@@ -161,7 +162,7 @@ def test_coset_oracle_planted_cyclic():
     Z9 = parse_group("Z/9")
     x = np.arange(9)
     f = GroupFunction(Z9, np.exp(2j * np.pi * (4 * x * x + 2 * x) / 9))
-    rep = u3_oracle_coset(f, (Z9.zero(), BoxSubgroup.whole(Z9)))
+    rep = u3_oracle_coset(f, (0, BoxSubgroup.whole(Z9)))
     assert abs(rep.value - 1.0) < 1e-9
     assert rep.witness.A == ((4,),) and rep.witness.b == (2,)
 
@@ -175,7 +176,7 @@ def test_coset_oracle_one_point_witness_is_the_zero_phase(group, H, k):
     # |f(y)| with no scan, and the k x k zero phase on H's local coordinates
     spec = parse_group(group)
     f = GroupFunction.indicator(spec, [1])
-    reps = norms.u3_oracle_cosets(f, [spec.element_by_index(1), spec.zero()], H(spec))
+    reps = norms.u3_oracle_cosets(f, [1, 0], H(spec))
     assert [r.value for r in reps] == [1.0, 0.0]
     assert all((r.witness.A, r.witness.b) == (((0,) * k,) * k, (0,) * k) for r in reps)
 
@@ -184,17 +185,17 @@ def test_coset_oracle_even_order_rejected():
     Z12 = parse_group("Z/12")
     f = constant(Z12, 1.0)
     with pytest.raises(EvenOrder):
-        u3_oracle_coset(f, (Z12.zero(), BoxSubgroup(Z12, (3,))))
+        u3_oracle_coset(f, (0, BoxSubgroup(Z12, (3,))))
 
 
 def test_coset_oracle_on_proper_coset():
     # phase planted on a coset of a 1-dimensional subspace of F5^2
     spec = parse_group("F5^2")
     H = PrimeSubspace.from_generators(spec, [[1, 2]])
-    y = spec.element([0, 1])
+    y = spec.index_of([0, 1])
     vals = np.zeros(25, complex)
     for t in range(5):
-        amb = spec.add_indices(np.int64(spec.encode(np.array([t, 2 * t]) % 5)), np.int64(y.index))
+        amb = spec.add_indices(np.int64(spec.encode(np.array([t, 2 * t]) % 5)), np.int64(y))
         vals[int(amb)] = np.exp(2j * np.pi * (3 * t * t + t) / 5)
     f = GroupFunction(spec, vals)
     rep = u3_oracle_coset(f, (y, H))
@@ -209,12 +210,12 @@ def test_localization_chain(rng):
     for _ in range(3):
         f = random_bounded(spec, rng)
         u3 = gowers_norm(f, 3).value
-        u3G = u3_oracle_coset(f, (spec.zero(), PrimeSubspace.whole(spec))).value
+        u3G = u3_oracle_coset(f, (0, PrimeSubspace.whole(spec))).value
         assert u3G <= u3 + 1e-9
         for w in hyperplanes:
             W = PrimeSubspace.from_generators(spec, [w])
             for yidx in (0, 7, 13):
-                local = u3_oracle_coset(f, (spec.element_by_index(yidx), W)).value
+                local = u3_oracle_coset(f, (yidx, W)).value
                 assert 5 ** (-2) * W.order * local <= u3G + 1e-9
 
 
@@ -451,7 +452,7 @@ def test_coset_oracle_vs_brute_force(rng):
     # dim-1 subspace of F5^2: compare the FFT scan against a python loop
     spec = parse_group("F5^2")
     H = PrimeSubspace.from_generators(spec, [[1, 3]])
-    y = spec.element([2, 0])
+    y = spec.index_of([2, 0])
     f = random_bounded(spec, rng)
     rep = u3_oracle_coset(f, (y, H))
     best = -1.0
@@ -459,8 +460,8 @@ def test_coset_oracle_vs_brute_force(rng):
         for b in range(5):
             tot = 0j
             for t in range(5):
-                amb = spec.element(tuple((y.coords[i] + t * H.basis[0][i]) % 5 for i in range(2)))
-                tot += f.values[amb.index] * np.exp(-2j * np.pi * (m * t * t + b * t) / 5)
+                amb = spec.index_of([spec.coords_of(y)[i] + t * H.basis[0][i] for i in range(2)])
+                tot += f.values[amb] * np.exp(-2j * np.pi * (m * t * t + b * t) / 5)
             best = max(best, abs(tot) / 5)
     assert abs(rep.value - best) < 1e-10
 
@@ -469,7 +470,7 @@ def test_coset_oracle_dim2_vs_brute_force(rng):
     spec = parse_group("F5^2")
     W = PrimeSubspace.whole(spec)
     f = random_bounded(spec, rng)
-    rep = u3_oracle_coset(f, (spec.zero(), W))
+    rep = u3_oracle_coset(f, (0, W))
     best = -1.0
     coords = spec.decode(np.arange(25))
     for a11 in range(5):
@@ -614,7 +615,7 @@ def test_coset_oracle_matches_reference_property(data):
     n_gens = n - data.draw(st.integers(0, n - 1))  # W may have a smaller dimension
     gens = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(0, p, (n_gens, n))
     W = PrimeSubspace.from_generators(spec, gens)
-    y = spec.element_by_index(data.draw(st.integers(0, spec.order - 1)))
+    y = data.draw(st.integers(0, spec.order - 1))
     kind = data.draw(st.sampled_from(["dense", "real", "planted", "one-point", "zero"]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if kind == "planted":
@@ -630,9 +631,9 @@ def test_coset_oracle_matches_reference_property(data):
         rep = u3_oracle_coset(f, (y, W))
     k = W.dim
     if k == 0:
-        assert rep.value == abs(f.values[y.index])
+        assert rep.value == abs(f.values[y])
         return
-    fvals = f.values[W.coset(y.index)]
+    fvals = f.values[W.coset(y)]
     mags, digits = _reference_coset_scan(fvals, p, k)
     assert abs(rep.value - mags.max()) < 1e-12
     assert abs(bias_against(rep.witness, f) - rep.value) < 1e-10
@@ -657,7 +658,7 @@ def test_coset_oracle_tie_rule_against_reference(group, chunk, monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(3):
         f = random_bounded(spec, rng)
-        rep = u3_oracle_coset(f, (spec.zero(), PrimeSubspace.whole(spec)))
+        rep = u3_oracle_coset(f, (0, PrimeSubspace.whole(spec)))
         mags, digits = _reference_coset_scan(f.values, p, k)
         sq = mags**2
         first = int(np.argmax(sq.ravel() >= sq.max() * (1 - rtol)))
@@ -709,7 +710,7 @@ def test_lex_first_max_matches_reference(group, chunk, rtol, monkeypatch):
           GroupFunction.indicator(spec, [spec.order - 1]), random_bounded(spec, rng),
           _planted(spec, (A + A.T) % spec.orders[0], rng.integers(0, spec.orders[0], k), 0.3, rng)]
     for f in fs:
-        rep = u3_oracle_coset(f, (spec.zero(), W))
+        rep = u3_oracle_coset(f, (0, W))
         seen = []
 
         def reference(blocks, block_sq, key_of):
@@ -717,7 +718,7 @@ def test_lex_first_max_matches_reference(group, chunk, rtol, monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(norms, "_lex_first_max", reference)
-            ref = u3_oracle_coset(f, (spec.zero(), W))
+            ref = u3_oracle_coset(f, (0, W))
         assert seen
         assert rep.value == ref.value
         assert (rep.witness.A, rep.witness.b) == (ref.witness.A, ref.witness.b)
@@ -764,7 +765,7 @@ def test_cyclic_coset_oracle_memory_within_chunk_bound(rng):
     spec = parse_group("Z/11547")
     assert norms._scan_price(11547, 1) <= norms.ORACLE_BUDGET < norms._scan_price(11548, 1)
     f = random_bounded(spec, rng)
-    rep, peak = traced_peak(lambda: u3_oracle_coset(f, (spec.zero(), BoxSubgroup.whole(spec))))
+    rep, peak = traced_peak(lambda: u3_oracle_coset(f, (0, BoxSubgroup.whole(spec))))
     assert abs(bias_against(rep.witness, f) - rep.value) < 1e-10
     assert peak <= 64 * norms._ORACLE_CHUNK
 
@@ -930,7 +931,7 @@ def test_coset_oracle_price_edges():
     message = (f"symmetric-matrix scan exceeds budget: {norms._scan_price(11, 3)} multiply-adds .* "
                f"> ORACLE_BUDGET = {norms.ORACLE_BUDGET}")
     with pytest.raises(BudgetExceeded, match=message):
-        u3_oracle_coset(constant(spec, 1.0), (spec.zero(), PrimeSubspace.whole(spec)))
+        u3_oracle_coset(constant(spec, 1.0), (0, PrimeSubspace.whole(spec)))
 
 
 def test_coset_oracle_batch_of_cosets(rng):
@@ -939,7 +940,7 @@ def test_coset_oracle_batch_of_cosets(rng):
     f = random_bounded(spec, rng)
     for W in (PrimeSubspace.from_generators(spec, [[1, 2, 0], [0, 1, 3]]),
               PrimeSubspace.from_generators(spec, [[0, 1, 4]]), PrimeSubspace.from_generators(spec, [])):
-        ys = [spec.element_by_index(int(y)) for y in rng.integers(0, spec.order, 6)]
+        ys = [int(y) for y in rng.integers(0, spec.order, 6)]
         together = norms.u3_oracle_cosets(f, ys, W)
         assert [r.to_json() for r in together] == [u3_oracle_coset(f, (y, W)).to_json() for y in ys]
     assert norms.u3_oracle_cosets(f, [], W) == []
@@ -955,11 +956,11 @@ def test_coset_oracle_large_p_line_matches_reference(group, rng):
     p, n = spec.orders[0], spec.rank
     assert p**3 > norms._ORACLE_CHUNK
     W = PrimeSubspace.from_generators(spec, rng.integers(1, p, (1, n)))
-    y = spec.element_by_index(int(rng.integers(spec.order)))
+    y = int(rng.integers(spec.order))
     A = rng.integers(0, p, (n, n))
     f = _planted(spec, (A + A.T) % p, rng.integers(0, p, n), 0.3, rng)
     rep = u3_oracle_coset(f, (y, W))
-    fvals = f.values[W.coset(y.index)]
+    fvals = f.values[W.coset(y)]
     mags, digits = _reference_coset_scan(fvals, p, 1)
     assert abs(rep.value - mags.max()) < 1e-12
     assert abs(bias_against(rep.witness, f) - rep.value) < 1e-10
@@ -979,7 +980,7 @@ def test_coset_oracle_exact_ties_give_zero_phase(group):
     cases = [(constant(spec, 0.0), 0.0), (constant(spec, 1.0), 1.0),
              (GroupFunction.indicator(spec, [spec.order - 1]), 1 / spec.order)]
     for f, value in cases:
-        rep = u3_oracle_coset(f, (spec.zero(), W))
+        rep = u3_oracle_coset(f, (0, W))
         assert abs(rep.value - value) < 1e-12
         assert (rep.witness.A, rep.witness.b) == (zero_A, zero_b)
 
@@ -993,7 +994,7 @@ def test_coset_oracle_finds_noisy_plant(group, rng):
         A = (A + A.T) % p
         b = rng.integers(0, p, k)
         f = _planted(spec, A, b, 0.2, rng)
-        rep = u3_oracle_coset(f, (spec.zero(), PrimeSubspace.whole(spec)))
+        rep = u3_oracle_coset(f, (0, PrimeSubspace.whole(spec)))
         assert rep.witness.A == tuple(map(tuple, A.tolist())) and rep.witness.b == tuple(b.tolist())
         assert abs(bias_against(rep.witness, f) - rep.value) < 1e-10
 
@@ -1002,12 +1003,12 @@ def test_coset_oracle_budget_on_f5_4():
     spec = parse_group("F5^4")
     f = constant(spec, 1.0)
     with pytest.raises(BudgetExceeded, match="symmetric-matrix scan exceeds budget"):
-        u3_oracle_coset(f, (spec.zero(), PrimeSubspace.whole(spec)))
+        u3_oracle_coset(f, (0, PrimeSubspace.whole(spec)))
 
 
 @pytest.mark.parametrize("name, call", [
     ("DIRECT_BUDGET", lambda f: gowers_norm(f, 2, method="direct")),
-    ("ORACLE_BUDGET", lambda f: u3_oracle_coset(f, (f.owner.zero(), BoxSubgroup.whole(f.owner)))),
+    ("ORACLE_BUDGET", lambda f: u3_oracle_coset(f, (0, BoxSubgroup.whole(f.owner)))),
     ("ORACLE_BUDGET", lambda f: u3_oracle_bracket(f, np.arange(f.owner.order), [1], grid=1)),
 ], ids=["direct", "coset_oracle", "bracket_oracle"])
 def test_budgets_are_read_when_called(name, call, monkeypatch):
@@ -1029,10 +1030,10 @@ def test_cyclic_coset_oracle_matches_reference_property(data):
     c = data.draw(st.integers(1, 3))
     spec = parse_group(f"Z/{c * h}")
     H = BoxSubgroup(spec, (c,))
-    y = spec.element_by_index(data.draw(st.integers(0, spec.order - 1)))
+    y = data.draw(st.integers(0, spec.order - 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     vals = random_bounded(spec, rng).values
-    pts = H.coset(y.index)
+    pts = H.coset(y)
     t = np.arange(h)
     kind = data.draw(st.sampled_from(["dense", "planted", "zero", "constant"]))
     if kind == "planted":
@@ -1059,18 +1060,18 @@ def test_coset_oracle_budget_on_cyclic():
     message = (f"symmetric-matrix scan exceeds budget: {norms._scan_price(11549, 1)} multiply-adds .* "
                f"\\(Z/11549\\)\\^1 > ORACLE_BUDGET = {norms.ORACLE_BUDGET}")
     with pytest.raises(BudgetExceeded, match=message):
-        u3_oracle_coset(constant(spec, 1.0), (spec.zero(), BoxSubgroup.whole(spec)))
+        u3_oracle_coset(constant(spec, 1.0), (0, BoxSubgroup.whole(spec)))
     spec = parse_group("Z/1263")
-    rep = u3_oracle_coset(constant(spec, 1.0), (spec.zero(), BoxSubgroup.whole(spec)))
+    rep = u3_oracle_coset(constant(spec, 1.0), (0, BoxSubgroup.whole(spec)))
     assert abs(rep.value - 1.0) < 1e-12 and (rep.witness.A, rep.witness.b) == (((0,),), (0,))
 
 
 @pytest.mark.parametrize("group, call", [
-    ("Z/11549", lambda f: u3_oracle_coset(f, (f.owner.zero(), BoxSubgroup.whole(f.owner)))),
+    ("Z/11549", lambda f: u3_oracle_coset(f, (0, BoxSubgroup.whole(f.owner)))),
     ("Z/11549", lambda f: quadratic_correlation_scan(f, "exhaustive")),
-    ("F37^2", lambda f: u3_oracle_coset(f, (f.owner.zero(), PrimeSubspace.whole(f.owner)))),
-    ("F11^3", lambda f: u3_oracle_coset(f, (f.owner.zero(), PrimeSubspace.whole(f.owner)))),
-    ("F5^4", lambda f: norms.u3_oracle_cosets(f, [f.owner.zero()] * 3, PrimeSubspace.whole(f.owner))),
+    ("F37^2", lambda f: u3_oracle_coset(f, (0, PrimeSubspace.whole(f.owner)))),
+    ("F11^3", lambda f: u3_oracle_coset(f, (0, PrimeSubspace.whole(f.owner)))),
+    ("F5^4", lambda f: norms.u3_oracle_cosets(f, [0] * 3, PrimeSubspace.whole(f.owner))),
     ("Z/101", lambda f: u3_oracle_bracket(f, np.arange(101), [1, 2], grid=4)),
     ("Z/101", lambda f: u3_oracle_bracket(f, np.zeros(1, dtype=np.int64), [1], grid=10**9)),
 ], ids=["cyclic", "scan", "k2", "k3", "k4", "bracket", "bracket_huge_grid"])

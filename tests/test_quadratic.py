@@ -6,7 +6,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from conftest import bilinear_value, elements, frac_part
+from conftest import bilinear_value, coord_add, frac_part
 from u3kit import modlinalg
 from u3kit.errors import EvenOrder, NotFound, NotQuadratic
 from u3kit.groups import GroupSpec, parse_group
@@ -177,11 +177,11 @@ def test_self_adjoint_decomposition(rng=np.random.default_rng(2)):
     Q = QuadraticPhase(spec, B, (0, 0), Fraction(0))
     vals = Q.values()
     for _ in range(60):
-        x = spec.element_by_index(int(rng.integers(spec.order)))
-        h = spec.element_by_index(int(rng.integers(spec.order)))
+        x = int(rng.integers(spec.order))
+        h = int(rng.integers(spec.order))
         lhs = (2 * bilinear_value(Q, h, x)) % 1
-        assert lhs == (vals[(x + h).index] - vals[x.index] - vals[h.index]) % 1
-        assert vals[x.index] == bilinear_value(Q, x, x)
+        assert lhs == (vals[coord_add(spec, x, h)] - vals[x] - vals[h]) % 1
+        assert vals[x] == bilinear_value(Q, x, x)
 
 
 def test_bracket_eval_examples():
@@ -350,12 +350,9 @@ def test_gauss_sum_lemma_general_groups(rng=np.random.default_rng(6)):
                     v = Fraction(int(rng.integers(0, g)), int(g))
                     B[i][j] = B[j][i] = v
             found = False
-            for x in elements(spec):
-                if x.index == 0:
-                    continue
-                val = sum(
-                    B[i][j] * x.coords[i] * x.coords[j] for i in range(n) for j in range(n)
-                )
+            for x in range(1, spec.order):
+                c = spec.coords_of(x)
+                val = sum(B[i][j] * c[i] * c[j] for i in range(n) for j in range(n))
                 if val % 1 == 0:
                     found = True
                     break

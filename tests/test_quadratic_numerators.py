@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import elements, evaluate
+from conftest import coord_add, evaluate
 from test_quadratic import orthogonal_complement
 from u3kit.errors import BudgetExceeded, NotQuadratic
 from u3kit.groups import GroupSpec, mod1, parse_group
@@ -36,7 +36,7 @@ from u3kit.quadratic import (
 
 
 def reference_values(Q: QuadraticPhase) -> list:
-    return [evaluate(Q, x) for x in elements(Q.spec)]
+    return [evaluate(Q, x) for x in range(Q.spec.order)]
 
 
 def reference_is_locally_quadratic(phi, spec: GroupSpec, budget: int = 400_000_000) -> bool:
@@ -70,8 +70,7 @@ def reference_classify(phi, spec: GroupSpec) -> QuadraticPhase:
     B = [[Fraction(0)] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            ei, ej = spec.element_by_index(e[i]), spec.element_by_index(e[j])
-            chi = mod1(fr[(ei + ej).index] - fr[e[i]] - fr[e[j]] + fr[0])
+            chi = mod1(fr[coord_add(spec, e[i], e[j])] - fr[e[i]] - fr[e[j]] + fr[0])
             g = gcd(spec.orders[i], spec.orders[j])
             if g % chi.denominator:
                 raise NotQuadratic("second difference has incompatible denominator")
