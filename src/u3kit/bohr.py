@@ -93,9 +93,6 @@ class BohrSet:
     def members(self) -> np.ndarray:
         return np.flatnonzero(self._inside(self.rho))
 
-    def element_indices(self) -> np.ndarray:
-        return self.members
-
     def size_at(self, r: Fraction) -> int:
         return int(np.count_nonzero(self._inside(r)))
 

@@ -261,7 +261,7 @@ def _cmd_u3_oracle(args) -> dict:
     if args.rho is not None:
         from .bohr import bohr_set
 
-        region = bohr_set(spec, S, args.rho)
+        region = bohr_set(spec, S, args.rho).members
     else:
         region = np.arange(spec.order)
     rep = u3_oracle_bracket(f, region, S, args.grid)
@@ -393,7 +393,7 @@ def _cmd_inverse_f5(args) -> dict:
 
 
 def _cmd_nilseq(args) -> dict:
-    from .nil import CANONICAL_CUTOFF, BlockFunction, NilFunction, NilSystem, e, nilsequence
+    from .nil import CUTOFF_SLOPE, BlockFunction, NilFunction, NilSystem, cutoff, e, nilsequence
 
     sysm = _decoded(NilSystem.from_json, _read_json(args.system), "nil system")
     _require_finite([v for f0 in sysm.factors for v in (f0.alpha, f0.beta, f0.gamma)], "nil system")
@@ -401,7 +401,6 @@ def _cmd_nilseq(args) -> dict:
     if not name.startswith("builtin:"):
         raise ParseError("only builtin:one / builtin:chi_e functions are supported")
     kind = name[8:]
-    chi = CANONICAL_CUTOFF
     blocks = []
     pos = 0
     for f0 in sysm.factors:
@@ -414,13 +413,13 @@ def _cmd_nilseq(args) -> dict:
                 blocks.append(BlockFunction(pos, 1, (lambda x, y: e(y)), 2 * np.pi))
             else:
                 blocks.append(
-                    BlockFunction(pos, 1, (lambda x, y, z: chi(x) * e(y)), chi.max_slope + 2 * np.pi)
+                    BlockFunction(pos, 1, (lambda x, y, z: cutoff(x) * e(y)), CUTOFF_SLOPE + 2 * np.pi)
                 )
         else:
             raise ParseError(f"unknown builtin {kind!r}")
         pos += 1
     F = NilFunction(sysm, blocks)
-    parse_group(f"Z/{args.N}")  # a ParseError past the 64-bit bound on the group order
+    parse_group(f"Z/{args.N}")  # a ParseError past the bound on the group order
     try:
         seq = nilsequence(F, sysm, sysm.zero_point(), args.N)
     except (ValueError, OverflowError) as exc:  # inf or nan reached an integer lift

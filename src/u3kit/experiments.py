@@ -30,7 +30,7 @@ from .errors import (
     TooSmall,
 )
 from .forms import count_aps
-from .groups import GroupFunction, GroupSpec
+from .groups import GroupFunction, GroupSpec, order_refusal
 from .inverse_f5 import ObstructionReport, quadratic_obstruction
 from .modlinalg import PrimeSubspace, is_prime, kernel_basis_mod_p, span_points
 from .norms import _cyclic_scan, quadratic_scan
@@ -63,8 +63,9 @@ class FwSpec:
 
     @staticmethod
     def for_modulus(N: int) -> "FwSpec":
-        if N >= 2**63:  # before the primality test, as GroupSpec bounds the order
-            raise ParseError(f"bad N {N}: group order must fit in 64 bits")
+        why = order_refusal(N)
+        if why:  # before the primality test, as parse_group bounds the order
+            raise ParseError(f"bad N {N}: {why}")
         if not is_prime(N):
             raise NotPrime(f"{N} is not prime")
         if N < 401:
@@ -81,10 +82,7 @@ def fw_counterexample(N: int) -> GroupFunction:
     spec_fw = FwSpec.for_modulus(N)
     M = spec_fw.M
     spec = GroupSpec((N,))
-    try:
-        vals = np.zeros(N, dtype=np.complex128)
-    except ValueError as exc:  # numpy's "array is too big": more bytes than an address space
-        raise MemoryError(str(exc)) from exc
+    vals = np.zeros(N, dtype=np.complex128)
     lim = M // 10 + 1
     for y in range(-lim, lim + 1):
         wy = smooth_cutoff(y / M)

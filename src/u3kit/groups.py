@@ -328,8 +328,20 @@ class GroupFunction:
 _FACTOR_RE = re.compile(r"^(?:Z/(\d+)|F(\d+)\^(\d+))$")
 
 
+def order_refusal(order: int) -> str | None:
+    """Why no dense function on a group of this order can be made, or None:
+    the order must fit in int64, and from 2^59 on its 16-byte values pass
+    2^63 - 1 bytes, the most numpy puts in one array."""
+    if order >= 2**63:
+        return "group order must fit in 64 bits"
+    if order >= 2**59:
+        return "group order must be below 2^59, as its 16-byte values would pass 2^63 - 1 bytes"
+    return None
+
+
 def parse_group(s: str) -> GroupSpec:
-    """Parse "Z/101", "F5^3" (sugar for Z/5xZ/5xZ/5) or products "Z/4xZ/9"."""
+    """Parse "Z/101", "F5^3" (sugar for Z/5xZ/5xZ/5) or products "Z/4xZ/9";
+    an order past `order_refusal`'s bound is a ParseError."""
     orders: list[int] = []
     for part in s.replace(" ", "").split("x"):
         m = _FACTOR_RE.match(part)
@@ -340,9 +352,12 @@ def parse_group(s: str) -> GroupSpec:
         else:
             p, k = int(m.group(2)), int(m.group(3))
             orders.extend([p] * k)
+    why = order_refusal(prod(orders))
+    if why:
+        raise ParseError(f"bad group {s!r}: {why}")
     try:
         return GroupSpec(tuple(orders))
-    except ValueError as exc:  # a zero factor, or an order beyond int64
+    except ValueError as exc:  # a zero factor
         raise ParseError(f"bad group {s!r}: {exc}") from exc
 
 

@@ -85,10 +85,15 @@ def phase_derivative_graph(f: GroupFunction, eta: float | None = None) -> PhaseG
     their picks are read in batch order, so the graph, u3 and eta are the
     same for every worker count.
 
-    When U^3(f) >= eta, the shift set is guaranteed to have density at least
-    eta^8 / 2; a smaller shift set therefore certifies U^3(f) < eta and is
-    reported as EmptyGraph.  (The bare "no shift qualifies" reading would be
-    vacuous: h = 0 qualifies for every unimodular f.)
+    When U^3(f) >= eta and |f| <= 1, the shift set is guaranteed to have
+    density at least eta^8 / 2; a smaller shift set therefore certifies
+    U^3(f) < eta and is reported as EmptyGraph.  (The bare "no shift
+    qualifies" reading would be vacuous: h = 0 qualifies for every
+    unimodular f.)  For M = max|f| > 1 the same count certifies only
+    U^3(f) < eta (M^4 (1 + M^4) / 2)^(1/8), the bound the message states:
+    with s_h = max_xi |F_h(xi)|^2 <= M^4, U^3(f)^8 <= M^4 E_h s_h, and
+    fewer than N eta^8 / 2 kept shifts and the rest, each below the cut,
+    give E_h s_h < (eta^8 / 2)(M^4 + 1).
     """
     spec = f.owner
     _homogeneous_prime(spec)
@@ -121,9 +126,11 @@ def phase_derivative_graph(f: GroupFunction, eta: float | None = None) -> PhaseG
     hs, xis, sqs = (np.concatenate(a) for a in zip(*picks))
     keys = np.sort((hs * N + xis)[sqs >= cut])
     if len(keys) < max(1.0, cut * N):
+        M = float(np.max(np.abs(f.values)))
+        bound = eta if M <= 1 else eta * (M**4 * (1 + M**4) / 2) ** 0.125
         raise EmptyGraph(
             f"shift set of size {len(keys)} below the density floor "
-            f"{cut:.3g} * {N}; certifies U^3 < {eta}"
+            f"{cut:.3g} * {N}; certifies U^3 < {bound}"
         )
     return PhaseGraph(spec, keys, u3, eta)
 

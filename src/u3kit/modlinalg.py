@@ -157,9 +157,6 @@ class Subgroup:
         array); for an (n, 1) array of y, one such row per y."""
         return self.spec.add_indices(y, self._span)
 
-    def element_indices(self) -> np.ndarray:
-        return np.sort(self.coset(0))
-
 
 @dataclass(frozen=True)
 class BoxSubgroup(Subgroup):

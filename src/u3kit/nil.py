@@ -22,33 +22,27 @@ A bracket quadratic on Z/N factors into these flows: each quadratic
 monomial costs two circles, two Heisenberg blocks and one linear-correction
 circle (dimension 9); each linear term costs two circles (dimension 2).
 
-Float inputs take fast paths: nil_frac, the cutoff, the orbit closed forms
-and NilFunction.__call__ take [t] = floor(t + 1/2) inline and skip generic
-dispatch, but evaluate the same float expressions in the same order, so
-their results are bit-identical to the exact formulas.  Fraction and int
-inputs keep the exact path.
+There is one float path: every [t] is floor(t + 1/2), taken on the floats
+and ints the layer is given, with no exact Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import floor
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BadArity, EvenN, NotInSigma, TooManyFrequencies
-from .groups import GroupFunction, GroupSpec, TorusValue
-from .quadratic import BracketQuadratic, round_half_up
+from .groups import GroupFunction, GroupSpec
+from .quadratic import BracketQuadratic
 
 
 def nil_frac(t):
     """{t} in [-1/2, 1/2) with halves of t rounding up (nil convention)."""
-    if type(t) is float:  # round_half_up's float branch, without the call
-        return t - floor(t + 0.5)
-    return t - round_half_up(t)
+    return t - floor(t + 0.5)
 
 
 def heis_project(a: tuple) -> tuple:
@@ -56,24 +50,25 @@ def heis_project(a: tuple) -> tuple:
     element: X goes into the fundamental domain and the identification
     shifts Y by [X] Z."""
     X, Y, Z = a
-    k = round_half_up(X)
+    k = floor(X + 0.5)
     return (X - k, nil_frac(Y - k * Z), nil_frac(Z))
 
 
 # --- cutoff ------------------------------------------------------------------
 
 
-_RHO, _EPS = Fraction(1, 4), Fraction(1, 2)  # cutoff radius and relative margin
-_PLATEAU = float(_RHO * (1 - _EPS))
-_SUPPORT = float(_RHO * (1 + _EPS))
+_RHO, _EPS = 0.25, 0.5  # cutoff radius and relative margin
+_PLATEAU = _RHO * (1 - _EPS)
+_SUPPORT = _RHO * (1 + _EPS)
 _RAMP = _SUPPORT - _PLATEAU
+CUTOFF_SLOPE = 1.5 / _RAMP  # the cutoff's largest slope: the smoothstep's 3/2 over the ramp
 
 
 def cutoff(t) -> float:
     """The canonical cutoff at t mod 1: 1 on |{t}| <= rho(1-eps), 0 on
-    |{t}| >= rho(1+eps), Hermite smoothstep between.  t is read as a float."""
-    if type(t) is not float:
-        t = float(t)
+    |{t}| >= rho(1+eps), Hermite smoothstep between, with rho = 1/4 and
+    eps = 1/2.  t is read as a float."""
+    t = float(t)
     a = abs(t - floor(t + 0.5))
     if a <= _PLATEAU:
         return 1.0
@@ -83,31 +78,15 @@ def cutoff(t) -> float:
     return 1.0 - (3 * u * u - 2 * u * u * u)
 
 
-class CutoffSpec:
-    """Piecewise-cubic plateau cutoff: 1 on |t| <= rho(1-eps), 0 on
-    |t| >= rho(1+eps), Hermite smoothstep between, with rho = 1/4 and
-    eps = 1/2 (see `cutoff`)."""
-
-    plateau = _PLATEAU
-    support = _SUPPORT
-    max_slope = 1.5 / float(2 * _RHO * _EPS)
-
-    def __call__(self, t) -> float:
-        return cutoff(t)
-
-
-CANONICAL_CUTOFF = CutoffSpec()
-
-
 # --- systems and points --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FundamentalFactor:
     kind: str  # "circle" | "skew" | "heis"
-    alpha: TorusValue = 0.0
-    beta: TorusValue = 0.0
-    gamma: TorusValue = 0.0
+    alpha: float = 0.0  # each parameter is kept as given: a float or an int
+    beta: float = 0.0
+    gamma: float = 0.0
     m: int = 0  # skew integer entry
 
     def __post_init__(self):
@@ -118,28 +97,22 @@ class FundamentalFactor:
     def dim(self) -> int:
         return {"circle": 1, "skew": 2, "heis": 3}[self.kind]
 
-    def zero_point(self) -> tuple:
-        return (0,) * self.dim
-
     def orbit(self, c: tuple, n: int) -> tuple:
         """Closed-form n-th point of the orbit through c."""
         return _ORBIT[self.kind](self, c, n, _tri(n))
 
 
-def _tri(n: int):
-    return n * (n + 1) // 2 if isinstance(n, int) else n * (n + 1) / 2
+def _tri(n: int) -> int:
+    return n * (n + 1) // 2
 
 
-# The closed forms, given t = n(n+1)/2.  When every lifted coordinate is a
-# float, {.} and [.] are taken inline as in round_half_up's float branch;
-# otherwise nil_frac / heis_project keep the exact arithmetic.
+# The closed forms, given t = n(n+1)/2, with {.} and [.] taken inline as in
+# nil_frac and heis_project.
 
 
 def _circle_orbit(f: FundamentalFactor, c: tuple, n, t) -> tuple:
     X = c[0] + n * f.alpha
-    if type(X) is float:
-        return (X - floor(X + 0.5),)
-    return (nil_frac(X),)
+    return (X - floor(X + 0.5),)
 
 
 def _skew_orbit(f: FundamentalFactor, c: tuple, n, t) -> tuple:
@@ -147,9 +120,7 @@ def _skew_orbit(f: FundamentalFactor, c: tuple, n, t) -> tuple:
     a, m = f.alpha, f.m
     X = x + n * a
     Y = y + n * f.beta + n * m * x + t * m * a
-    if type(X) is float and type(Y) is float:
-        return (X - floor(X + 0.5), Y - floor(Y + 0.5))
-    return (nil_frac(X), nil_frac(Y))
+    return (X - floor(X + 0.5), Y - floor(Y + 0.5))
 
 
 def _heis_orbit(f: FundamentalFactor, c: tuple, n, t) -> tuple:
@@ -158,11 +129,9 @@ def _heis_orbit(f: FundamentalFactor, c: tuple, n, t) -> tuple:
     X = x + n * a
     Y = y + n * f.beta + n * g * x + t * g * a
     Z = z + n * g
-    if type(X) is float and type(Y) is float and type(Z) is float:
-        k = floor(X + 0.5)
-        W = Y - k * Z
-        return (X - k, W - floor(W + 0.5), Z - floor(Z + 0.5))
-    return heis_project((X, Y, Z))
+    k = floor(X + 0.5)
+    W = Y - k * Z
+    return (X - k, W - floor(W + 0.5), Z - floor(Z + 0.5))
 
 
 _ORBIT = {"circle": _circle_orbit, "skew": _skew_orbit, "heis": _heis_orbit}
@@ -176,19 +145,9 @@ class NilSystem:
     def dimension(self) -> int:
         return sum(f.dim for f in self.factors)
 
-    def zero_point(self) -> "NilPoint":
-        return NilPoint(tuple(f.zero_point() for f in self.factors))
-
-    def to_json(self) -> dict:
-        out = []
-        for f in self.factors:
-            d = {"kind": f.kind, "alpha": float(f.alpha), "beta": float(f.beta)}
-            if f.kind == "skew":
-                d["m"] = f.m
-            if f.kind == "heis":
-                d["gamma"] = float(f.gamma)
-            out.append(d)
-        return {"factors": out}
+    def zero_point(self) -> tuple:
+        """The origin, as a point is held: the tuple of its factor blocks."""
+        return tuple((0,) * f.dim for f in self.factors)
 
     @staticmethod
     def from_json(obj: dict) -> "NilSystem":
@@ -214,19 +173,15 @@ def _skew_entry(m) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class NilPoint:
-    blocks: tuple[tuple, ...]
-
-
-def orbit_point(sys: NilSystem, x0: NilPoint, n: int) -> NilPoint:
+def orbit_point(sys: NilSystem, x0: tuple, n: int) -> tuple:
+    """T^n x0, block by block."""
     t = _tri(n)
-    return NilPoint(tuple([_ORBIT[f.kind](f, c, n, t) for f, c in zip(sys.factors, x0.blocks)]))
+    return tuple([_ORBIT[f.kind](f, c, n, t) for f, c in zip(sys.factors, x0)])
 
 
 def _block_distance(f: FundamentalFactor, a: tuple, b: tuple) -> float:
     def torus_dev(u, v):
-        return abs(float(nil_frac(float(u) - float(v))))
+        return abs(nil_frac(float(u) - float(v)))
 
     if f.kind != "heis":
         return max(torus_dev(u, v) for u, v in zip(a, b))
@@ -239,11 +194,9 @@ def _block_distance(f: FundamentalFactor, a: tuple, b: tuple) -> float:
     return best
 
 
-def point_distance(sys: NilSystem, p: NilPoint, q: NilPoint) -> float:
+def point_distance(sys: NilSystem, p: tuple, q: tuple) -> float:
     """Sup-distance on the nilmanifold, respecting edge identifications."""
-    return max(
-        _block_distance(f, a, b) for f, a, b in zip(sys.factors, p.blocks, q.blocks)
-    )
+    return max(_block_distance(f, a, b) for f, a, b in zip(sys.factors, p, q))
 
 
 # --- functions on nilmanifolds --------------------------------------------------
@@ -265,9 +218,8 @@ class NilFunction:
     blocks: list[BlockFunction]
     global_phase: complex = field(default=1.0, kw_only=True)
 
-    def __call__(self, p: NilPoint) -> complex:
+    def __call__(self, pb: tuple) -> complex:
         out = self.global_phase
-        pb = p.blocks
         for b in self.blocks:
             s = b.start
             if b.count == 1:
@@ -286,7 +238,7 @@ def e(t) -> complex:
     return cmath.exp(_TWO_PI_J * float(t))
 
 
-def nilsequence(F: NilFunction, sys: NilSystem, x0: NilPoint, N: int) -> GroupFunction:
+def nilsequence(F: NilFunction, sys: NilSystem, x0: tuple, N: int) -> GroupFunction:
     """values[n mod N] = F(T^n x0) for -N/2 < n < N/2 (N odd)."""
     if N % 2 == 0:
         raise EvenN("truncation requires odd N")
@@ -302,8 +254,8 @@ def nilsequence(F: NilFunction, sys: NilSystem, x0: NilPoint, N: int) -> GroupFu
 
 def _split_half(a: float) -> tuple[int, float]:
     """a = q + s with q integer and s in [-1/2, 1/2)."""
-    q = round_half_up(float(a))
-    return int(q), float(a) - int(q)
+    q = floor(a + 0.5)
+    return q, a - q
 
 
 def _active_terms(bq: BracketQuadratic) -> list[tuple[int, int | None, float]]:
@@ -319,7 +271,7 @@ def _active_terms(bq: BracketQuadratic) -> list[tuple[int, int | None, float]]:
 
 def _quadratic_term(alpha: float, gamma: float, coeff: float, start: int):
     q, s = _split_half(-coeff)
-    slope = CANONICAL_CUTOFF.max_slope
+    slope = CUTOFF_SLOPE
     factors = [
         FundamentalFactor("circle", alpha=alpha),
         FundamentalFactor("circle", alpha=gamma),
@@ -342,8 +294,7 @@ def _linear_term(alpha: float, coeff: float, start: int):
         FundamentalFactor("circle", alpha=alpha),
         FundamentalFactor("circle", alpha=nil_frac(q * alpha)),
     ]
-    slope = CANONICAL_CUTOFF.max_slope
-    blocks = [BlockFunction(start, 2, lambda x, y: cutoff(x) * e(s * x) * e(y), slope + 3 * np.pi)]
+    blocks = [BlockFunction(start, 2, lambda x, y: cutoff(x) * e(s * x) * e(y), CUTOFF_SLOPE + 3 * np.pi)]
     return factors, blocks
 
 
@@ -365,9 +316,9 @@ def _factor_terms(bq: BracketQuadratic) -> list[tuple[list, list]]:
     return out
 
 
-def bracket_to_nilsystem(bq: BracketQuadratic) -> tuple[NilSystem, NilFunction, NilPoint]:
+def bracket_to_nilsystem(bq: BracketQuadratic) -> tuple[NilSystem, NilFunction, tuple]:
     """Realize n -> (prod of cutoff factors) * e(-bq(n)) as F(T^n 0), with
-    chi = CANONICAL_CUTOFF.
+    chi = cutoff.
 
     Each quadratic monomial c {a n}{g n} contributes the block
 
@@ -391,7 +342,7 @@ def bracket_to_nilsystem(bq: BracketQuadratic) -> tuple[NilSystem, NilFunction, 
 def bracket_weight(bq: BracketQuadratic):
     """The cutoff weight carried by the bracket factorization: chi^2 at each
     frequency of every active quadratic monomial, chi at each active linear
-    frequency, with chi = CANONICAL_CUTOFF.  Returns a callable on residues n."""
+    frequency, with chi = cutoff.  Returns a callable on residues n."""
     N = bq.N
     terms = _active_terms(bq)
     quad = [(bq.freqs[i], bq.freqs[j]) for i, j, _ in terms if j is not None]
@@ -464,5 +415,5 @@ def parallelepiped_deviation(rng) -> float:
     g = FundamentalFactor("heis", alpha=rng.uniform(), beta=rng.uniform(), gamma=rng.uniform())
     x = tuple(rng.uniform(-0.5, 0.5, size=3))
     res = hall_petresco_next([x, g.orbit(x, 1), g.orbit(x, 2)], 4)
-    return point_distance(NilSystem((g,)), NilPoint((tuple(res),)), NilPoint((g.orbit(x, 3),)))
+    return point_distance(NilSystem((g,)), (tuple(res),), (g.orbit(x, 3),))
 

@@ -1064,17 +1064,9 @@ def u3_oracle_coset(f: GroupFunction, coset: tuple[int, Subgroup]) -> NormReport
 # --- grid bracket-quadratic oracle on regions of Z/N -------------------------
 
 
-def _region_indices(region) -> np.ndarray:
-    """The element indices of a region: an index array, or a set that lists
-    them by element_indices(), such as a BohrSet."""
-    if isinstance(region, np.ndarray):
-        return region.astype(np.int64)
-    return np.asarray(region.element_indices(), dtype=np.int64)
-
-
 def u3_oracle_bracket(
     f: GroupFunction,
-    region,
+    region: np.ndarray,
     S: Sequence[int],
     grid: int,
 ) -> NormReport:
@@ -1082,8 +1074,8 @@ def u3_oracle_bracket(
 
     Coefficients range over {k + j/grid : -grid <= k <= grid, 0 <= j < grid}.
     The result is a certified lower bound for the quadratic bias u^3 on the
-    region (the family is a grid, not the full supremum); the witness bracket
-    quadratic has exact rational coefficients.
+    region, an array of element indices (the family is a grid, not the full
+    supremum); the witness bracket quadratic has exact rational coefficients.
 
     Every tuple's correlation is an entry of EQ @ EL^T (see the module
     docstring), computed in blocks of q rows and l rows.  The witness is the
@@ -1103,7 +1095,7 @@ def u3_oracle_bracket(
     if s > 4:
         raise TooManyFrequencies("at most 4 frequencies supported")
     N = spec.order
-    idx = _region_indices(region)
+    idx = np.asarray(region, dtype=np.int64)
     m = len(idx)
     if m == 0:
         raise TooSmall("bracket oracle needs a nonempty region")

@@ -24,7 +24,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,15 +34,6 @@ from .groups import GroupSpec, TorusValue, mod1
 from .modlinalg import PrimeSubspace, complete_basis, isotropic_vector_in, kernel_basis_mod_p
 
 DEFAULT_CUBE_BUDGET = 400_000_000
-
-
-def round_half_up(t: TorusValue):
-    """Nearest integer with half-integers rounded up (nilmanifold lifts)."""
-    if type(t) is float:  # the nil orbits' common case, before the ABC check
-        return floor(t + 0.5)
-    if isinstance(t, Fraction):
-        return (2 * t.numerator + t.denominator) // (2 * t.denominator)
-    return floor(float(t) + 0.5)
 
 
 def _require_odd(spec: GroupSpec) -> None:
@@ -152,14 +143,6 @@ class QuadraticPhase:
         if spec.rank != 1:
             raise SpecMismatch("cyclic constructor requires a single factor")
         return QuadraticPhase.from_integer_matrix(spec, [[m]], [b], c)
-
-    @property
-    def m(self) -> int:
-        """The integer m with Mx.x = m x^2 / N (cyclic groups only)."""
-        if self.spec.rank != 1:
-            raise SpecMismatch("m is defined for cyclic groups only")
-        n = self.spec.orders[0]
-        return int(self.bilinear[0][0] * n) % n
 
     def values(self) -> list[Fraction]:
         """The value at every index, in index order."""

@@ -8,7 +8,7 @@ from hypothesis import settings
 
 from u3kit.groups import GroupFunction, GroupSpec, mod1
 from u3kit.modlinalg import rref_mod_p
-from u3kit.nil import NilFunction, NilPoint, _factor_terms
+from u3kit.nil import NilFunction, _factor_terms
 
 # One setting for every property test: derandomized, with no example database.
 settings.register_profile("u3kit", max_examples=60, deadline=None, derandomize=True, database=None)
@@ -69,6 +69,34 @@ def frac_part(t) -> Fraction:
     if isinstance(t, Fraction):
         return t if 2 * t <= 1 else t - 1
     return t if t <= 0.5 else t - 1.0
+
+
+def round_half_up(t: Fraction) -> int:
+    """[t], the nearest integer to t with halves rounded up, exactly: the
+    reference for the nil layer's floor(t + 1/2)."""
+    return (2 * t.numerator + t.denominator) // (2 * t.denominator)
+
+
+def exact_orbit(f, c: tuple, n: int) -> tuple:
+    """T^n c for a `nil.FundamentalFactor` f with Fraction parameters and
+    Fraction coordinates c, in exact arithmetic: the closed forms of the
+    `nil` module docstring, with [t] = round_half_up(t) and {t} = t - [t]."""
+    t = n * (n + 1) // 2
+    if f.kind == "circle":
+        X = c[0] + n * f.alpha
+        return (X - round_half_up(X),)
+    if f.kind == "skew":
+        x, y = c
+        X = x + n * f.alpha
+        Y = y + n * f.beta + n * f.m * x + t * f.m * f.alpha
+        return (X - round_half_up(X), Y - round_half_up(Y))
+    x, y, z = c
+    X = x + n * f.alpha
+    Y = y + n * f.beta + n * f.gamma * x + t * f.gamma * f.alpha
+    Z = z + n * f.gamma
+    k = round_half_up(X)
+    W = Y - k * Z
+    return (X - k, W - round_half_up(W), Z - round_half_up(Z))
 
 
 def bohr_norm_exact(spec: GroupSpec, x: int, S) -> Fraction:
@@ -223,6 +251,6 @@ def lipschitz_slack(F: NilFunction, K: float, m: int, samples: int = 500, seed: 
             p1.append(tuple(u1[pos : pos + f.dim]))
             p2.append(tuple(u2[pos : pos + f.dim]))
             pos += f.dim
-        v = K * delta - abs(F(NilPoint(tuple(p1))) - F(NilPoint(tuple(p2))))
+        v = K * delta - abs(F(tuple(p1)) - F(tuple(p2)))
         worst = min(worst, v)
     return worst

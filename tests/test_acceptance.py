@@ -268,7 +268,7 @@ def test_c11_inverse_pipeline_planted_recovery():
             from u3kit.inverse_f5 import coset_reps
 
             for y in coset_reps(W_plant).tolist():
-                pts = spec.add_indices(W_plant.element_indices(), np.int64(y))
+                pts = spec.add_indices(np.sort(W_plant.coset(0)), np.int64(y))
                 planted.append(
                     abs(np.mean(f.values[pts] * np.exp(-2j * np.pi * q[pts] / 5)))
                 )
@@ -319,7 +319,6 @@ def test_c13_parallelepiped_constraint():
     gate = _Gate("c13 parallelepiped constraint k=4", 10)
     from u3kit.nil import (
         FundamentalFactor,
-        NilPoint,
         NilSystem,
         hall_petresco_next,
         point_distance,
@@ -336,7 +335,7 @@ def test_c13_parallelepiped_constraint():
         sysm = NilSystem((g,))
         worst = max(
             worst,
-            point_distance(sysm, NilPoint((tuple(res),)), NilPoint((g.orbit(x, 3),))),
+            point_distance(sysm, (tuple(res),), (g.orbit(x, 3),)),
         )
     assert worst < 1e-9
     gate.done(f"1000 random orbits, max deviation {worst:.2e}")

@@ -135,8 +135,11 @@ def test_out_of_memory_exits_3_as_budget_exceeded(monkeypatch, capsys):
     }
 
 
+_PAST_THE_ARRAY_LIMIT = "group order must be below 2^59, as its 16-byte values would pass 2^63 - 1 bytes"
+
+
 @pytest.mark.parametrize("N, error", [
-    (str(2**63 - 25), "BudgetExceeded"),  # the largest prime below 2^63: an array numpy refuses to make
+    (str(2**63 - 25), "ParseError"),  # the largest prime below 2^63: an array numpy refuses to make
     (str(2**63 + 1), "ParseError"),
     (str(2**64 + 13), "ParseError"),  # prime, refused before the primality test
     ("0", "NotPrime"),
@@ -145,13 +148,91 @@ def test_out_of_memory_exits_3_as_budget_exceeded(monkeypatch, capsys):
 ])
 def test_fw_near_the_64_bit_bound_exits_3_at_once(N, error, capsys):
     # trial division took minutes on a prime near 2^63, and a prime past it
-    # ended in GroupSpec's ValueError
+    # ended in GroupSpec's ValueError; a prime in [2^59, 2^63) is refused by
+    # the bound on a dense array before the primality test
     t0 = time.perf_counter()
     code, out, err = run_cli(["fw", "--N", N], capsys)
     assert (code, out, json.loads(err)["error"]) == (3, "", error)
     assert time.perf_counter() - t0 < 5
     if error == "ParseError":
-        assert json.loads(err)["message"] == f"bad N {N}: group order must fit in 64 bits"
+        why = "group order must fit in 64 bits" if int(N) >= 2**63 else _PAST_THE_ARRAY_LIMIT
+        assert json.loads(err)["message"] == f"bad N {N}: {why}"
+
+
+def test_fw_on_a_prime_past_the_array_limit_names_the_bound(capsys):
+    # 2^60 - 93 is prime: numpy's "array is too big" ValueError was reported
+    # as out of memory
+    N = 2**60 - 93
+    code, out, err = run_cli(["fw", "--N", str(N)], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "ParseError", "message": f"bad N {N}: {_PAST_THE_ARRAY_LIMIT}"}
+
+
+_BIG = f"Z/{2**63 - 25}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogolyubov", "--group", _BIG, "--set", "1,2"],
+    ["norm", "--group", _BIG, "--expr", "1", "--d", "2"],
+    ["u3-oracle", "--group", _BIG, "--expr", "1"],
+    ["scan", "--group", _BIG, "--expr", "1"],
+    ["inverse-f5", "--group", _BIG, "--expr", "1", "--eta", "0.5"],
+    ["bohr", "--group", _BIG, "--S", "1", "--rho", "0.1"],
+    ["progression", "--group", _BIG, "--S", "1", "--rho", "0.1"],
+    ["aps", "--group", _BIG, "--set", "1,2", "--k", "3"],
+], ids=lambda argv: argv[0])
+def test_a_group_past_numpys_array_limit_is_a_parse_error(argv, capsys):
+    # the first five ended in numpy's "array is too big" traceback (exit 1);
+    # the last three exited 3 with a message about pairings or memory
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "ParseError", "message": f"bad group '{_BIG}': {_PAST_THE_ARRAY_LIMIT}"}
+
+
+def test_bracket_out_past_the_array_limit_is_a_parse_error(tmp_path, capsys):
+    # N = 2^61 - 1 ended in numpy's "array is too big" traceback; without
+    # --out no array is made, and the value at one n is still reported
+    bq = tmp_path / "bq.json"
+    N = 2**61 - 1
+    bq.write_text(json.dumps({"N": N, "S": [1], "quad": [["1/2"]], "lin": [0]}))
+    code, out, err = run_cli(["bracket", "--bq", str(bq), "--out", str(tmp_path / "o.json")], capsys)
+    assert (code, out) == (3, "") and not (tmp_path / "o.json").exists()
+    assert json.loads(err) == {"error": "ParseError", "message": f"bad group 'Z/{N}': {_PAST_THE_ARRAY_LIMIT}"}
+    code, out, _ = run_cli(["bracket", "--bq", str(bq), "--n", "5"], capsys)
+    assert code == 0 and result_of(out)["N"] == N
+
+
+def test_nilseq_past_the_array_limit_names_the_bound(tmp_path, capsys):
+    # the bound was reported as an orbit that is not finite in floats
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps({"factors": [{"kind": "circle", "alpha": 0.3}]}))
+    N = 2**60 + 1
+    code, out, err = run_cli(["nilseq", "--system", str(system), "--N", str(N)], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "ParseError", "message": f"bad group 'Z/{N}': {_PAST_THE_ARRAY_LIMIT}"}
+
+
+def test_nilseq_on_json_integers_writes_the_file_of_the_same_floats(tmp_path, capsys):
+    # the nil layer has one float path: a parameter 1 gives the bytes 1.0 gives
+    def system(one, two, zero):
+        return {"factors": [{"kind": "circle", "alpha": one},
+                            {"kind": "skew", "alpha": 0.25, "beta": one, "m": 3},
+                            {"kind": "heis", "alpha": 0.3, "beta": two, "gamma": one},
+                            {"kind": "heis", "alpha": two, "beta": 0.125, "gamma": 0.7},
+                            {"kind": "circle", "alpha": zero}]}
+
+    written = []
+    for name, params in (("ints", (1, 2, 0)), ("floats", (1.0, 2.0, 0.0))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(system(*params)))
+        for F in ("builtin:one", "builtin:chi_e"):
+            out_path = tmp_path / f"{name}-{F[8:]}-out.json"
+            code, _, _ = run_cli(["nilseq", "--system", str(path), "--F", F, "--N", "101",
+                                  "--out", str(out_path)], capsys)
+            assert code == 0
+            written.append(out_path.read_bytes())
+    assert written[:2] == written[2:]
+    assert len(set(json.dumps(v) for v in json.loads(written[1])["values"])) > 1  # not a constant sequence
 
 
 def test_bracket_out_past_the_64_bit_bound_is_a_parse_error(tmp_path, capsys):
@@ -864,7 +945,7 @@ def test_gvn_input_count_and_k_are_checked(tmp_path, capsys):
 
 def test_nilseq_bad_length_and_overflowing_orbit(tmp_path, capsys):
     # --N -3 ended in a ValueError traceback from GroupSpec, and parameters
-    # near 1e300 in a NaN lift (round_half_up of inf - inf)
+    # near 1e300 in a NaN lift (floor(t + 1/2) of inf - inf)
     path = tmp_path / "sys.json"
     path.write_text(json.dumps({"factors": [{"kind": "heis", "alpha": 1e300, "beta": 1e300, "gamma": 1e300}]}))
     with pytest.raises(SystemExit) as exc:

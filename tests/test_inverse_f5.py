@@ -94,6 +94,40 @@ def test_graph_empty_on_random_signs(rng):
         phase_derivative_graph(f, 0.9)
 
 
+def test_empty_graph_of_an_unbounded_f_states_its_true_bound():
+    # f = 20 delta_0 on F5^3 has U^3 = 1.789; the density argument needs
+    # |f| <= 1, so "certifies U^3 < 1.0" was false, and the bound for
+    # M = max|f| is eta (M^4 (1 + M^4) / 2)^(1/8)
+    spec = parse_group("F5^3")
+    f = GroupFunction(spec, 20.0 * (np.arange(spec.order) == 0))
+    with pytest.raises(EmptyGraph) as exc:
+        phase_derivative_graph(f, 1.0)
+    assert str(exc.value) == ("shift set of size 1 below the density floor 0.5 * 125; "
+                              "certifies U^3 < 18.340095192242423")
+    assert 18.3 < (20.0**4 * (1 + 20.0**4) / 2) ** 0.125 < 18.4
+    assert gowers_norm(f, 3, unchecked=True).value == pytest.approx(1.7888543819998317, rel=1e-12)
+
+
+@given(group=st.sampled_from(["F3^3", "F5^2", "F5^3", "F7^2"]), points=st.integers(1, 6),
+       scale=st.floats(0.5, 50), eta=st.floats(0.3, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_the_stated_empty_graph_bound_exceeds_u3(group, points, scale, eta, seed):
+    # sparse f of any size: where the graph refuses, the U^3 bound in its
+    # message holds, for max|f| above 1 as below it
+    spec = parse_group(group)
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(spec.order, dtype=np.complex128)
+    at = rng.choice(spec.order, size=points, replace=False)
+    vals[at] = scale * rng.uniform(0.2, 1.0, points) * np.exp(2j * np.pi * rng.uniform(size=points))
+    f = GroupFunction(spec, vals)
+    try:
+        phase_derivative_graph(f, eta)
+    except EmptyGraph as exc:
+        bound = float(str(exc).rsplit("certifies U^3 < ", 1)[1])
+        assert gowers_norm(f, 3, unchecked=True).value < bound
+        if np.max(np.abs(vals)) <= 1:
+            assert bound == eta
+
+
 def test_witness_bound(rng):
     # every kept pair has |corr|^2 >= eta^8 / 2 and every other shift fails
     # it, both recomputed from the definition; at eta = 0.8 the cut drops
@@ -742,7 +776,7 @@ def _reference_largest_subspace(spec, members):
     for k in range(spec.rank, -1, -1):
         for mats in subspace_bases(spec.orders[0], spec.rank, k, 1):
             W = PrimeSubspace(spec, tuple(tuple(int(v) for v in row) for row in mats[0]))
-            if all(int(i) in mem for i in W.element_indices().tolist()):
+            if all(int(i) in mem for i in W.coset(0).tolist()):
                 return W
     return PrimeSubspace(spec, ())
 
@@ -782,7 +816,7 @@ def test_largest_subspace_inside_matches_set_search(group, monkeypatch):
         mask = rng.uniform(size=N) < rng.uniform(0, 0.6)
         for _ in range(trial % 3):
             W = PrimeSubspace.from_generators(spec, rng.integers(0, p, (int(rng.integers(1, n)), n)))
-            mask[W.element_indices()] = True
+            mask[W.coset(0)] = True
         if trial % 5 == 4:
             mask[0] = False
         members = np.flatnonzero(mask).tolist()

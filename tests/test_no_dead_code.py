@@ -16,7 +16,11 @@ what a file imports, not by spelling:
   it is read as `x.name`.  Receivers are not typed, so `v.copy()` on an
   array is a use of every method named `copy`: a method or property named
   like an `np.ndarray` attribute must be listed in NDARRAY_NAMESAKES with
-  its reason.
+  its reason.  For the same reason `x.to_json()` is a use of every
+  `to_json`: a method or property named like a member (a method, a
+  property or a dataclass field) of another src class outside its own
+  class hierarchy must be listed in NAMESAKES with the src/ or bench/
+  expression that reaches it.
 
 An import alone is not a use.  Dunder methods count as live, since the
 language calls them, but every one other than __init__ and __post_init__
@@ -49,13 +53,39 @@ ALLOWED_OPTIONS: dict[str, str] = {}
 NDARRAY_NAMESAKES: dict[str, str] = {}
 
 
+# Every method and property of src/u3kit named like a member of another src
+# class outside its hierarchy, with the expression in src/ or bench/ that
+# reaches it: the caller gate cannot tell a use of one namesake from another's.
+NAMESAKES: dict[str, str] = {
+    "bohr.BohrSet.d": "B.d in bohr.is_regular",
+    "bohr.CosetProgression.to_json": "ext.progression.to_json() in cli._cmd_bohr and cli._cmd_progression",
+    "experiments.ScanResult.to_json": "res.to_json() in cli._cmd_scan",
+    "experiments.IncrementReport.to_json": "density_increment_f5(spec, A, th).to_json() in cli._cmd_increment",
+    "forms.ApCount.to_json": "count_aps(spec, ...).to_json() in cli._cmd_aps",
+    "groups.GroupSpec.order": "self.order in groups.GroupSpec.add_indices",
+    "groups.GroupSpec.rank": "self.rank in groups.GroupSpec.decode",
+    "inverse_f5.ObstructionReport.to_json": "quadratic_obstruction(...).to_json() in cli._cmd_inverse_f5",
+    "modlinalg.Subgroup.order": "Vsub.order in inverse_f5.linear_component_fit",
+    "modlinalg.Subgroup.generators": "self.generators in modlinalg.Subgroup._span",
+    "modlinalg.PrimeSubspace.dim": "W.dim in experiments._increment_candidates",
+    "nil.FundamentalFactor.dim": "f.dim in nil.NilSystem.dimension",
+    "nil.NilSystem.dimension": "sysm.dimension in cli._cmd_nilseq",
+    "nil.NilSystem.from_json": "NilSystem.from_json in cli._cmd_nilseq",
+    "norms.NormReport.to_json": "rep.to_json() in cli._cmd_u3_oracle",
+    "norms.CosetQuadraticWitness.to_json": "w.to_json() in norms.NormReport.to_json",
+    "quadratic.QuadraticPhase.values": "QuadraticPhase.cyclic(...).values() in bench workloads.QuadClassify.generate",
+    "quadratic.QuadraticPhase.to_json": "Q.to_json() in cli._cmd_quad_classify",
+    "quadratic.BracketQuadratic.to_json": "w.to_json() in norms.NormReport.to_json, for the bracket oracle's witness",
+    "quadratic.BracketQuadratic.from_json": "BracketQuadratic.from_json in cli._cmd_bracket",
+}
+
+
 # Every dunder method of src/u3kit other than __init__ and __post_init__, with
 # the expression in src/ or bench/ that makes the language call it.
 DUNDERS: dict[str, str] = {
     "bohr.BohrSet.__len__": "len(B) in cli._cmd_bohr and selftest.run_selftest",
     "inverse_f5.PhaseGraph.__len__": "len(gamma) in inverse_f5.quadratic_obstruction",
     "groups.GroupSpec.__str__": "str(f.owner) in groups.function_to_json",
-    "nil.CutoffSpec.__call__": "chi(x) in the heis block function of cli._cmd_nilseq",
     "nil.NilFunction.__call__": "F(orbit_point(sys, x0, n)) in nil.nilsequence",
 }
 
@@ -291,6 +321,47 @@ def ndarray_namesakes(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def namesakes(sources: dict[str, str]) -> list[str]:
+    """"path:line module.Class.name" of every non-dunder method or property
+    of a class under src/u3kit whose name is also a member (a method, a
+    property or an annotated field) of another src class outside its
+    hierarchy.  Classes joined by a base that names a src class form one
+    hierarchy, so an override is not a namesake."""
+    classes = {}  # Class -> (module, bases, {member: node or None for a field})
+    for rel, text in sources.items():
+        if rel.startswith("src/u3kit/"):
+            module = _module(rel).removeprefix("u3kit.")
+            for node in ast.walk(ast.parse(text, filename=rel)):
+                if isinstance(node, ast.ClassDef):
+                    members = {}
+                    for st in node.body:
+                        if isinstance(st, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                            if not (st.name.startswith("__") and st.name.endswith("__")):
+                                members[st.name] = st
+                        elif isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name):
+                            members[st.target.id] = None
+                    bases = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", "") for b in node.bases]
+                    classes[node.name] = (rel, module, bases, members)
+    root = {name: name for name in classes}
+
+    def find(name):
+        while root[name] != name:
+            name = root[name]
+        return name
+
+    for name, (_, _, bases, _) in classes.items():
+        for base in bases:
+            if base in classes:
+                root[find(name)] = find(base)
+    out = []
+    for name, (rel, module, _, members) in classes.items():
+        for member, node in members.items():
+            if node is not None and any(member in other[3] and find(o) != find(name)
+                                        for o, other in classes.items()):
+                out.append(f"{rel}:{node.lineno} {module}.{name}.{member}")
+    return out
+
+
 def dunders(sources: dict[str, str]) -> list[str]:
     """"path:line module.Class.name" of every dunder method defined under
     src/u3kit other than __init__ and __post_init__."""
@@ -310,6 +381,13 @@ def test_every_dunder_in_src_is_listed_with_its_caller():
     assert [w for w in found if w.split()[1] not in DUNDERS] == []
     assert all(reason.strip() for reason in DUNDERS.values())
     assert set(DUNDERS) <= {w.split()[1] for w in found}
+
+
+def test_every_namesake_in_src_is_listed_with_its_caller():
+    found = namesakes(_sources(("src",)))
+    assert [w for w in found if w.split()[1] not in NAMESAKES] == []
+    assert all(reason.strip() for reason in NAMESAKES.values())
+    assert set(NAMESAKES) <= {w.split()[1] for w in found}
 
 
 def test_no_method_in_src_is_named_like_an_ndarray_attribute():
@@ -373,6 +451,20 @@ def test_methods_named_like_ndarray_attributes_are_caught():
     src = {"src/u3kit/groups.py": _GROUPS + "\ndef copy(x):\n    return x\n"}
     found = [w.split()[1] for w in ndarray_namesakes(src)]
     assert found == ["groups.GroupFunction.mean", "groups.GroupFunction.conj"]
+
+
+def test_namesakes_outside_one_hierarchy_are_caught():
+    # Child overrides Base; Phase's property shares its name with Report's
+    # field, which is reported only on the method side
+    src = {"src/u3kit/groups.py": "from dataclasses import dataclass\n\n"
+                                  "class Base:\n    def to_json(self):\n        return {}\n\n"
+                                  "class Child(Base):\n    def to_json(self):\n        return {1: 1}\n\n"
+                                  "@dataclass\nclass Report:\n    m: int\n\n"
+                                  "class Phase:\n    @property\n    def m(self):\n        return 0\n"}
+    assert [w.split()[1] for w in namesakes(src)] == ["groups.Phase.m"]
+    src["src/u3kit/norms.py"] = "class ApCount:\n    def to_json(self):\n        return {}\n"
+    assert sorted(w.split()[1] for w in namesakes(src)) == [
+        "groups.Base.to_json", "groups.Child.to_json", "groups.Phase.m", "norms.ApCount.to_json"]
 
 
 def test_dunders_other_than_init_are_found():

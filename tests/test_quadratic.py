@@ -122,13 +122,13 @@ def test_classify_examples():
     Z5 = parse_group("Z/5")
     phi = [Fraction(2 * x * x + 3 * x, 5) % 1 for x in range(5)]
     Q = classify_global_quadratic(phi, Z5)
-    assert (Q.m, Q.xi, Q.c) == (2, (3,), 0)
+    assert (Q.bilinear, Q.xi, Q.c) == (((Fraction(2, 5),),), (3,), 0)
     const = [Fraction(2, 7)] * 5
     Qc = classify_global_quadratic(const, Z5)
-    assert Qc.m == 0 and Qc.xi == (0,) and Qc.c == Fraction(2, 7)
+    assert Qc.bilinear == ((0,),) and Qc.xi == (0,) and Qc.c == Fraction(2, 7)
     lin = [Fraction(4 * x, 5) % 1 for x in range(5)]
     Ql = classify_global_quadratic(lin, Z5)
-    assert Ql.m == 0 and Ql.xi == (4,) and Ql.c == 0
+    assert Ql.bilinear == ((0,),) and Ql.xi == (4,) and Ql.c == 0
 
 
 def test_classify_roundtrip_exhaustive():

@@ -1,10 +1,10 @@
 """The quadratic layer on exact integers against the Fraction loops it
-replaced: the generator third-difference test of ``is_locally_quadratic``,
-``BracketQuadratic.eval`` on integer numerators and the float branch of
-``round_half_up``.  Each reference below is the replaced code, kept here."""
+replaced: the generator third-difference test of ``is_locally_quadratic``
+and ``BracketQuadratic.eval`` on integer numerators.  Each reference below
+is the replaced code, kept here."""
 
 from fractions import Fraction
-from math import floor, gcd, lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from u3kit.quadratic import (
     _numerators,
     classify_global_quadratic,
     is_locally_quadratic,
-    round_half_up,
 )
 
 # --- third differences ------------------------------------------------------------
@@ -216,24 +215,3 @@ def test_bracket_quadratic_is_frozen():
     with pytest.raises(AttributeError):
         bq.const = Fraction(1, 3)
 
-
-# --- round_half_up -----------------------------------------------------------------
-
-
-def reference_round_half_up(t):
-    if isinstance(t, Fraction):
-        return (2 * t.numerator + t.denominator) // (2 * t.denominator)
-    return floor(float(t) + 0.5)
-
-
-@given(st.one_of(
-    st.floats(-1e6, 1e6, allow_nan=False),
-    st.integers(-(10**6), 10**6).map(lambda k: k + 0.5),
-    st.integers(-(10**6), 10**6).map(lambda k: k - 0.5),
-    st.floats(-1e6, 1e6, allow_nan=False).map(np.float64),
-    st.fractions(max_denominator=10**9),
-    st.integers(-(10**12), 10**12),
-))
-def test_round_half_up_matches_reference(t):
-    got, want = round_half_up(t), reference_round_half_up(t)
-    assert got == want and type(got) is type(want)
